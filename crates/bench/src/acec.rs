@@ -828,6 +828,7 @@ pub type Proto = Rc<dyn Protocol>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_core::{run_ace_with, CheckMode, Spmd};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -854,6 +855,23 @@ mod tests {
             }
             let (hv, _) = run_hand(&k, 4);
             assert!(close(v0, hv), "{}: hand version disagrees ({v0} vs {hv})", k.name);
+        }
+    }
+
+    #[test]
+    fn fully_optimized_kernels_run_violation_free_under_fail() {
+        // At LI+MC+DC the compiler deletes null hooks, so a section can
+        // lose one end (Barnes/BSC/Water keep `start_read`, lose the null
+        // `end_read`). The runtime must treat such a section as invisible:
+        // under `CheckMode::Fail` a spurious `SectionLeftOpen` panics.
+        let cfg = SystemConfig::builtin();
+        for k in kernels() {
+            let prog = compile(k.source, &cfg, OptLevel::Direct).unwrap();
+            let checked = Spmd::builder().nprocs(4).cost(CostModel::cm5()).check(CheckMode::Fail);
+            let r = run_ace_with(checked, |rt| run_program(rt, &prog).map(|v| v.as_f()));
+            let (v0, _) = run_compiled(&k, OptLevel::O0, 4);
+            assert!(close(v0, r.results[0].unwrap_or(0.0)), "{}: checked run diverged", k.name);
+            assert_eq!(r.stats.total_violations(), 0, "{}", k.name);
         }
     }
 

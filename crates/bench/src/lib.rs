@@ -6,8 +6,9 @@
 //! * [`acec`] — the Ace-C benchmark kernels and their hand-written
 //!   runtime-system counterparts for the compiler evaluation (Table 4).
 //!
-//! Binaries `fig7a`, `fig7b`, `table4`, and `ablation` print the tables;
-//! the Criterion benches under `benches/` wrap the same computations.
+//! Binaries `fig7a`, `fig7b`, `table4`, and `ablation` print the tables.
+//! Per-layer host-time measurements live in the repo benchmark
+//! (`benchmark/`, `-- layers`).
 
 // The Table 4 kernels transliterate the paper's C loops; explicit indexing is the idiom.
 #![allow(clippy::needless_range_loop)]

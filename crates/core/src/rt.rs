@@ -67,6 +67,101 @@ fn region_cache_slot(r: RegionId, slots: usize) -> usize {
     (r.0.wrapping_mul(PHI) >> 52) as usize & (slots - 1)
 }
 
+/// How an annotation's protocol is resolved — the one bit the compiler's
+/// direct-dispatch optimization (§4.2) changes about an annotation.
+#[derive(Clone, Copy)]
+enum Resolve<'p> {
+    /// Looked up through the region's space; pays `CostModel::dispatch`.
+    Space,
+    /// Statically known to the caller; pays `CostModel::direct_call`.
+    Static(&'p dyn Protocol),
+}
+
+impl<'p> Resolve<'p> {
+    /// The protocol an annotation on `e` resolves to. A space lookup
+    /// parks its handle in `held`, so one annotation resolves at most once.
+    #[inline]
+    fn get<'a>(
+        self,
+        rt: &AceRt,
+        e: &RegionEntry,
+        held: &'a mut Option<Rc<dyn Protocol>>,
+    ) -> &'a dyn Protocol
+    where
+        'p: 'a,
+    {
+        match self {
+            Resolve::Space => &**held.get_or_insert_with(|| rt.space(e.space).proto()),
+            Resolve::Static(p) => p,
+        }
+    }
+
+    /// Whether the compiler deleted this annotation's `partner` (the other
+    /// end of its access section). Only the direct-dispatch pass removes
+    /// calls, only where the protocol is statically known, and exactly the
+    /// hooks that protocol declares null — so hand-written programs, which
+    /// resolve through the space, keep the strict section discipline.
+    fn elided(self, partner: Actions) -> bool {
+        matches!(self, Resolve::Static(p) if p.null_actions().contains(partner))
+    }
+}
+
+/// A traced hook span between [`AceRt::span_enter`] and
+/// [`AceRt::span_exit`]: the `HookExit` fields, plus the spanned region
+/// and its protocol state code at entry. Plain words, no destructor — the
+/// token crosses every hook call, tracing on or off.
+struct Span<'e> {
+    hook: Hook,
+    region: u64,
+    space: u32,
+    proto: &'static str,
+    detail: &'static str,
+    st: Option<(&'e RegionEntry, u32)>,
+}
+
+/// What an annotation hook does to its region's access sections.
+#[derive(Clone, Copy)]
+enum Edge {
+    /// `start_read` / `start_write`.
+    Open { write: bool },
+    /// `end_read` / `end_write`.
+    Close { write: bool },
+    /// `lock` / `unlock`: no section.
+    Sync,
+}
+
+impl Edge {
+    fn of(hook: Hook) -> Edge {
+        match hook {
+            Hook::StartRead => Edge::Open { write: false },
+            Hook::StartWrite => Edge::Open { write: true },
+            Hook::EndRead => Edge::Close { write: false },
+            Hook::EndWrite => Edge::Close { write: true },
+            Hook::Lock | Hook::Unlock => Edge::Sync,
+            _ => unreachable!("{} is not an annotation", hook.name()),
+        }
+    }
+}
+
+/// The hook that opens (`open`) or closes a read or `write` section.
+fn section_action(open: bool, write: bool) -> Actions {
+    match (open, write) {
+        (true, false) => Actions::START_READ,
+        (false, false) => Actions::END_READ,
+        (true, true) => Actions::START_WRITE,
+        (false, true) => Actions::END_WRITE,
+    }
+}
+
+/// The open-section counter of `e` for read or `write` sections.
+fn section(e: &RegionEntry, write: bool) -> &Cell<u32> {
+    if write {
+        &e.write_active
+    } else {
+        &e.read_active
+    }
+}
+
 /// The per-node runtime. One `AceRt` exists per simulated processor; all
 /// interior state is node-local (`Cell`/`RefCell`), and all cross-node
 /// effects go through typed messages on the underlying [`Node`].
@@ -191,115 +286,50 @@ impl<'n> AceRt<'n> {
 
     // ------------------------------------------------------------------
     // Event tracing
-    //
-    // Every instrumentation point starts with the sink's inlined
-    // `enabled()` check, so with tracing off (the default) the cost is a
-    // single predictable branch per hook — no event construction, no
-    // state reads.
     // ------------------------------------------------------------------
 
-    /// Open a traced hook span on `e`. Returns the region's protocol
-    /// state code at entry (0 when tracing is off), which the matching
-    /// [`AceRt::hook_exit`] diffs to synthesize `State` events.
+    /// Open a traced span around a hook. `last_hook` is tracked
+    /// unconditionally; everything else sits behind the sink's inlined
+    /// `enabled()` check, so with tracing off (the default) a span costs
+    /// one store and one predictable branch per end — no event
+    /// construction, no state reads — and the returned token is `None`.
+    /// A span on a region (`e` is `Some`) records the region's protocol
+    /// state code so [`AceRt::span_exit`] can diff it; region-less spans
+    /// (the barrier is scoped to a space) carry [`ace_machine::NO_REGION`].
     #[inline]
-    fn hook_enter(&self, hook: Hook, e: &RegionEntry, proto: &'static str) -> u32 {
-        self.hook_enter_detail(hook, e, proto, "")
-    }
-
-    #[inline]
-    fn hook_enter_detail(
+    fn span_enter<'e>(
         &self,
         hook: Hook,
-        e: &RegionEntry,
+        space: SpaceId,
+        e: Option<&'e RegionEntry>,
         proto: &'static str,
         detail: &'static str,
-    ) -> u32 {
+    ) -> Option<Span<'e>> {
         self.last_hook.set(hook.name());
         let sink = self.node.trace_sink();
         if !sink.enabled() {
-            return 0;
+            return None;
         }
-        sink.emit(
-            self.node.now(),
-            EventKind::HookEnter { hook, region: e.id.0, space: e.space.0, proto, detail },
-        );
-        e.st.get()
+        let (region, space) = (e.map_or(ace_machine::NO_REGION, |e| e.id.0), space.0);
+        sink.emit(self.node.now(), EventKind::HookEnter { hook, region, space, proto, detail });
+        Some(Span { hook, region, space, proto, detail, st: e.map(|e| (e, e.st.get())) })
     }
 
-    /// Close a traced hook span opened by [`AceRt::hook_enter`], emitting
-    /// a `State` transition event if the region's state code changed
-    /// across the hook (this is how protocol state machines appear in the
-    /// timeline without protocols emitting anything themselves).
+    /// Close a span, first emitting a `State` event if the region's state
+    /// code changed across the hook — this is how protocol state machines
+    /// appear in the timeline without protocols emitting anything
+    /// themselves.
     #[inline]
-    fn hook_exit(&self, st_before: u32, hook: Hook, e: &RegionEntry, proto: &'static str) {
-        self.hook_exit_detail(st_before, hook, e, proto, "");
-    }
-
-    #[inline]
-    fn hook_exit_detail(
-        &self,
-        st_before: u32,
-        hook: Hook,
-        e: &RegionEntry,
-        proto: &'static str,
-        detail: &'static str,
-    ) {
+    fn span_exit(&self, span: Option<Span<'_>>) {
+        let Some(Span { hook, region, space, proto, detail, st }) = span else { return };
         let sink = self.node.trace_sink();
-        if !sink.enabled() {
-            return;
+        if let Some((e, from)) = st {
+            let to = e.st.get();
+            if to != from {
+                sink.emit(self.node.now(), EventKind::State { region, from, to });
+            }
         }
-        let st_after = e.st.get();
-        if st_after != st_before {
-            sink.emit(
-                self.node.now(),
-                EventKind::State { region: e.id.0, from: st_before, to: st_after },
-            );
-        }
-        sink.emit(
-            self.node.now(),
-            EventKind::HookExit { hook, region: e.id.0, space: e.space.0, proto, detail },
-        );
-    }
-
-    /// Open a traced span for a region-less hook (the barrier is scoped
-    /// to a space, not a region). Uses [`ace_machine::NO_REGION`] as the
-    /// region field.
-    #[inline]
-    fn hook_enter_space(&self, hook: Hook, space: SpaceId, proto: &'static str) {
-        self.last_hook.set(hook.name());
-        let sink = self.node.trace_sink();
-        if !sink.enabled() {
-            return;
-        }
-        sink.emit(
-            self.node.now(),
-            EventKind::HookEnter {
-                hook,
-                region: ace_machine::NO_REGION,
-                space: space.0,
-                proto,
-                detail: "",
-            },
-        );
-    }
-
-    /// Close a span opened by [`AceRt::hook_enter_space`].
-    #[inline]
-    fn hook_exit_space(&self, hook: Hook, space: SpaceId, proto: &'static str) {
-        let sink = self.node.trace_sink();
-        if !sink.enabled() {
-            return;
-        }
-        sink.emit(
-            self.node.now(),
-            EventKind::HookExit {
-                hook,
-                region: ace_machine::NO_REGION,
-                space: space.0,
-                proto,
-                detail: "",
-            },
-        );
+        sink.emit(self.node.now(), EventKind::HookExit { hook, region, space, proto, detail });
     }
 
     /// This node's rank.
@@ -413,10 +443,15 @@ impl<'n> AceRt<'n> {
                     .lookup(pm.region)
                     .unwrap_or_else(|| panic!("protocol msg for unknown region {}", pm.region));
                 let proto = self.space(e.space).proto();
-                let (pname, detail) = (proto.name(), proto.op_name(pm.op));
-                let st0 = self.hook_enter_detail(Hook::Handle, &e, pname, detail);
+                let span = self.span_enter(
+                    Hook::Handle,
+                    e.space,
+                    Some(&e),
+                    proto.name(),
+                    proto.op_name(pm.op),
+                );
                 proto.handle(self, &e, pm, src);
-                self.hook_exit_detail(st0, Hook::Handle, &e, pname, detail);
+                self.span_exit(span);
             }
             AceMsg::MetaReq { region } => {
                 let e = self
@@ -730,25 +765,12 @@ impl<'n> AceRt<'n> {
     /// metadata from home on first contact.
     pub fn map(&self, r: RegionId) {
         self.node.charge(self.node.cost().map_lookup);
-        if let Some(e) = self.lookup(r) {
-            self.counters.borrow_mut().map_hits += 1;
-            e.mapped.set(e.mapped.get() + 1);
-            let proto = self.space(e.space).proto();
-            let st0 = self.hook_enter(Hook::Map, &e, proto.name());
-            proto.on_map(self, &e);
-            self.hook_exit(st0, Hook::Map, &e, proto.name());
-            return;
-        }
-        assert_ne!(r.home(), self.rank(), "home regions exist from gmalloc");
-        self.counters.borrow_mut().map_misses += 1;
-        self.send(r.home(), AceMsg::MetaReq { region: r });
-        self.wait("region metadata", || self.regions.borrow().contains_key(&r.0));
-        let e = self.entry(r);
-        e.mapped.set(1);
+        let e = self.ensure_entry(r);
+        e.mapped.set(e.mapped.get() + 1);
         let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::Map, &e, proto.name());
+        let span = self.span_enter(Hook::Map, e.space, Some(&e), proto.name(), "");
         proto.on_map(self, &e);
-        self.hook_exit(st0, Hook::Map, &e, proto.name());
+        self.span_exit(span);
     }
 
     /// `ACE_UNMAP`. The cache entry is retained (CRL-style unmapped-region
@@ -759,33 +781,9 @@ impl<'n> AceRt<'n> {
         assert!(e.mapped.get() > 0, "unmap of unmapped region {r}");
         e.mapped.set(e.mapped.get() - 1);
         let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::Unmap, &e, proto.name());
+        let span = self.span_enter(Hook::Unmap, e.space, Some(&e), proto.name(), "");
         proto.on_unmap(self, &e);
-        self.hook_exit(st0, Hook::Unmap, &e, proto.name());
-    }
-
-    fn dispatch_charge(&self) {
-        self.counters.borrow_mut().dispatched += 1;
-        self.node.charge(self.node.cost().dispatch);
-    }
-
-    /// Whether `action` on `e` can take the CRL-style fast path: the
-    /// protocol has declared the hook a state-preserving no-op in the
-    /// region's current state, and the escape hatch hasn't forced slow.
-    #[inline]
-    fn fast_hit(&self, e: &RegionEntry, action: Actions) -> bool {
-        self.fast_enabled.get() && e.fast.get().contains(action)
-    }
-
-    /// Charge and account one fast-path hit: a couple of loads and a
-    /// branch in the real system. Skips hook dispatch, the space lookup,
-    /// and trace-span construction; `last_hook` is still tracked (a single
-    /// store) so error diagnostics stay exact.
-    #[inline]
-    fn fast_charge(&self, hook: Hook) {
-        self.last_hook.set(hook.name());
-        self.counters.borrow_mut().fast_hits += 1;
-        self.node.charge(self.node.cost().fast_path);
+        self.span_exit(span);
     }
 
     /// Uniform sharing-signal accounting for a slow-path access start,
@@ -808,39 +806,6 @@ impl<'n> AceRt<'n> {
         }
     }
 
-    /// Checker hook for an access-section open: runs after the start hook
-    /// completed and the section counter was incremented, so the recorded
-    /// vector clock dominates every message the hook exchanged. Only the
-    /// outermost open of a nested section records.
-    #[inline]
-    fn check_open(&self, e: &RegionEntry, write: bool) {
-        if !self.checker.enabled() {
-            return;
-        }
-        let active = if write { e.write_active.get() } else { e.read_active.get() };
-        if active != 1 {
-            return;
-        }
-        let proto = self.space(e.space).proto();
-        self.checker.on_open(self.node, e.id, write, proto.name(), proto.grants());
-    }
-
-    /// Checker hook for an access-section close: runs after the section
-    /// counter was decremented but *before* the end hook dispatches, so
-    /// write-back/release messages the hook sends carry a clock that
-    /// dominates the recorded close. Only the outermost close records.
-    #[inline]
-    fn check_close(&self, e: &RegionEntry, write: bool) {
-        if !self.checker.enabled() {
-            return;
-        }
-        let active = if write { e.write_active.get() } else { e.read_active.get() };
-        if active != 0 {
-            return;
-        }
-        self.checker.on_close(self.node, e.id, write);
-    }
-
     /// Violations the conformance checker has recorded on this node so
     /// far. Cross-node conflicting-section reports appear on node 0 only,
     /// after [`AceRt::shutdown`] has run its analysis. Always empty under
@@ -849,188 +814,181 @@ impl<'n> AceRt<'n> {
         self.checker.violations()
     }
 
+    // ------------------------------------------------------------------
+    // Annotations
+    //
+    // One path. The direct-dispatch optimization (§4.2) changes exactly
+    // one thing about an annotation — how its protocol is resolved
+    // ([`Resolve`]) and therefore which rung of the cost ladder it pays —
+    // so the twelve public entry points below are forwards into
+    // `annotate`, each passing its hook as a literal.
+    // ------------------------------------------------------------------
+
+    /// Execute one access or lock annotation on `r`.
+    ///
+    /// The cost ladder, cheapest first: a *fast* hit (the protocol has
+    /// declared the hook a state-preserving no-op in the region's current
+    /// state, see [`RegionEntry::fast`]) charges `fast_path` and skips the
+    /// protocol resolution, the hook and its trace span — a couple of loads
+    /// and a branch in the real system; otherwise the hook runs and pays
+    /// `direct_call` or `dispatch` according to `via`.
+    ///
+    /// Ordering around the section counters is what the conformance
+    /// checker relies on: an open is counted (and recorded) *after* the
+    /// start hook, so its vector clock dominates every message the hook
+    /// exchanged; a close is counted *before* the end hook, so write-back
+    /// and release messages the hook sends carry a clock that dominates
+    /// the close. Only the outermost open/close of a nested section
+    /// records.
+    #[inline(always)]
+    fn annotate(&self, hook: Hook, r: RegionId, via: Resolve<'_>) {
+        // `hook` is a literal at every caller and this body is inlined
+        // into each, so `edge` and every branch on it fold away.
+        let edge = Edge::of(hook);
+        let mut held = None;
+        let e = match edge {
+            // A lock may be the first contact a node has with a region.
+            Edge::Sync => self.ensure_entry(r),
+            _ => self.entry(r),
+        };
+        match edge {
+            Edge::Open { write: false } => self.counters.borrow_mut().start_reads += 1,
+            Edge::Open { write: true } => self.counters.borrow_mut().start_writes += 1,
+            Edge::Close { .. } => self.counters.borrow_mut().ends += 1,
+            Edge::Sync => {}
+        }
+        if let Edge::Close { write } = edge {
+            let active = section(&e, write);
+            match active.get() {
+                // An end with no open section is a program bug — unless
+                // the compiler deleted the matching start as null, the
+                // one way a correct program reaches here.
+                0 => assert!(
+                    via.elided(section_action(true, write)),
+                    "{} outside a {} section on {r}",
+                    hook.name(),
+                    if write { "write" } else { "read" }
+                ),
+                n => active.set(n - 1),
+            }
+            if self.checker.enabled() && active.get() == 0 {
+                self.checker.on_close(self.node, e.id, write);
+            }
+        }
+        // The fast mask covers the access hooks only; locks always run.
+        let maskable = match edge {
+            Edge::Open { write } => Some(section_action(true, write)),
+            Edge::Close { write } => Some(section_action(false, write)),
+            Edge::Sync => None,
+        };
+        if maskable.is_some_and(|a| self.fast_enabled.get() && e.fast.get().contains(a)) {
+            self.last_hook.set(hook.name());
+            self.counters.borrow_mut().fast_hits += 1;
+            self.node.charge(self.node.cost().fast_path);
+        } else {
+            match via {
+                Resolve::Space => {
+                    self.counters.borrow_mut().dispatched += 1;
+                    self.node.charge(self.node.cost().dispatch);
+                }
+                Resolve::Static(_) => {
+                    self.counters.borrow_mut().direct += 1;
+                    self.node.charge(self.node.cost().direct_call);
+                }
+            }
+            if let Edge::Open { write } = edge {
+                self.note_slow_access(&e, write);
+            }
+            let p = via.get(self, &e, &mut held);
+            let span = self.span_enter(hook, e.space, Some(&e), p.name(), "");
+            match hook {
+                Hook::StartRead => p.start_read(self, &e),
+                Hook::EndRead => p.end_read(self, &e),
+                Hook::StartWrite => p.start_write(self, &e),
+                Hook::EndWrite => p.end_write(self, &e),
+                Hook::Lock => p.lock(self, &e),
+                Hook::Unlock => p.unlock(self, &e),
+                _ => unreachable!("{} is not an annotation", hook.name()),
+            }
+            self.span_exit(span);
+        }
+        if let Edge::Open { write } = edge {
+            let active = section(&e, write);
+            active.set(active.get() + 1);
+            // A section whose end the compiler deleted as null never
+            // closes: it is invisible to the runtime, not left open.
+            if self.checker.enabled()
+                && active.get() == 1
+                && !via.elided(section_action(false, write))
+            {
+                let p = via.get(self, &e, &mut held);
+                self.checker.on_open(self.node, e.id, write, p.name(), p.grants());
+            }
+        }
+    }
+
     /// `ACE_START_READ`, dispatched through the region's space.
     pub fn start_read(&self, r: RegionId) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().start_reads += 1;
-        if self.fast_hit(&e, Actions::START_READ) {
-            self.fast_charge(Hook::StartRead);
-            e.read_active.set(e.read_active.get() + 1);
-            self.check_open(&e, false);
-            return;
-        }
-        self.dispatch_charge();
-        self.note_slow_access(&e, false);
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::StartRead, &e, proto.name());
-        proto.start_read(self, &e);
-        self.hook_exit(st0, Hook::StartRead, &e, proto.name());
-        e.read_active.set(e.read_active.get() + 1);
-        self.check_open(&e, false);
+        self.annotate(Hook::StartRead, r, Resolve::Space)
     }
 
     /// `ACE_END_READ`.
     pub fn end_read(&self, r: RegionId) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().ends += 1;
-        assert!(e.read_active.get() > 0, "end_read outside a read section on {r}");
-        e.read_active.set(e.read_active.get() - 1);
-        self.check_close(&e, false);
-        if self.fast_hit(&e, Actions::END_READ) {
-            self.fast_charge(Hook::EndRead);
-            return;
-        }
-        self.dispatch_charge();
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::EndRead, &e, proto.name());
-        proto.end_read(self, &e);
-        self.hook_exit(st0, Hook::EndRead, &e, proto.name());
+        self.annotate(Hook::EndRead, r, Resolve::Space)
     }
 
     /// `ACE_START_WRITE`.
     pub fn start_write(&self, r: RegionId) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().start_writes += 1;
-        if self.fast_hit(&e, Actions::START_WRITE) {
-            self.fast_charge(Hook::StartWrite);
-            e.write_active.set(e.write_active.get() + 1);
-            self.check_open(&e, true);
-            return;
-        }
-        self.dispatch_charge();
-        self.note_slow_access(&e, true);
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::StartWrite, &e, proto.name());
-        proto.start_write(self, &e);
-        self.hook_exit(st0, Hook::StartWrite, &e, proto.name());
-        e.write_active.set(e.write_active.get() + 1);
-        self.check_open(&e, true);
+        self.annotate(Hook::StartWrite, r, Resolve::Space)
     }
 
     /// `ACE_END_WRITE`.
     pub fn end_write(&self, r: RegionId) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().ends += 1;
-        assert!(e.write_active.get() > 0, "end_write outside a write section on {r}");
-        e.write_active.set(e.write_active.get() - 1);
-        self.check_close(&e, true);
-        if self.fast_hit(&e, Actions::END_WRITE) {
-            self.fast_charge(Hook::EndWrite);
-            return;
-        }
-        self.dispatch_charge();
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::EndWrite, &e, proto.name());
-        proto.end_write(self, &e);
-        self.hook_exit(st0, Hook::EndWrite, &e, proto.name());
+        self.annotate(Hook::EndWrite, r, Resolve::Space)
     }
 
-    // ------------------------------------------------------------------
-    // Direct (monomorphic) protocol calls
-    //
-    // Used when the protocol of an access is statically known: by the
-    // CRL baseline (one fixed protocol, no spaces) and by the Ace-C
-    // compiler after its direct-dispatch optimization (§4.2). They charge
-    // `direct_call` instead of `dispatch` and count as `direct`.
-    // ------------------------------------------------------------------
-
-    fn direct_charge(&self) {
-        self.counters.borrow_mut().direct += 1;
-        self.node.charge(self.node.cost().direct_call);
+    /// `Ace_Lock`: dispatched through the region's protocol. Fetches the
+    /// region's metadata if it was never mapped here (a lock may be the
+    /// first contact a node has with a region).
+    pub fn lock(&self, r: RegionId) {
+        self.annotate(Hook::Lock, r, Resolve::Space)
     }
 
-    /// `ACE_START_READ` with a statically-resolved protocol. Consults the
-    /// region's fast mask before the monomorphic call, like the dispatched
-    /// path — the fast rung sits below `Direct` on the cost ladder, and
-    /// sharing the mechanism keeps the CRL comparison honest.
+    /// `Ace_UnLock`.
+    pub fn unlock(&self, r: RegionId) {
+        self.annotate(Hook::Unlock, r, Resolve::Space)
+    }
+
+    /// `ACE_START_READ` with a statically-resolved protocol: the CRL
+    /// baseline (one fixed protocol, no spaces) and Ace-C code after the
+    /// compiler's direct-dispatch optimization (§4.2).
     pub fn start_read_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().start_reads += 1;
-        if self.fast_hit(&e, Actions::START_READ) {
-            self.fast_charge(Hook::StartRead);
-            e.read_active.set(e.read_active.get() + 1);
-            self.check_open(&e, false);
-            return;
-        }
-        self.direct_charge();
-        self.note_slow_access(&e, false);
-        let st0 = self.hook_enter(Hook::StartRead, &e, proto.name());
-        proto.start_read(self, &e);
-        self.hook_exit(st0, Hook::StartRead, &e, proto.name());
-        e.read_active.set(e.read_active.get() + 1);
-        self.check_open(&e, false);
+        self.annotate(Hook::StartRead, r, Resolve::Static(proto))
     }
 
-    /// `ACE_END_READ` with a statically-resolved protocol. Tolerates an
-    /// unbalanced section: the compiler may have removed a null
-    /// `start_read` while keeping a non-null `end_read`.
+    /// `ACE_END_READ` with a statically-resolved protocol.
     pub fn end_read_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().ends += 1;
-        e.read_active.set(e.read_active.get().saturating_sub(1));
-        self.check_close(&e, false);
-        if self.fast_hit(&e, Actions::END_READ) {
-            self.fast_charge(Hook::EndRead);
-            return;
-        }
-        self.direct_charge();
-        let st0 = self.hook_enter(Hook::EndRead, &e, proto.name());
-        proto.end_read(self, &e);
-        self.hook_exit(st0, Hook::EndRead, &e, proto.name());
+        self.annotate(Hook::EndRead, r, Resolve::Static(proto))
     }
 
     /// `ACE_START_WRITE` with a statically-resolved protocol.
     pub fn start_write_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().start_writes += 1;
-        if self.fast_hit(&e, Actions::START_WRITE) {
-            self.fast_charge(Hook::StartWrite);
-            e.write_active.set(e.write_active.get() + 1);
-            self.check_open(&e, true);
-            return;
-        }
-        self.direct_charge();
-        self.note_slow_access(&e, true);
-        let st0 = self.hook_enter(Hook::StartWrite, &e, proto.name());
-        proto.start_write(self, &e);
-        self.hook_exit(st0, Hook::StartWrite, &e, proto.name());
-        e.write_active.set(e.write_active.get() + 1);
-        self.check_open(&e, true);
+        self.annotate(Hook::StartWrite, r, Resolve::Static(proto))
     }
 
-    /// `ACE_END_WRITE` with a statically-resolved protocol. Tolerates an
-    /// unbalanced section (see [`AceRt::end_read_direct`]).
+    /// `ACE_END_WRITE` with a statically-resolved protocol.
     pub fn end_write_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.entry(r);
-        self.counters.borrow_mut().ends += 1;
-        e.write_active.set(e.write_active.get().saturating_sub(1));
-        self.check_close(&e, true);
-        if self.fast_hit(&e, Actions::END_WRITE) {
-            self.fast_charge(Hook::EndWrite);
-            return;
-        }
-        self.direct_charge();
-        let st0 = self.hook_enter(Hook::EndWrite, &e, proto.name());
-        proto.end_write(self, &e);
-        self.hook_exit(st0, Hook::EndWrite, &e, proto.name());
+        self.annotate(Hook::EndWrite, r, Resolve::Static(proto))
     }
 
     /// `Ace_Lock` with a statically-resolved protocol.
     pub fn lock_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.ensure_entry(r);
-        self.direct_charge();
-        let st0 = self.hook_enter(Hook::Lock, &e, proto.name());
-        proto.lock(self, &e);
-        self.hook_exit(st0, Hook::Lock, &e, proto.name());
+        self.annotate(Hook::Lock, r, Resolve::Static(proto))
     }
 
     /// `Ace_UnLock` with a statically-resolved protocol.
     pub fn unlock_direct(&self, r: RegionId, proto: &dyn Protocol) {
-        let e = self.ensure_entry(r);
-        self.direct_charge();
-        let st0 = self.hook_enter(Hook::Unlock, &e, proto.name());
-        proto.unlock(self, &e);
-        self.hook_exit(st0, Hook::Unlock, &e, proto.name());
+        self.annotate(Hook::Unlock, r, Resolve::Static(proto))
     }
 
     /// Drop a region entry from this node's table after flushing its
@@ -1168,9 +1126,9 @@ impl<'n> AceRt<'n> {
         self.counters.borrow_mut().barriers += 1;
         let s = self.space(sid);
         let proto = s.proto();
-        self.hook_enter_space(Hook::Barrier, sid, proto.name());
+        let span = self.span_enter(Hook::Barrier, sid, None, proto.name(), "");
         proto.barrier(self, &s);
-        self.hook_exit_space(Hook::Barrier, sid, proto.name());
+        self.span_exit(span);
     }
 
     /// The plain machine barrier a protocol's `barrier` hook typically
@@ -1254,28 +1212,6 @@ impl<'n> AceRt<'n> {
     /// second call returns `None` until the next profiled barrier.
     pub fn take_bar_aggregate(&self, sid: SpaceId) -> Option<Arc<[u64]>> {
         self.bar_prof_in.borrow_mut().remove(&sid.0)
-    }
-
-    /// `Ace_Lock`: dispatched through the region's protocol. Fetches the
-    /// region's metadata if it was never mapped here (a lock may be the
-    /// first contact a node has with a region).
-    pub fn lock(&self, r: RegionId) {
-        let e = self.ensure_entry(r);
-        self.dispatch_charge();
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::Lock, &e, proto.name());
-        proto.lock(self, &e);
-        self.hook_exit(st0, Hook::Lock, &e, proto.name());
-    }
-
-    /// `Ace_UnLock`.
-    pub fn unlock(&self, r: RegionId) {
-        let e = self.ensure_entry(r);
-        self.dispatch_charge();
-        let proto = self.space(e.space).proto();
-        let st0 = self.hook_enter(Hook::Unlock, &e, proto.name());
-        proto.unlock(self, &e);
-        self.hook_exit(st0, Hook::Unlock, &e, proto.name());
     }
 
     /// The default lock implementation: FIFO queue at the region's home.
@@ -1761,8 +1697,101 @@ mod tests {
         fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        // Local no-ops (the default lock messages the home), so a lock
+        // annotation charges exactly its ladder rung.
+        fn lock(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn unlock(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn handle(&self, _rt: &AceRt, _e: &RegionEntry, _msg: ProtoMsg, _src: usize) {}
         fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+    }
+
+    /// The whole annotation surface as one table: 6 hooks × {through the
+    /// space, statically resolved} × {fast mask on, forced slow}. Each
+    /// case pins what the hook charges on the `cm5()` ladder, the exact
+    /// counter delta, `last_hook`, and the trace span it emits.
+    #[test]
+    fn annotation_matrix_charges_counts_and_spans() {
+        use ace_machine::{EventKind, Spmd, TraceConfig};
+
+        const HOOKS: [Hook; 6] = [
+            Hook::StartRead,
+            Hook::EndRead,
+            Hook::StartWrite,
+            Hook::EndWrite,
+            Hook::Lock,
+            Hook::Unlock,
+        ];
+        let builder = Spmd::builder().nprocs(1).cost(CostModel::cm5()).trace(TraceConfig::on());
+        crate::run_ace_with(builder, |rt| {
+            let s = rt.new_space(Rc::new(FastNoop));
+            let rid = rt.gmalloc::<u64>(s, 1);
+            rt.map(rid);
+            let stat = FastNoop;
+            let sink = rt.node().trace_sink();
+            for direct in [false, true] {
+                for fast_on in [true, false] {
+                    rt.set_fast_paths(fast_on);
+                    for hook in HOOKS {
+                        let case = format!("{} direct={direct} fast_on={fast_on}", hook.name());
+                        let before = rt.counters();
+                        let t0 = rt.node().now();
+                        sink.take(0);
+                        match (hook, direct) {
+                            (Hook::StartRead, false) => rt.start_read(rid),
+                            (Hook::StartRead, true) => rt.start_read_direct(rid, &stat),
+                            (Hook::EndRead, false) => rt.end_read(rid),
+                            (Hook::EndRead, true) => rt.end_read_direct(rid, &stat),
+                            (Hook::StartWrite, false) => rt.start_write(rid),
+                            (Hook::StartWrite, true) => rt.start_write_direct(rid, &stat),
+                            (Hook::EndWrite, false) => rt.end_write(rid),
+                            (Hook::EndWrite, true) => rt.end_write_direct(rid, &stat),
+                            (Hook::Lock, false) => rt.lock(rid),
+                            (Hook::Lock, true) => rt.lock_direct(rid, &stat),
+                            (Hook::Unlock, false) => rt.unlock(rid),
+                            (Hook::Unlock, true) => rt.unlock_direct(rid, &stat),
+                            _ => unreachable!(),
+                        }
+                        let after = rt.counters();
+
+                        let mut want = before;
+                        match hook {
+                            Hook::StartRead => want.start_reads += 1,
+                            Hook::StartWrite => want.start_writes += 1,
+                            Hook::EndRead | Hook::EndWrite => want.ends += 1,
+                            // Locks resolve their region through `ensure_entry`.
+                            _ => want.map_hits += 1,
+                        }
+                        // The mask covers access hooks only: locks always run.
+                        let hit = fast_on && !matches!(hook, Hook::Lock | Hook::Unlock);
+                        let ns = if hit {
+                            want.fast_hits += 1;
+                            60
+                        } else if direct {
+                            want.direct += 1;
+                            150
+                        } else {
+                            want.dispatched += 1;
+                            500
+                        };
+                        // Region-cache traffic is not this table's subject.
+                        want.region_cache_hits = after.region_cache_hits;
+                        want.region_cache_misses = after.region_cache_misses;
+                        assert_eq!(after, want, "{case}: counters");
+                        assert_eq!(rt.node().now() - t0, ns, "{case}: charge");
+                        assert_eq!(rt.last_hook(), hook.name(), "{case}: last_hook");
+
+                        let got: Vec<EventKind> =
+                            sink.take(0).events.into_iter().map(|ev| ev.kind).collect();
+                        let (region, space, proto, detail) = (rid.0, s.0, "fastnoop", "");
+                        let span = vec![
+                            EventKind::HookEnter { hook, region, space, proto, detail },
+                            EventKind::HookExit { hook, region, space, proto, detail },
+                        ];
+                        assert_eq!(got, if hit { Vec::new() } else { span }, "{case}: span");
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -117,9 +117,25 @@ pub fn run_program(rt: &AceRt, prog: &Program) -> Option<Value> {
     vm.call(prog.main, Vec::new())
 }
 
-impl Vm<'_, '_> {
-    fn direct(&mut self, spec: ProtoSpec) -> Rc<dyn Protocol> {
-        self.directs.entry(spec).or_insert_with(|| make(spec)).clone()
+impl<'n> Vm<'_, 'n> {
+    /// Run one annotation on handle `h` in its resolved [`DispatchMode`]:
+    /// `dispatch` through the region's space, or `direct` on this VM's
+    /// instance of the statically-known protocol.
+    #[inline]
+    fn annotate(
+        &mut self,
+        mode: DispatchMode,
+        h: RegionId,
+        dispatch: impl Fn(&AceRt<'n>, RegionId),
+        direct: impl Fn(&AceRt<'n>, RegionId, &dyn Protocol),
+    ) {
+        match mode {
+            DispatchMode::Dispatch => dispatch(self.rt, h),
+            DispatchMode::Direct(spec) => {
+                direct(self.rt, h, &**self.directs.entry(spec).or_insert_with(|| make(spec)))
+            }
+            DispatchMode::Removed => unreachable!("removed insts are deleted"),
+        }
     }
 
     /// Check a frame out of `fid`'s pool (or build a fresh one) with
@@ -245,69 +261,27 @@ impl Vm<'_, '_> {
             }
             Inst::StartRead { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.start_read(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.start_read_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!("removed insts are deleted"),
-                }
+                self.annotate(*mode, h, AceRt::start_read, AceRt::start_read_direct)
             }
             Inst::EndRead { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.end_read(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.end_read_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!(),
-                }
+                self.annotate(*mode, h, AceRt::end_read, AceRt::end_read_direct)
             }
             Inst::StartWrite { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.start_write(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.start_write_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!(),
-                }
+                self.annotate(*mode, h, AceRt::start_write, AceRt::start_write_direct)
             }
             Inst::EndWrite { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.end_write(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.end_write_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!(),
-                }
+                self.annotate(*mode, h, AceRt::end_write, AceRt::end_write_direct)
             }
             Inst::Lock { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.lock(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.lock_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!(),
-                }
+                self.annotate(*mode, h, AceRt::lock, AceRt::lock_direct)
             }
             Inst::Unlock { mode, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
-                match mode {
-                    DispatchMode::Dispatch => self.rt.unlock(h),
-                    DispatchMode::Direct(p) => {
-                        let p = self.direct(*p);
-                        self.rt.unlock_direct(h, &*p);
-                    }
-                    DispatchMode::Removed => unreachable!(),
-                }
+                self.annotate(*mode, h, AceRt::unlock, AceRt::unlock_direct)
             }
             Inst::GLoad { dst, handle, off, ty } => {
                 let h = regs[*handle as usize].as_h();

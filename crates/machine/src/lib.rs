@@ -26,7 +26,6 @@
 
 pub mod cost;
 pub mod envelope;
-pub mod lockfree;
 pub mod node;
 pub mod pod;
 pub mod sched;
@@ -36,7 +35,6 @@ pub mod transport;
 
 pub use cost::CostModel;
 pub use envelope::{Envelope, MsgSize, Wire, HEADER_BYTES};
-pub use lockfree::LfCell;
 pub use node::{CheckMode, CoalescePolicy, Node};
 pub use pod::Pod;
 pub use sched::ExecBackend;

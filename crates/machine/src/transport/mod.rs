@@ -30,10 +30,10 @@ pub use inproc::InProcTransport;
 pub use socket::{SockAddr, SocketCfg, SocketTransport, SOCKET_HEADER_BYTES, SOCKET_MAX_RANKS};
 
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::envelope::{Wire, HEADER_BYTES};
-use crate::lockfree::LfCell;
 
 /// Why a non-blocking receive returned nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,16 +204,16 @@ impl std::error::Error for ConfigError {}
 
 /// Machine-wide failure board shared by a backend's endpoints: the rank
 /// of the first node that died by panic (one atomic word, checked on
-/// every idle poll) plus its panic message (published lock-free, read
-/// only after the flag trips).
+/// every idle poll) plus its panic message (written once by the winner
+/// of the flag's CAS, read only after the flag trips).
 pub(crate) struct FailBoard {
     failed: AtomicIsize,
-    detail: LfCell<Option<String>>,
+    detail: OnceLock<String>,
 }
 
 impl FailBoard {
     pub(crate) fn new() -> Self {
-        FailBoard { failed: AtomicIsize::new(-1), detail: LfCell::new(None) }
+        FailBoard { failed: AtomicIsize::new(-1), detail: OnceLock::new() }
     }
 
     /// Record the first failure (first writer wins) with its diagnostic.
@@ -223,7 +223,7 @@ impl FailBoard {
             .compare_exchange(-1, rank as isize, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.detail.store(Some(msg));
+            self.detail.set(msg).expect("only the CAS winner writes the detail");
         }
     }
 
@@ -234,10 +234,7 @@ impl FailBoard {
     /// The recorded panic message, or empty if none has been published
     /// (the flag trips before the detail store lands).
     pub(crate) fn detail(&self) -> String {
-        match self.detail.load().as_ref() {
-            Some(msg) => msg.clone(),
-            None => String::new(),
-        }
+        self.detail.get().cloned().unwrap_or_default()
     }
 }
 
