@@ -24,6 +24,12 @@ pub struct RunOutcome {
     pub wire_msgs: u64,
     /// Total payload bytes across all nodes.
     pub bytes: u64,
+    /// Total blocking receives that parked a node thread, and how many of
+    /// them ended by timeout rather than by a wake-up (host-side counts:
+    /// they vary run to run and never enter simulated time).
+    pub parks: u64,
+    /// See [`RunOutcome::parks`].
+    pub park_timeouts: u64,
     /// Machine-wide aggregated operation counters.
     pub counters: OpCounters,
     /// Total conformance violations recorded across all nodes (always 0
@@ -95,6 +101,8 @@ fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
         msgs: r.stats.total_msgs(),
         wire_msgs: r.stats.total_wire_msgs(),
         bytes: r.stats.total_bytes(),
+        parks: r.stats.total_parks(),
+        park_timeouts: r.stats.total_park_timeouts(),
         counters,
         violations: r.stats.total_violations(),
         trace: r.trace,

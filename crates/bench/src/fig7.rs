@@ -192,7 +192,11 @@ pub fn write_trace(
         trace.logical_send_count(),
         trace.send_count()
     );
-    print!("{}", trace.summary().with_fast_hits(out.counters.fast_hits).render());
+    let summary = trace
+        .summary()
+        .with_fast_hits(out.counters.fast_hits)
+        .with_parks(out.parks, out.park_timeouts);
+    print!("{}", summary.render());
     Ok(out)
 }
 

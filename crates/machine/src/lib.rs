@@ -5,7 +5,7 @@
 //! *nodes*, each a single-threaded processor with private memory, that
 //! communicate **only** by sending typed messages to each other. Each node is
 //! an OS thread; the "network" is a pluggable [`Transport`] backend — by
-//! default in-process channels ([`TransportKind::InProc`]), optionally real
+//! default in-process mailboxes ([`TransportKind::InProc`]), optionally real
 //! length-prefixed sockets ([`TransportKind::Socket`]) so ranks can live in
 //! separate OS processes (see [`MachineBuilder::spawn_rank`]).
 //!
@@ -20,7 +20,7 @@
 //!   propagates CM-5-like communication delays through the execution.
 //!
 //! The substrate is deliberately minimal: delivery order between a fixed
-//! pair of nodes is FIFO (channel order), there is no shared memory, and all
+//! pair of nodes is FIFO (mailbox order), there is no shared memory, and all
 //! higher-level behaviour (coherence protocols, barriers, locks) is built on
 //! top in `ace-core` / `ace-crl`.
 

@@ -12,17 +12,7 @@ use crate::cost::CostModel;
 use crate::envelope::{Envelope, MsgSize, Wire};
 use crate::sched::SlotHandle;
 use crate::stats::NodeStats;
-use crate::transport::{Transport, TryWireError, WaitWireError};
-
-/// How long a node's idle poll sleeps before re-checking peers and the
-/// watchdog. The sleep escalates from this floor by doubling up to
-/// [`IDLE_POLL_CEIL`] while nothing arrives, and snaps back to the floor
-/// on any receipt — so active phases keep microsecond reactivity while a
-/// long collective wait costs a handful of wakeups per second instead of
-/// ten thousand. (The channel wait itself parks the thread; the escalation
-/// only bounds how often a *quiet* node wakes to run its failure checks.)
-const IDLE_POLL_FLOOR: Duration = Duration::from_micros(100);
-const IDLE_POLL_CEIL: Duration = Duration::from_millis(20);
+use crate::transport::{Transport, WaitWireError};
 
 /// How long a blocked node waits before concluding the run is wedged.
 /// Protocol bugs in a message-passing system manifest as silent hangs; the
@@ -45,10 +35,9 @@ pub const DEFAULT_DRAIN_BATCH: usize = 64;
 /// amortization that makes fine-grained protocol fan-out cheap.
 ///
 /// Liveness rule: every blocking point flushes. [`Node::poll_until`]
-/// flushes on entry and whenever a handled message leaves the local inbox
-/// empty, and [`Node::recv_timeout`] flushes before blocking on the
-/// channel, so no peer can deadlock waiting on a message its sender is
-/// still buffering.
+/// flushes on entry, whenever a handled message leaves the local inbox
+/// empty, and again right before it parks on the mailbox, so no peer can
+/// deadlock waiting on a message its sender is still buffering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
     /// Every logical send is its own wire envelope (legacy behaviour,
@@ -199,7 +188,7 @@ impl<M> OutBufs<M> {
 ///
 /// A `Node` is owned by exactly one OS thread and is deliberately `!Sync`:
 /// everything inside uses `Cell`/`RefCell`. The only cross-thread objects
-/// are the channel endpoints and the shared routing table.
+/// are the transport endpoint and the wake-up handle inside `slot`.
 pub struct Node<M> {
     rank: usize,
     nprocs: usize,
@@ -219,7 +208,7 @@ pub struct Node<M> {
     wire_bytes_sent: Cell<u64>,
     msgs_recv: Cell<u64>,
     watchdog: Cell<Duration>,
-    /// Local inbox filled by draining the channel in bursts. Messages are
+    /// Local inbox filled by draining the mailbox in bursts. Messages are
     /// *not* absorbed on drain — [`Node::absorb`] runs when a message is
     /// popped for handling, so per-message virtual-clock semantics are
     /// identical to unbatched reception (same order, same arrival math).
@@ -230,12 +219,17 @@ pub struct Node<M> {
     coalesce: Cell<CoalescePolicy>,
     outbuf: RefCell<OutBufs<M>>,
     pending: Cell<usize>,
-    /// This thread's handle on the execution-slot gate under
-    /// [`crate::ExecBackend::Multiplexed`]; `None` under `Threads`. The
-    /// slot is released exactly while parked on the channel inside
-    /// [`Node::recv_timeout`] — the substrate's one true blocking point —
-    /// and reacquired before touching any node state again.
-    slot: Option<Rc<SlotHandle>>,
+    /// This thread's parking handle: the waiter senders wake it through
+    /// and, under [`crate::ExecBackend::Multiplexed`], its execution
+    /// slot. The slot is given up exactly while parked on the mailbox
+    /// inside [`Node::recv_blocking`] — the substrate's one true blocking
+    /// point — and the wake-up hands one back before any node state is
+    /// touched again.
+    slot: Rc<SlotHandle>,
+    /// Scratch seen-set for [`Node::pop_inbox`] on machines wider than one
+    /// bitmask word (deterministic mode only); cleared per pop, never
+    /// reallocated.
+    seen_wide: RefCell<Vec<u64>>,
     /// Structured event sink; a no-op unless the builder enabled tracing.
     sink: TraceSink,
     /// Conformance-checking mode (the runtime layer does the checking; the
@@ -267,7 +261,7 @@ impl<M: MsgSize + Send> Node<M> {
         nprocs: usize,
         transport: Rc<dyn Transport<M>>,
         cost: Arc<CostModel>,
-        slot: Option<Rc<SlotHandle>>,
+        slot: Rc<SlotHandle>,
         setup: &NodeSetup,
     ) -> Self {
         assert!(setup.drain_batch >= 1, "drain batch must be at least 1");
@@ -291,6 +285,7 @@ impl<M: MsgSize + Send> Node<M> {
             outbuf: RefCell::new(OutBufs::new(nprocs)),
             pending: Cell::new(0),
             slot,
+            seen_wide: RefCell::new(Vec::new()),
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
             det_seed: setup.det_seed,
@@ -502,9 +497,9 @@ impl<M: MsgSize + Send> Node<M> {
     /// Flush every destination's coalescing buffer, in rank order. A
     /// no-op when nothing is buffered (the overwhelmingly common case at
     /// blocking points). Called automatically by [`Node::poll_until`] on
-    /// entry and whenever a handled message empties the inbox, and by
-    /// [`Node::recv_timeout`] before blocking — together those make every
-    /// blocking point flush, the liveness rule coalescing relies on.
+    /// entry, whenever a handled message empties the inbox, and before it
+    /// parks — together those make every blocking point flush, the
+    /// liveness rule coalescing relies on.
     pub fn flush_coalesced(&self) {
         if self.pending.get() == 0 {
             return;
@@ -598,24 +593,23 @@ impl<M: MsgSize + Send> Node<M> {
         }
     }
 
-    /// Pull a burst of messages off the channel into the local inbox,
-    /// without absorbing them. Per-pair FIFO is preserved: the channel
+    /// Pull a burst of messages off the mailbox into the local inbox,
+    /// without absorbing them. Per-pair FIFO is preserved: the mailbox
     /// delivers in send order per source and the inbox is a queue. A
     /// coalesced batch counts as one pull but may expand past the burst
-    /// limit; the limit only bounds channel synchronization per burst.
+    /// limit; the limit only bounds mailbox synchronization per burst.
     ///
     /// Deterministic mode ignores the burst limit and drains the whole
     /// backlog: the seeded pop ranks the candidates it can see, so a
-    /// bounded drain would let wall-clock channel order decide *which*
+    /// bounded drain would let wall-clock delivery order decide *which*
     /// 64 candidates compete — visible as replay divergence on machines
     /// whose backlog exceeds one burst (256 senders racing one inbox).
     fn drain_burst(&self, inbox: &mut VecDeque<Inbound<M>>) {
         let limit = if self.det_seed.is_some() { usize::MAX } else { self.drain_batch.get() };
         while inbox.len() < limit {
-            match self.transport.try_recv_wire() {
-                Ok(w) => self.enqueue_wire(w, inbox),
-                Err(TryWireError::Empty) => break,
-                Err(TryWireError::Dead) => self.peer_exited("transport disconnected"),
+            match self.transport.mailbox().try_pop() {
+                Some(w) => self.enqueue_wire(w, inbox),
+                None => break,
             }
         }
     }
@@ -639,29 +633,23 @@ impl<M: MsgSize + Send> Node<M> {
             return inbox.pop_front();
         }
         // Sources whose head entry has been considered: a single u64
-        // bitmask covers machines up to 64 ranks; wider machines get a
-        // word-bitmap allocated per pop (deterministic mode is a replay /
-        // debugging mode, so the allocation is off the production path).
-        let mut seen_small: u64 = 0;
-        let mut seen_wide: Option<Box<[u64]>> =
-            (self.nprocs > 64).then(|| vec![0u64; self.nprocs.div_ceil(64)].into_boxed_slice());
+        // bitmask covers machines up to 64 ranks; wider machines use the
+        // node's scratch word-bitmap, cleared here and sized once.
+        let mut seen_small = [0u64];
+        let mut seen_wide = self.seen_wide.borrow_mut();
+        let seen: &mut [u64] = if self.nprocs > 64 {
+            seen_wide.clear();
+            seen_wide.resize(self.nprocs.div_ceil(64), 0);
+            &mut seen_wide
+        } else {
+            &mut seen_small
+        };
         let mut best: Option<(u64, u64, usize)> = None;
         for (i, inb) in inbox.iter().enumerate() {
             let src = inb.env.src;
-            let newly_seen = match &mut seen_wide {
-                Some(words) => {
-                    let bit = 1u64 << (src % 64);
-                    let fresh = words[src / 64] & bit == 0;
-                    words[src / 64] |= bit;
-                    fresh
-                }
-                None => {
-                    let bit = 1u64 << (src as u64 & 63);
-                    let fresh = seen_small & bit == 0;
-                    seen_small |= bit;
-                    fresh
-                }
-            };
+            let bit = 1u64 << (src % 64);
+            let newly_seen = seen[src / 64] & bit == 0;
+            seen[src / 64] |= bit;
             if !newly_seen {
                 continue;
             }
@@ -689,41 +677,23 @@ impl<M: MsgSize + Send> Node<M> {
         Some(inb.env)
     }
 
-    /// Blocking receive with a short timeout, for poll loops that should
-    /// yield the CPU while idle. Flushes this node's own coalescing
-    /// buffers before blocking (the liveness rule: never sleep on a
-    /// message a peer may be waiting to trigger). Returns `None` on
-    /// timeout.
+    /// The blocking receive behind [`Node::poll_until`]: called with the
+    /// local inbox and the mailbox both found empty, it flushes this
+    /// node's own coalescing buffers (the liveness rule: never sleep on a
+    /// message a peer may be waiting to trigger) and parks — once — on
+    /// the mailbox until a wire envelope arrives. Under the multiplexed
+    /// backend this park is the yield point: the execution slot is given
+    /// up for exactly the park and the wake-up brings one back.
     ///
     /// # Panics
     ///
-    /// Panics if the channel is disconnected: every peer's thread has
-    /// exited, so no message can ever arrive and waiting is futile.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Envelope<M>> {
-        {
-            let mut inbox = self.inbox.borrow_mut();
-            if let Some(inb) = self.pop_inbox(&mut inbox) {
-                drop(inbox);
-                self.absorb(&inb);
-                return Some(inb.env);
-            }
-        }
+    /// Panics naming the culprit if a peer has died (nothing this node
+    /// waits for can be relied on to arrive), or as wedged if `deadline`
+    /// — the caller's watchdog — passes first.
+    fn recv_blocking(&self, what: &str, deadline: Instant) -> Envelope<M> {
         self.flush_coalesced();
-        // Under the multiplexed backend this channel wait is the yield
-        // point: give the execution slot up for exactly the park, take it
-        // back before touching node state (including the error paths — a
-        // peer-death panic below unwinds while holding the slot, and the
-        // thread-exit release is idempotent).
-        let waited = match &self.slot {
-            Some(slot) => {
-                slot.release();
-                let r = self.transport.recv_wire_timeout(d);
-                slot.acquire();
-                r
-            }
-            None => self.transport.recv_wire_timeout(d),
-        };
-        match waited {
+        let failed = || self.transport.failed_rank() >= 0;
+        match self.transport.mailbox().park(&self.slot, deadline, failed) {
             Ok(w) => {
                 let mut inbox = self.inbox.borrow_mut();
                 self.enqueue_wire(w, &mut inbox);
@@ -735,10 +705,10 @@ impl<M: MsgSize + Send> Node<M> {
                 let inb = self.pop_inbox(&mut inbox).expect("wire expands to at least one message");
                 drop(inbox);
                 self.absorb(&inb);
-                Some(inb.env)
+                inb.env
             }
-            Err(WaitWireError::Timeout) => None,
-            Err(WaitWireError::Dead) => self.peer_exited("transport disconnected"),
+            Err(WaitWireError::Dead) => self.peer_died(what),
+            Err(WaitWireError::Timeout) => self.wedged(what),
         }
     }
 
@@ -792,50 +762,56 @@ impl<M: MsgSize + Send> Node<M> {
         }
     }
 
-    /// Diagnose a dead peer and panic immediately instead of letting the
-    /// caller stall into the watchdog.
-    fn peer_exited(&self, what: &str) -> ! {
+    /// A peer's node has died by panic, so a message this node is waiting
+    /// on may never arrive: fail fast with the culprit's rank (and its
+    /// panic message, read off the transport) instead of stalling into
+    /// the watchdog.
+    fn peer_died(&self, what: &str) -> ! {
         let culprit = self.transport.failed_rank();
         if culprit >= 0 {
-            panic!(
-                "node {}: peer exited (node {culprit} died{}) while: {what}",
-                self.rank,
-                self.failure_suffix()
-            );
-        }
-        panic!("node {}: peer exited while: {what}", self.rank);
-    }
-
-    /// Panic if some peer's node has died by panic: a message this node
-    /// is waiting on may never arrive, so failing fast with the culprit's
-    /// rank (and its panic message, read lock-free off the transport)
-    /// beats a silent multi-second watchdog stall.
-    fn check_peers(&self, what: &str) {
-        let culprit = self.transport.failed_rank();
-        if culprit >= 0 && culprit as usize != self.rank {
             panic!(
                 "node {}: peer exited (node {culprit} died{}) while waiting for: {what}",
                 self.rank,
                 self.failure_suffix()
             );
         }
+        panic!("node {}: peer exited while waiting for: {what}", self.rank);
+    }
+
+    /// The watchdog expired: dump this node's wait-graph view (which
+    /// hook/region the stall sits inside, not just the caller's `what`)
+    /// and die.
+    fn wedged(&self, what: &str) -> ! {
+        if self.sink.enabled() {
+            let t = MachineTrace { nodes: vec![self.sink.take(self.rank)] };
+            let report = t.wait_graph_report();
+            if !report.is_empty() {
+                eprintln!("{report}");
+            }
+        }
+        panic!("node {} wedged waiting for: {what} (clock {} ns)", self.rank, self.now());
     }
 
     /// The watchdog deadline scaled to machine size: a 4096-node barrier
     /// legitimately takes longer to drain over a core-sized worker pool
     /// than a 4-node one, so the configured timeout grows by one multiple
     /// per 64 ranks. Machines up to 64 nodes keep the configured value
-    /// exactly (the timing-sensitive tests pin small machines).
-    fn effective_watchdog(&self) -> Duration {
-        self.watchdog.get().saturating_mul(1 + (self.nprocs / 64) as u32)
+    /// exactly (the timing-sensitive tests pin small machines). A timeout
+    /// too large to add to the clock means "no watchdog": a year will do.
+    fn watchdog_deadline(&self) -> Instant {
+        let wd = self.watchdog.get().saturating_mul(1 + (self.nprocs / 64) as u32);
+        let now = Instant::now();
+        now.checked_add(wd).unwrap_or(now + Duration::from_secs(365 * 86_400))
     }
 
-    /// Spin-with-backoff until `pred` returns true, invoking `handle` on
-    /// messages that arrive in the meantime. This is the substrate's
-    /// equivalent of an Active Messages poll loop: a blocked processor keeps
-    /// servicing incoming protocol requests. Panics with `what` if the
-    /// watchdog expires (a wedged protocol) or a peer's thread dies (a
-    /// crashed protocol on the other side).
+    /// Block until `pred` returns true, invoking `handle` on messages that
+    /// arrive in the meantime. This is the substrate's equivalent of an
+    /// Active Messages poll loop: a blocked processor keeps servicing
+    /// incoming protocol requests — except that where the CM-5 polled, this
+    /// node parks and each arrival wakes it. Panics with `what` if the
+    /// watchdog expires (a wedged protocol; the deadline covers the whole
+    /// call, traffic or not) or a peer's thread dies (a crashed protocol
+    /// on the other side).
     ///
     /// Coalescing liveness: the node's own buffers are flushed on entry —
     /// before the wait can block on a reply this node itself still holds —
@@ -880,54 +856,21 @@ impl<M: MsgSize + Send> Node<M> {
         mut handle: impl FnMut(&Self, Envelope<M>),
         mut pred: impl FnMut() -> bool,
     ) {
-        let start = Instant::now();
-        let mut idle = IDLE_POLL_FLOOR;
+        let deadline = self.watchdog_deadline();
         loop {
-            match self.try_recv() {
-                Some(env) => {
-                    idle = IDLE_POLL_FLOOR;
-                    handle(self, env);
-                    self.flush_after_handle();
-                    if pred() {
-                        return;
-                    }
-                }
+            let env = match self.try_recv() {
+                Some(env) => env,
                 None => {
                     if pred() {
                         return;
                     }
-                    match self.recv_timeout(idle) {
-                        Some(env) => {
-                            idle = IDLE_POLL_FLOOR;
-                            handle(self, env);
-                            self.flush_after_handle();
-                            if pred() {
-                                return;
-                            }
-                        }
-                        None => {
-                            idle = (idle * 2).min(IDLE_POLL_CEIL);
-                            self.check_peers(what);
-                            if start.elapsed() > self.effective_watchdog() {
-                                if self.sink.enabled() {
-                                    // Dump this node's wait-graph view before
-                                    // dying: which hook/region the stall sits
-                                    // inside, not just the caller's `what`.
-                                    let t = MachineTrace { nodes: vec![self.sink.take(self.rank)] };
-                                    let report = t.wait_graph_report();
-                                    if !report.is_empty() {
-                                        eprintln!("{report}");
-                                    }
-                                }
-                                panic!(
-                                    "node {} wedged waiting for: {what} (clock {} ns)",
-                                    self.rank,
-                                    self.now()
-                                );
-                            }
-                        }
-                    }
+                    self.recv_blocking(what, deadline)
                 }
+            };
+            handle(self, env);
+            self.flush_after_handle();
+            if pred() {
+                return;
             }
         }
     }
@@ -937,7 +880,10 @@ impl<M: MsgSize + Send> Node<M> {
     /// program has logically sent.
     pub fn stats(&self) -> NodeStats {
         self.flush_coalesced();
+        let (parks, park_timeouts) = self.slot.park_counts();
         NodeStats {
+            parks,
+            park_timeouts,
             logical_msgs: self.logical_sent.get(),
             wire_msgs: self.wire_sent.get(),
             bytes_sent: self.bytes_sent.get(),

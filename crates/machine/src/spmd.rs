@@ -306,7 +306,7 @@ impl MachineBuilder {
         let cost = Arc::new(self.cost.clone());
         let setup = self.node_setup();
         let board = Arc::new(FailBoard::new());
-        // One failure board and (in-process) one shared sender table:
+        // One failure board and (in-process) one shared mailbox table:
         // every node clones an `Arc`, so wiring an n-node machine is
         // O(n), not n copies of n senders.
         let seeds: Vec<NodeSeed<M>> = match &self.transport {
@@ -352,14 +352,17 @@ impl MachineBuilder {
                 let handle = builder
                     .spawn_scoped(scope, move || {
                         // Under Multiplexed, hold an execution slot for the
-                        // whole computation except the channel parks inside
-                        // `recv_timeout` (the yield points). The final
+                        // whole computation except the mailbox parks inside
+                        // `poll_until` (the yield points). The final
                         // release is idempotent, so it is safe no matter
-                        // where a panic unwound from.
-                        let slot = sched.as_ref().map(|s| Rc::new(SlotHandle::new(Arc::clone(s))));
-                        if let Some(s) = &slot {
-                            s.acquire();
-                        }
+                        // where a panic unwound from. (Both are no-ops
+                        // under Threads, where the handle is only the
+                        // thread's wake-up address.)
+                        let slot = Rc::new(match sched {
+                            Some(s) => SlotHandle::new(s),
+                            None => SlotHandle::ungated(),
+                        });
+                        slot.acquire();
                         // The endpoint is parked here so the failure path
                         // below can broadcast through it even though it is
                         // constructed inside the catch_unwind closure.
@@ -385,7 +388,7 @@ impl MachineBuilder {
                                 nprocs,
                                 Rc::clone(&transport),
                                 cost,
-                                slot.clone(),
+                                Rc::clone(&slot),
                                 setup,
                             );
                             let r = f(&node);
@@ -394,9 +397,7 @@ impl MachineBuilder {
                             transport.shutdown();
                             (r, stats, trace)
                         }));
-                        if let Some(s) = &slot {
-                            s.release();
-                        }
+                        slot.release();
                         match out {
                             Ok(out) => out,
                             Err(e) => {
@@ -488,7 +489,8 @@ impl MachineBuilder {
                 .unwrap_or_else(|e| panic!("rank {rank}: socket transport bootstrap failed: {e}")),
         );
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let node = Node::new(rank, self.nprocs, Rc::clone(&transport), cost, None, &setup);
+            let slot = Rc::new(SlotHandle::ungated());
+            let node = Node::new(rank, self.nprocs, Rc::clone(&transport), cost, slot, &setup);
             let r = f(&node);
             let stats = node.stats();
             let trace = node.take_trace();
@@ -557,9 +559,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "node 1 panicked: boom")]
     fn peer_death_reports_root_cause() {
-        // Node 1 crashes while node 0 is blocked waiting on it. Node 0 must
-        // detect the death promptly (well under the watchdog) and the
-        // propagated panic must name the crashing node, not the waiter.
+        // Node 1 crashes while node 0 is blocked waiting on it. Node 0 is
+        // woken by the failure itself (no poll interval, no watchdog) and
+        // the propagated panic must name the crashing node, not the waiter.
         let start = Instant::now();
         let r = std::panic::catch_unwind(|| {
             Spmd::builder().nprocs(2).cost(CostModel::free()).run::<u64, _, _>(|node| {
@@ -571,7 +573,7 @@ mod tests {
         });
         assert!(r.is_err());
         assert!(
-            start.elapsed() < Duration::from_secs(5),
+            start.elapsed() < Duration::from_secs(1),
             "peer death took {:?} to detect; watchdog should not be involved",
             start.elapsed()
         );

@@ -24,6 +24,14 @@ pub struct NodeStats {
     pub wire_bytes: u64,
     /// Logical messages received and handled by this node.
     pub msgs_recv: u64,
+    /// Blocking episodes: times this node found nothing to receive and
+    /// parked its thread. Each ends by exactly one wake-up — a delivery, a
+    /// peer failure, or the watchdog deadline — so this is also the
+    /// node's wake-up count.
+    pub parks: u64,
+    /// The parks that ended at the watchdog deadline instead of by a
+    /// wake-up. Nonzero only on a node that then died as wedged.
+    pub park_timeouts: u64,
     /// Conformance violations the runtime checker recorded against this
     /// node (always zero when the machine runs with `CheckMode::Off`).
     pub violations: u64,
@@ -69,6 +77,16 @@ impl MachineStats {
         self.nodes.iter().map(|n| n.wire_bytes).sum()
     }
 
+    /// Total blocking episodes (thread parks) across all nodes.
+    pub fn total_parks(&self) -> u64 {
+        self.nodes.iter().map(|n| n.parks).sum()
+    }
+
+    /// Total parks that ended by deadline rather than by a wake-up.
+    pub fn total_park_timeouts(&self) -> u64 {
+        self.nodes.iter().map(|n| n.park_timeouts).sum()
+    }
+
     /// Total conformance violations recorded across all nodes.
     pub fn total_violations(&self) -> u64 {
         self.nodes.iter().map(|n| n.violations).sum()
@@ -99,6 +117,8 @@ mod tests {
                     bytes_sent: 100,
                     wire_bytes: 80,
                     msgs_recv: 1,
+                    parks: 3,
+                    park_timeouts: 1,
                     violations: 1,
                     switch_epoch: 0,
                     final_clock: 50,
@@ -109,6 +129,8 @@ mod tests {
                     bytes_sent: 10,
                     wire_bytes: 10,
                     msgs_recv: 4,
+                    parks: 2,
+                    park_timeouts: 0,
                     violations: 0,
                     switch_epoch: 0,
                     final_clock: 80,
@@ -119,6 +141,8 @@ mod tests {
         assert_eq!(stats.total_wire_msgs(), 4);
         assert_eq!(stats.total_bytes(), 110);
         assert_eq!(stats.total_wire_bytes(), 90);
+        assert_eq!(stats.total_parks(), 5);
+        assert_eq!(stats.total_park_timeouts(), 1);
         assert_eq!(stats.total_violations(), 1);
         assert_eq!(stats.nodes[0].headers_saved(), 20);
         assert_eq!(stats.sim_time(), 80);

@@ -1,67 +1,55 @@
-//! The in-process backend: crossbeam channels as the network.
+//! The in-process backend: a shared table of mailboxes as the network.
 //!
-//! This is the original substrate, unchanged in behaviour: one unbounded
-//! channel per destination rank, a shared read-only sender table (so an
-//! `n`-node machine clones one `Arc` per node, not `n` senders), and the
-//! machine-wide [`FailBoard`] for fail-fast peer-death detection. All
-//! latency and bandwidth semantics live above this layer in the cost
-//! model; the channel itself is instantaneous.
+//! One [`Mailbox`] per destination rank in one shared read-only table (so
+//! an `n`-node machine clones one `Arc` per node, not `n` senders), and
+//! the machine-wide [`FailBoard`] for fail-fast peer-death detection. A
+//! send is a push into the destination's mailbox, which also wakes the
+//! destination if it is parked there. All latency and bandwidth semantics
+//! live above this layer in the cost model; delivery itself is
+//! instantaneous.
 
 use std::sync::Arc;
-use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::envelope::Wire;
-use crate::transport::{FailBoard, Transport, TryWireError, WaitWireError};
+use crate::transport::{FailBoard, Mailbox, Transport};
 
-/// One rank's endpoint on the in-process channel mesh: its own receiver,
-/// the shared sender table, and the shared failure board.
+/// One rank's endpoint on the in-process mesh: its rank, the shared
+/// mailbox table, and the shared failure board.
 pub struct InProcTransport<M> {
-    rx: Receiver<Wire<M>>,
-    txs: Arc<Vec<Sender<Wire<M>>>>,
+    rank: usize,
+    boxes: Arc<Vec<Mailbox<M>>>,
     board: Arc<FailBoard>,
 }
 
-impl<M> InProcTransport<M> {
-    /// Build the full machine's endpoints at once: `nprocs` channels, one
-    /// shared sender table, one shared failure board. Endpoint `i` is
-    /// moved into rank `i`'s thread.
+impl<M: Send + 'static> InProcTransport<M> {
+    /// Build the full machine's endpoints at once: `nprocs` mailboxes in
+    /// one shared table, one shared failure board that pokes all of them
+    /// when a rank dies. Endpoint `i` is moved into rank `i`'s thread.
     pub(crate) fn mesh(nprocs: usize, board: &Arc<FailBoard>) -> Vec<InProcTransport<M>> {
-        let mut txs = Vec::with_capacity(nprocs);
-        let mut rxs = Vec::with_capacity(nprocs);
-        for _ in 0..nprocs {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let txs = Arc::new(txs);
-        rxs.into_iter()
-            .map(|rx| InProcTransport { rx, txs: Arc::clone(&txs), board: Arc::clone(board) })
+        let boxes: Arc<Vec<Mailbox<M>>> = Arc::new((0..nprocs).map(|_| Mailbox::new()).collect());
+        let all = Arc::clone(&boxes);
+        board.on_failure(move || all.iter().for_each(Mailbox::poke));
+        (0..nprocs)
+            .map(|rank| InProcTransport {
+                rank,
+                boxes: Arc::clone(&boxes),
+                board: Arc::clone(board),
+            })
             .collect()
     }
 }
 
 impl<M> Transport<M> for InProcTransport<M> {
     fn send_wire(&self, dst: usize, wire: Wire<M>) {
-        // A send can only fail if the destination thread already exited,
-        // which means the SPMD program violated its quiescence contract;
+        // A mailbox outlives its rank's thread (the table is shared), so
+        // an envelope for a rank that already exited is simply never
+        // read — the SPMD program violated its quiescence contract, and
         // losing the message is the faithful outcome (the wire goes dead).
-        let _ = self.txs[dst].send(wire);
+        self.boxes[dst].push(wire);
     }
 
-    fn try_recv_wire(&self) -> Result<Wire<M>, TryWireError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => TryWireError::Empty,
-            TryRecvError::Disconnected => TryWireError::Dead,
-        })
-    }
-
-    fn recv_wire_timeout(&self, d: Duration) -> Result<Wire<M>, WaitWireError> {
-        self.rx.recv_timeout(d).map_err(|e| match e {
-            RecvTimeoutError::Timeout => WaitWireError::Timeout,
-            RecvTimeoutError::Disconnected => WaitWireError::Dead,
-        })
+    fn mailbox(&self) -> &Mailbox<M> {
+        &self.boxes[self.rank]
     }
 
     fn failed_rank(&self) -> isize {
@@ -77,10 +65,8 @@ impl<M> Transport<M> for InProcTransport<M> {
     }
 
     fn shutdown(&self) {
-        // Dropping the endpoint (and with it this rank's `Arc` on the
-        // sender table) is the whole protocol: once every rank's clone is
-        // gone the channels disconnect, which peers observe as a dead
-        // wire. No explicit goodbye is needed in-process.
+        // Nothing to close in-process: the mailbox table is freed when
+        // the last endpoint (and the board's wake-up hook) drops it.
     }
 }
 
@@ -88,6 +74,9 @@ impl<M> Transport<M> for InProcTransport<M> {
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
+    use crate::sched::SlotHandle;
+    use crate::transport::WaitWireError;
+    use std::time::{Duration, Instant};
 
     fn env(src: usize, msg: u64) -> Wire<u64> {
         Wire::Single(Envelope { src, send_time: 0, bytes: 28, vc: None, sw: 0, msg })
@@ -101,27 +90,40 @@ mod tests {
         eps[0].send_wire(1, env(0, 2));
         eps[0].send_wire(0, env(0, 3)); // self-send loops back
         for (ep, want) in [(&eps[1], 1), (&eps[1], 2), (&eps[0], 3)] {
-            match ep.try_recv_wire() {
-                Ok(Wire::Single(e)) => assert_eq!(e.msg, want),
+            match ep.mailbox().try_pop() {
+                Some(Wire::Single(e)) => assert_eq!(e.msg, want),
                 other => panic!("expected Single({want}), got {other:?}",),
             }
         }
-        assert_eq!(eps[1].try_recv_wire().err(), Some(TryWireError::Empty));
+        assert!(eps[1].mailbox().try_pop().is_none());
     }
 
     #[test]
-    fn dead_wire_reported_after_senders_drop() {
-        // Every endpoint holds the shared sender table (including its own
-        // sender), so a live mesh never disconnects from the inside —
-        // in-process peer death travels through the failure board instead.
-        // The dead-wire mapping still matters for teardown races, so pin
-        // it on a hand-built endpoint whose senders are all gone.
+    fn dead_wire_reported_after_a_peer_fails() {
+        // Every endpoint holds the shared mailbox table, so a live mesh
+        // never disconnects from the inside — in-process peer death
+        // travels through the failure board instead. Pin the mapping: a
+        // rank parked on its mailbox when a peer records a failure wakes
+        // with `Dead`, and one that blocks afterwards never parks at all.
         let board = Arc::new(FailBoard::new());
-        let (tx, rx) = crossbeam::channel::unbounded::<Wire<u64>>();
-        let ep = InProcTransport { rx, txs: Arc::new(Vec::new()), board };
-        drop(tx);
-        assert_eq!(ep.try_recv_wire().err(), Some(TryWireError::Dead));
-        assert_eq!(ep.recv_wire_timeout(Duration::from_millis(1)).err(), Some(WaitWireError::Dead));
+        let mut eps = InProcTransport::<u64>::mesh(2, &board);
+        let ep1 = eps.pop().unwrap();
+        let far = Instant::now() + Duration::from_secs(30);
+        let waiter = std::thread::spawn(move || {
+            let slot = SlotHandle::ungated();
+            let first = ep1.mailbox().park(&slot, far, || ep1.failed_rank() >= 0);
+            let second = ep1.mailbox().park(&slot, far, || ep1.failed_rank() >= 0);
+            (first.err(), second.err(), slot.park_counts())
+        });
+        // Whichever side of the park the failure lands on, the waiter
+        // must come back promptly with `Dead` (the 30 s deadline would
+        // fail the test by hanging it).
+        eps[0].signal_failure(0, "boom");
+        let (first, second, (parks, timeouts)) = waiter.join().unwrap();
+        assert_eq!(first, Some(WaitWireError::Dead));
+        assert_eq!(second, Some(WaitWireError::Dead));
+        assert!(parks <= 1, "only the first wait may have parked");
+        assert_eq!(timeouts, 0);
     }
 
     #[test]

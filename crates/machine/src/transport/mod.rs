@@ -8,13 +8,17 @@
 //! a peer died, and shut down cleanly. [`Transport`] names exactly that
 //! seam, with two backends:
 //!
-//! * [`InProcTransport`] — today's crossbeam channels plus the cost
-//!   model's simulated latencies; behaviour-preserving and the default.
+//! * [`InProcTransport`] — a shared table of mailboxes plus the cost
+//!   model's simulated latencies; the default.
 //! * [`SocketTransport`] — real multi-process TCP or Unix-domain sockets:
 //!   length-prefixed frames of the same `Wire` envelopes, a rank-0
 //!   rendezvous that assigns ranks and exchanges peer addresses, one
 //!   writer thread per peer, and reconnect-free fail-fast mapped onto the
 //!   existing peer-death path.
+//!
+//! Both deliver into a [`Mailbox`], which owns the receive side: the
+//! non-blocking pop and the machine's one blocking receive (park once,
+//! woken by a delivery, a peer failure or the caller's deadline).
 //!
 //! The protocols and applications cannot tell the backends apart except
 //! by wall-clock time: a run's logical observables (digests, logical
@@ -23,34 +27,26 @@
 
 pub mod codec;
 pub mod inproc;
+pub mod mailbox;
 pub mod socket;
 
 pub use codec::{put_string, put_words, CodecError, WireCodec, WireReader};
 pub use inproc::InProcTransport;
+pub use mailbox::Mailbox;
 pub use socket::{SockAddr, SocketCfg, SocketTransport, SOCKET_HEADER_BYTES, SOCKET_MAX_RANKS};
 
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Duration;
+use std::sync::{Mutex, OnceLock};
 
 use crate::envelope::{Wire, HEADER_BYTES};
 
-/// Why a non-blocking receive returned nothing.
+/// Why a blocking receive returned nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryWireError {
-    /// Nothing delivered right now.
-    Empty,
-    /// The wire is dead: a peer exited or the substrate disconnected, so
-    /// nothing can ever arrive again.
-    Dead,
-}
-
-/// Why a bounded wait returned nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitWireError {
-    /// The timeout elapsed with no delivery.
+pub(crate) enum WaitWireError {
+    /// The deadline passed with no delivery.
     Timeout,
-    /// The wire is dead (see [`TryWireError::Dead`]).
+    /// The wire is dead: a peer failed, so a message this rank waits for
+    /// may never arrive.
     Dead,
 }
 
@@ -70,12 +66,11 @@ pub trait Transport<M> {
     /// through the normal delivery path.
     fn send_wire(&self, dst: usize, wire: Wire<M>);
 
-    /// Non-blocking receive of the next delivered wire envelope.
-    fn try_recv_wire(&self) -> Result<Wire<M>, TryWireError>;
-
-    /// Park the calling thread until a wire envelope is delivered, the
-    /// timeout elapses, or the wire dies.
-    fn recv_wire_timeout(&self, d: Duration) -> Result<Wire<M>, WaitWireError>;
+    /// This endpoint's inbox. Delivery is the backend's duty — push every
+    /// envelope addressed to this rank, per-pair FIFO — and the mailbox
+    /// does the receiving: the node pops from it and parks on it, so
+    /// there is one blocking receive however the envelopes got there.
+    fn mailbox(&self) -> &Mailbox<M>;
 
     /// Fixed per-wire-envelope header charge in bytes, used by the
     /// accounting layer for every logical and wire byte count. The
@@ -86,8 +81,10 @@ pub trait Transport<M> {
         HEADER_BYTES
     }
 
-    /// Rank of the first peer known to have died by panic, or -1. Read on
-    /// every idle poll, so implementations keep it one atomic load.
+    /// Rank of the first peer known to have died by panic, or -1. Read
+    /// once per blocking receive (after the node publishes itself as
+    /// waiting, before it parks) and again when a wait ends with nothing
+    /// delivered; one atomic load.
     fn failed_rank(&self) -> isize;
 
     /// Diagnostic message recorded for the first failure (empty if none
@@ -95,7 +92,8 @@ pub trait Transport<M> {
     fn failure_detail(&self) -> String;
 
     /// Publish this node's own death (rank + panic message) to every
-    /// peer. First writer wins machine-wide.
+    /// peer and wake the ones parked in a receive. First writer wins
+    /// machine-wide.
     fn signal_failure(&self, rank: usize, msg: &str);
 
     /// Clean shutdown after the node's program returned: flush and close
@@ -109,7 +107,7 @@ pub trait Transport<M> {
 /// [`crate::MachineBuilder::transport`]; the default is [`TransportKind::InProc`].
 #[derive(Debug, Clone, Default)]
 pub enum TransportKind {
-    /// In-process channels plus the simulated cost model (the default).
+    /// In-process mailboxes plus the simulated cost model (the default).
     #[default]
     InProc,
     /// Real sockets: length-prefixed frames over TCP or Unix-domain
@@ -203,20 +201,37 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Machine-wide failure board shared by a backend's endpoints: the rank
-/// of the first node that died by panic (one atomic word, checked on
-/// every idle poll) plus its panic message (written once by the winner
-/// of the flag's CAS, read only after the flag trips).
+/// of the first node that died by panic (one atomic word), its panic
+/// message (written once by the winner of the flag's CAS), and the
+/// wake-up hooks of every mailbox on this board. Failure is signalled,
+/// not polled: the first `record` pokes every mailbox, so a rank parked
+/// in a receive wakes at once, and a rank about to park reads the flag
+/// after publishing itself (see [`Mailbox::park`]) — between them no
+/// waiter can sleep through a failure.
 pub(crate) struct FailBoard {
     failed: AtomicIsize,
     detail: OnceLock<String>,
+    wakers: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl FailBoard {
     pub(crate) fn new() -> Self {
-        FailBoard { failed: AtomicIsize::new(-1), detail: OnceLock::new() }
+        FailBoard {
+            failed: AtomicIsize::new(-1),
+            detail: OnceLock::new(),
+            wakers: Mutex::new(Vec::new()),
+        }
     }
 
-    /// Record the first failure (first writer wins) with its diagnostic.
+    /// Register a hook that pokes some of this board's mailboxes; the
+    /// first recorded failure runs every hook once.
+    pub(crate) fn on_failure(&self, wake: impl Fn() + Send + Sync + 'static) {
+        self.wakers.lock().expect("waker list poisoned").push(Box::new(wake));
+    }
+
+    /// Record the first failure (first writer wins) with its diagnostic,
+    /// then wake every parked rank. Later failures change nothing a
+    /// waiter could observe, so they wake nobody.
     pub(crate) fn record(&self, rank: usize, msg: String) {
         if self
             .failed
@@ -224,6 +239,9 @@ impl FailBoard {
             .is_ok()
         {
             self.detail.set(msg).expect("only the CAS winner writes the detail");
+            for wake in self.wakers.lock().expect("waker list poisoned").iter() {
+                wake();
+            }
         }
     }
 

@@ -20,16 +20,16 @@
 //! [`Wire`] envelopes with [`WireCodec`], frame them with a `u32` length
 //! prefix, and batch flushes by draining their feed channel before each
 //! `flush` — per-pair FIFO holds because one FIFO channel feeds one
-//! ordered byte stream. Readers decode frames into the endpoint's inbox
-//! channel, which the node parks on exactly as it parks on the in-process
-//! channel.
+//! ordered byte stream. Readers decode frames into the endpoint's
+//! [`Mailbox`], which the node parks on exactly as it parks on an
+//! in-process one.
 //!
 //! Failure mapping is reconnect-free fail-fast, same contract as the
 //! in-process backend: a panicking node broadcasts a `Failed` frame
 //! (rank + panic message) to every peer before closing, and an endpoint
 //! whose connection dies *without* a `Goodbye` frame records the peer as
-//! failed — both land on the machine-wide [`FailBoard`] that
-//! `Node::check_peers` polls.
+//! failed — both land on the machine-wide [`FailBoard`], which wakes
+//! the node if it is parked on its mailbox.
 
 use std::cell::{Cell, RefCell};
 use std::io::{self, Read, Write};
@@ -41,11 +41,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::envelope::Wire;
 use crate::transport::codec::{put_string, CodecError, WireCodec, WireReader};
-use crate::transport::{FailBoard, Transport, TryWireError, WaitWireError};
+use crate::transport::{FailBoard, Mailbox, Transport};
 
 /// Rank cap for socket machines: the mesh needs O(n²) descriptors
 /// machine-wide and 2(n-1) I/O threads per rank, so the backend stays
@@ -497,10 +497,9 @@ enum Out<M> {
 /// owning node thread plus its per-peer I/O threads.
 pub struct SocketTransport<M> {
     rank: usize,
-    inbox_rx: Receiver<Wire<M>>,
-    /// Kept so the inbox channel can never disconnect and so self-sends
-    /// loop back without touching a socket.
-    loop_tx: Sender<Wire<M>>,
+    /// Fed by the per-peer reader threads, and directly by self-sends
+    /// (which loop back without touching a socket).
+    inbox: Arc<Mailbox<M>>,
     /// Per-peer writer feeds, `None` at our own rank.
     writers: Vec<Option<Sender<Out<M>>>>,
     writer_joins: RefCell<Vec<JoinHandle<()>>>,
@@ -558,18 +557,20 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
         }
         mesh.cleanup();
 
-        let (in_tx, inbox_rx) = unbounded();
+        let inbox = Arc::new(Mailbox::new());
+        let parked = Arc::clone(&inbox);
+        board.on_failure(move || parked.poke());
         let mut writers: Vec<Option<Sender<Out<M>>>> = (0..nprocs).map(|_| None).collect();
         let mut writer_joins = Vec::with_capacity(nprocs.saturating_sub(1));
         for (peer, slot) in streams.iter_mut().enumerate() {
             let Some(s) = slot.take() else { continue };
             s.set_read_timeout(None)?;
             let read_half = s.try_clone()?;
-            let in_tx = in_tx.clone();
+            let rd_inbox = Arc::clone(&inbox);
             let rd_board = Arc::clone(&board);
             std::thread::Builder::new()
                 .name(format!("ace-rd-{rank}-{peer}"))
-                .spawn(move || reader_loop(read_half, peer, in_tx, rd_board))
+                .spawn(move || reader_loop(read_half, peer, rd_inbox, rd_board))
                 .expect("spawn socket reader");
             let (wtx, wrx) = unbounded();
             let h = std::thread::Builder::new()
@@ -581,8 +582,7 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
         }
         Ok(SocketTransport {
             rank,
-            inbox_rx,
-            loop_tx: in_tx,
+            inbox,
             writers,
             writer_joins: RefCell::new(writer_joins),
             board,
@@ -614,7 +614,7 @@ impl<M> SocketTransport<M> {
 impl<M> Transport<M> for SocketTransport<M> {
     fn send_wire(&self, dst: usize, wire: Wire<M>) {
         if dst == self.rank {
-            let _ = self.loop_tx.send(wire);
+            self.inbox.push(wire);
         } else if let Some(tx) = &self.writers[dst] {
             // A send after the writer exited (peer gone) is a dead wire;
             // dropping the envelope matches the in-process semantics.
@@ -622,19 +622,8 @@ impl<M> Transport<M> for SocketTransport<M> {
         }
     }
 
-    fn try_recv_wire(&self) -> Result<Wire<M>, TryWireError> {
-        self.inbox_rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => TryWireError::Empty,
-            // Unreachable while `loop_tx` is held, but map it anyway.
-            TryRecvError::Disconnected => TryWireError::Dead,
-        })
-    }
-
-    fn recv_wire_timeout(&self, d: Duration) -> Result<Wire<M>, WaitWireError> {
-        self.inbox_rx.recv_timeout(d).map_err(|e| match e {
-            RecvTimeoutError::Timeout => WaitWireError::Timeout,
-            RecvTimeoutError::Disconnected => WaitWireError::Dead,
-        })
+    fn mailbox(&self) -> &Mailbox<M> {
+        &self.inbox
     }
 
     fn header_bytes(&self) -> usize {
@@ -725,12 +714,14 @@ fn writer_loop<M: WireCodec>(s: Stream, rx: Receiver<Out<M>>, my_rank: usize) {
 }
 
 /// Reader thread: one per peer, owning the connection's receive half.
-/// Decoded wire envelopes feed the endpoint's inbox channel; failure
-/// frames and abrupt closes land on the failure board.
+/// Decoded wire envelopes feed the endpoint's mailbox; failure frames and
+/// abrupt closes land on the failure board. A reader outlives its
+/// endpoint only until the peer closes the connection, delivering to a
+/// mailbox nobody reads any more.
 fn reader_loop<M: WireCodec>(
     mut s: Stream,
     peer: usize,
-    inbox: Sender<Wire<M>>,
+    inbox: Arc<Mailbox<M>>,
     board: Arc<FailBoard>,
 ) {
     loop {
@@ -751,11 +742,7 @@ fn reader_loop<M: WireCodec>(
         let mut r = WireReader::new(&body);
         match r.u8() {
             Ok(FR_WIRE) => match Wire::<M>::decode(&mut r) {
-                Ok(wire) => {
-                    if inbox.send(wire).is_err() {
-                        return; // our own endpoint is gone
-                    }
-                }
+                Ok(wire) => inbox.push(wire),
                 Err(e) => {
                     board.record(peer, format!("undecodable wire frame: {e}"));
                     return;
@@ -783,6 +770,12 @@ fn reader_loop<M: WireCodec>(
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
+    use crate::sched::SlotHandle;
+
+    /// Block on `ep`'s mailbox for up to `d`, as a node would.
+    fn recv(ep: &SocketTransport<u64>, d: Duration) -> Option<Wire<u64>> {
+        ep.mailbox().park(&SlotHandle::ungated(), Instant::now() + d, || false).ok()
+    }
 
     fn endpoints(n: usize) -> Vec<SocketTransport<u64>> {
         let cfg = SocketCfg::loopback().resolved();
@@ -813,14 +806,14 @@ mod tests {
         eps[1].send_wire(1, single(1, 99)); // self-send loops back
         let mut got = Vec::new();
         while got.len() < 10 {
-            match eps[2].recv_wire_timeout(Duration::from_secs(5)) {
-                Ok(Wire::Single(e)) => got.push(e.msg),
+            match recv(&eps[2], Duration::from_secs(5)) {
+                Some(Wire::Single(e)) => got.push(e.msg),
                 other => panic!("unexpected: {other:?}"),
             }
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        match eps[1].recv_wire_timeout(Duration::from_secs(1)) {
-            Ok(Wire::Single(e)) => assert_eq!(e.msg, 99),
+        match recv(&eps[1], Duration::from_secs(1)) {
+            Some(Wire::Single(e)) => assert_eq!(e.msg, 99),
             other => panic!("unexpected: {other:?}"),
         }
         for ep in &eps {

@@ -71,10 +71,10 @@ fn deterministic_replay_at_256_nodes_multiplexed() {
 fn peer_death_is_detected_under_multiplexing() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Node 1 crashes while node 0 blocks in a receive wait. The waiter
-    // yields its slot while parked, so the death must still be noticed
-    // promptly — well under the watchdog — and the propagated panic must
-    // name the crashing node via the lock-free failure cell, not the
-    // innocent waiter.
+    // holds no slot while parked, so the failure board's wake-up has to
+    // carry it back through the gate: the death must be noticed at once —
+    // nowhere near the watchdog — and the propagated panic must name the
+    // crashing node (first writer on the board), not the innocent waiter.
     let start = Instant::now();
     let r = std::panic::catch_unwind(|| {
         Spmd::builder()
@@ -91,7 +91,7 @@ fn peer_death_is_detected_under_multiplexing() {
     });
     assert!(r.is_err());
     assert!(
-        start.elapsed() < Duration::from_secs(10),
+        start.elapsed() < Duration::from_secs(1),
         "peer death took {:?} to detect; watchdog should not be involved",
         start.elapsed()
     );

@@ -110,6 +110,13 @@ pub struct TraceSummary {
     /// Conformance violations recorded in the trace
     /// ([`EventKind::Violation`] events across all nodes).
     pub violations: u64,
+    /// Times a node thread parked in a blocking receive, and how many of
+    /// those parks ended at the watchdog deadline rather than by a
+    /// wake-up. Host-side counts, not events — callers supply them from
+    /// the run's machine stats via [`TraceSummary::with_parks`].
+    pub parks: u64,
+    /// See [`TraceSummary::parks`].
+    pub park_timeouts: u64,
 }
 
 impl MachineTrace {
@@ -220,6 +227,8 @@ impl MachineTrace {
             dropped,
             fast_hits: 0,
             violations,
+            parks: 0,
+            park_timeouts: 0,
         }
     }
 
@@ -296,6 +305,14 @@ impl TraceSummary {
         self
     }
 
+    /// Attach the run's park counts (from the machine's stats) so the
+    /// render shows wake-ups next to the wire envelopes that caused them.
+    pub fn with_parks(mut self, parks: u64, timeouts: u64) -> Self {
+        self.parks = parks;
+        self.park_timeouts = timeouts;
+        self
+    }
+
     /// Render the summary as a fixed-width text table.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -337,6 +354,13 @@ impl TraceSummary {
                 s,
                 "messages: {logical} logical in {wire} wire envelopes{}",
                 if logical > wire { " (coalesced)" } else { "" }
+            );
+        }
+        if self.parks > 0 {
+            let _ = writeln!(
+                s,
+                "parks: {} blocking receives, {} ended by timeout",
+                self.parks, self.park_timeouts
             );
         }
         s
@@ -420,6 +444,9 @@ mod tests {
         let rendered = s.render();
         assert!(rendered.contains("RREQ"));
         assert!(rendered.contains("4 logical in 2 wire envelopes (coalesced)"), "{rendered}");
+        assert!(!rendered.contains("parks:"), "no park line until counts are attached");
+        let rendered = s.with_parks(3, 0).render();
+        assert!(rendered.contains("parks: 3 blocking receives, 0 ended by timeout"), "{rendered}");
     }
 
     #[test]
