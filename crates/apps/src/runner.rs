@@ -32,6 +32,10 @@ pub struct RunOutcome {
     pub park_timeouts: u64,
     /// Machine-wide aggregated operation counters.
     pub counters: OpCounters,
+    /// The most barrier messages any one node sent plus received
+    /// ([`OpCounters::bar_msgs`] before the sum: what the busiest node of
+    /// the barrier tree pays, where `counters` holds what the machine does).
+    pub bar_msgs_busiest: u64,
     /// Total conformance violations recorded across all nodes (always 0
     /// unless the run was launched with a [`ace_core::CheckMode`]).
     pub violations: u64,
@@ -104,6 +108,7 @@ fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
         parks: r.stats.total_parks(),
         park_timeouts: r.stats.total_park_timeouts(),
         counters,
+        bar_msgs_busiest: r.results.iter().map(|(_, c)| c.bar_msgs).max().unwrap_or(0),
         violations: r.stats.total_violations(),
         trace: r.trace,
     }

@@ -16,7 +16,9 @@
 //! `--json` without a path writes `BENCH_scaling.json` at the repo root,
 //! the canonical location CI and EXPERIMENTS.md point at. `--smoke` runs
 //! the CI gate instead of the sweep: EM3D at 256 nodes under the
-//! multiplexed backend must complete with wire <= logical envelopes.
+//! multiplexed backend must complete with wire <= logical envelopes, in
+//! simulated time only a log-depth barrier reaches, with no node handling
+//! more barrier messages per barrier than the tree's arity allows.
 
 use std::time::Instant;
 
@@ -95,17 +97,41 @@ fn measure(app: &str, procs: usize, v: Variant, backend: ExecBackend, runs: usiz
     out
 }
 
+/// `BENCH_scaling.json`'s em3d / custom / 256 row as committed before the
+/// barrier became a tree (PR 13's file: 27 423 868 ns, some 60 % of it
+/// node 0 serialising barrier messages). The smoke run must halve it.
+const SMOKE_FLAT_BARRIER_SIM_NS: u64 = 27_423_868;
+
+/// Barrier messages one node may send plus receive per barrier: arity + 1
+/// in each direction of the 8-ary tree. A centralised barrier costs its
+/// coordinator 2 * 255 here.
+const SMOKE_MAX_BAR_MSGS_PER_BARRIER: u64 = 18;
+
 fn smoke() {
+    const PROCS: u64 = 256;
     let start = Instant::now();
-    let r = run_scaled("em3d", 256, Variant::Custom, ExecBackend::Multiplexed);
-    let ok = r.verification.is_finite() && r.wire_msgs <= r.msgs;
+    let r = run_scaled("em3d", PROCS as usize, Variant::Custom, ExecBackend::Multiplexed);
+    // A barrier is n - 1 arrivals plus n - 1 releases, each counted at
+    // both ends, so the machine-wide count is whole multiples of this.
+    let per_barrier = 4 * (PROCS - 1);
+    let (total, busiest) = (r.counters.bar_msgs, r.bar_msgs_busiest);
     println!(
-        "scaling smoke: em3d @ 256 multiplexed: verification={:.6} wire={} logical={} wall={:?}",
+        "scaling smoke: em3d @ {PROCS} multiplexed: verification={:.6} wire={} logical={} \
+         sim={:.2}ms barriers={} busiest node={:.1} barrier msgs/barrier wall={:?}",
         r.verification,
         r.wire_msgs,
         r.msgs,
+        r.sim_ms(),
+        total / per_barrier,
+        (busiest * per_barrier) as f64 / total as f64,
         start.elapsed()
     );
+    let ok = r.verification.is_finite()
+        && r.wire_msgs <= r.msgs
+        && r.sim_ns < SMOKE_FLAT_BARRIER_SIM_NS / 2
+        && total > 0
+        && total % per_barrier == 0
+        && busiest * per_barrier <= SMOKE_MAX_BAR_MSGS_PER_BARRIER * total;
     if !ok {
         eprintln!("scaling smoke FAILED");
         std::process::exit(1);

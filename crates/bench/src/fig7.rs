@@ -195,7 +195,8 @@ pub fn write_trace(
     let summary = trace
         .summary()
         .with_fast_hits(out.counters.fast_hits)
-        .with_parks(out.parks, out.park_timeouts);
+        .with_parks(out.parks, out.park_timeouts)
+        .with_bar_msgs(out.counters.bar_msgs, out.bar_msgs_busiest);
     print!("{}", summary.render());
     Ok(out)
 }

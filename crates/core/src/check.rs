@@ -18,7 +18,10 @@
 //! with vector-clock snapshots. Clocks are maintained by the substrate
 //! and piggybacked on message envelopes (`Envelope::vc`), so any two
 //! sections separated by a message chain — a coherence grant, a barrier
-//! epoch through node 0 — are causally ordered and never reported. At
+//! epoch — are causally ordered and never reported. (A barrier's chain
+//! runs up the combining tree and back down: every arrival and release
+//! envelope carries its sender's clock, so happens-before crosses the
+//! tree edge by edge, with no single node that every rank talks to.) At
 //! shutdown every node's section history is gathered at node 0, which
 //! runs the pairwise analysis. Checker metadata is metrologically
 //! invisible: vector clocks add no bytes or virtual-time charges, so a

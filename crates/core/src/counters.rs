@@ -61,6 +61,14 @@ pub struct OpCounters {
     /// adaptive-engine flush-point switches (each also bumps the node's
     /// wire-visible switch epoch).
     pub switches: u64,
+    /// Barrier messages (`BarArrive` + `BarRelease`) this node sent or
+    /// received, over every barrier it passed — space and machine barriers
+    /// alike, each message attributed to the passage it belongs to. Per
+    /// passage this is the node's remote-reference count: the combining
+    /// tree bounds it by twice its arity plus two on any node, where a
+    /// centralised barrier costs its coordinator `2(n - 1)`. Summed over
+    /// the machine, each message is counted once at either end.
+    pub bar_msgs: u64,
 }
 
 impl OpCounters {
@@ -98,6 +106,7 @@ impl OpCounters {
         self.remote_misses += o.remote_misses;
         self.upgrades += o.upgrades;
         self.switches += o.switches;
+        self.bar_msgs += o.bar_msgs;
     }
 
     /// Fraction of region lookups absorbed by the inline cache, or `None`

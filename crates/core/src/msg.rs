@@ -43,16 +43,18 @@ pub enum AceMsg {
     MetaReq { region: RegionId },
     /// Home's answer: the region's space and size.
     MetaReply { region: RegionId, space: SpaceId, words: u64 },
-    /// Barrier arrival at the coordinator (node 0). `tag` distinguishes
-    /// per-space barriers from the global machine barrier. `prof` is an
-    /// optional sharing-profile contribution (adaptive protocol engine):
+    /// A whole subtree of the barrier's combining tree has arrived; sent
+    /// to the subtree root's parent. `tag` distinguishes per-space barriers
+    /// from the global machine barrier. `prof` is the subtree's summed
+    /// sharing-profile contribution, if any (adaptive protocol engine):
     /// like the checker's vector clocks it is metrologically invisible —
     /// the barrier message still charges its fixed 12 bytes — because it
     /// models a few words folded into a packet the barrier sends anyway.
     BarArrive { tag: u32, epoch: u64, prof: Option<Arc<[u64]>> },
-    /// Barrier release broadcast from the coordinator. `prof` carries the
-    /// element-wise sum of every arrival's profile contribution when at
-    /// least one node staged one (see [`AceMsg::BarArrive`]).
+    /// Barrier release, fanned down the same tree from the root. `prof`
+    /// carries the element-wise sum of every arrival's profile
+    /// contribution when at least one node staged one (see
+    /// [`AceMsg::BarArrive`]).
     BarRelease { tag: u32, epoch: u64, prof: Option<Arc<[u64]>> },
     /// Default region-lock request, queued FIFO at the region's home.
     LockReq { region: RegionId },

@@ -21,6 +21,24 @@ use crate::space::SpaceEntry;
 /// the space id).
 const GLOBAL_BAR_TAG: u32 = u32::MAX;
 
+/// Fan-in/fan-out of the barrier's combining tree (rooted at rank 0,
+/// `parent = (r - 1) / BAR_ARITY`). 4, 8 and 16 measure the same at 256
+/// ranks; 8 is the one that makes every machine of up to nine ranks a
+/// single-level tree — the message pattern of the centralised barrier it
+/// replaced, so the paper-scale tables did not move.
+const BAR_ARITY: usize = 8;
+
+/// `rank`'s parent in the barrier tree; `None` at the root.
+fn bar_parent(rank: usize) -> Option<usize> {
+    rank.checked_sub(1).map(|r| r / BAR_ARITY)
+}
+
+/// `rank`'s children in the barrier tree of an `nprocs`-node machine.
+fn bar_children(rank: usize, nprocs: usize) -> std::ops::Range<usize> {
+    let first = rank * BAR_ARITY + 1;
+    first.min(nprocs)..(first + BAR_ARITY).min(nprocs)
+}
+
 /// The coalescing policy [`AceRt::new`] installs. Threshold-8 bounds how
 /// long a logical message can linger in a buffer mid-phase (a full buffer
 /// goes out immediately) while still amortizing headers and latency
@@ -177,16 +195,18 @@ pub struct AceRt<'n> {
     spaces: RefCell<HashMap<u32, Rc<SpaceEntry>>>,
     next_region_seq: Cell<u64>,
     next_space: Cell<u32>,
-    // Barrier state: highest released epoch per tag (all nodes), local call
-    // count per tag (all nodes), arrival counts per (tag, epoch) (node 0).
+    // Barrier state, per node of the combining tree: highest released
+    // epoch per tag, local call count per tag, and arrivals seen so far per
+    // (tag, epoch) — this node's own plus one per child subtree.
     bar_released: RefCell<HashMap<u32, u64>>,
     bar_local_epoch: RefCell<HashMap<u32, u64>>,
     bar_counts: RefCell<HashMap<(u32, u64), usize>>,
     // Sharing-profile piggyback for the adaptive protocol engine: staged
-    // contributions ride the next BarArrive for their tag, node 0 sums
-    // them element-wise, and the aggregate rides every BarRelease — so
-    // every node decides on identical machine-wide data with zero extra
-    // messages. Keyed by barrier tag.
+    // contributions ride the next BarArrive for their tag, every tree
+    // node sums its subtree's element-wise before passing one partial sum
+    // up, and the root's total rides every BarRelease — so every node
+    // decides on identical machine-wide data with zero extra messages.
+    // Keyed by barrier tag.
     bar_prof_out: RefCell<HashMap<u32, Vec<u64>>>,
     bar_prof_acc: RefCell<HashMap<(u32, u64), Vec<u64>>>,
     bar_prof_in: RefCell<HashMap<u32, Arc<[u64]>>>,
@@ -465,17 +485,10 @@ impl<'n> AceRt<'n> {
                 e.st.set(crate::rt::REMOTE_INVALID);
                 self.regions.borrow_mut().insert(region.0, e);
             }
-            AceMsg::BarArrive { tag, epoch, prof } => {
-                assert_eq!(self.rank(), 0, "barrier arrivals go to node 0");
-                self.bar_note_arrival(tag, epoch, prof);
-            }
+            AceMsg::BarArrive { tag, epoch, prof } => self.bar_note_arrival(tag, epoch, prof),
             AceMsg::BarRelease { tag, epoch, prof } => {
-                if let Some(p) = prof {
-                    self.bar_prof_in.borrow_mut().insert(tag, p);
-                }
-                let mut rel = self.bar_released.borrow_mut();
-                let e = rel.entry(tag).or_insert(0);
-                *e = (*e).max(epoch);
+                self.counters.borrow_mut().bar_msgs += 1;
+                self.bar_release(tag, epoch, prof);
             }
             AceMsg::LockReq { region } => {
                 let e = self
@@ -1132,7 +1145,10 @@ impl<'n> AceRt<'n> {
     }
 
     /// The plain machine barrier a protocol's `barrier` hook typically
-    /// finishes with: centralized sense-free epoch barrier at node 0.
+    /// finishes with: an epoch barrier over a fixed 8-ary combining tree
+    /// rooted at node 0, so no node sends or receives more than nine
+    /// messages per passage and the critical path is logarithmic in the
+    /// machine size.
     pub fn space_barrier(&self, s: &SpaceEntry) {
         self.barrier_tag(s.id.0);
     }
@@ -1150,16 +1166,22 @@ impl<'n> AceRt<'n> {
             *e
         };
         let prof = self.bar_prof_out.borrow_mut().remove(&tag).map(Arc::from);
-        if self.rank() == 0 {
-            self.bar_note_arrival(tag, epoch, prof);
-        } else {
-            self.send(0, AceMsg::BarArrive { tag, epoch, prof });
-        }
+        self.bar_note_arrival(tag, epoch, prof);
         self.wait("barrier release", || {
             self.bar_released.borrow().get(&tag).copied().unwrap_or(0) >= epoch
         });
     }
 
+    /// Send one barrier message, counted in [`OpCounters::bar_msgs`].
+    fn bar_send(&self, dst: usize, msg: AceMsg) {
+        self.counters.borrow_mut().bar_msgs += 1;
+        self.send(dst, msg);
+    }
+
+    /// One arrival at `(tag, epoch)` reached this tree node: its own, or a
+    /// child's standing for that child's whole subtree. The last one sends
+    /// the subtree's single arrival (and combined profile) to the parent —
+    /// or, at the root, starts the release.
     fn bar_note_arrival(&self, tag: u32, epoch: u64, prof: Option<Arc<[u64]>>) {
         if let Some(p) = prof {
             let mut acc = self.bar_prof_acc.borrow_mut();
@@ -1171,11 +1193,12 @@ impl<'n> AceRt<'n> {
                 *s += v;
             }
         }
+        let children = bar_children(self.rank(), self.nprocs()).len();
         let full = {
             let mut counts = self.bar_counts.borrow_mut();
             let c = counts.entry((tag, epoch)).or_insert(0);
             *c += 1;
-            if *c == self.nprocs() {
+            if *c == 1 + children {
                 counts.remove(&(tag, epoch));
                 true
             } else {
@@ -1183,26 +1206,46 @@ impl<'n> AceRt<'n> {
             }
         };
         if full {
-            let agg: Option<Arc<[u64]>> =
+            // A child may arrive for a barrier this node has yet to enter,
+            // so arrivals are counted here, inside the passage they belong
+            // to: the counter then reads whole passages at any point
+            // outside a barrier, whatever the timing.
+            self.counters.borrow_mut().bar_msgs += children as u64;
+            let prof: Option<Arc<[u64]>> =
                 self.bar_prof_acc.borrow_mut().remove(&(tag, epoch)).map(Arc::from);
-            for dst in 1..self.nprocs() {
-                self.send(dst, AceMsg::BarRelease { tag, epoch, prof: agg.clone() });
+            match bar_parent(self.rank()) {
+                Some(parent) => self.bar_send(parent, AceMsg::BarArrive { tag, epoch, prof }),
+                None => self.bar_release(tag, epoch, prof),
             }
-            if let Some(p) = agg {
-                self.bar_prof_in.borrow_mut().insert(tag, p);
-            }
-            let mut rel = self.bar_released.borrow_mut();
-            let e = rel.entry(tag).or_insert(0);
-            *e = (*e).max(epoch);
         }
+    }
+
+    /// Release this node's subtree from `(tag, epoch)`. The children are
+    /// sent their releases *before* this node records its own, so
+    /// "recorded" implies "forwarded" at every instant: a node whose wait
+    /// has seen the release may leave its last barrier and exit, and must
+    /// not leave a subtree waiting on it. (`poll_until` flushes the sends
+    /// before it re-tests the wait.)
+    fn bar_release(&self, tag: u32, epoch: u64, prof: Option<Arc<[u64]>>) {
+        for dst in bar_children(self.rank(), self.nprocs()) {
+            self.bar_send(dst, AceMsg::BarRelease { tag, epoch, prof: prof.clone() });
+        }
+        if let Some(p) = prof {
+            self.bar_prof_in.borrow_mut().insert(tag, p);
+        }
+        let mut rel = self.bar_released.borrow_mut();
+        let e = rel.entry(tag).or_insert(0);
+        *e = (*e).max(epoch);
     }
 
     /// Stage this node's sharing-profile contribution for its next barrier
     /// on `sid`'s tag (adaptive protocol engine). The words ride the next
-    /// `BarArrive` for that tag; node 0 sums all contributions element-wise
-    /// and the aggregate rides every `BarRelease`, so after the barrier
-    /// every node holds the identical machine-wide sum — consensus with
-    /// zero extra messages and zero extra bytes charged.
+    /// `BarArrive` for that tag; each node of the barrier tree sums its
+    /// subtree's contributions element-wise into the one arrival it sends
+    /// up, and the root's total rides every `BarRelease`, so after the
+    /// barrier every node holds the identical machine-wide sum (`u64`
+    /// addition is associative: the same words a flat sum would give) —
+    /// consensus with zero extra messages and zero extra bytes charged.
     pub fn stage_bar_profile(&self, sid: SpaceId, prof: Vec<u64>) {
         self.bar_prof_out.borrow_mut().insert(sid.0, prof);
     }

@@ -433,7 +433,8 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::{compile, OptLevel};
-    use ace_core::{run_ace, CostModel};
+    use ace_core::{run_ace, run_ace_with, CostModel, Spmd};
+    use std::time::Duration;
 
     fn run_main(src: &str, nprocs: usize, level: OptLevel) -> Vec<Option<Value>> {
         let cfg = SystemConfig::builtin();
@@ -484,6 +485,38 @@ mod tests {
             for v in &r {
                 assert_eq!(*v, Some(Value::I(20)), "at {level:?}");
             }
+        }
+    }
+
+    #[test]
+    fn migratory_copy_is_recalled_at_every_level() {
+        // Rank 1 takes the single copy, then rank 0 reads it back: home
+        // recalls the copy and the owner writes it back. The write-back
+        // and home's parked-request drain live in Migratory's end hooks,
+        // so direct dispatch must keep those calls: were they deleted as
+        // null, rank 1's section would never close, the recall would wait
+        // for an end that never comes, and this would hang (hence the
+        // short watchdog) instead of returning 42.
+        let src = r#"
+            int main() {
+                space s = new_space("Migratory");
+                shared int *c;
+                if (rank() == 0) { c = (shared int*) gmalloc(s, 1); }
+                c = (shared int*) bcast_p(0, c);
+                if (rank() == 1) { c[0] = 41; }
+                barrier(s);
+                int out = 0;
+                if (rank() == 0) { out = c[0] + 1; }
+                barrier(s);
+                return out;
+            }
+        "#;
+        let cfg = SystemConfig::builtin();
+        for level in OptLevel::ALL {
+            let p = compile(src, &cfg, level).unwrap();
+            let machine = Spmd::builder().nprocs(2).watchdog(Duration::from_secs(5));
+            let r = run_ace_with(machine, |rt| run_program(rt, &p)).results;
+            assert_eq!(r, [Some(Value::I(42)), Some(Value::I(0))], "at {level:?}");
         }
     }
 

@@ -15,8 +15,9 @@
 //!
 //! Every node stages its interval profile with
 //! [`ace_core::AceRt::stage_bar_profile`]; the words ride the `BarArrive`
-//! the barrier sends anyway, node 0 sums them element-wise, and the
-//! aggregate rides every `BarRelease`. After the barrier all nodes hold
+//! the barrier sends anyway, each node of the barrier's combining tree
+//! sums its subtree's element-wise into the one arrival it passes up, and
+//! the root's total rides every `BarRelease`. After the barrier all nodes hold
 //! the *identical* machine-wide sum and run the identical deterministic
 //! [`decide`] on it — so they reach the same verdict by construction, and
 //! the switch itself is a collective that needs no arbitration round.

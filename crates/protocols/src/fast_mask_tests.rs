@@ -7,14 +7,16 @@
 //! into its interesting states and, at every checkpoint, invoke each hook
 //! whose fast bit is set directly on the protocol object, asserting that
 //! a full snapshot of the observable state is unchanged.
+//!
+//! A hook a protocol registers in `null_actions()` makes the stronger
+//! promise — a no-op in *every* state, which is what licenses the
+//! compiler to delete the call — so the same fixtures, run once more per
+//! registered protocol, hold the null declarations to the same snapshot.
 
 use ace_core::{run_ace, AceRt, Actions, CostModel, Protocol, RegionEntry, RegionId};
 use std::rc::Rc;
 
-use crate::{
-    DynamicUpdate, FetchAddCounter, HomeOwned, Migratory, NullProtocol, PipelinedWrite,
-    SeqInvalidate, StaticUpdate,
-};
+use crate::registry::{all_protocols, make, ProtoSpec};
 
 /// Everything a no-op access hook must leave untouched.
 #[derive(Debug, PartialEq)]
@@ -48,33 +50,76 @@ fn snap(rt: &AceRt, e: &RegionEntry) -> Snap {
     }
 }
 
-/// For every access hook whose fast bit is set, run the hook and assert
-/// the snapshot is bit-identical afterwards. (The mask is also part of
-/// the snapshot, so this doubles as a check that `refresh_fast` is a
-/// pure function of the state it just left unchanged.)
-fn assert_fast_noops<P: Protocol>(rt: &AceRt, p: &P, rid: RegionId, ctx: &str) {
-    type HookFn<P> = fn(&P, &AceRt, &RegionEntry);
-    let hooks: [(Actions, &str, HookFn<P>); 4] = [
-        (Actions::START_READ, "start_read", P::start_read),
-        (Actions::END_READ, "end_read", P::end_read),
-        (Actions::START_WRITE, "start_write", P::start_write),
-        (Actions::END_WRITE, "end_write", P::end_write),
+/// Which promise a fixture's checkpoints hold the protocol to.
+#[derive(Clone, Copy)]
+enum Check {
+    /// The hooks in the region's current fast mask.
+    Fast,
+    /// The hooks the protocol declares null.
+    Null,
+}
+
+/// Run every hook `check` selects and assert the snapshot is bit-identical
+/// afterwards. (The mask is also part of the snapshot, so this doubles as
+/// a check that `refresh_fast` is a pure function of the state it just
+/// left unchanged.)
+fn assert_noops(check: Check, rt: &AceRt, p: &dyn Protocol, rid: RegionId, ctx: &str) {
+    assert_noops_but(Actions::empty(), check, rt, p, rid, ctx);
+}
+
+/// The write hooks: what [`assert_noops_but`] skips on a node the
+/// protocol's usage contract never lets write (the home-written protocols
+/// debug-assert exactly that in `start_write`).
+const WRITES: Actions = Actions(Actions::START_WRITE.0 | Actions::END_WRITE.0);
+
+/// [`assert_noops`] minus the hooks in `skip`.
+fn assert_noops_but(
+    skip: Actions,
+    check: Check,
+    rt: &AceRt,
+    p: &dyn Protocol,
+    rid: RegionId,
+    ctx: &str,
+) {
+    type HookFn = fn(&dyn Protocol, &AceRt, &RegionEntry);
+    let hooks: [(Actions, &str, HookFn); 6] = [
+        (Actions::MAP, "on_map", |p, rt, e| p.on_map(rt, e)),
+        (Actions::UNMAP, "on_unmap", |p, rt, e| p.on_unmap(rt, e)),
+        (Actions::START_READ, "start_read", |p, rt, e| p.start_read(rt, e)),
+        (Actions::END_READ, "end_read", |p, rt, e| p.end_read(rt, e)),
+        (Actions::START_WRITE, "start_write", |p, rt, e| p.start_write(rt, e)),
+        (Actions::END_WRITE, "end_write", |p, rt, e| p.end_write(rt, e)),
     ];
     let e = rt.entry(rid);
-    let mask = e.fast.get();
-    assert_ne!(mask, Actions::empty(), "{ctx}: expected some fast bits");
+    let (mask, promise) = match check {
+        Check::Fast => {
+            let mask = e.fast.get();
+            assert_ne!(mask, Actions::empty(), "{ctx}: expected some fast bits");
+            (mask, "fast bit set")
+        }
+        Check::Null => (p.null_actions(), "declared null"),
+    };
     for (bit, name, hook) in hooks {
-        if !mask.contains(bit) {
+        if !mask.contains(bit) || skip.contains(bit) {
             continue;
         }
         let before = snap(rt, &e);
         hook(p, rt, &e);
         let after = snap(rt, &e);
-        assert_eq!(before, after, "{ctx}: fast bit for {name} set but hook was not a no-op");
+        assert_eq!(before, after, "{ctx}: {name} {promise} but the hook was not a no-op");
     }
 }
 
-fn shared_region<P: Protocol + 'static>(rt: &AceRt, p: Rc<P>, words: usize) -> RegionId {
+/// A fixture: drives one protocol through its interesting states on a
+/// 2-rank machine, calling [`assert_noops`] at each.
+type Fixture = fn(&AceRt, Rc<dyn Protocol>, Check);
+
+fn run_fixture(spec: ProtoSpec, check: Check) {
+    let states = fixture(spec).expect("protocol has a fixture");
+    run_ace(2, CostModel::free(), |rt| states(rt, make(spec), check));
+}
+
+fn shared_region(rt: &AceRt, p: Rc<dyn Protocol>, words: usize) -> RegionId {
     let s = rt.new_space(p);
     let rid = if rt.rank() == 0 {
         RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
@@ -85,178 +130,237 @@ fn shared_region<P: Protocol + 'static>(rt: &AceRt, p: Rc<P>, words: usize) -> R
     rid
 }
 
+/// The fixture for each registered protocol; exhaustive, so registering
+/// a protocol means writing one. `None` for the adaptive engine, which
+/// delegates to whichever of the others it installed and declares nothing
+/// null itself.
+fn fixture(spec: ProtoSpec) -> Option<Fixture> {
+    Some(match spec {
+        ProtoSpec::Sc => seq_inv_states,
+        ProtoSpec::DynUpdate => dyn_update_states,
+        ProtoSpec::StaticUpdate => static_update_states,
+        ProtoSpec::Null => null_states,
+        ProtoSpec::Migratory => migratory_states,
+        ProtoSpec::Pipelined => pipelined_states,
+        ProtoSpec::HomeOwned => home_owned_states,
+        ProtoSpec::FetchAdd(_) => counter_states,
+        ProtoSpec::Adaptive(_) => return None,
+    })
+}
+
+#[test]
+fn null_actions_are_really_null() {
+    for info in all_protocols() {
+        if fixture(info.spec).is_some() {
+            run_fixture(info.spec, Check::Null);
+        } else {
+            assert_eq!(info.null_actions, Actions::empty(), "{}", info.name);
+        }
+    }
+}
+
+fn null_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 2);
+    assert_noops(check, rt, &*p, rid, "null (either side)");
+    rt.machine_barrier();
+}
+
 #[test]
 fn null_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(NullProtocol::new());
-        let rid = shared_region(rt, p.clone(), 2);
-        assert_fast_noops(rt, &*p, rid, "null (either side)");
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::Null, Check::Fast);
+}
+
+fn counter_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    rt.lock(rid);
+    rt.start_read(rid);
+    let t = rt.with::<u64, _>(rid, |d| d[0]);
+    rt.end_read(rid);
+    rt.start_write(rid);
+    rt.with_mut::<u64, _>(rid, |d| d[0] = t + 1);
+    rt.end_write(rid);
+    rt.unlock(rid);
+    assert_noops(check, rt, &*p, rid, "counter after a ticket");
+    rt.machine_barrier();
 }
 
 #[test]
 fn counter_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(FetchAddCounter::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        rt.lock(rid);
+    run_fixture(ProtoSpec::FetchAdd(1), Check::Fast);
+}
+
+fn seq_inv_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "sc home quiescent");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 1 {
         rt.start_read(rid);
-        let t = rt.with::<u64, _>(rid, |d| d[0]);
+        rt.with::<u64, _>(rid, |d| d[0]);
         rt.end_read(rid);
+        assert_noops(check, rt, &*p, rid, "sc remote shared");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "sc home with a sharer");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 1 {
         rt.start_write(rid);
-        rt.with_mut::<u64, _>(rid, |d| d[0] = t + 1);
+        rt.with_mut::<u64, _>(rid, |d| d[0] = 7);
         rt.end_write(rid);
-        rt.unlock(rid);
-        assert_fast_noops(rt, &*p, rid, "counter after a ticket");
-        rt.machine_barrier();
-    });
+        assert_noops(check, rt, &*p, rid, "sc remote exclusive");
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn seq_inv_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(SeqInvalidate::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "sc home quiescent");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 1 {
-            rt.start_read(rid);
-            rt.with::<u64, _>(rid, |d| d[0]);
-            rt.end_read(rid);
-            assert_fast_noops(rt, &*p, rid, "sc remote shared");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "sc home with a sharer");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 1 {
-            rt.start_write(rid);
-            rt.with_mut::<u64, _>(rid, |d| d[0] = 7);
-            rt.end_write(rid);
-            assert_fast_noops(rt, &*p, rid, "sc remote exclusive");
-        }
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::Sc, Check::Fast);
+}
+
+fn dyn_update_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "dyn-update home");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 1 {
+        rt.start_read(rid);
+        rt.with::<u64, _>(rid, |d| d[0]);
+        rt.end_read(rid);
+        assert_noops(check, rt, &*p, rid, "dyn-update joined sharer");
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn dyn_update_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(DynamicUpdate::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "dyn-update home");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 1 {
-            rt.start_read(rid);
-            rt.with::<u64, _>(rid, |d| d[0]);
-            rt.end_read(rid);
-            assert_fast_noops(rt, &*p, rid, "dyn-update joined sharer");
-        }
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::DynUpdate, Check::Fast);
+}
+
+fn static_update_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "static-update home");
+    } else {
+        assert_noops_but(WRITES, check, rt, &*p, rid, "static-update subscriber");
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn static_update_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(StaticUpdate::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "static-update home");
-        } else {
-            assert_fast_noops(rt, &*p, rid, "static-update subscriber");
-        }
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::StaticUpdate, Check::Fast);
+}
+
+fn home_owned_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 2);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "home-owned home");
+    } else {
+        // Before the first pull the copy is invalid: starts are slow.
+        assert!(!rt.entry(rid).fast.get().contains(Actions::START_READ));
+        rt.start_read(rid);
+        rt.with::<u64, _>(rid, |d| d[0]);
+        rt.end_read(rid);
+        assert_noops_but(WRITES, check, rt, &*p, rid, "home-owned consumer with copy");
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn home_owned_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(HomeOwned::new());
-        let rid = shared_region(rt, p.clone(), 2);
+    run_fixture(ProtoSpec::HomeOwned, Check::Fast);
+}
+
+fn migratory_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "migratory home, master quiescent");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 1 {
+        rt.start_write(rid);
+        rt.with_mut::<u64, _>(rid, |d| d[0] += 1);
+        rt.end_write(rid);
+        assert_noops(check, rt, &*p, rid, "migratory remote owner");
+    }
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        // Remote holds the copy: starts must be slow (they recall),
+        // ends stay fast (nothing parked).
+        let mask = rt.entry(rid).fast.get();
+        assert!(!mask.contains(Actions::START_READ));
+        assert!(mask.contains(Actions::END_READ));
+        assert_noops(check, rt, &*p, rid, "migratory home, copy away");
+    }
+    rt.machine_barrier();
+    // The state an end hook has work in: the owner is inside a section
+    // when home recalls the copy, so the write-back waits for the end.
+    if rt.rank() == 1 {
+        rt.start_write(rid);
+        rt.with_mut::<u64, _>(rid, |d| d[0] += 1);
         rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "home-owned home");
-        } else {
-            // Before the first pull the copy is invalid: starts are slow.
-            assert!(!rt.entry(rid).fast.get().contains(Actions::START_READ));
-            rt.start_read(rid);
-            rt.with::<u64, _>(rid, |d| d[0]);
-            rt.end_read(rid);
-            assert_fast_noops(rt, &*p, rid, "home-owned consumer with copy");
-        }
+        let e = rt.entry(rid);
+        rt.wait("recall lands mid-section", || !e.fast.get().contains(Actions::END_WRITE));
+        assert_eq!(e.fast.get(), Actions::empty(), "nothing is fast under a pending recall");
+        // An end hook runs with its section already closed (`annotate`
+        // counts the close first): hold the null hooks to that state.
+        e.write_active.set(0);
+        assert_noops(Check::Null, rt, &*p, rid, "migratory owner, recall pending");
+        e.write_active.set(1);
+        rt.end_write(rid);
+    } else {
         rt.machine_barrier();
-    });
+        rt.start_read(rid);
+        assert_eq!(rt.with::<u64, _>(rid, |d| d[0]), 2, "the recalled copy came home");
+        rt.end_read(rid);
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn migratory_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(Migratory::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "migratory home, master quiescent");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 1 {
-            rt.start_write(rid);
-            rt.with_mut::<u64, _>(rid, |d| d[0] += 1);
-            rt.end_write(rid);
-            assert_fast_noops(rt, &*p, rid, "migratory remote owner");
-        }
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            // Remote holds the copy: starts must be slow (they recall),
-            // ends stay fast (nothing parked).
-            let mask = rt.entry(rid).fast.get();
-            assert!(!mask.contains(Actions::START_READ));
-            assert!(mask.contains(Actions::END_READ));
-            assert_fast_noops(rt, &*p, rid, "migratory home, copy away");
-        }
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::Migratory, Check::Fast);
+}
+
+fn pipelined_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
+    let rid = shared_region(rt, p.clone(), 1);
+    rt.machine_barrier();
+    if rt.rank() == 0 {
+        assert_noops(check, rt, &*p, rid, "pipelined home");
+    } else {
+        rt.start_read(rid);
+        rt.with::<f64, _>(rid, |d| d[0]);
+        rt.end_read(rid);
+        // Copy resident but no twin yet: reads fast, writes slow.
+        let mask = rt.entry(rid).fast.get();
+        assert!(mask.contains(Actions::START_READ));
+        assert!(!mask.contains(Actions::START_WRITE));
+        assert_noops(check, rt, &*p, rid, "pipelined reader with copy");
+
+        rt.start_write(rid);
+        rt.with_mut::<f64, _>(rid, |d| d[0] += 1.0);
+        rt.end_write(rid);
+        // Twin in place: start_write joins the fast set; end_write
+        // stays slow (it ships a delta home).
+        let mask = rt.entry(rid).fast.get();
+        assert!(mask.contains(Actions::START_WRITE));
+        assert!(!mask.contains(Actions::END_WRITE));
+        assert_noops(check, rt, &*p, rid, "pipelined writer with twin");
+    }
+    rt.machine_barrier();
 }
 
 #[test]
 fn pipelined_fast_bits_are_noops() {
-    run_ace(2, CostModel::free(), |rt| {
-        let p = Rc::new(PipelinedWrite::new());
-        let rid = shared_region(rt, p.clone(), 1);
-        rt.machine_barrier();
-        if rt.rank() == 0 {
-            assert_fast_noops(rt, &*p, rid, "pipelined home");
-        } else {
-            rt.start_read(rid);
-            rt.with::<f64, _>(rid, |d| d[0]);
-            rt.end_read(rid);
-            // Copy resident but no twin yet: reads fast, writes slow.
-            let mask = rt.entry(rid).fast.get();
-            assert!(mask.contains(Actions::START_READ));
-            assert!(!mask.contains(Actions::START_WRITE));
-            assert_fast_noops(rt, &*p, rid, "pipelined reader with copy");
-
-            rt.start_write(rid);
-            rt.with_mut::<f64, _>(rid, |d| d[0] += 1.0);
-            rt.end_write(rid);
-            // Twin in place: start_write joins the fast set; end_write
-            // stays slow (it ships a delta home).
-            let mask = rt.entry(rid).fast.get();
-            assert!(mask.contains(Actions::START_WRITE));
-            assert!(!mask.contains(Actions::END_WRITE));
-            assert_fast_noops(rt, &*p, rid, "pipelined writer with twin");
-        }
-        rt.machine_barrier();
-    });
+    run_fixture(ProtoSpec::Pipelined, Check::Fast);
 }

@@ -134,8 +134,11 @@ impl Protocol for Migratory {
         false // read-modify-write sections must stay where they are
     }
 
+    // Not the end hooks: they are where home drains requests parked
+    // behind its own section and where an owner honours a recall that
+    // arrived mid-section. Deleting the call would strand both.
     fn null_actions(&self) -> Actions {
-        Actions::END_READ.union(Actions::END_WRITE).union(Actions::UNMAP)
+        Actions::UNMAP
     }
 
     // The region lives wholly on whichever node holds it: sections are

@@ -117,6 +117,12 @@ pub struct TraceSummary {
     pub parks: u64,
     /// See [`TraceSummary::parks`].
     pub park_timeouts: u64,
+    /// Barrier messages sent plus received, summed over all nodes and on
+    /// the busiest one. Runtime counts, not events — callers supply them
+    /// from the run's `OpCounters` via [`TraceSummary::with_bar_msgs`].
+    pub bar_msgs: u64,
+    /// See [`TraceSummary::bar_msgs`].
+    pub bar_msgs_busiest: u64,
 }
 
 impl MachineTrace {
@@ -229,6 +235,8 @@ impl MachineTrace {
             violations,
             parks: 0,
             park_timeouts: 0,
+            bar_msgs: 0,
+            bar_msgs_busiest: 0,
         }
     }
 
@@ -313,6 +321,14 @@ impl TraceSummary {
         self
     }
 
+    /// Attach the run's barrier-message counts (from `OpCounters`) so the
+    /// render shows what the barrier costs its busiest node.
+    pub fn with_bar_msgs(mut self, total: u64, busiest: u64) -> Self {
+        self.bar_msgs = total;
+        self.bar_msgs_busiest = busiest;
+        self
+    }
+
     /// Render the summary as a fixed-width text table.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -354,6 +370,13 @@ impl TraceSummary {
                 s,
                 "messages: {logical} logical in {wire} wire envelopes{}",
                 if logical > wire { " (coalesced)" } else { "" }
+            );
+        }
+        if self.bar_msgs > 0 {
+            let _ = writeln!(
+                s,
+                "barrier messages: {} sent + received over all nodes, {} on the busiest",
+                self.bar_msgs, self.bar_msgs_busiest
             );
         }
         if self.parks > 0 {
@@ -445,8 +468,14 @@ mod tests {
         assert!(rendered.contains("RREQ"));
         assert!(rendered.contains("4 logical in 2 wire envelopes (coalesced)"), "{rendered}");
         assert!(!rendered.contains("parks:"), "no park line until counts are attached");
-        let rendered = s.with_parks(3, 0).render();
+        assert!(!rendered.contains("barrier messages:"), "nor a barrier line");
+        let rendered = s.with_parks(3, 0).with_bar_msgs(28, 14).render();
         assert!(rendered.contains("parks: 3 blocking receives, 0 ended by timeout"), "{rendered}");
+        assert!(
+            rendered
+                .contains("barrier messages: 28 sent + received over all nodes, 14 on the busiest"),
+            "{rendered}"
+        );
     }
 
     #[test]
