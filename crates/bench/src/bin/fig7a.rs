@@ -1,8 +1,10 @@
 //! Figure 7a: Ace runtime system versus CRL, both under the default
 //! sequentially-consistent invalidation protocol.
 //!
+//! ```text
 //! Usage: fig7a [--small|--paper] [--procs N] [--runs K] [--json [PATH]]
 //!        [--trace PATH]  (re-runs EM3D traced and writes Chrome JSON)
+//! ```
 //!
 //! `--json` without a path writes `BENCH_fig7a.json` at the repo root,
 //! the canonical location CI and EXPERIMENTS.md point at.

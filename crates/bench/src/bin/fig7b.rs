@@ -1,12 +1,14 @@
 //! Figure 7b: single (SC) protocol versus application-specific protocols
 //! in Ace.
 //!
+//! ```text
 //! Usage: fig7b [--small|--paper] [--procs N] [--runs K] [--json [PATH]]
 //!        [--trace PATH]  (re-runs EM3D/custom traced and writes Chrome JSON)
 //!        [--check [APP,...]]  (conformance-checker overhead table instead
 //!        of the figure; default apps em3d,water; asserts zero violations)
 //!        [--check-max-overhead PCT]  (with --check: fail if any row's
 //!        simulated-time overhead exceeds PCT percent)
+//! ```
 //!
 //! `--json` without a path writes `BENCH_fig7b.json` at the repo root,
 //! the canonical location CI and EXPERIMENTS.md point at.

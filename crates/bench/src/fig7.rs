@@ -2,7 +2,7 @@
 //! both protocol assignments.
 
 use ace_apps::runner::{launch_ace_with, launch_crl_with, RunOutcome};
-use ace_apps::{barnes, bsc, em3d, tsp, water, Variant};
+use ace_apps::{barnes, bsc, em3d, tsp, water, Dsm, Variant};
 use ace_core::{CheckMode, CostModel, MachineBuilder, Spmd, TraceConfig};
 
 /// The five benchmarks, in the paper's order.
@@ -84,6 +84,19 @@ pub fn run_ace_app_on(app: &str, scale: Scale, v: Variant, builder: MachineBuild
     run_ace_app_coalesce(app, scale, v, builder, true)
 }
 
+/// The one app → (inputs, kernel) table: run `app` at `scale` under `v`
+/// on whichever runtime `d` is.
+fn run_app<D: Dsm>(app: &str, scale: Scale, d: &D, v: Variant) -> f64 {
+    match app {
+        "em3d" => em3d::run(d, &em3d_params(scale), v),
+        "barnes" => barnes::run(d, &barnes_params(scale), v),
+        "bsc" => bsc::run(d, &bsc_params(scale), v),
+        "tsp" => tsp::run(d, &tsp_params(scale), v),
+        "water" => water::run(d, &water_params(scale), v),
+        other => panic!("unknown app {other}"),
+    }
+}
+
 /// Run one benchmark on the Ace runtime with the coalescing transport
 /// forced on or off (`AceRt::set_coalescing`). The `-nocoal`
 /// configurations in the figure tables come through here; everything else
@@ -95,49 +108,12 @@ pub fn run_ace_app_coalesce(
     builder: MachineBuilder,
     coalesce: bool,
 ) -> RunOutcome {
-    let pre = move |d: &ace_apps::AceDsm| {
+    launch_ace_with(builder, |d| {
         if !coalesce {
             d.rt().set_coalescing(false);
         }
-    };
-    match app {
-        "em3d" => {
-            let p = em3d_params(scale);
-            launch_ace_with(builder, move |d| {
-                pre(d);
-                em3d::run(d, &p, v)
-            })
-        }
-        "barnes" => {
-            let p = barnes_params(scale);
-            launch_ace_with(builder, move |d| {
-                pre(d);
-                barnes::run(d, &p, v)
-            })
-        }
-        "bsc" => {
-            let p = bsc_params(scale);
-            launch_ace_with(builder, move |d| {
-                pre(d);
-                bsc::run(d, &p, v)
-            })
-        }
-        "tsp" => {
-            let p = tsp_params(scale);
-            launch_ace_with(builder, move |d| {
-                pre(d);
-                tsp::run(d, &p, v)
-            })
-        }
-        "water" => {
-            let p = water_params(scale);
-            launch_ace_with(builder, move |d| {
-                pre(d);
-                water::run(d, &p, v)
-            })
-        }
-        other => panic!("unknown app {other}"),
-    }
+        run_app(app, scale, d, v)
+    })
 }
 
 /// Run one benchmark on the CRL baseline (always the fixed SC protocol).
@@ -147,29 +123,7 @@ pub fn run_crl_app(app: &str, scale: Scale, nprocs: usize) -> RunOutcome {
 
 /// Run one benchmark on the CRL baseline on a fully-configured machine.
 pub fn run_crl_app_on(app: &str, scale: Scale, builder: MachineBuilder) -> RunOutcome {
-    match app {
-        "em3d" => {
-            let p = em3d_params(scale);
-            launch_crl_with(builder, move |d| em3d::run(d, &p, Variant::Sc))
-        }
-        "barnes" => {
-            let p = barnes_params(scale);
-            launch_crl_with(builder, move |d| barnes::run(d, &p, Variant::Sc))
-        }
-        "bsc" => {
-            let p = bsc_params(scale);
-            launch_crl_with(builder, move |d| bsc::run(d, &p, Variant::Sc))
-        }
-        "tsp" => {
-            let p = tsp_params(scale);
-            launch_crl_with(builder, move |d| tsp::run(d, &p, Variant::Sc))
-        }
-        "water" => {
-            let p = water_params(scale);
-            launch_crl_with(builder, move |d| water::run(d, &p, Variant::Sc))
-        }
-        other => panic!("unknown app {other}"),
-    }
+    launch_crl_with(builder, |d| run_app(app, scale, d, Variant::Sc))
 }
 
 /// Re-run one app traced and write its Chrome `trace_event` JSON to

@@ -47,7 +47,7 @@ pub use error::{AceError, ConformanceKind, SectionRecord};
 pub use ids::{RegionId, SpaceId};
 pub use msg::{AceMsg, ProtoMsg};
 pub use protocol::{Actions, GrantSet, Protocol};
-pub use region::{RegionEntry, Sharers};
+pub use region::{FastMask, RegionEntry, Sharers};
 pub use rt::{AceRt, DEFAULT_COALESCE, REMOTE_INVALID, REMOTE_SHARED};
 pub use space::SpaceEntry;
 

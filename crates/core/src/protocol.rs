@@ -5,9 +5,11 @@ use crate::region::RegionEntry;
 use crate::rt::AceRt;
 use crate::space::SpaceEntry;
 
-/// Bitmask of protocol hooks, used two ways: to declare which hooks a
+/// Bitmask of protocol hooks, used three ways: to declare which hooks a
 /// protocol defines as null (so the compiler's direct-dispatch pass can
-/// delete calls to them, §4.2), and in tests to describe hook coverage.
+/// delete calls to them, §4.2), to say which access hooks are no-ops in a
+/// region's current state ([`Protocol::fast_mask`]), and in tests to
+/// describe hook coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Actions(pub u16);
 
@@ -22,8 +24,8 @@ impl Actions {
     pub const LOCK: Actions = Actions(1 << 7);
     pub const UNLOCK: Actions = Actions(1 << 8);
 
-    /// The four access-section hooks — the candidates for the per-region
-    /// fast mask ([`crate::region::RegionEntry::fast`]).
+    /// The four access-section hooks — the bits a fast mask
+    /// ([`Protocol::fast_mask`]) is made of.
     pub const ACCESS: Actions = Actions(
         Actions::START_READ.0 | Actions::END_READ.0 | Actions::START_WRITE.0 | Actions::END_WRITE.0,
     );
@@ -36,6 +38,11 @@ impl Actions {
     /// Set-union of two masks.
     pub fn union(self, other: Actions) -> Actions {
         Actions(self.0 | other.0)
+    }
+
+    /// Set-intersection of two masks.
+    pub fn intersect(self, other: Actions) -> Actions {
+        Actions(self.0 & other.0)
     }
 
     /// Whether all bits of `other` are present.
@@ -84,7 +91,13 @@ impl GrantSet {
 /// Invariant required of implementations: `handle` must not block (no
 /// nested waits) — multi-hop exchanges are written as state machines using
 /// the entry's `st`/`pending`/`blocked` fields. The `start_*`/`lock`/
-/// `barrier` hooks may block via [`AceRt::wait_region`] and friends.
+/// `barrier` hooks may block via [`AceRt::wait`].
+///
+/// A protocol states each fact about itself once. In particular it never
+/// writes a region's cached fast mask: it *declares* the mask as a pure
+/// function of the entry's state ([`Protocol::fast_mask`]) and the runtime
+/// re-evaluates that function whenever it returns from a callback that may
+/// have moved the state (see [`RegionEntry::fast`] for the list).
 pub trait Protocol: 'static {
     /// Protocol name, as registered with the system (Figure 1).
     fn name(&self) -> &'static str;
@@ -108,6 +121,18 @@ pub trait Protocol: 'static {
     /// Which hooks are null for this protocol (candidates for removal by
     /// the direct-dispatch optimization).
     fn null_actions(&self) -> Actions {
+        Actions::empty()
+    }
+
+    /// The access hooks that, run on `e` *in its current state*, would send
+    /// nothing and change nothing — the in-state fast path (CRL's in-cache
+    /// hit). Must be a pure function of `e` and `rt.rank()`; the runtime
+    /// caches the value in [`RegionEntry::fast`] and skips a hook whose bit
+    /// is set. It must contain every access hook [`Protocol::null_actions`]
+    /// declares (null in every state implies fast in this one;
+    /// debug-asserted where the runtime caches the mask). The default is
+    /// empty: every annotation runs its hook, which is always correct.
+    fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
         Actions::empty()
     }
 
@@ -211,6 +236,13 @@ pub(crate) mod tests {
         assert!(m.contains(Actions::END_READ));
         assert!(!m.contains(Actions::START_WRITE));
         assert!(m.contains(Actions::empty()));
+    }
+
+    #[test]
+    fn intersect_keeps_common_bits_only() {
+        let m = Actions::MAP.union(Actions::END_READ).intersect(Actions::ACCESS);
+        assert_eq!(m, Actions::END_READ);
+        assert_eq!(Actions::MAP.intersect(Actions::ACCESS), Actions::empty());
     }
 
     #[test]

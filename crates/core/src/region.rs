@@ -173,6 +173,24 @@ impl Iterator for SharerRanks {
     }
 }
 
+/// A region's cached fast mask: readable by anyone, written only by the
+/// runtime (the setter is crate-private), so a protocol cannot leave it
+/// stale — see [`RegionEntry::fast`].
+#[derive(Default)]
+pub struct FastMask(Cell<Actions>);
+
+impl FastMask {
+    /// The cached mask.
+    #[inline]
+    pub fn get(&self) -> Actions {
+        self.0.get()
+    }
+
+    pub(crate) fn set(&self, mask: Actions) {
+        self.0.set(mask);
+    }
+}
+
 /// Node-local state for one region: the cached data, access bookkeeping,
 /// and a bag of protocol-owned fields.
 ///
@@ -202,14 +220,22 @@ pub struct RegionEntry {
     /// Number of open write sections.
     pub write_active: Cell<u32>,
 
-    // ---- protocol-owned fields ----
-    /// Fast mask: the set of annotations that are state-preserving no-ops
-    /// in the region's *current* state, maintained by the protocol at its
-    /// state transitions (the analogue of CRL's in-cache fast path). The
-    /// runtime checks this before dispatching a hook; a set bit promises
+    /// Fast mask: the access hooks that are state-preserving no-ops in the
+    /// region's *current* state (the analogue of CRL's in-cache fast path).
+    /// The runtime checks it before dispatching a hook; a set bit promises
     /// the hook would neither send messages nor mutate any entry or space
-    /// state, so the runtime may skip it entirely. Empty = always slow.
-    pub fast: Cell<Actions>,
+    /// state, so the runtime skips it entirely. Empty = always slow.
+    ///
+    /// This is a cache of [`crate::Protocol::fast_mask`], owned by the
+    /// runtime: it re-evaluates the protocol's declaration when it returns
+    /// from `on_create`, `on_map`, an annotation hook that ran, `handle`,
+    /// and `adopt`, and empties it after `flush` (a flushed region belongs
+    /// to no protocol until the next one adopts it). Those are the
+    /// callbacks *on this entry*; code that changes an entry from anywhere
+    /// else calls [`crate::AceRt::rederive_fast`].
+    pub fast: FastMask,
+
+    // ---- protocol-owned fields ----
     /// Protocol-defined state code.
     pub st: Cell<u32>,
     /// Home-side sharer set (rank *i* present = node *i* holds a copy).
@@ -248,7 +274,7 @@ impl RegionEntry {
             mapped: Cell::new(0),
             read_active: Cell::new(0),
             write_active: Cell::new(0),
-            fast: Cell::new(Actions::empty()),
+            fast: FastMask::default(),
             st: Cell::new(0),
             sharers: Sharers::new(),
             owner: Cell::new(-1),

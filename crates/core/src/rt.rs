@@ -220,6 +220,12 @@ pub struct AceRt<'n> {
     /// before the first). Tracked unconditionally (a `Cell` store) so
     /// error diagnostics carry it even when tracing is off.
     last_hook: Cell<&'static str>,
+    /// The protocol message being handled (or handled last): sender,
+    /// opcode, and the sender's switch epoch at injection. Diagnostics only.
+    handling: Cell<(usize, u16, u64)>,
+    /// Protocol messages from peers one switch epoch ahead, held until this
+    /// node commits that switch too (see `dispatch` and `handover`).
+    early: RefCell<Vec<Envelope<AceMsg>>>,
     /// Master switch for the per-region fast paths (the forced-slow-path
     /// escape hatch: equivalence tests run the same program with this off
     /// and on and demand identical messages, bytes, and data).
@@ -257,6 +263,8 @@ impl<'n> AceRt<'n> {
             gather_recv: RefCell::new(HashMap::new()),
             counters: RefCell::new(OpCounters::default()),
             last_hook: Cell::new("none"),
+            handling: Cell::new((0, 0, 0)),
+            early: RefCell::new(Vec::new()),
             fast_enabled: Cell::new(true),
             checker: Checker::new(node.check_mode()),
         };
@@ -453,16 +461,38 @@ impl<'n> AceRt<'n> {
         self.node.flush_coalesced();
     }
 
+    /// Names the protocol message being handled on `e` — who is handling
+    /// what from whom, and both ends' switch epochs — for the text of a
+    /// protocol's assertions: a handler tripping over a message it cannot
+    /// account for usually means the message belongs to another epoch.
+    pub fn handling(&self, e: &RegionEntry) -> String {
+        let ((src, op, sw), p) = (self.handling.get(), self.space(e.space).proto());
+        let (rank, proto, name, here) =
+            (self.rank(), p.name(), p.op_name(op), self.node.switch_epoch());
+        format!(
+            "rank {rank} region {} protocol {proto}: op {op} ({name}) from {src} \
+             sent at switch epoch {sw}, handled at epoch {here}",
+            e.id
+        )
+    }
+
     fn dispatch(&self, env: Envelope<AceMsg>) {
-        let src = env.src;
+        let (rank, src, sw, here) = (self.rank(), env.src, env.sw, self.node.switch_epoch());
+        if sw > here && matches!(env.msg, AceMsg::Proto(_)) {
+            // The sender is past the commit of a handover this node is
+            // still inside (waiting on its first barrier): the message is
+            // for the protocol about to be installed, so it waits for it.
+            return self.early.borrow_mut().push(env);
+        }
         match env.msg {
             AceMsg::Proto(pm) => {
                 self.counters.borrow_mut().proto_msgs += 1;
                 self.node.charge(self.node.cost().proto_action);
-                let e = self
-                    .lookup(pm.region)
-                    .unwrap_or_else(|| panic!("protocol msg for unknown region {}", pm.region));
+                let e = self.lookup(pm.region).unwrap_or_else(|| {
+                    panic!("rank {rank}: unknown region in {pm:?} from {src} (epoch {sw}, here {here})")
+                });
                 let proto = self.space(e.space).proto();
+                self.handling.set((src, pm.op, sw));
                 let span = self.span_enter(
                     Hook::Handle,
                     e.space,
@@ -471,6 +501,7 @@ impl<'n> AceRt<'n> {
                     proto.op_name(pm.op),
                 );
                 proto.handle(self, &e, pm, src);
+                self.cache_fast(&e, Some(&*proto));
                 self.span_exit(span);
             }
             AceMsg::MetaReq { region } => {
@@ -558,32 +589,59 @@ impl<'n> AceRt<'n> {
         self.try_space(id).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Change the protocol of a space (collective). The semantics follow
-    /// §3.1: the *old* protocol flushes every locally-known region of the
-    /// space to the base state (valid master at home, no remote copies),
-    /// then the new protocol adopts the regions.
+    /// Change the protocol of a space (collective): [`AceRt::handover`]
+    /// with "rebind the space" as the install step.
     pub fn change_protocol(&self, sid: SpaceId, new: Rc<dyn Protocol>) {
         let s = self.space(sid);
-        let mine = self.regions_of_space(sid);
-        let old = s.proto();
-        let old_name = old.name();
+        self.handover(&s, &*s.proto(), &*new, || {
+            // Entries survive a protocol change (same Rc identity), but
+            // clear the whole lookup cache anyway: it is cheap, the event
+            // is rare, and it keeps the invariant auditable — no cached
+            // pointer ever crosses a protocol epoch.
+            self.region_cache.borrow_mut().fill((REGION_CACHE_EMPTY, None));
+            *s.protocol.borrow_mut() = Rc::clone(&new);
+        });
+    }
+
+    /// The protocol handover of §3.1 (collective), written once for
+    /// `change_protocol` and the adaptive engine's flush-point switch:
+    /// `old` flushes every locally-known region of the space to the base
+    /// state (valid master at home, no remote copies) → in-flight
+    /// operations drain → machine barrier → `install` makes `new` the
+    /// protocol that serves the space → the switch epoch is bumped
+    /// (`note_switch`) → `new` adopts the regions → machine
+    /// barrier. Nothing blocks between the first barrier's return and the
+    /// epoch bump, which is what makes the epoch stamp a coherence proof:
+    /// no peer can send from more than one epoch ahead. A peer that *is*
+    /// one ahead — released from the first barrier a moment earlier and
+    /// already adopting — may reach this node before its own release does;
+    /// `dispatch` holds such protocol messages back and they are replayed
+    /// here, to the protocol they were meant for.
+    pub fn handover(
+        &self,
+        s: &SpaceEntry,
+        old: &dyn Protocol,
+        new: &dyn Protocol,
+        install: impl FnOnce(),
+    ) {
+        let mine = self.regions_of_space(s.id);
         for e in &mine {
             old.flush(self, e);
+            self.cache_fast(e, None);
         }
         self.wait("protocol flush drain", || s.outstanding.get() == 0);
         self.machine_barrier();
-        // Entries survive a protocol change (same Rc identity), but clear
-        // the whole lookup cache anyway: it is cheap, the event is rare,
-        // and it keeps the invariant auditable — no cached pointer ever
-        // crosses a protocol epoch.
-        self.region_cache.borrow_mut().fill((REGION_CACHE_EMPTY, None));
-        *s.protocol.borrow_mut() = Rc::clone(&new);
+        install();
         s.dirty.borrow_mut().clear();
         s.aux.set(0);
-        self.note_switch(sid, old_name, new.name());
-        new.init_space(self, &s);
+        self.note_switch(s.id, old.name(), new.name());
+        new.init_space(self, s);
+        for env in self.early.take() {
+            self.dispatch(env);
+        }
         for e in &mine {
             new.adopt(self, e);
+            self.cache_fast(e, Some(new));
         }
         self.machine_barrier();
     }
@@ -591,12 +649,9 @@ impl<'n> AceRt<'n> {
     /// Record one committed protocol switch on this node: counts it, bumps
     /// the node's wire-visible switch epoch (stamped on every subsequent
     /// envelope; see [`ace_machine::Envelope`]), and emits an
-    /// [`EventKind::Switch`] trace event. Called by [`AceRt::change_protocol`]
-    /// and by the adaptive engine's flush-point switch, in both cases
-    /// between the two machine barriers of the handover — which is what
-    /// makes the epoch stamp a coherence proof: no peer can send from more
-    /// than one epoch ahead. Returns the new epoch.
-    pub fn note_switch(&self, space: SpaceId, from: &'static str, to: &'static str) -> u64 {
+    /// [`EventKind::Switch`] trace event. Called by [`AceRt::handover`]
+    /// between its two machine barriers. Returns the new epoch.
+    fn note_switch(&self, space: SpaceId, from: &'static str, to: &'static str) -> u64 {
         self.counters.borrow_mut().switches += 1;
         let epoch = self.node.switch_epoch() + 1;
         self.node.set_switch_epoch(epoch);
@@ -637,6 +692,7 @@ impl<'n> AceRt<'n> {
         let proto = self.space(space).proto();
         self.regions.borrow_mut().insert(id.0, e.clone());
         proto.on_create(self, &e);
+        self.cache_fast(&e, Some(&*proto));
         id
     }
 
@@ -783,6 +839,7 @@ impl<'n> AceRt<'n> {
         let proto = self.space(e.space).proto();
         let span = self.span_enter(Hook::Map, e.space, Some(&e), proto.name(), "");
         proto.on_map(self, &e);
+        self.cache_fast(&e, Some(&*proto));
         self.span_exit(span);
     }
 
@@ -817,6 +874,28 @@ impl<'n> AceRt<'n> {
         } else if write && st == REMOTE_SHARED {
             self.counters.borrow_mut().upgrades += 1;
         }
+    }
+
+    /// Re-derive `e`'s cached fast mask from its protocol's declaration
+    /// ([`Protocol::fast_mask`]). The runtime does this itself on the way
+    /// out of every protocol callback on `e`; this entry point is for the
+    /// one case where a protocol changes an entry from outside such a
+    /// callback — a barrier hook dropping the node's cached copies.
+    pub fn rederive_fast(&self, e: &RegionEntry) {
+        self.cache_fast(e, Some(&*self.space(e.space).proto()));
+    }
+
+    /// The one writer of [`RegionEntry::fast`]: cache what `owner` declares
+    /// for `e`'s current state, or nothing for a region no protocol owns
+    /// (flushed, not yet adopted).
+    fn cache_fast(&self, e: &RegionEntry, owner: Option<&dyn Protocol>) {
+        let mask = owner.map_or(Actions::empty(), |p| p.fast_mask(self, e));
+        debug_assert!(
+            owner.is_none_or(|p| mask.contains(p.null_actions().intersect(Actions::ACCESS))),
+            "{}: an access hook declared null must be fast in every state, got {mask:?}",
+            e.id
+        );
+        e.fast.set(mask);
     }
 
     /// Violations the conformance checker has recorded on this node so
@@ -923,6 +1002,7 @@ impl<'n> AceRt<'n> {
                 Hook::Unlock => p.unlock(self, &e),
                 _ => unreachable!("{} is not an annotation", hook.name()),
             }
+            self.cache_fast(&e, Some(p));
             self.span_exit(span);
         }
         if let Edge::Open { write } = edge {
@@ -1505,6 +1585,51 @@ mod tests {
         }
     }
 
+    /// The handover race behind the `switch_storm_8_ranks_socket` flake: a
+    /// peer released from the handover's first barrier a moment earlier
+    /// commits, adopts, and its first new-protocol message overtakes this
+    /// node's own release. The old protocol must never see that message.
+    #[test]
+    fn message_from_one_epoch_ahead_waits_for_the_local_commit() {
+        /// Sums handled messages' `arg`s into the entry's `aux` — once it
+        /// is the `new` protocol; as the old one it must see none.
+        struct Summing {
+            new: bool,
+        }
+        impl Protocol for Summing {
+            fn name(&self) -> &'static str {
+                "summing"
+            }
+            fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
+                assert!(self.new, "old protocol handled: {}", rt.handling(e));
+                e.aux.set(e.aux.get() + msg.arg);
+            }
+            fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        }
+        let r = run_ace(1, CostModel::free(), |rt| {
+            let s = rt.new_space(Rc::new(Summing { new: false }));
+            let region = rt.gmalloc::<u64>(s, 1);
+            let early = |arg| Envelope {
+                src: 0,
+                send_time: 0,
+                vc: None,
+                sw: rt.node().switch_epoch() + 1,
+                bytes: 0,
+                msg: AceMsg::Proto(ProtoMsg { region, op: 1, from: 0, arg, data: None }),
+            };
+            rt.dispatch(early(3));
+            rt.dispatch(early(4));
+            let held = (rt.entry(region).aux.get(), rt.counters().proto_msgs);
+            rt.change_protocol(s, Rc::new(Summing { new: true }));
+            (held, rt.entry(region).aux.get(), rt.counters().proto_msgs)
+        });
+        assert_eq!(r.results[0], ((0, 0), 7, 2), "held back, then replayed to the new protocol");
+    }
+
     #[test]
     fn machine_and_space_barriers_are_independent() {
         let r = run_ace(3, CostModel::free(), |rt| {
@@ -1730,11 +1855,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "fastnoop"
         }
-        fn on_create(&self, _rt: &AceRt, e: &RegionEntry) {
-            e.fast.set(Actions::ACCESS);
-        }
-        fn on_map(&self, _rt: &AceRt, e: &RegionEntry) {
-            e.fast.set(Actions::ACCESS);
+        fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
+            Actions::ACCESS
         }
         fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}

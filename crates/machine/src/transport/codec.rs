@@ -8,7 +8,7 @@
 //! in particular the checker's vector clock travels as a plain `Vec<u64>`
 //! — and a round-trip unit test pins it.
 //!
-//! [`MsgSize::size_bytes`] remains the *simulated* payload size; the
+//! [`crate::MsgSize::size_bytes`] remains the *simulated* payload size; the
 //! encoded byte count is a property of the codec, not of the cost model.
 //! The two are deliberately independent (see `DESIGN.md` §14).
 

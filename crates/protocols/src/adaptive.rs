@@ -25,14 +25,12 @@
 //! switch epoch and current-candidate bit must aggregate to exactly
 //! `nprocs ×` the local value (debug-asserted).
 //!
-//! The switch sequence mirrors `change_protocol` §3.1 semantics: old
-//! protocol flushes every region to base state → drain outstanding →
-//! machine barrier → swap inner, bump the wire-visible switch epoch
-//! ([`ace_core::AceRt::note_switch`]) → `init_space` + `adopt` (regions
-//! re-declare their fast masks) → machine barrier. Because nothing blocks
-//! between the first barrier's return and the swap, no node can observe a
-//! message from more than one switch epoch ahead — the invariant the
-//! substrate debug-asserts on every delivery.
+//! The switch *is* `change_protocol`'s §3.1 handover — the same runtime
+//! routine, [`ace_core::AceRt::handover`], with "swap the inner protocol"
+//! in place of "rebind the space": old protocol flushes every region to
+//! base state → drain outstanding → machine barrier → swap inner, bump the
+//! wire-visible switch epoch → `init_space` + `adopt` (the runtime re-caches
+//! every region's fast mask from the new protocol) → machine barrier.
 //!
 //! # What it costs
 //!
@@ -412,32 +410,18 @@ impl AdaptiveEngine {
         self.spec.is_adaptive()
     }
 
-    /// Commit a switch to `next`: the `change_protocol` handover run from
-    /// inside the engine, with the space's protocol identity (the engine)
-    /// unchanged. All nodes enter together (they decided on identical
-    /// aggregates), so the flush drain and the two machine barriers
-    /// align. Nothing blocks between the first barrier's return and the
-    /// swap — the epoch-skew invariant the substrate asserts.
+    /// Commit a switch to `next`: the runtime's handover with "swap the
+    /// inner protocol" as the install step, so the space's protocol
+    /// identity (the engine) is unchanged. All nodes enter together (they
+    /// decided on identical aggregates), so the flush drain and the two
+    /// machine barriers align.
     fn switch_to(&self, rt: &AceRt, s: &SpaceEntry, next: u8) {
-        let regions = rt.regions_of_space(s.id);
-        let old = self.inner();
-        for e in &regions {
-            old.flush(rt, e);
-        }
-        rt.wait("adaptive flush drain", || s.outstanding.get() == 0);
-        rt.machine_barrier();
         let new = make(AdaptiveSpec::spec_for(next));
-        s.dirty.borrow_mut().clear();
-        s.aux.set(0);
-        rt.note_switch(s.id, old.name(), new.name());
-        *self.inner.borrow_mut() = Rc::clone(&new);
-        self.cur.set(next);
-        self.epoch.set(self.epoch.get() + 1);
-        new.init_space(rt, s);
-        for e in &regions {
-            new.adopt(rt, e);
-        }
-        rt.machine_barrier();
+        rt.handover(s, &*self.inner(), &*new, || {
+            *self.inner.borrow_mut() = Rc::clone(&new);
+            self.cur.set(next);
+            self.epoch.set(self.epoch.get() + 1);
+        });
     }
 
     /// Storm mode's rotation: the next candidate bit above `cur`,
@@ -499,6 +483,10 @@ impl Protocol for AdaptiveEngine {
     // grant set exact per interval.
     fn grants(&self) -> GrantSet {
         self.inner().grants()
+    }
+
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        self.inner().fast_mask(rt, e)
     }
 
     fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
@@ -710,16 +698,8 @@ mod tests {
         Rc::new(AdaptiveEngine::new(spec))
     }
 
-    /// One shared region homed at node 0, everyone mapped.
     fn setup(rt: &AceRt, spec: AdaptiveSpec, words: usize) -> (ace_core::SpaceId, RegionId) {
-        let s = rt.new_space(adaptive(spec));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        (s, rid)
+        crate::shared_region(rt, adaptive(spec), words)
     }
 
     #[test]
@@ -783,13 +763,7 @@ mod tests {
                 } else {
                     make(ProtoSpec::Sc)
                 };
-                let s = rt.new_space(proto);
-                let rid = if rt.rank() == 0 {
-                    RegionId(rt.bcast(0, &[rt.gmalloc_words(s, 2).0])[0])
-                } else {
-                    RegionId(rt.bcast(0, &[])[0])
-                };
-                rt.map(rid);
+                let (s, rid) = crate::shared_region(rt, proto, 2);
                 let acc = program(rt, rid, s);
                 (acc, rt.data_digest(), rt.counters().logical_msgs, rt.counters().switches)
             })

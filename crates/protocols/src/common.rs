@@ -1,0 +1,118 @@
+//! Mechanisms the home-based protocols share.
+//!
+//! Each is the same code in every protocol that uses it, up to an opcode,
+//! a wait label and a state constant — which are the parameters here.
+//! Nothing in this module branches on its caller: where two protocols
+//! differ in more than that (who counts the miss, what a join records
+//! afterwards), the difference stays at the call site.
+
+use std::sync::Arc;
+
+use ace_core::{AceRt, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
+
+use crate::auxbits::{self, BUSY, FLUSH_WAIT, WANTED};
+use crate::states::R_INVALID;
+
+/// Remote side of a miss: send `req` home and block until the reply moves
+/// the entry from `waiting` to `granted`. `WANTED` covers the window in
+/// which a grant and the yank that chases it can land in one poll batch
+/// (see [`auxbits::WANTED`]); protocols that never yank ignore it.
+pub(crate) fn fetch_copy(
+    rt: &AceRt,
+    e: &RegionEntry,
+    req: u16,
+    waiting: u32,
+    granted: u32,
+    what: &str,
+) {
+    auxbits::set(e, WANTED);
+    e.st.set(waiting);
+    rt.send_proto(e.id.home(), e.id, req, 0, None);
+    rt.wait(what, || e.st.get() == granted);
+    auxbits::clear(e, WANTED);
+}
+
+/// Remote side of `flush`: drop the copy, tell home with `op` — carrying
+/// `data` when this node held the only valid copy — and block until home's
+/// acknowledgement clears `FLUSH_WAIT` (every protocol's ack handler is
+/// `auxbits::clear(e, FLUSH_WAIT)`).
+pub(crate) fn leave_home(
+    rt: &AceRt,
+    e: &RegionEntry,
+    op: u16,
+    data: Option<Arc<[u64]>>,
+    what: &str,
+) {
+    auxbits::set(e, FLUSH_WAIT);
+    e.st.set(R_INVALID);
+    rt.send_proto(e.id.home(), e.id, op, 0, data);
+    rt.wait(what, || !auxbits::has(e, FLUSH_WAIT));
+}
+
+/// Home side of a start hook: block until the master copy is valid at home
+/// and no directory round is in flight, sending `recall` to the exclusive
+/// owner if the master is away.
+pub(crate) fn recall_master(rt: &AceRt, e: &RegionEntry, recall: u16, what: &str) {
+    while e.owner.get() != -1 || auxbits::has(e, BUSY) {
+        if !auxbits::has(e, BUSY) {
+            auxbits::set(e, BUSY);
+            rt.send_proto(e.owner.get() as usize, e.id, recall, 0, None);
+        }
+        rt.wait(what, || !auxbits::has(e, BUSY));
+    }
+}
+
+/// Home side of a request handler: park `msg` in the blocked queue if it
+/// cannot be served now — home is inside its own access section, a round is
+/// in flight, or the master is away (which starts the `recall` round).
+/// Returns whether it was parked; `false` means the master is valid and
+/// idle, serve the request.
+pub(crate) fn park_request(rt: &AceRt, e: &RegionEntry, msg: &ProtoMsg, recall: u16) -> bool {
+    if !e.busy() && !auxbits::has(e, BUSY) {
+        if e.owner.get() == -1 {
+            return false;
+        }
+        auxbits::set(e, BUSY);
+        rt.send_proto(e.owner.get() as usize, e.id, recall, 0, None);
+    }
+    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
+    true
+}
+
+/// Home side: the exclusive copy came home in `msg` (recall response or
+/// flush). Install it, end the round, and serve whoever queued behind it.
+pub(crate) fn master_home(p: &dyn Protocol, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg) {
+    e.install_shared(msg.data.expect("writeback carries data"));
+    e.owner.set(-1);
+    auxbits::clear(e, BUSY);
+    drain_blocked(p, rt, e);
+}
+
+/// Home side: replay the requests parked during a round (or behind home's
+/// own section) through `p`'s handler, oldest first.
+pub(crate) fn drain_blocked(p: &dyn Protocol, rt: &AceRt, e: &RegionEntry) {
+    let parked: Vec<(u16, u16, u64)> = e.blocked.borrow_mut().drain(..).collect();
+    for (from, op, arg) in parked {
+        p.handle(rt, e, ProtoMsg { region: e.id, op, from, arg, data: None }, from as usize);
+    }
+}
+
+/// Drop this node's cached copy of `e`, and the twin diffed against it,
+/// without telling anyone: for protocols that keep no directory.
+pub(crate) fn drop_copy(e: &RegionEntry) {
+    e.st.set(R_INVALID);
+    *e.twin.borrow_mut() = None;
+}
+
+/// Barrier-time invalidation: drop every remote copy this node caches of
+/// `s`'s regions, so post-barrier reads re-pull. A local action, needing no
+/// coordination — and the one place a protocol changes entries outside a
+/// callback on them, so it re-derives their fast masks itself.
+pub(crate) fn drop_remote_copies(rt: &AceRt, s: &SpaceEntry) {
+    for e in rt.regions_of_space(s.id) {
+        if !e.is_home_of(rt.rank()) {
+            drop_copy(&e);
+            rt.rederive_fast(&e);
+        }
+    }
+}

@@ -89,16 +89,8 @@ impl Protocol for FetchAddCounter {
 
     // All four access hooks are unconditional no-ops (the protocol's work
     // happens in `lock`), so every access is fast in every state.
-    fn on_create(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
-    }
-
-    fn on_map(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
-    }
-
-    fn adopt(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
+    fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
+        Actions::ACCESS
     }
 
     fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -147,7 +139,6 @@ impl Protocol for FetchAddCounter {
             e.st.set(crate::states::R_INVALID);
         }
         e.aux.set(0);
-        e.fast.set(Actions::empty());
     }
 }
 
@@ -158,14 +149,7 @@ mod tests {
     use std::rc::Rc;
 
     fn setup(rt: &AceRt) -> RegionId {
-        let s = rt.new_space(Rc::new(FetchAddCounter::new()));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        rid
+        crate::shared_region(rt, Rc::new(FetchAddCounter::new()), 1).1
     }
 
     /// The TSP idiom: lock, read ticket, write ticket+1, unlock.

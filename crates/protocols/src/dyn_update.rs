@@ -19,6 +19,8 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
+use crate::auxbits::{self, FLUSH_WAIT, LISTED};
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes.
@@ -56,10 +58,6 @@ pub mod op {
     }
 }
 
-/// Aux bits (remote side).
-const JOINED: u64 = 1 << 4;
-const FLUSH_WAIT: u64 = 1 << 8;
-
 /// The dynamic update protocol.
 #[derive(Default)]
 pub struct DynamicUpdate;
@@ -71,10 +69,16 @@ impl DynamicUpdate {
     }
 
     fn join(&self, rt: &AceRt, e: &RegionEntry) {
-        e.st.set(R_WAIT_READ);
-        rt.send_proto(e.id.home(), e.id, op::JOIN, 0, None);
-        rt.wait("update join", || e.st.get() == R_SHARED);
-        e.aux.set(e.aux.get() | JOINED);
+        common::fetch_copy(rt, e, op::JOIN, R_WAIT_READ, R_SHARED, "update join");
+        auxbits::set(e, LISTED);
+    }
+
+    /// `join` on a miss: the copy is invalid and this node is not home.
+    fn join_if_invalid(&self, rt: &AceRt, e: &RegionEntry) {
+        if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
+            rt.counters_mut(|c| c.read_misses += 1);
+            self.join(rt, e);
+        }
     }
 
     /// Home side: push one update round on behalf of `writer`: assign a
@@ -114,21 +118,8 @@ impl DynamicUpdate {
     fn add_outstanding(rt: &AceRt, e: &RegionEntry, delta: i64) {
         let s = rt.space(e.space);
         let v = s.outstanding.get() as i64 + delta;
-        debug_assert!(v >= 0, "outstanding underflow");
+        debug_assert!(v >= 0, "outstanding underflow: {}", rt.handling(e));
         s.outstanding.set(v as u64);
-    }
-
-    /// Recompute the entry's fast mask from its current state.
-    /// `end_read` is an unconditional no-op; the start hooks are no-ops
-    /// whenever a writable copy is already present (home, or a joined
-    /// sharer — writers need no exclusivity under update propagation).
-    /// `end_write` always starts an update round, so it is never fast.
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::END_READ;
-        if e.is_home_of(rt.rank()) || e.st.get() == R_SHARED {
-            fast = fast.union(Actions::START_READ).union(Actions::START_WRITE);
-        }
-        e.fast.set(fast);
     }
 }
 
@@ -156,26 +147,26 @@ impl Protocol for DynamicUpdate {
         GrantSet::concurrent()
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    // `end_read` is an unconditional no-op; the start hooks are no-ops
+    // whenever a writable copy is already present (home, or a joined
+    // sharer — writers need no exclusivity under update propagation).
+    // `end_write` always starts an update round, so it is never fast.
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        if e.is_home_of(rt.rank()) || e.st.get() == R_SHARED {
+            Actions::END_READ.union(Actions::START_READ).union(Actions::START_WRITE)
+        } else {
+            Actions::END_READ
+        }
     }
 
     fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
-            rt.counters_mut(|c| c.read_misses += 1);
-            self.join(rt, e);
-        }
-        self.refresh_fast(rt, e);
+        self.join_if_invalid(rt, e);
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
         // Normally a hit: updates arrive pushed. Joins lazily after a
         // protocol change without a fresh map.
-        if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
-            rt.counters_mut(|c| c.read_misses += 1);
-            self.join(rt, e);
-        }
-        self.refresh_fast(rt, e);
+        self.join_if_invalid(rt, e);
     }
 
     fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -259,26 +250,17 @@ impl Protocol for DynamicUpdate {
                 }
                 rt.send_proto(e.id.home(), e.id, op::UPD_ACK, msg.arg, None);
             }
-            op::LEAVE_ACK => {
-                e.aux.set(e.aux.get() & !FLUSH_WAIT);
-            }
+            op::LEAVE_ACK => auxbits::clear(e, FLUSH_WAIT),
             other => panic!("Update: unknown opcode {other}"),
         }
-        self.refresh_fast(rt, e);
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
-        // Hand the region to the next protocol slow; it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
         if e.is_home_of(rt.rank()) {
             return;
         }
-        if e.aux.get() & JOINED != 0 || e.st.get() == R_SHARED {
-            e.aux.set((e.aux.get() | FLUSH_WAIT) & !JOINED);
-            e.st.set(R_INVALID);
-            rt.send_proto(e.id.home(), e.id, op::LEAVE, 0, None);
-            rt.wait("leave ack", || e.aux.get() & FLUSH_WAIT == 0);
+        if auxbits::has(e, LISTED) || e.st.get() == R_SHARED {
+            common::leave_home(rt, e, op::LEAVE, None, "leave ack");
         }
         e.aux.set(0);
     }
@@ -288,7 +270,6 @@ impl Protocol for DynamicUpdate {
         if !e.is_home_of(rt.rank()) && e.mapped.get() > 0 {
             self.join(rt, e);
         }
-        self.refresh_fast(rt, e);
     }
 }
 
@@ -303,14 +284,7 @@ mod tests {
     }
 
     fn shared_region(rt: &AceRt, words: usize) -> RegionId {
-        let s = rt.new_space(upd());
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        rid
+        crate::shared_region(rt, upd(), words).1
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! whose fast bit is set directly on the protocol object, asserting that
 //! a full snapshot of the observable state is unchanged.
 //!
+//! No protocol writes the mask: it declares [`Protocol::fast_mask`] and the
+//! runtime caches the value. So every checkpoint also asserts the cache is
+//! current — `e.fast.get() == p.fast_mask(rt, &e)` — which is the whole
+//! invariant: the cached mask is the function of the state.
+//!
 //! A hook a protocol registers in `null_actions()` makes the stronger
 //! promise — a no-op in *every* state, which is what licenses the
 //! compiler to delete the call — so the same fixtures, run once more per
@@ -60,9 +65,8 @@ enum Check {
 }
 
 /// Run every hook `check` selects and assert the snapshot is bit-identical
-/// afterwards. (The mask is also part of the snapshot, so this doubles as
-/// a check that `refresh_fast` is a pure function of the state it just
-/// left unchanged.)
+/// afterwards, and that the cached mask is what the protocol declares for
+/// the state the entry is in.
 fn assert_noops(check: Check, rt: &AceRt, p: &dyn Protocol, rid: RegionId, ctx: &str) {
     assert_noops_but(Actions::empty(), check, rt, p, rid, ctx);
 }
@@ -91,6 +95,7 @@ fn assert_noops_but(
         (Actions::END_WRITE, "end_write", |p, rt, e| p.end_write(rt, e)),
     ];
     let e = rt.entry(rid);
+    assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{ctx}: cached mask is stale");
     let (mask, promise) = match check {
         Check::Fast => {
             let mask = e.fast.get();
@@ -120,14 +125,7 @@ fn run_fixture(spec: ProtoSpec, check: Check) {
 }
 
 fn shared_region(rt: &AceRt, p: Rc<dyn Protocol>, words: usize) -> RegionId {
-    let s = rt.new_space(p);
-    let rid = if rt.rank() == 0 {
-        RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-    } else {
-        RegionId(rt.bcast(0, &[])[0])
-    };
-    rt.map(rid);
-    rid
+    crate::shared_region(rt, p, words).1
 }
 
 /// The fixture for each registered protocol; exhaustive, so registering
@@ -312,6 +310,7 @@ fn migratory_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
         let e = rt.entry(rid);
         rt.wait("recall lands mid-section", || !e.fast.get().contains(Actions::END_WRITE));
         assert_eq!(e.fast.get(), Actions::empty(), "nothing is fast under a pending recall");
+        assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "cache current after a handler");
         // An end hook runs with its section already closed (`annotate`
         // counts the close first): hold the null hooks to that state.
         e.write_active.set(0);
@@ -363,4 +362,98 @@ fn pipelined_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
 #[test]
 fn pipelined_fast_bits_are_noops() {
     run_fixture(ProtoSpec::Pipelined, Check::Fast);
+}
+
+/// The barrier-time invalidation changes entries from outside any callback
+/// on them; the cache must follow (it is the one caller of
+/// `AceRt::rederive_fast`).
+#[test]
+fn barrier_invalidation_recaches_the_mask() {
+    for spec in [ProtoSpec::HomeOwned, ProtoSpec::Pipelined] {
+        run_ace(2, CostModel::free(), |rt| {
+            let p = make(spec);
+            let (s, rid) = crate::shared_region(rt, p.clone(), 1);
+            rt.start_read(rid);
+            rt.end_read(rid);
+            let e = rt.entry(rid);
+            assert!(e.fast.get().contains(Actions::START_READ), "copy resident");
+            rt.barrier(s);
+            assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{}: stale after barrier", p.name());
+            assert_eq!(e.fast.get().contains(Actions::START_READ), rt.rank() == 0);
+        });
+    }
+}
+
+/// A protocol switch re-caches every region's mask from the adopting
+/// protocol, on both sides of the handover.
+#[test]
+fn handover_recaches_the_mask() {
+    run_ace(2, CostModel::free(), |rt| {
+        let (s, rid) = crate::shared_region(rt, make(ProtoSpec::Sc), 1);
+        rt.start_read(rid);
+        rt.end_read(rid);
+        for spec in [ProtoSpec::Null, ProtoSpec::DynUpdate, ProtoSpec::Migratory, ProtoSpec::Sc] {
+            let p = make(spec);
+            rt.change_protocol(s, p.clone());
+            let e = rt.entry(rid);
+            assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{}: stale after adopt", p.name());
+        }
+    });
+}
+
+/// A protocol that never mentions the mask (`examples/custom_protocol.rs`
+/// minus its `fast_mask`): every annotation dispatches, nothing is ever
+/// fast, and the data still arrives.
+#[test]
+fn protocol_without_a_mask_stays_slow_and_correct() {
+    use crate::states::{R_INVALID, R_SHARED, R_WAIT_READ};
+    use ace_core::ProtoMsg;
+
+    struct Maskless;
+    impl Protocol for Maskless {
+        fn name(&self) -> &'static str {
+            "Maskless"
+        }
+        fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
+            if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
+                e.st.set(R_WAIT_READ);
+                rt.send_proto(e.id.home(), e.id, 1, 0, None);
+                rt.wait("maskless fetch", || e.st.get() == R_SHARED);
+            }
+        }
+        fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
+            match msg.op {
+                1 => rt.send_proto(msg.from as usize, e.id, 2, 0, Some(e.clone_data())),
+                _ => {
+                    e.install_shared(msg.data.expect("reply carries data"));
+                    e.st.set(R_SHARED);
+                }
+            }
+        }
+        fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+    }
+
+    let r = run_ace(2, CostModel::free(), |rt| {
+        let (_, rid) = crate::shared_region(rt, Rc::new(Maskless), 1);
+        if rt.rank() == 0 {
+            rt.start_write(rid);
+            rt.with_mut::<u64, _>(rid, |d| d[0] = 9);
+            rt.end_write(rid);
+        }
+        rt.machine_barrier();
+        let mut sum = 0;
+        for _ in 0..10 {
+            rt.start_read(rid);
+            sum += rt.with::<u64, _>(rid, |d| d[0]);
+            rt.end_read(rid);
+        }
+        assert_eq!(rt.entry(rid).fast.get(), Actions::empty());
+        let c = rt.counters();
+        (sum, c.fast_hits, c.dispatched)
+    });
+    assert_eq!(r.results[0], (90, 0, 22));
+    assert_eq!(r.results[1], (90, 0, 20));
 }

@@ -12,6 +12,7 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes.
@@ -39,21 +40,6 @@ impl HomeOwned {
     /// Constructor for registry use.
     pub fn new() -> Self {
         HomeOwned
-    }
-
-    /// Recompute the entry's fast mask. End hooks are unconditional
-    /// no-ops. `start_read` only fetches on a remote invalid copy, so it
-    /// is fast at home or while a pulled copy is still valid.
-    /// `start_write` only debug-asserts home-ness, so it is fast at home
-    /// (and deliberately slow remotely, keeping the assert live).
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::END_READ.union(Actions::END_WRITE);
-        if e.is_home_of(rt.rank()) {
-            fast = fast.union(Actions::START_READ).union(Actions::START_WRITE);
-        } else if e.st.get() != R_INVALID {
-            fast = fast.union(Actions::START_READ);
-        }
-        e.fast.set(fast);
     }
 }
 
@@ -84,26 +70,30 @@ impl Protocol for HomeOwned {
         GrantSet { write_write: false, read_write: true }
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
-    }
-
-    fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    // The write and end hooks are unconditional no-ops (and declared
+    // null). `start_read` only fetches on a remote invalid copy, so it is
+    // fast at home or while a pulled copy is still valid.
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let fast = Actions::START_WRITE.union(Actions::END_WRITE).union(Actions::END_READ);
+        if e.is_home_of(rt.rank()) || e.st.get() != R_INVALID {
+            fast.union(Actions::START_READ)
+        } else {
+            fast
+        }
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
             rt.counters_mut(|c| c.read_misses += 1);
-            e.st.set(R_WAIT_READ);
-            rt.send_proto(e.id.home(), e.id, op::FETCH, 0, None);
-            rt.wait("home-owned fetch", || e.st.get() == R_SHARED);
+            common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "home-owned fetch");
         }
-        self.refresh_fast(rt, e);
     }
 
     fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
 
+    // Declared null, hence always fast: the usage contract is checked only
+    // when the hook actually runs — the forced-slow runs of the equivalence
+    // suites (`AceRt::set_fast_paths(false)`).
     fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
         debug_assert!(
             e.is_home_of(rt.rank()),
@@ -118,12 +108,7 @@ impl Protocol for HomeOwned {
         // Invalidating our own cached copies needs no coordination: drop
         // them first, then rendezvous once. Post-barrier reads re-pull
         // fresh data in bulk.
-        for e in rt.regions_of_space(s.id) {
-            if !e.is_home_of(rt.rank()) {
-                e.st.set(R_INVALID);
-                self.refresh_fast(rt, &e);
-            }
-        }
+        common::drop_remote_copies(rt, s);
         rt.space_barrier(s);
     }
 
@@ -139,21 +124,13 @@ impl Protocol for HomeOwned {
             }
             other => panic!("HomeOwned: unknown opcode {other}"),
         }
-        self.refresh_fast(rt, e);
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) {
-            e.st.set(R_INVALID);
+            common::drop_copy(e);
         }
         e.aux.set(0);
-        // Hand the region to the next protocol slow; it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
-    }
-
-    fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
     }
 }
 
@@ -164,14 +141,7 @@ mod tests {
     use std::rc::Rc;
 
     fn setup(rt: &AceRt, words: usize) -> (SpaceId, RegionId) {
-        let s = rt.new_space(Rc::new(HomeOwned));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        (s, rid)
+        crate::shared_region(rt, Rc::new(HomeOwned), words)
     }
 
     #[test]

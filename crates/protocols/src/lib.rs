@@ -20,11 +20,20 @@
 //! | [`FetchAddCounter`] | TSP job counter | `lock` performs a one-round-trip fetch-and-add at home |
 //! | [`AdaptiveEngine`] | runtime-chosen | meta-protocol: samples sharing signals, switches a space among the above at barriers |
 //!
+//! A protocol here is its state machine and little else. What every
+//! home-based protocol needs — fetch a copy and wait, leave home and wait
+//! for the ack, recall the master, park and replay requests, drop cached
+//! copies at a barrier — is written once in the private `common` module,
+//! parameterised by opcode and wait label; and no protocol maintains a
+//! region's cached fast mask: each declares [`ace_core::Protocol::fast_mask`]
+//! and the runtime does the caching.
+//!
 //! The [`registry`] module is the analogue of the paper's protocol
 //! registration script (Figure 1): a table of protocol names, their
 //! optimizability, and their null handlers, consumed by the Ace-C compiler.
 
 pub mod adaptive;
+mod common;
 pub mod counter;
 pub mod dyn_update;
 #[cfg(test)]
@@ -70,6 +79,8 @@ pub mod states {
 /// never coexist for one entry, so the bits could overlap safely; they are
 /// kept distinct anyway for debuggability).
 pub mod auxbits {
+    use ace_core::RegionEntry;
+
     /// Home side: a directory round (recall or invalidation) is in flight.
     pub const BUSY: u64 = 1 << 0;
     /// Remote side: an invalidation arrived while an access section was
@@ -83,8 +94,29 @@ pub mod auxbits {
     /// (both messages can be handled in one poll batch); while WANTED is
     /// set, yanks defer exactly like during an open section.
     pub const WANTED: u64 = 1 << 3;
+    /// Remote side of an update protocol: this node is on home's sharer
+    /// list (joined, subscribed) and must take itself off it in `flush`.
+    pub const LISTED: u64 = 1 << 4;
+    /// Remote side: `flush` told home this node is leaving and is waiting
+    /// for the acknowledgement.
+    pub const FLUSH_WAIT: u64 = 1 << 8;
     /// Shift for the home-side pending grantee (stored as rank + 1).
     pub const GRANTEE_SHIFT: u32 = 16;
+
+    /// Set `bits` in `e`'s aux word.
+    pub(crate) fn set(e: &RegionEntry, bits: u64) {
+        e.aux.set(e.aux.get() | bits);
+    }
+
+    /// Clear `bits` in `e`'s aux word.
+    pub(crate) fn clear(e: &RegionEntry, bits: u64) {
+        e.aux.set(e.aux.get() & !bits);
+    }
+
+    /// Whether any of `bits` is set in `e`'s aux word.
+    pub(crate) fn has(e: &RegionEntry, bits: u64) -> bool {
+        e.aux.get() & bits != 0
+    }
 
     /// Read the pending grantee, if any.
     pub fn grantee(aux: u64) -> Option<usize> {
@@ -101,6 +133,22 @@ pub mod auxbits {
     pub fn clear_grantee(aux: u64) -> u64 {
         aux & !(0xFFFFu64 << GRANTEE_SHIFT)
     }
+}
+
+/// The fixture every protocol's unit tests start from: a space bound to
+/// `p` and one `words`-word region of it, homed at node 0 and mapped on
+/// every node. Collective.
+#[cfg(test)]
+pub(crate) fn shared_region(
+    rt: &ace_core::AceRt,
+    p: std::rc::Rc<dyn ace_core::Protocol>,
+    words: usize,
+) -> (ace_core::SpaceId, ace_core::RegionId) {
+    let s = rt.new_space(p);
+    let mine = if rt.rank() == 0 { vec![rt.gmalloc_words(s, words).0] } else { vec![] };
+    let rid = ace_core::RegionId(rt.bcast(0, &mine)[0]);
+    rt.map(rid);
+    (s, rid)
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry};
 
-use crate::auxbits::{BUSY, WANTED};
+use crate::auxbits::{self, BUSY, FLUSH_WAIT, RECALL_PENDING, WANTED};
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes.
@@ -46,9 +47,6 @@ pub mod op {
     }
 }
 
-const RECALL_PENDING: u64 = 1 << 2;
-const FLUSH_WAIT: u64 = 1 << 8;
-
 /// The migratory protocol.
 #[derive(Default)]
 pub struct Migratory;
@@ -59,65 +57,10 @@ impl Migratory {
         Migratory
     }
 
-    fn acquire(&self, rt: &AceRt, e: &RegionEntry) {
-        if e.is_home_of(rt.rank()) {
-            loop {
-                if e.owner.get() == -1 && e.aux.get() & BUSY == 0 {
-                    return;
-                }
-                if e.owner.get() != -1 && e.aux.get() & BUSY == 0 {
-                    e.aux.set(e.aux.get() | BUSY);
-                    rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
-                }
-                rt.wait("migratory recall", || e.aux.get() & BUSY == 0);
-            }
-        }
-        if e.st.get() == R_EXCL {
-            return;
-        }
-        rt.counters_mut(|c| c.read_misses += 1);
-        e.aux.set(e.aux.get() | WANTED);
-        e.st.set(R_WAIT_WRITE);
-        rt.send_proto(e.id.home(), e.id, op::MREQ, 0, None);
-        rt.wait("migratory copy", || e.st.get() == R_EXCL);
-        e.aux.set(e.aux.get() & !WANTED);
-    }
-
-    fn drain_blocked(&self, rt: &AceRt, e: &RegionEntry) {
-        let parked: Vec<(u16, u16, u64)> = e.blocked.borrow_mut().drain(..).collect();
-        for (from, opc, arg) in parked {
-            self.handle(
-                rt,
-                e,
-                ProtoMsg { region: e.id, op: opc, from, arg, data: None },
-                from as usize,
-            );
-        }
-    }
-
-    /// Recompute the entry's fast mask. Starts are no-ops when the copy
-    /// is already where it needs to be: the master is quiescent at home,
-    /// or this node holds it exclusively with no recall in flight. Ends
-    /// are no-ops unless there is deferred work — parked requests to
-    /// drain at home, a pending recall to honor remotely.
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::empty();
-        if e.is_home_of(rt.rank()) {
-            if e.owner.get() == -1 && e.aux.get() & BUSY == 0 {
-                fast = fast.union(Actions::START_READ).union(Actions::START_WRITE);
-            }
-            if e.blocked.borrow().is_empty() && e.aux.get() & BUSY == 0 {
-                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
-            }
-        } else {
-            if e.st.get() == R_EXCL && e.aux.get() & RECALL_PENDING == 0 {
-                fast = fast.union(Actions::START_READ).union(Actions::START_WRITE);
-            }
-            if e.aux.get() & RECALL_PENDING == 0 {
-                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
-            }
-        }
-        e.fast.set(fast);
+    /// Remote side: send the copy home.
+    fn write_back(&self, rt: &AceRt, e: &RegionEntry) {
+        e.st.set(R_INVALID);
+        rt.send_proto(e.id.home(), e.id, op::WB, 0, Some(e.clone_data()));
     }
 }
 
@@ -149,35 +92,53 @@ impl Protocol for Migratory {
         GrantSet::exclusive()
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    // Starts are no-ops when the copy is already where it needs to be: the
+    // master is quiescent at home, or this node holds it exclusively with
+    // no recall in flight. Ends are no-ops unless there is deferred work —
+    // parked requests to drain at home, a pending recall to honor remotely.
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let starts = Actions::START_READ.union(Actions::START_WRITE);
+        let ends = Actions::END_READ.union(Actions::END_WRITE);
+        let mut fast = Actions::empty();
+        if e.is_home_of(rt.rank()) {
+            if e.owner.get() == -1 && !auxbits::has(e, BUSY) {
+                fast = fast.union(starts);
+            }
+            if e.blocked.borrow().is_empty() && !auxbits::has(e, BUSY) {
+                fast = fast.union(ends);
+            }
+        } else if !auxbits::has(e, RECALL_PENDING) {
+            fast = ends;
+            if e.st.get() == R_EXCL {
+                fast = fast.union(starts);
+            }
+        }
+        fast
     }
 
-    fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
-    }
-
+    // Reads acquire the single copy exactly like writes do.
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
-        self.acquire(rt, e);
-        self.refresh_fast(rt, e);
+        if e.is_home_of(rt.rank()) {
+            common::recall_master(rt, e, op::RECALL, "migratory recall");
+        } else if e.st.get() != R_EXCL {
+            rt.counters_mut(|c| c.read_misses += 1);
+            common::fetch_copy(rt, e, op::MREQ, R_WAIT_WRITE, R_EXCL, "migratory copy");
+        }
     }
 
     fn end_read(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            if !e.busy() && e.aux.get() & BUSY == 0 && !e.blocked.borrow().is_empty() {
-                self.drain_blocked(rt, e);
+            if !e.busy() && !auxbits::has(e, BUSY) && !e.blocked.borrow().is_empty() {
+                common::drain_blocked(self, rt, e);
             }
-        } else if !e.busy() && e.aux.get() & RECALL_PENDING != 0 {
-            e.aux.set(e.aux.get() & !RECALL_PENDING);
-            e.st.set(R_INVALID);
-            rt.send_proto(e.id.home(), e.id, op::WB, 0, Some(e.clone_data()));
+        } else if !e.busy() && auxbits::has(e, RECALL_PENDING) {
+            auxbits::clear(e, RECALL_PENDING);
+            self.write_back(rt, e);
         }
-        self.refresh_fast(rt, e);
     }
 
     fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
-        self.acquire(rt, e);
-        self.refresh_fast(rt, e);
+        self.start_read(rt, e);
     }
 
     fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
@@ -189,29 +150,15 @@ impl Protocol for Migratory {
         match msg.op {
             // home side
             op::MREQ => {
-                if e.is_home_of(rt.rank()) && e.busy() {
-                    // Home is inside its own access section; defer until
-                    // the matching end_* drains the queue.
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if e.aux.get() & BUSY != 0 {
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if e.owner.get() != -1 {
-                    e.aux.set(e.aux.get() | BUSY);
-                    rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else {
+                if !common::park_request(rt, e, &msg, op::RECALL) {
                     e.owner.set(from as i32);
                     rt.send_proto(from, e.id, op::MDATA, 0, Some(e.clone_data()));
                 }
             }
-            op::WB | op::FLUSH_X => {
-                e.install_shared(msg.data.expect("writeback carries data"));
-                e.owner.set(-1);
-                e.aux.set(e.aux.get() & !BUSY);
-                if msg.op == op::FLUSH_X {
-                    rt.send_proto(from, e.id, op::FLUSH_ACK, 0, None);
-                }
-                self.drain_blocked(rt, e);
+            op::WB => common::master_home(self, rt, e, msg),
+            op::FLUSH_X => {
+                rt.send_proto(from, e.id, op::FLUSH_ACK, 0, None);
+                common::master_home(self, rt, e, msg);
             }
             // remote side
             op::MDATA => {
@@ -219,41 +166,23 @@ impl Protocol for Migratory {
                 e.st.set(R_EXCL);
             }
             op::RECALL => match e.st.get() {
-                R_EXCL if e.busy() || e.aux.get() & WANTED != 0 => {
-                    e.aux.set(e.aux.get() | RECALL_PENDING)
-                }
-                R_EXCL => {
-                    e.st.set(R_INVALID);
-                    rt.send_proto(e.id.home(), e.id, op::WB, 0, Some(e.clone_data()));
-                }
+                R_EXCL if e.busy() || auxbits::has(e, WANTED) => auxbits::set(e, RECALL_PENDING),
+                R_EXCL => self.write_back(rt, e),
                 other => panic!("migratory RECALL in state {other}"),
             },
-            op::FLUSH_ACK => {
-                e.aux.set(e.aux.get() & !FLUSH_WAIT);
-            }
+            op::FLUSH_ACK => auxbits::clear(e, FLUSH_WAIT),
             other => panic!("Migratory: unknown opcode {other}"),
         }
-        self.refresh_fast(rt, e);
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) {
             if e.st.get() == R_EXCL {
-                e.aux.set(e.aux.get() | FLUSH_WAIT);
-                let data = e.clone_data();
-                e.st.set(R_INVALID);
-                rt.send_proto(e.id.home(), e.id, op::FLUSH_X, 0, Some(data));
-                rt.wait("migratory flush ack", || e.aux.get() & FLUSH_WAIT == 0);
+                let data = Some(e.clone_data());
+                common::leave_home(rt, e, op::FLUSH_X, data, "migratory flush ack");
             }
             e.aux.set(0);
         }
-        // Hand the region to the next protocol slow; it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
-    }
-
-    fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
     }
 }
 
@@ -264,14 +193,7 @@ mod tests {
     use std::rc::Rc;
 
     fn shared_region(rt: &AceRt, words: usize) -> RegionId {
-        let s = rt.new_space(Rc::new(Migratory));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        rid
+        crate::shared_region(rt, Rc::new(Migratory), words).1
     }
 
     #[test]

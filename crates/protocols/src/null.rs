@@ -44,16 +44,8 @@ impl Protocol for NullProtocol {
 
     // Every access hook is an unconditional no-op, so every access is
     // fast in every state.
-    fn on_create(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
-    }
-
-    fn on_map(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
-    }
-
-    fn adopt(&self, _rt: &AceRt, e: &RegionEntry) {
-        e.fast.set(Actions::ACCESS);
+    fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
+        Actions::ACCESS
     }
 
     fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -77,9 +69,6 @@ impl Protocol for NullProtocol {
         e.pending.set(0);
         e.aux.set(0);
         *e.twin.borrow_mut() = None;
-        // Hand the region to the next protocol slow: it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
     }
 }
 

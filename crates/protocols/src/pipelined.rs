@@ -22,6 +22,7 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes.
@@ -57,38 +58,11 @@ impl PipelinedWrite {
         PipelinedWrite
     }
 
-    fn fetch(&self, rt: &AceRt, e: &RegionEntry) {
-        rt.counters_mut(|c| c.read_misses += 1);
-        e.st.set(R_WAIT_READ);
-        rt.send_proto(e.id.home(), e.id, op::FETCH, 0, None);
-        rt.wait("pipelined fetch", || e.st.get() == R_SHARED);
-    }
-
     fn ensure_copy(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
-            self.fetch(rt, e);
+            rt.counters_mut(|c| c.read_misses += 1);
+            common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "pipelined fetch");
         }
-    }
-
-    /// Recompute the entry's fast mask. `end_read` is an unconditional
-    /// no-op. Starts are no-ops once a copy is resident (and, for writes,
-    /// the twin snapshot exists — the home writes the master directly and
-    /// never twins). A remote `end_write` always ships a delta home, so it
-    /// is only ever fast at home.
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::END_READ;
-        if e.is_home_of(rt.rank()) {
-            fast = fast
-                .union(Actions::START_READ)
-                .union(Actions::START_WRITE)
-                .union(Actions::END_WRITE);
-        } else if e.st.get() != R_INVALID {
-            fast = fast.union(Actions::START_READ);
-            if e.twin.borrow().is_some() {
-                fast = fast.union(Actions::START_WRITE);
-            }
-        }
-        e.fast.set(fast);
     }
 }
 
@@ -116,17 +90,25 @@ impl Protocol for PipelinedWrite {
         GrantSet::concurrent()
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
-    }
-
-    fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    // `end_read` is an unconditional no-op. Starts are no-ops once a copy
+    // is resident (and, for writes, the twin snapshot exists — the home
+    // writes the master directly and never twins). A remote `end_write`
+    // always ships a delta home, so it is only ever fast at home.
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let mut fast = Actions::END_READ;
+        if e.is_home_of(rt.rank()) {
+            fast = Actions::ACCESS;
+        } else if e.st.get() != R_INVALID {
+            fast = fast.union(Actions::START_READ);
+            if e.twin.borrow().is_some() {
+                fast = fast.union(Actions::START_WRITE);
+            }
+        }
+        fast
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
         self.ensure_copy(rt, e);
-        self.refresh_fast(rt, e);
     }
 
     fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -136,7 +118,6 @@ impl Protocol for PipelinedWrite {
         if !e.is_home_of(rt.rank()) && e.twin.borrow().is_none() {
             *e.twin.borrow_mut() = Some(e.clone_data());
         }
-        self.refresh_fast(rt, e);
     }
 
     fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
@@ -166,13 +147,7 @@ impl Protocol for PipelinedWrite {
         // likewise acked before that writer arrived, so post-barrier
         // re-fetches observe the fully accumulated master.
         rt.wait("pipelined deltas drain", || s.outstanding.get() == 0);
-        for e in rt.regions_of_space(s.id) {
-            if !e.is_home_of(rt.rank()) {
-                e.st.set(R_INVALID);
-                *e.twin.borrow_mut() = None;
-                self.refresh_fast(rt, &e);
-            }
-        }
+        common::drop_remote_copies(rt, s);
         rt.space_barrier(s);
     }
 
@@ -205,24 +180,15 @@ impl Protocol for PipelinedWrite {
             }
             other => panic!("Pipelined: unknown opcode {other}"),
         }
-        self.refresh_fast(rt, e);
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
-        // Deltas already in flight are drained by change_protocol's
+        // Deltas already in flight are drained by the handover's
         // outstanding wait; local copies just drop.
         if !e.is_home_of(rt.rank()) {
-            e.st.set(R_INVALID);
-            *e.twin.borrow_mut() = None;
+            common::drop_copy(e);
         }
         e.aux.set(0);
-        // Hand the region to the next protocol slow; it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
-    }
-
-    fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
     }
 }
 
@@ -233,14 +199,7 @@ mod tests {
     use std::rc::Rc;
 
     fn setup(rt: &AceRt, words: usize) -> (SpaceId, RegionId) {
-        let s = rt.new_space(Rc::new(PipelinedWrite));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc::<f64>(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        (s, rid)
+        crate::shared_region(rt, Rc::new(PipelinedWrite), words)
     }
 
     #[test]

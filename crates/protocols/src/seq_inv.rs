@@ -16,7 +16,8 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry};
 
-use crate::auxbits::{self, BUSY, INV_PENDING, RECALL_PENDING, WANTED};
+use crate::auxbits::{self, BUSY, FLUSH_WAIT, INV_PENDING, RECALL_PENDING, WANTED};
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes (interpreted only by this protocol).
@@ -73,31 +74,6 @@ impl SeqInvalidate {
         SeqInvalidate
     }
 
-    fn set_bit(e: &RegionEntry, bit: u64) {
-        e.aux.set(e.aux.get() | bit);
-    }
-
-    fn clear_bit(e: &RegionEntry, bit: u64) {
-        e.aux.set(e.aux.get() & !bit);
-    }
-
-    fn has_bit(e: &RegionEntry, bit: u64) -> bool {
-        e.aux.get() & bit != 0
-    }
-
-    /// Home side: replay requests parked during a round.
-    fn drain_blocked(&self, rt: &AceRt, e: &RegionEntry) {
-        let parked: Vec<(u16, u16, u64)> = e.blocked.borrow_mut().drain(..).collect();
-        for (from, opc, arg) in parked {
-            self.handle(
-                rt,
-                e,
-                ProtoMsg { region: e.id, op: opc, from, arg, data: None },
-                from as usize,
-            );
-        }
-    }
-
     /// Home side: start an invalidation sweep of every sharer except
     /// `except`. Returns the number of invalidations outstanding.
     ///
@@ -137,22 +113,6 @@ impl SeqInvalidate {
         rt.send_proto(to, e.id, op::DATA_X, 0, Some(e.clone_data()));
     }
 
-    /// Home side of `start_read`/`start_write`: wait until the master copy
-    /// is valid at home (recalling an exclusive owner if necessary) and no
-    /// directory round is in flight.
-    fn home_acquire_master(&self, rt: &AceRt, e: &RegionEntry) {
-        loop {
-            if e.owner.get() == -1 && !Self::has_bit(e, BUSY) {
-                return;
-            }
-            if e.owner.get() != -1 && !Self::has_bit(e, BUSY) {
-                Self::set_bit(e, BUSY);
-                rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
-            }
-            rt.wait("home master recall", || !Self::has_bit(e, BUSY));
-        }
-    }
-
     /// Remote side: honour a deferred or immediate invalidation.
     fn do_invalidate(&self, rt: &AceRt, e: &RegionEntry) {
         e.st.set(R_INVALID);
@@ -163,42 +123,6 @@ impl SeqInvalidate {
     fn do_recall(&self, rt: &AceRt, e: &RegionEntry) {
         e.st.set(R_INVALID);
         rt.send_proto(e.id.home(), e.id, op::WB_DATA, 0, Some(e.clone_data()));
-    }
-
-    /// Recompute the entry's fast mask from its current state. Called at
-    /// the end of every hook and handler, so the mask is always a pure
-    /// function of directory/cache state. Invariant: a set bit means the
-    /// corresponding hook, run right now, would send nothing and mutate
-    /// nothing — so the runtime may skip it (CRL's in-cache fast path).
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::empty();
-        if e.is_home_of(rt.rank()) {
-            // Home start hooks are no-ops while the master is valid here
-            // and no directory round is in flight; start_write further
-            // needs an empty sharer list (no invalidation sweep).
-            if e.owner.get() == -1 && !Self::has_bit(e, BUSY) {
-                fast = fast.union(Actions::START_READ);
-                if e.sharers.is_empty() {
-                    fast = fast.union(Actions::START_WRITE);
-                }
-            }
-            // Home end hooks only replay parked requests.
-            if e.blocked.borrow().is_empty() {
-                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
-            }
-        } else {
-            // Remote start hooks hit while a valid copy is cached.
-            match e.st.get() {
-                R_SHARED => fast = fast.union(Actions::START_READ),
-                R_EXCL => fast = fast.union(Actions::START_READ).union(Actions::START_WRITE),
-                _ => {}
-            }
-            // Remote end hooks only honour deferred directory actions.
-            if !Self::has_bit(e, INV_PENDING) && !Self::has_bit(e, RECALL_PENDING) {
-                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
-            }
-        }
-        e.fast.set(fast);
     }
 }
 
@@ -223,62 +147,42 @@ impl Protocol for SeqInvalidate {
         GrantSet::exclusive()
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
-    }
-
-    fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
-    }
-
-    fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let mut fast = Actions::empty();
+        if e.is_home_of(rt.rank()) {
+            // Home start hooks are no-ops while the master is valid here
+            // and no directory round is in flight; start_write further
+            // needs an empty sharer list (no invalidation sweep).
+            if e.owner.get() == -1 && !auxbits::has(e, BUSY) {
+                fast = fast.union(Actions::START_READ);
+                if e.sharers.is_empty() {
+                    fast = fast.union(Actions::START_WRITE);
+                }
+            }
+            // Home end hooks only replay parked requests.
+            if e.blocked.borrow().is_empty() {
+                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
+            }
+        } else {
+            // Remote start hooks hit while a valid copy is cached.
+            match e.st.get() {
+                R_SHARED => fast = fast.union(Actions::START_READ),
+                R_EXCL => fast = fast.union(Actions::START_READ).union(Actions::START_WRITE),
+                _ => {}
+            }
+            // Remote end hooks only honour deferred directory actions.
+            if !auxbits::has(e, INV_PENDING | RECALL_PENDING) {
+                fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
+            }
+        }
+        fast
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
-        self.slow_start_read(rt, e);
-        self.refresh_fast(rt, e);
-    }
-
-    fn end_read(&self, rt: &AceRt, e: &RegionEntry) {
-        self.slow_end_read(rt, e);
-        self.refresh_fast(rt, e);
-    }
-
-    fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
-        self.slow_start_write(rt, e);
-        self.refresh_fast(rt, e);
-    }
-
-    fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
-        // Exclusive copies are retained until recalled; only honour
-        // deferred directory actions.
-        self.slow_end_read(rt, e);
-        self.refresh_fast(rt, e);
-    }
-
-    fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, src: usize) {
-        self.handle_msg(rt, e, msg, src);
-        self.refresh_fast(rt, e);
-    }
-
-    fn flush(&self, rt: &AceRt, e: &RegionEntry) {
-        self.slow_flush(rt, e);
-        // Hand the region to the next protocol slow: the adopting
-        // protocol declares its own fast states in `adopt`.
-        e.fast.set(Actions::empty());
-    }
-}
-
-/// Slow-path hook bodies (run when the fast mask misses) and the wire
-/// handler, split from the trait impl so each public hook pairs its body
-/// with a fast-mask refresh.
-impl SeqInvalidate {
-    fn slow_start_read(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            if e.owner.get() != -1 || Self::has_bit(e, BUSY) {
+            if e.owner.get() != -1 || auxbits::has(e, BUSY) {
                 rt.counters_mut(|c| c.read_misses += 1);
-                self.home_acquire_master(rt, e);
+                common::recall_master(rt, e, op::RECALL, "home master recall");
             }
             return;
         }
@@ -286,44 +190,40 @@ impl SeqInvalidate {
             R_SHARED | R_EXCL => {}
             R_INVALID => {
                 rt.counters_mut(|c| c.read_misses += 1);
-                Self::set_bit(e, WANTED);
-                e.st.set(R_WAIT_READ);
-                rt.send_proto(e.id.home(), e.id, op::RREQ, 0, None);
-                rt.wait("read copy", || e.st.get() == R_SHARED);
-                Self::clear_bit(e, WANTED);
+                common::fetch_copy(rt, e, op::RREQ, R_WAIT_READ, R_SHARED, "read copy");
             }
             other => panic!("start_read in unexpected state {other}"),
         }
     }
 
-    fn slow_end_read(&self, rt: &AceRt, e: &RegionEntry) {
+    fn end_read(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            if !e.busy() && !Self::has_bit(e, BUSY) && !e.blocked.borrow().is_empty() {
-                self.drain_blocked(rt, e);
+            if !e.busy() && !auxbits::has(e, BUSY) && !e.blocked.borrow().is_empty() {
+                common::drain_blocked(self, rt, e);
             }
             return;
         }
-        if !e.busy() && Self::has_bit(e, INV_PENDING) {
-            Self::clear_bit(e, INV_PENDING);
+        if !e.busy() && auxbits::has(e, INV_PENDING) {
+            auxbits::clear(e, INV_PENDING);
             self.do_invalidate(rt, e);
         }
-        if !e.busy() && Self::has_bit(e, RECALL_PENDING) {
-            Self::clear_bit(e, RECALL_PENDING);
+        if !e.busy() && auxbits::has(e, RECALL_PENDING) {
+            auxbits::clear(e, RECALL_PENDING);
             self.do_recall(rt, e);
         }
     }
 
-    fn slow_start_write(&self, rt: &AceRt, e: &RegionEntry) {
+    fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            if e.owner.get() != -1 || Self::has_bit(e, BUSY) || !e.sharers.is_empty() {
+            if e.owner.get() != -1 || auxbits::has(e, BUSY) || !e.sharers.is_empty() {
                 rt.counters_mut(|c| c.write_misses += 1);
             }
-            self.home_acquire_master(rt, e);
+            common::recall_master(rt, e, op::RECALL, "home master recall");
             if !e.sharers.is_empty() {
-                Self::set_bit(e, BUSY);
+                auxbits::set(e, BUSY);
                 self.sweep_sharers(rt, e, None);
                 rt.wait("sharer invalidations", || e.pending.get() == 0);
-                Self::clear_bit(e, BUSY);
+                auxbits::clear(e, BUSY);
                 // Parked requests stay parked until end_write drains them:
                 // granting a copy now would let a reader see the master
                 // mid-write-section.
@@ -334,72 +234,53 @@ impl SeqInvalidate {
             R_EXCL => {}
             R_SHARED | R_INVALID => {
                 rt.counters_mut(|c| c.write_misses += 1);
-                Self::set_bit(e, WANTED);
-                e.st.set(R_WAIT_WRITE);
-                rt.send_proto(e.id.home(), e.id, op::WREQ, 0, None);
-                rt.wait("exclusive copy", || e.st.get() == R_EXCL);
-                Self::clear_bit(e, WANTED);
+                common::fetch_copy(rt, e, op::WREQ, R_WAIT_WRITE, R_EXCL, "exclusive copy");
             }
             other => panic!("start_write in unexpected state {other}"),
         }
     }
 
-    fn handle_msg(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
+    fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
+        // Exclusive copies are retained until recalled; only honour
+        // deferred directory actions.
+        self.end_read(rt, e);
+    }
+
+    fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
         let from = msg.from as usize;
         match msg.op {
             // ---------------- home side ----------------
+            op::RREQ | op::WREQ if common::park_request(rt, e, &msg, op::RECALL) => {}
             op::RREQ => {
-                if e.is_home_of(rt.rank()) && e.busy() {
-                    // Home itself is inside an access section: defer, the
-                    // matching end_* drains the queue.
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if Self::has_bit(e, BUSY) {
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if e.owner.get() != -1 {
-                    Self::set_bit(e, BUSY);
-                    rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else {
-                    e.add_sharer(from);
-                    rt.send_proto(from, e.id, op::DATA_S, 0, Some(e.clone_data()));
-                }
+                e.add_sharer(from);
+                rt.send_proto(from, e.id, op::DATA_S, 0, Some(e.clone_data()));
             }
             op::WREQ => {
-                if (e.is_home_of(rt.rank()) && e.busy()) || Self::has_bit(e, BUSY) {
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if e.owner.get() != -1 {
-                    Self::set_bit(e, BUSY);
-                    rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
-                    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-                } else if self.sweep_sharers(rt, e, Some(from)) > 0 {
-                    Self::set_bit(e, BUSY);
+                if self.sweep_sharers(rt, e, Some(from)) > 0 {
+                    auxbits::set(e, BUSY);
                     e.aux.set(auxbits::with_grantee(e.aux.get(), from));
                 } else {
                     self.grant_exclusive(rt, e, from);
                 }
             }
             op::INV_ACK => {
-                debug_assert!(e.pending.get() > 0);
+                debug_assert!(e.pending.get() > 0, "{}", rt.handling(e));
                 e.pending.set(e.pending.get() - 1);
                 if e.pending.get() == 0 {
                     if let Some(g) = auxbits::grantee(e.aux.get()) {
                         e.aux.set(auxbits::clear_grantee(e.aux.get()));
                         self.grant_exclusive(rt, e, g);
-                        Self::clear_bit(e, BUSY);
-                        self.drain_blocked(rt, e);
+                        auxbits::clear(e, BUSY);
+                        common::drain_blocked(self, rt, e);
                     }
                     // Otherwise a home-local start_write is waiting on
                     // pending == 0 and clears BUSY itself.
                 }
             }
-            op::WB_DATA | op::FLUSH_X => {
-                e.install_shared(msg.data.expect("writeback carries data"));
-                e.owner.set(-1);
-                Self::clear_bit(e, BUSY);
-                if msg.op == op::FLUSH_X {
-                    rt.send_proto(from, e.id, op::FLUSH_ACK, 0, None);
-                }
-                self.drain_blocked(rt, e);
+            op::WB_DATA => common::master_home(self, rt, e, msg),
+            op::FLUSH_X => {
+                rt.send_proto(from, e.id, op::FLUSH_ACK, 0, None);
+                common::master_home(self, rt, e, msg);
             }
             op::FLUSH_S => {
                 e.drop_sharer(from);
@@ -415,7 +296,7 @@ impl SeqInvalidate {
                 e.st.set(R_EXCL);
             }
             op::INV => match e.st.get() {
-                R_SHARED if e.busy() || Self::has_bit(e, WANTED) => Self::set_bit(e, INV_PENDING),
+                R_SHARED if e.busy() || auxbits::has(e, WANTED) => auxbits::set(e, INV_PENDING),
                 R_SHARED => self.do_invalidate(rt, e),
                 // We already requested an upgrade or dropped the copy; the
                 // data here is dead either way — just acknowledge.
@@ -425,39 +306,25 @@ impl SeqInvalidate {
                 other => panic!("INV in unexpected state {other}"),
             },
             op::RECALL => match e.st.get() {
-                R_EXCL if e.busy() || Self::has_bit(e, WANTED) => Self::set_bit(e, RECALL_PENDING),
+                R_EXCL if e.busy() || auxbits::has(e, WANTED) => auxbits::set(e, RECALL_PENDING),
                 R_EXCL => self.do_recall(rt, e),
                 other => panic!("RECALL in unexpected state {other}"),
             },
-            op::FLUSH_ACK => {
-                e.aux.set(e.aux.get() & !(1 << 8)); // flush-wait bit, see flush()
-            }
+            op::FLUSH_ACK => auxbits::clear(e, FLUSH_WAIT),
             other => panic!("SC: unknown opcode {other}"),
         }
     }
 
-    fn slow_flush(&self, rt: &AceRt, e: &RegionEntry) {
-        const FLUSH_WAIT: u64 = 1 << 8;
+    fn flush(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            // Remote copies flush themselves; the change_protocol barrier
+            // Remote copies flush themselves; the handover's barrier
             // orders their acks before the swap.
             return;
         }
         match e.st.get() {
             R_INVALID => {}
-            R_SHARED => {
-                e.aux.set(e.aux.get() | FLUSH_WAIT);
-                e.st.set(R_INVALID);
-                rt.send_proto(e.id.home(), e.id, op::FLUSH_S, 0, None);
-                rt.wait("flush ack", || e.aux.get() & FLUSH_WAIT == 0);
-            }
-            R_EXCL => {
-                e.aux.set(e.aux.get() | FLUSH_WAIT);
-                let data = e.clone_data();
-                e.st.set(R_INVALID);
-                rt.send_proto(e.id.home(), e.id, op::FLUSH_X, 0, Some(data));
-                rt.wait("flush ack", || e.aux.get() & FLUSH_WAIT == 0);
-            }
+            R_SHARED => common::leave_home(rt, e, op::FLUSH_S, None, "flush ack"),
+            R_EXCL => common::leave_home(rt, e, op::FLUSH_X, Some(e.clone_data()), "flush ack"),
             other => panic!("flush in transient state {other}"),
         }
         e.aux.set(0);
@@ -474,16 +341,8 @@ mod tests {
         Rc::new(SeqInvalidate)
     }
 
-    /// Allocate one region at node 0 and share its id with everyone.
     fn shared_region(rt: &AceRt, words: usize) -> RegionId {
-        let s = rt.new_space(sc());
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        rid
+        crate::shared_region(rt, sc(), words).1
     }
 
     #[test]
@@ -639,13 +498,7 @@ mod tests {
     #[test]
     fn flush_returns_exclusive_data_home() {
         let r = run_ace(2, CostModel::free(), |rt| {
-            let s = rt.new_space(sc());
-            let rid = if rt.rank() == 0 {
-                RegionId(rt.bcast(0, &[rt.gmalloc_words(s, 1).0])[0])
-            } else {
-                RegionId(rt.bcast(0, &[])[0])
-            };
-            rt.map(rid);
+            let (s, rid) = crate::shared_region(rt, sc(), 1);
             if rt.rank() == 1 {
                 rt.start_write(rid);
                 rt.with_mut::<u64, _>(rid, |d| d[0] = 42);

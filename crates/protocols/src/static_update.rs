@@ -16,6 +16,8 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
+use crate::auxbits::{self, FLUSH_WAIT, LISTED};
+use crate::common;
 use crate::states::*;
 
 /// Wire opcodes.
@@ -47,9 +49,6 @@ pub mod op {
     }
 }
 
-const SUBSCRIBED: u64 = 1 << 4;
-const FLUSH_WAIT: u64 = 1 << 8;
-
 /// The static update protocol.
 #[derive(Default)]
 pub struct StaticUpdate;
@@ -62,22 +61,15 @@ impl StaticUpdate {
 
     fn subscribe(&self, rt: &AceRt, e: &RegionEntry) {
         rt.counters_mut(|c| c.read_misses += 1);
-        e.st.set(R_WAIT_READ);
-        rt.send_proto(e.id.home(), e.id, op::SUBSCRIBE, 0, None);
-        rt.wait("static-update subscription", || e.st.get() == R_SHARED);
-        e.aux.set(e.aux.get() | SUBSCRIBED);
-    }
-
-    /// Recompute the entry's fast mask. Read hooks are unconditional
-    /// no-ops; `start_write` only debug-asserts home-ness, so it is fast
-    /// at home (and deliberately slow remotely, keeping the assert live);
-    /// `end_write` marks the region dirty, so it is never fast.
-    fn refresh_fast(&self, rt: &AceRt, e: &RegionEntry) {
-        let mut fast = Actions::START_READ.union(Actions::END_READ);
-        if e.is_home_of(rt.rank()) {
-            fast = fast.union(Actions::START_WRITE);
-        }
-        e.fast.set(fast);
+        common::fetch_copy(
+            rt,
+            e,
+            op::SUBSCRIBE,
+            R_WAIT_READ,
+            R_SHARED,
+            "static-update subscription",
+        );
+        auxbits::set(e, LISTED);
     }
 }
 
@@ -111,15 +103,16 @@ impl Protocol for StaticUpdate {
         GrantSet { write_write: false, read_write: true }
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.refresh_fast(rt, e);
+    // Exactly the access hooks declared null: `end_write` marks the region
+    // dirty, so it is never fast.
+    fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
+        self.null_actions().intersect(Actions::ACCESS)
     }
 
     fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
             self.subscribe(rt, e);
         }
-        self.refresh_fast(rt, e);
     }
 
     fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {
@@ -129,15 +122,16 @@ impl Protocol for StaticUpdate {
 
     fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
 
-    fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
+    fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+
+    // The one write hook that always runs (never null, never fast), so the
+    // usage contract is checked here.
+    fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
         debug_assert!(
             e.is_home_of(rt.rank()),
             "static update regions are written only at home ({})",
             e.id
         );
-    }
-
-    fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
         rt.space(e.space).mark_dirty(e.id);
     }
 
@@ -194,25 +188,17 @@ impl Protocol for StaticUpdate {
                 }
                 rt.send_proto(e.id.home(), e.id, op::PUSH_ACK, 0, None);
             }
-            op::UNSUB_ACK => {
-                e.aux.set(e.aux.get() & !FLUSH_WAIT);
-            }
+            op::UNSUB_ACK => auxbits::clear(e, FLUSH_WAIT),
             other => panic!("StaticUpdate: unknown opcode {other}"),
         }
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
-        // Hand the region to the next protocol slow; it declares its own
-        // fast states in `adopt`.
-        e.fast.set(Actions::empty());
         if e.is_home_of(rt.rank()) {
             return;
         }
-        if e.aux.get() & SUBSCRIBED != 0 || e.st.get() == R_SHARED {
-            e.aux.set((e.aux.get() | FLUSH_WAIT) & !SUBSCRIBED);
-            e.st.set(R_INVALID);
-            rt.send_proto(e.id.home(), e.id, op::UNSUB, 0, None);
-            rt.wait("unsubscribe ack", || e.aux.get() & FLUSH_WAIT == 0);
+        if auxbits::has(e, LISTED) || e.st.get() == R_SHARED {
+            common::leave_home(rt, e, op::UNSUB, None, "unsubscribe ack");
         }
         e.aux.set(0);
     }
@@ -221,7 +207,6 @@ impl Protocol for StaticUpdate {
         if !e.is_home_of(rt.rank()) && e.mapped.get() > 0 {
             self.subscribe(rt, e);
         }
-        self.refresh_fast(rt, e);
     }
 }
 
@@ -232,14 +217,7 @@ mod tests {
     use std::rc::Rc;
 
     fn setup(rt: &AceRt, words: usize) -> (SpaceId, RegionId) {
-        let s = rt.new_space(Rc::new(StaticUpdate));
-        let rid = if rt.rank() == 0 {
-            RegionId(rt.bcast(0, &[rt.gmalloc_words(s, words).0])[0])
-        } else {
-            RegionId(rt.bcast(0, &[])[0])
-        };
-        rt.map(rid);
-        (s, rid)
+        crate::shared_region(rt, Rc::new(StaticUpdate), words)
     }
 
     #[test]
@@ -321,6 +299,7 @@ mod tests {
             rt.map(rid);
             if rt.rank() == 0 {
                 rt.start_write(rid); // illegal: node 1 is home
+                rt.end_write(rid);
             }
         });
     }
