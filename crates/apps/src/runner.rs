@@ -39,6 +39,12 @@ pub struct RunOutcome {
     /// Total conformance violations recorded across all nodes (always 0
     /// unless the run was launched with a [`ace_core::CheckMode`]).
     pub violations: u64,
+    /// Section records the conformance checker analysed at shutdown, and
+    /// the words they were encoded in, across all nodes (both 0 unless
+    /// the run was checked).
+    pub check_records: u64,
+    /// See [`RunOutcome::check_records`].
+    pub check_words: u64,
     /// Merged event trace, when the run was launched with tracing on.
     pub trace: Option<MachineTrace>,
 }
@@ -98,6 +104,7 @@ fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
     for (_, c) in &r.results {
         counters.merge(c);
     }
+    let (check_records, check_words) = r.stats.total_check_history();
     RunOutcome {
         verification: r.results[0].0,
         sim_ns: r.sim_ns,
@@ -110,6 +117,8 @@ fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
         counters,
         bar_msgs_busiest: r.results.iter().map(|(_, c)| c.bar_msgs).max().unwrap_or(0),
         violations: r.stats.total_violations(),
+        check_records,
+        check_words,
         trace: r.trace,
     }
 }

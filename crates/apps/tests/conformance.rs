@@ -8,14 +8,18 @@
 //! deliberately unfenced no-op protocol (exclusive grants, hooks that
 //! enforce nothing) lets tests commit each class of violation and assert
 //! the exact structured [`AceError::Conformance`] report — region, node,
-//! and offending action.
+//! and offending action. Both halves are repeated on a 300-rank machine
+//! (a record names its rank in full, not in eight bits), and a last test
+//! holds the checker to being invisible: the same messages and bytes,
+//! in total and per tag, with the checker on as with it off.
 
 use std::rc::Rc;
 
+use ace_apps::runner::launch_ace_with;
 use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, Variant};
 use ace_core::{
-    run_ace_with, AceError, AceRt, CheckMode, ConformanceKind, CostModel, MachineBuilder, ProtoMsg,
-    Protocol, RegionEntry, Spmd,
+    run_ace_with, AceError, AceRt, CheckMode, ConformanceKind, CostModel, ExecBackend,
+    MachineBuilder, ProtoMsg, Protocol, RegionEntry, Spmd, TraceConfig,
 };
 
 fn checked(nprocs: usize, mode: CheckMode) -> MachineBuilder {
@@ -268,6 +272,110 @@ fn causally_ordered_sections_do_not_conflict() {
     });
     assert!(r.results.iter().all(|v| v.is_empty()), "{:?}", r.results);
     assert_eq!(r.stats.total_violations(), 0);
+}
+
+/// A machine wider than the 256 ranks one byte can name.
+fn wide(mode: CheckMode) -> MachineBuilder {
+    checked(300, mode).backend(ExecBackend::Multiplexed).workers(2)
+}
+
+#[test]
+fn em3d_runs_violation_free_at_300_ranks() {
+    let p = em3d::Params {
+        e_nodes: 600,
+        h_nodes: 600,
+        degree: 3,
+        pct_remote: 20,
+        steps: 2,
+        seed: 11,
+        hoist_maps: true,
+    };
+    let r = launch_ace_with(wide(CheckMode::Fail), |d| em3d::run(d, &p, Variant::Sc));
+    assert!(r.verification.is_finite());
+    assert_eq!(r.violations, 0);
+    assert!(r.check_records > 0, "SC records every section");
+}
+
+#[test]
+fn conflicting_sections_on_ranks_past_255_name_those_ranks() {
+    // The two-writer conflict of the test above, on ranks whose numbers
+    // need more than eight bits.
+    const WRITERS: [usize; 2] = [270, 299];
+    let r = wide(CheckMode::Log).run(|node| {
+        let rt = AceRt::new(node);
+        let s = rt.new_space(Rc::new(Unfenced));
+        let rid = if rt.rank() == 0 {
+            let rid = rt.gmalloc::<u64>(s, 1);
+            rt.bcast(0, &[rid.0])[0]
+        } else {
+            rt.bcast(0, &[])[0]
+        };
+        let rid = ace_core::RegionId(rid);
+        rt.machine_barrier();
+        if WRITERS.contains(&rt.rank()) {
+            rt.map(rid);
+            rt.start_write(rid);
+            rt.with_mut::<u64, _>(rid, |m| m[0] = rt.rank() as u64);
+            rt.end_write(rid);
+        }
+        rt.machine_barrier();
+        rt.shutdown();
+        (rid, rt.violations())
+    });
+    let (rid, v0) = &r.results[0];
+    assert_eq!(v0.len(), 1, "exactly one conflict: {v0:?}");
+    match &v0[0] {
+        AceError::Conformance {
+            region,
+            kind: ConformanceKind::ConflictingSections { a, b },
+            ..
+        } => {
+            assert_eq!(region, rid);
+            assert!(a.write && b.write, "both sides are write sections: {a} / {b}");
+            assert_eq!([a.rank, b.rank], WRITERS);
+        }
+        other => panic!("wrong report: {other}"),
+    }
+    assert_eq!(r.stats.total_violations(), 1);
+}
+
+#[test]
+fn a_checked_run_sends_what_the_unchecked_run_sends() {
+    // The checker's one exchange — the history gather at shutdown, and the
+    // barrier behind it — is off the books: with coalescing off a wire
+    // envelope is a logical message, so all three totals and every tag's
+    // row repeat exactly; with it on the wire grouping rides arrival order
+    // (see `coalescing_equivalence`) and the logical view is compared.
+    let em3d_p = em3d::Params::small();
+    let water_p = water::Params::small();
+    type App<'a> = &'a (dyn Fn(&AceDsm) -> f64 + Sync);
+    let apps: [(&str, App); 2] = [
+        ("em3d", &|d| em3d::run(d, &em3d_p, Variant::Sc)),
+        ("water", &|d| water::run(d, &water_p, Variant::Sc)),
+    ];
+    for (name, app) in apps {
+        for coalesce in [false, true] {
+            let observe = |mode| {
+                let r = launch_ace_with(checked(4, mode).trace(TraceConfig::on()), |d| {
+                    d.rt().set_coalescing(coalesce);
+                    app(d)
+                });
+                let mut tags = r.trace.expect("trace requested").summary().tags;
+                tags.sort_by_key(|t| t.tag);
+                if coalesce {
+                    tags.iter_mut().for_each(|t| t.msgs = 0);
+                }
+                let wire = if coalesce { 0 } else { r.wire_msgs };
+                (r.msgs, r.bytes, wire, tags, r.check_records)
+            };
+            let (off, log) = (observe(CheckMode::Off), observe(CheckMode::Log));
+            assert!(log.4 > 0 && off.4 == 0, "{name}: only the checked run has a history");
+            assert_eq!(off.0, log.0, "{name} coalesce={coalesce}: logical messages");
+            assert_eq!(off.1, log.1, "{name} coalesce={coalesce}: bytes");
+            assert_eq!(off.2, log.2, "{name} coalesce={coalesce}: wire envelopes");
+            assert_eq!(off.3, log.3, "{name} coalesce={coalesce}: per-tag rows");
+        }
+    }
 }
 
 #[test]

@@ -82,8 +82,13 @@ fn assert_fast_accounting(off: &Obs, on: &Obs, ctx: &str) {
     }
 }
 
-/// Full bit-equivalence, for workloads that are deterministic end to end.
-fn assert_equivalent(off: &Obs, on: &Obs, ctx: &str) {
+/// Full bit-equivalence, for workloads that are deterministic end to end:
+/// runs the workload with the fast paths off and on (`run(fast)`),
+/// allows the fast run `allow_pct` percent more simulated time, and
+/// returns the fast run's observations.
+fn assert_equivalent(ctx: &str, allow_pct: u64, run: impl Fn(bool) -> Obs) -> Obs {
+    let (off, fast) = (&run(false), run(true));
+    let on = &fast;
     assert_eq!(off.verification.to_bits(), on.verification.to_bits(), "{ctx}: verification value");
     assert_eq!(off.digests, on.digests, "{ctx}: per-node region digests");
     assert_eq!(off.msgs, on.msgs, "{ctx}: total message count");
@@ -108,16 +113,30 @@ fn assert_equivalent(off: &Obs, on: &Obs, ctx: &str) {
     // Skipped hooks only ever remove locally-charged cost, but global
     // completion time carries run-to-run jitter (which annotation absorbs
     // an in-flight message rides on wall-clock thread scheduling; see
-    // machine/tests/trace_equivalence.rs), and with sibling tests running
-    // 4-node machines concurrently the jitter exceeds 10% at these tiny
-    // scales. Allow a quarter here; the default-scale test asserts the
-    // strict inequality where the savings dominate the jitter.
+    // machine/tests/trace_equivalence.rs), always upwards, and with
+    // sibling tests running 4-node machines concurrently it exceeds 10%
+    // at the proptests' tiny scales. So they allow a quarter; the
+    // default-scale test, where the savings dominate the jitter, allows
+    // nothing. Either way each side is judged — as bench's
+    // `table4_shape_holds` judges its rows — on the minimum of up to
+    // three samples: on one sample per side the quarter tripped in 4
+    // standalone runs of 65 and the strict bound in another 4, and until
+    // simulated time is a function of the program alone the remedy is
+    // more samples, not more allowance.
+    let within = |off_ns: u64, on_ns: u64| on_ns <= off_ns + off_ns * allow_pct / 100;
+    let (mut off_ns, mut on_ns) = (off.sim_ns, on.sim_ns);
+    for _ in 0..2 {
+        if within(off_ns, on_ns) {
+            break;
+        }
+        off_ns = off_ns.min(run(false).sim_ns);
+        on_ns = on_ns.min(run(true).sim_ns);
+    }
     assert!(
-        on.sim_ns <= off.sim_ns + off.sim_ns / 4,
-        "{ctx}: fast paths slowed the run beyond scheduling jitter (on={} off={})",
-        on.sim_ns,
-        off.sim_ns
+        within(off_ns, on_ns),
+        "{ctx}: fast paths slowed the run by over {allow_pct}% (on={on_ns} off={off_ns})"
     );
+    fast
 }
 
 proptest! {
@@ -140,9 +159,7 @@ proptest! {
             hoist_maps: false,
         };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, 4, |d| em3d::run(d, &p, v));
-        let on = run_app(true, 4, |d| em3d::run(d, &p, v));
-        assert_equivalent(&off, &on, "em3d");
+        assert_equivalent("em3d", 25, |fast| run_app(fast, 4, |d| em3d::run(d, &p, v)));
     }
 
     #[test]
@@ -153,12 +170,10 @@ proptest! {
     ) {
         let p = water::Params { molecules, steps: 2, seed };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, 4, |d| water::run(d, &p, v));
-        let on = run_app(true, 4, |d| water::run(d, &p, v));
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests and all.
-        assert_equivalent(&off, &on, "water");
+        assert_equivalent("water", 25, |fast| run_app(fast, 4, |d| water::run(d, &p, v)));
     }
 }
 
@@ -175,17 +190,11 @@ fn em3d_fast_paths_preserve_behavior_default_scale() {
         seed: 42,
         hoist_maps: false,
     };
-    let off = run_app(false, 4, |d| em3d::run(d, &p, Variant::Sc));
-    let on = run_app(true, 4, |d| em3d::run(d, &p, Variant::Sc));
-    assert_equivalent(&off, &on, "em3d default scale");
     // At this scale the absorbed dispatch charges dwarf scheduling
     // jitter, so the cost claim holds strictly.
-    assert!(
-        on.sim_ns <= off.sim_ns,
-        "fast paths must not slow the run (on={} off={})",
-        on.sim_ns,
-        off.sim_ns
-    );
+    let on = assert_equivalent("em3d default scale", 0, |fast| {
+        run_app(fast, 4, |d| em3d::run(d, &p, Variant::Sc))
+    });
     // The acceptance bar for the tentpole: the mask absorbs the bulk of
     // the EM3D SC annotation stream.
     let rate = on.counters.fast_hit_rate().expect("annotations ran");

@@ -97,13 +97,22 @@ fn run_check(args: &[String], scale: Scale, procs: usize, runs: usize) {
 
     println!("Conformance-checker overhead (CheckMode::Fail vs off), {procs} procs, {runs} runs");
     println!(
-        "{:<12} {:<8} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
-        "benchmark", "variant", "sim off", "sim on", "sim %", "wall off", "wall on", "wall %"
+        "{:<12} {:<8} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>9} {:>11}",
+        "benchmark",
+        "variant",
+        "sim off",
+        "sim on",
+        "sim %",
+        "wall off",
+        "wall on",
+        "wall %",
+        "records",
+        "hist words"
     );
     let rows = check_overhead(&refs, scale, procs, runs);
     for r in &rows {
         println!(
-            "{:<12} {:<8} {:>10.2}ms {:>10.2}ms {:>7.1}% {:>10.2}ms {:>10.2}ms {:>7.1}%",
+            "{:<12} {:<8} {:>10.2}ms {:>10.2}ms {:>7.1}% {:>10.2}ms {:>10.2}ms {:>7.1}% {:>9} {:>11}",
             r.app,
             r.variant.name(),
             r.off.sim_ms(),
@@ -112,6 +121,8 @@ fn run_check(args: &[String], scale: Scale, procs: usize, runs: usize) {
             r.off.wall_ns as f64 / 1e6,
             r.on.wall_ns as f64 / 1e6,
             r.wall_overhead_pct(),
+            r.history.0,
+            r.history.1,
         );
         assert_eq!(r.violations, 0, "{}/{}: checker found violations", r.app, r.variant.name());
         if let Some(max) = arg_val(args, "--check-max-overhead") {
@@ -125,8 +136,9 @@ fn run_check(args: &[String], scale: Scale, procs: usize, runs: usize) {
         }
     }
     println!("\nall runs completed under CheckMode::Fail with zero violations");
-    println!("(vector clocks and checker bookkeeping charge nothing to the cost model;");
-    println!(" the simulated-time delta is the shutdown-time history gather plus jitter)");
+    println!("(vector clocks and checker bookkeeping charge nothing to the cost model and the");
+    println!(" shutdown-time history gather runs off the books: the simulated-time delta is");
+    println!(" host-scheduling jitter; records / hist words are what that gather moved)");
 }
 
 fn arg_str(args: &[String], key: &str) -> Option<String> {

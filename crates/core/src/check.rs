@@ -14,19 +14,40 @@
 //!   region in a combination the protocol's [`GrantSet`] never grants
 //!   (write+write, or write+read).
 //!
-//! The cross-node check works by recording completed sections together
-//! with vector-clock snapshots. Clocks are maintained by the substrate
-//! and piggybacked on message envelopes (`Envelope::vc`), so any two
-//! sections separated by a message chain — a coherence grant, a barrier
-//! epoch — are causally ordered and never reported. (A barrier's chain
-//! runs up the combining tree and back down: every arrival and release
-//! envelope carries its sender's clock, so happens-before crosses the
-//! tree edge by edge, with no single node that every rank talks to.) At
-//! shutdown every node's section history is gathered at node 0, which
-//! runs the pairwise analysis. Checker metadata is metrologically
-//! invisible: vector clocks add no bytes or virtual-time charges, so a
-//! checked run reports the same simulated time as an unchecked one (wall
-//! clock differs; see DESIGN.md §12).
+//! The cross-node check records each completed section that *can*
+//! conflict, with what the verdict reads of the node's vector clock
+//! ([`ace_machine::VClock`]): the whole clock just after the open, and the
+//! one tick of the own lane at the close. Section `a` happened before
+//! section `b` exactly when `b`'s open clock has reached `a`'s close tick
+//! in `a`'s lane. Clocks are maintained by the substrate and piggybacked
+//! on message envelopes (`Envelope::vc`), so any two sections separated
+//! by a message chain — a coherence grant, a barrier epoch — are causally
+//! ordered and never reported. (A barrier's chain runs up the combining
+//! tree and back down: every arrival and release envelope carries its
+//! sender's clock, so happens-before crosses the tree edge by edge, with
+//! no single node that every rank talks to.)
+//!
+//! A record is a run of words in one flat per-node history:
+//!
+//! ```text
+//! [region, rank | flags << 32 | pairs << 40, open_t, close_t, proto8,
+//!  close_tick, open_own, (lane, value) × pairs]
+//! ```
+//!
+//! `open_own` and the pairs are the open clock in the substrate's sparse
+//! encoding: a lane at the start of `open_own`'s barrier epoch — every
+//! rank this node has heard nothing from since its last barrier — is left
+//! out, so a record's size follows who talked to whom, not the machine
+//! size. At shutdown the histories are gathered at node 0, which scans
+//! them in place, region by region, and builds a [`SectionRecord`] only
+//! for the two halves of a pair it reports.
+//!
+//! Checking is metrologically invisible. Vector clocks add no bytes and
+//! no virtual-time charges, and the shutdown exchange — whose size is a
+//! property of the history, not of the program — runs inside
+//! `Node::off_the_books`: a checked run reports the simulated time,
+//! message counts and byte counts of the unchecked one (wall clock and
+//! memory differ; see DESIGN.md §12).
 //!
 //! Violations become structured [`AceError::Conformance`] values and
 //! `EventKind::Violation` trace events. `Log` records and keeps going;
@@ -36,7 +57,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ace_machine::{CheckMode, EventKind, Node, NO_REGION};
+use ace_machine::{CheckMode, EventKind, Node, SparseClock, NO_REGION};
 
 use crate::error::{AceError, ConformanceKind, SectionRecord};
 use crate::ids::RegionId;
@@ -47,18 +68,147 @@ use crate::protocol::GrantSet;
 struct OpenSection {
     /// Virtual time the outermost open completed.
     open_t: u64,
-    /// Vector clock just after the outermost open completed.
-    open_vc: Arc<[u64]>,
+    /// The vector clock just after the outermost open completed — own
+    /// lane, then the other lanes as sparse `(lane, value)` pairs — for a
+    /// section that can take part in a conflict. `None` for one whose
+    /// every overlap the protocol grants: it is never recorded, so its
+    /// open and close are not clock events either.
+    open_clock: Option<(u64, Vec<u64>)>,
     /// Protocol governing the region's space at open time.
     proto: &'static str,
     /// That protocol's declared concurrency grants.
     grants: GrantSet,
 }
 
-/// Words per encoded section record on the wire: five header words plus
-/// two vector clocks of `nprocs` words each.
-fn record_stride(nprocs: usize) -> usize {
-    5 + 2 * nprocs
+/// Words of a record before its sparse open clock.
+const HEADER_WORDS: usize = 7;
+/// Bit positions in a record's second word, above the 32-bit rank.
+const WRITE_BIT: u32 = 32;
+const WRITE_WRITE_BIT: u32 = 33;
+const READ_WRITE_BIT: u32 = 34;
+const PAIRS_SHIFT: u32 = 40;
+
+/// A section at the moment it closes: everything a record holds.
+struct Closed<'a> {
+    region: RegionId,
+    rank: usize,
+    write: bool,
+    grants: GrantSet,
+    proto: &'a str,
+    open_t: u64,
+    close_t: u64,
+    /// The open clock: own lane, then the sparse pairs.
+    open_own: u64,
+    open_pairs: &'a [u64],
+    /// The own lane at the close.
+    close_tick: u64,
+}
+
+impl Closed<'_> {
+    /// Append the record to a history.
+    fn push(&self, history: &mut Vec<u64>) {
+        debug_assert!(self.rank <= u32::MAX as usize && self.open_pairs.len().is_multiple_of(2));
+        let mut name8 = [0u8; 8];
+        for (d, &b) in name8.iter_mut().zip(self.proto.as_bytes()) {
+            *d = b;
+        }
+        history.extend([
+            self.region.0,
+            self.rank as u64
+                | (self.write as u64) << WRITE_BIT
+                | (self.grants.write_write as u64) << WRITE_WRITE_BIT
+                | (self.grants.read_write as u64) << READ_WRITE_BIT
+                | (self.open_pairs.len() as u64 / 2) << PAIRS_SHIFT,
+            self.open_t,
+            self.close_t,
+            u64::from_le_bytes(name8),
+            self.close_tick,
+            self.open_own,
+        ]);
+        history.extend_from_slice(self.open_pairs);
+    }
+}
+
+/// One record, borrowed from the history it was gathered in.
+#[derive(Clone, Copy)]
+struct Record<'a>(&'a [u64]);
+
+impl<'a> Record<'a> {
+    /// Split the first record off `words`.
+    fn split_first(words: &'a [u64]) -> (Record<'a>, &'a [u64]) {
+        let len = HEADER_WORDS + 2 * (words[1] >> PAIRS_SHIFT) as usize;
+        let (rec, rest) = words.split_at(len);
+        (Record(rec), rest)
+    }
+
+    /// Every record of one node's history, in the order they closed.
+    fn all(mut words: &'a [u64]) -> impl Iterator<Item = Record<'a>> {
+        std::iter::from_fn(move || {
+            (!words.is_empty()).then(|| {
+                let (rec, rest) = Record::split_first(words);
+                words = rest;
+                rec
+            })
+        })
+    }
+
+    fn region(&self) -> u64 {
+        self.0[0]
+    }
+
+    fn rank(&self) -> usize {
+        (self.0[1] & u64::from(u32::MAX)) as usize
+    }
+
+    fn flag(&self, bit: u32) -> bool {
+        self.0[1] & (1 << bit) != 0
+    }
+
+    fn write(&self) -> bool {
+        self.flag(WRITE_BIT)
+    }
+
+    fn grants(&self) -> GrantSet {
+        GrantSet { write_write: self.flag(WRITE_WRITE_BIT), read_write: self.flag(READ_WRITE_BIT) }
+    }
+
+    fn close_tick(&self) -> u64 {
+        self.0[5]
+    }
+
+    fn open_clock(&self) -> SparseClock<'a> {
+        SparseClock { rank: self.rank(), own: self.0[6], pairs: &self.0[HEADER_WORDS..] }
+    }
+
+    /// The record as the report carries it.
+    fn materialize(&self, nprocs: usize) -> SectionRecord {
+        let name8 = self.0[4].to_le_bytes();
+        let len = name8.iter().position(|&b| b == 0).unwrap_or(8);
+        SectionRecord {
+            region: RegionId(self.region()),
+            rank: self.rank(),
+            write: self.write(),
+            proto: String::from_utf8_lossy(&name8[..len]).into_owned(),
+            open_t: self.0[2],
+            close_t: self.0[3],
+            open_vc: self.open_clock().to_dense(nprocs),
+            close_tick: self.close_tick(),
+        }
+    }
+}
+
+/// Whether a section can be the subject of a conflict report. One whose
+/// every possible overlap is granted cannot, and is not recorded, so the
+/// shutdown exchange stays proportional to what can actually conflict.
+/// Read/read never conflicts, so a read section matters only when
+/// read+write is ungranted; a write section matters unless both
+/// write+write and read+write are granted.
+fn recordable(write: bool, grants: GrantSet) -> bool {
+    if write {
+        !(grants.write_write && grants.read_write)
+    } else {
+        !grants.read_write
+    }
 }
 
 /// Per-node conformance state. Constructed unconditionally by the runtime
@@ -69,8 +219,9 @@ pub(crate) struct Checker {
     /// Open outermost sections, keyed by (region bits, is-write).
     open: RefCell<HashMap<(u64, bool), OpenSection>>,
     /// Completed sections that can participate in a cross-node conflict
-    /// (sections whose every overlap is granted are filtered at close).
-    history: RefCell<Vec<(SectionRecord, GrantSet)>>,
+    /// (sections whose every overlap is granted are filtered at open), as
+    /// encoded records back to back.
+    history: RefCell<Vec<u64>>,
     /// Violations recorded on this node (including, on node 0, the
     /// cross-node conflicts found at shutdown).
     violations: RefCell<Vec<AceError>>,
@@ -136,45 +287,43 @@ impl Checker {
         proto: &'static str,
         grants: GrantSet,
     ) {
-        let open_vc = node.vc_tick();
-        self.open
-            .borrow_mut()
-            .insert((region.0, write), OpenSection { open_t: node.now(), open_vc, proto, grants });
+        let open_clock = recordable(write, grants).then(|| {
+            let own = node.vc_tick();
+            let mut pairs = Vec::new();
+            node.vc_push_sparse(&mut pairs);
+            (own, pairs)
+        });
+        self.open.borrow_mut().insert(
+            (region.0, write),
+            OpenSection { open_t: node.now(), open_clock, proto, grants },
+        );
     }
 
     /// An outermost section is about to close (counter hit zero, end hook
     /// not yet dispatched). Ticking *before* the hook means whatever
     /// write-back or release messages the hook sends carry a clock that
-    /// dominates the close — a peer that merged them opens strictly after
-    /// this section in vector-clock order.
+    /// has reached the close tick — a peer that merged them opens strictly
+    /// after this section in vector-clock order.
     pub(crate) fn on_close(&self, node: &Node<AceMsg>, region: RegionId, write: bool) {
         let Some(open) = self.open.borrow_mut().remove(&(region.0, write)) else {
             return;
         };
-        let close_vc = node.vc_tick();
-        let g = open.grants;
-        // Sections whose every possible overlap is granted can never be
-        // the subject of a conflict report; skip recording them so the
-        // shutdown exchange stays proportional to what can actually
-        // conflict. Read/read never conflicts, so a read section matters
-        // only when read+write is ungranted; a write section matters
-        // unless both write+write and read+write are granted.
-        let recordable = if write { !(g.write_write && g.read_write) } else { !g.read_write };
-        if recordable {
-            self.history.borrow_mut().push((
-                SectionRecord {
-                    region,
-                    rank: node.rank(),
-                    write,
-                    proto: open.proto.to_string(),
-                    open_t: open.open_t,
-                    close_t: node.now(),
-                    open_vc: open.open_vc.to_vec(),
-                    close_vc: close_vc.to_vec(),
-                },
-                g,
-            ));
+        let Some((open_own, open_pairs)) = open.open_clock else {
+            return;
+        };
+        Closed {
+            region,
+            rank: node.rank(),
+            write,
+            grants: open.grants,
+            proto: open.proto,
+            open_t: open.open_t,
+            close_t: node.now(),
+            open_own,
+            open_pairs: &open_pairs,
+            close_tick: node.vc_tick(),
         }
+        .push(&mut self.history.borrow_mut());
     }
 
     /// Whether the shutdown analysis already ran (sets the guard on first
@@ -200,55 +349,30 @@ impl Checker {
         }
     }
 
-    /// Flatten this node's section history for the shutdown gather.
-    pub(crate) fn encode_history(&self, nprocs: usize) -> Vec<u64> {
-        let hist = self.history.borrow();
-        let mut out = Vec::with_capacity(hist.len() * record_stride(nprocs));
-        for (r, g) in hist.iter() {
-            out.push(r.region.0);
-            let mut packed = r.rank as u64;
-            packed |= (r.write as u64) << 8;
-            packed |= (g.write_write as u64) << 9;
-            packed |= (g.read_write as u64) << 10;
-            out.push(packed);
-            out.push(r.open_t);
-            out.push(r.close_t);
-            let mut name8 = [0u8; 8];
-            for (i, &b) in r.proto.as_bytes().iter().take(8).enumerate() {
-                name8[i] = b;
-            }
-            out.push(u64::from_le_bytes(name8));
-            debug_assert_eq!(r.open_vc.len(), nprocs);
-            out.extend_from_slice(&r.open_vc);
-            out.extend_from_slice(&r.close_vc);
-        }
-        out
+    /// Hand this node's section history over for the shutdown gather (its
+    /// size goes on the node's stats).
+    pub(crate) fn take_history(&self, node: &Node<AceMsg>) -> Vec<u64> {
+        let words = self.history.take();
+        node.note_check_history(Record::all(&words).count() as u64, words.len() as u64);
+        words
     }
 
-    /// Node-0 side of the shutdown exchange: decode every rank's history
+    /// Node-0 side of the shutdown exchange: scan every rank's history
     /// and report each vector-clock-concurrent, ungranted pair.
     pub(crate) fn analyze(&self, node: &Node<AceMsg>, all: &[Arc<[u64]>]) {
-        let nprocs = node.nprocs();
-        let mut by_region: HashMap<u64, Vec<(SectionRecord, GrantSet)>> = HashMap::new();
-        for words in all {
-            for rec in words.chunks_exact(record_stride(nprocs)) {
-                let (r, g) = decode_record(rec, nprocs);
-                by_region.entry(r.region.0).or_default().push((r, g));
-            }
-        }
-        let mut regions: Vec<u64> = by_region.keys().copied().collect();
-        regions.sort_unstable();
-        for bits in regions {
-            let recs = &by_region[&bits];
-            for (i, j) in find_conflicts(recs) {
+        let mut recs: Vec<Record> = all.iter().flat_map(|words| Record::all(words)).collect();
+        // Stable: within a region, rank order and then closing order.
+        recs.sort_by_key(Record::region);
+        for group in recs.chunk_by(|a, b| a.region() == b.region()) {
+            for (i, j) in find_conflicts(group) {
                 self.report(
                     node,
                     AceError::Conformance {
-                        region: RegionId(bits),
-                        rank: recs[i].0.rank,
+                        region: RegionId(group[i].region()),
+                        rank: group[i].rank(),
                         kind: ConformanceKind::ConflictingSections {
-                            a: Box::new(recs[i].0.clone()),
-                            b: Box::new(recs[j].0.clone()),
+                            a: Box::new(group[i].materialize(node.nprocs())),
+                            b: Box::new(group[j].materialize(node.nprocs())),
                         },
                     },
                 );
@@ -257,45 +381,19 @@ impl Checker {
     }
 }
 
-/// Decode one wire record (see [`Checker::encode_history`]).
-fn decode_record(rec: &[u64], nprocs: usize) -> (SectionRecord, GrantSet) {
-    let region = RegionId(rec[0]);
-    let packed = rec[1];
-    let rank = (packed & 0xff) as usize;
-    let write = packed & (1 << 8) != 0;
-    let grants =
-        GrantSet { write_write: packed & (1 << 9) != 0, read_write: packed & (1 << 10) != 0 };
-    let name8 = rec[4].to_le_bytes();
-    let len = name8.iter().position(|&b| b == 0).unwrap_or(8);
-    let proto = String::from_utf8_lossy(&name8[..len]).into_owned();
-    (
-        SectionRecord {
-            region,
-            rank,
-            write,
-            proto,
-            open_t: rec[2],
-            close_t: rec[3],
-            open_vc: rec[5..5 + nprocs].to_vec(),
-            close_vc: rec[5 + nprocs..5 + 2 * nprocs].to_vec(),
-        },
-        grants,
-    )
-}
-
 /// Pairwise conflict scan over one region's records: returns index pairs
 /// `(i, j)` with `i < j` that are cross-rank, in an ungranted
 /// combination, and vector-clock concurrent.
-fn find_conflicts(recs: &[(SectionRecord, GrantSet)]) -> Vec<(usize, usize)> {
+fn find_conflicts(recs: &[Record]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for i in 0..recs.len() {
         for j in (i + 1)..recs.len() {
-            let (a, ga) = &recs[i];
-            let (b, gb) = &recs[j];
-            if a.rank == b.rank || (!a.write && !b.write) {
+            let (a, b) = (&recs[i], &recs[j]);
+            if a.rank() == b.rank() || (!a.write() && !b.write()) {
                 continue;
             }
-            let permitted = if a.write && b.write {
+            let (ga, gb) = (a.grants(), b.grants());
+            let permitted = if a.write() && b.write() {
                 ga.write_write && gb.write_write
             } else {
                 ga.read_write && gb.read_write
@@ -305,8 +403,8 @@ fn find_conflicts(recs: &[(SectionRecord, GrantSet)]) -> Vec<(usize, usize)> {
             }
             // Concurrent iff neither happened-before the other: B's open
             // does not know A's close, and A's open does not know B's.
-            let concurrent =
-                b.open_vc[a.rank] < a.close_vc[a.rank] && a.open_vc[b.rank] < b.close_vc[b.rank];
+            let concurrent = b.open_clock().lane(a.rank()) < a.close_tick()
+                && a.open_clock().lane(b.rank()) < b.close_tick();
             if concurrent {
                 out.push((i, j));
             }
@@ -317,99 +415,507 @@ fn find_conflicts(recs: &[(SectionRecord, GrantSet)]) -> Vec<(usize, usize)> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, VecDeque};
+
+    use ace_machine::VClock;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
-    fn rec(
-        rank: usize,
-        write: bool,
-        open_vc: Vec<u64>,
-        close_vc: Vec<u64>,
-        g: GrantSet,
-    ) -> (SectionRecord, GrantSet) {
-        (
-            SectionRecord {
-                region: RegionId(7),
-                rank,
-                write,
-                proto: "sc".into(),
-                open_t: 0,
-                close_t: 10,
-                open_vc,
-                close_vc,
-            },
-            g,
-        )
+    /// One encoded record on region 7 whose open clock is the dense
+    /// `open_vc` and whose close ticked the own lane to `close_tick`.
+    fn rec(rank: usize, write: bool, open_vc: &[u64], close_tick: u64, g: GrantSet) -> Vec<u64> {
+        let mut clock = VClock::new(rank, open_vc.len());
+        clock.merge(open_vc);
+        let mut open_pairs = Vec::new();
+        clock.push_sparse(&mut open_pairs);
+        let mut words = Vec::new();
+        Closed {
+            region: RegionId(7),
+            rank,
+            write,
+            grants: g,
+            proto: "sc",
+            open_t: 0,
+            close_t: 10,
+            open_own: open_vc[rank],
+            open_pairs: &open_pairs,
+            close_tick,
+        }
+        .push(&mut words);
+        words
+    }
+
+    fn conflicts(history: &[Vec<u64>]) -> Vec<(usize, usize)> {
+        let recs: Vec<Record> = history.iter().map(|w| Record::split_first(w).0).collect();
+        find_conflicts(&recs)
     }
 
     #[test]
-    fn record_wire_round_trip() {
-        let (r, g) = rec(3, true, vec![1, 2], vec![5, 2], GrantSet::exclusive());
-        let mut r = r;
-        r.proto = "migratory".into(); // truncates to 8 bytes on the wire
-        let checker = Checker::new(CheckMode::Log);
-        checker.history.borrow_mut().push((r.clone(), g));
-        let words = checker.encode_history(2);
-        assert_eq!(words.len(), record_stride(2));
-        let (d, dg) = decode_record(&words, 2);
-        assert_eq!(dg, g);
-        assert_eq!(d.region, r.region);
+    fn record_round_trip() {
+        let e1 = 1u64 << 32;
+        let open_vc = [e1 + 9, e1, e1, e1 + 2, e1];
+        let mut words = Vec::new();
+        Closed {
+            region: RegionId(7),
+            rank: 3,
+            write: true,
+            grants: GrantSet::exclusive(),
+            proto: "migratory", // truncates to 8 bytes
+            open_t: 5,
+            close_t: 10,
+            open_own: open_vc[3],
+            open_pairs: &[0, e1 + 9],
+            close_tick: e1 + 3,
+        }
+        .push(&mut words);
+        let first_len = words.len();
+        words.extend(rec(1, false, &[0, 1], 2, GrantSet::concurrent()));
+
+        assert_eq!(first_len, HEADER_WORDS + 2, "one lane off the epoch default: one pair");
+        let recs: Vec<Record> = Record::all(&words).collect();
+        assert_eq!(recs.len(), 2, "records of different lengths walk back to back");
+        let d = recs[0].materialize(5);
+        assert_eq!(recs[0].grants(), GrantSet::exclusive());
+        assert_eq!(d.region, RegionId(7));
         assert_eq!(d.rank, 3);
         assert!(d.write);
         assert_eq!(d.proto, "migrator", "name truncated to eight bytes");
-        assert_eq!(d.open_vc, r.open_vc);
-        assert_eq!(d.close_vc, r.close_vc);
+        assert_eq!((d.open_t, d.close_t), (5, 10));
+        assert_eq!(d.open_vc, open_vc);
+        assert_eq!(d.close_tick, e1 + 3);
+        let d = recs[1].materialize(2);
+        assert_eq!((d.rank, d.write, d.open_vc, d.close_tick), (1, false, vec![0, 1], 2));
+        assert_eq!(recs[1].grants(), GrantSet::concurrent());
+    }
+
+    #[test]
+    fn ranks_past_255_do_not_alias_the_flags() {
+        // Rank 256 was the write flag in the first layout, and 300 read
+        // back as 44.
+        let n = 400;
+        let mut open = vec![0; n];
+        open[300] = 1;
+        let r = rec(300, false, &open, 2, GrantSet::exclusive());
+        let r = Record::split_first(&r).0;
+        assert_eq!((r.rank(), r.write()), (300, false));
+        open[300] = 0;
+        open[256] = 1;
+        let w = rec(256, true, &open, 2, GrantSet::exclusive());
+        let w = Record::split_first(&w).0;
+        assert_eq!((w.rank(), w.write()), (256, true));
+        assert_eq!(find_conflicts(&[r, w]), vec![(0, 1)]);
     }
 
     #[test]
     fn concurrent_ungranted_writes_conflict() {
         let ex = GrantSet::exclusive();
         // Neither node's open clock knows the other's close: concurrent.
-        let recs = vec![
-            rec(0, true, vec![1, 0], vec![3, 0], ex),
-            rec(1, true, vec![0, 1], vec![0, 3], ex),
-        ];
-        assert_eq!(find_conflicts(&recs), vec![(0, 1)]);
+        let recs = [rec(0, true, &[1, 0], 3, ex), rec(1, true, &[0, 1], 3, ex)];
+        assert_eq!(conflicts(&recs), vec![(0, 1)]);
     }
 
     #[test]
     fn causally_ordered_sections_do_not_conflict() {
         let ex = GrantSet::exclusive();
         // Node 1 opened after merging node 0's close (open_vc[0] >= 3).
-        let recs = vec![
-            rec(0, true, vec![1, 0], vec![3, 0], ex),
-            rec(1, true, vec![3, 1], vec![3, 3], ex),
-        ];
-        assert!(find_conflicts(&recs).is_empty());
+        let recs = [rec(0, true, &[1, 0], 3, ex), rec(1, true, &[3, 1], 3, ex)];
+        assert!(conflicts(&recs).is_empty());
     }
 
     #[test]
     fn granted_overlaps_and_read_read_are_legal() {
         let conc = GrantSet::concurrent();
-        let recs = vec![
-            rec(0, true, vec![1, 0], vec![3, 0], conc),
-            rec(1, true, vec![0, 1], vec![0, 3], conc),
-        ];
-        assert!(find_conflicts(&recs).is_empty(), "write+write granted");
+        let recs = [rec(0, true, &[1, 0], 3, conc), rec(1, true, &[0, 1], 3, conc)];
+        assert!(conflicts(&recs).is_empty(), "write+write granted");
         let ex = GrantSet::exclusive();
-        let recs = vec![
-            rec(0, false, vec![1, 0], vec![3, 0], ex),
-            rec(1, false, vec![0, 1], vec![0, 3], ex),
-        ];
-        assert!(find_conflicts(&recs).is_empty(), "read+read never conflicts");
-        let recs = vec![
-            rec(0, false, vec![1, 0], vec![3, 0], ex),
-            rec(1, true, vec![0, 1], vec![0, 3], ex),
-        ];
-        assert_eq!(find_conflicts(&recs), vec![(0, 1)], "read+write under exclusive grants");
+        let recs = [rec(0, false, &[1, 0], 3, ex), rec(1, false, &[0, 1], 3, ex)];
+        assert!(conflicts(&recs).is_empty(), "read+read never conflicts");
+        let recs = [rec(0, false, &[1, 0], 3, ex), rec(1, true, &[0, 1], 3, ex)];
+        assert_eq!(conflicts(&recs), vec![(0, 1)], "read+write under exclusive grants");
     }
 
     #[test]
     fn same_rank_pairs_are_skipped() {
         let ex = GrantSet::exclusive();
-        let recs = vec![
-            rec(0, true, vec![1, 0], vec![3, 0], ex),
-            rec(0, true, vec![4, 0], vec![6, 0], ex),
+        let recs = [rec(0, true, &[1, 0], 3, ex), rec(0, true, &[4, 0], 6, ex)];
+        assert!(conflicts(&recs).is_empty());
+    }
+
+    /// The representation and the verdict this module first shipped with:
+    /// a clock that ticks at every send, receive and section event, and a
+    /// record holding two dense clocks. Kept as the reference the sparse
+    /// records are tested against.
+    mod oracle {
+        use super::GrantSet;
+
+        pub struct DenseClock {
+            pub rank: usize,
+            pub lanes: Vec<u64>,
+        }
+
+        impl DenseClock {
+            /// A send, a section open or a section close.
+            pub fn tick(&mut self) -> Vec<u64> {
+                self.lanes[self.rank] += 1;
+                self.lanes.clone()
+            }
+
+            /// A receive.
+            pub fn merge(&mut self, other: &[u64]) {
+                for (mine, theirs) in self.lanes.iter_mut().zip(other) {
+                    *mine = (*mine).max(*theirs);
+                }
+                self.lanes[self.rank] += 1;
+            }
+        }
+
+        pub struct DenseRecord {
+            pub rank: usize,
+            pub write: bool,
+            pub open_vc: Vec<u64>,
+            pub close_vc: Vec<u64>,
+        }
+
+        pub fn find_conflicts(recs: &[(&DenseRecord, GrantSet)]) -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            for i in 0..recs.len() {
+                for j in (i + 1)..recs.len() {
+                    let (a, ga) = &recs[i];
+                    let (b, gb) = &recs[j];
+                    if a.rank == b.rank || (!a.write && !b.write) {
+                        continue;
+                    }
+                    let permitted = if a.write && b.write {
+                        ga.write_write && gb.write_write
+                    } else {
+                        ga.read_write && gb.read_write
+                    };
+                    if permitted {
+                        continue;
+                    }
+                    let concurrent = b.open_vc[a.rank] < a.close_vc[a.rank]
+                        && a.open_vc[b.rank] < b.close_vc[b.rank];
+                    if concurrent {
+                        out.push((i, j));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Send(usize),
+        Open(u64, bool),
+        Close(u64, bool),
+        Barrier,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Kind {
+        App,
+        Arrive(u64),
+        Release(u64),
+    }
+
+    struct Msg {
+        kind: Kind,
+        new_vc: Arc<[u64]>,
+        old_vc: Vec<u64>,
+    }
+
+    /// An outermost section open on a model rank.
+    struct ModelOpen {
+        depth: usize,
+        /// As [`OpenSection::open_clock`], plus the dense clock it encodes.
+        new: Option<(u64, Vec<u64>, Vec<u64>)>,
+        old_vc: Vec<u64>,
+    }
+
+    struct ModelRank {
+        new: VClock,
+        old: oracle::DenseClock,
+        program: VecDeque<Op>,
+        open: HashMap<(u64, bool), ModelOpen>,
+        /// Barriers entered, and the one being waited in.
+        passages: u64,
+        waiting: bool,
+        arrived: HashMap<u64, usize>,
+        history: Vec<u64>,
+        /// Per record: the dense clock its open clock was taken from.
+        opened_at: Vec<Vec<u64>>,
+        dense: Vec<(u64, oracle::DenseRecord)>,
+    }
+
+    /// What one schedule exercised.
+    #[derive(Default)]
+    struct Seen {
+        candidates: usize,
+        conflicts: usize,
+        open_across_barrier: usize,
+        peer_a_passage_ahead: usize,
+        silent_rank: usize,
+    }
+
+    fn children(r: usize, n: usize) -> impl Iterator<Item = usize> {
+        (2 * r + 1..=2 * r + 2).filter(move |&c| c < n)
+    }
+
+    /// A random program: sends, barriers (the same number on every rank)
+    /// and nested / overlapping sections, every one closed by the end.
+    fn program(rng: &mut StdRng, rank: usize, n: usize, barriers: usize) -> Vec<Op> {
+        // One rank in four holds no section at all.
+        let silent = rng.gen_bool(0.25);
+        let mut ops = Vec::new();
+        let mut depth: HashMap<(u64, bool), usize> = HashMap::new();
+        for _ in 0..rng.gen_range(6..30) {
+            let held: Vec<(u64, bool)> = depth.keys().copied().collect();
+            match rng.gen_range(0..10) {
+                0..=2 => ops.push(Op::Send((rank + rng.gen_range(1..n)) % n)),
+                3..=6 if !silent => {
+                    let key = (rng.gen_range(0..3u64), rng.gen_bool(0.5));
+                    *depth.entry(key).or_insert(0) += 1;
+                    ops.push(Op::Open(key.0, key.1));
+                }
+                7..=9 if !held.is_empty() => {
+                    let key = held[rng.gen_range(0..held.len())];
+                    let d = depth.get_mut(&key).unwrap();
+                    *d -= 1;
+                    if *d == 0 {
+                        depth.remove(&key);
+                    }
+                    ops.push(Op::Close(key.0, key.1));
+                }
+                _ => {}
+            }
+        }
+        for _ in 0..barriers {
+            ops.insert(rng.gen_range(0..ops.len() + 1), Op::Barrier);
+        }
+        for (key, d) in depth {
+            ops.extend(std::iter::repeat_n(Op::Close(key.0, key.1), d));
+        }
+        ops
+    }
+
+    /// Run one seeded schedule through both representations and compare
+    /// the pairs they report.
+    fn differential(seed: u64, seen: &mut Seen) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..7);
+        let barriers = rng.gen_range(0..4);
+        let grant_sets = [
+            GrantSet::exclusive(),
+            GrantSet::concurrent(),
+            GrantSet { write_write: false, read_write: true },
         ];
-        assert!(find_conflicts(&recs).is_empty());
+        let grants: Vec<GrantSet> = (0..3).map(|_| grant_sets[rng.gen_range(0..3usize)]).collect();
+        let mut ranks: Vec<ModelRank> = (0..n)
+            .map(|r| ModelRank {
+                new: VClock::new(r, n),
+                old: oracle::DenseClock { rank: r, lanes: vec![0; n] },
+                program: program(rng, r, n, barriers).into(),
+                open: HashMap::new(),
+                passages: 0,
+                waiting: false,
+                arrived: HashMap::new(),
+                history: Vec::new(),
+                opened_at: Vec::new(),
+                dense: Vec::new(),
+            })
+            .collect();
+        // Per-pair FIFO channels, `chan[dst][src]`.
+        let mut chan: Vec<Vec<VecDeque<Msg>>> =
+            (0..n).map(|_| (0..n).map(|_| VecDeque::new()).collect()).collect();
+
+        fn send(
+            ranks: &mut [ModelRank],
+            chan: &mut [Vec<VecDeque<Msg>>],
+            src: usize,
+            dst: usize,
+            kind: Kind,
+        ) {
+            let r = &mut ranks[src];
+            chan[dst][src].push_back(Msg { kind, new_vc: r.new.stamp(), old_vc: r.old.tick() });
+        }
+        // The combining tree of `AceRt::barrier_tag`, binary here.
+        fn arrive(ranks: &mut [ModelRank], chan: &mut [Vec<VecDeque<Msg>>], r: usize, epoch: u64) {
+            let n = ranks.len();
+            let count = ranks[r].arrived.entry(epoch).or_insert(0);
+            *count += 1;
+            if *count == 1 + children(r, n).count() {
+                match r.checked_sub(1) {
+                    Some(up) => send(ranks, chan, r, up / 2, Kind::Arrive(epoch)),
+                    None => release(ranks, chan, r, epoch),
+                }
+            }
+        }
+        fn release(ranks: &mut [ModelRank], chan: &mut [Vec<VecDeque<Msg>>], r: usize, epoch: u64) {
+            for c in children(r, ranks.len()) {
+                send(ranks, chan, r, c, Kind::Release(epoch));
+            }
+            assert!(ranks[r].waiting && ranks[r].passages == epoch);
+            ranks[r].waiting = false;
+        }
+
+        loop {
+            let ready: Vec<usize> = (0..n)
+                .filter(|&r| {
+                    chan[r].iter().any(|q| !q.is_empty())
+                        || (!ranks[r].waiting && !ranks[r].program.is_empty())
+                })
+                .collect();
+            if ready.is_empty() {
+                break;
+            }
+            let r = ready[rng.gen_range(0..ready.len())];
+            let inbound: Vec<usize> = (0..n).filter(|&s| !chan[r][s].is_empty()).collect();
+            let can_run = !ranks[r].waiting && !ranks[r].program.is_empty();
+            if !inbound.is_empty() && (!can_run || rng.gen_bool(0.5)) {
+                let src = inbound[rng.gen_range(0..inbound.len())];
+                let m = chan[r][src].pop_front().unwrap();
+                let me = &mut ranks[r];
+                if m.new_vc[src] >> 32 > me.new.lanes()[r] >> 32 {
+                    seen.peer_a_passage_ahead += 1;
+                }
+                me.new.merge(&m.new_vc);
+                me.old.merge(&m.old_vc);
+                match m.kind {
+                    Kind::App => {}
+                    Kind::Arrive(epoch) => arrive(&mut ranks, &mut chan, r, epoch),
+                    Kind::Release(epoch) => release(&mut ranks, &mut chan, r, epoch),
+                }
+                continue;
+            }
+            let me = &mut ranks[r];
+            match me.program.pop_front().unwrap() {
+                Op::Send(dst) => send(&mut ranks, &mut chan, r, dst, Kind::App),
+                Op::Barrier => {
+                    if me.open.values().any(|o| o.new.is_some()) {
+                        seen.open_across_barrier += 1;
+                    }
+                    me.passages += 1;
+                    me.waiting = true;
+                    me.new.enter_barrier();
+                    let epoch = me.passages;
+                    arrive(&mut ranks, &mut chan, r, epoch);
+                }
+                Op::Open(region, write) => {
+                    if let Some(o) = me.open.get_mut(&(region, write)) {
+                        o.depth += 1;
+                        continue;
+                    }
+                    // As `Checker::on_open`.
+                    let new = recordable(write, grants[region as usize]).then(|| {
+                        let own = me.new.tick();
+                        let mut pairs = Vec::new();
+                        me.new.push_sparse(&mut pairs);
+                        (own, pairs, me.new.lanes().to_vec())
+                    });
+                    me.open.insert(
+                        (region, write),
+                        ModelOpen { depth: 1, new, old_vc: me.old.tick() },
+                    );
+                }
+                Op::Close(region, write) => {
+                    let o = me.open.get_mut(&(region, write)).unwrap();
+                    o.depth -= 1;
+                    if o.depth > 0 {
+                        continue;
+                    }
+                    let o = me.open.remove(&(region, write)).unwrap();
+                    let close_vc = me.old.tick();
+                    // As `Checker::on_close`.
+                    let Some((open_own, open_pairs, dense)) = o.new else { continue };
+                    let seq = me.opened_at.len() as u64;
+                    Closed {
+                        region: RegionId(region),
+                        rank: r,
+                        write,
+                        grants: grants[region as usize],
+                        proto: "model",
+                        open_t: seq,
+                        close_t: seq,
+                        open_own,
+                        open_pairs: &open_pairs,
+                        close_tick: me.new.tick(),
+                    }
+                    .push(&mut me.history);
+                    me.opened_at.push(dense);
+                    me.dense.push((
+                        region,
+                        oracle::DenseRecord { rank: r, write, open_vc: o.old_vc, close_vc },
+                    ));
+                }
+            }
+        }
+        assert!(ranks.iter().all(|r| !r.waiting && r.passages == barriers as u64), "seed {seed}");
+        if ranks.iter().any(|r| r.history.is_empty()) && ranks.iter().any(|r| !r.history.is_empty())
+        {
+            seen.silent_rank += 1;
+        }
+
+        // A section is named by its rank and its index in that rank's
+        // history; both sides record the same sections in the same order.
+        type Name = (usize, u64);
+        let (mut new_pairs, mut old_pairs) = (BTreeSet::<(Name, Name)>::new(), BTreeSet::new());
+        for region in 0..3u64 {
+            let recs: Vec<Record> = ranks
+                .iter()
+                .flat_map(|r| Record::all(&r.history))
+                .filter(|rec| rec.region() == region)
+                .collect();
+            let names: Vec<Name> = recs
+                .iter()
+                .map(|rec| {
+                    let SectionRecord { rank, open_t: seq, open_vc, .. } = rec.materialize(n);
+                    assert_eq!(
+                        open_vc, ranks[rank].opened_at[seq as usize],
+                        "seed {seed}: lossless"
+                    );
+                    (rank, seq)
+                })
+                .collect();
+            new_pairs.extend(find_conflicts(&recs).into_iter().map(|(i, j)| (names[i], names[j])));
+
+            let (dense_names, dense): (Vec<Name>, Vec<_>) = ranks
+                .iter()
+                .flat_map(|r| r.dense.iter().enumerate())
+                .filter(|(_, (reg, _))| *reg == region)
+                .map(|(seq, (_, rec))| ((rec.rank, seq as u64), (rec, grants[region as usize])))
+                .unzip();
+            assert_eq!(names, dense_names, "seed {seed}");
+            old_pairs.extend(
+                oracle::find_conflicts(&dense).into_iter().map(|(i, j)| (names[i], names[j])),
+            );
+            for (i, (a, g)) in dense.iter().enumerate() {
+                seen.candidates += dense[i + 1..]
+                    .iter()
+                    .filter(|(b, _)| {
+                        a.rank != b.rank
+                            && (a.write || b.write)
+                            && !(if a.write && b.write { g.write_write } else { g.read_write })
+                    })
+                    .count();
+            }
+        }
+        assert_eq!(new_pairs, old_pairs, "seed {seed}: {n} ranks, {barriers} barriers");
+        seen.conflicts += new_pairs.len();
+    }
+
+    #[test]
+    fn sparse_records_report_the_pairs_the_dense_ones_did() {
+        let mut seen = Seen::default();
+        for seed in 0..1000 {
+            differential(seed, &mut seen);
+        }
+        // Both verdicts occur, and so does each edge the barrier epochs add.
+        assert!(0 < seen.conflicts && seen.conflicts < seen.candidates);
+        assert!(seen.open_across_barrier > 0, "a section held open across a barrier");
+        assert!(seen.peer_a_passage_ahead > 0, "a message from a peer one passage ahead");
+        assert!(seen.silent_rank > 0, "a rank that contributes no record");
     }
 }

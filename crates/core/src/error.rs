@@ -13,9 +13,9 @@ use ace_machine::ConfigError;
 
 use crate::ids::{RegionId, SpaceId};
 
-/// One completed access section, as recorded by the conformance checker
-/// and exchanged between nodes at shutdown for the cross-node
-/// conflicting-section analysis.
+/// One completed access section, as the conformance checker reports it:
+/// one half of a conflicting pair found by the cross-node analysis at
+/// shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectionRecord {
     /// The region the section was held on.
@@ -31,10 +31,13 @@ pub struct SectionRecord {
     pub open_t: u64,
     /// Virtual time at which the outermost close began.
     pub close_t: u64,
-    /// The node's vector clock just after the open hook completed.
+    /// The node's vector clock just after the open hook completed, one
+    /// lane per rank.
     pub open_vc: Vec<u64>,
-    /// The node's vector clock just before the close hook ran.
-    pub close_vc: Vec<u64>,
+    /// The node's own lane of its vector clock just before the close hook
+    /// ran. The other section happened after this one exactly when its
+    /// `open_vc[self.rank]` has reached this.
+    pub close_tick: u64,
 }
 
 impl fmt::Display for SectionRecord {
@@ -276,7 +279,7 @@ mod tests {
                 open_t: 10,
                 close_t: 20,
                 open_vc: vec![1, 0],
-                close_vc: vec![2, 0],
+                close_tick: 2,
             })
         };
         let s = conf(ConformanceKind::ConflictingSections { a: rec(0, true), b: rec(1, false) })

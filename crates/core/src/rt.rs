@@ -1239,6 +1239,9 @@ impl<'n> AceRt<'n> {
     }
 
     fn barrier_tag(&self, tag: u32) {
+        if self.checker.enabled() {
+            self.node.vc_enter_barrier();
+        }
         let epoch = {
             let mut m = self.bar_local_epoch.borrow_mut();
             let e = m.entry(tag).or_insert(0);
@@ -1423,18 +1426,27 @@ impl<'n> AceRt<'n> {
     /// shut down — barrier-only, so a program can call `shutdown` itself
     /// and then inspect [`AceRt::violations`]): leaked-section sweep,
     /// then a gather of every node's section history at node 0, which
-    /// reports cross-node conflicting sections.
+    /// reports cross-node conflicting sections, then a barrier that holds
+    /// every node until the verdict is in. The gather and that barrier
+    /// run off the books ([`Node::off_the_books`]): how much history there
+    /// is depends on who heard from whom, which is not the program's to
+    /// pay for or the benchmarks' to see.
     pub fn shutdown(&self) {
         self.machine_barrier();
         if !self.checker.enabled() || !self.checker.begin_analysis() {
             return;
         }
         self.checker.sweep_open(self.node);
-        let encoded = self.checker.encode_history(self.nprocs());
-        if let Some(all) = self.gather(0, &encoded) {
+        let counters = self.counters.borrow().clone();
+        let gathered =
+            self.node.off_the_books(|| self.gather(0, &self.checker.take_history(self.node)));
+        if let Some(all) = gathered {
+            // On the books again: a violation is reported, and traced, at
+            // the time the program ended.
             self.checker.analyze(self.node, &all);
         }
-        self.machine_barrier();
+        self.node.off_the_books(|| self.machine_barrier());
+        *self.counters.borrow_mut() = counters;
     }
 }
 

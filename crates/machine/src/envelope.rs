@@ -35,11 +35,14 @@ pub struct Envelope<M> {
     /// Sender's virtual clock when the message was injected (for a
     /// coalesced batch: when its wire envelope was flushed).
     pub send_time: u64,
-    /// Sender's vector clock at injection, present only when the machine
-    /// runs with conformance checking enabled ([`crate::CheckMode`]). For
-    /// a coalesced batch only the first delivered part carries the clock
-    /// (one merge per wire envelope). Checker metadata is metrologically
-    /// invisible: it contributes nothing to `bytes` or any cost charge.
+    /// Sender's vector clock at injection — a dense snapshot, one lane per
+    /// rank — present only when the machine runs with conformance checking
+    /// enabled ([`crate::CheckMode`]). Sending is not a clock event
+    /// ([`crate::VClock`]), so envelopes sent between two changes of the
+    /// sender's clock share one allocation. For a coalesced batch only
+    /// the first delivered part carries the clock (one merge per wire
+    /// envelope). Checker metadata is metrologically invisible: it
+    /// contributes nothing to `bytes` or any cost charge.
     pub vc: Option<std::sync::Arc<[u64]>>,
     /// The sender's protocol-switch epoch at injection: how many adaptive
     /// protocol switches the sender had committed when this message left.

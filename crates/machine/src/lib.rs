@@ -32,6 +32,7 @@ pub mod sched;
 pub mod spmd;
 pub mod stats;
 pub mod transport;
+pub mod vclock;
 
 pub use cost::CostModel;
 pub use envelope::{Envelope, MsgSize, Wire, HEADER_BYTES};
@@ -44,6 +45,7 @@ pub use transport::{
     CodecError, ConfigError, InProcTransport, SockAddr, SocketCfg, SocketTransport, Transport,
     TransportKind, WireCodec, WireReader, SOCKET_HEADER_BYTES, SOCKET_MAX_RANKS,
 };
+pub use vclock::{SparseClock, VClock};
 // Re-exported so downstream crates configure and consume tracing without
 // depending on `ace-trace` directly.
 pub use ace_trace::{

@@ -13,6 +13,7 @@ use crate::envelope::{Envelope, MsgSize, Wire};
 use crate::sched::SlotHandle;
 use crate::stats::NodeStats;
 use crate::transport::{Transport, WaitWireError};
+use crate::vclock::VClock;
 
 /// How long a blocked node waits before concluding the run is wedged.
 /// Protocol bugs in a message-passing system manifest as silent hangs; the
@@ -54,10 +55,13 @@ pub enum CoalescePolicy {
 /// How the runtime conformance checker (`ace-check`) treats violations.
 ///
 /// The machine layer only carries the mode and the vector-clock plumbing
-/// it needs (see [`Envelope::vc`]); the actual access-control checks live
-/// in the runtime layer above. Checking is metrologically invisible: no
-/// mode charges virtual time or bytes, so check-on and check-off runs of
-/// a conforming program report identical simulated costs.
+/// it needs (a [`VClock`] per node, stamped on [`Envelope::vc`]); the
+/// actual access-control checks live in the runtime layer above. Checking
+/// is metrologically invisible: the clocks charge no virtual time and no
+/// bytes, and the one exchange the checker adds — the history gather at
+/// shutdown — runs inside [`Node::off_the_books`], so check-on and
+/// check-off runs of a conforming program report identical simulated
+/// time, message counts and byte counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
     /// No checking; misuse falls back to the debug assertions.
@@ -237,12 +241,15 @@ pub struct Node<M> {
     check: CheckMode,
     /// Seed for the deterministic inbox scheduler, when enabled.
     det_seed: Option<u64>,
-    /// This node's vector clock (one component per rank), maintained only
-    /// when `check` is enabled: ticked on sends and checker-visible
-    /// events, merged from [`Envelope::vc`] on absorb.
-    vc: RefCell<Vec<u64>>,
+    /// This node's vector clock, present only when `check` is enabled:
+    /// ticked at the checker's section events, stamped on every outgoing
+    /// wire envelope, merged from [`Envelope::vc`] on absorb.
+    vc: Option<RefCell<VClock>>,
     /// Conformance violations recorded against this node.
     violations: Cell<u64>,
+    /// Size of the section history this node handed to the shutdown
+    /// analysis, as `(records, words)`.
+    check_history: Cell<(u64, u64)>,
     /// This node's protocol-switch epoch: bumped by an adaptive engine
     /// when it commits a switch, stamped on every outgoing wire envelope
     /// (see [`Envelope::sw`]). Metrologically invisible.
@@ -289,8 +296,9 @@ impl<M: MsgSize + Send> Node<M> {
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
             det_seed: setup.det_seed,
-            vc: RefCell::new(if setup.check.enabled() { vec![0; nprocs] } else { Vec::new() }),
+            vc: setup.check.enabled().then(|| RefCell::new(VClock::new(rank, nprocs))),
             violations: Cell::new(0),
+            check_history: Cell::new((0, 0)),
             sw_epoch: Cell::new(0),
             sw_seen: Cell::new(0),
         }
@@ -396,30 +404,71 @@ impl<M: MsgSize + Send> Node<M> {
         self.violations.get()
     }
 
-    /// Tick this node's own vector-clock component and return a snapshot.
-    /// The checker calls this at every event it wants causally ordered
-    /// (section opens/closes); panics if checking is off.
-    pub fn vc_tick(&self) -> Arc<[u64]> {
-        debug_assert!(self.check.enabled(), "vector clocks require a check mode");
-        let mut vc = self.vc.borrow_mut();
-        vc[self.rank] += 1;
-        vc.as_slice().into()
+    /// Record how much section history this node contributed to the
+    /// shutdown analysis (surfaced through [`NodeStats::check_records`]
+    /// and [`NodeStats::check_words`]).
+    pub fn note_check_history(&self, records: u64, words: u64) {
+        self.check_history.set((records, words));
     }
 
-    /// Tick-and-snapshot for an outgoing wire envelope, or `None` when
-    /// checking is off (the common case: no allocation, one branch).
+    /// Count one checker event — a section open or close — on this node's
+    /// own vector-clock lane and return the lane's new value
+    /// ([`VClock::tick`]). Checking must be on.
+    pub fn vc_tick(&self) -> u64 {
+        self.vclock().borrow_mut().tick()
+    }
+
+    /// Append the other ranks' lanes of this node's vector clock to `out`
+    /// in the sparse barrier-relative encoding ([`VClock::push_sparse`]).
+    pub fn vc_push_sparse(&self, out: &mut Vec<u64>) {
+        self.vclock().borrow().push_sparse(out);
+    }
+
+    /// This node is arriving at a barrier: start the next vector-clock
+    /// epoch ([`VClock::enter_barrier`]). The runtime calls it at every
+    /// barrier arrival of a checked run.
+    pub fn vc_enter_barrier(&self) {
+        self.vclock().borrow_mut().enter_barrier();
+    }
+
+    fn vclock(&self) -> &RefCell<VClock> {
+        self.vc.as_ref().expect("vector clocks require a check mode")
+    }
+
+    /// The clock snapshot for an outgoing wire envelope, or `None` when
+    /// checking is off (the common case: one branch). Sending is not a
+    /// clock event, so consecutive sends share one snapshot.
     fn vc_stamp(&self) -> Option<Arc<[u64]>> {
-        self.check.enabled().then(|| self.vc_tick())
+        self.vc.as_ref().map(|vc| vc.borrow_mut().stamp())
     }
 
-    /// Merge a peer's vector clock into this node's (elementwise max,
-    /// then tick own component) — the receive half of the piggyback.
-    fn vc_merge(&self, other: &[u64]) {
-        let mut vc = self.vc.borrow_mut();
-        for (mine, theirs) in vc.iter_mut().zip(other) {
-            *mine = (*mine).max(*theirs);
+    /// Run `f` off the books: whatever it sends and receives leaves this
+    /// node's virtual clock, its [`NodeStats`] message and byte counters
+    /// and its trace as they were. For an exchange that belongs to the
+    /// instrument and not to the program — the conformance checker's
+    /// history gather — whose size is not a property of the program.
+    /// Collective in effect: every message sent inside one node's window
+    /// must be received inside its receiver's.
+    pub fn off_the_books<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.flush_coalesced();
+        let clock = self.clock.get();
+        let counts = [
+            &self.logical_sent,
+            &self.wire_sent,
+            &self.bytes_sent,
+            &self.wire_bytes_sent,
+            &self.msgs_recv,
+        ];
+        let saved = counts.map(Cell::get);
+        self.sink.set_muted(true);
+        let r = f();
+        self.flush_coalesced();
+        self.sink.set_muted(false);
+        for (c, v) in counts.iter().zip(saved) {
+            c.set(v);
         }
-        vc[self.rank] += 1;
+        self.clock.set(clock);
+        r
     }
 
     /// Inject a message to `dst`. Under [`CoalescePolicy::Off`] this
@@ -716,8 +765,8 @@ impl<M: MsgSize + Send> Node<M> {
         let now = self.clock.get().max(inb.arrival) + inb.charge;
         self.clock.set(now);
         self.msgs_recv.set(self.msgs_recv.get() + 1);
-        if let Some(vc) = &inb.env.vc {
-            self.vc_merge(vc);
+        if let (Some(mine), Some(theirs)) = (&self.vc, &inb.env.vc) {
+            mine.borrow_mut().merge(theirs);
         }
         if inb.env.sw > self.sw_seen.get() {
             // Coherent switch commits sit between two machine barriers, so
@@ -890,6 +939,8 @@ impl<M: MsgSize + Send> Node<M> {
             wire_bytes: self.wire_bytes_sent.get(),
             msgs_recv: self.msgs_recv.get(),
             violations: self.violations.get(),
+            check_records: self.check_history.get().0,
+            check_words: self.check_history.get().1,
             switch_epoch: self.sw_epoch.get(),
             final_clock: self.clock.get(),
         }

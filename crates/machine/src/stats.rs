@@ -35,6 +35,13 @@ pub struct NodeStats {
     /// Conformance violations the runtime checker recorded against this
     /// node (always zero when the machine runs with `CheckMode::Off`).
     pub violations: u64,
+    /// Completed access sections this node recorded for the checker's
+    /// shutdown analysis (zero under `CheckMode::Off`, and for sections
+    /// whose every overlap the protocol grants).
+    pub check_records: u64,
+    /// Words those records took once encoded — what the shutdown gather
+    /// moved from this node.
+    pub check_words: u64,
     /// The node's final protocol-switch epoch: how many adaptive protocol
     /// switches it committed (zero on machines running static protocols).
     pub switch_epoch: u64,
@@ -92,6 +99,12 @@ impl MachineStats {
         self.nodes.iter().map(|n| n.violations).sum()
     }
 
+    /// Section records the checker analysed at shutdown, and the words
+    /// they were encoded in, across all nodes.
+    pub fn total_check_history(&self) -> (u64, u64) {
+        self.nodes.iter().fold((0, 0), |(r, w), n| (r + n.check_records, w + n.check_words))
+    }
+
     /// Total protocol-switch epochs committed across all nodes.
     pub fn total_switches(&self) -> u64 {
         self.nodes.iter().map(|n| n.switch_epoch).sum()
@@ -120,6 +133,8 @@ mod tests {
                     parks: 3,
                     park_timeouts: 1,
                     violations: 1,
+                    check_records: 2,
+                    check_words: 30,
                     switch_epoch: 0,
                     final_clock: 50,
                 },
@@ -132,6 +147,8 @@ mod tests {
                     parks: 2,
                     park_timeouts: 0,
                     violations: 0,
+                    check_records: 1,
+                    check_words: 7,
                     switch_epoch: 0,
                     final_clock: 80,
                 },
@@ -144,6 +161,7 @@ mod tests {
         assert_eq!(stats.total_parks(), 5);
         assert_eq!(stats.total_park_timeouts(), 1);
         assert_eq!(stats.total_violations(), 1);
+        assert_eq!(stats.total_check_history(), (3, 37));
         assert_eq!(stats.nodes[0].headers_saved(), 20);
         assert_eq!(stats.sim_time(), 80);
     }
