@@ -1,9 +1,10 @@
 //! Launch helpers: run a benchmark kernel on either runtime and collect a
 //! uniform outcome record for the harnesses.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use ace_core::{run_ace_with, CostModel, MachineBuilder, MachineTrace, OpCounters, Spmd};
+use ace_core::{run_ace_with, AceRt, CostModel, MachineBuilder, MachineTrace, OpCounters, Spmd};
 use ace_crl::run_crl_with;
 
 use crate::dsm::{AceDsm, CrlDsm};
@@ -56,6 +57,26 @@ impl RunOutcome {
     }
 }
 
+/// What an equivalence suite compares between two launches of one
+/// workload: the outcome plus every rank's [`AceRt::data_digest`], taken
+/// after a machine barrier so each digest sees the settled final state.
+#[derive(Debug, Clone)]
+pub struct Observed {
+    /// The run's outcome record.
+    pub outcome: RunOutcome,
+    /// Per-rank digest of the home regions' contents, in rank order.
+    pub digests: Vec<u64>,
+}
+
+impl Observed {
+    /// Protocol tag -> (logical messages, payload bytes), read from the
+    /// trace of a traced launch.
+    pub fn per_tag(&self) -> BTreeMap<&'static str, (u64, u64)> {
+        let trace = self.outcome.trace.as_ref().expect("per_tag needs a traced launch");
+        trace.summary().tags.iter().map(|t| (t.tag, (t.logical, t.bytes))).collect()
+    }
+}
+
 /// Run `f` on the Ace runtime and collect the outcome.
 pub fn launch_ace<F>(nprocs: usize, cost: CostModel, f: F) -> RunOutcome
 where
@@ -70,12 +91,23 @@ pub fn launch_ace_with<F>(builder: MachineBuilder, f: F) -> RunOutcome
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    let r = run_ace_with(builder, |rt| {
-        let d = AceDsm::new(rt);
-        let v = f(&d);
-        (v, rt.counters())
-    });
-    collect(r)
+    collect(run_ace_with(builder, |rt| (f(&AceDsm::new(rt)), 0, rt.counters()))).outcome
+}
+
+/// The one observing launch: run `kernel` on the Ace runtime after `prep`
+/// has set the runtime up (escape hatches, coalesce policy), then
+/// rendezvous and digest every rank's home regions.
+pub fn observe<P, F>(builder: MachineBuilder, prep: P, kernel: F) -> Observed
+where
+    P: Fn(&AceRt) + Sync,
+    F: Fn(&AceDsm) -> f64 + Sync,
+{
+    collect(run_ace_with(builder, |rt| {
+        prep(rt);
+        let v = kernel(&AceDsm::new(rt));
+        rt.machine_barrier();
+        (v, rt.data_digest(), rt.counters())
+    }))
 }
 
 /// Run `f` on the CRL baseline and collect the outcome.
@@ -91,21 +123,17 @@ pub fn launch_crl_with<F>(builder: MachineBuilder, f: F) -> RunOutcome
 where
     F: Fn(&CrlDsm) -> f64 + Sync,
 {
-    let r = run_crl_with(builder, |crl| {
-        let d = CrlDsm::new(crl);
-        let v = f(&d);
-        (v, crl.counters())
-    });
-    collect(r)
+    collect(run_crl_with(builder, |crl| (f(&CrlDsm::new(crl)), 0, crl.counters()))).outcome
 }
 
-fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
+/// Fold per-rank `(verification, digest, counters)` results into the record.
+fn collect(r: ace_core::SpmdResult<(f64, u64, OpCounters)>) -> Observed {
     let mut counters = OpCounters::default();
-    for (_, c) in &r.results {
+    for (_, _, c) in &r.results {
         counters.merge(c);
     }
     let (check_records, check_words) = r.stats.total_check_history();
-    RunOutcome {
+    let outcome = RunOutcome {
         verification: r.results[0].0,
         sim_ns: r.sim_ns,
         wall: r.wall,
@@ -115,12 +143,13 @@ fn collect(r: ace_core::SpmdResult<(f64, OpCounters)>) -> RunOutcome {
         parks: r.stats.total_parks(),
         park_timeouts: r.stats.total_park_timeouts(),
         counters,
-        bar_msgs_busiest: r.results.iter().map(|(_, c)| c.bar_msgs).max().unwrap_or(0),
+        bar_msgs_busiest: r.results.iter().map(|(_, _, c)| c.bar_msgs).max().unwrap_or(0),
         violations: r.stats.total_violations(),
         check_records,
         check_words,
         trace: r.trace,
-    }
+    };
+    Observed { outcome, digests: r.results.iter().map(|(_, d, _)| *d).collect() }
 }
 
 #[cfg(test)]
@@ -128,6 +157,18 @@ mod tests {
     use super::*;
     use crate::dsm::Dsm;
     use ace_core::TraceConfig;
+
+    /// [`observe`] on the CRL baseline (which has no escape hatches to prepare).
+    fn observe_crl<F>(builder: MachineBuilder, kernel: F) -> Observed
+    where
+        F: Fn(&CrlDsm) -> f64 + Sync,
+    {
+        collect(run_crl_with(builder, |crl| {
+            let v = kernel(&CrlDsm::new(crl));
+            crl.inner().machine_barrier();
+            (v, crl.inner().data_digest(), crl.counters())
+        }))
+    }
 
     #[test]
     fn outcomes_carry_stats() {
@@ -156,5 +197,21 @@ mod tests {
         assert_eq!(trace.logical_send_count(), out.msgs);
         assert!(out.wire_msgs <= out.msgs);
         assert!(trace.event_count() > 0);
+    }
+
+    #[test]
+    fn observed_ace_and_crl_agree_on_small_em3d() {
+        let p = crate::em3d::Params::small();
+        let b = || Spmd::builder().nprocs(4).cost(CostModel::cm5());
+        let kernel = crate::Variant::Sc;
+        let ace =
+            observe(b().trace(TraceConfig::on()), |_| {}, |d| crate::em3d::run(d, &p, kernel));
+        let crl = observe_crl(b(), |d| crate::em3d::run(d, &p, kernel));
+        assert_eq!(ace.outcome.verification.to_bits(), crl.outcome.verification.to_bits());
+        assert_eq!(ace.digests.len(), 4);
+        assert_eq!(ace.digests, crl.digests, "same source, same final memory image");
+        assert!(crl.outcome.trace.is_none(), "a trace is present iff it was requested");
+        let tags = ace.per_tag();
+        assert_eq!(tags.values().map(|t| t.0).sum::<u64>(), ace.outcome.msgs);
     }
 }

@@ -23,76 +23,42 @@
 //! a deliberately oversubscribed pool (many more runnable nodes than
 //! worker slots) still makes progress through barrier-heavy phases.
 
-use std::collections::BTreeMap;
-
+use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{run_ace_with, CheckMode, CostModel, ExecBackend, OpCounters, Spmd, TraceConfig};
+use ace_core::{CheckMode, CostModel, ExecBackend, MachineBuilder, OpCounters, Spmd, TraceConfig};
 use proptest::prelude::*;
 
-/// Logical observables for one traced run.
-struct Obs {
-    verification: f64,
-    digests: Vec<u64>,
-    counters: OpCounters,
-    msgs: u64,
-    wire_msgs: u64,
-    bytes: u64,
-    violations: u64,
-    /// Protocol tag -> (logical messages, payload bytes).
-    per_tag: BTreeMap<&'static str, (u64, u64)>,
-}
-
-fn run_app<F>(backend: ExecBackend, nprocs: usize, f: F) -> Obs
+/// A traced, checked run of `f` under `backend`.
+fn run_app<F>(backend: ExecBackend, nprocs: usize, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    let r = run_ace_with(
-        Spmd::builder()
-            .nprocs(nprocs)
-            .cost(CostModel::cm5())
-            .trace(TraceConfig::on())
-            .check(CheckMode::Log)
-            .backend(backend),
-        |rt| {
-            let d = AceDsm::new(rt);
-            let v = f(&d);
-            // Rendezvous so every node's digest sees the settled final state.
-            rt.machine_barrier();
-            (v, rt.data_digest(), rt.counters())
-        },
-    );
-    let mut counters = OpCounters::default();
-    for (_, _, c) in &r.results {
-        counters.merge(c);
-    }
-    let trace = r.trace.expect("trace requested");
-    let per_tag = trace.summary().tags.iter().map(|t| (t.tag, (t.logical, t.bytes))).collect();
-    Obs {
-        verification: r.results[0].0,
-        digests: r.results.iter().map(|(_, d, _)| *d).collect(),
-        counters,
-        msgs: r.stats.total_msgs(),
-        wire_msgs: r.stats.total_wire_msgs(),
-        bytes: r.stats.total_bytes(),
-        violations: r.stats.total_violations(),
-        per_tag,
-    }
+    observe(machine(nprocs).backend(backend), |_| {}, f)
+}
+
+fn machine(nprocs: usize) -> MachineBuilder {
+    Spmd::builder()
+        .nprocs(nprocs)
+        .cost(CostModel::cm5())
+        .trace(TraceConfig::on())
+        .check(CheckMode::Log)
 }
 
 /// Full logical bit-equivalence across backends. The wire grouping is
 /// the one timing-dependent observable (see the module comment); it is
 /// only bounded, never compared exactly.
-fn assert_equivalent(th: &Obs, mx: &Obs, ctx: &str) {
-    assert_eq!(th.verification.to_bits(), mx.verification.to_bits(), "{ctx}: verification value");
+fn assert_equivalent(th: &Observed, mx: &Observed, ctx: &str) {
+    let (t, m) = (&th.outcome, &mx.outcome);
+    assert_eq!(t.verification.to_bits(), m.verification.to_bits(), "{ctx}: verification value");
     assert_eq!(th.digests, mx.digests, "{ctx}: per-node region digests");
-    assert_eq!(th.msgs, mx.msgs, "{ctx}: total logical message count");
-    assert_eq!(th.bytes, mx.bytes, "{ctx}: total payload bytes");
-    assert_eq!(th.per_tag, mx.per_tag, "{ctx}: per-tag logical counts and bytes");
+    assert_eq!(t.msgs, m.msgs, "{ctx}: total logical message count");
+    assert_eq!(t.bytes, m.bytes, "{ctx}: total payload bytes");
+    assert_eq!(th.per_tag(), mx.per_tag(), "{ctx}: per-tag logical counts and bytes");
     let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&th.counters), strip(&mx.counters), "{ctx}: counters");
-    assert_eq!(th.violations, mx.violations, "{ctx}: conformance report");
-    assert_eq!(th.violations, 0, "{ctx}: checker counted violations");
-    for (name, o) in [("threads", th), ("multiplexed", mx)] {
+    assert_eq!(strip(&t.counters), strip(&m.counters), "{ctx}: counters");
+    assert_eq!(t.violations, m.violations, "{ctx}: conformance report");
+    assert_eq!(t.violations, 0, "{ctx}: checker counted violations");
+    for (name, o) in [("threads", t), ("multiplexed", m)] {
         assert!(
             o.wire_msgs <= o.msgs,
             "{ctx}/{name}: coalescing can only merge envelopes (wire={} logical={})",
@@ -167,26 +133,16 @@ fn water_backends_agree_on_a_starved_pool() {
     // change it.
     let p = water::Params { molecules: 32, steps: 2, seed: 5 };
     let th = run_app(ExecBackend::Threads, 16, |d| water::run(d, &p, Variant::Custom));
-    let r = run_ace_with(
-        Spmd::builder()
-            .nprocs(16)
-            .cost(CostModel::cm5())
-            .trace(TraceConfig::on())
-            .check(CheckMode::Log)
-            .backend(ExecBackend::Multiplexed)
-            .workers(2),
-        |rt| {
-            let d = AceDsm::new(rt);
-            let v = water::run(&d, &p, Variant::Custom);
-            rt.machine_barrier();
-            (v, rt.data_digest(), rt.counters())
-        },
+    let starved = observe(
+        machine(16).backend(ExecBackend::Multiplexed).workers(2),
+        |_| {},
+        |d| water::run(d, &p, Variant::Custom),
     );
-    assert_eq!(th.verification.to_bits(), r.results[0].0.to_bits(), "starved: verification");
-    let digests: Vec<u64> = r.results.iter().map(|(_, d, _)| *d).collect();
-    assert_eq!(th.digests, digests, "starved: digests");
-    assert_eq!(th.msgs, r.stats.total_msgs(), "starved: logical messages");
-    assert_eq!(th.violations, r.stats.total_violations(), "starved: conformance report");
+    let (t, m) = (&th.outcome, &starved.outcome);
+    assert_eq!(t.verification.to_bits(), m.verification.to_bits(), "starved: verification");
+    assert_eq!(th.digests, starved.digests, "starved: digests");
+    assert_eq!(t.msgs, m.msgs, "starved: logical messages");
+    assert_eq!(t.violations, m.violations, "starved: conformance report");
 }
 
 #[test]
@@ -206,17 +162,10 @@ fn em3d_completes_at_1024_nodes_multiplexed() {
         seed: 3,
         hoist_maps: true,
     };
-    let r = run_ace_with(
-        Spmd::builder().nprocs(1024).cost(CostModel::cm5()).backend(ExecBackend::Multiplexed),
-        |rt| {
-            let d = AceDsm::new(rt);
-            em3d::run(&d, &p, Variant::Sc)
-        },
-    );
-    assert_eq!(r.results.len(), 1024);
-    assert!(r.results[0].is_finite(), "em3d @ 1024 lost its verification value");
-    assert!(
-        r.stats.total_wire_msgs() <= r.stats.total_msgs(),
-        "coalescing can only merge envelopes"
-    );
+    let builder =
+        Spmd::builder().nprocs(1024).cost(CostModel::cm5()).backend(ExecBackend::Multiplexed);
+    let r = observe(builder, |_| {}, |d| em3d::run(d, &p, Variant::Sc));
+    assert_eq!(r.digests.len(), 1024);
+    assert!(r.outcome.verification.is_finite(), "em3d @ 1024 lost its verification value");
+    assert!(r.outcome.wire_msgs <= r.outcome.msgs, "coalescing can only merge envelopes");
 }

@@ -20,58 +20,26 @@
 //! blocking point flushing the buffers. If any wait could block with
 //! sends still buffered, this run would hang until the watchdog panics.
 
-use std::collections::BTreeMap;
-
+use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{run_ace_with, CoalescePolicy, CostModel, OpCounters, Spmd, TraceConfig};
+use ace_core::{CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig};
 use proptest::prelude::*;
 
-/// Logical observables plus the wire grouping for one traced run.
-struct Obs {
-    verification: f64,
-    digests: Vec<u64>,
-    counters: OpCounters,
-    msgs: u64,
-    wire_msgs: u64,
-    bytes: u64,
-    /// Protocol tag -> (logical messages, payload bytes).
-    per_tag: BTreeMap<&'static str, (u64, u64)>,
+fn machine() -> MachineBuilder {
+    Spmd::builder().nprocs(4).cost(CostModel::cm5())
 }
 
-fn run_app<F>(coalesce: bool, nprocs: usize, f: F) -> Obs
+/// A traced 4-node run of `f` with coalescing forced off or on.
+fn run_app<F>(coalesce: bool, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    let r = run_ace_with(
-        Spmd::builder().nprocs(nprocs).cost(CostModel::cm5()).trace(TraceConfig::on()),
-        |rt| {
-            rt.set_coalescing(coalesce);
-            let d = AceDsm::new(rt);
-            let v = f(&d);
-            // Rendezvous so every node's digest sees the settled final state.
-            rt.machine_barrier();
-            (v, rt.data_digest(), rt.counters())
-        },
-    );
-    let mut counters = OpCounters::default();
-    for (_, _, c) in &r.results {
-        counters.merge(c);
-    }
-    let trace = r.trace.expect("trace requested");
-    let per_tag = trace.summary().tags.iter().map(|t| (t.tag, (t.logical, t.bytes))).collect();
-    Obs {
-        verification: r.results[0].0,
-        digests: r.results.iter().map(|(_, d, _)| *d).collect(),
-        counters,
-        msgs: r.stats.total_msgs(),
-        wire_msgs: r.stats.total_wire_msgs(),
-        bytes: r.stats.total_bytes(),
-        per_tag,
-    }
+    observe(machine().trace(TraceConfig::on()), |rt| rt.set_coalescing(coalesce), f)
 }
 
 /// The scheduling-independent invariants, valid for every workload.
-fn assert_transport_accounting(off: &Obs, on: &Obs, ctx: &str) {
+fn assert_transport_accounting(off: &Observed, on: &Observed, ctx: &str) {
+    let (off, on) = (&off.outcome, &on.outcome);
     assert_eq!(
         off.wire_msgs, off.msgs,
         "{ctx}: with coalescing off every logical send is its own envelope"
@@ -97,18 +65,19 @@ fn assert_transport_accounting(off: &Obs, on: &Obs, ctx: &str) {
 }
 
 /// Full logical bit-equivalence, for workloads deterministic end to end.
-fn assert_equivalent(off: &Obs, on: &Obs, ctx: &str) {
-    assert_eq!(off.verification.to_bits(), on.verification.to_bits(), "{ctx}: verification value");
+fn assert_equivalent(off: &Observed, on: &Observed, ctx: &str) {
+    let (o, n) = (&off.outcome, &on.outcome);
+    assert_eq!(o.verification.to_bits(), n.verification.to_bits(), "{ctx}: verification value");
     assert_eq!(off.digests, on.digests, "{ctx}: per-node region digests");
-    assert_eq!(off.msgs, on.msgs, "{ctx}: total logical message count");
-    assert_eq!(off.bytes, on.bytes, "{ctx}: total payload bytes");
-    assert_eq!(off.per_tag, on.per_tag, "{ctx}: per-tag logical counts and bytes");
+    assert_eq!(o.msgs, n.msgs, "{ctx}: total logical message count");
+    assert_eq!(o.bytes, n.bytes, "{ctx}: total payload bytes");
+    assert_eq!(off.per_tag(), on.per_tag(), "{ctx}: per-tag logical counts and bytes");
 
     // All counters must agree exactly except the wire grouping, which is
     // the one thing coalescing exists to change (and which carries
     // wall-clock jitter besides — see `fast_path_equivalence`).
     let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&off.counters), strip(&on.counters), "{ctx}: counters");
+    assert_eq!(strip(&o.counters), strip(&n.counters), "{ctx}: counters");
     assert_transport_accounting(off, on, ctx);
 }
 
@@ -132,8 +101,8 @@ proptest! {
             hoist_maps: false,
         };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, 4, |d| em3d::run(d, &p, v));
-        let on = run_app(true, 4, |d| em3d::run(d, &p, v));
+        let off = run_app(false, |d| em3d::run(d, &p, v));
+        let on = run_app(true, |d| em3d::run(d, &p, v));
         assert_equivalent(&off, &on, "em3d");
     }
 
@@ -145,8 +114,8 @@ proptest! {
     ) {
         let p = water::Params { molecules, steps: 2, seed };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, 4, |d| water::run(d, &p, v));
-        let on = run_app(true, 4, |d| water::run(d, &p, v));
+        let off = run_app(false, |d| water::run(d, &p, v));
+        let on = run_app(true, |d| water::run(d, &p, v));
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests, per-tag counts, and all.
@@ -169,14 +138,14 @@ fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
         seed: 42,
         hoist_maps: false,
     };
-    let off = run_app(false, 4, |d| em3d::run(d, &p, Variant::Custom));
-    let on = run_app(true, 4, |d| em3d::run(d, &p, Variant::Custom));
+    let off = run_app(false, |d| em3d::run(d, &p, Variant::Custom));
+    let on = run_app(true, |d| em3d::run(d, &p, Variant::Custom));
     assert_equivalent(&off, &on, "em3d custom default scale");
     assert!(
-        on.wire_msgs < on.msgs,
+        on.outcome.wire_msgs < on.outcome.msgs,
         "EM3D update pushes should coalesce: {} wire vs {} logical",
-        on.wire_msgs,
-        on.msgs
+        on.outcome.wire_msgs,
+        on.outcome.msgs
     );
 }
 
@@ -198,15 +167,12 @@ fn coalescing_cannot_deadlock_even_with_an_unreachable_threshold() {
     };
     for policy in [CoalescePolicy::Threshold(1 << 30), CoalescePolicy::FlushOnWait] {
         for variant in [Variant::Sc, Variant::Custom] {
-            let r = run_ace_with(
-                Spmd::builder().nprocs(4).cost(CostModel::cm5()).drain_batch(1),
-                |rt| {
-                    rt.node().set_coalesce(policy);
-                    let d = AceDsm::new(rt);
-                    em3d::run(&d, &p, variant)
-                },
+            let r = observe(
+                machine().drain_batch(1),
+                |rt| rt.node().set_coalesce(policy),
+                |d| em3d::run(d, &p, variant),
             );
-            assert!(r.results[0].is_finite(), "{policy:?}/{variant:?} produced a result");
+            assert!(r.outcome.verification.is_finite(), "{policy:?}/{variant:?} produced a result");
         }
     }
 }

@@ -18,48 +18,22 @@
 //! barrier-separated node turns, so arrival order never perturbs the
 //! f64 sums (see `water::run`).
 
+use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{run_ace_with, CostModel, OpCounters, Spmd};
+use ace_core::{CostModel, OpCounters, Spmd};
 use proptest::prelude::*;
 
-/// Per-node observables plus machine totals for one run.
-struct Obs {
-    verification: f64,
-    digests: Vec<u64>,
-    counters: OpCounters,
-    sim_ns: u64,
-    msgs: u64,
-    bytes: u64,
-}
-
-fn run_app<F>(fast: bool, nprocs: usize, f: F) -> Obs
+/// A 4-node run of `f` with the fast paths forced off or on.
+fn run_app<F>(fast: bool, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    let r = run_ace_with(Spmd::builder().nprocs(nprocs).cost(CostModel::cm5()), |rt| {
-        rt.set_fast_paths(fast);
-        let d = AceDsm::new(rt);
-        let v = f(&d);
-        // Rendezvous so every node's digest sees the settled final state.
-        rt.machine_barrier();
-        (v, rt.data_digest(), rt.counters())
-    });
-    let mut counters = OpCounters::default();
-    for (_, _, c) in &r.results {
-        counters.merge(c);
-    }
-    Obs {
-        verification: r.results[0].0,
-        digests: r.results.iter().map(|(_, d, _)| *d).collect(),
-        counters,
-        sim_ns: r.sim_ns,
-        msgs: r.stats.total_msgs(),
-        bytes: r.stats.total_bytes(),
-    }
+    observe(Spmd::builder().nprocs(4).cost(CostModel::cm5()), |rt| rt.set_fast_paths(fast), f)
 }
 
 /// The scheduling-independent invariants, valid for every workload.
-fn assert_fast_accounting(off: &Obs, on: &Obs, ctx: &str) {
+fn assert_fast_accounting(off: &Observed, on: &Observed, ctx: &str) {
+    let (off, on) = (&off.outcome, &on.outcome);
     assert_eq!(off.counters.fast_hits, 0, "{ctx}: escape hatch really off");
     assert!(on.counters.fast_hits > 0, "{ctx}: workload should exercise the fast path");
     assert_eq!(
@@ -86,11 +60,11 @@ fn assert_fast_accounting(off: &Obs, on: &Obs, ctx: &str) {
 /// runs the workload with the fast paths off and on (`run(fast)`),
 /// allows the fast run `allow_pct` percent more simulated time, and
 /// returns the fast run's observations.
-fn assert_equivalent(ctx: &str, allow_pct: u64, run: impl Fn(bool) -> Obs) -> Obs {
-    let (off, fast) = (&run(false), run(true));
-    let on = &fast;
+fn assert_equivalent(ctx: &str, allow_pct: u64, run: impl Fn(bool) -> Observed) -> Observed {
+    let (slow, fast) = (run(false), run(true));
+    let (off, on) = (&slow.outcome, &fast.outcome);
     assert_eq!(off.verification.to_bits(), on.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(off.digests, on.digests, "{ctx}: per-node region digests");
+    assert_eq!(slow.digests, fast.digests, "{ctx}: per-node region digests");
     assert_eq!(off.msgs, on.msgs, "{ctx}: total message count");
     assert_eq!(off.bytes, on.bytes, "{ctx}: total payload bytes");
 
@@ -108,7 +82,7 @@ fn assert_equivalent(ctx: &str, allow_pct: u64, run: impl Fn(bool) -> Obs) -> Ob
         ..c.clone()
     };
     assert_eq!(strip(&off.counters), strip(&on.counters), "{ctx}: counters");
-    assert_fast_accounting(off, on, ctx);
+    assert_fast_accounting(&slow, &fast, ctx);
 
     // Skipped hooks only ever remove locally-charged cost, but global
     // completion time carries run-to-run jitter (which annotation absorbs
@@ -129,8 +103,8 @@ fn assert_equivalent(ctx: &str, allow_pct: u64, run: impl Fn(bool) -> Obs) -> Ob
         if within(off_ns, on_ns) {
             break;
         }
-        off_ns = off_ns.min(run(false).sim_ns);
-        on_ns = on_ns.min(run(true).sim_ns);
+        off_ns = off_ns.min(run(false).outcome.sim_ns);
+        on_ns = on_ns.min(run(true).outcome.sim_ns);
     }
     assert!(
         within(off_ns, on_ns),
@@ -159,7 +133,7 @@ proptest! {
             hoist_maps: false,
         };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        assert_equivalent("em3d", 25, |fast| run_app(fast, 4, |d| em3d::run(d, &p, v)));
+        assert_equivalent("em3d", 25, |fast| run_app(fast, |d| em3d::run(d, &p, v)));
     }
 
     #[test]
@@ -173,7 +147,7 @@ proptest! {
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests and all.
-        assert_equivalent("water", 25, |fast| run_app(fast, 4, |d| water::run(d, &p, v)));
+        assert_equivalent("water", 25, |fast| run_app(fast, |d| water::run(d, &p, v)));
     }
 }
 
@@ -193,10 +167,10 @@ fn em3d_fast_paths_preserve_behavior_default_scale() {
     // At this scale the absorbed dispatch charges dwarf scheduling
     // jitter, so the cost claim holds strictly.
     let on = assert_equivalent("em3d default scale", 0, |fast| {
-        run_app(fast, 4, |d| em3d::run(d, &p, Variant::Sc))
+        run_app(fast, |d| em3d::run(d, &p, Variant::Sc))
     });
     // The acceptance bar for the tentpole: the mask absorbs the bulk of
     // the EM3D SC annotation stream.
-    let rate = on.counters.fast_hit_rate().expect("annotations ran");
+    let rate = on.outcome.counters.fast_hit_rate().expect("annotations ran");
     assert!(rate > 0.8, "EM3D SC fast-hit rate should exceed 80%: {rate:.3}");
 }

@@ -22,66 +22,33 @@
 //!   is a *cost model* difference, not a behavioral one, and nothing
 //!   logical may depend on it.
 
-use std::collections::BTreeMap;
-
+use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{run_ace_with, CheckMode, CostModel, OpCounters, Spmd, TraceConfig, TransportKind};
+use ace_core::{CheckMode, CostModel, OpCounters, Spmd, TraceConfig, TransportKind};
 
-/// Logical observables for one traced run.
-struct Obs {
-    verification: f64,
-    digests: Vec<u64>,
-    counters: OpCounters,
-    msgs: u64,
-    wire_msgs: u64,
-    violations: u64,
-    /// Protocol tag -> logical message count.
-    per_tag: BTreeMap<&'static str, u64>,
-}
-
-fn run_app<F>(transport: TransportKind, nprocs: usize, f: F) -> Obs
+/// A traced, checked run of `f` over `transport`.
+fn run_app<F>(transport: TransportKind, nprocs: usize, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    let r = run_ace_with(
-        Spmd::builder()
-            .nprocs(nprocs)
-            .cost(CostModel::cm5())
-            .trace(TraceConfig::on())
-            .check(CheckMode::Log)
-            .transport(transport),
-        |rt| {
-            let d = AceDsm::new(rt);
-            let v = f(&d);
-            // Rendezvous so every node's digest sees the settled final state.
-            rt.machine_barrier();
-            (v, rt.data_digest(), rt.counters())
-        },
-    );
-    let mut counters = OpCounters::default();
-    for (_, _, c) in &r.results {
-        counters.merge(c);
-    }
-    let trace = r.trace.expect("trace requested");
-    let per_tag = trace.summary().tags.iter().map(|t| (t.tag, t.logical)).collect();
-    Obs {
-        verification: r.results[0].0,
-        digests: r.results.iter().map(|(_, d, _)| *d).collect(),
-        counters,
-        msgs: r.stats.total_msgs(),
-        wire_msgs: r.stats.total_wire_msgs(),
-        violations: r.stats.total_violations(),
-        per_tag,
-    }
+    let builder = Spmd::builder()
+        .nprocs(nprocs)
+        .cost(CostModel::cm5())
+        .trace(TraceConfig::on())
+        .check(CheckMode::Log)
+        .transport(transport);
+    observe(builder, |_| {}, f)
 }
 
 /// Full logical bit-equivalence across transports; wire grouping and byte
 /// accounting excluded per the module comment.
-fn assert_equivalent(ip: &Obs, sk: &Obs, ctx: &str) {
+fn assert_equivalent(inproc: &Observed, socket: &Observed, ctx: &str) {
+    let (ip, sk) = (&inproc.outcome, &socket.outcome);
     assert_eq!(ip.verification.to_bits(), sk.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(ip.digests, sk.digests, "{ctx}: per-node region digests");
+    assert_eq!(inproc.digests, socket.digests, "{ctx}: per-node region digests");
     assert_eq!(ip.msgs, sk.msgs, "{ctx}: total logical message count");
-    assert_eq!(ip.per_tag, sk.per_tag, "{ctx}: per-tag logical message counts");
+    let logical = |o: &Observed| o.per_tag().into_iter().map(|(t, c)| (t, c.0)).collect::<Vec<_>>();
+    assert_eq!(logical(inproc), logical(socket), "{ctx}: per-tag logical message counts");
     let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
     assert_eq!(strip(&ip.counters), strip(&sk.counters), "{ctx}: counters");
     assert_eq!(ip.violations, sk.violations, "{ctx}: conformance report");

@@ -20,11 +20,12 @@
 
 use std::rc::Rc;
 
-use ace_core::{run_ace, AceRt, CostModel, Protocol, RegionId, SpaceId};
+use ace_apps::runner::{launch_ace_with, RunOutcome};
+use ace_core::{AceRt, MachineBuilder, Protocol, RegionId, SpaceId};
 use ace_lang::{compile, run_program, OptLevel, SystemConfig};
 use ace_protocols::{make, ProtoSpec};
 
-use crate::fig7::VariantStats;
+use crate::cell::{grid, Cell, Input, Tweak, What};
 
 /// One Table 4 benchmark kernel.
 pub struct Kernel {
@@ -52,88 +53,35 @@ pub fn kernels() -> Vec<Kernel> {
     ]
 }
 
-/// Run a kernel's compiled form; returns (verification, full accounting).
-pub fn run_compiled_stats(k: &Kernel, level: OptLevel, nprocs: usize) -> (f64, VariantStats) {
-    let cfg = SystemConfig::builtin();
-    let prog = compile(k.source, &cfg, level).unwrap_or_else(|e| {
-        panic!("{} does not compile: {e}", k.name);
-    });
-    let r = run_ace(nprocs, CostModel::cm5(), |rt| {
-        run_program(rt, &prog).map(|v| v.as_f()).unwrap_or(0.0)
-    });
-    (r.results[0], spmd_stats(&r))
+/// The kernel whose row label is `name`.
+pub fn kernel(name: &str) -> Kernel {
+    let found = kernels().into_iter().find(|k| k.name == name);
+    found.unwrap_or_else(|| panic!("no Table 4 kernel named {name}"))
 }
 
-/// Run a kernel's hand-written form; returns (verification, accounting).
-pub fn run_hand_stats(k: &Kernel, nprocs: usize) -> (f64, VariantStats) {
-    let r = run_ace(nprocs, CostModel::cm5(), |rt| (k.hand)(rt));
-    (r.results[0], spmd_stats(&r))
-}
+impl Kernel {
+    /// Run the kernel's Ace-C source compiled at `level`; the outcome's
+    /// verification value is the program's result on node 0.
+    pub fn run_compiled(&self, level: OptLevel, machine: MachineBuilder) -> RunOutcome {
+        let prog = compile(self.source, &SystemConfig::builtin(), level)
+            .unwrap_or_else(|e| panic!("{} does not compile: {e}", self.name));
+        launch_ace_with(machine, |d| run_program(d.rt(), &prog).map(|v| v.as_f()).unwrap_or(0.0))
+    }
 
-fn spmd_stats<T>(r: &ace_core::SpmdResult<T>) -> VariantStats {
-    VariantStats {
-        sim_ns: r.sim_ns,
-        wall_ns: r.wall.as_nanos() as u64,
-        msgs: r.stats.total_msgs(),
-        wire_msgs: r.stats.total_wire_msgs(),
-        bytes: r.stats.total_bytes(),
-        switches: r.stats.total_switches(),
+    /// Run the kernel's hand-written form.
+    pub fn run_hand(&self, machine: MachineBuilder) -> RunOutcome {
+        launch_ace_with(machine, |d| (self.hand)(d.rt()))
     }
 }
 
-/// Run a kernel's compiled form; returns (verification, simulated ns).
-pub fn run_compiled(k: &Kernel, level: OptLevel, nprocs: usize) -> (f64, u64) {
-    let (v, s) = run_compiled_stats(k, level, nprocs);
-    (v, s.sim_ns)
-}
-
-/// Run a kernel's hand-written form; returns (verification, simulated ns).
-pub fn run_hand(k: &Kernel, nprocs: usize) -> (f64, u64) {
-    let (v, s) = run_hand_stats(k, nprocs);
-    (v, s.sim_ns)
-}
-
-/// One Table 4 row: per-level and hand times in simulated ms.
-pub struct Table4Row {
-    /// Benchmark name.
-    pub app: &'static str,
-    /// Simulated ms at O0 / LI / LI+MC / LI+MC+DC.
-    pub level_ms: [f64; 4],
-    /// Hand-written runtime version, simulated ms.
-    pub hand_ms: f64,
-    /// Verification values (compiled at Direct, hand) for cross-checking.
-    pub verification: (f64, f64),
-    /// Full accounting per optimization level.
-    pub level_stats: [VariantStats; 4],
-    /// Full accounting for the hand-written version.
-    pub hand_stats: VariantStats,
-}
-
-/// Compute Table 4 at `nprocs` simulated processors.
-pub fn table4(nprocs: usize) -> Vec<Table4Row> {
-    kernels()
-        .iter()
-        .map(|k| {
-            let mut level_ms = [0.0; 4];
-            let mut level_stats = [VariantStats::default(); 4];
-            let mut last_ver = 0.0;
-            for (i, level) in OptLevel::ALL.iter().enumerate() {
-                let (v, s) = run_compiled_stats(k, *level, nprocs);
-                level_ms[i] = s.sim_ns as f64 / 1e6;
-                level_stats[i] = s;
-                last_ver = v;
-            }
-            let (hv, hand_stats) = run_hand_stats(k, nprocs);
-            Table4Row {
-                app: k.name,
-                level_ms,
-                hand_ms: hand_stats.sim_ns as f64 / 1e6,
-                verification: (last_ver, hv),
-                level_stats,
-                hand_stats,
-            }
-        })
-        .collect()
+/// Table 4 as cells, kernel-major: the four optimization levels, then the
+/// hand-written version ("hand"), at `procs` simulated processors.
+pub fn table4_cells(procs: usize) -> Vec<Cell> {
+    let mut configs: Vec<_> =
+        OptLevel::ALL.iter().map(|&l| (l.label(), What::Compiled(l), Tweak::None)).collect();
+    configs.push(("hand", What::Hand, Tweak::None));
+    let names: Vec<&'static str> = kernels().iter().map(|k| k.name).collect();
+    grid(&names, &configs, Input::Default, procs)
 }
 
 // ---------------------------------------------------------------------
@@ -828,10 +776,18 @@ pub type Proto = Rc<dyn Protocol>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_core::{run_ace_with, CheckMode, Spmd};
+    use crate::cell::{measure, Row};
+    use ace_core::CheckMode;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    /// Verification value of one Table 4 cell at 4 processors.
+    fn verification(k: &Kernel, what: What, tweak: Tweak) -> f64 {
+        let cell =
+            Cell { app: k.name, config: "test", what, input: Input::Default, procs: 4, tweak };
+        measure(&cell, 1).last.verification
     }
 
     #[test]
@@ -848,12 +804,12 @@ mod tests {
     #[test]
     fn verification_survives_every_level_and_matches_hand() {
         for k in kernels() {
-            let (v0, _) = run_compiled(&k, OptLevel::O0, 4);
+            let v0 = verification(&k, What::Compiled(OptLevel::O0), Tweak::None);
             for level in [OptLevel::Licm, OptLevel::Merge, OptLevel::Direct] {
-                let (v, _) = run_compiled(&k, level, 4);
+                let v = verification(&k, What::Compiled(level), Tweak::None);
                 assert!(close(v0, v), "{}: {level:?} changed the result ({v0} vs {v})", k.name);
             }
-            let (hv, _) = run_hand(&k, 4);
+            let hv = verification(&k, What::Hand, Tweak::None);
             assert!(close(v0, hv), "{}: hand version disagrees ({v0} vs {hv})", k.name);
         }
     }
@@ -864,14 +820,11 @@ mod tests {
         // lose one end (Barnes/BSC/Water keep `start_read`, lose the null
         // `end_read`). The runtime must treat such a section as invisible:
         // under `CheckMode::Fail` a spurious `SectionLeftOpen` panics.
-        let cfg = SystemConfig::builtin();
         for k in kernels() {
-            let prog = compile(k.source, &cfg, OptLevel::Direct).unwrap();
-            let checked = Spmd::builder().nprocs(4).cost(CostModel::cm5()).check(CheckMode::Fail);
-            let r = run_ace_with(checked, |rt| run_program(rt, &prog).map(|v| v.as_f()));
-            let (v0, _) = run_compiled(&k, OptLevel::O0, 4);
-            assert!(close(v0, r.results[0].unwrap_or(0.0)), "{}: checked run diverged", k.name);
-            assert_eq!(r.stats.total_violations(), 0, "{}", k.name);
+            let v0 = verification(&k, What::Compiled(OptLevel::O0), Tweak::None);
+            let checked =
+                verification(&k, What::Compiled(OptLevel::Direct), Tweak::Check(CheckMode::Fail));
+            assert!(close(v0, checked), "{}: checked run diverged", k.name);
         }
     }
 
@@ -882,9 +835,12 @@ mod tests {
     /// message arrival order, so its makespan is chaotic — usually ±10 %,
     /// occasionally 3x — and no tolerance on it holds (see
     /// benchmark/README.md, "Left out on purpose").
-    fn shape_violation(rows: &[Table4Row]) -> Option<String> {
-        for row in rows.iter().filter(|r| r.app != "TSP") {
-            let (app, levels, hand) = (row.app, row.level_ms, row.hand_ms);
+    fn shape_violation(rows: &[Row]) -> Option<String> {
+        // Kernel-major: four levels, then hand.
+        for kernel in rows.chunks(5).filter(|k| k[0].cell.app != "TSP") {
+            let app = kernel[0].cell.app;
+            let ms: Vec<f64> = kernel.iter().map(Row::ms).collect();
+            let (levels, hand) = (&ms[..4], ms[4]);
             if levels.windows(2).any(|w| w[1] > w[0] * 1.25) {
                 return Some(format!("{app}: optimization level regressed: {levels:?}"));
             }
@@ -906,16 +862,14 @@ mod tests {
         // by 20-50 %, always upwards. So the shape is judged on the
         // cell-wise best of up to three samples, and the tolerances stay
         // loose; what's asserted is the structure.
-        let mut best = table4(4);
+        let sample = || table4_cells(4).iter().map(|c| measure(c, 1)).collect::<Vec<Row>>();
+        let mut best = sample();
         for _ in 0..2 {
             if shape_violation(&best).is_none() {
                 break;
             }
-            for (b, again) in best.iter_mut().zip(table4(4)) {
-                for (cell, ms) in b.level_ms.iter_mut().zip(again.level_ms) {
-                    *cell = cell.min(ms);
-                }
-                b.hand_ms = b.hand_ms.min(again.hand_ms);
+            for (b, again) in best.iter_mut().zip(sample()) {
+                b.sim_ns = b.sim_ns.min(again.sim_ns);
             }
         }
         if let Some(violation) = shape_violation(&best) {
@@ -925,11 +879,13 @@ mod tests {
         // compiler's static output — each level leaves no more annotation
         // calls in the program, and no more dispatched ones, than the
         // level before.
-        let tsp_row = best.iter().find(|r| r.app == "TSP").unwrap();
-        let (compiled, hand) = tsp_row.verification;
+        let tsp_row =
+            |config| best.iter().find(|r| r.cell.app == "TSP" && r.cell.config == config).unwrap();
+        let compiled = tsp_row(OptLevel::Direct.label()).last.verification;
+        let hand = tsp_row("hand").last.verification;
         assert!(close(compiled, hand), "TSP: compiled {compiled} vs hand {hand}");
         let cfg = SystemConfig::builtin();
-        let tsp = kernels().into_iter().find(|k| k.name == "TSP").unwrap();
+        let tsp = kernel("TSP");
         let counts = OptLevel::ALL.map(|level| {
             let (dispatched, direct, _) =
                 compile(tsp.source, &cfg, level).unwrap().annotation_stats();

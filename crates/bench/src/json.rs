@@ -1,139 +1,90 @@
-//! Machine-readable benchmark output.
+//! Machine-readable benchmark output: the one row writer.
 //!
-//! Each harness binary accepts `--json <path>` and appends one row per
-//! (app, configuration) pair so successive PRs can track the perf
-//! trajectory as `BENCH_*.json` files. The format is a plain JSON array
-//! of flat objects — simulated ns, wall ns, logical message count, wire-envelope count,
-//! payload bytes, protocol-switch count — written by hand because the
-//! workspace builds offline (no serde).
+//! `--json [PATH]` writes one row per measured cell so successive PRs can
+//! track the perf trajectory as `BENCH_*.json` files. The format is a
+//! plain JSON array of flat objects, one per line for easy diffing,
+//! written by hand because the workspace builds offline (no serde);
+//! `ace-bench verify` reads it back through `ace_trace::jsonlite`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::fig7::VariantStats;
+use ace_trace::jsonlite::escape;
 
-/// One emitted row: a benchmark under one configuration.
-#[derive(Debug, Clone)]
-pub struct JsonRow {
-    /// Which table produced the row ("fig7a", "fig7b", "table4").
-    pub table: &'static str,
-    /// Benchmark name.
-    pub app: String,
-    /// Configuration within the table (e.g. "sc", "custom", "crl", an
-    /// optimization level, or "hand").
-    pub config: &'static str,
-    /// Simulated processor count for the run.
-    pub procs: usize,
-    /// Accounting for the run.
-    pub stats: VariantStats,
-}
+use crate::cell::Row;
 
-impl JsonRow {
-    /// Row from a [`VariantStats`].
-    pub fn new(
-        table: &'static str,
-        app: &str,
-        config: &'static str,
-        procs: usize,
-        stats: VariantStats,
-    ) -> Self {
-        JsonRow { table, app: app.to_string(), config, procs, stats }
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Render `table`'s rows as a JSON array. `sim_ns` is the median over the
+/// cell's repetitions with `sim_ns_min`/`sim_ns_max` beside it, `wall_ns`
+/// the minimum; the counts are the last repetition's.
+pub fn render(table: &str, rows: &[Row]) -> String {
+    let objects = rows.iter().map(|r| {
+        let mut object = String::from("  {");
+        for (key, text) in [("table", table), ("app", r.cell.app), ("config", r.cell.config)] {
+            let _ = write!(object, "\"{key}\":\"{}\",", escape(text));
         }
-    }
-    out
+        let numbers = [
+            ("procs", r.cell.procs as u64),
+            ("sim_ns", r.sim_ns),
+            ("sim_ns_min", r.sim_ns_min),
+            ("sim_ns_max", r.sim_ns_max),
+            ("wall_ns", r.wall_ns),
+            ("msgs", r.last.msgs),
+            ("wire_msgs", r.last.wire_msgs),
+            ("bytes", r.last.bytes),
+            ("switches", r.last.counters.switches),
+        ];
+        let numbers = numbers.map(|(key, n)| format!("\"{key}\":{n}"));
+        object + &numbers.join(",") + "}"
+    });
+    format!("[\n{}\n]\n", objects.collect::<Vec<_>>().join(",\n"))
 }
 
-/// Render rows as a JSON array (one object per line, for easy diffing).
-pub fn render(rows: &[JsonRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"table\":\"{}\",\"app\":\"{}\",\"config\":\"{}\",\"procs\":{},\"sim_ns\":{},\"wall_ns\":{},\"msgs\":{},\"wire_msgs\":{},\"bytes\":{},\"switches\":{}}}",
-            escape(r.table),
-            escape(&r.app),
-            escape(r.config),
-            r.procs,
-            r.stats.sim_ns,
-            r.stats.wall_ns,
-            r.stats.msgs,
-            r.stats.wire_msgs,
-            r.stats.bytes,
-            r.stats.switches,
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Write rows to `path`, replacing any existing file.
-pub fn write(path: &Path, rows: &[JsonRow]) -> std::io::Result<()> {
-    std::fs::write(path, render(rows))
-}
-
-/// Resolve the `--json [PATH]` flag from a harness's argv. An explicit
-/// path wins; bare `--json` (next arg missing or another flag) falls back
-/// to `default_name` at the repo root, where CI and EXPERIMENTS.md expect
-/// the tracked `BENCH_*.json` files.
-pub fn out_path(args: &[String], default_name: &str) -> Option<std::path::PathBuf> {
-    let i = args.iter().position(|a| a == "--json")?;
-    match args.get(i + 1) {
-        Some(p) if !p.starts_with("--") => Some(std::path::PathBuf::from(p)),
-        _ => Some(Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(default_name)),
-    }
+/// Write `table`'s rows to `path`, replacing any existing file.
+pub fn write(path: &Path, table: &str, rows: &[Row]) -> Result<(), String> {
+    std::fs::write(path, render(table, rows))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {} rows to {}", rows.len(), path.display());
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{measure, Cell, Input, Tweak, What};
+    use ace_trace::jsonlite;
 
     #[test]
     fn renders_flat_rows() {
-        let rows = vec![
-            JsonRow::new(
-                "fig7b",
-                "em3d",
-                "sc",
-                8,
-                VariantStats {
-                    sim_ns: 10,
-                    wall_ns: 20,
-                    msgs: 3,
-                    wire_msgs: 2,
-                    bytes: 4,
-                    switches: 1,
-                },
-            ),
-            JsonRow::new("fig7b", "em3d", "custom", 8, VariantStats::default()),
-        ];
-        let s = render(&rows);
-        assert!(s.starts_with("[\n"));
-        assert!(s.contains("\"procs\":8"));
-        assert!(s.contains("\"sim_ns\":10"));
-        assert!(s.contains("\"msgs\":3,\"wire_msgs\":2"));
-        assert!(s.contains("\"switches\":1"));
-        assert!(s.contains("\"config\":\"custom\""));
+        let what = What::Ace(ace_apps::Variant::Sc);
+        let cell = |config| Cell {
+            app: "bsc",
+            config,
+            what,
+            input: Input::Small,
+            procs: 2,
+            tweak: Tweak::None,
+        };
+        let rows = [measure(&cell("sc"), 2), measure(&cell("we\"ird"), 1)];
+        let s = render("fig7b", &rows);
+        assert!(s.starts_with(
+            "[\n  {\"table\":\"fig7b\",\"app\":\"bsc\",\"config\":\"sc\",\"procs\":2,"
+        ));
         assert_eq!(s.matches('{').count(), 2);
-    }
-
-    #[test]
-    fn escapes_control_and_quote_chars() {
-        let row = JsonRow::new("t", "we\"ird\\na\nme", "sc", 4, VariantStats::default());
-        let s = render(&[row]);
-        assert!(s.contains("we\\\"ird\\\\na\\u000ame"));
+        // What `verify` reads back is what was measured.
+        let doc = jsonlite::parse(&s).expect("rows parse");
+        let parsed = doc.as_arr().unwrap();
+        let num =
+            |i: usize, key: &str| parsed[i].get(key).and_then(jsonlite::Json::as_f64).unwrap();
+        assert_eq!(parsed[1].get("config").unwrap().as_str(), Some("we\"ird"));
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(num(i, "sim_ns") as u64, r.sim_ns);
+            assert_eq!(num(i, "sim_ns_min") as u64, r.sim_ns_min);
+            assert_eq!(num(i, "sim_ns_max") as u64, r.sim_ns_max);
+            assert_eq!(num(i, "wall_ns") as u64, r.wall_ns);
+            assert_eq!(num(i, "msgs") as u64, r.last.msgs);
+            assert_eq!(num(i, "wire_msgs") as u64, r.last.wire_msgs);
+            assert_eq!(num(i, "bytes") as u64, r.last.bytes);
+            assert_eq!(num(i, "switches") as u64, r.last.counters.switches);
+        }
     }
 }

@@ -97,23 +97,6 @@ impl Sharers {
         self.spill.borrow_mut().clear();
     }
 
-    /// Backwards-compatible raw accessors for the ≤64-rank fast path:
-    /// the low word of the set (exactly the old `Cell<u64>` mask when no
-    /// rank ≥ 64 was ever added).
-    pub fn get(&self) -> u64 {
-        self.small.get()
-    }
-
-    /// Replace the low word; only meaningful on machines ≤ 64 ranks
-    /// (asserts nothing has spilled).
-    pub fn set(&self, mask: u64) {
-        debug_assert!(
-            self.spill.borrow().iter().all(|&w| w == 0),
-            "raw mask write would drop spilled sharers"
-        );
-        self.small.set(mask);
-    }
-
     /// A content fingerprint for snapshots/tests: equals the raw bitmask
     /// for ≤64-rank sets, and folds the spill words in (position-salted)
     /// above that.
@@ -418,14 +401,12 @@ mod tests {
         let s = Sharers::new();
         s.add(1);
         s.add(63);
-        assert_eq!(s.fingerprint(), s.get());
         assert_eq!(s.fingerprint(), (1u64 << 1) | (1u64 << 63));
         // A spilled rank changes the fingerprint even with the low word
         // unchanged.
         let before = s.fingerprint();
         s.add(100);
         assert_ne!(s.fingerprint(), before);
-        assert_eq!(s.get(), before, "low word untouched by a wide add");
     }
 
     #[test]

@@ -287,11 +287,6 @@ impl<'n> AceRt<'n> {
         self.fast_enabled.set(on);
     }
 
-    /// Whether the per-region fast paths are currently enabled.
-    pub fn fast_paths_enabled(&self) -> bool {
-        self.fast_enabled.get()
-    }
-
     /// Enable or disable per-destination send coalescing (the second
     /// escape hatch, mirroring [`AceRt::set_fast_paths`]). On by default
     /// with [`DEFAULT_COALESCE`]; switching flushes anything buffered, so
@@ -300,11 +295,6 @@ impl<'n> AceRt<'n> {
     /// runtime — for A/B measurement.
     pub fn set_coalescing(&self, on: bool) {
         self.node.set_coalesce(if on { DEFAULT_COALESCE } else { CoalescePolicy::Off });
-    }
-
-    /// Whether send coalescing is currently enabled.
-    pub fn coalescing_enabled(&self) -> bool {
-        self.node.coalesce_policy() != CoalescePolicy::Off
     }
 
     /// The last annotation hook entered on this node (see `last_hook`).

@@ -348,11 +348,6 @@ impl<M: MsgSize + Send> Node<M> {
         self.sink.enabled().then(|| self.sink.take(self.rank))
     }
 
-    /// The coalescing policy in effect.
-    pub fn coalesce_policy(&self) -> CoalescePolicy {
-        self.coalesce.get()
-    }
-
     /// Number of logical messages currently buffered across destinations.
     pub fn pending_coalesced(&self) -> usize {
         self.pending.get()
@@ -373,11 +368,6 @@ impl<M: MsgSize + Send> Node<M> {
     /// This node's protocol-switch epoch (stamped on outgoing envelopes).
     pub fn switch_epoch(&self) -> u64 {
         self.sw_epoch.get()
-    }
-
-    /// The highest switch epoch observed on any incoming envelope.
-    pub fn switch_epoch_seen(&self) -> u64 {
-        self.sw_seen.get().max(self.sw_epoch.get())
     }
 
     /// Advance this node's switch epoch to `epoch` (monotone; called by an

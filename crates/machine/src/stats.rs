@@ -49,13 +49,6 @@ pub struct NodeStats {
     pub final_clock: u64,
 }
 
-impl NodeStats {
-    /// Header bytes saved by coalescing on this node's sends.
-    pub fn headers_saved(&self) -> u64 {
-        self.bytes_sent.saturating_sub(self.wire_bytes)
-    }
-}
-
 /// Aggregated statistics for a whole SPMD run.
 #[derive(Debug, Default, Clone)]
 pub struct MachineStats {
@@ -77,11 +70,6 @@ impl MachineStats {
     /// Total logical payload+header bytes sent across all nodes.
     pub fn total_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_sent).sum()
-    }
-
-    /// Total wire bytes sent across all nodes.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wire_bytes).sum()
     }
 
     /// Total blocking episodes (thread parks) across all nodes.
@@ -157,12 +145,10 @@ mod tests {
         assert_eq!(stats.total_msgs(), 5);
         assert_eq!(stats.total_wire_msgs(), 4);
         assert_eq!(stats.total_bytes(), 110);
-        assert_eq!(stats.total_wire_bytes(), 90);
         assert_eq!(stats.total_parks(), 5);
         assert_eq!(stats.total_park_timeouts(), 1);
         assert_eq!(stats.total_violations(), 1);
         assert_eq!(stats.total_check_history(), (3, 37));
-        assert_eq!(stats.nodes[0].headers_saved(), 20);
         assert_eq!(stats.sim_time(), 80);
     }
 

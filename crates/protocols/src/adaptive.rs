@@ -392,11 +392,6 @@ impl AdaptiveEngine {
         self.cur.get()
     }
 
-    /// The name of the protocol currently serving the space.
-    pub fn current_name(&self) -> &'static str {
-        self.inner().name()
-    }
-
     /// Switches committed so far.
     pub fn switches(&self) -> u64 {
         self.epoch.get()

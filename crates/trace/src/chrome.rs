@@ -10,28 +10,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::jsonlite::{self, Json};
+use crate::jsonlite::{self, escape, Json};
 use crate::timeline::MachineTrace;
 use crate::{EventKind, NO_REGION};
-
-/// Escape a string for embedding in a JSON document.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Virtual nanoseconds as the format's microsecond timestamps, exactly.
 fn ts(t: u64) -> String {
@@ -178,7 +159,7 @@ impl MachineTrace {
                          \"args\":{{\"region\":\"{}\",\"what\":\"{}\"}}}}",
                         region_str(*region),
                         region_str(*region),
-                        esc(what)
+                        escape(what)
                     );
                 }
                 EventKind::Block { what } => {
@@ -186,7 +167,7 @@ impl MachineTrace {
                         out,
                         ",\n{{\"ph\":\"B\",\"pid\":0,\"tid\":{rank},\"ts\":{t},\
                          \"cat\":\"wait\",\"name\":\"wait\",\"args\":{{\"what\":\"{}\"}}}}",
-                        esc(what)
+                        escape(what)
                     );
                 }
                 EventKind::Unblock { what } => {
@@ -194,7 +175,7 @@ impl MachineTrace {
                         out,
                         ",\n{{\"ph\":\"E\",\"pid\":0,\"tid\":{rank},\"ts\":{t},\
                          \"cat\":\"wait\",\"name\":\"wait\",\"args\":{{\"what\":\"{}\"}}}}",
-                        esc(what)
+                        escape(what)
                     );
                 }
             }

@@ -1,9 +1,32 @@
 //! A minimal self-contained JSON parser, used to validate exported
-//! Chrome traces without pulling in an external dependency. Accepts the
-//! JSON this workspace emits (objects, arrays, strings with the common
-//! escapes, numbers, booleans, null); rejects anything malformed.
+//! Chrome traces and benchmark rows without pulling in an external
+//! dependency, and the string escaper every JSON writer in the workspace
+//! shares. Accepts the JSON this workspace emits (objects, arrays, strings
+//! with the common escapes, numbers, booleans, null); rejects anything
+//! malformed.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+/// Escape a string for embedding between quotes in a JSON document
+/// ([`parse`] decodes it back).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -255,6 +278,14 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escapes_control_and_quote_chars() {
+        let raw = "we\"ird\\na\nme\u{1}";
+        assert_eq!(escape(raw), "we\\\"ird\\\\na\\nme\\u0001");
+        let doc = format!("\"{}\"", escape(raw));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(raw), "parse decodes what escape encodes");
+    }
 
     #[test]
     fn parses_nested_document() {
