@@ -887,8 +887,7 @@ mod tests {
         let cfg = SystemConfig::builtin();
         let tsp = kernel("TSP");
         let counts = OptLevel::ALL.map(|level| {
-            let (dispatched, direct, _) =
-                compile(tsp.source, &cfg, level).unwrap().annotation_stats();
+            let (dispatched, direct) = compile(tsp.source, &cfg, level).unwrap().annotation_stats();
             (dispatched + direct, dispatched)
         });
         for w in counts.windows(2) {

@@ -440,17 +440,6 @@ impl<'n> AceRt<'n> {
         self.node.poll_until(what, |_, env| self.dispatch(env), pred);
     }
 
-    /// Drain any messages that are already queued, without blocking.
-    /// Flushes this node's coalescing buffers afterwards so replies the
-    /// drained handlers generated (and anything the app had buffered)
-    /// reach their destinations even though this poll never blocks.
-    pub fn poll(&self) {
-        while let Some(env) = self.node.try_recv() {
-            self.dispatch(env);
-        }
-        self.node.flush_coalesced();
-    }
-
     /// Names the protocol message being handled on `e` — who is handling
     /// what from whom, and both ends' switch epochs — for the text of a
     /// protocol's assertions: a handler tripping over a message it cannot

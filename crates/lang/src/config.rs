@@ -29,6 +29,20 @@ use ace_core::Actions;
 use ace_protocols::registry::{all_protocols, ProtocolInfo};
 use ace_protocols::ProtoSpec;
 
+/// The configuration points of a protocol block, in the order the file
+/// lists them, each with the action it declares.
+pub const POINTS: [(&str, Actions); 9] = [
+    ("Map", Actions::MAP),
+    ("Unmap", Actions::UNMAP),
+    ("StartRead", Actions::START_READ),
+    ("EndRead", Actions::END_READ),
+    ("StartWrite", Actions::START_WRITE),
+    ("EndWrite", Actions::END_WRITE),
+    ("Barrier", Actions::BARRIER),
+    ("Lock", Actions::LOCK),
+    ("Unlock", Actions::UNLOCK),
+];
+
 /// Compiler-visible registration record for one protocol.
 #[derive(Debug, Clone)]
 pub struct ProtoEntry {
@@ -50,24 +64,14 @@ impl SystemConfig {
     /// Render a configuration file for the given registry entries.
     pub fn render(infos: &[ProtocolInfo]) -> String {
         let mut out = String::new();
-        let point = |n: Actions, bit: Actions| if n.contains(bit) { "null" } else { "defined" };
         for info in infos {
             out.push_str(&format!("protocol {} {{\n", info.name));
-            let n = info.null_actions;
-            out.push_str(&format!("    Map        {}\n", point(n, Actions::MAP)));
-            out.push_str(&format!("    Unmap      {}\n", point(n, Actions::UNMAP)));
-            out.push_str(&format!("    StartRead  {}\n", point(n, Actions::START_READ)));
-            out.push_str(&format!("    EndRead    {}\n", point(n, Actions::END_READ)));
-            out.push_str(&format!("    StartWrite {}\n", point(n, Actions::START_WRITE)));
-            out.push_str(&format!("    EndWrite   {}\n", point(n, Actions::END_WRITE)));
-            out.push_str(&format!("    Barrier    {}\n", point(n, Actions::BARRIER)));
-            out.push_str(&format!("    Lock       {}\n", point(n, Actions::LOCK)));
-            out.push_str(&format!("    Unlock     {}\n", point(n, Actions::UNLOCK)));
-            out.push_str(&format!(
-                "    Optimizable {}\n",
-                if info.optimizable { "yes" } else { "no" }
-            ));
-            out.push_str("}\n");
+            for (point, action) in POINTS {
+                let decl = if info.null_actions.contains(action) { "null" } else { "defined" };
+                out.push_str(&format!("    {point:<10} {decl}\n"));
+            }
+            let yn = if info.optimizable { "yes" } else { "no" };
+            out.push_str(&format!("    Optimizable {yn}\n}}\n"));
         }
         out
     }
@@ -99,26 +103,15 @@ impl SystemConfig {
                 let mut it = body.split_whitespace();
                 let key = it.next().unwrap_or("");
                 let val = it.next().unwrap_or("");
-                let bit = match key {
-                    "Map" => Some(Actions::MAP),
-                    "Unmap" => Some(Actions::UNMAP),
-                    "StartRead" => Some(Actions::START_READ),
-                    "EndRead" => Some(Actions::END_READ),
-                    "StartWrite" => Some(Actions::START_WRITE),
-                    "EndWrite" => Some(Actions::END_WRITE),
-                    "Barrier" => Some(Actions::BARRIER),
-                    "Lock" => Some(Actions::LOCK),
-                    "Unlock" => Some(Actions::UNLOCK),
-                    "Optimizable" => {
-                        optimizable = val == "yes";
-                        None
-                    }
-                    other => return Err(format!("unknown point '{other}' in protocol {name}")),
+                if key == "Optimizable" {
+                    optimizable = val == "yes";
+                    continue;
+                }
+                let Some((_, action)) = POINTS.iter().find(|(point, _)| *point == key) else {
+                    return Err(format!("unknown point '{key}' in protocol {name}"));
                 };
-                if let Some(bit) = bit {
-                    if val == "null" {
-                        null_actions = null_actions.union(bit);
-                    }
+                if val == "null" {
+                    null_actions = null_actions.union(*action);
                 }
             }
             entries.insert(name, ProtoEntry { spec, optimizable, null_actions });

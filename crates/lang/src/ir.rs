@@ -2,13 +2,23 @@
 //!
 //! A function is a list of basic blocks of register-machine instructions.
 //! Shared-memory accesses appear as explicit annotation instructions
-//! (`Map`, `StartRead`, ..., Figure 5); each lowered access site gets an
-//! [`AccessId`] shared by its `Map`/`Start`/`End` triple, which is how the
-//! optimization passes and the Table 4 accounting identify them. Every
-//! annotation carries a [`DispatchMode`], rewritten by the direct-dispatch
-//! pass.
+//! (Figure 5): a `Map`, which defines the mapped handle, and one [`Inst::Ann`]
+//! per protocol routine called on it, named by its [`Hook`]. Each lowered
+//! access site gets an [`AccessId`] shared by its `Map`/`Start`/`End` triple,
+//! which is how the optimization passes and the Table 4 accounting identify
+//! them. Every annotation carries a [`DispatchMode`], rewritten by the
+//! direct-dispatch pass.
+//!
+//! Virtual registers are single-assignment: each has at most one defining
+//! instruction in its function ([`Program::assert_single_assignment`]). The
+//! dataflow's per-function register facts, the merge pass's register
+//! identity and LICM's definition lookup all rest on it.
 
+use ace_core::Actions;
 use ace_protocols::ProtoSpec;
+
+use crate::builtins::BUILTINS;
+use crate::config::POINTS;
 
 /// Virtual register index (function-local).
 pub type VReg = u32;
@@ -40,8 +50,33 @@ pub enum DispatchMode {
     Dispatch,
     /// Directly to a statically-known protocol.
     Direct(ProtoSpec),
-    /// Removed: the statically-known protocol declares the action null.
-    Removed,
+}
+
+/// The protocol routine an [`Inst::Ann`] calls. The discriminant is the
+/// hook's row in [`POINTS`], the one place a configuration point is paired
+/// with its action.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hook {
+    /// `ACE_START_READ`.
+    StartRead = 2,
+    /// `ACE_END_READ`.
+    EndRead = 3,
+    /// `ACE_START_WRITE`.
+    StartWrite = 4,
+    /// `ACE_END_WRITE`.
+    EndWrite = 5,
+    /// `Ace_Lock(region)`.
+    Lock = 7,
+    /// `Ace_UnLock(region)`.
+    Unlock = 8,
+}
+
+impl Hook {
+    /// The action a protocol declares null to have this hook's calls
+    /// deleted.
+    pub fn action(self) -> Actions {
+        POINTS[self as usize].1
+    }
 }
 
 /// Binary operations (operand type in the instruction).
@@ -134,22 +169,12 @@ pub enum Inst {
     StoreArr { slot: u32, idx: VReg, a: VReg },
     /// `ACE_MAP`: dst = mapped handle.
     Map { aid: AccessId, mode: DispatchMode, dst: VReg, handle: VReg },
-    /// `ACE_START_READ`.
-    StartRead { aid: AccessId, mode: DispatchMode, handle: VReg },
-    /// `ACE_END_READ`.
-    EndRead { aid: AccessId, mode: DispatchMode, handle: VReg },
-    /// `ACE_START_WRITE`.
-    StartWrite { aid: AccessId, mode: DispatchMode, handle: VReg },
-    /// `ACE_END_WRITE`.
-    EndWrite { aid: AccessId, mode: DispatchMode, handle: VReg },
+    /// Call `hook` on a mapped handle.
+    Ann { hook: Hook, aid: AccessId, mode: DispatchMode, handle: VReg },
     /// dst = word at `handle[off]`, interpreted as `ty`.
     GLoad { dst: VReg, handle: VReg, off: VReg, ty: ValTy },
     /// `handle[off] = val`.
     GStore { handle: VReg, off: VReg, val: VReg },
-    /// `Ace_Lock(region)`.
-    Lock { aid: AccessId, mode: DispatchMode, handle: VReg },
-    /// `Ace_UnLock(region)`.
-    Unlock { aid: AccessId, mode: DispatchMode, handle: VReg },
     /// Direct call to a program function.
     Call { dst: Option<VReg>, func: FuncId, args: Vec<VReg> },
     /// Runtime intrinsic.
@@ -161,24 +186,64 @@ impl Inst {
     /// must not move annotations across (§4.2: "code is never moved past
     /// synchronization calls"; calls are conservatively synchronizing).
     pub fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            Inst::Lock { .. }
-                | Inst::Unlock { .. }
-                | Inst::Call { .. }
-                | Inst::Intrinsic {
-                    which: Intr::Barrier
-                        | Intr::ChangeProtocol { .. }
-                        | Intr::BcastI
-                        | Intr::BcastP
-                        | Intr::ReduceAddF
-                        | Intr::ReduceMaxF
-                        | Intr::ReduceAddI
-                        | Intr::ReduceMaxI
-                        | Intr::ReduceMinI,
-                    ..
-                }
-        )
+        match self {
+            Inst::Call { .. }
+            | Inst::Ann { hook: Hook::Lock | Hook::Unlock, .. }
+            | Inst::Intrinsic { which: Intr::ChangeProtocol { .. }, .. } => true,
+            Inst::Intrinsic { which, .. } => {
+                BUILTINS.iter().any(|b| b.lowers == Some((*which, true)))
+            }
+            _ => false,
+        }
+    }
+
+    /// The register this instruction defines, if any.
+    pub fn def(&self) -> Option<VReg> {
+        match self {
+            Inst::ConstI(dst, _) | Inst::ConstF(dst, _) => Some(*dst),
+            Inst::BinOp { dst, .. }
+            | Inst::Neg { dst, .. }
+            | Inst::Not { dst, .. }
+            | Inst::IntToF { dst, .. }
+            | Inst::FToInt { dst, .. }
+            | Inst::Mov { dst, .. }
+            | Inst::LoadLocal { dst, .. }
+            | Inst::LoadArr { dst, .. }
+            | Inst::Map { dst, .. }
+            | Inst::GLoad { dst, .. } => Some(*dst),
+            Inst::Call { dst, .. } | Inst::Intrinsic { dst, .. } => *dst,
+            Inst::StoreLocal { .. }
+            | Inst::StoreArr { .. }
+            | Inst::Ann { .. }
+            | Inst::GStore { .. } => None,
+        }
+    }
+
+    /// Visit every register this instruction reads.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut VReg)) {
+        match self {
+            Inst::ConstI(..) | Inst::ConstF(..) | Inst::LoadLocal { .. } => {}
+            Inst::Neg { a, .. }
+            | Inst::Not { a, .. }
+            | Inst::IntToF { a, .. }
+            | Inst::FToInt { a, .. }
+            | Inst::Mov { a, .. }
+            | Inst::StoreLocal { a, .. } => f(a),
+            Inst::LoadArr { idx, .. } => f(idx),
+            Inst::Map { handle, .. } | Inst::Ann { handle, .. } => f(handle),
+            Inst::BinOp { a, b, .. }
+            | Inst::StoreArr { idx: a, a: b, .. }
+            | Inst::GLoad { handle: a, off: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Inst::GStore { handle, off, val } => {
+                f(handle);
+                f(off);
+                f(val);
+            }
+            Inst::Call { args, .. } | Inst::Intrinsic { args, .. } => args.iter_mut().for_each(f),
+        }
     }
 }
 
@@ -191,6 +256,30 @@ pub enum Term {
     Br { cond: VReg, t: BlockId, f: BlockId },
     /// Return.
     Ret(Option<VReg>),
+}
+
+impl Term {
+    /// The blocks control may continue in.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (a, b) = match *self {
+            Term::Jump(t) => (Some(t), None),
+            Term::Br { t, f, .. } => (Some(t), Some(f)),
+            Term::Ret(_) => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// Redirect every edge into `from` to `to`.
+    pub fn retarget(&mut self, from: BlockId, to: BlockId) {
+        let (a, b) = match self {
+            Term::Jump(t) => (Some(t), None),
+            Term::Br { t, f, .. } => (Some(t), Some(f)),
+            Term::Ret(_) => (None, None),
+        };
+        for t in a.into_iter().chain(b).filter(|t| **t == from) {
+            *t = to;
+        }
+    }
 }
 
 /// One basic block.
@@ -238,34 +327,36 @@ pub struct Program {
 }
 
 impl Program {
+    /// Every instruction of every function.
+    pub(crate) fn insts(&self) -> impl Iterator<Item = &Inst> {
+        self.funcs.iter().flat_map(|f| &f.blocks).flat_map(|b| &b.insts)
+    }
+
     /// Count annotation instructions by mode, for the Table 4 harness:
-    /// `(dispatched, direct, removed)` static counts.
-    pub fn annotation_stats(&self) -> (usize, usize, usize) {
-        let mut d = 0;
-        let mut di = 0;
-        let mut rm = 0;
-        for f in &self.funcs {
-            for b in &f.blocks {
-                for i in &b.insts {
-                    let mode = match i {
-                        Inst::Map { mode, .. }
-                        | Inst::StartRead { mode, .. }
-                        | Inst::EndRead { mode, .. }
-                        | Inst::StartWrite { mode, .. }
-                        | Inst::EndWrite { mode, .. }
-                        | Inst::Lock { mode, .. }
-                        | Inst::Unlock { mode, .. } => mode,
-                        _ => continue,
-                    };
-                    match mode {
-                        DispatchMode::Dispatch => d += 1,
-                        DispatchMode::Direct(_) => di += 1,
-                        DispatchMode::Removed => rm += 1,
-                    }
+    /// `(dispatched, direct)` static counts.
+    pub fn annotation_stats(&self) -> (usize, usize) {
+        let (mut dispatched, mut direct) = (0, 0);
+        for i in self.insts() {
+            if let Inst::Map { mode, .. } | Inst::Ann { mode, .. } = i {
+                match mode {
+                    DispatchMode::Dispatch => dispatched += 1,
+                    DispatchMode::Direct(_) => direct += 1,
                 }
             }
         }
-        (d, di, rm)
+        (dispatched, direct)
+    }
+
+    /// Panic unless every virtual register has at most one defining
+    /// instruction in its function.
+    pub fn assert_single_assignment(&self) {
+        for f in &self.funcs {
+            let mut defined = vec![false; f.nregs as usize];
+            for d in f.blocks.iter().flat_map(|b| &b.insts).filter_map(Inst::def) {
+                let again = std::mem::replace(&mut defined[d as usize], true);
+                assert!(!again, "{}: r{d} has two defining instructions", f.name);
+            }
+        }
     }
 }
 
@@ -279,5 +370,16 @@ mod tests {
         assert!(Inst::Call { dst: None, func: 0, args: vec![] }.is_sync());
         assert!(!Inst::Intrinsic { dst: Some(0), which: Intr::Rank, args: vec![] }.is_sync());
         assert!(!Inst::Map { aid: 0, mode: DispatchMode::Dispatch, dst: 0, handle: 1 }.is_sync());
+        let ann = |hook| Inst::Ann { hook, aid: 0, mode: DispatchMode::Dispatch, handle: 1 };
+        assert!(ann(Hook::Lock).is_sync() && ann(Hook::Unlock).is_sync());
+        assert!(!ann(Hook::StartWrite).is_sync() && !ann(Hook::EndRead).is_sync());
+    }
+
+    #[test]
+    fn a_hook_is_the_configuration_point_of_its_name() {
+        use Hook::*;
+        for hook in [StartRead, EndRead, StartWrite, EndWrite, Lock, Unlock] {
+            assert_eq!(format!("{hook:?}"), POINTS[hook as usize].0);
+        }
     }
 }

@@ -28,11 +28,9 @@
 //! [`config`], which parses the same information the paper's Tcl script
 //! emitted into the "system configuration file".
 
-// Dataflow transfer loops index parallel arrays; explicit indexing is the idiom.
-#![allow(clippy::needless_range_loop)]
-
 pub mod analysis;
 pub mod ast;
+pub mod builtins;
 pub mod config;
 pub mod ir;
 pub mod lex;
@@ -86,17 +84,19 @@ pub fn compile(source: &str, config: &SystemConfig, level: OptLevel) -> Result<P
     let unit = parse::parse(&toks)?;
     let typed = sema::check(&unit)?;
     let mut prog = lower::lower(&typed);
-    let facts = analysis::analyze(&prog, config);
-    if level >= OptLevel::Licm {
-        opt::licm::run(&mut prog, &facts, config);
+    let facts = analysis::analyze(&prog);
+    // Each level adds one pass to the level before it.
+    let passes = [opt::licm::run as fn(&mut _, &_, &_), opt::merge::run, opt::direct::run];
+    let mut passes = passes[..level as usize].iter();
+    loop {
+        // What the analysis and the passes assume of registers, checked
+        // after lowering and after every pass.
+        if cfg!(debug_assertions) {
+            prog.assert_single_assignment();
+        }
+        let Some(pass) = passes.next() else { return Ok(prog) };
+        pass(&mut prog, &facts, config);
     }
-    if level >= OptLevel::Merge {
-        opt::merge::run(&mut prog, &facts, config);
-    }
-    if level >= OptLevel::Direct {
-        opt::direct::run(&mut prog, &facts, config);
-    }
-    Ok(prog)
 }
 
 #[cfg(test)]

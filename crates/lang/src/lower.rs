@@ -11,8 +11,9 @@ use std::collections::HashMap;
 use ace_protocols::ProtoSpec;
 
 use crate::ast::{self, BinOp, Expr, ExprKind, LValue, Stmt, Ty};
+use crate::builtins::builtin;
 use crate::ir::*;
-use crate::sema::{builtin_sig, Binding, TypedUnit};
+use crate::sema::{Binding, TypedUnit};
 
 struct FnLower<'a> {
     tu: &'a TypedUnit,
@@ -312,23 +313,22 @@ impl FnLower<'_> {
     // ------------------------------------------------------------------
 
     fn shared_load(&mut self, handle: VReg, off: VReg, ty: ValTy) -> VReg {
-        let aid = self.fresh_aid();
-        let mapped = self.reg();
-        let dst = self.reg();
-        self.emit(Inst::Map { aid, mode: DispatchMode::Dispatch, dst: mapped, handle });
-        self.emit(Inst::StartRead { aid, mode: DispatchMode::Dispatch, handle: mapped });
+        let (aid, mode) = (self.fresh_aid(), DispatchMode::Dispatch);
+        let (mapped, dst) = (self.reg(), self.reg());
+        self.emit(Inst::Map { aid, mode, dst: mapped, handle });
+        self.emit(Inst::Ann { hook: Hook::StartRead, aid, mode, handle: mapped });
         self.emit(Inst::GLoad { dst, handle: mapped, off, ty });
-        self.emit(Inst::EndRead { aid, mode: DispatchMode::Dispatch, handle: mapped });
+        self.emit(Inst::Ann { hook: Hook::EndRead, aid, mode, handle: mapped });
         dst
     }
 
     fn shared_store(&mut self, handle: VReg, off: VReg, val: VReg) {
-        let aid = self.fresh_aid();
+        let (aid, mode) = (self.fresh_aid(), DispatchMode::Dispatch);
         let mapped = self.reg();
-        self.emit(Inst::Map { aid, mode: DispatchMode::Dispatch, dst: mapped, handle });
-        self.emit(Inst::StartWrite { aid, mode: DispatchMode::Dispatch, handle: mapped });
+        self.emit(Inst::Map { aid, mode, dst: mapped, handle });
+        self.emit(Inst::Ann { hook: Hook::StartWrite, aid, mode, handle: mapped });
         self.emit(Inst::GStore { handle: mapped, off, val });
-        self.emit(Inst::EndWrite { aid, mode: DispatchMode::Dispatch, handle: mapped });
+        self.emit(Inst::Ann { hook: Hook::EndWrite, aid, mode, handle: mapped });
     }
 
     // ------------------------------------------------------------------
@@ -477,15 +477,7 @@ impl FnLower<'_> {
                 // the allocation.
                 if let (Ty::SharedPtr(elem), ExprKind::Call(name, args)) = (to, &inner.kind) {
                     if name == "gmalloc" {
-                        let (sv, _) = self.expr(&args[0]);
-                        let (nv, _) = self.expr(&args[1]);
-                        let dst = self.reg();
-                        self.emit(Inst::Intrinsic {
-                            dst: Some(dst),
-                            which: Intr::Gmalloc { elem_words: elem_words(self.tu, elem) },
-                            args: vec![sv, nv],
-                        });
-                        return (dst, to.clone());
+                        return self.gmalloc(args, elem_words(self.tu, elem), to.clone());
                     }
                 }
                 let (r, from) = self.expr(inner);
@@ -507,126 +499,67 @@ impl FnLower<'_> {
         }
     }
 
+    fn gmalloc(&mut self, args: &[Expr], elem_words: u32, ty: Ty) -> (VReg, Ty) {
+        let (sv, _) = self.expr(&args[0]);
+        let (nv, _) = self.expr(&args[1]);
+        self.intrinsic(Intr::Gmalloc { elem_words }, vec![sv, nv], ty)
+    }
+
+    fn intrinsic(&mut self, which: Intr, args: Vec<VReg>, ret: Ty) -> (VReg, Ty) {
+        let dst = (ret != Ty::Void).then(|| self.reg());
+        self.emit(Inst::Intrinsic { dst, which, args });
+        (dst.unwrap_or(0), ret)
+    }
+
     fn call(&mut self, name: &str, args: &[Expr]) -> (VReg, Ty) {
-        let proto_arg = |args: &[Expr], i: usize| -> ProtoSpec {
+        let proto_arg = |i: usize| -> ProtoSpec {
             let ExprKind::Str(s) = &args[i].kind else { unreachable!("checked") };
             ProtoSpec::by_name(s).expect("checked protocol name")
         };
-        let simple = |lw: &mut Self, which: Intr, vals: Vec<VReg>, ret: Ty| {
-            let dst = (ret != Ty::Void).then(|| lw.reg());
-            lw.emit(Inst::Intrinsic { dst, which, args: vals });
-            (dst.unwrap_or(0), ret)
-        };
+        // The builtins whose instruction is not their table row's.
         match name {
             "new_space" => {
-                let site = *self.nsites;
+                let which = Intr::NewSpace { spec: proto_arg(0), site: *self.nsites };
                 *self.nsites += 1;
-                let spec = proto_arg(args, 0);
-                return simple(self, Intr::NewSpace { spec, site }, vec![], Ty::Space);
+                return self.intrinsic(which, vec![], Ty::Space);
             }
             "change_protocol" => {
-                let spec = proto_arg(args, 1);
+                let which = Intr::ChangeProtocol { spec: proto_arg(1) };
                 let (sv, _) = self.expr(&args[0]);
-                return simple(self, Intr::ChangeProtocol { spec }, vec![sv], Ty::Void);
+                return self.intrinsic(which, vec![sv], Ty::Void);
             }
-            "gmalloc" => {
-                // Uncast gmalloc allocates raw words.
-                let (sv, _) = self.expr(&args[0]);
-                let (nv, _) = self.expr(&args[1]);
-                return simple(
-                    self,
-                    Intr::Gmalloc { elem_words: 1 },
-                    vec![sv, nv],
-                    Ty::SharedPtr(Box::new(Ty::Void)),
-                );
-            }
-            "barrier" => {
-                let (sv, _) = self.expr(&args[0]);
-                return simple(self, Intr::Barrier, vec![sv], Ty::Void);
-            }
+            // Uncast gmalloc allocates raw words.
+            "gmalloc" => return self.gmalloc(args, 1, Ty::SharedPtr(Box::new(Ty::Void))),
             "lock" | "unlock" => {
-                let (hv, _) = self.expr(&args[0]);
+                let hook = if name == "lock" { Hook::Lock } else { Hook::Unlock };
+                let (handle, _) = self.expr(&args[0]);
                 let aid = self.fresh_aid();
-                if name == "lock" {
-                    self.emit(Inst::Lock { aid, mode: DispatchMode::Dispatch, handle: hv });
-                } else {
-                    self.emit(Inst::Unlock { aid, mode: DispatchMode::Dispatch, handle: hv });
-                }
+                self.emit(Inst::Ann { hook, aid, mode: DispatchMode::Dispatch, handle });
                 return (0, Ty::Void);
-            }
-            "rank" => return simple(self, Intr::Rank, vec![], Ty::Int),
-            "nprocs" => return simple(self, Intr::Nprocs, vec![], Ty::Int),
-            "bcast_i" => {
-                let (a, _) = self.expr(&args[0]);
-                let (b, _) = self.expr(&args[1]);
-                return simple(self, Intr::BcastI, vec![a, b], Ty::Int);
             }
             "bcast_p" => {
                 let (a, _) = self.expr(&args[0]);
                 let (b, t) = self.expr(&args[1]);
-                return simple(self, Intr::BcastP, vec![a, b], t);
-            }
-            "reduce_add" => {
-                let v = self.farg(&args[0]);
-                return simple(self, Intr::ReduceAddF, vec![v], Ty::Double);
-            }
-            "reduce_max" => {
-                let v = self.farg(&args[0]);
-                return simple(self, Intr::ReduceMaxF, vec![v], Ty::Double);
-            }
-            "reduce_add_i" => {
-                let (v, _) = self.expr(&args[0]);
-                return simple(self, Intr::ReduceAddI, vec![v], Ty::Int);
-            }
-            "reduce_max_i" => {
-                let (v, _) = self.expr(&args[0]);
-                return simple(self, Intr::ReduceMaxI, vec![v], Ty::Int);
-            }
-            "reduce_min_i" => {
-                let (v, _) = self.expr(&args[0]);
-                return simple(self, Intr::ReduceMinI, vec![v], Ty::Int);
-            }
-            "sqrt" => {
-                let v = self.farg(&args[0]);
-                return simple(self, Intr::Sqrt, vec![v], Ty::Double);
-            }
-            "fabs" => {
-                let v = self.farg(&args[0]);
-                return simple(self, Intr::Fabs, vec![v], Ty::Double);
-            }
-            "charge_flops" => {
-                let (v, _) = self.expr(&args[0]);
-                return simple(self, Intr::ChargeFlops, vec![v], Ty::Void);
-            }
-            "print_i" => {
-                let (v, _) = self.expr(&args[0]);
-                return simple(self, Intr::PrintI, vec![v], Ty::Void);
-            }
-            "print_f" => {
-                let v = self.farg(&args[0]);
-                return simple(self, Intr::PrintF, vec![v], Ty::Void);
+                return self.intrinsic(Intr::BcastP, vec![a, b], t);
             }
             _ => {}
         }
-        // user function
-        debug_assert!(builtin_sig(name).is_none());
-        let fid = self.func_ids[name];
-        let sig = &self.tu.sigs[name];
+        let row = builtin(name);
+        let sig = row.map_or_else(|| self.tu.sigs[name].clone(), |b| b.sig());
         let mut vals = Vec::with_capacity(args.len());
-        for (want, a) in sig.params.clone().iter().zip(args) {
+        for (want, a) in sig.params.iter().zip(args) {
             let (v, t) = self.expr(a);
             vals.push(self.coerce(v, &t, want));
         }
-        let ret = sig.ret.clone();
-        let dst = (ret != Ty::Void).then(|| self.reg());
-        self.emit(Inst::Call { dst, func: fid, args: vals });
-        (dst.unwrap_or(0), ret)
-    }
-
-    /// Evaluate an argument and coerce to double.
-    fn farg(&mut self, a: &Expr) -> VReg {
-        let (v, t) = self.expr(a);
-        self.coerce(v, &t, &Ty::Double)
+        let dst = (sig.ret != Ty::Void).then(|| self.reg());
+        self.emit(match row {
+            Some(b) => {
+                let (which, _) = b.lowers.expect("the other builtins are lowered above");
+                Inst::Intrinsic { dst, which, args: vals }
+            }
+            None => Inst::Call { dst, func: self.func_ids[name], args: vals },
+        });
+        (dst.unwrap_or(0), sig.ret)
     }
 }
 
@@ -652,8 +585,8 @@ mod tests {
                 for i in &b.insts {
                     match i {
                         Inst::Map { .. } => maps += 1,
-                        Inst::StartRead { .. } | Inst::StartWrite { .. } => starts += 1,
-                        Inst::EndRead { .. } | Inst::EndWrite { .. } => ends += 1,
+                        Inst::Ann { hook: Hook::StartRead | Hook::StartWrite, .. } => starts += 1,
+                        Inst::Ann { hook: Hook::EndRead | Hook::EndWrite, .. } => ends += 1,
                         _ => {}
                     }
                 }

@@ -9,55 +9,26 @@
 //! `Map` calls are rewritten to direct mode (skipping the dispatch) but
 //! never removed — the id-to-mapping translation is still required.
 
-use ace_core::Actions;
-
 use crate::analysis::Facts;
 use crate::config::SystemConfig;
 use crate::ir::*;
 
 /// Run the pass over every function.
 pub fn run(prog: &mut Program, facts: &Facts, cfg: &SystemConfig) {
-    for f in &mut prog.funcs {
-        for b in &mut f.blocks {
-            b.insts.retain_mut(|inst| {
-                let (aid, action, removable) = match inst {
-                    Inst::Map { aid, .. } => (*aid, Actions::MAP, false),
-                    Inst::StartRead { aid, .. } => (*aid, Actions::START_READ, true),
-                    Inst::EndRead { aid, .. } => (*aid, Actions::END_READ, true),
-                    Inst::StartWrite { aid, .. } => (*aid, Actions::START_WRITE, true),
-                    Inst::EndWrite { aid, .. } => (*aid, Actions::END_WRITE, true),
-                    Inst::Lock { aid, .. } => (*aid, Actions::LOCK, true),
-                    Inst::Unlock { aid, .. } => (*aid, Actions::UNLOCK, true),
-                    _ => return true,
-                };
-                let Some(p) = facts.unique_protocol(aid) else { return true };
-                let mode = if removable && cfg.null_actions(p).contains(action) {
-                    DispatchMode::Removed
-                } else {
-                    DispatchMode::Direct(p)
-                };
-                match mode {
-                    DispatchMode::Removed => false, // delete the call
-                    m => {
-                        set_mode(inst, m);
-                        true
-                    }
-                }
-            });
-        }
-    }
-}
-
-fn set_mode(inst: &mut Inst, m: DispatchMode) {
-    match inst {
-        Inst::Map { mode, .. }
-        | Inst::StartRead { mode, .. }
-        | Inst::EndRead { mode, .. }
-        | Inst::StartWrite { mode, .. }
-        | Inst::EndWrite { mode, .. }
-        | Inst::Lock { mode, .. }
-        | Inst::Unlock { mode, .. } => *mode = m,
-        _ => {}
+    for b in prog.funcs.iter_mut().flat_map(|f| &mut f.blocks) {
+        b.insts.retain_mut(|inst| {
+            let (aid, mode, action) = match inst {
+                Inst::Map { aid, mode, .. } => (*aid, mode, None),
+                Inst::Ann { aid, mode, hook, .. } => (*aid, mode, Some(hook.action())),
+                _ => return true,
+            };
+            let Some(p) = facts.unique_protocol(aid) else { return true };
+            if action.is_some_and(|a| cfg.null_actions(p).contains(a)) {
+                return false; // delete the call
+            }
+            *mode = DispatchMode::Direct(p);
+            true
+        });
     }
 }
 
@@ -83,7 +54,7 @@ mod tests {
         "#;
         let cfg = SystemConfig::builtin();
         let p = compile(src, &cfg, OptLevel::Direct).unwrap();
-        let (d, di, _rm) = p.annotation_stats();
+        let (d, di) = p.annotation_stats();
         assert_eq!(d, 0, "every annotation is statically resolved");
         let r = run_ace(1, CostModel::free(), |rt| {
             let v = crate::vm::run_program(rt, &p).unwrap().as_f();
@@ -174,16 +145,9 @@ mod tests {
         let cfg = SystemConfig::builtin();
         let p = compile(src, &cfg, OptLevel::Direct).unwrap();
         // unlock + the null read/write hooks disappear; lock stays.
-        let has_unlock = p.funcs.iter().any(|f| {
-            f.blocks
-                .iter()
-                .any(|b| b.insts.iter().any(|i| matches!(i, crate::ir::Inst::Unlock { .. })))
-        });
-        let has_lock = p.funcs.iter().any(|f| {
-            f.blocks
-                .iter()
-                .any(|b| b.insts.iter().any(|i| matches!(i, crate::ir::Inst::Lock { .. })))
-        });
+        let has =
+            |h| p.insts().any(|i| matches!(i, crate::ir::Inst::Ann { hook, .. } if *hook == h));
+        let (has_unlock, has_lock) = (has(crate::ir::Hook::Unlock), has(crate::ir::Hook::Lock));
         assert!(!has_unlock, "null unlock must be removed");
         assert!(has_lock, "lock is the protocol's real action");
     }

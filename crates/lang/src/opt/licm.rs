@@ -20,53 +20,41 @@ use std::collections::{HashMap, HashSet};
 use crate::analysis::Facts;
 use crate::config::SystemConfig;
 use crate::ir::*;
+use crate::opt::Pos;
 
 /// Run the pass over every function.
 pub fn run(prog: &mut Program, facts: &Facts, cfg: &SystemConfig) {
     for f in &mut prog.funcs {
         // Hoist repeatedly: after one loop's candidates move, outer loops
-        // may expose further opportunities. Bounded by the access count.
-        for _ in 0..64 {
-            if !hoist_one(f, facts, cfg) {
-                break;
-            }
-        }
+        // may expose further opportunities. Each round moves an access out
+        // of a loop into blocks outside it, so the summed loop depth of the
+        // function's accesses falls every round and the rounds end.
+        while hoist_one(f, facts, cfg) {}
     }
 }
 
-fn successors(t: &Term) -> Vec<BlockId> {
-    match t {
-        Term::Jump(b) => vec![*b],
-        Term::Br { t, f, .. } => vec![*t, *f],
-        Term::Ret(_) => vec![],
-    }
-}
-
-/// Compute dominators (simple iterative bit-set algorithm).
-fn dominators(f: &IFunc) -> Vec<HashSet<BlockId>> {
-    let n = f.blocks.len();
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+/// Every block's predecessors.
+fn predecessors(f: &IFunc) -> Vec<Vec<BlockId>> {
+    let mut preds = vec![Vec::new(); f.blocks.len()];
     for (b, blk) in f.blocks.iter().enumerate() {
-        for s in successors(&blk.term) {
+        for s in blk.term.successors() {
             preds[s].push(b);
         }
     }
-    let all: HashSet<BlockId> = (0..n).collect();
-    let mut dom: Vec<HashSet<BlockId>> = vec![all.clone(); n];
-    dom[0] = HashSet::from([0]);
+    preds
+}
+
+/// `dom[b][d]`: whether `d` dominates `b` (simple iterative algorithm).
+fn dominators(preds: &[Vec<BlockId>]) -> Vec<Vec<bool>> {
+    let n = preds.len();
+    let mut dom = vec![vec![true; n]; n];
+    dom[0] = (0..n).map(|d| d == 0).collect();
     let mut changed = true;
     while changed {
         changed = false;
         for b in 1..n {
-            let mut newd: Option<HashSet<BlockId>> = None;
-            for &p in &preds[b] {
-                newd = Some(match newd {
-                    None => dom[p].clone(),
-                    Some(acc) => acc.intersection(&dom[p]).copied().collect(),
-                });
-            }
-            let mut newd = newd.unwrap_or_default();
-            newd.insert(b);
+            let by_all_preds = |d| !preds[b].is_empty() && preds[b].iter().all(|&p| dom[p][d]);
+            let newd: Vec<bool> = (0..n).map(|d| d == b || by_all_preds(d)).collect();
             if newd != dom[b] {
                 dom[b] = newd;
                 changed = true;
@@ -77,25 +65,18 @@ fn dominators(f: &IFunc) -> Vec<HashSet<BlockId>> {
 }
 
 /// All natural loops, as (header, body-set), innermost (smallest) first.
-fn natural_loops(f: &IFunc) -> Vec<(BlockId, HashSet<BlockId>)> {
-    let dom = dominators(f);
+fn natural_loops(f: &IFunc, preds: &[Vec<BlockId>]) -> Vec<(BlockId, HashSet<BlockId>)> {
+    let dom = dominators(preds);
     let mut loops: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
     for (b, blk) in f.blocks.iter().enumerate() {
-        for s in successors(&blk.term) {
-            if dom[b].contains(&s) {
-                // back edge b -> s
-                let body = loops.entry(s).or_default();
-                body.insert(s);
-                // walk predecessors from b up to the header
-                let mut stack = vec![b];
-                while let Some(x) = stack.pop() {
-                    if body.insert(x) {
-                        for (p, pb) in f.blocks.iter().enumerate() {
-                            if successors(&pb.term).contains(&x) {
-                                stack.push(p);
-                            }
-                        }
-                    }
+        // A back edge b -> s: walk predecessors from b up to the header.
+        for s in blk.term.successors().filter(|&s| dom[b][s]) {
+            let body = loops.entry(s).or_default();
+            body.insert(s);
+            let mut stack = vec![b];
+            while let Some(x) = stack.pop() {
+                if body.insert(x) {
+                    stack.extend(&preds[x]);
                 }
             }
         }
@@ -105,112 +86,71 @@ fn natural_loops(f: &IFunc) -> Vec<(BlockId, HashSet<BlockId>)> {
     v
 }
 
-/// The instruction that defines `reg` in `f`, if any (vregs are
-/// single-assignment by construction of the lowering).
-fn def_site(f: &IFunc, reg: VReg) -> Option<(BlockId, usize)> {
+fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
+    let preds = predecessors(f);
+    let sites = super::index_accesses(f);
+    // Where each register is defined (registers are single-assignment).
+    let mut def_site: HashMap<VReg, Pos> = HashMap::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
-            let d = match inst {
-                Inst::ConstI(d, _) | Inst::ConstF(d, _) => Some(*d),
-                Inst::BinOp { dst, .. }
-                | Inst::Neg { dst, .. }
-                | Inst::Not { dst, .. }
-                | Inst::IntToF { dst, .. }
-                | Inst::FToInt { dst, .. }
-                | Inst::Mov { dst, .. }
-                | Inst::LoadLocal { dst, .. }
-                | Inst::LoadArr { dst, .. }
-                | Inst::Map { dst, .. }
-                | Inst::GLoad { dst, .. } => Some(*dst),
-                Inst::Call { dst, .. } | Inst::Intrinsic { dst, .. } => *dst,
-                _ => None,
-            };
-            if d == Some(reg) {
-                return Some((bi, ii));
-            }
+            def_site.extend(inst.def().map(|d| (d, (bi, ii))));
         }
     }
-    None
-}
-
-fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
-    let loops = natural_loops(f);
-    for (header, body) in loops {
+    for (header, body) in natural_loops(f, &preds) {
         if header == 0 {
             // The entry block cannot get a preheader.
             continue;
         }
+        let body_insts = || body.iter().flat_map(|&b| &f.blocks[b].insts);
         // No synchronization inside the loop.
-        let has_sync = body.iter().any(|&b| f.blocks[b].insts.iter().any(|i| i.is_sync()));
-        if has_sync {
+        if body_insts().any(Inst::is_sync) {
             continue;
         }
         // Unique exit target with all predecessors inside the loop.
-        let mut exits: HashSet<BlockId> = HashSet::new();
-        for &b in &body {
-            for s in successors(&f.blocks[b].term) {
-                if !body.contains(&s) {
-                    exits.insert(s);
-                }
-            }
-        }
-        if exits.len() != 1 {
+        let mut exits =
+            body.iter().flat_map(|&b| f.blocks[b].term.successors()).filter(|s| !body.contains(s));
+        let Some(exit) = exits.next() else { continue };
+        if exits.any(|s| s != exit) {
             continue;
         }
-        let exit = *exits.iter().next().unwrap();
-        let exit_preds_ok = (0..f.blocks.len())
-            .all(|p| !successors(&f.blocks[p].term).contains(&exit) || body.contains(&p));
-        if !exit_preds_ok {
+        if !preds[exit].iter().all(|p| body.contains(p)) {
             continue;
         }
 
         // Locals stored anywhere in the loop are not invariant.
-        let mut stored: HashSet<u32> = HashSet::new();
-        for &b in &body {
-            for i in &f.blocks[b].insts {
-                match i {
-                    Inst::StoreLocal { slot, .. } | Inst::StoreArr { slot, .. } => {
-                        stored.insert(*slot);
-                    }
-                    _ => {}
-                }
-            }
-        }
+        let stored: HashSet<u32> = body_insts()
+            .filter_map(|i| match i {
+                Inst::StoreLocal { slot, .. } | Inst::StoreArr { slot, .. } => Some(*slot),
+                _ => None,
+            })
+            .collect();
 
         // Candidate accesses: full triple inside the loop, invariant
-        // handle, all protocols optimizable.
-        let sites = super::index_accesses(f);
-        let mut moved_any = false;
-        type Hoist = (AccessId, super::AccessSites, Option<(BlockId, usize)>);
-        let mut plan: Vec<Hoist> = Vec::new();
+        // handle, all protocols optimizable. Each candidate lists what
+        // moves to the preheader, then what moves to the exit.
+        let mut plan: Vec<(Vec<Pos>, Pos)> = Vec::new();
         for (aid, s) in &sites {
             let (Some(m), Some(st), Some(en)) = (s.map, s.start, s.end) else { continue };
-            if !(body.contains(&m.0) && body.contains(&st.0) && body.contains(&en.0)) {
+            if ![m, st, en].iter().all(|at| body.contains(&at.0)) {
                 continue;
             }
             if !facts.all_optimizable(*aid, cfg) {
                 continue;
             }
             let Inst::Map { handle, .. } = f.blocks[m.0].insts[m.1] else { continue };
-            // Invariance: defined outside the loop, or an in-loop
-            // LoadLocal/ConstI of an unstored slot we can clone out.
-            let hoist_def = match def_site(f, handle) {
-                None => None, // parameter-like: defined outside, fine
-                Some((db, di)) => {
-                    if !body.contains(&db) {
-                        None
-                    } else {
-                        match &f.blocks[db].insts[di] {
-                            Inst::LoadLocal { slot, .. } if !stored.contains(slot) => {
-                                Some((db, di))
-                            }
-                            Inst::ConstI(..) | Inst::ConstF(..) => Some((db, di)),
-                            _ => continue,
-                        }
-                    }
-                }
-            };
-            plan.push((*aid, s.clone(), hoist_def));
+            // Invariance: defined outside the loop (or a parameter-like
+            // register defined nowhere), or an in-loop constant or load of
+            // an unstored slot that moves out with the access.
+            let mut to_pre = vec![m, st];
+            match def_site.get(&handle) {
+                Some(&def) if body.contains(&def.0) => match &f.blocks[def.0].insts[def.1] {
+                    Inst::LoadLocal { slot, .. } if !stored.contains(slot) => to_pre.insert(0, def),
+                    Inst::ConstI(..) | Inst::ConstF(..) => to_pre.insert(0, def),
+                    _ => continue,
+                },
+                _ => {}
+            }
+            plan.push((to_pre, en));
         }
         if plan.is_empty() {
             continue;
@@ -220,72 +160,33 @@ fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
         // out-of-loop edges into the header.
         let pre = f.blocks.len();
         f.blocks.push(Block { insts: Vec::new(), term: Term::Jump(header) });
-        for b in 0..pre {
-            if body.contains(&b) {
-                continue;
-            }
-            retarget(&mut f.blocks[b].term, header, pre);
+        for b in (0..pre).filter(|b| !body.contains(b)) {
+            f.blocks[b].term.retarget(header, pre);
         }
 
-        // Move instructions. Collect them (by identity) first, then delete.
-        let mut to_pre: Vec<Inst> = Vec::new();
-        let mut to_exit: Vec<Inst> = Vec::new();
-        let mut delete: Vec<(BlockId, usize)> = Vec::new();
-        for (_aid, s, hoist_def) in &plan {
-            if let Some((db, di)) = hoist_def {
-                to_pre.push(f.blocks[*db].insts[*di].clone());
-                delete.push((*db, *di));
-            }
-            let (mb, mi) = s.map.unwrap();
-            to_pre.push(f.blocks[mb].insts[mi].clone());
-            delete.push((mb, mi));
-            let (sb, si) = s.start.unwrap();
-            to_pre.push(f.blocks[sb].insts[si].clone());
-            delete.push((sb, si));
-            let (eb, ei) = s.end.unwrap();
-            to_exit.push(f.blocks[eb].insts[ei].clone());
-            delete.push((eb, ei));
-            moved_any = true;
-        }
-        // Delete in descending index order per block.
+        // Move instructions: copy them out first, then delete, in
+        // descending index order per block.
+        let inst_at = |f: &IFunc, (b, i): Pos| f.blocks[b].insts[i].clone();
+        let to_pre: Vec<Inst> =
+            plan.iter().flat_map(|(p, _)| p).map(|&at| inst_at(f, at)).collect();
+        let to_exit: Vec<Inst> = plan.iter().map(|&(_, en)| inst_at(f, en)).collect();
+        let mut delete: Vec<Pos> =
+            plan.into_iter().flat_map(|(p, en)| p.into_iter().chain([en])).collect();
         delete.sort_by_key(|&(b, i)| (b, std::cmp::Reverse(i)));
         for (b, i) in delete {
             f.blocks[b].insts.remove(i);
         }
         f.blocks[pre].insts = to_pre;
-        for (k, e) in to_exit.into_iter().enumerate() {
-            f.blocks[exit].insts.insert(k, e);
-        }
-        if moved_any {
-            return true;
-        }
+        f.blocks[exit].insts.splice(0..0, to_exit);
+        return true;
     }
     false
-}
-
-fn retarget(t: &mut Term, from: BlockId, to: BlockId) {
-    match t {
-        Term::Jump(b) => {
-            if *b == from {
-                *b = to;
-            }
-        }
-        Term::Br { t, f, .. } => {
-            if *t == from {
-                *t = to;
-            }
-            if *f == from {
-                *f = to;
-            }
-        }
-        Term::Ret(_) => {}
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::config::SystemConfig;
-    use crate::ir::Inst;
+    use crate::ir::{Hook, Inst};
     use crate::{compile, OptLevel};
 
     /// Count annotations inside loop bodies by compiling at O0 vs LICM.
@@ -296,15 +197,10 @@ mod tests {
             .iter()
             .flat_map(|f| &f.blocks)
             .flat_map(|b| &b.insts)
-            .filter(|i| {
-                matches!(
-                    i,
-                    Inst::Map { .. }
-                        | Inst::StartRead { .. }
-                        | Inst::EndRead { .. }
-                        | Inst::StartWrite { .. }
-                        | Inst::EndWrite { .. }
-                )
+            .filter(|i| match i {
+                Inst::Map { .. } => true,
+                Inst::Ann { hook, .. } => !matches!(hook, Hook::Lock | Hook::Unlock),
+                _ => false,
             })
             .count()
     }

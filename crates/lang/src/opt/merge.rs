@@ -12,7 +12,7 @@
 //! (constants, local loads of un-redefined slots, and register copies);
 //! merging never crosses a synchronization instruction.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::analysis::Facts;
 use crate::config::SystemConfig;
@@ -25,20 +25,21 @@ pub fn run(prog: &mut Program, facts: &Facts, cfg: &SystemConfig) {
         // renames function-wide: uses of a removed map's result may live
         // in other blocks (e.g. after LICM moved an access's Start/End).
         let mut rename = HashMap::new();
-        for b in 0..f.blocks.len() {
-            merge_maps(f, b, facts, cfg, &mut rename);
+        for b in &mut f.blocks {
+            merge_maps(b, facts, cfg, &mut rename);
         }
-        if !rename.is_empty() {
-            for blk in &mut f.blocks {
-                for inst in &mut blk.insts {
-                    rename_operands(inst, &rename);
-                }
+        for b in &mut f.blocks {
+            for inst in &mut b.insts {
+                apply(&rename, inst);
             }
-        }
-        for b in 0..f.blocks.len() {
-            merge_sections(f, b, facts, cfg);
+            merge_sections(b, facts, cfg);
         }
     }
+}
+
+/// Replace the registers `inst` reads by what they were renamed to.
+fn apply(rename: &HashMap<VReg, VReg>, inst: &mut Inst) {
+    inst.for_each_use_mut(|r| *r = *rename.get(r).unwrap_or(r));
 }
 
 /// Block-local value numbering roots for map arguments.
@@ -53,22 +54,14 @@ enum Root {
     Reg(VReg),
 }
 
-fn merge_maps(
-    f: &mut IFunc,
-    b: BlockId,
-    facts: &Facts,
-    cfg: &SystemConfig,
-    rename: &mut HashMap<VReg, VReg>,
-) {
+fn merge_maps(b: &mut Block, facts: &Facts, cfg: &SystemConfig, rename: &mut HashMap<VReg, VReg>) {
     let mut roots: HashMap<VReg, Root> = HashMap::new();
     let mut avail: HashMap<Root, VReg> = HashMap::new();
-    let mut keep: Vec<Inst> = Vec::new();
-
-    let block = std::mem::take(&mut f.blocks[b].insts);
-    for mut inst in block {
-        rename_operands(&mut inst, rename);
+    b.insts.retain_mut(|inst| {
+        apply(rename, inst);
+        let root = |roots: &HashMap<VReg, Root>, r| roots.get(r).cloned().unwrap_or(Root::Reg(*r));
         // Track roots before deciding.
-        match &inst {
+        match &*inst {
             Inst::ConstI(dst, v) => {
                 roots.insert(*dst, Root::ConstI(*v));
             }
@@ -76,14 +69,12 @@ fn merge_maps(
                 roots.insert(*dst, Root::Slot(*slot));
             }
             Inst::Mov { dst, a } => {
-                let r = roots.get(a).cloned().unwrap_or(Root::Reg(*a));
-                roots.insert(*dst, r);
+                roots.insert(*dst, root(&roots, a));
             }
             Inst::StoreLocal { slot, .. } | Inst::StoreArr { slot, .. } => {
                 // Kill availability of loads from this slot.
-                let slot = *slot;
-                avail.retain(|r, _| *r != Root::Slot(slot));
-                roots.retain(|_, r| *r != Root::Slot(slot));
+                avail.retain(|r, _| *r != Root::Slot(*slot));
+                roots.retain(|_, r| *r != Root::Slot(*slot));
             }
             _ => {}
         }
@@ -91,125 +82,56 @@ fn merge_maps(
             // Conservative: a call might unmap; sync orders everything.
             avail.clear();
         }
-        if let Inst::Map { aid, dst, handle, .. } = &inst {
+        if let Inst::Map { aid, dst, handle, .. } = &*inst {
             if facts.all_optimizable(*aid, cfg) {
-                let root = roots.get(handle).cloned().unwrap_or(Root::Reg(*handle));
-                if let Some(prev) = avail.get(&root) {
+                match avail.entry(root(&roots, handle)) {
                     // M2 removed; its result is M1's.
-                    rename.insert(*dst, *prev);
-                    continue;
+                    Entry::Occupied(m1) => {
+                        rename.insert(*dst, *m1.get());
+                        return false;
+                    }
+                    Entry::Vacant(none) => {
+                        none.insert(*dst);
+                    }
                 }
-                avail.insert(root, *dst);
             }
         }
-        keep.push(inst);
-    }
-    f.blocks[b].insts = keep;
+        true
+    });
 }
 
 /// Merge `End_X(h) ... Start_X(h)` pairs (same mapped handle, same mode)
 /// with no synchronization or other section activity on `h` in between.
-fn merge_sections(f: &mut IFunc, b: BlockId, facts: &Facts, cfg: &SystemConfig) {
-    loop {
-        let insts = &f.blocks[b].insts;
-        let mut found: Option<(usize, usize)> = None;
-        'scan: for (i, inst) in insts.iter().enumerate() {
-            let (h1, write1, aid1) = match inst {
-                Inst::EndRead { aid, handle, .. } => (*handle, false, *aid),
-                Inst::EndWrite { aid, handle, .. } => (*handle, true, *aid),
-                _ => continue,
-            };
-            if !facts.all_optimizable(aid1, cfg) {
-                continue;
-            }
-            for (j, later) in insts.iter().enumerate().skip(i + 1) {
-                if later.is_sync() {
-                    continue 'scan;
-                }
-                match later {
-                    Inst::StartRead { aid, handle, .. } if *handle == h1 && !write1 => {
-                        if facts.all_optimizable(*aid, cfg) {
-                            found = Some((i, j));
-                        }
-                        break 'scan;
-                    }
-                    Inst::StartWrite { aid, handle, .. } if *handle == h1 && write1 => {
-                        if facts.all_optimizable(*aid, cfg) {
-                            found = Some((i, j));
-                        }
-                        break 'scan;
-                    }
-                    // Any other section activity on the same handle blocks
-                    // the merge.
-                    Inst::StartRead { handle, .. }
-                    | Inst::StartWrite { handle, .. }
-                    | Inst::EndRead { handle, .. }
-                    | Inst::EndWrite { handle, .. }
-                        if *handle == h1 =>
-                    {
-                        continue 'scan;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        match found {
-            Some((i, j)) => {
-                // Remove the Start first (higher index), then the End.
-                f.blocks[b].insts.remove(j);
-                f.blocks[b].insts.remove(i);
-            }
-            None => break,
-        }
+fn merge_sections(b: &mut Block, facts: &Facts, cfg: &SystemConfig) {
+    while let Some((i, j)) = mergeable(&b.insts, facts, cfg) {
+        // Remove the Start first (higher index), then the End.
+        b.insts.remove(j);
+        b.insts.remove(i);
     }
 }
 
-fn rename_operands(inst: &mut Inst, rename: &HashMap<VReg, VReg>) {
-    let f = |r: &mut VReg| {
-        if let Some(n) = rename.get(r) {
-            *r = *n;
+/// The first `End_X(h)` that the next section activity on `h` re-opens,
+/// with that `Start_X(h)`.
+fn mergeable(insts: &[Inst], facts: &Facts, cfg: &SystemConfig) -> Option<(usize, usize)> {
+    for (i, inst) in insts.iter().enumerate() {
+        let Inst::Ann { hook: end, aid, handle: h, .. } = inst else { continue };
+        let start = match end {
+            Hook::EndRead => Hook::StartRead,
+            Hook::EndWrite => Hook::StartWrite,
+            _ => continue,
+        };
+        if !facts.all_optimizable(*aid, cfg) {
+            continue;
         }
-    };
-    match inst {
-        Inst::ConstI(..) | Inst::ConstF(..) => {}
-        Inst::BinOp { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Inst::Neg { a, .. }
-        | Inst::Not { a, .. }
-        | Inst::IntToF { a, .. }
-        | Inst::FToInt { a, .. }
-        | Inst::Mov { a, .. } => f(a),
-        Inst::LoadLocal { .. } => {}
-        Inst::StoreLocal { a, .. } => f(a),
-        Inst::LoadArr { idx, .. } => f(idx),
-        Inst::StoreArr { idx, a, .. } => {
-            f(idx);
-            f(a);
-        }
-        Inst::Map { handle, .. } => f(handle),
-        Inst::StartRead { handle, .. }
-        | Inst::EndRead { handle, .. }
-        | Inst::StartWrite { handle, .. }
-        | Inst::EndWrite { handle, .. }
-        | Inst::Lock { handle, .. }
-        | Inst::Unlock { handle, .. } => f(handle),
-        Inst::GLoad { handle, off, .. } => {
-            f(handle);
-            f(off);
-        }
-        Inst::GStore { handle, off, val } => {
-            f(handle);
-            f(off);
-            f(val);
-        }
-        Inst::Call { args, .. } | Inst::Intrinsic { args, .. } => {
-            for a in args {
-                f(a);
+        let on_h = |later: &Inst| matches!(later, Inst::Ann { handle, .. } if handle == h);
+        let next = insts.iter().enumerate().skip(i + 1).find(|(_, l)| l.is_sync() || on_h(l));
+        if let Some((j, Inst::Ann { hook, aid, .. })) = next {
+            if *hook == start && facts.all_optimizable(*aid, cfg) {
+                return Some((i, j));
             }
         }
     }
+    None
 }
 
 #[cfg(test)]

@@ -10,37 +10,37 @@ pub mod direct;
 pub mod licm;
 pub mod merge;
 
+use std::collections::BTreeMap;
+
 use crate::ir::*;
 
-/// Collect, per block, the instruction positions of the annotation triple
-/// of an access id: (map, start, end).
+/// Where an instruction is: its block and its index there.
+pub type Pos = (BlockId, usize);
+
+/// The positions of the annotation triple of an access id.
 #[derive(Debug, Default, Clone)]
 pub struct AccessSites {
-    /// Block and index of the `Map`.
-    pub map: Option<(BlockId, usize)>,
-    /// Block and index of the `Start*`.
-    pub start: Option<(BlockId, usize)>,
-    /// Block and index of the `End*`.
-    pub end: Option<(BlockId, usize)>,
-    /// True if the access is a write.
-    pub is_write: bool,
+    /// The `Map`.
+    pub map: Option<Pos>,
+    /// The `Start*`.
+    pub start: Option<Pos>,
+    /// The `End*`.
+    pub end: Option<Pos>,
 }
 
 /// Index every access's annotation positions in a function.
-pub fn index_accesses(f: &IFunc) -> std::collections::HashMap<AccessId, AccessSites> {
-    let mut out: std::collections::HashMap<AccessId, AccessSites> = Default::default();
+pub fn index_accesses(f: &IFunc) -> BTreeMap<AccessId, AccessSites> {
+    let mut out: BTreeMap<AccessId, AccessSites> = BTreeMap::new();
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
+            let at = Some((bi, ii));
             match inst {
-                Inst::Map { aid, .. } => out.entry(*aid).or_default().map = Some((bi, ii)),
-                Inst::StartRead { aid, .. } => out.entry(*aid).or_default().start = Some((bi, ii)),
-                Inst::StartWrite { aid, .. } => {
-                    let e = out.entry(*aid).or_default();
-                    e.start = Some((bi, ii));
-                    e.is_write = true;
+                Inst::Map { aid, .. } => out.entry(*aid).or_default().map = at,
+                Inst::Ann { hook: Hook::StartRead | Hook::StartWrite, aid, .. } => {
+                    out.entry(*aid).or_default().start = at
                 }
-                Inst::EndRead { aid, .. } | Inst::EndWrite { aid, .. } => {
-                    out.entry(*aid).or_default().end = Some((bi, ii))
+                Inst::Ann { hook: Hook::EndRead | Hook::EndWrite, aid, .. } => {
+                    out.entry(*aid).or_default().end = at
                 }
                 _ => {}
             }

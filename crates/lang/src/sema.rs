@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use crate::ast::*;
+use crate::builtins::builtin;
 
 /// Struct layouts: field name → word offset and type.
 #[derive(Debug, Clone, Default)]
@@ -62,30 +63,6 @@ pub enum Binding {
     Array(Ty, usize),
 }
 
-/// Builtin signature lookup. `None` means "not a builtin".
-pub fn builtin_sig(name: &str) -> Option<Sig> {
-    use Ty::*;
-    let s = |params: Vec<Ty>, ret: Ty| Some(Sig { params, ret });
-    let anyptr = SharedPtr(Box::new(Void));
-    match name {
-        "new_space" => s(vec![Int /* placeholder: string checked ad hoc */], Space),
-        "change_protocol" => s(vec![Space, Int /* string */], Void),
-        "gmalloc" => s(vec![Space, Int], anyptr),
-        "barrier" => s(vec![Space], Void),
-        "lock" | "unlock" => s(vec![anyptr], Void),
-        "rank" | "nprocs" => s(vec![], Int),
-        "bcast_i" => s(vec![Int, Int], Int),
-        "bcast_p" => s(vec![Int, anyptr.clone()], anyptr),
-        "reduce_add" | "reduce_max" => s(vec![Double], Double),
-        "reduce_add_i" | "reduce_max_i" | "reduce_min_i" => s(vec![Int], Int),
-        "sqrt" | "fabs" => s(vec![Double], Double),
-        "charge_flops" => s(vec![Int], Void),
-        "print_i" => s(vec![Int], Void),
-        "print_f" => s(vec![Double], Void),
-        _ => None,
-    }
-}
-
 struct Checker<'a> {
     structs: &'a StructTable,
     sigs: &'a HashMap<String, Sig>,
@@ -120,7 +97,7 @@ pub fn check(unit: &Unit) -> Result<TypedUnit, String> {
     }
     let mut sigs = HashMap::new();
     for f in &unit.funcs {
-        if builtin_sig(&f.name).is_some() {
+        if builtin(&f.name).is_some() {
             return Err(format!("line {}: function {} shadows a builtin", f.line, f.name));
         }
         let sig =
@@ -462,7 +439,8 @@ impl Checker<'_> {
             }
             _ => {}
         }
-        let sig = builtin_sig(name)
+        let sig = builtin(name)
+            .map(|b| b.sig())
             .or_else(|| self.sigs.get(name).cloned())
             .ok_or_else(|| format!("line {line}: unknown function {name}"))?;
         if sig.params.len() != args.len() {

@@ -4,8 +4,8 @@
 //! model, §3.1). Annotation instructions call into [`ace_core::AceRt`]
 //! according to their resolved [`DispatchMode`]: `Dispatch` pays the
 //! space-indirection cost, `Direct` pays the monomorphic-call cost, and
-//! `Removed` annotations are simply gone — which is exactly the cost
-//! structure Table 4 measures.
+//! annotations the direct pass removed are simply gone — which is exactly
+//! the cost structure Table 4 measures.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -118,23 +118,32 @@ pub fn run_program(rt: &AceRt, prog: &Program) -> Option<Value> {
 }
 
 impl<'n> Vm<'_, 'n> {
-    /// Run one annotation on handle `h` in its resolved [`DispatchMode`]:
-    /// `dispatch` through the region's space, or `direct` on this VM's
+    /// Run annotation `hook` on handle `h` in its resolved [`DispatchMode`]:
+    /// dispatched through the region's space, or direct on this VM's
     /// instance of the statically-known protocol.
     #[inline]
-    fn annotate(
-        &mut self,
-        mode: DispatchMode,
-        h: RegionId,
-        dispatch: impl Fn(&AceRt<'n>, RegionId),
-        direct: impl Fn(&AceRt<'n>, RegionId, &dyn Protocol),
-    ) {
+    fn annotate(&mut self, hook: Hook, mode: DispatchMode, h: RegionId) {
+        let rt = self.rt;
         match mode {
-            DispatchMode::Dispatch => dispatch(self.rt, h),
+            DispatchMode::Dispatch => match hook {
+                Hook::StartRead => rt.start_read(h),
+                Hook::EndRead => rt.end_read(h),
+                Hook::StartWrite => rt.start_write(h),
+                Hook::EndWrite => rt.end_write(h),
+                Hook::Lock => rt.lock(h),
+                Hook::Unlock => rt.unlock(h),
+            },
             DispatchMode::Direct(spec) => {
-                direct(self.rt, h, &**self.directs.entry(spec).or_insert_with(|| make(spec)))
+                let p = &**self.directs.entry(spec).or_insert_with(|| make(spec));
+                match hook {
+                    Hook::StartRead => rt.start_read_direct(h, p),
+                    Hook::EndRead => rt.end_read_direct(h, p),
+                    Hook::StartWrite => rt.start_write_direct(h, p),
+                    Hook::EndWrite => rt.end_write_direct(h, p),
+                    Hook::Lock => rt.lock_direct(h, p),
+                    Hook::Unlock => rt.unlock_direct(h, p),
+                }
             }
-            DispatchMode::Removed => unreachable!("removed insts are deleted"),
         }
     }
 
@@ -250,38 +259,16 @@ impl<'n> Vm<'_, 'n> {
                 };
                 v[i] = val;
             }
-            Inst::Map { mode, dst, handle, .. } => {
+            Inst::Map { dst, handle, .. } => {
                 let h = regs[*handle as usize].as_h();
                 // Mapping always translates; only the hook dispatch varies
                 // (and the default on_map hooks are where update-protocol
                 // joins happen, so Direct still runs them).
-                let _ = mode;
                 self.rt.map(h);
                 regs[*dst as usize] = Value::H(h.0);
             }
-            Inst::StartRead { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::start_read, AceRt::start_read_direct)
-            }
-            Inst::EndRead { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::end_read, AceRt::end_read_direct)
-            }
-            Inst::StartWrite { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::start_write, AceRt::start_write_direct)
-            }
-            Inst::EndWrite { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::end_write, AceRt::end_write_direct)
-            }
-            Inst::Lock { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::lock, AceRt::lock_direct)
-            }
-            Inst::Unlock { mode, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                self.annotate(*mode, h, AceRt::unlock, AceRt::unlock_direct)
+            Inst::Ann { hook, mode, handle, .. } => {
+                self.annotate(*hook, *mode, regs[*handle as usize].as_h())
             }
             Inst::GLoad { dst, handle, off, ty } => {
                 let h = regs[*handle as usize].as_h();

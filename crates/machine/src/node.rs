@@ -20,7 +20,7 @@ use crate::vclock::VClock;
 /// watchdog converts them into a panic with the caller-provided diagnostic.
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
-/// How many messages [`Node::try_recv`] pulls off the channel per drain
+/// How many messages [`Node::poll_until`] pulls off the mailbox per drain
 /// burst. Draining in bursts amortizes the channel's synchronization over
 /// many messages; the burst is bounded so a flood of incoming traffic
 /// cannot starve the caller's predicate checks.
@@ -701,9 +701,10 @@ impl<M: MsgSize + Send> Node<M> {
         inbox.remove(idx)
     }
 
-    /// Non-blocking receive. On delivery the local clock advances to cover
+    /// Non-blocking receive, for [`Node::poll_until`] alone: the machine
+    /// has one receive point. On delivery the local clock advances to cover
     /// the message's flight time and the receive overhead is charged.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
+    fn try_recv(&self) -> Option<Envelope<M>> {
         let mut inbox = self.inbox.borrow_mut();
         if inbox.is_empty() || self.det_seed.is_some() {
             // Deterministic mode drains on every pop so the seeded order

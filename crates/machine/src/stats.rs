@@ -93,11 +93,6 @@ impl MachineStats {
         self.nodes.iter().fold((0, 0), |(r, w), n| (r + n.check_records, w + n.check_words))
     }
 
-    /// Total protocol-switch epochs committed across all nodes.
-    pub fn total_switches(&self) -> u64 {
-        self.nodes.iter().map(|n| n.switch_epoch).sum()
-    }
-
     /// Simulated completion time of the run: the maximum final clock.
     pub fn sim_time(&self) -> u64 {
         self.nodes.iter().map(|n| n.final_clock).max().unwrap_or(0)

@@ -43,7 +43,7 @@ fn main() {
     );
     for level in OptLevel::ALL {
         let prog = compile(PROGRAM, &cfg, level).expect("program compiles");
-        let (d, di, _) = prog.annotation_stats();
+        let (d, di) = prog.annotation_stats();
         let r = run_ace(4, CostModel::cm5(), |rt| {
             let v = run_program(rt, &prog).unwrap().as_f();
             let c = rt.counters();

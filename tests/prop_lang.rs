@@ -52,6 +52,7 @@ proptest! {
         let mut results = Vec::new();
         for level in OptLevel::ALL {
             let prog = compile(&src, &cfg, level).expect("generated programs compile");
+            prog.assert_single_assignment();
             let r = run_ace(1, CostModel::free(), |rt| {
                 run_program(rt, &prog).unwrap().as_f()
             });
