@@ -37,9 +37,11 @@ pub struct OpCounters {
     /// was a state-preserving no-op in the current region state, so the
     /// runtime skipped dispatch (and span construction) entirely.
     pub fast_hits: u64,
-    /// Region lookups satisfied by the inline direct-mapped cache.
+    /// Region lookups that found an entry. (The name is from when a
+    /// direct-mapped cache sat in front of a hash table; the runtime's
+    /// region table is indexed by id, so the table is the cache.)
     pub region_cache_hits: u64,
-    /// Region lookups that fell through to the hash table.
+    /// Region lookups that found none: an id this node holds no entry for.
     pub region_cache_misses: u64,
     /// Logical messages this node sent (one per `send` call), folded in
     /// from the substrate's [`ace_machine::NodeStats`] by `AceRt::counters`.
@@ -109,8 +111,9 @@ impl OpCounters {
         self.bar_msgs += o.bar_msgs;
     }
 
-    /// Fraction of region lookups absorbed by the inline cache, or `None`
-    /// before any lookup ran.
+    /// Fraction of region lookups that found an entry, or `None` before
+    /// any lookup ran. Under 1 by the first `map` of each remote region (and
+    /// the wait for its metadata), and by lookups of ids never stored.
     pub fn region_cache_hit_rate(&self) -> Option<f64> {
         let total = self.region_cache_hits + self.region_cache_misses;
         (total > 0).then(|| self.region_cache_hits as f64 / total as f64)

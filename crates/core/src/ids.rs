@@ -73,6 +73,17 @@ mod tests {
         assert!(!RegionId::new(63, (1 << 48) - 2).is_null());
     }
 
+    /// The runtime's region table is indexed by home, then `seq`, and its
+    /// iteration order stands in for a sort by id.
+    #[test]
+    fn integer_order_is_home_then_seq() {
+        // Lexicographically increasing (home, seq) pairs.
+        let pairs = [(0, 0), (0, 1), (0, (1 << 48) - 1), (1, 0), (1, 7), (255, 3), (4095, 0)];
+        let ids = pairs.map(|(home, seq)| RegionId::new(home, seq));
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        assert!(ids.iter().all(|&r| r < RegionId::NULL));
+    }
+
     #[test]
     fn display_forms() {
         assert_eq!(RegionId::new(3, 7).to_string(), "r3.7");

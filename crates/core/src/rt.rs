@@ -45,44 +45,61 @@ fn bar_children(rank: usize, nprocs: usize) -> std::ops::Range<usize> {
 /// across fan-out bursts; every blocking point flushes whatever is left.
 pub const DEFAULT_COALESCE: CoalescePolicy = CoalescePolicy::Threshold(8);
 
-/// Slots in the direct-mapped region-lookup cache at small machine sizes.
-/// Fine-grained apps give every value its own region (EM3D: one word per
-/// graph node), so a compute sweep touches hundreds of distinct regions
-/// per step; a direct-mapped cache thrashes on any working set bigger
-/// than itself, so it must comfortably exceed per-node working sets. 4096
-/// slots ≈ 96 KiB per node — noise next to the region data, and conflict
-/// misses stay rare up to several hundred live regions.
-const REGION_CACHE_SLOTS: usize = 4096;
-
-/// Per-instance cache size: full-width up to 128 ranks (where hit-rate
-/// dominates), shrinking stepwise above so a 4096-node machine pays ~3 KiB
-/// of cache per node instead of 96 KiB × 4096 ≈ 384 MiB — at scale the
-/// per-node region working set shrinks anyway (problem size is divided
-/// across more homes). Always a power of two, so the slot hash can mask.
-fn region_cache_slots_for(nprocs: usize) -> usize {
-    match nprocs {
-        0..=128 => REGION_CACHE_SLOTS,
-        129..=512 => 1024,
-        513..=2048 => 512,
-        _ => 128,
-    }
-}
-
-/// Sentinel key for an empty region-cache slot (no valid `RegionId` uses
-/// it: ids are `rank << 32 | seq` with rank bounded by `MAX_NODES`).
-const REGION_CACHE_EMPTY: u64 = u64::MAX;
-
 /// Per-collective gather buffer: contributions tagged by source rank.
 type GatherBuf = Vec<(usize, Arc<[u64]>)>;
 
-fn region_cache_slot(r: RegionId, slots: usize) -> usize {
-    // Fibonacci hashing. Region ids are `home << 32 | seq` with *per-home*
-    // sequential seqs, so plain masking (or xor-folding) would land every
-    // home's regions on the same densely-packed slot range; one odd
-    // multiply spreads both fields across the whole index space. `slots`
-    // is a power of two, so the mask keeps the hash's high bits.
-    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
-    (r.0.wrapping_mul(PHI) >> 52) as usize & (slots - 1)
+/// Every region entry this node holds, indexed by the two fields of its
+/// id: home, then `seq`. A home hands out `seq` from a counter, so its row
+/// is dense up to the highest `seq` seen of it. Rows sit in pages of
+/// [`PAGE_HOMES`] consecutive homes and the outer level holds one word per
+/// page, so a node that hears from two homes of a 4096-rank machine pays
+/// for two pages and 128 words, not for 4096 rows. Iteration is id order.
+#[derive(Default)]
+struct RegionTable {
+    pages: Vec<Option<Box<[Row; PAGE_HOMES]>>>,
+}
+
+/// One home's entries by `seq`.
+type Row = Vec<Option<Rc<RegionEntry>>>;
+
+/// Homes per page of the [`RegionTable`]: every machine of up to 32 ranks
+/// is one page.
+const PAGE_HOMES: usize = 32;
+
+impl RegionTable {
+    fn get(&self, r: RegionId) -> Option<&Rc<RegionEntry>> {
+        let page = self.pages.get(r.home() / PAGE_HOMES)?.as_ref()?;
+        page[r.home() % PAGE_HOMES].get(r.seq() as usize)?.as_ref()
+    }
+
+    /// Store `e` under its id, growing the outer level to its home's page
+    /// and the home's row to its `seq`.
+    fn insert(&mut self, e: Rc<RegionEntry>) {
+        let (home, seq) = (e.id.home(), e.id.seq() as usize);
+        if self.pages.len() <= home / PAGE_HOMES {
+            // Exactly: the outer level is the part that scales with the machine.
+            self.pages.reserve_exact(home / PAGE_HOMES + 1 - self.pages.len());
+            self.pages.resize_with(home / PAGE_HOMES + 1, || None);
+        }
+        let row =
+            &mut self.pages[home / PAGE_HOMES].get_or_insert_with(Box::default)[home % PAGE_HOMES];
+        if row.len() <= seq {
+            row.resize(seq + 1, None);
+        }
+        row[seq] = Some(e);
+    }
+
+    fn remove(&mut self, r: RegionId) {
+        if let Some(Some(page)) = self.pages.get_mut(r.home() / PAGE_HOMES) {
+            if let Some(slot) = page[r.home() % PAGE_HOMES].get_mut(r.seq() as usize) {
+                *slot = None;
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Rc<RegionEntry>> {
+        self.pages.iter().flatten().flat_map(|page| page.iter().flatten().flatten())
+    }
 }
 
 /// How an annotation's protocol is resolved — the one bit the compiler's
@@ -185,16 +202,15 @@ fn section(e: &RegionEntry, write: bool) -> &Cell<u32> {
 /// effects go through typed messages on the underlying [`Node`].
 pub struct AceRt<'n> {
     node: &'n Node<AceMsg>,
-    regions: RefCell<HashMap<u64, Rc<RegionEntry>>>,
-    // Direct-mapped fast path in front of `regions`. Counters live in
-    // plain `Cell`s, not `counters`, so `lookup` never re-borrows the
-    // `OpCounters` RefCell from inside `counters_mut` callbacks.
-    region_cache: RefCell<Vec<(u64, Option<Rc<RegionEntry>>)>>,
+    regions: RefCell<RegionTable>,
+    // Lookups that found an entry / found none. Plain `Cell`s, not
+    // `counters`, so `lookup` never re-borrows the `OpCounters` RefCell
+    // from inside `counters_mut` callbacks.
     rc_hits: Cell<u64>,
     rc_misses: Cell<u64>,
-    spaces: RefCell<HashMap<u32, Rc<SpaceEntry>>>,
+    /// Indexed by `SpaceId`: ids come from this node's own counter.
+    spaces: RefCell<Vec<Rc<SpaceEntry>>>,
     next_region_seq: Cell<u64>,
-    next_space: Cell<u32>,
     // Barrier state, per node of the combining tree: highest released
     // epoch per tag, local call count per tag, and arrivals seen so far per
     // (tag, epoch) — this node's own plus one per child subtree.
@@ -241,16 +257,11 @@ impl<'n> AceRt<'n> {
     pub fn new(node: &'n Node<AceMsg>) -> Self {
         let rt = AceRt {
             node,
-            regions: RefCell::new(HashMap::new()),
-            region_cache: RefCell::new(vec![
-                (REGION_CACHE_EMPTY, None);
-                region_cache_slots_for(node.nprocs())
-            ]),
+            regions: RefCell::default(),
             rc_hits: Cell::new(0),
             rc_misses: Cell::new(0),
-            spaces: RefCell::new(HashMap::new()),
+            spaces: RefCell::default(),
             next_region_seq: Cell::new(0),
-            next_space: Cell::new(0),
             bar_released: RefCell::new(HashMap::new()),
             bar_local_epoch: RefCell::new(HashMap::new()),
             bar_counts: RefCell::new(HashMap::new()),
@@ -380,7 +391,7 @@ impl<'n> AceRt<'n> {
         self.node.charge(n * self.node.cost().mem);
     }
 
-    /// Snapshot of this node's operation counters. Region-cache hit/miss
+    /// Snapshot of this node's operation counters. Region-lookup found/not-found
     /// totals (kept in `Cell`s on the runtime) and the node's logical/wire
     /// message split (kept by the substrate) are folded in here.
     pub fn counters(&self) -> OpCounters {
@@ -493,7 +504,7 @@ impl<'n> AceRt<'n> {
                 // Create the (invalid) cache entry the mapper is waiting on.
                 let e = Rc::new(RegionEntry::new(region, space, words as usize));
                 e.st.set(crate::rt::REMOTE_INVALID);
-                self.regions.borrow_mut().insert(region.0, e);
+                self.regions.borrow_mut().insert(e);
             }
             AceMsg::BarArrive { tag, epoch, prof } => self.bar_note_arrival(tag, epoch, prof),
             AceMsg::BarRelease { tag, epoch, prof } => {
@@ -541,11 +552,12 @@ impl<'n> AceRt<'n> {
     /// call `new_space` in the same program order (SPMD), which makes the
     /// locally-generated ids agree machine-wide.
     pub fn new_space(&self, protocol: Rc<dyn Protocol>) -> SpaceId {
-        let id = SpaceId(self.next_space.get());
-        self.next_space.set(id.0 + 1);
+        let id = SpaceId(self.spaces.borrow().len() as u32);
         let s = Rc::new(SpaceEntry::new(id, protocol));
         s.proto().init_space(self, &s);
-        self.spaces.borrow_mut().insert(id.0, s);
+        let mut spaces = self.spaces.borrow_mut();
+        assert_eq!(spaces.len(), id.0 as usize, "init_space of {id} created a space");
+        spaces.push(s);
         id
     }
 
@@ -554,7 +566,7 @@ impl<'n> AceRt<'n> {
     pub fn try_space(&self, id: SpaceId) -> Result<Rc<SpaceEntry>, AceError> {
         self.spaces
             .borrow()
-            .get(&id.0)
+            .get(id.0 as usize)
             .cloned()
             .ok_or(AceError::UnknownSpace { space: id, rank: self.rank() })
     }
@@ -573,11 +585,6 @@ impl<'n> AceRt<'n> {
     pub fn change_protocol(&self, sid: SpaceId, new: Rc<dyn Protocol>) {
         let s = self.space(sid);
         self.handover(&s, &*s.proto(), &*new, || {
-            // Entries survive a protocol change (same Rc identity), but
-            // clear the whole lookup cache anyway: it is cheap, the event
-            // is rare, and it keeps the invariant auditable — no cached
-            // pointer ever crosses a protocol epoch.
-            self.region_cache.borrow_mut().fill((REGION_CACHE_EMPTY, None));
             *s.protocol.borrow_mut() = Rc::clone(&new);
         });
     }
@@ -669,20 +676,17 @@ impl<'n> AceRt<'n> {
         let e = Rc::new(RegionEntry::new(id, space, words));
         e.st.set(HOME_OWNED_STATE);
         let proto = self.space(space).proto();
-        self.regions.borrow_mut().insert(id.0, e.clone());
+        self.regions.borrow_mut().insert(e.clone());
         proto.on_create(self, &e);
         self.cache_fast(&e, Some(&*proto));
         id
     }
 
-    /// All region entries this node knows that belong to `space`.
+    /// All region entries this node knows that belong to `space`, in id order.
     /// Protocols use this at barriers (e.g. to invalidate cached copies)
     /// and `change_protocol` uses it for the flush/adopt sweep.
     pub fn regions_of_space(&self, sid: SpaceId) -> Vec<Rc<RegionEntry>> {
-        let mut v: Vec<Rc<RegionEntry>> =
-            self.regions.borrow().values().filter(|e| e.space == sid).cloned().collect();
-        v.sort_by_key(|e| e.id);
-        v
+        self.regions.borrow().iter().filter(|e| e.space == sid).cloned().collect()
     }
 
     /// Deterministic FNV digest over the master copy of every region
@@ -693,15 +697,12 @@ impl<'n> AceRt<'n> {
     /// compare digests across runs to prove a mechanism (like the fast
     /// mask) changed only virtual time, never data.
     pub fn data_digest(&self) -> u64 {
-        let mut entries = self.regions.borrow().values().cloned().collect::<Vec<_>>();
-        entries.retain(|e| e.is_home_of(self.rank()));
-        entries.sort_by_key(|e| e.id);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {
             h ^= x;
             h = h.wrapping_mul(0x0100_0000_01b3);
         };
-        for e in entries {
+        for e in self.regions.borrow().iter().filter(|e| e.is_home_of(self.rank())) {
             mix(e.id.0);
             for &w in e.data.borrow().iter() {
                 mix(w);
@@ -710,41 +711,15 @@ impl<'n> AceRt<'n> {
         h
     }
 
-    /// Look up a region entry if this node has one.
-    ///
-    /// Every access annotation, protocol handler, and VM instruction funnels
-    /// through here, so a direct-mapped inline cache sits in front of the
-    /// `HashMap`: a hit is one array index and an `Rc` bump, no hashing.
-    /// The cache never outlives the table — [`AceRt::evict`] invalidates the
-    /// victim's slot and [`AceRt::change_protocol`] clears all slots.
+    /// Look up a region entry if this node has one: two indexings and an
+    /// `Rc` bump under every access annotation, protocol handler and VM
+    /// instruction. An id no entry was ever stored under — `NULL`, a home
+    /// past the machine, a `seq` its home has not reached — is `None`.
     pub fn lookup(&self, r: RegionId) -> Option<Rc<RegionEntry>> {
-        let slot = region_cache_slot(r, self.region_cache.borrow().len());
-        {
-            let cache = self.region_cache.borrow();
-            let (key, entry) = &cache[slot];
-            if *key == r.0 {
-                if let Some(e) = entry {
-                    self.rc_hits.set(self.rc_hits.get() + 1);
-                    return Some(Rc::clone(e));
-                }
-            }
-        }
-        self.rc_misses.set(self.rc_misses.get() + 1);
-        let e = self.regions.borrow().get(&r.0).cloned();
-        if let Some(e) = &e {
-            self.region_cache.borrow_mut()[slot] = (r.0, Some(Rc::clone(e)));
-        }
+        let e = self.regions.borrow().get(r).cloned();
+        let n = if e.is_some() { &self.rc_hits } else { &self.rc_misses };
+        n.set(n.get() + 1);
         e
-    }
-
-    /// Drop `r`'s region-cache slot if it holds `r`. Must run whenever an
-    /// entry leaves the `regions` table, or `lookup` would resurrect it.
-    fn region_cache_invalidate(&self, r: RegionId) {
-        let mut cache = self.region_cache.borrow_mut();
-        let slot = region_cache_slot(r, cache.len());
-        if cache[slot].0 == r.0 {
-            cache[slot] = (REGION_CACHE_EMPTY, None);
-        }
     }
 
     /// [`AceRt::lookup`] with a typed error: `Err(UnknownRegion)` — which
@@ -805,7 +780,7 @@ impl<'n> AceRt<'n> {
         assert_ne!(r.home(), self.rank(), "home regions exist from gmalloc");
         self.counters.borrow_mut().map_misses += 1;
         self.send(r.home(), AceMsg::MetaReq { region: r });
-        self.wait("region metadata", || self.regions.borrow().contains_key(&r.0));
+        self.wait("region metadata", || self.regions.borrow().get(r).is_some());
         self.entry(r)
     }
 
@@ -1078,8 +1053,7 @@ impl<'n> AceRt<'n> {
         assert!(!e.is_home_of(self.rank()), "evicting a home region {r}");
         let proto = self.space(e.space).proto();
         proto.flush(self, &e);
-        self.regions.borrow_mut().remove(&r.0);
-        self.region_cache_invalidate(r);
+        self.regions.borrow_mut().remove(r);
     }
 
     // ------------------------------------------------------------------
@@ -1744,30 +1718,65 @@ mod tests {
         assert_eq!(c.dispatched, 8);
     }
 
-    #[test]
-    fn region_cache_absorbs_repeated_lookups() {
-        let r = run_ace(1, CostModel::free(), |rt| {
-            let s = rt.new_space(noop());
-            let rid = rt.gmalloc::<u64>(s, 1);
-            rt.map(rid);
-            for _ in 0..100 {
-                rt.start_read(rid);
-                rt.with::<u64, _>(rid, |d| d[0]);
-                rt.end_read(rid);
-            }
-            rt.counters()
-        });
-        let c = &r.results[0];
-        // First touch misses and fills the slot; steady state all hits.
-        assert!(c.region_cache_misses >= 1);
-        assert!(
-            c.region_cache_hit_rate().unwrap() > 0.9,
-            "tight loop should hit the inline cache: {c:?}"
-        );
+    /// The table's lengths: pages, then every row of every page.
+    fn table_shape(rt: &AceRt) -> (usize, Vec<usize>) {
+        let t = rt.regions.borrow();
+        (t.pages.len(), t.pages.iter().flatten().flat_map(|p| p.iter().map(Vec::len)).collect())
     }
 
     #[test]
-    fn eviction_invalidates_region_cache() {
+    fn ids_never_stored_answer_none_and_grow_nothing() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let s = rt.new_space(noop());
+            let rid = rt.gmalloc::<u64>(s, 1);
+            rt.map(rid);
+            rt.start_read(rid);
+            rt.end_read(rid);
+            let (shape, before) = (table_shape(rt), rt.counters());
+            // Null, a home past the machine (and past the first page), a
+            // `seq` this rank has not handed out, a peer's never mapped.
+            let strangers = [
+                RegionId::NULL,
+                RegionId::new(2, 0),
+                RegionId::new(PAGE_HOMES + 1, 0),
+                RegionId::new(rt.rank(), 1),
+                RegionId::new(1 - rt.rank(), 0),
+            ];
+            for id in strangers {
+                assert!(rt.lookup(id).is_none(), "{id}");
+                for err in [rt.try_lookup(id).err(), rt.try_entry(id).err()] {
+                    assert_eq!(
+                        err,
+                        Some(AceError::UnknownRegion {
+                            region: id,
+                            rank: rt.rank(),
+                            last_hook: "end_read"
+                        })
+                    );
+                }
+            }
+            assert_eq!(table_shape(rt), shape, "a failed lookup must not grow the table");
+            let after = rt.counters();
+            // The counters split lookups by outcome, nothing else.
+            assert_eq!(after.region_cache_misses - before.region_cache_misses, 15);
+            assert_eq!(after.region_cache_hits, before.region_cache_hits);
+            assert!(matches!(
+                rt.try_space(SpaceId(1)),
+                Err(AceError::UnknownSpace { space: SpaceId(1), .. })
+            ));
+            rt.machine_barrier();
+            shape
+        });
+        // One page; the own row holds one entry, no other row exists.
+        for (rank, (pages, rows)) in r.results.iter().enumerate() {
+            assert_eq!(*pages, 1);
+            assert_eq!(rows.iter().sum::<usize>(), 1);
+            assert_eq!(rows[rank], 1);
+        }
+    }
+
+    #[test]
+    fn evicted_id_answers_none_and_remaps_with_a_fresh_fetch() {
         let r = run_ace(2, CostModel::free(), |rt| {
             let s = rt.new_space(noop());
             let rid = if rt.rank() == 0 {
@@ -1776,20 +1785,128 @@ mod tests {
                 RegionId(rt.bcast(0, &[])[0])
             };
             rt.map(rid);
-            // Warm the cache slot, then drop the entry.
             rt.start_read(rid);
             rt.end_read(rid);
             rt.unmap(rid);
-            let gone = if rt.rank() == 1 {
+            // Homes are never evicted.
+            let gone = rt.rank() == 0 || {
                 rt.evict(rid);
-                rt.lookup(rid).is_none()
-            } else {
-                true // homes are never evicted
+                rt.lookup(rid).is_none() && rt.try_entry(rid).is_err()
             };
+            rt.map(rid);
             rt.machine_barrier();
-            gone
+            (gone, rt.lookup(rid).is_some(), rt.counters().map_misses)
         });
-        assert_eq!(r.results, vec![true, true], "cached pointer must not outlive the table entry");
+        assert_eq!(r.results, vec![(true, true, 0), (true, true, 2)]);
+    }
+
+    #[test]
+    fn tables_iterate_in_id_order_over_four_homes() {
+        const PER_HOME: u64 = 3;
+        let r = run_ace(4, CostModel::free(), |rt| {
+            let (s, other) = (rt.new_space(noop()), rt.new_space(noop()));
+            // seq 0 and 2 in `s`, seq 1 in `other`.
+            for i in 0..PER_HOME {
+                let rid = rt.gmalloc::<u64>(if i == 1 { other } else { s }, 2);
+                rt.start_write(rid);
+                rt.with_mut::<u64, _>(rid, |d| d[1] = rid.0 ^ 0xACE);
+                rt.end_write(rid);
+            }
+            rt.machine_barrier();
+            // Map every region of the machine, highest home and `seq` first.
+            for home in (0..rt.nprocs()).rev() {
+                for seq in (0..PER_HOME).rev() {
+                    rt.map(RegionId::new(home, seq));
+                }
+            }
+            rt.machine_barrier();
+            let ids = |sid| rt.regions_of_space(sid).iter().map(|e| e.id).collect::<Vec<_>>();
+            (ids(s), ids(other), rt.data_digest())
+        });
+        let in_s: Vec<_> =
+            (0..4).flat_map(|h| [RegionId::new(h, 0), RegionId::new(h, 2)]).collect();
+        let in_other: Vec<_> = (0..4).map(|h| RegionId::new(h, 1)).collect();
+        for (rank, (s, other, digest)) in r.results.iter().enumerate() {
+            assert_eq!((s, other), (&in_s, &in_other), "rank {rank}");
+            // FNV over this home's regions in id order: id, then contents.
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for seq in 0..PER_HOME {
+                let id = RegionId::new(rank, seq).0;
+                for w in [id, 0, id ^ 0xACE] {
+                    h = (h ^ w).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            assert_eq!(*digest, h, "rank {rank}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random `gmalloc` / `map` / evict / `lookup` on three ranks against
+        /// a `BTreeMap` per rank. Every rank replays the whole script (so all
+        /// agree on which ids exist) and acts on its own steps; a barrier
+        /// after each step keeps the others serving metadata requests.
+        #[test]
+        fn table_agrees_with_a_btreemap_model(
+            script in proptest::collection::vec(
+                (0usize..3, 0u8..4, proptest::prelude::any::<u64>()),
+                1..60,
+            )
+        ) {
+            use std::collections::BTreeMap;
+            run_ace(3, CostModel::free(), |rt| {
+                let s = rt.new_space(noop());
+                let me = rt.rank();
+                let mut allocated: Vec<RegionId> = Vec::new();
+                let mut next_seq = [0u64; 3];
+                // What this rank's table should hold: id -> (words, maps).
+                let mut model: BTreeMap<u64, (usize, u32)> = BTreeMap::new();
+                for &(actor, op, pick) in &script {
+                    let target = allocated.get(pick as usize % allocated.len().max(1)).copied();
+                    match (op, target) {
+                        (0, _) => {
+                            let id = RegionId::new(actor, next_seq[actor]);
+                            let words = 1 + pick as usize % 5;
+                            next_seq[actor] += 1;
+                            allocated.push(id);
+                            if actor == me {
+                                assert_eq!(rt.gmalloc_words(s, words), id);
+                                model.insert(id.0, (words, 0));
+                            }
+                        }
+                        (1, Some(id)) if actor == me => {
+                            rt.map(id);
+                            // The model learns a remote region's size here.
+                            let words = rt.entry(id).words;
+                            model.entry(id.0).or_insert((words, 0)).1 += 1;
+                        }
+                        (2, Some(id)) if actor == me && id.home() != me => {
+                            if let Some((_, maps)) = model.remove(&id.0) {
+                                (0..maps).for_each(|_| rt.unmap(id));
+                                rt.evict(id);
+                            }
+                        }
+                        // An id some rank allocated, or one nobody did.
+                        (3, _) if actor == me => {
+                            let id = match pick % 2 {
+                                0 => target.unwrap_or(RegionId::NULL),
+                                _ => RegionId(pick),
+                            };
+                            let got = rt.lookup(id).map(|e| (e.words, e.mapped.get()));
+                            assert_eq!(got, model.get(&id.0).copied(), "{id}");
+                        }
+                        _ => {}
+                    }
+                    rt.machine_barrier();
+                }
+                let held: Vec<u64> = rt.regions_of_space(s).iter().map(|e| e.id.0).collect();
+                assert_eq!(held, model.keys().copied().collect::<Vec<_>>());
+                for id in allocated {
+                    assert_eq!(rt.lookup(id).map(|e| e.words), model.get(&id.0).map(|m| m.0));
+                }
+            });
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! annotations the direct pass removed are simply gone — which is exactly
 //! the cost structure Table 4 measures.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ace_core::{AceRt, Protocol, RegionId, SpaceId};
@@ -102,7 +101,9 @@ struct Frame {
 struct Vm<'a, 'n> {
     rt: &'a AceRt<'n>,
     prog: &'a Program,
-    directs: HashMap<ProtoSpec, Rc<dyn Protocol>>,
+    /// This VM's instance of each protocol a `Direct` annotation names,
+    /// made at first use. A program names a handful; scanned, not hashed.
+    directs: Vec<(ProtoSpec, Rc<dyn Protocol>)>,
     /// Per-function pools of retired frames, indexed by `FuncId`. More
     /// than one entry per function only under recursion.
     frames: Vec<Vec<Frame>>,
@@ -113,7 +114,7 @@ struct Vm<'a, 'n> {
 pub fn run_program(rt: &AceRt, prog: &Program) -> Option<Value> {
     let mut frames = Vec::new();
     frames.resize_with(prog.funcs.len(), Vec::new);
-    let mut vm = Vm { rt, prog, directs: HashMap::new(), frames };
+    let mut vm = Vm { rt, prog, directs: Vec::new(), frames };
     vm.call(prog.main, Vec::new())
 }
 
@@ -134,7 +135,11 @@ impl<'n> Vm<'_, 'n> {
                 Hook::Unlock => rt.unlock(h),
             },
             DispatchMode::Direct(spec) => {
-                let p = &**self.directs.entry(spec).or_insert_with(|| make(spec));
+                let at = self.directs.iter().position(|(s, _)| *s == spec).unwrap_or_else(|| {
+                    self.directs.push((spec, make(spec)));
+                    self.directs.len() - 1
+                });
+                let p = &*self.directs[at].1;
                 match hook {
                     Hook::StartRead => rt.start_read_direct(h, p),
                     Hook::EndRead => rt.end_read_direct(h, p),
