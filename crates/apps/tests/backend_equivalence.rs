@@ -1,9 +1,9 @@
 //! The execution backend must be invisible to the program. Whether each
 //! simulated node free-runs on its own OS thread (`ExecBackend::Threads`)
-//! or is cooperatively multiplexed over a fixed worker pool
+//! or is a fiber run by one executor on one thread
 //! (`ExecBackend::Multiplexed`), the machine executes the same logical
-//! computation: the slot gate only changes *when* a node's thread is
-//! allowed to run, never what it computes or sends. So the same
+//! computation: the executor only changes *when* a node is allowed to
+//! run, never what it computes or sends. So the same
 //! deterministic workload under both backends has to agree on every
 //! logical observable — the verification value, the per-node digest of
 //! every home region, the logical message/byte counts (total and per
@@ -14,14 +14,15 @@
 //! end to end and get the strict comparison on every *logical*
 //! observable. The wire-envelope grouping is excluded for the same
 //! reason it is there: how many protocol replies batch up between two
-//! blocking points depends on arrival timing, which both OS scheduling
-//! and the slot gate perturb. Wire count stays bounded by the logical
-//! count on both sides; its exact value is wall-clock jitter.
+//! blocking points depends on arrival timing, which OS scheduling
+//! perturbs on the `Threads` side. Wire count stays bounded by the
+//! logical count on both sides; its exact value there is wall-clock
+//! jitter.
 //!
 //! The file ends with the scale checks the tentpole demands: EM3D runs to
 //! completion at 1024 simulated nodes under the multiplexed backend, and
-//! a deliberately oversubscribed pool (many more runnable nodes than
-//! worker slots) still makes progress through barrier-heavy phases.
+//! sixteen nodes on the one executor thread still make progress through
+//! barrier-heavy phases.
 
 use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
@@ -111,7 +112,7 @@ proptest! {
 fn em3d_backends_agree_at_64_nodes() {
     // The upper end of the equivalence sweep: 64 ranks is the last
     // machine size where the sharer sets stay in the single-word fast
-    // path, and it comfortably oversubscribes the default worker pool.
+    // path, and 64 OS threads comfortably oversubscribe the host.
     let p = em3d::Params {
         e_nodes: 128,
         h_nodes: 128,
@@ -127,14 +128,13 @@ fn em3d_backends_agree_at_64_nodes() {
 }
 
 #[test]
-fn water_backends_agree_on_a_starved_pool() {
-    // Two worker slots for sixteen nodes: every barrier forces fifteen
-    // handoffs through the gate. Starvation may slow the run but must not
-    // change it.
+fn water_backends_agree_on_one_thread_for_sixteen_nodes() {
+    // One executor thread for sixteen nodes: every barrier is fifteen
+    // suspensions. Taking turns may slow the run but must not change it.
     let p = water::Params { molecules: 32, steps: 2, seed: 5 };
     let th = run_app(ExecBackend::Threads, 16, |d| water::run(d, &p, Variant::Custom));
     let starved = observe(
-        machine(16).backend(ExecBackend::Multiplexed).workers(2),
+        machine(16).backend(ExecBackend::Multiplexed),
         |_| {},
         |d| water::run(d, &p, Variant::Custom),
     );
@@ -149,7 +149,7 @@ fn water_backends_agree_on_a_starved_pool() {
 fn em3d_completes_at_1024_nodes_multiplexed() {
     // The acceptance bar for the scale-out engine: a 1024-node machine
     // constructs, runs EM3D to a finite verification value, and tears
-    // down, all on a default dev box's worth of workers. The workload is
+    // down, all on one thread of a default dev box. The workload is
     // deliberately thin per node — the test is about the machine, and the
     // graph keeps one E and one H node per rank so every rank still
     // participates in the remote-edge exchange.

@@ -41,7 +41,6 @@ fn checked_em3d_at_256_ranks_stays_small() {
         .nprocs(256)
         .cost(CostModel::cm5())
         .backend(ExecBackend::Multiplexed)
-        .workers(2)
         .check(CheckMode::Fail);
     let r = launch_ace_with(machine, |d| em3d::run(d, &p, Variant::Sc));
     assert_eq!(r.violations, 0);

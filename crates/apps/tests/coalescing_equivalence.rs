@@ -74,8 +74,8 @@ fn assert_equivalent(off: &Observed, on: &Observed, ctx: &str) {
     assert_eq!(off.per_tag(), on.per_tag(), "{ctx}: per-tag logical counts and bytes");
 
     // All counters must agree exactly except the wire grouping, which is
-    // the one thing coalescing exists to change (and which carries
-    // wall-clock jitter besides — see `fast_path_equivalence`).
+    // the one thing coalescing exists to change: the two sides differ in
+    // it by design (`assert_transport_accounting` says how).
     let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
     assert_eq!(strip(&o.counters), strip(&n.counters), "{ctx}: counters");
     assert_transport_accounting(off, on, ctx);

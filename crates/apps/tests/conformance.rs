@@ -276,7 +276,7 @@ fn causally_ordered_sections_do_not_conflict() {
 
 /// A machine wider than the 256 ranks one byte can name.
 fn wide(mode: CheckMode) -> MachineBuilder {
-    checked(300, mode).backend(ExecBackend::Multiplexed).workers(2)
+    checked(300, mode).backend(ExecBackend::Multiplexed)
 }
 
 #[test]

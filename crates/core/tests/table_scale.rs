@@ -52,11 +52,8 @@ fn peak_rss_mib() -> Option<f64> {
 
 #[test]
 fn region_table_at_4096_ranks_stays_small() {
-    let machine = Spmd::builder()
-        .nprocs(RANKS)
-        .cost(CostModel::cm5())
-        .backend(ExecBackend::Multiplexed)
-        .workers(2);
+    let machine =
+        Spmd::builder().nprocs(RANKS).cost(CostModel::cm5()).backend(ExecBackend::Multiplexed);
     let r = run_ace_with(machine, |rt| {
         let s = rt.new_space(Rc::new(Noop));
         let mine = rt.gmalloc::<u64>(s, 1);

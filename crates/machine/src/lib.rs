@@ -4,7 +4,8 @@
 //! (a 32-node Thinking Machines CM-5 with Active Messages): a fixed set of
 //! *nodes*, each a single-threaded processor with private memory, that
 //! communicate **only** by sending typed messages to each other. Each node is
-//! an OS thread; the "network" is a pluggable [`Transport`] backend — by
+//! an OS thread, or a fiber among its machine's on one thread
+//! ([`ExecBackend`]); the "network" is a pluggable [`Transport`] backend — by
 //! default in-process mailboxes ([`TransportKind::InProc`]), optionally real
 //! length-prefixed sockets ([`TransportKind::Socket`]) so ranks can live in
 //! separate OS processes (see [`MachineBuilder::spawn_rank`]).
@@ -26,6 +27,23 @@
 
 pub mod cost;
 pub mod envelope;
+#[cfg(all(target_arch = "x86_64", unix))]
+mod fiber;
+/// No fiber switch for this target (DESIGN.md §13): `validate()` rejects
+/// [`ExecBackend::Multiplexed`] before any of this can be reached.
+#[cfg(not(all(target_arch = "x86_64", unix)))]
+mod fiber {
+    pub(crate) const SUPPORTED: bool = false;
+    pub(crate) fn run<'a>(_: Vec<Box<dyn FnOnce() + 'a>>) {
+        unreachable!()
+    }
+    pub(crate) fn suspend() -> bool {
+        unreachable!()
+    }
+    pub(crate) fn wake(_: usize) {
+        unreachable!()
+    }
+}
 pub mod node;
 pub mod pod;
 pub mod sched;

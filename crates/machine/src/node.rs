@@ -10,7 +10,7 @@ use ace_trace::{EventKind, MachineTrace, NodeTrace, TraceConfig, TraceSink};
 
 use crate::cost::CostModel;
 use crate::envelope::{Envelope, MsgSize, Wire};
-use crate::sched::SlotHandle;
+use crate::sched::Parker;
 use crate::stats::NodeStats;
 use crate::transport::{Transport, WaitWireError};
 use crate::vclock::VClock;
@@ -190,9 +190,10 @@ impl<M> OutBufs<M> {
 
 /// One simulated processor.
 ///
-/// A `Node` is owned by exactly one OS thread and is deliberately `!Sync`:
-/// everything inside uses `Cell`/`RefCell`. The only cross-thread objects
-/// are the transport endpoint and the wake-up handle inside `slot`.
+/// A `Node` is owned by exactly one OS thread (its own, or its machine's
+/// executor) and is deliberately `!Sync`: everything inside uses
+/// `Cell`/`RefCell`. The only cross-thread objects are the transport
+/// endpoint and the wake-up handle inside `parker`.
 pub struct Node<M> {
     rank: usize,
     nprocs: usize,
@@ -223,13 +224,10 @@ pub struct Node<M> {
     coalesce: Cell<CoalescePolicy>,
     outbuf: RefCell<OutBufs<M>>,
     pending: Cell<usize>,
-    /// This thread's parking handle: the waiter senders wake it through
-    /// and, under [`crate::ExecBackend::Multiplexed`], its execution
-    /// slot. The slot is given up exactly while parked on the mailbox
-    /// inside [`Node::recv_blocking`] — the substrate's one true blocking
-    /// point — and the wake-up hands one back before any node state is
-    /// touched again.
-    slot: Rc<SlotHandle>,
+    /// This node's parking handle: the waiter senders wake it through, and
+    /// the park on the mailbox inside [`Node::recv_blocking`] — the
+    /// substrate's one true blocking point, and a fiber's one yield point.
+    parker: Parker,
     /// Scratch seen-set for [`Node::pop_inbox`] on machines wider than one
     /// bitmask word (deterministic mode only); cleared per pop, never
     /// reallocated.
@@ -268,7 +266,7 @@ impl<M: MsgSize + Send> Node<M> {
         nprocs: usize,
         transport: Rc<dyn Transport<M>>,
         cost: Arc<CostModel>,
-        slot: Rc<SlotHandle>,
+        parker: Parker,
         setup: &NodeSetup,
     ) -> Self {
         assert!(setup.drain_batch >= 1, "drain batch must be at least 1");
@@ -291,7 +289,7 @@ impl<M: MsgSize + Send> Node<M> {
             coalesce: Cell::new(setup.coalesce),
             outbuf: RefCell::new(OutBufs::new(nprocs)),
             pending: Cell::new(0),
-            slot,
+            parker,
             seen_wide: RefCell::new(Vec::new()),
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
@@ -722,8 +720,8 @@ impl<M: MsgSize + Send> Node<M> {
     /// node's own coalescing buffers (the liveness rule: never sleep on a
     /// message a peer may be waiting to trigger) and parks — once — on
     /// the mailbox until a wire envelope arrives. Under the multiplexed
-    /// backend this park is the yield point: the execution slot is given
-    /// up for exactly the park and the wake-up brings one back.
+    /// backend this park is the yield point: the node's fiber is
+    /// suspended for exactly the park.
     ///
     /// # Panics
     ///
@@ -733,7 +731,7 @@ impl<M: MsgSize + Send> Node<M> {
     fn recv_blocking(&self, what: &str, deadline: Instant) -> Envelope<M> {
         self.flush_coalesced();
         let failed = || self.transport.failed_rank() >= 0;
-        match self.transport.mailbox().park(&self.slot, deadline, failed) {
+        match self.transport.mailbox().park(&self.parker, deadline, failed) {
             Ok(w) => {
                 let mut inbox = self.inbox.borrow_mut();
                 self.enqueue_wire(w, &mut inbox);
@@ -833,7 +831,7 @@ impl<M: MsgSize + Send> Node<M> {
     }
 
     /// The watchdog deadline scaled to machine size: a 4096-node barrier
-    /// legitimately takes longer to drain over a core-sized worker pool
+    /// legitimately takes longer to drain over one or two host cores
     /// than a 4-node one, so the configured timeout grows by one multiple
     /// per 64 ranks. Machines up to 64 nodes keep the configured value
     /// exactly (the timing-sensitive tests pin small machines). A timeout
@@ -920,7 +918,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// program has logically sent.
     pub fn stats(&self) -> NodeStats {
         self.flush_coalesced();
-        let (parks, park_timeouts) = self.slot.park_counts();
+        let (parks, park_timeouts) = self.parker.park_counts();
         NodeStats {
             parks,
             park_timeouts,

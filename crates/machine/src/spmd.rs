@@ -7,13 +7,14 @@
 //!
 //! Two launch shapes exist:
 //!
-//! * [`MachineBuilder::run`] — the whole machine in this process, one OS
-//!   thread per rank, on either transport backend ([`TransportKind`]).
+//! * [`MachineBuilder::run`] — the whole machine in this process, on
+//!   either transport backend ([`TransportKind`]): one OS thread per rank,
+//!   or every rank a fiber on the calling thread ([`ExecBackend`]).
 //! * [`MachineBuilder::spawn_rank`] — exactly one rank in this process,
 //!   over the socket transport; the other ranks are other OS processes
 //!   meeting at the configured rendezvous address.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -23,10 +24,11 @@ use ace_trace::{MachineTrace, NodeTrace, TraceConfig};
 
 use crate::cost::CostModel;
 use crate::envelope::MsgSize;
+use crate::fiber;
 use crate::node::{
     CheckMode, CoalescePolicy, Node, NodeSetup, DEFAULT_DRAIN_BATCH, DEFAULT_WATCHDOG,
 };
-use crate::sched::{default_workers, ExecBackend, Scheduler, SlotHandle, MUX_STACK_BYTES};
+use crate::sched::{ExecBackend, Owner, Parker};
 use crate::stats::{MachineStats, NodeStats};
 use crate::transport::{
     ConfigError, FailBoard, InProcTransport, SockAddr, SocketCfg, SocketTransport, Transport,
@@ -92,7 +94,6 @@ pub struct MachineBuilder {
     check: CheckMode,
     det_seed: Option<u64>,
     backend: ExecBackend,
-    workers: Option<usize>,
     transport: TransportKind,
 }
 
@@ -102,8 +103,8 @@ impl Default for MachineBuilder {
     }
 }
 
-/// Per-rank transport seed moved into a node's thread; the endpoint
-/// itself is constructed on that thread.
+/// Per-rank transport seed handed to a node's body; the endpoint itself
+/// is constructed there, on the thread (or fiber) the node lives on.
 enum NodeSeed<M> {
     InProc(InProcTransport<M>),
     Socket(SocketCfg),
@@ -130,7 +131,6 @@ impl MachineBuilder {
             check: CheckMode::Off,
             det_seed: None,
             backend: ExecBackend::default(),
-            workers: None,
             transport: TransportKind::InProc,
         }
     }
@@ -195,19 +195,18 @@ impl MachineBuilder {
 
     /// How simulated nodes map onto OS execution (see [`ExecBackend`]).
     /// `Threads` (the default) runs every node as a free OS thread;
-    /// `Multiplexed` gates execution through a worker-sized slot pool and
-    /// shrinks per-node stacks, which is what makes 256–4096-node machines
-    /// practical on a desktop.
+    /// `Multiplexed` runs every node as a small-stacked fiber on the
+    /// calling thread, which is what makes 256–4096-node machines
+    /// practical on a desktop and their simulated time repeatable.
     pub fn backend(mut self, backend: ExecBackend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Width of the execution-slot pool under [`ExecBackend::Multiplexed`]
-    /// (default: one slot per host core). Ignored under `Threads`.
-    pub fn workers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one worker slot");
-        self.workers = Some(n);
+    /// Does nothing: a multiplexed machine has one executor thread, always.
+    /// Kept only because the repo benchmark (`benchmark/`, read-only to a
+    /// change here) calls it; ROADMAP *One bench story (e)* deletes both.
+    pub fn workers(self, _n: usize) -> Self {
         self
     }
 
@@ -237,6 +236,9 @@ impl MachineBuilder {
                     max: SOCKET_MAX_RANKS,
                 });
             }
+        }
+        if matches!(self.backend, ExecBackend::Multiplexed) && !fiber::SUPPORTED {
+            return Err(ConfigError::MultiplexedUnsupported);
         }
         Ok(())
     }
@@ -290,15 +292,6 @@ impl MachineBuilder {
         F: Fn(&Node<M>) -> R + Sync,
     {
         self.validate()?;
-        Ok(self.run_inner(f))
-    }
-
-    fn run_inner<M, R, F>(&self, f: F) -> SpmdResult<R>
-    where
-        M: MsgSize + WireCodec + Send + 'static,
-        R: Send,
-        F: Fn(&Node<M>) -> R + Sync,
-    {
         let nprocs = self.nprocs;
         assert!(nprocs >= 1, "need at least one node");
         assert!(nprocs <= MAX_NODES, "at most {MAX_NODES} nodes supported");
@@ -320,133 +313,103 @@ impl MachineBuilder {
                 (0..nprocs).map(|_| NodeSeed::Socket(cfg.clone())).collect()
             }
         };
-        let sched = match self.backend {
-            ExecBackend::Threads => None,
-            ExecBackend::Multiplexed => {
-                Some(Arc::new(Scheduler::new(self.workers.unwrap_or_else(default_workers))))
-            }
+        // One node's whole life, on a thread or on a fiber: build the
+        // endpoint and the node, run `f`, hand back what it produced. A
+        // panic stops here, never at the thread's or fiber's entry, and
+        // comes back as its message, published first (rank and message,
+        // first writer wins) so blocked peers fail fast naming it.
+        type Outcome<R> = Result<(R, NodeStats, Option<NodeTrace>), String>;
+        let node_body = |rank: usize, seed: NodeSeed<M>, parker: Parker| -> Outcome<R> {
+            // Kept out here so the failure path can broadcast through an
+            // endpoint that is constructed inside the `catch_unwind`.
+            let ep: RefCell<Option<Rc<dyn Transport<M>>>> = RefCell::new(None);
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let transport: Rc<dyn Transport<M>> = match seed {
+                    NodeSeed::InProc(t) => Rc::new(t),
+                    NodeSeed::Socket(cfg) => Rc::new(
+                        SocketTransport::establish(rank, nprocs, &cfg, Arc::clone(&board))
+                            .unwrap_or_else(|e| panic!("socket transport bootstrap failed: {e}")),
+                    ),
+                };
+                *ep.borrow_mut() = Some(Rc::clone(&transport));
+                let node = Node::new(
+                    rank,
+                    nprocs,
+                    Rc::clone(&transport),
+                    Arc::clone(&cost),
+                    parker,
+                    &setup,
+                );
+                let r = f(&node);
+                let stats = node.stats();
+                let trace = node.take_trace();
+                transport.shutdown();
+                (r, stats, trace)
+            }))
+            .map_err(|e| {
+                let msg = panic_message(e.as_ref()).to_string();
+                board.record(rank, msg.clone());
+                if let Some(t) = ep.borrow().as_ref() {
+                    t.signal_failure(rank, &msg);
+                }
+                msg
+            })
         };
 
+        let node_body = &node_body;
         let start = Instant::now();
-        type Outcome<R> = (R, NodeStats, Option<NodeTrace>);
-        let mut outcomes: Vec<Option<Outcome<R>>> = Vec::with_capacity(nprocs);
-        for _ in 0..nprocs {
-            outcomes.push(None);
+        let outcomes: Vec<Outcome<R>> = match self.backend {
+            ExecBackend::Threads => std::thread::scope(|scope| {
+                let handles: Vec<_> = seeds
+                    .into_iter()
+                    .enumerate()
+                    .map(|(rank, seed)| {
+                        std::thread::Builder::new()
+                            .name(format!("node-{rank}"))
+                            .spawn_scoped(scope, move || node_body(rank, seed, Parker::thread()))
+                            .expect("spawn node thread")
+                    })
+                    .collect();
+                let joined = handles.into_iter().map(|h| {
+                    h.join().unwrap_or_else(|e| Err(panic_message(e.as_ref()).to_string()))
+                });
+                joined.collect()
+            }),
+            ExecBackend::Multiplexed => {
+                let outcomes: Vec<Cell<Option<Outcome<R>>>> =
+                    (0..nprocs).map(|_| Cell::new(None)).collect();
+                let bodies =
+                    seeds.into_iter().zip(&outcomes).enumerate().map(|(rank, (seed, out))| {
+                        let parker = Parker::new(Owner::Fiber(rank));
+                        let body = move || out.set(Some(node_body(rank, seed, parker)));
+                        Box::new(body) as Box<dyn FnOnce() + '_>
+                    });
+                fiber::run(bodies.collect());
+                let finished = outcomes.into_iter().map(|out| out.into_inner());
+                finished.map(|out| out.expect("fiber::run finishes every body")).collect()
+            }
+        };
+        let wall = start.elapsed();
+
+        // The first node that died is the root cause; the rest are symptoms.
+        let failed = |rank: usize| Some((rank, outcomes.get(rank)?.as_ref().err()?));
+        let culprit = usize::try_from(board.failed_rank()).ok().and_then(failed);
+        if let Some((rank, msg)) = culprit.or_else(|| (0..nprocs).find_map(failed)) {
+            panic!("node {rank} panicked: {msg}");
         }
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nprocs);
-            for (rank, seed) in seeds.into_iter().enumerate() {
-                let board = Arc::clone(&board);
-                let sched = sched.clone();
-                let cost = Arc::clone(&cost);
-                let setup = &setup;
-                let f = &f;
-                let mut builder = std::thread::Builder::new().name(format!("node-{rank}"));
-                if sched.is_some() {
-                    // Multiplexed machines run thousands of mostly-parked
-                    // threads; shrink their stacks from the platform default
-                    // (often 8 MiB) so the address-space bill stays sane.
-                    builder = builder.stack_size(MUX_STACK_BYTES);
-                }
-                let handle = builder
-                    .spawn_scoped(scope, move || {
-                        // Under Multiplexed, hold an execution slot for the
-                        // whole computation except the mailbox parks inside
-                        // `poll_until` (the yield points). The final
-                        // release is idempotent, so it is safe no matter
-                        // where a panic unwound from. (Both are no-ops
-                        // under Threads, where the handle is only the
-                        // thread's wake-up address.)
-                        let slot = Rc::new(match sched {
-                            Some(s) => SlotHandle::new(s),
-                            None => SlotHandle::ungated(),
-                        });
-                        slot.acquire();
-                        // The endpoint is parked here so the failure path
-                        // below can broadcast through it even though it is
-                        // constructed inside the catch_unwind closure.
-                        let ep: RefCell<Option<Rc<dyn Transport<M>>>> = RefCell::new(None);
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let transport: Rc<dyn Transport<M>> = match seed {
-                                NodeSeed::InProc(t) => Rc::new(t),
-                                NodeSeed::Socket(cfg) => Rc::new(
-                                    SocketTransport::establish(
-                                        rank,
-                                        nprocs,
-                                        &cfg,
-                                        Arc::clone(&board),
-                                    )
-                                    .unwrap_or_else(|e| {
-                                        panic!("socket transport bootstrap failed: {e}")
-                                    }),
-                                ),
-                            };
-                            *ep.borrow_mut() = Some(Rc::clone(&transport));
-                            let node = Node::new(
-                                rank,
-                                nprocs,
-                                Rc::clone(&transport),
-                                cost,
-                                Rc::clone(&slot),
-                                setup,
-                            );
-                            let r = f(&node);
-                            let stats = node.stats();
-                            let trace = node.take_trace();
-                            transport.shutdown();
-                            (r, stats, trace)
-                        }));
-                        slot.release();
-                        match out {
-                            Ok(out) => out,
-                            Err(e) => {
-                                // Publish rank + message (first writer wins)
-                                // so blocked peers fail fast naming the root
-                                // cause, then let the panic continue into
-                                // the join below.
-                                let msg = panic_message(e.as_ref());
-                                board.record(rank, msg.to_string());
-                                if let Some(t) = ep.borrow().as_ref() {
-                                    t.signal_failure(rank, msg);
-                                }
-                                std::panic::resume_unwind(e);
-                            }
-                        }
-                    })
-                    .expect("spawn node thread");
-                handles.push(handle);
-            }
-            let mut failures: Vec<(usize, String)> = Vec::new();
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(out) => outcomes[rank] = Some(out),
-                    Err(e) => failures.push((rank, panic_message(e.as_ref()).to_string())),
-                }
-            }
-            if !failures.is_empty() {
-                let culprit = board.failed_rank();
-                let (rank, msg) =
-                    failures.iter().find(|(r, _)| *r as isize == culprit).unwrap_or(&failures[0]);
-                panic!("node {rank} panicked: {msg}");
-            }
-        });
-
-        let wall = start.elapsed();
         let mut results = Vec::with_capacity(nprocs);
         let mut stats = MachineStats::default();
         let mut node_traces = Vec::new();
         for out in outcomes {
-            let (r, s, t) = out.expect("node produced no result");
+            let (r, s, t) = out.expect("failures were raised above");
             results.push(r);
             stats.nodes.push(s);
-            if let Some(t) = t {
-                node_traces.push(t);
-            }
+            node_traces.extend(t);
         }
         let trace = self.trace.enabled.then_some(MachineTrace { nodes: node_traces });
         let sim_ns = stats.sim_time();
-        SpmdResult { results, stats, sim_ns, wall, trace }
+        Ok(SpmdResult { results, stats, sim_ns, wall, trace })
     }
 
     /// Launch exactly one rank of a **multi-process** socket machine in
@@ -489,8 +452,8 @@ impl MachineBuilder {
                 .unwrap_or_else(|e| panic!("rank {rank}: socket transport bootstrap failed: {e}")),
         );
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let slot = Rc::new(SlotHandle::ungated());
-            let node = Node::new(rank, self.nprocs, Rc::clone(&transport), cost, slot, &setup);
+            let node =
+                Node::new(rank, self.nprocs, Rc::clone(&transport), cost, Parker::thread(), &setup);
             let r = f(&node);
             let stats = node.stats();
             let trace = node.take_trace();
@@ -546,38 +509,51 @@ mod tests {
         Spmd::builder().nprocs(MAX_NODES + 1).cost(CostModel::free()).run::<(), _, _>(|_| {});
     }
 
-    #[test]
-    #[should_panic(expected = "node 2 panicked: boom")]
-    fn panics_propagate_with_rank() {
-        Spmd::builder().nprocs(4).cost(CostModel::free()).run::<(), _, _>(|node| {
-            if node.rank() == 2 {
-                panic!("boom");
-            }
-        });
+    /// `f` on a 4-rank machine of each backend in turn: the message the
+    /// run panicked with, and how long the failure took to surface.
+    fn failures_on_both_backends(f: impl Fn(&Node<u64>) + Sync) -> Vec<(String, Duration)> {
+        let on = |backend| {
+            let start = Instant::now();
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Spmd::builder().nprocs(4).cost(CostModel::free()).backend(backend).run(&f);
+            }));
+            let e = run.expect_err("the run must fail");
+            (panic_message(e.as_ref()).to_string(), start.elapsed())
+        };
+        vec![on(ExecBackend::Threads), on(ExecBackend::Multiplexed)]
     }
 
     #[test]
-    #[should_panic(expected = "node 1 panicked: boom")]
+    fn panics_propagate_with_rank() {
+        // On a fiber too the panic is caught by the node's body and comes
+        // out of `run`; one that reached the fiber's entry would abort.
+        for (msg, _) in failures_on_both_backends(|node| {
+            if node.rank() == 2 {
+                panic!("boom");
+            }
+        }) {
+            assert_eq!(msg, "node 2 panicked: boom");
+        }
+    }
+
+    #[test]
     fn peer_death_reports_root_cause() {
-        // Node 1 crashes while node 0 is blocked waiting on it. Node 0 is
-        // woken by the failure itself (no poll interval, no watchdog) and
-        // the propagated panic must name the crashing node, not the waiter.
-        let start = Instant::now();
-        let r = std::panic::catch_unwind(|| {
-            Spmd::builder().nprocs(2).cost(CostModel::free()).run::<u64, _, _>(|node| {
-                if node.rank() == 1 {
-                    panic!("boom");
-                }
-                node.poll_until("a message that never comes", |_, _| {}, || false);
-            })
-        });
-        assert!(r.is_err());
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "peer death took {:?} to detect; watchdog should not be involved",
-            start.elapsed()
-        );
-        std::panic::resume_unwind(r.unwrap_err());
+        // Node 1 crashes while the others are blocked waiting. They are
+        // woken by the failure itself (no poll interval, no watchdog, and
+        // under `Multiplexed` while suspended) and the propagated panic
+        // must name the crashing node, not a waiter.
+        for (msg, took) in failures_on_both_backends(|node| {
+            if node.rank() == 1 {
+                panic!("boom");
+            }
+            node.poll_until("a message that never comes", |_, _| {}, || false);
+        }) {
+            assert_eq!(msg, "node 1 panicked: boom");
+            assert!(
+                took < Duration::from_secs(1),
+                "peer death took {took:?} to detect; watchdog should not be involved"
+            );
+        }
     }
 
     #[test]

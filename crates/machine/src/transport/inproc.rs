@@ -74,7 +74,7 @@ impl<M> Transport<M> for InProcTransport<M> {
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
-    use crate::sched::SlotHandle;
+    use crate::sched::Parker;
     use crate::transport::WaitWireError;
     use std::time::{Duration, Instant};
 
@@ -110,10 +110,10 @@ mod tests {
         let ep1 = eps.pop().unwrap();
         let far = Instant::now() + Duration::from_secs(30);
         let waiter = std::thread::spawn(move || {
-            let slot = SlotHandle::ungated();
-            let first = ep1.mailbox().park(&slot, far, || ep1.failed_rank() >= 0);
-            let second = ep1.mailbox().park(&slot, far, || ep1.failed_rank() >= 0);
-            (first.err(), second.err(), slot.park_counts())
+            let parker = Parker::thread();
+            let first = ep1.mailbox().park(&parker, far, || ep1.failed_rank() >= 0);
+            let second = ep1.mailbox().park(&parker, far, || ep1.failed_rank() >= 0);
+            (first.err(), second.err(), parker.park_counts())
         });
         // Whichever side of the park the failure lands on, the waiter
         // must come back promptly with `Dead` (the 30 s deadline would

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::envelope::Wire;
-use crate::sched::{SlotHandle, Waiter};
+use crate::sched::{Parker, Waiter};
 use crate::transport::WaitWireError;
 
 struct Inner<M> {
@@ -85,8 +85,8 @@ impl<M> Mailbox<M> {
     }
 
     /// The blocking receive: return the next envelope, parking the
-    /// calling node thread (through `slot`, which gives up and regains
-    /// its execution slot around the park) until one is delivered.
+    /// calling node (through `parker`: its thread, or its fiber, which
+    /// hands the executor's thread on) until one is delivered.
     ///
     /// `failed` reads the machine's failure flag. It is re-checked after
     /// the waiter is published, which closes the window where a failure
@@ -96,7 +96,7 @@ impl<M> Mailbox<M> {
     /// [`WaitWireError::Timeout`] when `deadline` passed first.
     pub(crate) fn park(
         &self,
-        slot: &SlotHandle,
+        parker: &Parker,
         deadline: Instant,
         failed: impl Fn() -> bool,
     ) -> Result<Wire<M>, WaitWireError> {
@@ -105,12 +105,12 @@ impl<M> Mailbox<M> {
             if let Some(w) = g.queue.pop_front() {
                 return Ok(w);
             }
-            g.waiting = Some(slot.arm());
+            g.waiting = Some(parker.arm());
         }
         if failed() && self.cancel() {
             return Err(WaitWireError::Dead);
         }
-        if !slot.park_until(deadline, || self.cancel()) {
+        if !parker.park_until(deadline, || self.cancel()) {
             return Err(WaitWireError::Timeout);
         }
         self.try_pop().ok_or(WaitWireError::Dead)
@@ -141,19 +141,19 @@ mod tests {
     #[test]
     fn queued_envelopes_return_without_parking() {
         let mb = Mailbox::new();
-        let slot = SlotHandle::ungated();
+        let parker = Parker::thread();
         mb.push(env(0, 1));
         mb.push(env(0, 2));
-        assert_eq!(mb.park(&slot, soon(), || false).map(msg_of), Ok(1));
+        assert_eq!(mb.park(&parker, soon(), || false).map(msg_of), Ok(1));
         assert_eq!(mb.try_pop().map(msg_of), Some(2));
         assert!(mb.try_pop().is_none());
-        assert_eq!(slot.park_counts(), (0, 0));
+        assert_eq!(parker.park_counts(), (0, 0));
     }
 
     #[test]
     fn a_push_wakes_the_parked_owner_once() {
         let mb = Arc::new(Mailbox::new());
-        let slot = SlotHandle::ungated();
+        let parker = Parker::thread();
         let tx = Arc::clone(&mb);
         // The sender waits until the owner has published itself, so the
         // push below is the wake-up and not a pre-park delivery.
@@ -163,21 +163,21 @@ mod tests {
             }
             tx.push(env(1, 7));
         });
-        assert_eq!(mb.park(&slot, soon(), || false).map(msg_of), Ok(7));
+        assert_eq!(mb.park(&parker, soon(), || false).map(msg_of), Ok(7));
         sender.join().unwrap();
-        assert_eq!(slot.park_counts(), (1, 0));
+        assert_eq!(parker.park_counts(), (1, 0));
         assert!(mb.lock().waiting.is_none(), "the waker took the waiter");
     }
 
     #[test]
     fn deadline_withdraws_the_waiter() {
         let mb = Mailbox::<u64>::new();
-        let slot = SlotHandle::ungated();
+        let parker = Parker::thread();
         let t0 = Instant::now();
-        let r = mb.park(&slot, t0 + Duration::from_millis(20), || false);
+        let r = mb.park(&parker, t0 + Duration::from_millis(20), || false);
         assert_eq!(r.err(), Some(WaitWireError::Timeout));
         assert!(t0.elapsed() >= Duration::from_millis(20));
-        assert_eq!(slot.park_counts(), (1, 1));
+        assert_eq!(parker.park_counts(), (1, 1));
         assert!(mb.lock().waiting.is_none());
     }
 
@@ -187,17 +187,17 @@ mod tests {
         // waiting reports `Dead` instead of sleeping — after draining
         // what was already delivered.
         let mb = Mailbox::new();
-        let slot = SlotHandle::ungated();
+        let parker = Parker::thread();
         mb.push(env(0, 1));
-        assert_eq!(mb.park(&slot, soon(), || true).map(msg_of), Ok(1));
-        assert_eq!(mb.park(&slot, soon(), || true).err(), Some(WaitWireError::Dead));
-        assert_eq!(slot.park_counts(), (0, 0), "a known failure never parks");
+        assert_eq!(mb.park(&parker, soon(), || true).map(msg_of), Ok(1));
+        assert_eq!(mb.park(&parker, soon(), || true).err(), Some(WaitWireError::Dead));
+        assert_eq!(parker.park_counts(), (0, 0), "a known failure never parks");
     }
 
     #[test]
     fn a_poke_ends_the_wait_empty_handed() {
         let mb = Arc::new(Mailbox::<u64>::new());
-        let slot = SlotHandle::ungated();
+        let parker = Parker::thread();
         let tx = Arc::clone(&mb);
         let poker = std::thread::spawn(move || {
             while tx.lock().waiting.is_none() {
@@ -205,8 +205,8 @@ mod tests {
             }
             tx.poke();
         });
-        assert_eq!(mb.park(&slot, soon(), || false).err(), Some(WaitWireError::Dead));
+        assert_eq!(mb.park(&parker, soon(), || false).err(), Some(WaitWireError::Dead));
         poker.join().unwrap();
-        assert_eq!(slot.park_counts(), (1, 0));
+        assert_eq!(parker.park_counts(), (1, 0));
     }
 }

@@ -135,11 +135,15 @@ pub enum ConfigError {
     /// over real sockets the candidate set is OS-scheduling noise, so a
     /// "deterministic" run would silently not be one.
     SocketDeterministic,
-    /// `Socket` + `ExecBackend::Multiplexed`: the slot gate multiplexes
-    /// node threads of one process; a socket machine's ranks are meant to
-    /// live in different processes, and its reader/writer threads would
-    /// deadlock against the gate's yield discipline.
+    /// `Socket` + `ExecBackend::Multiplexed`: the executor runs the nodes
+    /// of one process as fibers on one thread and takes "nobody runnable"
+    /// to mean deadlock; a socket machine's ranks are meant to live in
+    /// different processes, and its reader threads deliver from outside
+    /// the executor, which a fiber cannot be woken from.
     SocketMultiplexed,
+    /// `ExecBackend::Multiplexed` on a target the fiber switch is not
+    /// written for (anything but x86-64 unix): there is no fallback.
+    MultiplexedUnsupported,
     /// `Socket` machines cap at [`SOCKET_MAX_RANKS`] ranks: a full mesh
     /// needs O(n²) file descriptors and 2(n-1) threads per rank.
     SocketRanks {
@@ -176,8 +180,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SocketMultiplexed => write!(
                 f,
                 "the socket transport requires ExecBackend::Threads: \
-                 the multiplexed slot gate and socket I/O threads deadlock"
+                 socket reader threads cannot wake a fiber of the multiplexed executor"
             ),
+            ConfigError::MultiplexedUnsupported => {
+                write!(f, "ExecBackend::Multiplexed has a fiber switch for x86-64 unix only")
+            }
             ConfigError::SocketRanks { nprocs, max } => write!(
                 f,
                 "socket machines support at most {max} ranks (requested {nprocs}): \
@@ -276,6 +283,7 @@ mod tests {
         for (e, needle) in [
             (ConfigError::SocketDeterministic, "deterministic"),
             (ConfigError::SocketMultiplexed, "Threads"),
+            (ConfigError::MultiplexedUnsupported, "x86-64"),
             (ConfigError::SocketRanks { nprocs: 128, max: 64 }, "at most 64"),
             (ConfigError::SpawnRankNeedsSocket, "spawn_rank"),
             (ConfigError::RankOutOfRange { rank: 9, nprocs: 4 }, "rank 9"),

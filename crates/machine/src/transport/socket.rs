@@ -770,11 +770,11 @@ fn reader_loop<M: WireCodec>(
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
-    use crate::sched::SlotHandle;
+    use crate::sched::Parker;
 
     /// Block on `ep`'s mailbox for up to `d`, as a node would.
     fn recv(ep: &SocketTransport<u64>, d: Duration) -> Option<Wire<u64>> {
-        ep.mailbox().park(&SlotHandle::ungated(), Instant::now() + d, || false).ok()
+        ep.mailbox().park(&Parker::thread(), Instant::now() + d, || false).ok()
     }
 
     fn endpoints(n: usize) -> Vec<SocketTransport<u64>> {

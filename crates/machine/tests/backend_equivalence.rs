@@ -1,7 +1,7 @@
 //! Machine-level checks that the multiplexed backend preserves the
 //! substrate's contracts at scale: the deterministic inbox scheduler
 //! replays beyond the 64-rank single-word fast path, failure detection
-//! still names the culprit promptly when nodes share a worker pool, and
+//! still names the culprit promptly when nodes share one thread, and
 //! a machine at the 4096-node ceiling constructs and tears down.
 
 use std::sync::Mutex;
@@ -9,21 +9,19 @@ use std::time::{Duration, Instant};
 
 use ace_machine::{CostModel, ExecBackend, Spmd};
 
-/// The tests here spawn hundreds-to-thousands of node threads each; run
-/// concurrently they starve one another (and the replay test's
-/// everything-arrives-before-the-first-pop grace period is a timing
-/// assumption), so they take turns.
+/// The tests here map hundreds-to-thousands of node stacks each, so
+/// they take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn deterministic_replay_at_256_nodes_multiplexed() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // 255 senders race two messages each at node 0, which only starts
-    // popping after everything has arrived, so the pop order is decided
-    // entirely by the seeded scheduler. At 256 ranks the scheduler's
-    // seen-set spills past its single-word bitmap, and under the
-    // multiplexed backend arrival interleavings are governed by slot
-    // handoffs rather than the OS — neither may leak into the replay.
+    // popping after everything has arrived (it starts first and parks;
+    // its wake-up queues behind every sender's start), so the pop order
+    // is decided entirely by the seeded scheduler. At 256 ranks the
+    // scheduler's seen-set spills past its single-word bitmap, which
+    // may not leak into the replay.
     let n = 256usize;
     let run = |seed: u64| {
         let r = Spmd::builder()
@@ -33,10 +31,6 @@ fn deterministic_replay_at_256_nodes_multiplexed() {
             .backend(ExecBackend::Multiplexed)
             .run::<u64, _, _>(|node| {
                 if node.rank() == 0 {
-                    // Give every sender time to drain through the slot
-                    // gate before the first pop: the replay is only
-                    // fully seed-determined once everything is queued.
-                    std::thread::sleep(Duration::from_millis(750));
                     let order = std::cell::RefCell::new(Vec::new());
                     let want = (n - 1) * 2;
                     node.poll_until(
@@ -70,18 +64,18 @@ fn deterministic_replay_at_256_nodes_multiplexed() {
 #[should_panic(expected = "node 1 panicked: boom")]
 fn peer_death_is_detected_under_multiplexing() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Node 1 crashes while node 0 blocks in a receive wait. The waiter
-    // holds no slot while parked, so the failure board's wake-up has to
-    // carry it back through the gate: the death must be noticed at once —
-    // nowhere near the watchdog — and the propagated panic must name the
-    // crashing node (first writer on the board), not the innocent waiter.
+    // Node 1 crashes while node 0 is suspended in a receive wait and six
+    // more have yet to start. The failure board's wake-up has to put the
+    // waiter back on the executor's queue: the death must be noticed at
+    // once — nowhere near the watchdog — and the propagated panic must
+    // name the crashing node (first writer on the board), not the
+    // innocent waiter.
     let start = Instant::now();
     let r = std::panic::catch_unwind(|| {
         Spmd::builder()
             .nprocs(8)
             .cost(CostModel::free())
             .backend(ExecBackend::Multiplexed)
-            .workers(2)
             .run::<u64, _, _>(|node| {
                 if node.rank() == 1 {
                     panic!("boom");
@@ -102,9 +96,9 @@ fn peer_death_is_detected_under_multiplexing() {
 fn machine_at_the_node_ceiling_constructs_and_runs() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // The full 4096-node machine: shared routing table, per-node state,
-    // and the slot gate all at the MAX_NODES ceiling. Each node passes a
-    // token around a ring so every channel and both gate directions get
-    // exercised at least once.
+    // and 4096 fiber stacks, all at the MAX_NODES ceiling. Each node
+    // passes a token around a ring so every mailbox is delivered into and
+    // every node but the last is suspended and woken at least once.
     let n = ace_machine::MAX_NODES;
     let r = Spmd::builder()
         .nprocs(n)

@@ -24,8 +24,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn mux(workers: usize) -> MachineBuilder {
-    Spmd::builder().backend(ExecBackend::Multiplexed).workers(workers)
+fn mux() -> MachineBuilder {
+    Spmd::builder().backend(ExecBackend::Multiplexed)
 }
 
 // ---------------------------------------------------------------------------
@@ -117,26 +117,10 @@ fn wake_stress_threads() {
 }
 
 #[test]
-fn wake_stress_multiplexed_one_worker() {
+fn wake_stress_multiplexed() {
     let _g = serial();
     for seed in 0..4 {
-        all_to_all(mux(1), 64, seed);
-    }
-}
-
-#[test]
-fn wake_stress_multiplexed_two_workers() {
-    let _g = serial();
-    for seed in 0..4 {
-        all_to_all(mux(2), 64, seed);
-    }
-}
-
-#[test]
-fn wake_stress_multiplexed_worker_per_rank() {
-    let _g = serial();
-    for seed in 0..4 {
-        all_to_all(mux(64), 64, seed);
+        all_to_all(mux(), 64, seed);
     }
 }
 
@@ -165,9 +149,8 @@ fn em3d_parks_at_most_once_per_envelope_and_never_times_out() {
         seed: 11,
         hoist_maps: true,
     };
-    let out = launch_ace_with(mux(2).nprocs(64).cost(CostModel::cm5()), |d| {
-        em3d::run(d, &p, Variant::Sc)
-    });
+    let out =
+        launch_ace_with(mux().nprocs(64).cost(CostModel::cm5()), |d| em3d::run(d, &p, Variant::Sc));
     assert_eq!(out.park_timeouts, 0, "a blocked rank woke by timer, not by message");
     assert!(out.parks > 0, "test premise: ranks block at misses and barriers");
     // Every park ends with one delivered wire envelope, and every envelope
@@ -217,7 +200,7 @@ fn peer_death_wakes_a_long_parked_rank_threads() {
 #[test]
 fn peer_death_wakes_a_long_parked_rank_multiplexed() {
     let _g = serial();
-    long_parked_rank_learns_of_a_death(mux(2));
+    long_parked_rank_learns_of_a_death(mux());
 }
 
 #[test]
@@ -227,31 +210,73 @@ fn peer_death_wakes_a_long_parked_rank_over_sockets() {
 }
 
 // ---------------------------------------------------------------------------
-// the watchdog is the park's deadline
+// the watchdog is the park's deadline, and a deadlock does not wait for it
 // ---------------------------------------------------------------------------
 
+/// Run `f` on `builder`'s machine, which must fail; return the panic it
+/// propagated and how long the whole run took.
+fn failing_run(builder: MachineBuilder, f: impl Fn(&Node<u64>) + Sync) -> (String, Duration) {
+    let t0 = Instant::now();
+    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        builder.cost(CostModel::free()).run::<u64, _, _>(f);
+    }));
+    let took = t0.elapsed();
+    let e = run.expect_err("the run must fail");
+    (e.downcast_ref::<String>().cloned().unwrap_or_default(), took)
+}
+
 #[test]
-fn watchdog_trips_on_time_on_both_backends() {
+fn watchdog_trips_on_time_on_threads() {
     let _g = serial();
     let wd = Duration::from_millis(50);
-    for builder in [Spmd::builder(), mux(1)] {
-        let blocked_for: OnceLock<Duration> = OnceLock::new();
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            builder.nprocs(1).cost(CostModel::free()).watchdog(wd).run::<u64, _, _>(|node| {
-                let t0 = Instant::now();
-                let wait = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    node.poll_until("never", |_, _| {}, || false);
-                }));
-                blocked_for.set(t0.elapsed()).unwrap();
-                assert_eq!(node.stats().parks, 1, "one park, ended by its deadline");
-                assert_eq!(node.stats().park_timeouts, 1);
-                std::panic::resume_unwind(wait.expect_err("the wait cannot succeed"));
-            })
+    let (msg, took) = failing_run(Spmd::builder().nprocs(1).watchdog(wd), |node| {
+        let wait = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            node.poll_until("never", |_, _| {}, || false);
         }));
-        let e = run.expect_err("the watchdog must fire");
-        let msg = e.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("wedged waiting for: never"), "{msg}");
-        let took = *blocked_for.get().expect("the node's wait ended");
-        assert!(took >= wd && took <= 3 * wd, "50 ms watchdog fired after {took:?}");
+        assert_eq!(node.stats().parks, 1, "one park, ended by its deadline");
+        assert_eq!(node.stats().park_timeouts, 1);
+        std::panic::resume_unwind(wait.expect_err("the wait cannot succeed"));
+    });
+    assert!(msg.contains("wedged waiting for: never"), "{msg}");
+    assert!(took >= wd && took <= 3 * wd, "50 ms watchdog fired after {took:?}");
+}
+
+#[test]
+fn a_wait_fed_forever_but_never_satisfied_ends_at_the_watchdog_on_both_backends() {
+    // Two ranks bounce a message for ever while each waits for something
+    // else: neither is ever idle for long, neither wait can end, and no
+    // executor can call it a deadlock. The deadline covers the whole wait.
+    let _g = serial();
+    let wd = Duration::from_millis(50);
+    for builder in [Spmd::builder(), mux()] {
+        let (msg, took) = failing_run(builder.nprocs(2).watchdog(wd), |node| {
+            if node.rank() == 0 {
+                node.send(1, 0);
+            }
+            node.poll_until("godot", |n, env| n.send(env.src, env.msg + 1), || false);
+        });
+        assert!(msg.contains("wedged waiting for: godot"), "{msg}");
+        assert!(took >= wd && took <= 10 * wd, "50 ms watchdog fired after {took:?}");
     }
+}
+
+#[test]
+fn a_multiplexed_deadlock_is_reported_at_once() {
+    // Three ranks each wait for a message nobody sends. Under the default
+    // 30 s watchdog the executor sees that nothing is runnable and fails
+    // the first of them, naming its wait; its peers fail fast behind it.
+    let _g = serial();
+    let stuck = |node: &Node<u64>| node.poll_until("a letter from nobody", |_, _| {}, || false);
+    let (msg, took) = failing_run(mux().nprocs(3), stuck);
+    assert!(
+        msg.contains("node 0 panicked: node 0 wedged waiting for: a letter from nobody"),
+        "{msg}"
+    );
+    assert!(took < Duration::from_secs(1), "a deadlock took {took:?} to report");
+    // Kernel threads can always be woken from outside, so there the same
+    // program still runs into its (shortened) watchdog.
+    let wd = Duration::from_millis(50);
+    let (msg, took) = failing_run(Spmd::builder().nprocs(3).watchdog(wd), stuck);
+    assert!(msg.contains("wedged waiting for: a letter from nobody"), "{msg}");
+    assert!(took >= wd, "the watchdog fired after {took:?}");
 }
