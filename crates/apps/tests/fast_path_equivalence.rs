@@ -4,9 +4,10 @@
 //! produce bit-identical behavior — same verification value, same
 //! message and byte counts, same annotation counters, and the same
 //! per-node digest of every home region's contents. The only permitted
-//! differences are the fast-hit/dispatch counter split and simulated
-//! time, which may only shrink (each absorbed annotation charges
-//! `fast_path` instead of a full dispatch).
+//! differences are the fast-hit/dispatch counter split, the count of
+//! maps and unmaps that ran no hook, and simulated time, which may only
+//! shrink (each absorbed annotation charges `fast_path` instead of a full
+//! dispatch; a `map` charges `map_lookup` on either path).
 //!
 //! The workloads are EM3D (the paper's most communication-dense kernel)
 //! and Water (both its null-protocol intra-molecular and pipelined
@@ -44,6 +45,10 @@ fn assert_fast_accounting(off: &Observed, on: &Observed, ctx: &str) {
     let (off, on) = (&off.outcome, &on.outcome);
     assert_eq!(off.counters.fast_hits, 0, "{ctx}: escape hatch really off");
     assert!(on.counters.fast_hits > 0, "{ctx}: workload should exercise the fast path");
+    // Likewise for `map` / `unmap`, so the equivalence covers their fast
+    // path on every workload here, not vacuously.
+    assert_eq!(off.counters.fast_maps, 0, "{ctx}: escape hatch covers map and unmap");
+    assert!(on.counters.fast_maps > 0, "{ctx}: workload should map through the fast path");
     assert_eq!(
         off.counters.dispatched + off.counters.direct,
         on.counters.dispatched + on.counters.direct + on.counters.fast_hits,
@@ -77,8 +82,14 @@ fn assert_equivalent(ctx: &str, run: impl Fn(bool) -> Observed) -> Observed {
 
     // All counters must agree exactly, the wire-envelope grouping
     // included; only the split between fast hits and dispatched/direct
-    // calls may differ.
-    let strip = |c: &OpCounters| OpCounters { dispatched: 0, direct: 0, fast_hits: 0, ..c.clone() };
+    // calls, and how many maps and unmaps ran no hook, may differ.
+    let strip = |c: &OpCounters| OpCounters {
+        dispatched: 0,
+        direct: 0,
+        fast_hits: 0,
+        fast_maps: 0,
+        ..c.clone()
+    };
     assert_eq!(strip(&off.counters), strip(&on.counters), "{ctx}: counters");
     assert_fast_accounting(&slow, &fast, ctx);
 

@@ -37,6 +37,12 @@ pub struct OpCounters {
     /// was a state-preserving no-op in the current region state, so the
     /// runtime skipped dispatch (and span construction) entirely.
     pub fast_hits: u64,
+    /// `map` and `unmap` calls absorbed by the fast mask: `on_map` /
+    /// `on_unmap` was a no-op in the region's state, so the runtime did its
+    /// own part (lookup, map count, `map_hits` / `unmaps`) and resolved no
+    /// protocol. Kept apart from `fast_hits`, whose ratio
+    /// ([`OpCounters::fast_hit_rate`]) is over access annotations.
+    pub fast_maps: u64,
     /// Region lookups that found an entry. (The name is from when a
     /// direct-mapped cache sat in front of a hash table; the runtime's
     /// region table is indexed by id, so the table is the cache.)
@@ -101,6 +107,7 @@ impl OpCounters {
         self.dispatched += o.dispatched;
         self.direct += o.direct;
         self.fast_hits += o.fast_hits;
+        self.fast_maps += o.fast_maps;
         self.region_cache_hits += o.region_cache_hits;
         self.region_cache_misses += o.region_cache_misses;
         self.logical_msgs += o.logical_msgs;

@@ -7,8 +7,8 @@ use crate::space::SpaceEntry;
 
 /// Bitmask of protocol hooks, used three ways: to declare which hooks a
 /// protocol defines as null (so the compiler's direct-dispatch pass can
-/// delete calls to them, §4.2), to say which access hooks are no-ops in a
-/// region's current state ([`Protocol::fast_mask`]), and in tests to
+/// delete calls to them, §4.2), to say which per-region hooks are no-ops
+/// in a region's current state ([`Protocol::fast_mask`]), and in tests to
 /// describe hook coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Actions(pub u16);
@@ -24,11 +24,15 @@ impl Actions {
     pub const LOCK: Actions = Actions(1 << 7);
     pub const UNLOCK: Actions = Actions(1 << 8);
 
-    /// The four access-section hooks — the bits a fast mask
-    /// ([`Protocol::fast_mask`]) is made of.
+    /// The four access-section hooks.
     pub const ACCESS: Actions = Actions(
         Actions::START_READ.0 | Actions::END_READ.0 | Actions::START_WRITE.0 | Actions::END_WRITE.0,
     );
+
+    /// The per-region hooks a fast mask ([`Protocol::fast_mask`]) speaks
+    /// for: `map`, `unmap` and the four of [`Actions::ACCESS`]. Locks and
+    /// barriers always run.
+    pub const MASKABLE: Actions = Actions(Actions::MAP.0 | Actions::UNMAP.0 | Actions::ACCESS.0);
 
     /// The empty set.
     pub fn empty() -> Self {
@@ -118,20 +122,25 @@ pub trait Protocol: 'static {
         false
     }
 
-    /// Which hooks are null for this protocol (candidates for removal by
-    /// the direct-dispatch optimization).
+    /// Which hooks are null for this protocol: no-ops on every region in
+    /// every state. The direct-dispatch optimization removes calls to the
+    /// access and lock hooks among them (a `map` is never removed: the id
+    /// still has to be translated), and every [`Actions::MASKABLE`] hook
+    /// among them must be in every [`Protocol::fast_mask`].
     fn null_actions(&self) -> Actions {
         Actions::empty()
     }
 
-    /// The access hooks that, run on `e` *in its current state*, would send
-    /// nothing and change nothing — the in-state fast path (CRL's in-cache
-    /// hit). Must be a pure function of `e` and `rt.rank()`; the runtime
-    /// caches the value in [`RegionEntry::fast`] and skips a hook whose bit
-    /// is set. It must contain every access hook [`Protocol::null_actions`]
+    /// The per-region hooks ([`Actions::MASKABLE`]: `on_map`, `on_unmap`
+    /// and the four access hooks) that, run on `e` *in its current state*,
+    /// would send nothing and change nothing — the in-state fast path
+    /// (CRL's in-cache hit). Must be a pure function of `e` and
+    /// `rt.rank()`; the runtime caches the value in [`RegionEntry::fast`]
+    /// and, on a set bit, neither resolves the protocol nor calls the hook.
+    /// It must contain every maskable hook [`Protocol::null_actions`]
     /// declares (null in every state implies fast in this one;
     /// debug-asserted where the runtime caches the mask). The default is
-    /// empty: every annotation runs its hook, which is always correct.
+    /// empty: every call runs its hook, which is always correct.
     fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
         Actions::empty()
     }
@@ -254,5 +263,11 @@ pub(crate) mod tests {
         assert!(m.contains(Actions::END_WRITE));
         assert!(!m.contains(Actions::MAP));
         assert!(!m.contains(Actions::LOCK));
+        let mapping = Actions::MAP.union(Actions::UNMAP);
+        assert_eq!(Actions::MASKABLE, m.union(mapping));
+        assert_eq!(
+            Actions::MASKABLE.intersect(Actions::LOCK.union(Actions::BARRIER)),
+            Actions::empty()
+        );
     }
 }

@@ -203,19 +203,21 @@ pub struct RegionEntry {
     /// Number of open write sections.
     pub write_active: Cell<u32>,
 
-    /// Fast mask: the access hooks that are state-preserving no-ops in the
-    /// region's *current* state (the analogue of CRL's in-cache fast path).
-    /// The runtime checks it before dispatching a hook; a set bit promises
-    /// the hook would neither send messages nor mutate any entry or space
-    /// state, so the runtime skips it entirely. Empty = always slow.
+    /// Fast mask: the per-region hooks ([`crate::Actions::MASKABLE`] —
+    /// `on_map`, `on_unmap` and the four access hooks) that are
+    /// state-preserving no-ops in the region's *current* state (the
+    /// analogue of CRL's in-cache fast path). The runtime checks it before
+    /// resolving the region's protocol; a set bit promises the hook would
+    /// neither send messages nor mutate any entry or space state, so the
+    /// runtime skips it entirely. Empty = always slow.
     ///
     /// This is a cache of [`crate::Protocol::fast_mask`], owned by the
     /// runtime: it re-evaluates the protocol's declaration when it returns
-    /// from `on_create`, `on_map`, an annotation hook that ran, `handle`,
-    /// and `adopt`, and empties it after `flush` (a flushed region belongs
-    /// to no protocol until the next one adopts it). Those are the
-    /// callbacks *on this entry*; code that changes an entry from anywhere
-    /// else calls [`crate::AceRt::rederive_fast`].
+    /// from `on_create`, an `on_map`, `on_unmap` or annotation hook that
+    /// ran, `handle`, and `adopt`, and empties it after `flush` (a flushed
+    /// region belongs to no protocol until the next one adopts it). Those
+    /// are the callbacks *on this entry*; code that changes an entry from
+    /// anywhere else calls [`crate::AceRt::rederive_fast`].
     pub fast: FastMask,
 
     // ---- protocol-owned fields ----

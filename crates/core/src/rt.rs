@@ -39,6 +39,36 @@ fn bar_children(rank: usize, nprocs: usize) -> std::ops::Range<usize> {
     first.min(nprocs)..(first + BAR_ARITY).min(nprocs)
 }
 
+/// One barrier tag's state on this node of the combining tree.
+///
+/// The sharing-profile fields are the adaptive protocol engine's
+/// piggyback: a staged contribution rides the next `BarArrive` for its
+/// tag, every tree node sums its subtree's element-wise before passing one
+/// partial sum up, and the root's total rides every `BarRelease` — so
+/// every node decides on identical machine-wide data with zero extra
+/// messages.
+#[derive(Default)]
+struct BarTag {
+    /// Barriers this node has entered on the tag.
+    local_epoch: u64,
+    /// Highest epoch released to this node.
+    released: u64,
+    /// The passage collecting arrivals, if `arrivals > 0`. One is enough:
+    /// an arrival for epoch `k + 1` comes from a node released from `k`,
+    /// every release to this subtree passes through this node, and the
+    /// root releases `k` only after this node's subtree arrived for it.
+    open_epoch: u64,
+    /// Arrivals seen for `open_epoch`: this node's own plus one per child
+    /// subtree.
+    arrivals: usize,
+    /// Element-wise sum of the profiles those arrivals carried.
+    prof_acc: Option<Vec<u64>>,
+    /// Profile staged for this node's next arrival.
+    prof_out: Option<Vec<u64>>,
+    /// Machine-wide sum the most recent release carried, until taken.
+    prof_in: Option<Arc<[u64]>>,
+}
+
 /// The coalescing policy [`AceRt::new`] installs. Threshold-8 bounds how
 /// long a logical message can linger in a buffer mid-phase (a full buffer
 /// goes out immediately) while still amortizing headers and latency
@@ -211,21 +241,9 @@ pub struct AceRt<'n> {
     /// Indexed by `SpaceId`: ids come from this node's own counter.
     spaces: RefCell<Vec<Rc<SpaceEntry>>>,
     next_region_seq: Cell<u64>,
-    // Barrier state, per node of the combining tree: highest released
-    // epoch per tag, local call count per tag, and arrivals seen so far per
-    // (tag, epoch) — this node's own plus one per child subtree.
-    bar_released: RefCell<HashMap<u32, u64>>,
-    bar_local_epoch: RefCell<HashMap<u32, u64>>,
-    bar_counts: RefCell<HashMap<(u32, u64), usize>>,
-    // Sharing-profile piggyback for the adaptive protocol engine: staged
-    // contributions ride the next BarArrive for their tag, every tree
-    // node sums its subtree's element-wise before passing one partial sum
-    // up, and the root's total rides every BarRelease — so every node
-    // decides on identical machine-wide data with zero extra messages.
-    // Keyed by barrier tag.
-    bar_prof_out: RefCell<HashMap<u32, Vec<u64>>>,
-    bar_prof_acc: RefCell<HashMap<(u32, u64), Vec<u64>>>,
-    bar_prof_in: RefCell<HashMap<u32, Arc<[u64]>>>,
+    /// Barrier state by tag: slot 0 the machine barrier's, slot `1 + sid`
+    /// a space's. Grown on first use of a tag, by this node or a child.
+    bars: RefCell<Vec<BarTag>>,
     // Collective data exchange.
     bcast_seq: Cell<u64>,
     bcast_recv: RefCell<HashMap<u64, Arc<[u64]>>>,
@@ -262,12 +280,7 @@ impl<'n> AceRt<'n> {
             rc_misses: Cell::new(0),
             spaces: RefCell::default(),
             next_region_seq: Cell::new(0),
-            bar_released: RefCell::new(HashMap::new()),
-            bar_local_epoch: RefCell::new(HashMap::new()),
-            bar_counts: RefCell::new(HashMap::new()),
-            bar_prof_out: RefCell::new(HashMap::new()),
-            bar_prof_acc: RefCell::new(HashMap::new()),
-            bar_prof_in: RefCell::new(HashMap::new()),
+            bars: RefCell::default(),
             bcast_seq: Cell::new(0),
             bcast_recv: RefCell::new(HashMap::new()),
             gather_seq: Cell::new(0),
@@ -290,9 +303,10 @@ impl<'n> AceRt<'n> {
     }
 
     /// Enable or disable the per-region fast paths ([`RegionEntry::fast`]).
-    /// On by default; turning them off forces every annotation through the
-    /// full dispatch path, which must be behaviourally identical (only
-    /// slower in virtual time). Exposed for equivalence tests and A/B
+    /// On by default; turning them off makes every `map`, `unmap` and
+    /// access annotation resolve its protocol and run its hook, which must
+    /// be behaviourally identical (only slower — for the annotations, in
+    /// virtual time too). Exposed for equivalence tests and A/B
     /// benchmarking.
     pub fn set_fast_paths(&self, on: bool) {
         self.fast_enabled.set(on);
@@ -325,20 +339,24 @@ impl<'n> AceRt<'n> {
     /// A span on a region (`e` is `Some`) records the region's protocol
     /// state code so [`AceRt::span_exit`] can diff it; region-less spans
     /// (the barrier is scoped to a space) carry [`ace_machine::NO_REGION`].
+    /// The span's labels — `proto`'s name and, for a handled message, the
+    /// name of its opcode `op` — are virtual calls, made only when a sink
+    /// will read them.
     #[inline]
     fn span_enter<'e>(
         &self,
         hook: Hook,
         space: SpaceId,
         e: Option<&'e RegionEntry>,
-        proto: &'static str,
-        detail: &'static str,
+        proto: &dyn Protocol,
+        op: Option<u16>,
     ) -> Option<Span<'e>> {
         self.last_hook.set(hook.name());
         let sink = self.node.trace_sink();
         if !sink.enabled() {
             return None;
         }
+        let (proto, detail) = (proto.name(), op.map_or("", |op| proto.op_name(op)));
         let (region, space) = (e.map_or(ace_machine::NO_REGION, |e| e.id.0), space.0);
         sink.emit(self.node.now(), EventKind::HookEnter { hook, region, space, proto, detail });
         Some(Span { hook, region, space, proto, detail, st: e.map(|e| (e, e.st.get())) })
@@ -483,13 +501,7 @@ impl<'n> AceRt<'n> {
                 });
                 let proto = self.space(e.space).proto();
                 self.handling.set((src, pm.op, sw));
-                let span = self.span_enter(
-                    Hook::Handle,
-                    e.space,
-                    Some(&e),
-                    proto.name(),
-                    proto.op_name(pm.op),
-                );
+                let span = self.span_enter(Hook::Handle, e.space, Some(&e), &*proto, Some(pm.op));
                 proto.handle(self, &e, pm, src);
                 self.cache_fast(&e, Some(&*proto));
                 self.span_exit(span);
@@ -784,14 +796,31 @@ impl<'n> AceRt<'n> {
         self.entry(r)
     }
 
+    /// Whether `action` on `e` takes the in-state fast path: the fast
+    /// paths are on and the region's protocol has declared the hook a
+    /// no-op in the region's current state ([`RegionEntry::fast`]). The one
+    /// test under `map`, `unmap` and the four access annotations; on a hit
+    /// the caller resolves no protocol, opens no span, calls no hook and
+    /// leaves the mask alone (a hook that did not run moved no state).
+    #[inline]
+    fn fast_hit(&self, e: &RegionEntry, action: Actions) -> bool {
+        self.fast_enabled.get() && e.fast.get().contains(action)
+    }
+
     /// `ACE_MAP`: translate a region id into a local mapping, fetching
-    /// metadata from home on first contact.
+    /// metadata from home on first contact. Charges `map_lookup` whether
+    /// or not the protocol's `on_map` has anything to do.
     pub fn map(&self, r: RegionId) {
         self.node.charge(self.node.cost().map_lookup);
         let e = self.ensure_entry(r);
         e.mapped.set(e.mapped.get() + 1);
+        if self.fast_hit(&e, Actions::MAP) {
+            self.last_hook.set(Hook::Map.name());
+            self.counters.borrow_mut().fast_maps += 1;
+            return;
+        }
         let proto = self.space(e.space).proto();
-        let span = self.span_enter(Hook::Map, e.space, Some(&e), proto.name(), "");
+        let span = self.span_enter(Hook::Map, e.space, Some(&e), &*proto, None);
         proto.on_map(self, &e);
         self.cache_fast(&e, Some(&*proto));
         self.span_exit(span);
@@ -804,9 +833,15 @@ impl<'n> AceRt<'n> {
         self.counters.borrow_mut().unmaps += 1;
         assert!(e.mapped.get() > 0, "unmap of unmapped region {r}");
         e.mapped.set(e.mapped.get() - 1);
+        if self.fast_hit(&e, Actions::UNMAP) {
+            self.last_hook.set(Hook::Unmap.name());
+            self.counters.borrow_mut().fast_maps += 1;
+            return;
+        }
         let proto = self.space(e.space).proto();
-        let span = self.span_enter(Hook::Unmap, e.space, Some(&e), proto.name(), "");
+        let span = self.span_enter(Hook::Unmap, e.space, Some(&e), &*proto, None);
         proto.on_unmap(self, &e);
+        self.cache_fast(&e, Some(&*proto));
         self.span_exit(span);
     }
 
@@ -845,8 +880,8 @@ impl<'n> AceRt<'n> {
     fn cache_fast(&self, e: &RegionEntry, owner: Option<&dyn Protocol>) {
         let mask = owner.map_or(Actions::empty(), |p| p.fast_mask(self, e));
         debug_assert!(
-            owner.is_none_or(|p| mask.contains(p.null_actions().intersect(Actions::ACCESS))),
-            "{}: an access hook declared null must be fast in every state, got {mask:?}",
+            owner.is_none_or(|p| mask.contains(p.null_actions().intersect(Actions::MASKABLE))),
+            "{}: a map, unmap or access hook declared null must be fast in every state, got {mask:?}",
             e.id
         );
         e.fast.set(mask);
@@ -872,12 +907,11 @@ impl<'n> AceRt<'n> {
 
     /// Execute one access or lock annotation on `r`.
     ///
-    /// The cost ladder, cheapest first: a *fast* hit (the protocol has
-    /// declared the hook a state-preserving no-op in the region's current
-    /// state, see [`RegionEntry::fast`]) charges `fast_path` and skips the
-    /// protocol resolution, the hook and its trace span — a couple of loads
-    /// and a branch in the real system; otherwise the hook runs and pays
-    /// `direct_call` or `dispatch` according to `via`.
+    /// The cost ladder, cheapest first: a *fast* hit ([`AceRt::fast_hit`])
+    /// charges `fast_path` and skips the protocol resolution, the hook and
+    /// its trace span — a couple of loads and a branch in the real system;
+    /// otherwise the hook runs and pays `direct_call` or `dispatch`
+    /// according to `via`.
     ///
     /// Ordering around the section counters is what the conformance
     /// checker relies on: an open is counted (and recorded) *after* the
@@ -921,13 +955,13 @@ impl<'n> AceRt<'n> {
                 self.checker.on_close(self.node, e.id, write);
             }
         }
-        // The fast mask covers the access hooks only; locks always run.
+        // The fast mask covers the section hooks; locks always run.
         let maskable = match edge {
             Edge::Open { write } => Some(section_action(true, write)),
             Edge::Close { write } => Some(section_action(false, write)),
             Edge::Sync => None,
         };
-        if maskable.is_some_and(|a| self.fast_enabled.get() && e.fast.get().contains(a)) {
+        if maskable.is_some_and(|a| self.fast_hit(&e, a)) {
             self.last_hook.set(hook.name());
             self.counters.borrow_mut().fast_hits += 1;
             self.node.charge(self.node.cost().fast_path);
@@ -946,7 +980,7 @@ impl<'n> AceRt<'n> {
                 self.note_slow_access(&e, write);
             }
             let p = via.get(self, &e, &mut held);
-            let span = self.span_enter(hook, e.space, Some(&e), p.name(), "");
+            let span = self.span_enter(hook, e.space, Some(&e), p, None);
             match hook {
                 Hook::StartRead => p.start_read(self, &e),
                 Hook::EndRead => p.end_read(self, &e),
@@ -1172,7 +1206,7 @@ impl<'n> AceRt<'n> {
         self.counters.borrow_mut().barriers += 1;
         let s = self.space(sid);
         let proto = s.proto();
-        let span = self.span_enter(Hook::Barrier, sid, None, proto.name(), "");
+        let span = self.span_enter(Hook::Barrier, sid, None, &*proto, None);
         proto.barrier(self, &s);
         self.span_exit(span);
     }
@@ -1191,21 +1225,26 @@ impl<'n> AceRt<'n> {
         self.barrier_tag(GLOBAL_BAR_TAG);
     }
 
+    /// Run `f` on `tag`'s barrier state, which exists from here on.
+    fn bar<R>(&self, tag: u32, f: impl FnOnce(&mut BarTag) -> R) -> R {
+        let slot = if tag == GLOBAL_BAR_TAG { 0 } else { 1 + tag as usize };
+        let mut bars = self.bars.borrow_mut();
+        if bars.len() <= slot {
+            bars.resize_with(slot + 1, BarTag::default);
+        }
+        f(&mut bars[slot])
+    }
+
     fn barrier_tag(&self, tag: u32) {
         if self.checker.enabled() {
             self.node.vc_enter_barrier();
         }
-        let epoch = {
-            let mut m = self.bar_local_epoch.borrow_mut();
-            let e = m.entry(tag).or_insert(0);
-            *e += 1;
-            *e
-        };
-        let prof = self.bar_prof_out.borrow_mut().remove(&tag).map(Arc::from);
-        self.bar_note_arrival(tag, epoch, prof);
-        self.wait("barrier release", || {
-            self.bar_released.borrow().get(&tag).copied().unwrap_or(0) >= epoch
+        let (epoch, prof) = self.bar(tag, |b| {
+            b.local_epoch += 1;
+            (b.local_epoch, b.prof_out.take().map(Arc::from))
         });
+        self.bar_note_arrival(tag, epoch, prof);
+        self.wait("barrier release", || self.bar(tag, |b| b.released >= epoch));
     }
 
     /// Send one barrier message, counted in [`OpCounters::bar_msgs`].
@@ -1219,36 +1258,34 @@ impl<'n> AceRt<'n> {
     /// the subtree's single arrival (and combined profile) to the parent —
     /// or, at the root, starts the release.
     fn bar_note_arrival(&self, tag: u32, epoch: u64, prof: Option<Arc<[u64]>>) {
-        if let Some(p) = prof {
-            let mut acc = self.bar_prof_acc.borrow_mut();
-            let sum = acc.entry((tag, epoch)).or_default();
-            if sum.len() < p.len() {
-                sum.resize(p.len(), 0);
-            }
-            for (s, v) in sum.iter_mut().zip(p.iter()) {
-                *s += v;
-            }
-        }
         let children = bar_children(self.rank(), self.nprocs()).len();
-        let full = {
-            let mut counts = self.bar_counts.borrow_mut();
-            let c = counts.entry((tag, epoch)).or_insert(0);
-            *c += 1;
-            if *c == 1 + children {
-                counts.remove(&(tag, epoch));
-                true
-            } else {
-                false
+        // `Some(combined profile)` once the subtree is complete.
+        let full = self.bar(tag, |b| {
+            if b.arrivals == 0 {
+                b.open_epoch = epoch;
             }
-        };
-        if full {
+            assert_eq!(b.open_epoch, epoch, "barrier {tag}: an arrival from another passage");
+            if let Some(p) = prof {
+                let sum = b.prof_acc.get_or_insert_with(Vec::new);
+                if sum.len() < p.len() {
+                    sum.resize(p.len(), 0);
+                }
+                for (s, v) in sum.iter_mut().zip(p.iter()) {
+                    *s += v;
+                }
+            }
+            b.arrivals += 1;
+            (b.arrivals == 1 + children).then(|| {
+                b.arrivals = 0;
+                b.prof_acc.take().map(Arc::<[u64]>::from)
+            })
+        });
+        if let Some(prof) = full {
             // A child may arrive for a barrier this node has yet to enter,
             // so arrivals are counted here, inside the passage they belong
             // to: the counter then reads whole passages at any point
             // outside a barrier, whatever the timing.
             self.counters.borrow_mut().bar_msgs += children as u64;
-            let prof: Option<Arc<[u64]>> =
-                self.bar_prof_acc.borrow_mut().remove(&(tag, epoch)).map(Arc::from);
             match bar_parent(self.rank()) {
                 Some(parent) => self.bar_send(parent, AceMsg::BarArrive { tag, epoch, prof }),
                 None => self.bar_release(tag, epoch, prof),
@@ -1266,12 +1303,12 @@ impl<'n> AceRt<'n> {
         for dst in bar_children(self.rank(), self.nprocs()) {
             self.bar_send(dst, AceMsg::BarRelease { tag, epoch, prof: prof.clone() });
         }
-        if let Some(p) = prof {
-            self.bar_prof_in.borrow_mut().insert(tag, p);
-        }
-        let mut rel = self.bar_released.borrow_mut();
-        let e = rel.entry(tag).or_insert(0);
-        *e = (*e).max(epoch);
+        self.bar(tag, |b| {
+            if prof.is_some() {
+                b.prof_in = prof;
+            }
+            b.released = b.released.max(epoch);
+        });
     }
 
     /// Stage this node's sharing-profile contribution for its next barrier
@@ -1283,14 +1320,14 @@ impl<'n> AceRt<'n> {
     /// addition is associative: the same words a flat sum would give) —
     /// consensus with zero extra messages and zero extra bytes charged.
     pub fn stage_bar_profile(&self, sid: SpaceId, prof: Vec<u64>) {
-        self.bar_prof_out.borrow_mut().insert(sid.0, prof);
+        self.bar(sid.0, |b| b.prof_out = Some(prof));
     }
 
     /// Take the aggregated profile released by this node's most recent
     /// barrier on `sid`'s tag, if any arrival staged one. Consuming: a
     /// second call returns `None` until the next profiled barrier.
     pub fn take_bar_aggregate(&self, sid: SpaceId) -> Option<Arc<[u64]>> {
-        self.bar_prof_in.borrow_mut().remove(&sid.0)
+        self.bar(sid.0, |b| b.prof_in.take())
     }
 
     /// The default lock implementation: FIFO queue at the region's home.
@@ -1955,7 +1992,7 @@ mod tests {
         assert_eq!(r.results, vec![true, true]);
     }
 
-    /// Like `NoopProtocol`, but declares every access hook fast in every
+    /// Like `NoopProtocol`, but declares every maskable hook fast in every
     /// state — exercises the fast-path plumbing end to end.
     struct FastNoop;
 
@@ -1964,7 +2001,7 @@ mod tests {
             "fastnoop"
         }
         fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
-            Actions::ACCESS
+            Actions::MASKABLE
         }
         fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -1979,9 +2016,10 @@ mod tests {
     }
 
     /// The whole annotation surface as one table: 6 hooks × {through the
-    /// space, statically resolved} × {fast mask on, forced slow}. Each
-    /// case pins what the hook charges on the `cm5()` ladder, the exact
-    /// counter delta, `last_hook`, and the trace span it emits.
+    /// space, statically resolved} × {fast mask on, forced slow}, then
+    /// `map` and `unmap` × {fast mask on, forced slow}. Each case pins
+    /// what the hook charges on the `cm5()` ladder, the exact counter
+    /// delta, `last_hook`, and the trace span it emits.
     #[test]
     fn annotation_matrix_charges_counts_and_spans() {
         use ace_machine::{EventKind, Spmd, TraceConfig};
@@ -2001,6 +2039,17 @@ mod tests {
             rt.map(rid);
             let stat = FastNoop;
             let sink = rt.node().trace_sink();
+            // What the sink recorded since it was last emptied, and the
+            // span a hook that ran leaves there.
+            let traced =
+                || sink.take(0).events.into_iter().map(|ev| ev.kind).collect::<Vec<EventKind>>();
+            let span = |hook| {
+                let (region, space, proto, detail) = (rid.0, s.0, "fastnoop", "");
+                vec![
+                    EventKind::HookEnter { hook, region, space, proto, detail },
+                    EventKind::HookExit { hook, region, space, proto, detail },
+                ]
+            };
             for direct in [false, true] {
                 for fast_on in [true, false] {
                     rt.set_fast_paths(fast_on);
@@ -2053,15 +2102,34 @@ mod tests {
                         assert_eq!(rt.node().now() - t0, ns, "{case}: charge");
                         assert_eq!(rt.last_hook(), hook.name(), "{case}: last_hook");
 
-                        let got: Vec<EventKind> =
-                            sink.take(0).events.into_iter().map(|ev| ev.kind).collect();
-                        let (region, space, proto, detail) = (rid.0, s.0, "fastnoop", "");
-                        let span = vec![
-                            EventKind::HookEnter { hook, region, space, proto, detail },
-                            EventKind::HookExit { hook, region, space, proto, detail },
-                        ];
-                        assert_eq!(got, if hit { Vec::new() } else { span }, "{case}: span");
+                        assert_eq!(traced(), if hit { Vec::new() } else { span(hook) }, "{case}");
                     }
+                }
+            }
+            // `map` / `unmap`: the same mask, but no rung of the ladder —
+            // the lookup is charged and the call counted on either path.
+            for fast_on in [true, false] {
+                rt.set_fast_paths(fast_on);
+                for hook in [Hook::Map, Hook::Unmap] {
+                    let case = format!("{} fast_on={fast_on}", hook.name());
+                    let (mut want, t0) = (rt.counters(), rt.node().now());
+                    sink.take(0);
+                    let ns = if hook == Hook::Map {
+                        rt.map(rid);
+                        want.map_hits += 1;
+                        700
+                    } else {
+                        rt.unmap(rid);
+                        want.unmaps += 1;
+                        0
+                    };
+                    want.fast_maps += fast_on as u64;
+                    let after = rt.counters();
+                    want.region_cache_hits = after.region_cache_hits;
+                    assert_eq!(after, want, "{case}: counters");
+                    assert_eq!(rt.node().now() - t0, ns, "{case}: charge");
+                    assert_eq!(rt.last_hook(), hook.name(), "{case}: last_hook");
+                    assert_eq!(traced(), if fast_on { Vec::new() } else { span(hook) }, "{case}");
                 }
             }
         });

@@ -33,6 +33,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ffi::{c_int, c_void};
 use std::panic::AssertUnwindSafe;
+use std::time::Instant;
 
 /// Whether this target has a fiber switch (see module docs).
 pub(crate) const SUPPORTED: bool = true;
@@ -41,6 +42,10 @@ pub(crate) const SUPPORTED: bool = true;
 /// only logarithmically (Barnes' octree walk), so 1 MiB is deep water; at
 /// 4096 nodes it is 4 GiB reserved, of which touched pages materialize.
 const MUX_STACK_BYTES: usize = 1 << 20;
+/// Resumes between two reads of the host clock behind [`now`]. A blocked
+/// fiber only needs the time to notice a watchdog of seconds, so reading
+/// it on every hop buys nothing.
+const CLOCK_RESUMES: u32 = 64;
 const PAGE: usize = 4096;
 const PROT_NONE: c_int = 0;
 const PROT_READ_WRITE: c_int = 1 | 2;
@@ -141,6 +146,8 @@ struct Executor {
     stalled: Cell<bool>,
     /// Set by a fiber whose body has returned, for the executor it switches back to.
     finished: Cell<bool>,
+    /// The host clock as [`run`] last read it; `None` outside `run`.
+    now: Cell<Option<Instant>>,
 }
 
 thread_local! {
@@ -194,7 +201,7 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
         *e.fibers.borrow_mut() = fibers;
         e.ready.borrow_mut().extend(0..n);
         e.stalled.set(false);
-        let mut live = n;
+        let (mut live, mut clock_due) = (n, 0);
         while live > 0 {
             let next = e.ready.borrow_mut().pop_front();
             let Some(id) = next else {
@@ -210,6 +217,11 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
             };
             // A stale id: woken, then failed by the deadlock rule before its turn.
             let Some(to) = to else { continue };
+            if clock_due == 0 {
+                e.now.set(Some(Instant::now()));
+                clock_due = CLOCK_RESUMES;
+            }
+            clock_due -= 1;
             e.current.set(id);
             // SAFETY: `to` was built by `Stack::new` or published by the
             // switch in `suspend`, for a stack that is still mapped (checked
@@ -223,6 +235,7 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
         }
         e.fibers.take();
         e.ready.take();
+        e.now.take();
     });
 }
 
@@ -240,6 +253,13 @@ pub(crate) fn suspend() -> bool {
     // fiber's own slot, in a `Vec` that does not move while fibers live.
     unsafe { switch(save, to) };
     !EXEC.with(|e| e.stalled.get())
+}
+
+/// The host clock for a running fiber: read by the executor before the
+/// first resume and every [`CLOCK_RESUMES`] after, so never ahead of the
+/// real one and behind it by at most that many hops. Panics outside [`run`].
+pub(crate) fn now() -> Instant {
+    EXEC.with(|e| e.now.get()).expect("fiber::now called outside fiber::run")
 }
 
 /// Queue fiber `id` to be resumed, behind everything already queued.
@@ -378,6 +398,28 @@ mod tests {
             "bodies ran and were dropped"
         );
         run(Vec::new());
+    }
+
+    #[test]
+    fn the_coarse_clock_is_read_once_per_clock_resumes_and_never_runs_ahead() {
+        // One fiber resumed 2 * CLOCK_RESUMES times reads `now()` on each:
+        // two distinct values, neither before `run` nor after the present.
+        let t0 = Instant::now();
+        let reads = RefCell::new(Vec::new());
+        run(vec![boxed(|| {
+            for _ in 0..2 * CLOCK_RESUMES {
+                let coarse = now();
+                assert!(t0 <= coarse && coarse <= Instant::now());
+                reads.borrow_mut().push(coarse);
+                wake(0);
+                assert!(suspend());
+            }
+        })]);
+        let mut reads = reads.into_inner();
+        assert!(reads.is_sorted());
+        reads.dedup();
+        assert_eq!(reads.len(), 2);
+        EXEC.with(|e| assert!(e.now.get().is_none(), "no clock outside run"));
     }
 
     #[test]

@@ -43,6 +43,9 @@ mod fiber {
     pub(crate) fn wake(_: usize) {
         unreachable!()
     }
+    pub(crate) fn now() -> std::time::Instant {
+        unreachable!()
+    }
 }
 pub mod node;
 pub mod pod;

@@ -838,7 +838,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// too large to add to the clock means "no watchdog": a year will do.
     fn watchdog_deadline(&self) -> Instant {
         let wd = self.watchdog.get().saturating_mul(1 + (self.nprocs / 64) as u32);
-        let now = Instant::now();
+        let now = self.parker.now();
         now.checked_add(wd).unwrap_or(now + Duration::from_secs(365 * 86_400))
     }
 

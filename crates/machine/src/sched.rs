@@ -95,6 +95,17 @@ impl Parker {
         Arc::clone(&self.waiter)
     }
 
+    /// The host clock as this handle's owner reads it: exact for a thread;
+    /// for a fiber, its executor's coarse one ([`fiber::now`]) — a wait
+    /// that only compares it with a deadline seconds away never asks the
+    /// kernel.
+    pub(crate) fn now(&self) -> Instant {
+        match self.waiter.owner {
+            Owner::Thread(_) => Instant::now(),
+            Owner::Fiber(_) => fiber::now(),
+        }
+    }
+
     /// Park the armed, published waiter until someone wakes it (`true`)
     /// or `deadline` passes and `cancel` withdraws the publication
     /// (`false`). `cancel` returning `false` means a waker already took
@@ -107,7 +118,7 @@ impl Parker {
     pub(crate) fn park_until(&self, deadline: Instant, cancel: impl Fn() -> bool) -> bool {
         self.parks.set(self.parks.get() + 1);
         while !self.waiter.granted.load(Ordering::Acquire) {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.saturating_duration_since(self.now());
             match &self.waiter.owner {
                 Owner::Thread(_) if !left.is_zero() => std::thread::park_timeout(left),
                 Owner::Fiber(_) if !left.is_zero() && fiber::suspend() => {}

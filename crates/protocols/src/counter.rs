@@ -77,6 +77,7 @@ impl Protocol for FetchAddCounter {
             .union(Actions::START_WRITE)
             .union(Actions::END_WRITE)
             .union(Actions::UNLOCK)
+            .union(Actions::MAP)
             .union(Actions::UNMAP)
     }
 
@@ -87,10 +88,10 @@ impl Protocol for FetchAddCounter {
         GrantSet::concurrent()
     }
 
-    // All four access hooks are unconditional no-ops (the protocol's work
-    // happens in `lock`), so every access is fast in every state.
+    // Every per-region hook is an unconditional no-op (the protocol's
+    // work happens in `lock`), so all of them are fast in every state.
     fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
-        Actions::ACCESS
+        self.null_actions().intersect(Actions::MASKABLE)
     }
 
     fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}

@@ -147,15 +147,17 @@ impl Protocol for DynamicUpdate {
         GrantSet::concurrent()
     }
 
-    // `end_read` is an unconditional no-op; the start hooks are no-ops
-    // whenever a writable copy is already present (home, or a joined
+    // `end_read` and `on_unmap` are unconditional no-ops (declared null);
+    // `on_map` and the start hooks all come down to `join_if_invalid`, a
+    // no-op whenever a writable copy is already present (home, or a joined
     // sharer — writers need no exclusivity under update propagation).
     // `end_write` always starts an update round, so it is never fast.
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let fast = self.null_actions();
         if e.is_home_of(rt.rank()) || e.st.get() == R_SHARED {
-            Actions::END_READ.union(Actions::START_READ).union(Actions::START_WRITE)
+            fast.union(Actions::MAP).union(Actions::START_READ).union(Actions::START_WRITE)
         } else {
-            Actions::END_READ
+            fast
         }
     }
 

@@ -5,8 +5,9 @@
 //! message nor mutate any entry or space state — which is exactly what
 //! licenses the runtime to skip the hook. These tests drive each protocol
 //! into its interesting states and, at every checkpoint, invoke each hook
-//! whose fast bit is set directly on the protocol object, asserting that
-//! a full snapshot of the observable state is unchanged.
+//! whose fast bit is set — `on_map` and `on_unmap` as much as the four
+//! access hooks — directly on the protocol object, asserting that a full
+//! snapshot of the observable state is unchanged.
 //!
 //! No protocol writes the mask: it declares [`Protocol::fast_mask`] and the
 //! runtime caches the value. So every checkpoint also asserts the cache is
@@ -23,7 +24,7 @@ use std::rc::Rc;
 
 use crate::registry::{all_protocols, make, ProtoSpec};
 
-/// Everything a no-op access hook must leave untouched.
+/// Everything a no-op hook must leave untouched.
 #[derive(Debug, PartialEq)]
 struct Snap {
     st: u32,
@@ -234,6 +235,37 @@ fn dyn_update_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
         assert_noops(check, rt, &*p, rid, "dyn-update joined sharer");
     }
     rt.machine_barrier();
+    map_joins_once(rt, p, check, rid, "dyn-update");
+}
+
+/// The one state `on_map` has work in under the update protocols: a
+/// non-home entry with no copy, here an unmapped one a handover left
+/// behind. `MAP` must be out of its mask; the `map` there is the message
+/// that puts this node on home's list, and from then on `MAP` is in the
+/// mask and a `map` is silent. Collective.
+fn map_joins_once(rt: &AceRt, p: Rc<dyn Protocol>, check: Check, rid: RegionId, who: &str) {
+    let e = rt.entry(rid);
+    rt.unmap(rid);
+    rt.change_protocol(e.space, p.clone());
+    let sent = || rt.node().stats().logical_msgs;
+    if rt.rank() == 1 {
+        assert_eq!(e.st.get(), crate::states::R_INVALID, "{who}: flushed and not re-joined");
+        assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{who}: cached mask is stale");
+        assert!(!e.fast.get().contains(Actions::MAP), "{who}: on_map has a join to make");
+        assert!(e.fast.get().contains(Actions::UNMAP));
+        let before = sent();
+        rt.map(rid);
+        assert_eq!(sent() - before, 1, "{who}: the map joined");
+        assert!(e.fast.get().contains(Actions::MAP), "{who}: joined, nothing left to do");
+        let before = (sent(), rt.counters().fast_maps);
+        rt.map(rid);
+        rt.unmap(rid);
+        assert_eq!((sent(), rt.counters().fast_maps), (before.0, before.1 + 2));
+        assert_noops_but(WRITES, check, rt, &*p, rid, &format!("{who} re-joined sharer"));
+    } else {
+        rt.map(rid);
+    }
+    rt.machine_barrier();
 }
 
 #[test]
@@ -250,6 +282,7 @@ fn static_update_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
         assert_noops_but(WRITES, check, rt, &*p, rid, "static-update subscriber");
     }
     rt.machine_barrier();
+    map_joins_once(rt, p, check, rid, "static-update");
 }
 
 #[test]
@@ -309,7 +342,11 @@ fn migratory_states(rt: &AceRt, p: Rc<dyn Protocol>, check: Check) {
         rt.machine_barrier();
         let e = rt.entry(rid);
         rt.wait("recall lands mid-section", || !e.fast.get().contains(Actions::END_WRITE));
-        assert_eq!(e.fast.get(), Actions::empty(), "nothing is fast under a pending recall");
+        assert_eq!(
+            e.fast.get().intersect(Actions::ACCESS),
+            Actions::empty(),
+            "no access is fast under a pending recall"
+        );
         assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "cache current after a handler");
         // An end hook runs with its section already closed (`annotate`
         // counts the close first): hold the null hooks to that state.

@@ -60,6 +60,7 @@ impl Protocol for HomeOwned {
         Actions::START_WRITE
             .union(Actions::END_WRITE)
             .union(Actions::END_READ)
+            .union(Actions::MAP)
             .union(Actions::UNMAP)
     }
 
@@ -70,11 +71,11 @@ impl Protocol for HomeOwned {
         GrantSet { write_write: false, read_write: true }
     }
 
-    // The write and end hooks are unconditional no-ops (and declared
-    // null). `start_read` only fetches on a remote invalid copy, so it is
-    // fast at home or while a pulled copy is still valid.
+    // Map, unmap, the write hooks and `end_read` are unconditional no-ops
+    // (and declared null). `start_read` only fetches on a remote invalid
+    // copy, so it is fast at home or while a pulled copy is still valid.
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
-        let fast = Actions::START_WRITE.union(Actions::END_WRITE).union(Actions::END_READ);
+        let fast = self.null_actions();
         if e.is_home_of(rt.rank()) || e.st.get() != R_INVALID {
             fast.union(Actions::START_READ)
         } else {

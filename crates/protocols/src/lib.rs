@@ -26,7 +26,12 @@
 //! copies at a barrier — is written once in the private `common` module,
 //! parameterised by opcode and wait label; and no protocol maintains a
 //! region's cached fast mask: each declares [`ace_core::Protocol::fast_mask`]
-//! and the runtime does the caching.
+//! — which of `on_map`, `on_unmap` and the four access hooks are no-ops
+//! in the entry's state, starting from the ones its `null_actions` lists
+//! as no-ops in every state — and the runtime does the caching. Only the
+//! two update protocols do anything at a mapping (the first `map` of a
+//! remote region subscribes or joins); under the rest a `map` or `unmap`
+//! never reaches the protocol.
 //!
 //! The [`registry`] module is the analogue of the paper's protocol
 //! registration script (Figure 1): a table of protocol names, their

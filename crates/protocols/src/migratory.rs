@@ -77,11 +77,12 @@ impl Protocol for Migratory {
         false // read-modify-write sections must stay where they are
     }
 
-    // Not the end hooks: they are where home drains requests parked
-    // behind its own section and where an owner honours a recall that
-    // arrived mid-section. Deleting the call would strand both.
+    // Mapping moves nothing (the copy migrates on access). Not the end
+    // hooks: they are where home drains requests parked behind its own
+    // section and where an owner honours a recall that arrived
+    // mid-section. Deleting the call would strand both.
     fn null_actions(&self) -> Actions {
-        Actions::UNMAP
+        Actions::MAP.union(Actions::UNMAP)
     }
 
     // The region lives wholly on whichever node holds it: sections are
@@ -99,7 +100,7 @@ impl Protocol for Migratory {
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
         let starts = Actions::START_READ.union(Actions::START_WRITE);
         let ends = Actions::END_READ.union(Actions::END_WRITE);
-        let mut fast = Actions::empty();
+        let mut fast = self.null_actions();
         if e.is_home_of(rt.rank()) {
             if e.owner.get() == -1 && !auxbits::has(e, BUSY) {
                 fast = fast.union(starts);
@@ -108,7 +109,7 @@ impl Protocol for Migratory {
                 fast = fast.union(ends);
             }
         } else if !auxbits::has(e, RECALL_PENDING) {
-            fast = ends;
+            fast = fast.union(ends);
             if e.st.get() == R_EXCL {
                 fast = fast.union(starts);
             }

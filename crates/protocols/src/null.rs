@@ -42,10 +42,10 @@ impl Protocol for NullProtocol {
         GrantSet::concurrent()
     }
 
-    // Every access hook is an unconditional no-op, so every access is
-    // fast in every state.
+    // Every per-region hook is an unconditional no-op, so maps, unmaps
+    // and accesses are fast in every state.
     fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
-        Actions::ACCESS
+        self.null_actions()
     }
 
     fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}

@@ -80,7 +80,7 @@ impl Protocol for PipelinedWrite {
     }
 
     fn null_actions(&self) -> Actions {
-        Actions::END_READ.union(Actions::UNMAP)
+        Actions::END_READ.union(Actions::MAP).union(Actions::UNMAP)
     }
 
     // Pipelined updates deliberately relax consistency: writers stream
@@ -90,14 +90,15 @@ impl Protocol for PipelinedWrite {
         GrantSet::concurrent()
     }
 
-    // `end_read` is an unconditional no-op. Starts are no-ops once a copy
+    // Map, unmap and `end_read` are unconditional no-ops (declared null).
+    // Starts are no-ops once a copy
     // is resident (and, for writes, the twin snapshot exists — the home
     // writes the master directly and never twins). A remote `end_write`
     // always ships a delta home, so it is only ever fast at home.
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
-        let mut fast = Actions::END_READ;
+        let mut fast = self.null_actions();
         if e.is_home_of(rt.rank()) {
-            fast = Actions::ACCESS;
+            fast = fast.union(Actions::ACCESS);
         } else if e.st.get() != R_INVALID {
             fast = fast.union(Actions::START_READ);
             if e.twin.borrow().is_some() {

@@ -147,8 +147,13 @@ impl Protocol for SeqInvalidate {
         GrantSet::exclusive()
     }
 
+    // Copies move on access, never on a mapping.
+    fn null_actions(&self) -> Actions {
+        Actions::MAP.union(Actions::UNMAP)
+    }
+
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
-        let mut fast = Actions::empty();
+        let mut fast = self.null_actions();
         if e.is_home_of(rt.rank()) {
             // Home start hooks are no-ops while the master is valid here
             // and no directory round is in flight; start_write further

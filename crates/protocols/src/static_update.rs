@@ -103,10 +103,16 @@ impl Protocol for StaticUpdate {
         GrantSet { write_write: false, read_write: true }
     }
 
-    // Exactly the access hooks declared null: `end_write` marks the region
-    // dirty, so it is never fast.
-    fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
-        self.null_actions().intersect(Actions::ACCESS)
+    // The hooks declared null, plus `on_map` wherever it has no
+    // subscription to make. `end_write` marks the region dirty, so it is
+    // never fast.
+    fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
+        let fast = self.null_actions();
+        if e.is_home_of(rt.rank()) || e.st.get() != R_INVALID {
+            fast.union(Actions::MAP)
+        } else {
+            fast
+        }
     }
 
     fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
