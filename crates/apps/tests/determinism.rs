@@ -12,7 +12,8 @@
 //! (whose pruning order rides message arrival order, and swings 2–3× in
 //! simulated time there) included. What this does not cover: the order is
 //! FIFO by host action, not yet by virtual time (ROADMAP, first item),
-//! and `ExecBackend::Threads` and socket machines still jitter.
+//! and `ExecBackend::Threads` and socket machines still jitter. A builder
+//! that names no backend is this machine (x86-64 unix): the last test.
 
 use ace_apps::runner::{observe, Observed};
 use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, Variant};
@@ -72,4 +73,17 @@ fn water_repeats_exactly() {
 fn tsp_repeats_exactly_at_its_paper_input() {
     let p = tsp::Params::paper();
     assert_repeats("tsp", |d, v| tsp::run(d, &p, v));
+}
+
+#[test]
+fn a_builder_that_names_no_backend_is_this_machine() {
+    let p = tsp::Params::paper();
+    let run = |machine: ace_core::MachineBuilder| {
+        let machine = machine.nprocs(8).cost(CostModel::cm5());
+        fingerprint(&observe(machine, |_| {}, |d| tsp::run(d, &p, Variant::Custom)))
+    };
+    let named = run(Spmd::builder().backend(ExecBackend::Multiplexed));
+    for i in 0..3 {
+        assert_eq!(run(Spmd::builder()), named, "tsp/Custom: unnamed run {i} differs");
+    }
 }

@@ -39,7 +39,7 @@ pub fn ablation(_: &Args) -> Result<(), String> {
         let (input, tweak) = (Input::Default, Tweak::Net(scale));
         let ms = |config, v| {
             let what = What::Ace(v);
-            measure(&Cell { app: "em3d", config, what, input, procs: 8, tweak }, 1).ms()
+            measure(&Cell { app: "em3d", config, what, input, procs: 8, tweak }).ms()
         };
         let speedup = ms("sc", Variant::Sc) / ms("custom", Variant::Custom);
         println!("  net x{scale:<2}  static-update speedup = {speedup:.2}");

@@ -787,7 +787,7 @@ mod tests {
     fn verification(k: &Kernel, what: What, tweak: Tweak) -> f64 {
         let cell =
             Cell { app: k.name, config: "test", what, input: Input::Default, procs: 4, tweak };
-        measure(&cell, 1).last.verification
+        measure(&cell).out.verification
     }
 
     #[test]
@@ -831,13 +831,10 @@ mod tests {
     /// The first Table 4 shape assertion `rows` violate, if any: levels
     /// never *meaningfully* hurt, the best compiled level does not lose
     /// to the base case, and the hand version does not lose to the best
-    /// compiled one. TSP is exempt: branch-and-bound pruning order rides
-    /// message arrival order, so its makespan is chaotic — usually ±10 %,
-    /// occasionally 3x — and no tolerance on it holds (see
-    /// benchmark/README.md, "Left out on purpose").
+    /// compiled one.
     fn shape_violation(rows: &[Row]) -> Option<String> {
         // Kernel-major: four levels, then hand.
-        for kernel in rows.chunks(5).filter(|k| k[0].cell.app != "TSP") {
+        for kernel in rows.chunks(5) {
             let app = kernel[0].cell.app;
             let ms: Vec<f64> = kernel.iter().map(Row::ms).collect();
             let (levels, hand) = (&ms[..4], ms[4]);
@@ -856,33 +853,19 @@ mod tests {
 
     #[test]
     fn table4_shape_holds() {
-        // Simulated makespans carry scheduling noise: `absorb` order
-        // depends on real thread interleaving, and a loaded host (the
-        // rest of this suite, running beside it) stretches single cells
-        // by 20-50 %, always upwards. So the shape is judged on the
-        // cell-wise best of up to three samples, and the tolerances stay
-        // loose; what's asserted is the structure.
-        let sample = || table4_cells(4).iter().map(|c| measure(c, 1)).collect::<Vec<Row>>();
-        let mut best = sample();
-        for _ in 0..2 {
-            if shape_violation(&best).is_none() {
-                break;
-            }
-            for (b, again) in best.iter_mut().zip(sample()) {
-                b.sim_ns = b.sim_ns.min(again.sim_ns);
-            }
-        }
-        if let Some(violation) = shape_violation(&best) {
+        let rows: Vec<Row> = table4_cells(4).iter().map(measure).collect();
+        if let Some(violation) = shape_violation(&rows) {
             panic!("{violation}");
         }
-        // For TSP only what repeats is asserted: the answer, and the
+        // TSP's levels sit within 3 % of each other, so the tolerances
+        // above say little about it: also hold its answer and the
         // compiler's static output — each level leaves no more annotation
         // calls in the program, and no more dispatched ones, than the
         // level before.
         let tsp_row =
-            |config| best.iter().find(|r| r.cell.app == "TSP" && r.cell.config == config).unwrap();
-        let compiled = tsp_row(OptLevel::Direct.label()).last.verification;
-        let hand = tsp_row("hand").last.verification;
+            |config| rows.iter().find(|r| r.cell.app == "TSP" && r.cell.config == config).unwrap();
+        let compiled = tsp_row(OptLevel::Direct.label()).out.verification;
+        let hand = tsp_row("hand").out.verification;
         assert!(close(compiled, hand), "TSP: compiled {compiled} vs hand {hand}");
         let cfg = SystemConfig::builtin();
         let tsp = kernel("TSP");

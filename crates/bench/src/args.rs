@@ -16,14 +16,11 @@ type Flag = (&'static str, &'static str);
 const SMALL: Flag = ("--small", "");
 const PAPER: Flag = ("--paper", "");
 const PROCS: Flag = ("--procs", "N");
-const RUNS: Flag = ("--runs", "K");
 const JSON: Flag = ("--json", "[PATH]");
 const TRACE: Flag = ("--trace", "PATH");
-const OVERHEAD: Flag = ("--check-max-overhead", "PCT");
 const APP: Flag = ("--app", "APP,...");
 const MIN: Flag = ("--min", "N");
 const MAX: Flag = ("--max", "N");
-const BACKEND: Flag = ("--backend", "threads|multiplexed");
 const SMOKE: Flag = ("--smoke", "");
 const OUT: Flag = ("--out", "PATH");
 const VALIDATE: Flag = ("--validate", "FILE...");
@@ -32,11 +29,11 @@ const VALIDATE: Flag = ("--validate", "FILE...");
 /// arguments (same grammar as a flag's value), the flags it accepts and
 /// what it runs. The usage text is generated from this table.
 const COMMANDS: [(&str, &str, &[Flag], Run); 8] = [
-    ("fig7a", "", &[SMALL, PAPER, PROCS, RUNS, JSON, TRACE], figures::fig7a),
-    ("fig7b", "", &[SMALL, PAPER, PROCS, RUNS, JSON, TRACE], figures::fig7b),
-    ("check", "[APP,...]", &[SMALL, PAPER, PROCS, RUNS, OVERHEAD], figures::check),
+    ("fig7a", "", &[SMALL, PAPER, PROCS, JSON, TRACE], figures::fig7a),
+    ("fig7b", "", &[SMALL, PAPER, PROCS, JSON, TRACE], figures::fig7b),
+    ("check", "[APP,...]", &[SMALL, PAPER, PROCS], figures::check),
     ("table4", "", &[PROCS, JSON, TRACE], figures::table4),
-    ("scaling", "", &[APP, MIN, MAX, RUNS, BACKEND, JSON, SMOKE], figures::scaling),
+    ("scaling", "", &[APP, MIN, MAX, JSON, SMOKE], figures::scaling),
     ("ablation", "", &[], ablation::ablation),
     ("tracecheck", "", &[PROCS, OUT, VALIDATE], tracecheck::tracecheck),
     ("verify", "FILE...", &[], |a| a.each_file(verify::verify)),
@@ -210,9 +207,9 @@ mod tests {
         );
         // A bare `check` directly followed by an option keeps the default
         // instead of eating the option as an app name.
-        let a = parse(&["check", "--runs", "2"]).unwrap();
+        let a = parse(&["check", "--procs", "2"]).unwrap();
         assert_eq!(a.files, Vec::<String>::new());
-        assert_eq!(a.num("--runs", 3), Ok(2));
+        assert_eq!(a.num("--procs", 8), Ok(2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use ace_apps::runner::{launch_ace_with, launch_crl_with, RunOutcome};
 use ace_apps::{barnes, bsc, em3d, tsp, water, Dsm, Variant};
-use ace_core::{CheckMode, CostModel, ExecBackend, MachineBuilder, Spmd, TraceConfig};
+use ace_core::{CheckMode, CostModel, MachineBuilder, Spmd, TraceConfig};
 use ace_lang::OptLevel;
 
 use crate::acec;
@@ -41,8 +41,9 @@ pub enum What {
     Hand,
 }
 
-/// How a cell's machine departs from the figure default (cm5 costs, one
-/// thread per node, coalescing on, no checker, no trace).
+/// How a cell's machine departs from the figure default (cm5 costs, the
+/// backend a builder that names none gets, coalescing on, no checker, no
+/// trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tweak {
     /// The default machine.
@@ -53,8 +54,6 @@ pub enum Tweak {
     Net(u64),
     /// The conformance checker in this mode.
     Check(CheckMode),
-    /// An explicit execution backend.
-    Backend(ExecBackend),
     /// Event tracing on; the row's outcome carries the trace.
     Traced,
 }
@@ -169,7 +168,6 @@ impl Cell {
             Tweak::None | Tweak::NoCoalesce => b,
             Tweak::Net(scale) => b.cost(CostModel::cm5_net_scaled(scale)),
             Tweak::Check(mode) => b.check(mode),
-            Tweak::Backend(backend) => b.backend(backend),
             Tweak::Traced => b.trace(TraceConfig::on()),
         }
     }
@@ -188,14 +186,6 @@ impl Cell {
             What::Hand => acec::kernel(self.app).run_hand(self.machine()),
         }
     }
-
-    /// Whether the cell's logical counts repeat exactly run to run: the
-    /// `Dsm` apps whose control flow never rides message arrival order.
-    /// (Barnes' counts drift ~0.5 %, TSP's pruning order is chaotic.)
-    fn deterministic(&self) -> bool {
-        matches!(self.what, What::Ace(_) | What::Crl)
-            && ["bsc", "em3d", "water"].contains(&self.app)
-    }
 }
 
 /// One measured cell: what a table prints and a `BENCH_*.json` row holds.
@@ -203,49 +193,21 @@ impl Cell {
 pub struct Row {
     /// The cell that was measured.
     pub cell: Cell,
-    /// Median simulated completion time over the repetitions, ns.
-    pub sim_ns: u64,
-    /// Fastest repetition's simulated time, ns.
-    pub sim_ns_min: u64,
-    /// Slowest repetition's simulated time, ns.
-    pub sim_ns_max: u64,
-    /// Best wall-clock duration over the repetitions, ns (the usual
-    /// low-noise estimator for perf tracking).
-    pub wall_ns: u64,
-    /// The last repetition in full: logical message and byte counts
-    /// (identical across repetitions of a deterministic cell), the
-    /// wire-envelope count (which carries a little run-to-run jitter —
-    /// which messages share a coalesced envelope rides on arrival order
-    /// inside waits), counters, checker history, trace.
-    pub last: RunOutcome,
+    /// Its one run.
+    pub out: RunOutcome,
 }
 
 impl Row {
-    /// Median simulated time in milliseconds, the unit all tables print.
+    /// Simulated time in milliseconds, the unit all tables print.
     pub fn ms(&self) -> f64 {
-        self.sim_ns as f64 / 1e6
+        self.out.sim_ns as f64 / 1e6
     }
 }
 
-/// Run `cell` `runs` times (at least once) and summarise.
-pub fn measure(cell: &Cell, runs: usize) -> Row {
-    let outs: Vec<RunOutcome> = (0..runs.max(1)).map(|_| cell.run()).collect();
-    let logical = |o: &RunOutcome| (o.msgs, o.bytes, o.counters.switches);
-    for o in &outs {
-        assert!(o.verification.is_finite(), "{cell:?}: lost its verification value");
-        if cell.deterministic() {
-            let what = "logical (msgs, bytes, switches) differ between repetitions";
-            assert_eq!(logical(o), logical(&outs[0]), "{cell:?}: {what}");
-        }
-    }
-    let mut sims: Vec<u64> = outs.iter().map(|o| o.sim_ns).collect();
-    sims.sort_unstable();
-    Row {
-        cell: cell.clone(),
-        sim_ns: sims[(sims.len() - 1) / 2],
-        sim_ns_min: sims[0],
-        sim_ns_max: sims[sims.len() - 1],
-        wall_ns: outs.iter().map(|o| o.wall.as_nanos() as u64).min().expect("at least one run"),
-        last: outs.into_iter().next_back().expect("at least one run"),
-    }
+/// Run `cell`, once: on the machine a cell gets, every run of it is the
+/// same run.
+pub fn measure(cell: &Cell) -> Row {
+    let out = cell.run();
+    assert!(out.verification.is_finite(), "{cell:?}: lost its verification value");
+    Row { cell: cell.clone(), out }
 }

@@ -1,7 +1,9 @@
 //! Machine-readable benchmark output: the one row writer.
 //!
 //! `--json [PATH]` writes one row per measured cell so successive PRs can
-//! track the perf trajectory as `BENCH_*.json` files. The format is a
+//! track the perf trajectory as `BENCH_*.json` files. A row holds nothing
+//! the host decides (no wall time), so a file is a function of the source
+//! tree and CI can regenerate it and `git diff --exit-code`. The format is a
 //! plain JSON array of flat objects, one per line for easy diffing,
 //! written by hand because the workspace builds offline (no serde);
 //! `ace-bench verify` reads it back through `ace_trace::jsonlite`.
@@ -13,9 +15,7 @@ use ace_trace::jsonlite::escape;
 
 use crate::cell::Row;
 
-/// Render `table`'s rows as a JSON array. `sim_ns` is the median over the
-/// cell's repetitions with `sim_ns_min`/`sim_ns_max` beside it, `wall_ns`
-/// the minimum; the counts are the last repetition's.
+/// Render `table`'s rows as a JSON array.
 pub fn render(table: &str, rows: &[Row]) -> String {
     let objects = rows.iter().map(|r| {
         let mut object = String::from("  {");
@@ -24,14 +24,11 @@ pub fn render(table: &str, rows: &[Row]) -> String {
         }
         let numbers = [
             ("procs", r.cell.procs as u64),
-            ("sim_ns", r.sim_ns),
-            ("sim_ns_min", r.sim_ns_min),
-            ("sim_ns_max", r.sim_ns_max),
-            ("wall_ns", r.wall_ns),
-            ("msgs", r.last.msgs),
-            ("wire_msgs", r.last.wire_msgs),
-            ("bytes", r.last.bytes),
-            ("switches", r.last.counters.switches),
+            ("sim_ns", r.out.sim_ns),
+            ("msgs", r.out.msgs),
+            ("wire_msgs", r.out.wire_msgs),
+            ("bytes", r.out.bytes),
+            ("switches", r.out.counters.switches),
         ];
         let numbers = numbers.map(|(key, n)| format!("\"{key}\":{n}"));
         object + &numbers.join(",") + "}"
@@ -64,7 +61,7 @@ mod tests {
             procs: 2,
             tweak: Tweak::None,
         };
-        let rows = [measure(&cell("sc"), 2), measure(&cell("we\"ird"), 1)];
+        let rows = [measure(&cell("sc")), measure(&cell("we\"ird"))];
         let s = render("fig7b", &rows);
         assert!(s.starts_with(
             "[\n  {\"table\":\"fig7b\",\"app\":\"bsc\",\"config\":\"sc\",\"procs\":2,"
@@ -77,14 +74,11 @@ mod tests {
             |i: usize, key: &str| parsed[i].get(key).and_then(jsonlite::Json::as_f64).unwrap();
         assert_eq!(parsed[1].get("config").unwrap().as_str(), Some("we\"ird"));
         for (i, r) in rows.iter().enumerate() {
-            assert_eq!(num(i, "sim_ns") as u64, r.sim_ns);
-            assert_eq!(num(i, "sim_ns_min") as u64, r.sim_ns_min);
-            assert_eq!(num(i, "sim_ns_max") as u64, r.sim_ns_max);
-            assert_eq!(num(i, "wall_ns") as u64, r.wall_ns);
-            assert_eq!(num(i, "msgs") as u64, r.last.msgs);
-            assert_eq!(num(i, "wire_msgs") as u64, r.last.wire_msgs);
-            assert_eq!(num(i, "bytes") as u64, r.last.bytes);
-            assert_eq!(num(i, "switches") as u64, r.last.counters.switches);
+            assert_eq!(num(i, "sim_ns") as u64, r.out.sim_ns);
+            assert_eq!(num(i, "msgs") as u64, r.out.msgs);
+            assert_eq!(num(i, "wire_msgs") as u64, r.out.wire_msgs);
+            assert_eq!(num(i, "bytes") as u64, r.out.bytes);
+            assert_eq!(num(i, "switches") as u64, r.out.counters.switches);
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! * [`cell`] — the one measurement path: a figure is a list of cells
 //!   `(app, config, what runs, input, procs, machine tweak)`, and
-//!   `measure(cell, runs)` turns a cell into a row.
+//!   `measure(cell)` turns a cell into a row.
 //! * [`figures`] — Figure 7a (Ace vs CRL under the default protocol),
 //!   Figure 7b (SC vs application-specific protocols in Ace), the
 //!   conformance-checker overhead table, Table 4 and the processor-count

@@ -1,24 +1,25 @@
 //! `ace-bench`: the one harness binary behind the paper's evaluation (§5).
 //!
 //! ```text
-//! ace-bench fig7a      [--small] [--paper] [--procs N] [--runs K] [--json [PATH]] [--trace PATH]
-//! ace-bench fig7b      [--small] [--paper] [--procs N] [--runs K] [--json [PATH]] [--trace PATH]
-//! ace-bench check      [APP,...] [--small] [--paper] [--procs N] [--runs K] [--check-max-overhead PCT]
+//! ace-bench fig7a      [--small] [--paper] [--procs N] [--json [PATH]] [--trace PATH]
+//! ace-bench fig7b      [--small] [--paper] [--procs N] [--json [PATH]] [--trace PATH]
+//! ace-bench check      [APP,...] [--small] [--paper] [--procs N]
 //! ace-bench table4     [--procs N] [--json [PATH]] [--trace PATH]
-//! ace-bench scaling    [--app APP,...] [--min N] [--max N] [--runs K]
-//!                      [--backend threads|multiplexed] [--json [PATH]] [--smoke]
+//! ace-bench scaling    [--app APP,...] [--min N] [--max N] [--json [PATH]] [--smoke]
 //! ace-bench ablation
 //! ace-bench tracecheck [--procs N] [--out PATH] [--validate FILE...]
 //! ace-bench verify     FILE...
 //! ```
 //!
 //! * `fig7a`, `fig7b`, `table4`, `scaling` print the paper's tables
-//!   (simulated ms; `--runs K` repeats each cell and reports the median);
-//!   `--json` writes the rows to PATH, or bare to `BENCH_<table>.json` at
-//!   the repo root; `--trace` re-runs EM3D traced and writes Chrome
-//!   `trace_event` JSON for Perfetto.
+//!   (simulated ms; each cell runs once, and on x86-64 unix every run of
+//!   it gives the same row); `--json` writes the rows to PATH, or bare to
+//!   `BENCH_<table>.json` at the repo root, where CI regenerates them and
+//!   runs `git diff --exit-code`; `--trace` re-runs EM3D traced and
+//!   writes Chrome `trace_event` JSON for Perfetto.
 //! * `check` prints the conformance-checker overhead table and fails on a
-//!   violation or on simulated overhead above `--check-max-overhead`.
+//!   violation or when a checked run's simulated time is not the
+//!   unchecked run's.
 //! * `scaling --smoke`, `tracecheck` and `verify` are the CI gates: EM3D at
 //!   256 nodes, the trace layer (or, with `--validate`, already-written
 //!   trace files), and the written `BENCH_*.json` rows.

@@ -21,7 +21,7 @@ pub fn tracecheck(a: &Args) -> Result<(), String> {
     }
     let (procs, what) = (a.num("--procs", 4)?, What::Ace(Variant::Custom));
     let (input, tweak) = (Input::Small, Tweak::Traced);
-    let out = measure(&Cell { app: "em3d", config: "custom", what, input, procs, tweak }, 1).last;
+    let out = measure(&Cell { app: "em3d", config: "custom", what, input, procs, tweak }).out;
     let trace = out.trace.as_ref().expect("traced run carries a trace");
     let doc = trace.to_chrome_json();
     if let Some(path) = a.value("--out") {

@@ -1,11 +1,13 @@
-//! `ace-bench verify`: the gates CI holds `BENCH_*.json` rows to, both
-//! the committed default-scale files and the small-scale ones a CI job
-//! has just produced. Every failure starts with the gate's `[name]`.
+//! `ace-bench verify`: the gates CI holds `BENCH_*.json` rows to. Every
+//! failure starts with the gate's `[name]`.
 //!
-//! The tolerances are loose because simulated time still jitters a few
-//! percent run to run (absorb order rides wall-clock interleaving); they
-//! tighten to exact row equality when simulated time becomes a function
-//! of the program alone (ROADMAP, first open item).
+//! These gates are claims about the system, not reproduction checks: the
+//! `[coalescing-*]` factors (0.8x wire, 1.15x simulated time) say that
+//! coalescing batches EM3D's update fan-out and does not cost time, and
+//! `[adaptive-tie]` (1.05x) that the engine ties the best static
+//! assignment. A factor is how far the claim may erode, not an allowance
+//! for noise — a row repeats exactly — and that a file still reproduces
+//! from the source is CI's regenerate + `git diff --exit-code`.
 
 use std::path::Path;
 
@@ -71,11 +73,11 @@ fn fig7b_gates(rows: &[Json]) -> Result<String, String> {
         num(row.ok_or_else(|| format!("[row-count] no {app}/{config} row"))?, key)
     };
     // Coalescing's acceptance bar: EM3D's update-protocol fan-out
-    // coalesces, cutting wire messages sharply. Simulated time at smoke
-    // scale jitters a few percent, so the gate bounds the regression
-    // instead of demanding strict improvement; the committed
-    // default-scale BENCH_fig7b.json is where coalescing must win
-    // outright (em3d custom ~70 ms vs ~86 ms disabled).
+    // coalesces, cutting wire messages sharply. A small input has little
+    // to batch, so the gate bounds what coalescing may cost in simulated
+    // time instead of demanding that it win; in the committed
+    // default-scale BENCH_fig7b.json it wins outright (em3d custom
+    // 54.2 ms vs 73.1 ms disabled).
     let coal = |key| get("em3d", "custom", key);
     let nocoal = |key| get("em3d", "custom-nocoal", key);
     let (wire, nocoal_wire) = (coal("wire_msgs")?, nocoal("wire_msgs")?);
@@ -132,7 +134,7 @@ mod tests {
                 edit(app, config, &mut v);
                 rows.push(format!(
                     "{{\"table\":\"{table}\",\"app\":\"{app}\",\"config\":\"{config}\",\"procs\":4,\
-                     \"sim_ns\":{},\"wall_ns\":5,\"msgs\":{},\"wire_msgs\":{},\"bytes\":9,\"switches\":{}}}",
+                     \"sim_ns\":{},\"msgs\":{},\"wire_msgs\":{},\"bytes\":9,\"switches\":{}}}",
                     v.0, v.1, v.2, v.3
                 ));
             }
@@ -153,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn well_formed_documents_pass_without_the_min_max_keys() {
+    fn well_formed_documents_pass() {
         let report = fig7b(|_, _, _| {}).unwrap();
         assert!(
             report.contains("fig7b: 25 rows ok") && report.contains("saves 40 wire"),

@@ -137,7 +137,7 @@ pub enum AceError {
         kind: ConformanceKind,
     },
     /// The machine configuration combined incompatible knobs (e.g. the
-    /// socket transport with the deterministic scheduler); rejected
+    /// socket transport with the multiplexed backend); rejected
     /// eagerly before any node is spawned.
     Config(ConfigError),
 }
@@ -245,10 +245,10 @@ mod tests {
 
     #[test]
     fn config_errors_wrap_with_context() {
-        let e: AceError = ConfigError::SocketDeterministic.into();
+        let e: AceError = ConfigError::SocketMultiplexed.into();
         let s = e.to_string();
         assert!(s.contains("invalid machine configuration"), "{s}");
-        assert!(s.contains("deterministic"), "{s}");
+        assert!(s.contains("ExecBackend::Threads"), "{s}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Protocol for Noop {
 
 fn machines(n: usize) -> [MachineBuilder; 2] {
     let base = || Spmd::builder().nprocs(n).cost(CostModel::cm5());
-    [base(), base().backend(ExecBackend::Multiplexed)]
+    [ExecBackend::Threads, ExecBackend::Multiplexed].map(|b| base().backend(b))
 }
 
 /// Tree edges at `rank`: its children, plus its parent unless it is the

@@ -90,20 +90,6 @@ pub(crate) struct NodeSetup {
     pub trace: TraceConfig,
     pub coalesce: CoalescePolicy,
     pub check: CheckMode,
-    pub det_seed: Option<u64>,
-}
-
-impl Default for NodeSetup {
-    fn default() -> Self {
-        NodeSetup {
-            watchdog: DEFAULT_WATCHDOG,
-            drain_batch: DEFAULT_DRAIN_BATCH,
-            trace: TraceConfig::off(),
-            coalesce: CoalescePolicy::Off,
-            check: CheckMode::Off,
-            det_seed: None,
-        }
-    }
 }
 
 /// An inbox entry: an envelope plus its precomputed arrival time and
@@ -228,17 +214,11 @@ pub struct Node<M> {
     /// the park on the mailbox inside [`Node::recv_blocking`] — the
     /// substrate's one true blocking point, and a fiber's one yield point.
     parker: Parker,
-    /// Scratch seen-set for [`Node::pop_inbox`] on machines wider than one
-    /// bitmask word (deterministic mode only); cleared per pop, never
-    /// reallocated.
-    seen_wide: RefCell<Vec<u64>>,
     /// Structured event sink; a no-op unless the builder enabled tracing.
     sink: TraceSink,
     /// Conformance-checking mode (the runtime layer does the checking; the
     /// node carries the mode, the vector clock, and the violation count).
     check: CheckMode,
-    /// Seed for the deterministic inbox scheduler, when enabled.
-    det_seed: Option<u64>,
     /// This node's vector clock, present only when `check` is enabled:
     /// ticked at the checker's section events, stamped on every outgoing
     /// wire envelope, merged from [`Envelope::vc`] on absorb.
@@ -290,10 +270,8 @@ impl<M: MsgSize + Send> Node<M> {
             outbuf: RefCell::new(OutBufs::new(nprocs)),
             pending: Cell::new(0),
             parker,
-            seen_wide: RefCell::new(Vec::new()),
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
-            det_seed: setup.det_seed,
             vc: setup.check.enabled().then(|| RefCell::new(VClock::new(rank, nprocs))),
             violations: Cell::new(0),
             check_history: Cell::new((0, 0)),
@@ -635,15 +613,8 @@ impl<M: MsgSize + Send> Node<M> {
     /// delivers in send order per source and the inbox is a queue. A
     /// coalesced batch counts as one pull but may expand past the burst
     /// limit; the limit only bounds mailbox synchronization per burst.
-    ///
-    /// Deterministic mode ignores the burst limit and drains the whole
-    /// backlog: the seeded pop ranks the candidates it can see, so a
-    /// bounded drain would let wall-clock delivery order decide *which*
-    /// 64 candidates compete — visible as replay divergence on machines
-    /// whose backlog exceeds one burst (256 senders racing one inbox).
     fn drain_burst(&self, inbox: &mut VecDeque<Inbound<M>>) {
-        let limit = if self.det_seed.is_some() { usize::MAX } else { self.drain_batch.get() };
-        while inbox.len() < limit {
+        while inbox.len() < self.drain_batch.get() {
             match self.transport.mailbox().try_pop() {
                 Some(w) => self.enqueue_wire(w, inbox),
                 None => break,
@@ -651,65 +622,15 @@ impl<M: MsgSize + Send> Node<M> {
         }
     }
 
-    /// Pop the next inbox entry. Default (wall-clock) scheduling is plain
-    /// FIFO over the drained inbox. With a deterministic seed installed,
-    /// the pop instead considers each source's *head* entry (per-pair FIFO
-    /// — the delivery-order guarantee protocols rely on — is preserved)
-    /// and picks the minimum by `(arrival, mix(seed, src, arrival))`: a
-    /// virtual-time-respecting order whose ties break by seeded hash
-    /// rather than by which sender's thread won the wall-clock race. This
-    /// is a best-effort replay heuristic — the candidate set still depends
-    /// on what has physically arrived — but two runs whose waits see the
-    /// same candidate sets replay identically.
-    fn pop_inbox(&self, inbox: &mut VecDeque<Inbound<M>>) -> Option<Inbound<M>> {
-        let seed = match self.det_seed {
-            Some(s) => s,
-            None => return inbox.pop_front(),
-        };
-        if inbox.len() <= 1 {
-            return inbox.pop_front();
-        }
-        // Sources whose head entry has been considered: a single u64
-        // bitmask covers machines up to 64 ranks; wider machines use the
-        // node's scratch word-bitmap, cleared here and sized once.
-        let mut seen_small = [0u64];
-        let mut seen_wide = self.seen_wide.borrow_mut();
-        let seen: &mut [u64] = if self.nprocs > 64 {
-            seen_wide.clear();
-            seen_wide.resize(self.nprocs.div_ceil(64), 0);
-            &mut seen_wide
-        } else {
-            &mut seen_small
-        };
-        let mut best: Option<(u64, u64, usize)> = None;
-        for (i, inb) in inbox.iter().enumerate() {
-            let src = inb.env.src;
-            let bit = 1u64 << (src % 64);
-            let newly_seen = seen[src / 64] & bit == 0;
-            seen[src / 64] |= bit;
-            if !newly_seen {
-                continue;
-            }
-            let key = (inb.arrival, det_mix(seed, src as u64, inb.arrival));
-            if best.is_none_or(|(a, m, _)| (key.0, key.1) < (a, m)) {
-                best = Some((key.0, key.1, i));
-            }
-        }
-        let (_, _, idx) = best?;
-        inbox.remove(idx)
-    }
-
     /// Non-blocking receive, for [`Node::poll_until`] alone: the machine
     /// has one receive point. On delivery the local clock advances to cover
     /// the message's flight time and the receive overhead is charged.
     fn try_recv(&self) -> Option<Envelope<M>> {
         let mut inbox = self.inbox.borrow_mut();
-        if inbox.is_empty() || self.det_seed.is_some() {
-            // Deterministic mode drains on every pop so the seeded order
-            // sees the widest (least wall-clock-dependent) candidate set.
+        if inbox.is_empty() {
             self.drain_burst(&mut inbox);
         }
-        let inb = self.pop_inbox(&mut inbox)?;
+        let inb = inbox.pop_front()?;
         drop(inbox);
         self.absorb(&inb);
         Some(inb.env)
@@ -735,12 +656,7 @@ impl<M: MsgSize + Send> Node<M> {
             Ok(w) => {
                 let mut inbox = self.inbox.borrow_mut();
                 self.enqueue_wire(w, &mut inbox);
-                if self.det_seed.is_some() {
-                    // Same widest-candidate-set rule as `try_recv`: rank
-                    // everything already queued, not just this arrival.
-                    self.drain_burst(&mut inbox);
-                }
-                let inb = self.pop_inbox(&mut inbox).expect("wire expands to at least one message");
+                let inb = inbox.pop_front().expect("wire expands to at least one message");
                 drop(inbox);
                 self.absorb(&inb);
                 inb.env
@@ -934,16 +850,6 @@ impl<M: MsgSize + Send> Node<M> {
             final_clock: self.clock.get(),
         }
     }
-}
-
-/// SplitMix64-style tie-break hash for the deterministic scheduler: a
-/// pure function of (seed, source rank, arrival time), so two runs with
-/// the same seed rank identical candidates identically.
-fn det_mix(seed: u64, src: u64, arrival: u64) -> u64 {
-    let mut z = seed ^ src.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ arrival.rotate_left(17);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

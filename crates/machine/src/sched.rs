@@ -14,13 +14,16 @@ use std::time::Instant;
 
 use crate::fiber;
 
-/// How simulated nodes map onto OS execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How simulated nodes map onto OS execution. A builder that names
+/// neither gets `Multiplexed` where it can run and `Threads` elsewhere
+/// ([`crate::MachineBuilder::backend`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// One freely-running OS thread per node (the legacy substrate, and
-    /// what sockets use). Collapses past a few hundred nodes, and its
-    /// simulated time carries the host's scheduling jitter.
-    #[default]
+    /// One freely-running OS thread per node: what sockets and targets
+    /// without the fiber switch run on, and the reference the backend
+    /// equivalence suites compare `Multiplexed` against. Collapses past a
+    /// few hundred nodes, and its simulated time carries the host's
+    /// scheduling jitter.
     Threads,
     /// One small-stacked fiber per node, all run to completion by one
     /// executor on the calling thread: started in rank order, resumed in

@@ -8,8 +8,8 @@
 //! Two launch shapes exist:
 //!
 //! * [`MachineBuilder::run`] — the whole machine in this process, on
-//!   either transport backend ([`TransportKind`]): one OS thread per rank,
-//!   or every rank a fiber on the calling thread ([`ExecBackend`]).
+//!   either transport backend ([`TransportKind`]): every rank a fiber on
+//!   the calling thread, or one OS thread per rank ([`ExecBackend`]).
 //! * [`MachineBuilder::spawn_rank`] — exactly one rank in this process,
 //!   over the socket transport; the other ranks are other OS processes
 //!   meeting at the configured rendezvous address.
@@ -76,7 +76,7 @@ pub struct Spmd;
 impl Spmd {
     /// Start configuring a machine. Defaults: 1 processor, CM-5 cost
     /// model, in-process transport, tracing off, default watchdog and
-    /// drain batch.
+    /// drain batch, and the backend [`MachineBuilder::backend`] describes.
     pub fn builder() -> MachineBuilder {
         MachineBuilder::new()
     }
@@ -92,8 +92,8 @@ pub struct MachineBuilder {
     drain_batch: usize,
     coalesce: CoalescePolicy,
     check: CheckMode,
-    det_seed: Option<u64>,
-    backend: ExecBackend,
+    /// `None` until [`MachineBuilder::backend`] names one.
+    backend: Option<ExecBackend>,
     transport: TransportKind,
 }
 
@@ -129,8 +129,7 @@ impl MachineBuilder {
             drain_batch: DEFAULT_DRAIN_BATCH,
             coalesce: CoalescePolicy::Off,
             check: CheckMode::Off,
-            det_seed: None,
-            backend: ExecBackend::default(),
+            backend: None,
             transport: TransportKind::InProc,
         }
     }
@@ -183,24 +182,24 @@ impl MachineBuilder {
         self
     }
 
-    /// Install the seeded deterministic inbox scheduler: ready messages
-    /// pop in `(arrival, seeded hash)` order instead of wall-clock arrival
-    /// order, so a run that reported a violation can be replayed. Per-pair
-    /// FIFO delivery is preserved. Best-effort: see `Node::pop_inbox`.
-    /// Incompatible with the socket transport ([`ConfigError`]).
-    pub fn deterministic(mut self, seed: u64) -> Self {
-        self.det_seed = Some(seed);
+    /// How simulated nodes map onto OS execution (see [`ExecBackend`]).
+    /// A builder that names none gets `Multiplexed` — every node a fiber
+    /// on the calling thread, so the run is a function of the program: its
+    /// simulated time and every counter repeat exactly — wherever that can
+    /// run, and `Threads` where it cannot: on the socket transport and on
+    /// targets without the fiber switch (anything but x86-64 unix).
+    pub fn backend(mut self, backend: ExecBackend) -> Self {
+        self.backend = Some(backend);
         self
     }
 
-    /// How simulated nodes map onto OS execution (see [`ExecBackend`]).
-    /// `Threads` (the default) runs every node as a free OS thread;
-    /// `Multiplexed` runs every node as a small-stacked fiber on the
-    /// calling thread, which is what makes 256–4096-node machines
-    /// practical on a desktop and their simulated time repeatable.
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
+    /// The backend this machine runs on: the one named, else the
+    /// deterministic one where it exists.
+    fn resolved_backend(&self) -> ExecBackend {
+        self.backend.unwrap_or(match self.transport {
+            TransportKind::InProc if fiber::SUPPORTED => ExecBackend::Multiplexed,
+            _ => ExecBackend::Threads,
+        })
     }
 
     /// Does nothing: a multiplexed machine has one executor thread, always.
@@ -223,11 +222,9 @@ impl MachineBuilder {
     /// by every launch entry point; exposed so callers can surface a
     /// typed error instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let multiplexed = self.resolved_backend() == ExecBackend::Multiplexed;
         if matches!(self.transport, TransportKind::Socket(_)) {
-            if self.det_seed.is_some() {
-                return Err(ConfigError::SocketDeterministic);
-            }
-            if matches!(self.backend, ExecBackend::Multiplexed) {
+            if multiplexed {
                 return Err(ConfigError::SocketMultiplexed);
             }
             if self.nprocs > SOCKET_MAX_RANKS {
@@ -237,7 +234,7 @@ impl MachineBuilder {
                 });
             }
         }
-        if matches!(self.backend, ExecBackend::Multiplexed) && !fiber::SUPPORTED {
+        if multiplexed && !fiber::SUPPORTED {
             return Err(ConfigError::MultiplexedUnsupported);
         }
         Ok(())
@@ -250,7 +247,6 @@ impl MachineBuilder {
             trace: self.trace.clone(),
             coalesce: self.coalesce,
             check: self.check,
-            det_seed: self.det_seed,
         }
     }
 
@@ -358,7 +354,7 @@ impl MachineBuilder {
 
         let node_body = &node_body;
         let start = Instant::now();
-        let outcomes: Vec<Outcome<R>> = match self.backend {
+        let outcomes: Vec<Outcome<R>> = match self.resolved_backend() {
             ExecBackend::Threads => std::thread::scope(|scope| {
                 let handles: Vec<_> = seeds
                     .into_iter()
@@ -652,48 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_scheduler_replays_and_preserves_fifo() {
-        // Five senders race two messages each at node 0, which only starts
-        // popping after everything has arrived: the pop order is then
-        // decided entirely by the seeded scheduler, so two runs with the
-        // same seed must agree, and per-source order must stay FIFO.
-        let run = |seed: u64| {
-            let r = Spmd::builder()
-                .nprocs(6)
-                .cost(CostModel::cm5())
-                .deterministic(seed)
-                .run::<u64, _, _>(|node| {
-                    if node.rank() == 0 {
-                        std::thread::sleep(Duration::from_millis(100));
-                        let order = std::cell::RefCell::new(Vec::new());
-                        node.poll_until(
-                            "10 msgs",
-                            |_, env| order.borrow_mut().push((env.src, env.msg)),
-                            || order.borrow().len() == 10,
-                        );
-                        order.into_inner()
-                    } else {
-                        node.send(0, node.rank() as u64 * 10 + 1);
-                        node.send(0, node.rank() as u64 * 10 + 2);
-                        Vec::new()
-                    }
-                });
-            r.results[0].clone()
-        };
-        let a = run(7);
-        let b = run(7);
-        assert_eq!(a, b, "same seed must replay the same pop order");
-        for src in 1..=5usize {
-            let msgs: Vec<u64> = a.iter().filter(|(s, _)| *s == src).map(|(_, m)| *m).collect();
-            assert_eq!(
-                msgs,
-                vec![src as u64 * 10 + 1, src as u64 * 10 + 2],
-                "per-source FIFO must be preserved"
-            );
-        }
-    }
-
-    #[test]
     fn coalesced_traced_run_draws_one_flow_per_wire_message() {
         // Five logical sends under FlushOnWait become one wire envelope:
         // one Send event carrying subs=5, one flow arrow, one Recv.
@@ -836,26 +790,23 @@ mod tests {
     }
 
     #[test]
-    fn socket_plus_deterministic_rejected_eagerly() {
-        let b = socket_builder().deterministic(7);
-        assert_eq!(b.validate(), Err(ConfigError::SocketDeterministic));
-        assert_eq!(
-            b.try_run::<u64, _, _>(|_| ()).err(),
-            Some(ConfigError::SocketDeterministic),
-            "try_run must reject before spawning anything"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid machine configuration")]
-    fn socket_plus_deterministic_panics_in_run() {
-        socket_builder().deterministic(7).run::<u64, _, _>(|_| ());
+    fn a_socket_builder_naming_no_backend_runs_on_threads() {
+        let b = socket_builder();
+        assert_eq!(b.validate(), Ok(()));
+        assert_eq!(b.resolved_backend(), ExecBackend::Threads);
     }
 
     #[test]
     fn socket_plus_multiplexed_rejected_eagerly() {
         let b = socket_builder().backend(ExecBackend::Multiplexed);
         assert_eq!(b.validate(), Err(ConfigError::SocketMultiplexed));
+        assert_eq!(
+            b.try_run::<u64, _, _>(|_| ()).err(),
+            Some(ConfigError::SocketMultiplexed),
+            "try_run must reject before spawning anything"
+        );
+        let e = std::panic::catch_unwind(|| b.run::<u64, _, _>(|_| ())).expect_err("run panics");
+        assert!(panic_message(e.as_ref()).starts_with("invalid machine configuration"));
     }
 
     #[test]

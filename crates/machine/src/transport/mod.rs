@@ -130,11 +130,6 @@ impl TransportKind {
 /// exists — instead of letting it hang or diverge at runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `Socket` + `deterministic(seed)`: the seeded replay scheduler
-    /// ranks candidates it can only see deterministically in-process;
-    /// over real sockets the candidate set is OS-scheduling noise, so a
-    /// "deterministic" run would silently not be one.
-    SocketDeterministic,
     /// `Socket` + `ExecBackend::Multiplexed`: the executor runs the nodes
     /// of one process as fibers on one thread and takes "nobody runnable"
     /// to mean deadlock; a socket machine's ranks are meant to live in
@@ -172,11 +167,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::SocketDeterministic => write!(
-                f,
-                "the socket transport cannot honor deterministic(seed): \
-                 replay ordering is only meaningful in-process"
-            ),
             ConfigError::SocketMultiplexed => write!(
                 f,
                 "the socket transport requires ExecBackend::Threads: \
@@ -281,7 +271,6 @@ mod tests {
     #[test]
     fn config_errors_explain_themselves() {
         for (e, needle) in [
-            (ConfigError::SocketDeterministic, "deterministic"),
             (ConfigError::SocketMultiplexed, "Threads"),
             (ConfigError::MultiplexedUnsupported, "x86-64"),
             (ConfigError::SocketRanks { nprocs: 128, max: 64 }, "at most 64"),

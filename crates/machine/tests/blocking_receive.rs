@@ -28,6 +28,10 @@ fn mux() -> MachineBuilder {
     Spmd::builder().backend(ExecBackend::Multiplexed)
 }
 
+fn threads() -> MachineBuilder {
+    Spmd::builder().backend(ExecBackend::Threads)
+}
+
 // ---------------------------------------------------------------------------
 // lost-wake-up stress
 // ---------------------------------------------------------------------------
@@ -112,7 +116,7 @@ fn all_to_all(builder: MachineBuilder, n: usize, seed: u64) {
 fn wake_stress_threads() {
     let _g = serial();
     for seed in 0..4 {
-        all_to_all(Spmd::builder(), 64, seed);
+        all_to_all(threads(), 64, seed);
     }
 }
 
@@ -194,7 +198,7 @@ fn long_parked_rank_learns_of_a_death(builder: MachineBuilder) {
 #[test]
 fn peer_death_wakes_a_long_parked_rank_threads() {
     let _g = serial();
-    long_parked_rank_learns_of_a_death(Spmd::builder());
+    long_parked_rank_learns_of_a_death(threads());
 }
 
 #[test]
@@ -229,7 +233,7 @@ fn failing_run(builder: MachineBuilder, f: impl Fn(&Node<u64>) + Sync) -> (Strin
 fn watchdog_trips_on_time_on_threads() {
     let _g = serial();
     let wd = Duration::from_millis(50);
-    let (msg, took) = failing_run(Spmd::builder().nprocs(1).watchdog(wd), |node| {
+    let (msg, took) = failing_run(threads().nprocs(1).watchdog(wd), |node| {
         let wait = std::panic::catch_unwind(AssertUnwindSafe(|| {
             node.poll_until("never", |_, _| {}, || false);
         }));
@@ -248,7 +252,7 @@ fn a_wait_fed_forever_but_never_satisfied_ends_at_the_watchdog_on_both_backends(
     // executor can call it a deadlock. The deadline covers the whole wait.
     let _g = serial();
     let wd = Duration::from_millis(50);
-    for builder in [Spmd::builder(), mux()] {
+    for builder in [threads(), mux()] {
         let (msg, took) = failing_run(builder.nprocs(2).watchdog(wd), |node| {
             if node.rank() == 0 {
                 node.send(1, 0);
@@ -276,7 +280,7 @@ fn a_multiplexed_deadlock_is_reported_at_once() {
     // Kernel threads can always be woken from outside, so there the same
     // program still runs into its (shortened) watchdog.
     let wd = Duration::from_millis(50);
-    let (msg, took) = failing_run(Spmd::builder().nprocs(3).watchdog(wd), stuck);
+    let (msg, took) = failing_run(threads().nprocs(3).watchdog(wd), stuck);
     assert!(msg.contains("wedged waiting for: a letter from nobody"), "{msg}");
     assert!(took >= wd, "the watchdog fired after {took:?}");
 }
