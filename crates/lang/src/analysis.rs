@@ -10,13 +10,20 @@
 //!
 //! Abstraction: spaces are identified by their `new_space` *site*; a
 //! handle's abstract value is the set of sites its region's space may come
-//! from (`Top` = unknown). The protocol environment maps each site to the
-//! set of protocols possibly bound at the current program point —
-//! flow-sensitive, with strong updates through `change_protocol` when the
-//! space set is a singleton. Handles that round-trip through shared
-//! memory are summarized by a single global set (field-insensitive).
-//! The analysis is interprocedural: a summary (entry fact ⊔ over call
-//! sites → exit fact) is computed per function to fixpoint.
+//! from. The protocol environment maps each site to the set of protocols
+//! possibly bound at the current program point — flow-sensitive, with
+//! strong updates through `change_protocol` when the space set is a
+//! singleton. Handles that round-trip through shared memory are summarized
+//! by a single global set (field-insensitive). The analysis is
+//! interprocedural: a summary (entry fact ⊔ over call sites → exit fact)
+//! is computed per function to fixpoint.
+//!
+//! Both universes are dense and fixed per program: the sites, which the
+//! lowering numbers `0..nsites`, and the specs of [`Facts::all_specs`],
+//! numbered in their sorted order. A site set is ⌈nsites/64⌉ words, a
+//! protocol set one word, and a state one fixed-width word array: the
+//! protocol environment (a spec word per site, empty = not created on this
+//! path), the memory summary, then a site set per variable.
 //!
 //! Registers are single-assignment, so a register has one fact per
 //! function, not one per program point; what flows from block to block
@@ -24,94 +31,58 @@
 //! Every fact only ever grows by joins in a finite lattice, which is why
 //! both fixpoints below terminate without a round limit.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use ace_protocols::ProtoSpec;
 
 use crate::config::SystemConfig;
 use crate::ir::*;
 
-/// A set of space-creation sites, or Top (any space).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sites {
-    /// Exactly these sites.
-    Set(BTreeSet<u32>),
-    /// Unknown.
-    Top,
+/// Whether `i` is in the bitset `set`.
+pub(crate) fn has(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 == 1
 }
 
-impl Sites {
-    fn empty() -> Self {
-        Sites::Set(BTreeSet::new())
-    }
-
-    /// `self ⊔= o`; whether `self` grew.
-    fn join(&mut self, o: &Sites) -> bool {
-        match (&mut *self, o) {
-            (Sites::Top, _) => false,
-            (_, Sites::Top) => {
-                *self = Sites::Top;
-                true
-            }
-            (Sites::Set(a), Sites::Set(b)) => {
-                let before = a.len();
-                a.extend(b);
-                a.len() != before
-            }
-        }
-    }
+/// Put `i` in the bitset `set`; whether it was not there.
+pub(crate) fn insert(set: &mut [u64], i: usize) -> bool {
+    let (word, bit) = (&mut set[i / 64], 1 << (i % 64));
+    let new = *word & bit == 0;
+    *word |= bit;
+    new
 }
 
-/// Per-site protocol bindings (missing site = not created on this path).
-pub type ProtoEnv = BTreeMap<u32, BTreeSet<ProtoSpec>>;
-
-/// What flows along an edge: the abstract values of a list of variables,
-/// the memory summary and the protocol environment. The variables are a
-/// function's local slots inside it, its parameters at its entry and its
-/// return value at its exit.
-#[derive(Debug, Clone)]
-struct Flow {
-    vals: Vec<Sites>,
-    mem: Sites,
-    penv: ProtoEnv,
+/// `dst ⊔= src` on bitsets; whether `dst` grew.
+pub(crate) fn join(dst: &mut [u64], src: &[u64]) -> bool {
+    let mut grew = false;
+    for (d, s) in dst.iter_mut().zip(src) {
+        grew |= s & !*d != 0;
+        *d |= s;
+    }
+    grew
 }
 
-impl Flow {
-    fn bottom(nvals: usize) -> Flow {
-        Flow { vals: vec![Sites::empty(); nvals], mem: Sites::empty(), penv: ProtoEnv::new() }
-    }
-
-    /// `self ⊔= o`, except for the variables; whether `self` grew.
-    fn join_heap(&mut self, o: &Flow) -> bool {
-        let mut grew = self.mem.join(&o.mem);
-        for (site, protos) in &o.penv {
-            let mine = self.penv.entry(*site).or_default();
-            let before = mine.len();
-            mine.extend(protos);
-            grew |= mine.len() != before;
-        }
-        grew
-    }
-
-    /// `self ⊔= o`; whether `self` grew.
-    fn join(&mut self, o: &Flow) -> bool {
-        let mut grew = self.join_heap(o);
-        for (mine, theirs) in self.vals.iter_mut().zip(&o.vals) {
-            grew |= mine.join(theirs);
-        }
-        grew
-    }
+/// The members of the bitset `set`, ascending.
+pub(crate) fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
-/// A function summary for the interprocedural fixpoint.
-#[derive(Debug)]
+/// A function summary for the interprocedural fixpoint. Both flows are
+/// laid out as a state is, with the parameters (entry) or the return
+/// value (exit) as the variables.
 struct Summary {
     /// Whether any call reaches the function.
     seen: bool,
     /// Joined over its call sites: argument sets + caller's mem/penv.
-    entry: Flow,
+    entry: Vec<u64>,
     /// Joined over its returns: return set + mem/penv.
-    exit: Flow,
+    exit: Vec<u64>,
 }
 
 /// Analysis results: per access site, the set of possible protocols.
@@ -120,7 +91,8 @@ pub struct Facts {
     /// AccessId → possible protocols. Missing or empty = no information
     /// (treated conservatively by the passes).
     pub access: HashMap<AccessId, BTreeSet<ProtoSpec>>,
-    /// All protocol specs mentioned anywhere (the meaning of `Top`).
+    /// All protocol specs mentioned anywhere: bit `i` of a protocol set
+    /// is the `i`-th of them.
     pub all_specs: BTreeSet<ProtoSpec>,
     /// Number of space sites in the program.
     pub nsites: u32,
@@ -135,10 +107,7 @@ impl Facts {
     /// Whether every possible protocol of `aid` is registered optimizable
     /// (the gate for LICM and merging; empty/unknown = not optimizable).
     pub fn all_optimizable(&self, aid: AccessId, cfg: &SystemConfig) -> bool {
-        match self.protocols(aid) {
-            Some(set) => set.iter().all(|s| cfg.optimizable(*s)),
-            None => false,
-        }
+        self.protocols(aid).is_some_and(|set| set.iter().all(|s| cfg.optimizable(*s)))
     }
 
     /// The unique protocol of `aid`, if statically known.
@@ -161,12 +130,24 @@ pub fn analyze(prog: &Program) -> Facts {
             }
         }
     }
+    let specs: Vec<ProtoSpec> = facts.all_specs.iter().copied().collect();
+    // Source code names only the registry's protocols.
+    assert!(specs.len() <= 64, "{} protocols do not fit a one-word set", specs.len());
+    let nsites = facts.nsites as usize;
+    let w = nsites.div_ceil(64);
+    let heap = nsites + w;
     let summaries = prog
         .funcs
         .iter()
-        .map(|f| Summary { seen: false, entry: Flow::bottom(f.nparams), exit: Flow::bottom(1) })
+        .map(|f| Summary {
+            seen: false,
+            entry: vec![0; heap + f.nparams * w],
+            exit: vec![0; heap + w],
+        })
         .collect();
-    let mut cx = Analysis { prog, summaries, facts, moved: true };
+    let access = vec![None; prog.naccesses as usize];
+    let mut cx =
+        Analysis { prog, specs, w, heap, summaries, access, value: vec![0; w], moved: true };
     cx.summaries[prog.main].seen = true;
 
     // Interprocedural fixpoint: re-analyze every reached function until no
@@ -180,13 +161,29 @@ pub fn analyze(prog: &Program) -> Facts {
             }
         }
     }
-    cx.facts
+    for (aid, protos) in cx.access.iter().enumerate() {
+        if let Some(word) = protos {
+            let set = members(&[*word]).map(|i| cx.specs[i]).collect();
+            facts.access.insert(aid as AccessId, set);
+        }
+    }
+    facts
 }
 
 struct Analysis<'a> {
     prog: &'a Program,
+    /// The spec universe: bit `i` of a protocol set is `specs[i]`.
+    specs: Vec<ProtoSpec>,
+    /// Words per site set.
+    w: usize,
+    /// Words of a state before its variables: the protocol environment
+    /// (one per site) and the memory summary.
+    heap: usize,
     summaries: Vec<Summary>,
-    facts: Facts,
+    /// AccessId → protocol set; `None` until a visit reaches the access.
+    access: Vec<Option<u64>>,
+    /// What the instruction being transferred defines.
+    value: Vec<u64>,
     /// Whether a summary moved in the current round.
     moved: bool,
 }
@@ -195,102 +192,98 @@ impl Analysis<'_> {
     /// Analyze one function from its entry summary to its own fixpoint.
     fn function(&mut self, fid: FuncId) {
         let f = &self.prog.funcs[fid];
-        let mut regs = vec![Sites::empty(); f.nregs as usize];
-        let mut inb: Vec<Option<Flow>> = vec![None; f.blocks.len()];
-        let mut entry = self.summaries[fid].entry.clone();
-        entry.vals.resize(f.slots.len(), Sites::empty());
-        inb[0] = Some(entry);
+        let (w, heap) = (self.w, self.heap);
+        let width = heap + f.slots.len() * w;
+        let mut regs = vec![0; f.nregs as usize * w];
+        // Each block's input, and whether control reaches the block yet.
+        let mut inb = vec![0; f.blocks.len() * width];
+        let mut reached = vec![false; f.blocks.len()];
+        let entry = &self.summaries[fid].entry;
+        inb[..entry.len()].copy_from_slice(entry);
+        reached[0] = true;
+        // The one state every visit runs on.
+        let mut st = vec![0; width];
 
         // Sweep the reached blocks until neither a block's input nor a
         // register fact grows. A worklist on inputs alone would not do: a
         // grown register is read by blocks whose input did not change.
         let mut grew = true;
-        while grew {
-            grew = false;
+        while std::mem::take(&mut grew) {
             for (b, block) in f.blocks.iter().enumerate() {
-                let Some(mut st) = inb[b].clone() else { continue };
+                if !reached[b] {
+                    continue;
+                }
+                st.copy_from_slice(&inb[b * width..][..width]);
                 for inst in &block.insts {
                     grew |= self.transfer(inst, &mut st, &mut regs);
                 }
                 for t in block.term.successors() {
-                    grew |= match &mut inb[t] {
-                        Some(old) => old.join(&st),
-                        None => {
-                            inb[t] = Some(st.clone());
-                            true
-                        }
-                    };
+                    grew |= !std::mem::replace(&mut reached[t], true);
+                    grew |= join(&mut inb[t * width..][..width], &st);
                 }
                 if let Term::Ret(r) = block.term {
                     let exit = &mut self.summaries[fid].exit;
-                    self.moved |= exit.join_heap(&st);
+                    self.moved |= join(&mut exit[..heap], &st[..heap]);
                     if let Some(r) = r {
-                        self.moved |= exit.vals[0].join(&regs[r as usize]);
+                        self.moved |= join(&mut exit[heap..], &regs[r as usize * w..][..w]);
                     }
                 }
             }
-        }
-    }
-
-    /// Add to access `aid` the protocols its `handle` may be under at `st`.
-    fn record(&mut self, aid: AccessId, handle: &Sites, st: &Flow) {
-        let protos = self.facts.access.entry(aid).or_default();
-        match handle {
-            Sites::Top => protos.extend(&self.facts.all_specs),
-            Sites::Set(ks) => protos.extend(ks.iter().filter_map(|k| st.penv.get(k)).flatten()),
         }
     }
 
     /// Apply one instruction to `st` and to the fact of the register it
     /// defines; whether that fact grew.
-    fn transfer(&mut self, inst: &Inst, st: &mut Flow, regs: &mut [Sites]) -> bool {
-        let reg = |r: &VReg| &regs[*r as usize];
+    fn transfer(&mut self, inst: &Inst, st: &mut [u64], regs: &mut [u64]) -> bool {
+        let (w, heap) = (self.w, self.heap);
+        let reg = |r: VReg| r as usize * w..(r as usize + 1) * w;
+        let var = |slot: u32| heap + slot as usize * w..heap + (slot as usize + 1) * w;
+        let mem = heap - w..heap;
+        let spec = |s: &ProtoSpec| 1 << self.specs.binary_search(s).expect("collected above");
         // What the defined register may hold: nothing, unless it is a handle.
-        let mut value = Sites::empty();
+        let value = &mut self.value;
+        value.fill(0);
         match inst {
-            Inst::Mov { a, .. } => value = reg(a).clone(),
+            Inst::Mov { a, .. } => value.copy_from_slice(&regs[reg(*a)]),
             Inst::LoadLocal { slot, .. } | Inst::LoadArr { slot, .. } => {
-                value = st.vals[*slot as usize].clone()
+                value.copy_from_slice(&st[var(*slot)])
             }
-            Inst::StoreLocal { slot, a } => st.vals[*slot as usize] = reg(a).clone(),
+            Inst::StoreLocal { slot, a } => st[var(*slot)].copy_from_slice(&regs[reg(*a)]),
             Inst::StoreArr { slot, a, .. } => {
-                st.vals[*slot as usize].join(reg(a));
+                join(&mut st[var(*slot)], &regs[reg(*a)]);
             }
             Inst::Map { aid, handle, .. } => {
-                value = reg(handle).clone();
-                self.record(*aid, &value, st);
+                value.copy_from_slice(&regs[reg(*handle)]);
+                record(&mut self.access[*aid as usize], value, st);
             }
-            Inst::Ann { aid, handle, .. } => self.record(*aid, reg(handle), st),
-            Inst::GLoad { ty: ValTy::H, .. } => value = st.mem.clone(),
+            Inst::Ann { aid, handle, .. } => {
+                record(&mut self.access[*aid as usize], &regs[reg(*handle)], st)
+            }
+            Inst::GLoad { ty: ValTy::H, .. } => value.copy_from_slice(&st[mem]),
             Inst::GStore { val, .. } => {
-                st.mem.join(reg(val));
+                join(&mut st[mem], &regs[reg(*val)]);
             }
             Inst::Intrinsic { which, args, .. } => match which {
-                Intr::NewSpace { spec, site } => {
-                    value = Sites::Set(BTreeSet::from([*site]));
+                Intr::NewSpace { spec: s, site } => {
+                    insert(value, *site as usize);
                     // Re-executing the same site rebinds the same protocol, so
                     // a strong update is safe even inside loops.
-                    st.penv.insert(*site, BTreeSet::from([*spec]));
+                    st[*site as usize] = spec(s);
                 }
-                Intr::ChangeProtocol { spec } => {
-                    let mut bind = |k: u32, strong: bool| {
-                        let protos = st.penv.entry(k).or_default();
-                        if strong {
-                            protos.clear();
-                        }
-                        protos.insert(*spec);
-                    };
-                    match reg(&args[0]) {
-                        // The one possible space is rebound; each of
-                        // several gains a binding.
-                        Sites::Set(ks) => ks.iter().for_each(|k| bind(*k, ks.len() == 1)),
-                        Sites::Top => (0..self.facts.nsites).for_each(|k| bind(k, false)),
+                Intr::ChangeProtocol { spec: s } => {
+                    // The one possible space is rebound; each of several
+                    // gains a binding.
+                    let spaces = &regs[reg(args[0])];
+                    let strong = members(spaces).count() == 1;
+                    let bit = spec(s);
+                    for k in members(spaces) {
+                        st[k] = if strong { bit } else { st[k] | bit };
                     }
                 }
-                Intr::Gmalloc { .. } => value = reg(&args[0]).clone(),
+                Intr::Gmalloc { .. } => value.copy_from_slice(&regs[reg(args[0])]),
                 // SPMD: the sent value comes from the same program point on
                 // the root, so its abstract value is the same.
-                Intr::BcastP => value = reg(&args[1]).clone(),
+                Intr::BcastP => value.copy_from_slice(&regs[reg(args[1])]),
                 _ => {}
             },
             Inst::Call { func, args, .. } => {
@@ -298,12 +291,12 @@ impl Analysis<'_> {
                 // its (current) exit effects.
                 let callee = &mut self.summaries[*func];
                 self.moved |= !std::mem::replace(&mut callee.seen, true);
-                self.moved |= callee.entry.join_heap(st);
-                for (param, a) in callee.entry.vals.iter_mut().zip(args) {
-                    self.moved |= param.join(reg(a));
+                self.moved |= join(&mut callee.entry[..heap], &st[..heap]);
+                for (param, a) in args.iter().enumerate() {
+                    self.moved |= join(&mut callee.entry[var(param as u32)], &regs[reg(*a)]);
                 }
-                st.join_heap(&callee.exit);
-                value = callee.exit.vals[0].clone();
+                join(&mut st[..heap], &callee.exit[..heap]);
+                value.copy_from_slice(&callee.exit[heap..]);
             }
             // constants, arithmetic, conversions, data loads: never handles
             Inst::ConstI(..)
@@ -315,8 +308,14 @@ impl Analysis<'_> {
             | Inst::FToInt { .. }
             | Inst::GLoad { .. } => {}
         }
-        inst.def().is_some_and(|d| regs[d as usize].join(&value))
+        inst.def().is_some_and(|d| join(&mut regs[reg(d)], value))
     }
+}
+
+/// Add to an access the protocols its `handle` may be under at `st`: the
+/// words of the protocol environment at the handle's sites.
+fn record(access: &mut Option<u64>, handle: &[u64], st: &[u64]) {
+    *access.get_or_insert(0) |= members(handle).fold(0, |protos, k| protos | st[k]);
 }
 
 #[cfg(test)]
@@ -523,6 +522,40 @@ mod tests {
         );
         let sets = all_access_sets(&p, &f);
         assert!(sets.iter().any(|s| s == &BTreeSet::from([ProtoSpec::Pipelined])), "{sets:?}");
+    }
+
+    #[test]
+    fn site_sets_cross_a_word_boundary() {
+        // 70 spaces, so a site set is two words; site `k` is under
+        // `PROTOS[k % 4]`.
+        const PROTOS: [&str; 4] = ["SC", "Update", "Null", "Migratory"];
+        let mut src = String::from("void main() {\n");
+        for k in 0..70 {
+            src += &format!("space s{k} = new_space(\"{}\");\n", PROTOS[k % 4]);
+        }
+        for k in [3, 63, 64, 65] {
+            src += &format!("shared double *v{k} = (shared double*) gmalloc(s{k}, 1);\n");
+        }
+        src += r#"
+            shared double *h;
+            if (rank() == 0) { h = (shared double*) gmalloc(s1, 1); }
+            else { h = (shared double*) gmalloc(s66, 1); }
+            change_protocol(s65, "Pipelined");
+            v65[0] = 1.0; v3[0] = 1.0; h[0] = 1.0; v63[0] = 1.0; v64[0] = 1.0;
+        }"#;
+        let (p, f) = facts_of(&src);
+        assert_eq!(f.nsites, 70);
+        let sets = all_access_sets(&p, &f);
+        let set = |specs: &[ProtoSpec]| BTreeSet::from_iter(specs.iter().copied());
+        use ProtoSpec::*;
+        // A strong update on site 65, in the second word; site 3 keeps its own.
+        assert_eq!(sets[0], set(&[Pipelined]));
+        assert_eq!(sets[1], set(&[Migratory]));
+        // A handle joined from site 1 and site 66, one in each word.
+        assert_eq!(sets[2], set(&[DynUpdate, Null]));
+        // Sites 63 and 64, either side of the boundary, stay distinct.
+        assert_eq!(sets[3], set(&[Migratory]));
+        assert_eq!(sets[4], set(&[Sc]));
     }
 
     #[test]

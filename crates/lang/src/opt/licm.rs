@@ -15,21 +15,22 @@
 //! unique exit block whose predecessors are all inside the loop (so the
 //! sunk `End` runs exactly when the loop ran).
 
-use std::collections::{HashMap, HashSet};
-
-use crate::analysis::Facts;
+use crate::analysis::{has, insert, members, Facts};
 use crate::config::SystemConfig;
 use crate::ir::*;
-use crate::opt::Pos;
+
+/// Where an instruction is: its block and its index there.
+type Pos = (BlockId, usize);
 
 /// Run the pass over every function.
 pub fn run(prog: &mut Program, facts: &Facts, cfg: &SystemConfig) {
+    let naccesses = prog.naccesses as usize;
     for f in &mut prog.funcs {
         // Hoist repeatedly: after one loop's candidates move, outer loops
         // may expose further opportunities. Each round moves an access out
         // of a loop into blocks outside it, so the summed loop depth of the
         // function's accesses falls every round and the rounds end.
-        while hoist_one(f, facts, cfg) {}
+        while hoist_one(f, naccesses, facts, cfg) {}
     }
 }
 
@@ -44,56 +45,83 @@ fn predecessors(f: &IFunc) -> Vec<Vec<BlockId>> {
     preds
 }
 
-/// `dom[b][d]`: whether `d` dominates `b` (simple iterative algorithm).
-fn dominators(preds: &[Vec<BlockId>]) -> Vec<Vec<bool>> {
+/// Bit `d` of row `b` (the `⌈n/64⌉` words from `b * ⌈n/64⌉`): whether `d`
+/// dominates `b` (the simple iterative algorithm, on bit rows).
+fn dominators(preds: &[Vec<BlockId>]) -> Vec<u64> {
     let n = preds.len();
-    let mut dom = vec![vec![true; n]; n];
-    dom[0] = (0..n).map(|d| d == 0).collect();
+    let words = n.div_ceil(64);
+    // Every row full (blocks 0..n), then the entry's {0}.
+    let mut full = vec![!0u64; words];
+    full[words - 1] >>= words * 64 - n;
+    let mut dom = full.repeat(n);
+    dom[..words].fill(0);
+    insert(&mut dom, 0);
+    let mut row = vec![0; words];
     let mut changed = true;
-    while changed {
-        changed = false;
+    while std::mem::take(&mut changed) {
         for b in 1..n {
-            let by_all_preds = |d| !preds[b].is_empty() && preds[b].iter().all(|&p| dom[p][d]);
-            let newd: Vec<bool> = (0..n).map(|d| d == b || by_all_preds(d)).collect();
-            if newd != dom[b] {
-                dom[b] = newd;
-                changed = true;
+            // {b} ∪ the intersection of the predecessors' rows (of none: ∅).
+            row.fill(if preds[b].is_empty() { 0 } else { !0 });
+            for &p in &preds[b] {
+                row.iter_mut().zip(&dom[p * words..][..words]).for_each(|(r, d)| *r &= d);
             }
+            insert(&mut row, b);
+            let mine = &mut dom[b * words..][..words];
+            changed |= *mine != *row;
+            mine.copy_from_slice(&row);
         }
     }
     dom
 }
 
-/// All natural loops, as (header, body-set), innermost (smallest) first.
-fn natural_loops(f: &IFunc, preds: &[Vec<BlockId>]) -> Vec<(BlockId, HashSet<BlockId>)> {
+/// All natural loops, as (header, body bitset), innermost (smallest) first.
+fn natural_loops(f: &IFunc, preds: &[Vec<BlockId>]) -> Vec<(BlockId, Vec<u64>)> {
+    let words = f.blocks.len().div_ceil(64);
     let dom = dominators(preds);
-    let mut loops: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
+    // Row `h`: the body of the loop headed by `h`; empty if `h` heads none.
+    let mut bodies = vec![0; f.blocks.len() * words];
     for (b, blk) in f.blocks.iter().enumerate() {
         // A back edge b -> s: walk predecessors from b up to the header.
-        for s in blk.term.successors().filter(|&s| dom[b][s]) {
-            let body = loops.entry(s).or_default();
-            body.insert(s);
+        for s in blk.term.successors().filter(|&s| has(&dom[b * words..][..words], s)) {
+            let body = &mut bodies[s * words..][..words];
+            insert(body, s);
             let mut stack = vec![b];
             while let Some(x) = stack.pop() {
-                if body.insert(x) {
+                if insert(body, x) {
                     stack.extend(&preds[x]);
                 }
             }
         }
     }
-    let mut v: Vec<_> = loops.into_iter().collect();
-    v.sort_by_key(|(h, body)| (body.len(), *h));
+    let mut v: Vec<_> = bodies
+        .chunks(words)
+        .enumerate()
+        .filter(|&(h, body)| has(body, h))
+        .map(|(h, body)| (h, body.to_vec()))
+        .collect();
+    v.sort_by_key(|(h, body)| (members(body).count(), *h));
     v
 }
 
-fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
+fn hoist_one(f: &mut IFunc, naccesses: usize, facts: &Facts, cfg: &SystemConfig) -> bool {
     let preds = predecessors(f);
-    let sites = super::index_accesses(f);
-    // Where each register is defined (registers are single-assignment).
-    let mut def_site: HashMap<VReg, Pos> = HashMap::new();
+    // Each access's `Map`, `Start*` and `End*` by access id, and where each
+    // register is defined (registers are single-assignment).
+    let mut sites: Vec<[Option<Pos>; 3]> = vec![[None; 3]; naccesses];
+    let mut def_site = vec![None; f.nregs as usize];
     for (bi, b) in f.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
-            def_site.extend(inst.def().map(|d| (d, (bi, ii))));
+            let at = Some((bi, ii));
+            if let Some(d) = inst.def() {
+                def_site[d as usize] = at;
+            }
+            let (aid, part) = match inst {
+                Inst::Map { aid, .. } => (aid, 0),
+                Inst::Ann { hook: Hook::StartRead | Hook::StartWrite, aid, .. } => (aid, 1),
+                Inst::Ann { hook: Hook::EndRead | Hook::EndWrite, aid, .. } => (aid, 2),
+                _ => continue,
+            };
+            sites[*aid as usize][part] = at;
         }
     }
     for (header, body) in natural_loops(f, &preds) {
@@ -101,40 +129,41 @@ fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
             // The entry block cannot get a preheader.
             continue;
         }
-        let body_insts = || body.iter().flat_map(|&b| &f.blocks[b].insts);
+        let in_body = |b: BlockId| has(&body, b);
+        let body_insts = || members(&body).flat_map(|b| &f.blocks[b].insts);
         // No synchronization inside the loop.
         if body_insts().any(Inst::is_sync) {
             continue;
         }
         // Unique exit target with all predecessors inside the loop.
         let mut exits =
-            body.iter().flat_map(|&b| f.blocks[b].term.successors()).filter(|s| !body.contains(s));
+            members(&body).flat_map(|b| f.blocks[b].term.successors()).filter(|&s| !in_body(s));
         let Some(exit) = exits.next() else { continue };
         if exits.any(|s| s != exit) {
             continue;
         }
-        if !preds[exit].iter().all(|p| body.contains(p)) {
+        if !preds[exit].iter().all(|&p| in_body(p)) {
             continue;
         }
 
         // Locals stored anywhere in the loop are not invariant.
-        let stored: HashSet<u32> = body_insts()
-            .filter_map(|i| match i {
-                Inst::StoreLocal { slot, .. } | Inst::StoreArr { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .collect();
+        let mut stored = vec![false; f.slots.len()];
+        for i in body_insts() {
+            if let Inst::StoreLocal { slot, .. } | Inst::StoreArr { slot, .. } = i {
+                stored[*slot as usize] = true;
+            }
+        }
 
         // Candidate accesses: full triple inside the loop, invariant
         // handle, all protocols optimizable. Each candidate lists what
         // moves to the preheader, then what moves to the exit.
         let mut plan: Vec<(Vec<Pos>, Pos)> = Vec::new();
-        for (aid, s) in &sites {
-            let (Some(m), Some(st), Some(en)) = (s.map, s.start, s.end) else { continue };
-            if ![m, st, en].iter().all(|at| body.contains(&at.0)) {
+        for (aid, s) in sites.iter().enumerate() {
+            let [Some(m), Some(st), Some(en)] = *s else { continue };
+            if ![m, st, en].iter().all(|at| in_body(at.0)) {
                 continue;
             }
-            if !facts.all_optimizable(*aid, cfg) {
+            if !facts.all_optimizable(aid as AccessId, cfg) {
                 continue;
             }
             let Inst::Map { handle, .. } = f.blocks[m.0].insts[m.1] else { continue };
@@ -142,9 +171,11 @@ fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
             // register defined nowhere), or an in-loop constant or load of
             // an unstored slot that moves out with the access.
             let mut to_pre = vec![m, st];
-            match def_site.get(&handle) {
-                Some(&def) if body.contains(&def.0) => match &f.blocks[def.0].insts[def.1] {
-                    Inst::LoadLocal { slot, .. } if !stored.contains(slot) => to_pre.insert(0, def),
+            match def_site[handle as usize] {
+                Some(def) if in_body(def.0) => match &f.blocks[def.0].insts[def.1] {
+                    Inst::LoadLocal { slot, .. } if !stored[*slot as usize] => {
+                        to_pre.insert(0, def)
+                    }
                     Inst::ConstI(..) | Inst::ConstF(..) => to_pre.insert(0, def),
                     _ => continue,
                 },
@@ -160,7 +191,7 @@ fn hoist_one(f: &mut IFunc, facts: &Facts, cfg: &SystemConfig) -> bool {
         // out-of-loop edges into the header.
         let pre = f.blocks.len();
         f.blocks.push(Block { insts: Vec::new(), term: Term::Jump(header) });
-        for b in (0..pre).filter(|b| !body.contains(b)) {
+        for b in (0..pre).filter(|&b| !in_body(b)) {
             f.blocks[b].term.retarget(header, pre);
         }
 
@@ -304,6 +335,59 @@ mod tests {
             let r =
                 run_ace(1, CostModel::free(), |rt| crate::vm::run_program(rt, &p).unwrap().as_f());
             assert_eq!(r.results[0], 56.0, "wrong result at {level:?}");
+        }
+    }
+
+    /// The boolean-matrix iteration `dominators` replaced: `dom[b][d]` is
+    /// whether `d` dominates `b`.
+    fn dominators_oracle(preds: &[Vec<usize>]) -> Vec<Vec<bool>> {
+        let n = preds.len();
+        let mut dom = vec![vec![true; n]; n];
+        dom[0] = (0..n).map(|d| d == 0).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in 1..n {
+                let by_all_preds = |d| !preds[b].is_empty() && preds[b].iter().all(|&p| dom[p][d]);
+                let newd: Vec<bool> = (0..n).map(|d| d == b || by_all_preds(d)).collect();
+                if newd != dom[b] {
+                    dom[b] = newd;
+                    changed = true;
+                }
+            }
+        }
+        dom
+    }
+
+    #[test]
+    fn dominator_rows_are_the_boolean_matrix() {
+        // Random CFGs of 1-200 blocks (rows of up to four words). Blocks
+        // from `cut` on only reach each other: unreachable cycles, and
+        // blocks no edge enters, whose rows the back-edge test reads too.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut rand = |below: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % below as u64) as usize
+        };
+        for round in 0..300 {
+            let n = 1 + round % 200;
+            let cut = 1 + rand(n);
+            let mut preds = vec![Vec::new(); n];
+            for b in 0..n {
+                let (lo, hi) = if b < cut { (0, cut) } else { (cut, n) };
+                for _ in 0..rand(3) {
+                    preds[lo + rand(hi - lo)].push(b);
+                }
+            }
+            let rows = super::dominators(&preds);
+            let words = n.div_ceil(64);
+            for (b, want) in dominators_oracle(&preds).iter().enumerate() {
+                let row = &rows[b * words..][..words];
+                let got: Vec<bool> = (0..n).map(|d| crate::analysis::has(row, d)).collect();
+                assert_eq!(&got, want, "block {b} of {n}, cut {cut}: {preds:?}");
+            }
         }
     }
 }

@@ -6,9 +6,16 @@ use ace::core::{run_ace, CostModel};
 use ace::lang::{compile, run_program, OptLevel, SystemConfig};
 use proptest::prelude::*;
 
-/// A random straight-line arithmetic body over int locals a..e, wrapped
-/// in a loop that accumulates into a shared region under an optimizable
-/// protocol — so every pass has something to chew on.
+/// The registry protocols a generated space may be under. The first
+/// space is always SC, which is not optimizable.
+const PROTOCOLS: [&str; 5] = ["SC", "Update", "StaticUpdate", "Null", "Migratory"];
+
+/// A random straight-line arithmetic body over int locals x0..x4, wrapped
+/// in a loop that accumulates into a shared region, then a loop that sums
+/// the region. The region is chosen in an `if`/`else` among 1-3 spaces
+/// under different protocols, and a `change_protocol` may sit between the
+/// loops: the dataflow's joins and strong updates decide what each pass
+/// may touch.
 fn random_program() -> impl Strategy<Value = String> {
     let stmt = prop_oneof![
         (0usize..5, 1i64..50).prop_map(|(v, k)| format!("x{v} = x{v} + {k};")),
@@ -18,26 +25,44 @@ fn random_program() -> impl Strategy<Value = String> {
             "if (x{a} > x{b}) {{ x{a} = x{a} - {k}; }} else {{ x{b} = x{b} + {k}; }}"
         )),
     ];
-    (proptest::collection::vec(stmt, 1..12), 1usize..8, 1i64..6).prop_map(
-        |(stmts, words, iters)| {
+    let spaces = (1usize..4, 0usize..4, (0usize..5, 0usize..3, 0usize..3));
+    let change = proptest::option::of((0usize..3, 0usize..5));
+    (proptest::collection::vec(stmt, 1..12), 1usize..8, 1i64..6, spaces, change).prop_map(
+        |(stmts, words, iters, (n, first, (cond, then, els)), change)| {
             let body = stmts.join("\n                ");
+            let mut spaces = String::new();
+            for i in 0..n {
+                // s1 and s2 take the protocols after `first` among the others.
+                let proto = PROTOCOLS[if i == 0 { 0 } else { 1 + (first + i) % 4 }];
+                spaces += &format!(
+                    "space s{i} = new_space(\"{proto}\");
+                shared int *r{i} = (shared int*) gmalloc(s{i}, {words});
+                "
+                );
+            }
+            let change = change.map_or(String::new(), |(space, proto)| {
+                format!("change_protocol(s{}, \"{}\");", space % n, PROTOCOLS[proto])
+            });
             format!(
                 r#"
             double main() {{
-                space s = new_space("Update");
-                shared int *acc = (shared int*) gmalloc(s, {words});
-                int x0 = 1; int x1 = 2; int x2 = 3; int x3 = 4; int x4 = 5;
+                {spaces}int x0 = 1; int x1 = 2; int x2 = 3; int x3 = 4; int x4 = 5;
+                shared int *acc;
+                if (x{cond} > 2) {{ acc = r{then}; }} else {{ acc = r{els}; }}
                 int t;
                 for (t = 0; t < {iters}; t = t + 1) {{
                     {body}
                     acc[t % {words}] = acc[t % {words}] + x0 + x1 + x2 + x3 + x4;
                 }}
+                {change}
                 int out = 0;
                 int i;
                 for (i = 0; i < {words}; i = i + 1) {{ out = out + acc[i]; }}
                 return out + 0.0;
             }}
-            "#
+            "#,
+                then = then % n,
+                els = els % n,
             )
         },
     )
