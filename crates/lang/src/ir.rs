@@ -14,11 +14,14 @@
 //! dataflow's per-function register facts, the merge pass's register
 //! identity and LICM's definition lookup all rest on it.
 
+use std::sync::OnceLock;
+
 use ace_core::Actions;
 use ace_protocols::ProtoSpec;
 
 use crate::builtins::BUILTINS;
 use crate::config::POINTS;
+use crate::vm::Code;
 
 /// Virtual register index (function-local).
 pub type VReg = u32;
@@ -46,7 +49,7 @@ pub enum ValTy {
 /// Overhead").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Through the region's space (hash lookup + indirect call).
+    /// Through the region's space (space-table index + indirect call).
     Dispatch,
     /// Directly to a statically-known protocol.
     Direct(ProtoSpec),
@@ -311,6 +314,8 @@ pub struct IFunc {
     pub slots: Vec<Slot>,
     /// Number of virtual registers.
     pub nregs: u32,
+    /// Return type; `None` for `void`.
+    pub ret: Option<ValTy>,
     /// Basic blocks; entry is block 0.
     pub blocks: Vec<Block>,
 }
@@ -324,6 +329,9 @@ pub struct Program {
     pub main: FuncId,
     /// Total lowered access sites (for reporting).
     pub naccesses: u32,
+    /// The VM's translation of `funcs`, built on the first run and shared
+    /// by every rank. The passes run before it exists and never see it.
+    pub(crate) code: OnceLock<Code>,
 }
 
 impl Program {

@@ -21,7 +21,7 @@
 //!    possible protocols being registered `optimizable`, and never moving
 //!    code past synchronization;
 //! 5. executes the optimized program SPMD on the Ace runtime via the
-//!    bytecode [`vm`], which charges dispatch or direct-call costs
+//!    word-typed [`vm`], which charges dispatch or direct-call costs
 //!    according to each annotation's resolved mode — regenerating Table 4.
 //!
 //! The protocol registration metadata (Figure 1) comes from

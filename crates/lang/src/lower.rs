@@ -7,6 +7,7 @@
 //! [`AccessId`] so the optimization passes can treat them as a unit.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ace_protocols::ProtoSpec;
 
@@ -20,6 +21,8 @@ struct FnLower<'a> {
     func_ids: &'a HashMap<String, FuncId>,
     naccess: &'a mut u32,
     nsites: &'a mut u32,
+    /// The declared return type, which every `return` converts to.
+    ret: &'a Ty,
     slots: Vec<Slot>,
     scopes: Vec<HashMap<String, (u32, Binding)>>,
     blocks: Vec<(Vec<Inst>, Option<Term>)>,
@@ -43,7 +46,7 @@ pub fn lower(tu: &TypedUnit) -> Program {
         funcs.push(lower_fn(tu, &func_ids, f, &mut naccess, &mut nsites));
     }
     let main = func_ids["main"];
-    Program { funcs, main, naccesses: naccess }
+    Program { funcs, main, naccesses: naccess, code: OnceLock::new() }
 }
 
 fn val_ty(t: &Ty) -> ValTy {
@@ -75,6 +78,7 @@ fn lower_fn(
         func_ids,
         naccess,
         nsites,
+        ret: &f.ret,
         slots: Vec::new(),
         scopes: vec![HashMap::new()],
         blocks: vec![(Vec::new(), None)],
@@ -100,6 +104,7 @@ fn lower_fn(
         nparams: f.params.len(),
         slots: lw.slots,
         nregs: lw.nregs,
+        ret: (f.ret != Ty::Void).then(|| val_ty(&f.ret)),
         blocks,
     }
 }
@@ -286,8 +291,8 @@ impl FnLower<'_> {
             }
             Stmt::Return(e, _) => {
                 let r = e.as_ref().map(|e| {
-                    let (r, _t) = self.expr(e);
-                    r
+                    let (r, t) = self.expr(e);
+                    self.coerce(r, &t, self.ret)
                 });
                 self.seal(Term::Ret(r));
                 let dead = self.new_block();

@@ -1,4 +1,4 @@
-//! The SPMD bytecode VM: executes compiled Ace-C on the Ace runtime.
+//! The SPMD word VM: executes compiled Ace-C on the Ace runtime.
 //!
 //! Every simulated processor runs the same program (the paper's SPMD
 //! model, §3.1). Annotation instructions call into [`ace_core::AceRt`]
@@ -6,6 +6,11 @@
 //! space-indirection cost, `Direct` pays the monomorphic-call cost, and
 //! annotations the direct pass removed are simply gone — which is exactly
 //! the cost structure Table 4 measures.
+//!
+//! The IR types every operation, so the VM checks no tags: a program is
+//! lowered once into `Code`, typed ops over untagged `u64` words. A call's
+//! frame is one word array — registers `0..nregs`, then each local slot at a
+//! base fixed when the code is built — reset from the function's image.
 
 use std::rc::Rc;
 
@@ -14,7 +19,7 @@ use ace_protocols::{make, ProtoSpec};
 
 use crate::ir::*;
 
-/// A runtime value.
+/// A runtime value: what `main` returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer.
@@ -46,87 +51,326 @@ impl Value {
             other => panic!("expected float, got {other:?}"),
         }
     }
+}
 
-    /// As region handle.
-    pub fn as_h(self) -> RegionId {
-        match self {
-            Value::H(v) => RegionId(v),
-            Value::I(v) => RegionId(v as u64),
-            other => panic!("expected handle, got {other:?}"),
+/// No register (a void call, intrinsic or return) or no protocol (a dispatch).
+const NONE: u32 = u32::MAX;
+
+/// A program lowered for the VM: built on its first run, shared by every
+/// rank through [`Program`]'s cache.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Code {
+    funcs: Vec<FnCode>,
+    /// The argument registers of every call and intrinsic site, each site's consecutive.
+    args: Vec<u32>,
+    /// Every intrinsic site: what it is and where its arguments start.
+    intrs: Vec<(Intr, u32)>,
+    /// Every local array: its frame base and its length.
+    arrays: Vec<(u32, u32)>,
+    /// The protocol of each `Direct` index.
+    specs: Vec<ProtoSpec>,
+}
+
+#[derive(Debug, Clone)]
+struct FnCode {
+    /// The blocks in order, each ended by its `Jump` / `Br` / `Ret`.
+    ops: Vec<Op>,
+    /// A fresh frame: zeroed registers, then each slot's default words.
+    image: Vec<u64>,
+    /// Where the parameters (slots `0..nparams`) live in the frame.
+    params: std::ops::Range<usize>,
+}
+
+/// The typed binops, one line per IR (op, operand type), grouped by how
+/// an operand reads from its word; each line writes its result as a word.
+/// A line gives the opcode, its lowering arm and its exec arm; the rest of
+/// [`Op`] and the interpreter loop are spelled once around them.
+macro_rules! interpreter {
+    (
+        i64 { $($ni:ident = $bi:ident |$xi:ident, $yi:ident| $ei:expr;)* }
+        f64 { $($nf:ident = $bf:ident |$xf:ident, $yf:ident| $ef:expr;)* }
+    ) => {
+        /// One VM instruction over frame words.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            $($ni { d: u32, a: u32, b: u32 },)*
+            $($nf { d: u32, a: u32, b: u32 },)*
+            Const(u32, u64),
+            NegI { d: u32, a: u32 },
+            NegF { d: u32, a: u32 },
+            Not { d: u32, a: u32 },
+            IntToF { d: u32, a: u32 },
+            FToInt { d: u32, a: u32 },
+            Mov { d: u32, a: u32 },
+            LoadArr { d: u32, arr: u32, idx: u32 },
+            StoreArr { arr: u32, idx: u32, a: u32 },
+            Map { d: u32, h: u32 },
+            Ann { hook: Hook, h: u32, p: u32 },
+            GLoad { d: u32, h: u32, off: u32 },
+            GStore { h: u32, off: u32, v: u32 },
+            Call { d: u32, f: u32, args: u32 },
+            Intrinsic { d: u32, at: u32 },
+            Jump(u32),
+            Br { c: u32, t: u32, f: u32 },
+            Ret(u32),
         }
+
+        fn bin(op: Bin, ty: ValTy, d: u32, a: u32, b: u32) -> Op {
+            match (op, ty == ValTy::F) {
+                $((Bin::$bi, false) => Op::$ni { d, a, b },)*
+                $((Bin::$bf, true) => Op::$nf { d, a, b },)*
+                _ => panic!("no {op:?} on {ty:?}"),
+            }
+        }
+
+        /// Run function `fid` on `w`, a frame from [`Vm::frame`], and return
+        /// the frame to the pool.
+        fn run(vm: &mut Vm, fid: FuncId, mut w: Vec<u64>) -> Option<u64> {
+            let (rt, code) = (vm.rt, vm.code);
+            let ops = &code.funcs[fid].ops[..];
+            let mut pc = 0;
+            let ret = loop {
+                let op = ops[pc];
+                pc += 1;
+                match op {
+                    $(Op::$ni { d, a, b } => {
+                        let ($xi, $yi) = (w[a as usize] as i64, w[b as usize] as i64);
+                        w[d as usize] = $ei;
+                    })*
+                    $(Op::$nf { d, a, b } => {
+                        let $xf = f64::from_bits(w[a as usize]);
+                        let $yf = f64::from_bits(w[b as usize]);
+                        w[d as usize] = $ef;
+                    })*
+                    Op::Const(d, v) => w[d as usize] = v,
+                    Op::NegI { d, a } => w[d as usize] = w[a as usize].wrapping_neg(),
+                    Op::NegF { d, a } => w[d as usize] = (-f64::from_bits(w[a as usize])).to_bits(),
+                    Op::Not { d, a } => w[d as usize] = (w[a as usize] == 0) as u64,
+                    Op::IntToF { d, a } => w[d as usize] = (w[a as usize] as i64 as f64).to_bits(),
+                    Op::FToInt { d, a } => {
+                        w[d as usize] = f64::from_bits(w[a as usize]) as i64 as u64;
+                    }
+                    Op::Mov { d, a } => w[d as usize] = w[a as usize],
+                    Op::LoadArr { d, arr, idx } => {
+                        w[d as usize] = w[elem(code, arr, w[idx as usize])];
+                    }
+                    Op::StoreArr { arr, idx, a } => {
+                        let at = elem(code, arr, w[idx as usize]);
+                        w[at] = w[a as usize];
+                    }
+                    Op::Map { d, h } => {
+                        // Direct still maps: default on_map hooks join update protocols.
+                        rt.map(RegionId(w[h as usize]));
+                        w[d as usize] = w[h as usize];
+                    }
+                    Op::Ann { hook, h, p } => vm.annotate(hook, p, RegionId(w[h as usize])),
+                    Op::GLoad { d, h, off } => {
+                        let (h, o) = (RegionId(w[h as usize]), w[off as usize] as usize);
+                        rt.charge_mem(1);
+                        w[d as usize] = rt.with_unchecked::<u64, _>(h, |r| r[o]);
+                    }
+                    Op::GStore { h, off, v } => {
+                        let (o, v) = (w[off as usize] as usize, w[v as usize]);
+                        rt.charge_mem(1);
+                        rt.with_mut_unchecked::<u64, _>(RegionId(w[h as usize]), |r| r[o] = v);
+                    }
+                    Op::Call { d, f, args } => {
+                        let (f, mut frame) = (f as usize, vm.frame(f as usize));
+                        let params = code.funcs[f].params.clone();
+                        for (k, a) in params.zip(&code.args[args as usize..]) {
+                            frame[k] = w[*a as usize];
+                        }
+                        let r = run(vm, f, frame);
+                        if d != NONE {
+                            w[d as usize] = r.expect("non-void call returned nothing");
+                        }
+                    }
+                    Op::Intrinsic { d, at } => {
+                        let (which, args) = code.intrs[at as usize];
+                        let r = vm.intrinsic(which, &code.args[args as usize..], &w);
+                        if d != NONE {
+                            w[d as usize] = r;
+                        }
+                    }
+                    Op::Jump(t) => pc = t as usize,
+                    Op::Br { c, t, f } => pc = if w[c as usize] != 0 { t } else { f } as usize,
+                    Op::Ret(r) => break (r != NONE).then(|| w[r as usize]),
+                }
+            };
+            vm.frames[fid].push(w);
+            ret
+        }
+    };
+}
+
+interpreter! {
+    i64 {
+        AddI = Add |x, y| x.wrapping_add(y) as u64;
+        SubI = Sub |x, y| x.wrapping_sub(y) as u64;
+        MulI = Mul |x, y| x.wrapping_mul(y) as u64;
+        DivI = Div |x, y| (x / y) as u64;
+        RemI = Rem |x, y| (x % y) as u64;
+        EqI = Eq |x, y| (x == y) as u64;
+        NeI = Ne |x, y| (x != y) as u64;
+        LtI = Lt |x, y| (x < y) as u64;
+        LeI = Le |x, y| (x <= y) as u64;
+        GtI = Gt |x, y| (x > y) as u64;
+        GeI = Ge |x, y| (x >= y) as u64;
+        AndI = And |x, y| (x != 0 && y != 0) as u64;
+        OrI = Or |x, y| (x != 0 || y != 0) as u64;
     }
-
-    /// As space handle.
-    pub fn as_s(self) -> SpaceId {
-        match self {
-            Value::S(v) => SpaceId(v),
-            other => panic!("expected space, got {other:?}"),
-        }
-    }
-
-    /// Raw 64-bit image for shared-memory storage.
-    fn to_bits(self) -> u64 {
-        match self {
-            Value::I(v) => v as u64,
-            Value::F(v) => v.to_bits(),
-            Value::H(v) => v,
-            Value::S(v) => v as u64,
-        }
-    }
-
-    fn from_bits(bits: u64, ty: ValTy) -> Value {
-        match ty {
-            ValTy::I => Value::I(bits as i64),
-            ValTy::F => Value::F(f64::from_bits(bits)),
-            ValTy::H => Value::H(bits),
-            ValTy::S => Value::S(bits as u32),
-        }
+    f64 {
+        AddF = Add |x, y| (x + y).to_bits();
+        SubF = Sub |x, y| (x - y).to_bits();
+        MulF = Mul |x, y| (x * y).to_bits();
+        DivF = Div |x, y| (x / y).to_bits();
+        RemF = Rem |x, y| (x % y).to_bits();
+        EqF = Eq |x, y| (x == y) as u64;
+        NeF = Ne |x, y| (x != y) as u64;
+        LtF = Lt |x, y| (x < y) as u64;
+        LeF = Le |x, y| (x <= y) as u64;
+        GtF = Gt |x, y| (x > y) as u64;
+        GeF = Ge |x, y| (x >= y) as u64;
     }
 }
 
-enum SlotVal {
-    Scalar(Value),
-    Array(Vec<Value>),
+/// The frame word of element `i` of local array `arr`, bounds-checked so
+/// an index can never reach a neighbouring slot.
+fn elem(code: &Code, arr: u32, i: u64) -> usize {
+    let (base, len) = code.arrays[arr as usize];
+    assert!(i < len as u64, "local array index {} out of bounds 0..{len}", i as i64);
+    base as usize + i as usize
 }
 
-/// A reusable activation record: the register file and local slots for
-/// one call. Pooled per function so repeated calls (the common case for
-/// kernels called once per iteration) reuse their allocations instead of
-/// reallocating `regs`/`slots` on every `Vm::call`.
-struct Frame {
-    regs: Vec<Value>,
-    slots: Vec<SlotVal>,
+impl Code {
+    pub(crate) fn new(prog: &Program) -> Code {
+        let mut code = Code::default();
+        code.funcs = prog.funcs.iter().map(|f| code.lower(f)).collect();
+        code
+    }
+
+    fn lower(&mut self, f: &IFunc) -> FnCode {
+        // Per slot: (frame word, true) if a scalar, (index in `arrays`, false) if not.
+        let mut image = vec![0; f.nregs as usize];
+        let mut slots = Vec::with_capacity(f.slots.len());
+        for s in &f.slots {
+            let (t, n, base) = match *s {
+                Slot::Scalar(t) => (t, 1, image.len() as u32),
+                Slot::Array(t, n) => (t, n, self.arrays.len() as u32),
+            };
+            if let Slot::Array(..) = s {
+                self.arrays.push((image.len() as u32, n as u32));
+            }
+            slots.push((base, matches!(s, Slot::Scalar(_))));
+            let word = match t {
+                ValTy::I | ValTy::F => 0,
+                ValTy::H => u64::MAX,
+                ValTy::S => u32::MAX as u64,
+            };
+            image.resize(image.len() + n, word);
+        }
+        let slot = |s: u32, scalar: bool| match slots[s as usize] {
+            (at, kind) if kind == scalar => at,
+            _ => panic!("{}: slot {s} used as the wrong kind", f.name),
+        };
+        // Each block's first pc: its ops, then its terminator.
+        let mut pcs = vec![0];
+        for b in &f.blocks {
+            pcs.push(pcs[pcs.len() - 1] + b.insts.len() as u32 + 1);
+        }
+        let mut ops = Vec::with_capacity(pcs[f.blocks.len()] as usize);
+        for b in &f.blocks {
+            for inst in &b.insts {
+                let op = match *inst {
+                    Inst::ConstI(d, v) => Op::Const(d, v as u64),
+                    Inst::ConstF(d, v) => Op::Const(d, v.to_bits()),
+                    Inst::BinOp { dst, op, ty, a, b } => bin(op, ty, dst, a, b),
+                    Inst::Neg { dst, ty: ValTy::F, a } => Op::NegF { d: dst, a },
+                    Inst::Neg { dst, a, .. } => Op::NegI { d: dst, a },
+                    Inst::Not { dst, a } => Op::Not { d: dst, a },
+                    Inst::IntToF { dst, a } => Op::IntToF { d: dst, a },
+                    Inst::FToInt { dst, a } => Op::FToInt { d: dst, a },
+                    Inst::Mov { dst, a } => Op::Mov { d: dst, a },
+                    Inst::LoadLocal { dst, slot: s } => Op::Mov { d: dst, a: slot(s, true) },
+                    Inst::StoreLocal { slot: s, a } => Op::Mov { d: slot(s, true), a },
+                    Inst::LoadArr { dst, slot: s, idx } => {
+                        Op::LoadArr { d: dst, arr: slot(s, false), idx }
+                    }
+                    Inst::StoreArr { slot: s, idx, a } => {
+                        Op::StoreArr { arr: slot(s, false), idx, a }
+                    }
+                    Inst::Map { dst, handle, .. } => Op::Map { d: dst, h: handle },
+                    Inst::Ann { hook, mode: DispatchMode::Dispatch, handle, .. } => {
+                        Op::Ann { hook, h: handle, p: NONE }
+                    }
+                    Inst::Ann { hook, mode: DispatchMode::Direct(spec), handle, .. } => {
+                        let p = self.specs.iter().position(|s| *s == spec).unwrap_or_else(|| {
+                            self.specs.push(spec);
+                            self.specs.len() - 1
+                        });
+                        Op::Ann { hook, h: handle, p: p as u32 }
+                    }
+                    Inst::GLoad { dst, handle, off, .. } => Op::GLoad { d: dst, h: handle, off },
+                    Inst::GStore { handle, off, val } => Op::GStore { h: handle, off, v: val },
+                    Inst::Call { dst, func, ref args } => {
+                        let at = self.args.len() as u32;
+                        self.args.extend_from_slice(args);
+                        Op::Call { d: dst.unwrap_or(NONE), f: func as u32, args: at }
+                    }
+                    Inst::Intrinsic { dst, which, ref args } => {
+                        self.intrs.push((which, self.args.len() as u32));
+                        self.args.extend_from_slice(args);
+                        Op::Intrinsic { d: dst.unwrap_or(NONE), at: self.intrs.len() as u32 - 1 }
+                    }
+                };
+                ops.push(op);
+            }
+            ops.push(match b.term {
+                Term::Jump(t) => Op::Jump(pcs[t]),
+                Term::Br { cond, t, f } => Op::Br { c: cond, t: pcs[t], f: pcs[f] },
+                Term::Ret(r) => Op::Ret(r.unwrap_or(NONE)),
+            });
+        }
+        let first = f.nregs as usize;
+        FnCode { ops, image, params: first..first + f.nparams }
+    }
 }
 
 struct Vm<'a, 'n> {
     rt: &'a AceRt<'n>,
-    prog: &'a Program,
+    code: &'a Code,
     /// This VM's instance of each protocol a `Direct` annotation names,
-    /// made at first use. A program names a handful; scanned, not hashed.
-    directs: Vec<(ProtoSpec, Rc<dyn Protocol>)>,
+    /// made at first use.
+    directs: Vec<Option<Rc<dyn Protocol>>>,
     /// Per-function pools of retired frames, indexed by `FuncId`. More
     /// than one entry per function only under recursion.
-    frames: Vec<Vec<Frame>>,
+    frames: Vec<Vec<Vec<u64>>>,
 }
 
 /// Execute the program's `main` on this node's runtime; returns main's
 /// return value, if any.
 pub fn run_program(rt: &AceRt, prog: &Program) -> Option<Value> {
-    let mut frames = Vec::new();
-    frames.resize_with(prog.funcs.len(), Vec::new);
-    let mut vm = Vm { rt, prog, directs: Vec::new(), frames };
-    vm.call(prog.main, Vec::new())
+    let code = prog.code.get_or_init(|| Code::new(prog));
+    let directs = vec![None; code.specs.len()];
+    let mut vm = Vm { rt, code, directs, frames: vec![Vec::new(); code.funcs.len()] };
+    let frame = vm.frame(prog.main);
+    let ret = run(&mut vm, prog.main, frame);
+    ret.zip(prog.funcs[prog.main].ret).map(|(bits, t)| match t {
+        ValTy::I => Value::I(bits as i64),
+        ValTy::F => Value::F(f64::from_bits(bits)),
+        ValTy::H => Value::H(bits),
+        ValTy::S => Value::S(bits as u32),
+    })
 }
 
-impl<'n> Vm<'_, 'n> {
-    /// Run annotation `hook` on handle `h` in its resolved [`DispatchMode`]:
-    /// dispatched through the region's space, or direct on this VM's
-    /// instance of the statically-known protocol.
+impl Vm<'_, '_> {
+    /// Run annotation `hook` on handle `h`: dispatched through the region's
+    /// space (`p` is `NONE`), or direct on this VM's instance of `specs[p]`.
     #[inline]
-    fn annotate(&mut self, hook: Hook, mode: DispatchMode, h: RegionId) {
+    fn annotate(&mut self, hook: Hook, p: u32, h: RegionId) {
         let rt = self.rt;
-        match mode {
-            DispatchMode::Dispatch => match hook {
+        match p {
+            NONE => match hook {
                 Hook::StartRead => rt.start_read(h),
                 Hook::EndRead => rt.end_read(h),
                 Hook::StartWrite => rt.start_write(h),
@@ -134,12 +378,9 @@ impl<'n> Vm<'_, 'n> {
                 Hook::Lock => rt.lock(h),
                 Hook::Unlock => rt.unlock(h),
             },
-            DispatchMode::Direct(spec) => {
-                let at = self.directs.iter().position(|(s, _)| *s == spec).unwrap_or_else(|| {
-                    self.directs.push((spec, make(spec)));
-                    self.directs.len() - 1
-                });
-                let p = &*self.directs[at].1;
+            p => {
+                let spec = self.code.specs[p as usize];
+                let p = &**self.directs[p as usize].get_or_insert_with(|| make(spec));
                 match hook {
                     Hook::StartRead => rt.start_read_direct(h, p),
                     Hook::EndRead => rt.end_read_direct(h, p),
@@ -152,270 +393,46 @@ impl<'n> Vm<'_, 'n> {
         }
     }
 
-    /// Check a frame out of `fid`'s pool (or build a fresh one) with
-    /// registers zeroed and slots reset to their default values.
-    fn take_frame(&mut self, fid: FuncId) -> Frame {
-        let f = &self.prog.funcs[fid];
-        match self.frames[fid].pop() {
-            Some(mut frame) => {
-                frame.regs.clear();
-                frame.regs.resize(f.nregs as usize, Value::I(0));
-                debug_assert_eq!(frame.slots.len(), f.slots.len());
-                for (sv, s) in frame.slots.iter_mut().zip(&f.slots) {
-                    match (sv, s) {
-                        (SlotVal::Scalar(v), Slot::Scalar(t)) => *v = default_val(*t),
-                        (SlotVal::Array(v), Slot::Array(t, len)) => {
-                            v.clear();
-                            v.resize(*len, default_val(*t));
-                        }
-                        (sv, s) => {
-                            *sv = match s {
-                                Slot::Scalar(t) => SlotVal::Scalar(default_val(*t)),
-                                Slot::Array(t, len) => SlotVal::Array(vec![default_val(*t); *len]),
-                            }
-                        }
-                    }
-                }
-                frame
-            }
-            None => Frame {
-                regs: vec![Value::I(0); f.nregs as usize],
-                slots: f
-                    .slots
-                    .iter()
-                    .map(|s| match s {
-                        Slot::Scalar(t) => SlotVal::Scalar(default_val(*t)),
-                        Slot::Array(t, len) => SlotVal::Array(vec![default_val(*t); *len]),
-                    })
-                    .collect(),
-            },
-        }
+    /// Check a frame out of `fid`'s pool (or build a fresh one), reset to
+    /// the function's initial image.
+    fn frame(&mut self, fid: FuncId) -> Vec<u64> {
+        let image = &self.code.funcs[fid].image;
+        let mut w = self.frames[fid].pop().unwrap_or_else(|| vec![0; image.len()]);
+        w.copy_from_slice(image);
+        w
     }
 
-    fn call(&mut self, fid: FuncId, args: Vec<Value>) -> Option<Value> {
-        let f = &self.prog.funcs[fid];
-        let mut frame = self.take_frame(fid);
-        for (i, a) in args.into_iter().enumerate() {
-            frame.slots[i] = SlotVal::Scalar(a);
-        }
-        let mut bb: BlockId = 0;
-        let ret = loop {
-            let block = &f.blocks[bb];
-            for inst in &block.insts {
-                self.exec(inst, &mut frame.regs, &mut frame.slots);
-            }
-            match &block.term {
-                Term::Jump(t) => bb = *t,
-                Term::Br { cond, t, f: fb } => {
-                    bb = if frame.regs[*cond as usize].as_i() != 0 { *t } else { *fb };
-                }
-                Term::Ret(r) => break r.map(|r| frame.regs[r as usize]),
-            }
-        };
-        self.frames[fid].push(frame);
-        ret
-    }
-
-    fn exec(&mut self, inst: &Inst, regs: &mut [Value], slots: &mut [SlotVal]) {
-        match inst {
-            Inst::ConstI(d, v) => regs[*d as usize] = Value::I(*v),
-            Inst::ConstF(d, v) => regs[*d as usize] = Value::F(*v),
-            Inst::BinOp { dst, op, ty, a, b } => {
-                let (a, b) = (regs[*a as usize], regs[*b as usize]);
-                regs[*dst as usize] = binop(*op, *ty, a, b);
-            }
-            Inst::Neg { dst, ty, a } => {
-                regs[*dst as usize] = match ty {
-                    ValTy::F => Value::F(-regs[*a as usize].as_f()),
-                    _ => Value::I(-regs[*a as usize].as_i()),
-                };
-            }
-            Inst::Not { dst, a } => {
-                regs[*dst as usize] = Value::I((regs[*a as usize].as_i() == 0) as i64);
-            }
-            Inst::IntToF { dst, a } => {
-                regs[*dst as usize] = Value::F(regs[*a as usize].as_i() as f64);
-            }
-            Inst::FToInt { dst, a } => {
-                regs[*dst as usize] = Value::I(regs[*a as usize].as_f() as i64);
-            }
-            Inst::Mov { dst, a } => regs[*dst as usize] = regs[*a as usize],
-            Inst::LoadLocal { dst, slot } => {
-                let SlotVal::Scalar(v) = &slots[*slot as usize] else {
-                    panic!("scalar load of array slot")
-                };
-                regs[*dst as usize] = *v;
-            }
-            Inst::StoreLocal { slot, a } => {
-                slots[*slot as usize] = SlotVal::Scalar(regs[*a as usize]);
-            }
-            Inst::LoadArr { dst, slot, idx } => {
-                let i = regs[*idx as usize].as_i() as usize;
-                let SlotVal::Array(v) = &slots[*slot as usize] else {
-                    panic!("array load of scalar slot")
-                };
-                regs[*dst as usize] = v[i];
-            }
-            Inst::StoreArr { slot, idx, a } => {
-                let i = regs[*idx as usize].as_i() as usize;
-                let val = regs[*a as usize];
-                let SlotVal::Array(v) = &mut slots[*slot as usize] else {
-                    panic!("array store of scalar slot")
-                };
-                v[i] = val;
-            }
-            Inst::Map { dst, handle, .. } => {
-                let h = regs[*handle as usize].as_h();
-                // Mapping always translates; only the hook dispatch varies
-                // (and the default on_map hooks are where update-protocol
-                // joins happen, so Direct still runs them).
-                self.rt.map(h);
-                regs[*dst as usize] = Value::H(h.0);
-            }
-            Inst::Ann { hook, mode, handle, .. } => {
-                self.annotate(*hook, *mode, regs[*handle as usize].as_h())
-            }
-            Inst::GLoad { dst, handle, off, ty } => {
-                let h = regs[*handle as usize].as_h();
-                let o = regs[*off as usize].as_i() as usize;
-                self.rt.charge_mem(1);
-                let bits = self.rt.with_unchecked::<u64, _>(h, |d| d[o]);
-                regs[*dst as usize] = Value::from_bits(bits, *ty);
-            }
-            Inst::GStore { handle, off, val } => {
-                let h = regs[*handle as usize].as_h();
-                let o = regs[*off as usize].as_i() as usize;
-                let bits = regs[*val as usize].to_bits();
-                self.rt.charge_mem(1);
-                self.rt.with_mut_unchecked::<u64, _>(h, |d| d[o] = bits);
-            }
-            Inst::Call { dst, func, args } => {
-                let vals: Vec<Value> = args.iter().map(|a| regs[*a as usize]).collect();
-                let r = self.call(*func, vals);
-                if let Some(d) = dst {
-                    regs[*d as usize] = r.expect("non-void call returned nothing");
-                }
-            }
-            Inst::Intrinsic { dst, which, args } => {
-                let v = self.intrinsic(*which, args, regs);
-                if let Some(d) = dst {
-                    regs[*d as usize] = v;
-                }
-            }
-        }
-    }
-
-    fn intrinsic(&mut self, which: Intr, args: &[VReg], regs: &[Value]) -> Value {
+    fn intrinsic(&mut self, which: Intr, args: &[u32], w: &[u64]) -> u64 {
         let rt = self.rt;
+        let arg = |k: usize| w[args[k] as usize];
+        let (int, float) = (|k| arg(k) as i64, |k| f64::from_bits(arg(k)));
+        let space = |k| SpaceId(arg(k) as u32);
+        // The effect, then the value (0 for the void intrinsics).
         match which {
-            Intr::NewSpace { spec, .. } => Value::S(rt.new_space(make(spec)).0),
-            Intr::ChangeProtocol { spec } => {
-                rt.change_protocol(regs[args[0] as usize].as_s(), make(spec));
-                Value::I(0)
-            }
+            Intr::ChangeProtocol { spec } => rt.change_protocol(space(0), make(spec)),
+            Intr::Barrier => rt.barrier(space(0)),
+            Intr::Sqrt => rt.charge_flops(2),
+            Intr::ChargeFlops => rt.charge_flops(int(0).max(0) as u64),
+            Intr::PrintI => eprintln!("[node {}] {}", rt.rank(), int(0)),
+            Intr::PrintF => eprintln!("[node {}] {}", rt.rank(), float(0)),
+            _ => {}
+        }
+        match which {
+            Intr::NewSpace { spec, .. } => rt.new_space(make(spec)).0 as u64,
             Intr::Gmalloc { elem_words } => {
-                let s = regs[args[0] as usize].as_s();
-                let n = regs[args[1] as usize].as_i().max(0) as usize;
-                let words = (n * elem_words as usize).max(1);
-                Value::H(rt.gmalloc_words(s, words).0)
+                rt.gmalloc_words(space(0), (int(1).max(0) as usize * elem_words as usize).max(1)).0
             }
-            Intr::Barrier => {
-                rt.barrier(regs[args[0] as usize].as_s());
-                Value::I(0)
-            }
-            Intr::Rank => Value::I(rt.rank() as i64),
-            Intr::Nprocs => Value::I(rt.nprocs() as i64),
-            Intr::BcastI => {
-                let root = regs[args[0] as usize].as_i() as usize;
-                let v = regs[args[1] as usize].as_i() as u64;
-                Value::I(rt.bcast(root, &[v])[0] as i64)
-            }
-            Intr::BcastP => {
-                let root = regs[args[0] as usize].as_i() as usize;
-                let v = regs[args[1] as usize].as_h().0;
-                Value::H(rt.bcast(root, &[v])[0])
-            }
-            Intr::ReduceAddF => {
-                Value::F(rt.allreduce_f64(regs[args[0] as usize].as_f(), |a, b| a + b))
-            }
-            Intr::ReduceMaxF => Value::F(rt.allreduce_f64(regs[args[0] as usize].as_f(), f64::max)),
-            Intr::ReduceAddI => Value::I(
-                rt.allreduce_u64(regs[args[0] as usize].as_i() as u64, |a, b| a.wrapping_add(b))
-                    as i64,
-            ),
-            Intr::ReduceMaxI => {
-                Value::I(rt.allreduce_u64(regs[args[0] as usize].as_i() as u64, |a, b| {
-                    (a as i64).max(b as i64) as u64
-                }) as i64)
-            }
-            Intr::ReduceMinI => {
-                Value::I(rt.allreduce_u64(regs[args[0] as usize].as_i() as u64, |a, b| {
-                    (a as i64).min(b as i64) as u64
-                }) as i64)
-            }
-            Intr::Sqrt => {
-                rt.charge_flops(2);
-                Value::F(regs[args[0] as usize].as_f().sqrt())
-            }
-            Intr::Fabs => Value::F(regs[args[0] as usize].as_f().abs()),
-            Intr::ChargeFlops => {
-                rt.charge_flops(regs[args[0] as usize].as_i().max(0) as u64);
-                Value::I(0)
-            }
-            Intr::PrintI => {
-                eprintln!("[node {}] {}", rt.rank(), regs[args[0] as usize].as_i());
-                Value::I(0)
-            }
-            Intr::PrintF => {
-                eprintln!("[node {}] {}", rt.rank(), regs[args[0] as usize].as_f());
-                Value::I(0)
-            }
-        }
-    }
-}
-
-fn default_val(t: ValTy) -> Value {
-    match t {
-        ValTy::I => Value::I(0),
-        ValTy::F => Value::F(0.0),
-        ValTy::H => Value::H(u64::MAX),
-        ValTy::S => Value::S(u32::MAX),
-    }
-}
-
-fn binop(op: Bin, ty: ValTy, a: Value, b: Value) -> Value {
-    if ty == ValTy::F {
-        let (x, y) = (a.as_f(), b.as_f());
-        match op {
-            Bin::Add => Value::F(x + y),
-            Bin::Sub => Value::F(x - y),
-            Bin::Mul => Value::F(x * y),
-            Bin::Div => Value::F(x / y),
-            Bin::Rem => Value::F(x % y),
-            Bin::Eq => Value::I((x == y) as i64),
-            Bin::Ne => Value::I((x != y) as i64),
-            Bin::Lt => Value::I((x < y) as i64),
-            Bin::Le => Value::I((x <= y) as i64),
-            Bin::Gt => Value::I((x > y) as i64),
-            Bin::Ge => Value::I((x >= y) as i64),
-            Bin::And | Bin::Or => unreachable!("logical ops are int-typed"),
-        }
-    } else {
-        let (x, y) = (a.as_i(), b.as_i());
-        match op {
-            Bin::Add => Value::I(x.wrapping_add(y)),
-            Bin::Sub => Value::I(x.wrapping_sub(y)),
-            Bin::Mul => Value::I(x.wrapping_mul(y)),
-            Bin::Div => Value::I(x / y),
-            Bin::Rem => Value::I(x % y),
-            Bin::Eq => Value::I((x == y) as i64),
-            Bin::Ne => Value::I((x != y) as i64),
-            Bin::Lt => Value::I((x < y) as i64),
-            Bin::Le => Value::I((x <= y) as i64),
-            Bin::Gt => Value::I((x > y) as i64),
-            Bin::Ge => Value::I((x >= y) as i64),
-            Bin::And => Value::I(((x != 0) && (y != 0)) as i64),
-            Bin::Or => Value::I(((x != 0) || (y != 0)) as i64),
+            Intr::Rank => rt.rank() as u64,
+            Intr::Nprocs => rt.nprocs() as u64,
+            Intr::BcastI | Intr::BcastP => rt.bcast(int(0) as usize, &[arg(1)])[0],
+            Intr::ReduceAddF => rt.allreduce_f64(float(0), |a, b| a + b).to_bits(),
+            Intr::ReduceMaxF => rt.allreduce_f64(float(0), f64::max).to_bits(),
+            Intr::ReduceAddI => rt.allreduce_u64(arg(0), u64::wrapping_add),
+            Intr::ReduceMaxI => rt.allreduce_u64(arg(0), |a, b| (a as i64).max(b as i64) as u64),
+            Intr::ReduceMinI => rt.allreduce_u64(arg(0), |a, b| (a as i64).min(b as i64) as u64),
+            Intr::Sqrt => float(0).sqrt().to_bits(),
+            Intr::Fabs => float(0).abs().to_bits(),
+            _ => 0,
         }
     }
 }
@@ -631,5 +648,232 @@ mod tests {
             assert!(w[1] <= w[0], "protocol calls must not increase: {counts:?}");
         }
         assert!(counts[3] < counts[0], "optimizations must help: {counts:?}");
+    }
+
+    #[test]
+    fn return_converts_to_the_declared_type() {
+        // `one()` once returned the int it was given: stored into a double
+        // region and read back, that was 5e-324 at every level.
+        let src = r#"
+            double one() { return 1; }
+            double main() {
+                space s = new_space("SC");
+                shared double *p = (shared double*) gmalloc(s, 1);
+                p[0] = one();
+                return p[0];
+            }
+        "#;
+        for level in OptLevel::ALL {
+            assert_eq!(run_main(src, 1, level), [Some(Value::F(1.0))], "at {level:?}");
+        }
+    }
+
+    const INTS: [(&str, i64); 8] = [
+        ("0", 0),
+        ("1", 1),
+        ("-1", -1),
+        ("7", 7),
+        ("-7", -7),
+        ("3", 3),
+        ("9223372036854775807", i64::MAX),
+        ("(-9223372036854775807 - 1)", i64::MIN),
+    ];
+
+    const FLOATS: [(&str, f64); 8] = [
+        ("0.0", 0.0),
+        ("-0.0", -0.0),
+        ("1.5", 1.5),
+        ("-2.25", -2.25),
+        ("1.0e300", 1e300),
+        ("(0.0 / 0.0)", f64::NAN),
+        ("(1.0 / 0.0)", f64::INFINITY),
+        ("(-1.0 / 0.0)", f64::NEG_INFINITY),
+    ];
+
+    /// Main's value on one node, or the panic its node died of.
+    fn outcome(p: &Program) -> Result<Value, String> {
+        let run = || run_ace(1, CostModel::free(), |rt| run_program(rt, p)).results[0].unwrap();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_else(|| format!("{e:?}")))
+    }
+
+    fn eval(src: &str) -> Result<Value, String> {
+        outcome(&compile(src, &SystemConfig::builtin(), OptLevel::O0).unwrap())
+    }
+
+    /// `ret main() { ty x = X; ty y = Y; return x op y; }`. Where the source
+    /// cannot spell the op (sema rejects float `%`, and `&&` / `||` lower to
+    /// branches), `op` is `-` and the returned `BinOp` becomes `swap`.
+    fn binop(
+        ty: &str,
+        ret: &str,
+        op: &str,
+        swap: Option<Bin>,
+        x: &str,
+        y: &str,
+    ) -> Result<Value, String> {
+        let src = format!("{ret} main() {{ {ty} x = {x}; {ty} y = {y}; return x {op} y; }}");
+        let mut p = compile(&src, &SystemConfig::builtin(), OptLevel::O0).unwrap();
+        if let Some(to) = swap {
+            let insts = &mut p.funcs[p.main].blocks[0].insts;
+            let last = insts.iter_mut().rev().find_map(|i| match i {
+                Inst::BinOp { op, .. } => Some(op),
+                _ => None,
+            });
+            *last.unwrap() = to;
+        }
+        outcome(&p)
+    }
+
+    /// Equal bits, or both NaN (the hardware's NaN need not be Rust's).
+    fn same(got: Result<Value, String>, want: f64) -> bool {
+        matches!(got, Ok(Value::F(g)) if g.to_bits() == want.to_bits() || g.is_nan() && want.is_nan())
+    }
+
+    #[test]
+    fn typed_binops_agree_with_rust() {
+        type IntOp = (&'static str, Option<Bin>, fn(i64, i64) -> Option<i64>);
+        let ints: [IntOp; 13] = [
+            ("+", None, |x, y| Some(x.wrapping_add(y))),
+            ("-", None, |x, y| Some(x.wrapping_sub(y))),
+            ("*", None, |x, y| Some(x.wrapping_mul(y))),
+            // `None`: Rust's operator panics (zero divisor, `MIN / -1`).
+            ("/", None, i64::checked_div),
+            ("%", None, i64::checked_rem),
+            ("==", None, |x, y| Some((x == y) as i64)),
+            ("!=", None, |x, y| Some((x != y) as i64)),
+            ("<", None, |x, y| Some((x < y) as i64)),
+            ("<=", None, |x, y| Some((x <= y) as i64)),
+            (">", None, |x, y| Some((x > y) as i64)),
+            (">=", None, |x, y| Some((x >= y) as i64)),
+            ("-", Some(Bin::And), |x, y| Some((x != 0 && y != 0) as i64)),
+            ("-", Some(Bin::Or), |x, y| Some((x != 0 || y != 0) as i64)),
+        ];
+        type FloatOp = (&'static str, Option<Bin>, fn(f64, f64) -> f64);
+        let floats: [FloatOp; 5] = [
+            ("+", None, |x, y| x + y),
+            ("-", None, |x, y| x - y),
+            ("*", None, |x, y| x * y),
+            ("/", None, |x, y| x / y),
+            ("-", Some(Bin::Rem), |x, y| x % y),
+        ];
+        type FloatCmp = (&'static str, fn(f64, f64) -> bool);
+        let cmps: [FloatCmp; 6] = [
+            ("==", |x, y| x == y),
+            ("!=", |x, y| x != y),
+            ("<", |x, y| x < y),
+            ("<=", |x, y| x <= y),
+            (">", |x, y| x > y),
+            (">=", |x, y| x >= y),
+        ];
+        for (xs, x) in INTS {
+            for (ys, y) in INTS {
+                for (op, swap, want) in ints {
+                    let got = binop("int", "int", op, swap, xs, ys);
+                    match want(x, y) {
+                        Some(v) => assert_eq!(got, Ok(Value::I(v)), "{x} {op} {y} as {swap:?}"),
+                        None => assert!(got.is_err(), "{x} {op} {y} must panic, got {got:?}"),
+                    }
+                }
+            }
+        }
+        for (xs, x) in FLOATS {
+            for (ys, y) in FLOATS {
+                for (op, swap, want) in floats {
+                    let got = binop("double", "double", op, swap, xs, ys);
+                    assert!(same(got.clone(), want(x, y)), "{x} {op} {y} as {swap:?}: {got:?}");
+                }
+                for (op, want) in cmps {
+                    let got = binop("double", "int", op, None, xs, ys);
+                    assert_eq!(got, Ok(Value::I(want(x, y) as i64)), "{x} {op} {y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unary_ops_agree_with_rust() {
+        for (xs, x) in INTS {
+            let neg = eval(&format!("int main() {{ int x = {xs}; return -x; }}"));
+            assert_eq!(neg, Ok(Value::I(x.wrapping_neg())), "-{x}");
+            let not = eval(&format!("int main() {{ int x = {xs}; return !x; }}"));
+            assert_eq!(not, Ok(Value::I((x == 0) as i64)), "!{x}");
+            let to_f = eval(&format!("double main() {{ int x = {xs}; return (double) x; }}"));
+            assert_eq!(to_f, Ok(Value::F(x as f64)), "(double) {x}");
+        }
+        for (xs, x) in FLOATS {
+            let neg = eval(&format!("double main() {{ double x = {xs}; return -x; }}"));
+            assert!(same(neg.clone(), -x), "-{x}: {neg:?}");
+            let to_i = eval(&format!("int main() {{ double x = {xs}; return (int) x; }}"));
+            assert_eq!(to_i, Ok(Value::I(x as i64)), "(int) {x}");
+        }
+    }
+
+    #[test]
+    fn a_local_array_index_never_reaches_a_neighbouring_slot() {
+        // `c` sits just below `a` in the frame and `b` just above it.
+        for (idx, stmt) in
+            [("4", "return a[i];"), ("-1", "return a[i];"), ("4", "a[i] = 5; return b[0];")]
+        {
+            let src = format!(
+                "int main() {{ int c = 42; int a[4]; int b[4]; b[0] = 99; int i = {idx}; {stmt} }}"
+            );
+            let got = eval(&src);
+            assert!(got.as_ref().is_err_and(|e| e.contains("out of bounds")), "a[{idx}]: {got:?}");
+        }
+    }
+
+    #[test]
+    fn a_pooled_frame_starts_from_the_image() {
+        let src = r#"
+            int f(int k) {
+                int a[4];
+                int t;
+                int s = a[0] + a[1] + a[2] + a[3] + t;
+                a[k] = 7;
+                a[3] = 9;
+                t = 5;
+                return s;
+            }
+            int main() { int first = f(0); int second = f(1); return first * 1000 + second; }
+        "#;
+        for level in OptLevel::ALL {
+            assert_eq!(run_main(src, 1, level), [Some(Value::I(0))], "at {level:?}");
+        }
+    }
+
+    #[test]
+    fn a_recursive_call_keeps_its_callers_slots() {
+        let src = r#"
+            int sum(int n) {
+                int mine = n * 10;
+                int a[2];
+                a[0] = n;
+                if (n == 0) { return 0; }
+                int rest = sum(n - 1);
+                return mine + a[0] + rest;
+            }
+            int main() { return sum(4); }
+        "#;
+        for level in OptLevel::ALL {
+            assert_eq!(run_main(src, 1, level), [Some(Value::I(110))], "at {level:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "used as the wrong kind")]
+    fn a_slot_used_as_the_wrong_kind_fails_when_the_code_is_built() {
+        let mut p = compile(
+            "int main() { int a[2]; int x = 1; return x; }",
+            &SystemConfig::builtin(),
+            OptLevel::O0,
+        )
+        .unwrap();
+        for i in &mut p.funcs[p.main].blocks[0].insts {
+            if let Inst::LoadLocal { slot, .. } = i {
+                *slot = 0;
+            }
+        }
+        Code::new(&p);
     }
 }
