@@ -86,7 +86,7 @@ where
 }
 
 /// Run `f` on the Ace runtime with a fully-configured machine (tracing,
-/// watchdog, drain batch).
+/// watchdog, transport).
 pub fn launch_ace_with<F>(builder: MachineBuilder, f: F) -> RunOutcome
 where
     F: Fn(&AceDsm) -> f64 + Sync,

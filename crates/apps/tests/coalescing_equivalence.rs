@@ -14,10 +14,9 @@
 //! counts read from a traced run. Water earns it through its fixed
 //! (node, molecule-index) force reduction order (see `water::run`).
 //!
-//! The file ends with the liveness test the tentpole demands: a
-//! `drain_batch(1)` machine with a coalescing threshold far larger than
-//! the run's entire message count, so *every* departure relies on a
-//! blocking point flushing the buffers. If any wait could block with
+//! The file ends with a liveness test: a machine with a coalescing
+//! threshold far larger than the run's entire message count, so *every*
+//! departure relies on a blocking point flushing the buffers. If any wait could block with
 //! sends still buffered, this run would hang until the watchdog panics.
 
 use ace_apps::runner::{observe, Observed};
@@ -151,11 +150,10 @@ fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
 
 #[test]
 fn coalescing_cannot_deadlock_even_with_an_unreachable_threshold() {
-    // drain_batch(1) forces the scheduler to block between every handled
-    // message, and Threshold(1 << 30) means no send ever flushes on its
-    // own — every departure in the whole run happens because a blocking
-    // point flushed the buffers. A missing flush anywhere deadlocks the
-    // machine and trips the watchdog.
+    // Threshold(1 << 30) means no send ever flushes on its own — every
+    // departure in the whole run happens because a blocking point or an
+    // emptied inbox flushed the buffers. A missing flush anywhere
+    // deadlocks the machine and trips the watchdog.
     let p = em3d::Params {
         e_nodes: 30,
         h_nodes: 30,
@@ -168,7 +166,7 @@ fn coalescing_cannot_deadlock_even_with_an_unreachable_threshold() {
     for policy in [CoalescePolicy::Threshold(1 << 30), CoalescePolicy::FlushOnWait] {
         for variant in [Variant::Sc, Variant::Custom] {
             let r = observe(
-                machine().drain_batch(1),
+                machine(),
                 |rt| rt.node().set_coalesce(policy),
                 |d| em3d::run(d, &p, variant),
             );

@@ -56,7 +56,7 @@ pub use space::SpaceEntry;
 /// Each node gets a fresh [`AceRt`] over its [`Node`]. The runtime appends a
 /// machine-wide shutdown barrier after `f` returns so the quiescence
 /// contract of the substrate holds. For non-default machine configuration
-/// (tracing, watchdog, drain batch) use [`run_ace_with`] with a
+/// (tracing, watchdog, transport) use [`run_ace_with`] with a
 /// [`MachineBuilder`].
 pub fn run_ace<R, F>(nprocs: usize, cost: CostModel, f: F) -> SpmdResult<R>
 where

@@ -247,7 +247,7 @@ where
 }
 
 /// Run an SPMD CRL program on a fully-configured [`MachineBuilder`]
-/// (tracing, watchdog, drain batch).
+/// (tracing, watchdog, transport).
 pub fn run_crl_with<R, F>(builder: MachineBuilder, f: F) -> SpmdResult<R>
 where
     R: Send,

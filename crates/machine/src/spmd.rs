@@ -1,8 +1,8 @@
 //! SPMD launcher: run one closure on every simulated processor.
 //!
 //! Machines are configured through [`Spmd::builder`], which gathers every
-//! knob — processor count, cost model, watchdog, drain batch, tracing,
-//! transport — into a [`MachineBuilder`] instead of the former scattered
+//! knob — processor count, cost model, watchdog, tracing, transport —
+//! into a [`MachineBuilder`] instead of the former scattered
 //! per-node mutators.
 //!
 //! Two launch shapes exist:
@@ -14,6 +14,7 @@
 //!   over the socket transport; the other ranks are other OS processes
 //!   meeting at the configured rendezvous address.
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
@@ -25,9 +26,7 @@ use ace_trace::{MachineTrace, NodeTrace, TraceConfig};
 use crate::cost::CostModel;
 use crate::envelope::MsgSize;
 use crate::fiber;
-use crate::node::{
-    CheckMode, CoalescePolicy, Node, NodeSetup, DEFAULT_DRAIN_BATCH, DEFAULT_WATCHDOG,
-};
+use crate::node::{CheckMode, CoalescePolicy, Node, NodeSetup, DEFAULT_WATCHDOG};
 use crate::sched::{ExecBackend, Owner, Parker};
 use crate::stats::{MachineStats, NodeStats};
 use crate::transport::{
@@ -75,8 +74,8 @@ pub struct Spmd;
 
 impl Spmd {
     /// Start configuring a machine. Defaults: 1 processor, CM-5 cost
-    /// model, in-process transport, tracing off, default watchdog and
-    /// drain batch, and the backend [`MachineBuilder::backend`] describes.
+    /// model, in-process transport, tracing off, default watchdog, and
+    /// the backend [`MachineBuilder::backend`] describes.
     pub fn builder() -> MachineBuilder {
         MachineBuilder::new()
     }
@@ -89,7 +88,6 @@ pub struct MachineBuilder {
     cost: CostModel,
     trace: TraceConfig,
     watchdog: Duration,
-    drain_batch: usize,
     coalesce: CoalescePolicy,
     check: CheckMode,
     /// `None` until [`MachineBuilder::backend`] names one.
@@ -111,11 +109,53 @@ enum NodeSeed<M> {
 }
 
 /// Extract a panic payload's message for failure propagation.
-fn panic_message(e: &(dyn std::any::Any + Send)) -> &str {
+fn panic_message(e: &(dyn Any + Send)) -> &str {
     e.downcast_ref::<String>()
         .map(|s| s.as_str())
         .or_else(|| e.downcast_ref::<&str>().copied())
         .unwrap_or("<non-string panic>")
+}
+
+/// What one node hands back: its result, counters and trace.
+type NodeOut<R> = (R, NodeStats, Option<NodeTrace>);
+
+/// One node's whole life, on a thread, a fiber or a process of its own:
+/// build the endpoint and the node, run `f`, take the node's counters and
+/// trace, and shut the endpoint down. A panic stops here, never at the
+/// thread's or fiber's entry: it is published first (rank and message,
+/// first writer wins) and broadcast through the endpoint if one was
+/// built, so blocked peers fail fast naming it, and its payload comes
+/// back.
+fn node_life<M, R>(
+    rank: usize,
+    nprocs: usize,
+    endpoint: impl FnOnce() -> Rc<dyn Transport<M>>,
+    parker: Parker,
+    setup: &NodeSetup,
+    board: &FailBoard,
+    f: impl FnOnce(&Node<M>) -> R,
+) -> Result<NodeOut<R>, Box<dyn Any + Send>>
+where
+    M: MsgSize + Send,
+{
+    // Kept out here so the failure path can broadcast through an
+    // endpoint that is constructed inside the `catch_unwind`.
+    let ep: RefCell<Option<Rc<dyn Transport<M>>>> = RefCell::new(None);
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let transport = endpoint();
+        *ep.borrow_mut() = Some(Rc::clone(&transport));
+        let node = Node::new(rank, nprocs, Rc::clone(&transport), parker, setup);
+        let out = (f(&node), node.stats(), node.take_trace());
+        transport.shutdown();
+        out
+    }))
+    .inspect_err(|e| {
+        let msg = panic_message(e.as_ref());
+        board.record(rank, msg.to_string());
+        if let Some(t) = ep.borrow().as_ref() {
+            t.signal_failure(rank, msg);
+        }
+    })
 }
 
 impl MachineBuilder {
@@ -126,7 +166,6 @@ impl MachineBuilder {
             cost: CostModel::cm5(),
             trace: TraceConfig::off(),
             watchdog: DEFAULT_WATCHDOG,
-            drain_batch: DEFAULT_DRAIN_BATCH,
             coalesce: CoalescePolicy::Off,
             check: CheckMode::Off,
             backend: None,
@@ -155,13 +194,6 @@ impl MachineBuilder {
     /// How long a blocked node waits before panicking as wedged.
     pub fn watchdog(mut self, d: Duration) -> Self {
         self.watchdog = d;
-        self
-    }
-
-    /// Channel drain burst size (1 = unbatched reception).
-    pub fn drain_batch(mut self, n: usize) -> Self {
-        assert!(n >= 1, "drain batch must be at least 1");
-        self.drain_batch = n;
         self
     }
 
@@ -204,7 +236,8 @@ impl MachineBuilder {
 
     /// Does nothing: a multiplexed machine has one executor thread, always.
     /// Kept only because the repo benchmark (`benchmark/`, read-only to a
-    /// change here) calls it; ROADMAP *One bench story (e)* deletes both.
+    /// change here) calls it; ROADMAP's *Carried* benchmark-only
+    /// housekeeping PR deletes both.
     pub fn workers(self, _n: usize) -> Self {
         self
     }
@@ -242,8 +275,8 @@ impl MachineBuilder {
 
     fn node_setup(&self) -> NodeSetup {
         NodeSetup {
+            cost: Arc::new(self.cost.clone()),
             watchdog: self.watchdog,
-            drain_batch: self.drain_batch,
             trace: self.trace.clone(),
             coalesce: self.coalesce,
             check: self.check,
@@ -292,7 +325,6 @@ impl MachineBuilder {
         assert!(nprocs >= 1, "need at least one node");
         assert!(nprocs <= MAX_NODES, "at most {MAX_NODES} nodes supported");
 
-        let cost = Arc::new(self.cost.clone());
         let setup = self.node_setup();
         let board = Arc::new(FailBoard::new());
         // One failure board and (in-process) one shared mailbox table:
@@ -309,47 +341,21 @@ impl MachineBuilder {
                 (0..nprocs).map(|_| NodeSeed::Socket(cfg.clone())).collect()
             }
         };
-        // One node's whole life, on a thread or on a fiber: build the
-        // endpoint and the node, run `f`, hand back what it produced. A
-        // panic stops here, never at the thread's or fiber's entry, and
-        // comes back as its message, published first (rank and message,
-        // first writer wins) so blocked peers fail fast naming it.
-        type Outcome<R> = Result<(R, NodeStats, Option<NodeTrace>), String>;
+        // One node's whole life, on a thread or on a fiber; a panic comes
+        // back as its message.
+        type Outcome<R> = Result<NodeOut<R>, String>;
         let node_body = |rank: usize, seed: NodeSeed<M>, parker: Parker| -> Outcome<R> {
-            // Kept out here so the failure path can broadcast through an
-            // endpoint that is constructed inside the `catch_unwind`.
-            let ep: RefCell<Option<Rc<dyn Transport<M>>>> = RefCell::new(None);
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let transport: Rc<dyn Transport<M>> = match seed {
+            let endpoint = || -> Rc<dyn Transport<M>> {
+                match seed {
                     NodeSeed::InProc(t) => Rc::new(t),
                     NodeSeed::Socket(cfg) => Rc::new(
                         SocketTransport::establish(rank, nprocs, &cfg, Arc::clone(&board))
                             .unwrap_or_else(|e| panic!("socket transport bootstrap failed: {e}")),
                     ),
-                };
-                *ep.borrow_mut() = Some(Rc::clone(&transport));
-                let node = Node::new(
-                    rank,
-                    nprocs,
-                    Rc::clone(&transport),
-                    Arc::clone(&cost),
-                    parker,
-                    &setup,
-                );
-                let r = f(&node);
-                let stats = node.stats();
-                let trace = node.take_trace();
-                transport.shutdown();
-                (r, stats, trace)
-            }))
-            .map_err(|e| {
-                let msg = panic_message(e.as_ref()).to_string();
-                board.record(rank, msg.clone());
-                if let Some(t) = ep.borrow().as_ref() {
-                    t.signal_failure(rank, &msg);
                 }
-                msg
-            })
+            };
+            node_life(rank, nprocs, endpoint, parker, &setup, &board, &f)
+                .map_err(|e| panic_message(e.as_ref()).to_string())
         };
 
         let node_body = &node_body;
@@ -441,39 +447,26 @@ impl MachineBuilder {
         }
         let start = Instant::now();
         let board = Arc::new(FailBoard::new());
+        let endpoint = || -> Rc<dyn Transport<M>> {
+            Rc::new(
+                SocketTransport::establish(rank, self.nprocs, &cfg, Arc::clone(&board))
+                    .unwrap_or_else(|e| {
+                        panic!("rank {rank}: socket transport bootstrap failed: {e}")
+                    }),
+            )
+        };
         let setup = self.node_setup();
-        let cost = Arc::new(self.cost.clone());
-        let transport: Rc<dyn Transport<M>> = Rc::new(
-            SocketTransport::establish(rank, self.nprocs, &cfg, Arc::clone(&board))
-                .unwrap_or_else(|e| panic!("rank {rank}: socket transport bootstrap failed: {e}")),
-        );
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let node =
-                Node::new(rank, self.nprocs, Rc::clone(&transport), cost, Parker::thread(), &setup);
-            let r = f(&node);
-            let stats = node.stats();
-            let trace = node.take_trace();
-            (r, stats, trace)
-        }));
-        match out {
-            Ok((result, stats, trace)) => {
-                transport.shutdown();
-                Ok(RankRun {
-                    rank,
-                    nprocs: self.nprocs,
-                    result,
-                    stats,
-                    wall: start.elapsed(),
-                    trace: trace.map(|t| MachineTrace { nodes: vec![t] }),
-                })
-            }
-            Err(e) => {
-                let msg = panic_message(e.as_ref()).to_string();
-                board.record(rank, msg.clone());
-                transport.signal_failure(rank, &msg);
-                std::panic::resume_unwind(e);
-            }
-        }
+        let (result, stats, trace) =
+            node_life(rank, self.nprocs, endpoint, Parker::thread(), &setup, &board, f)
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        Ok(RankRun {
+            rank,
+            nprocs: self.nprocs,
+            result,
+            stats,
+            wall: start.elapsed(),
+            trace: trace.map(|t| MachineTrace { nodes: vec![t] }),
+        })
     }
 }
 

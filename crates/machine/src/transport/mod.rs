@@ -10,11 +10,11 @@
 //!
 //! * [`InProcTransport`] — a shared table of mailboxes plus the cost
 //!   model's simulated latencies; the default.
-//! * [`SocketTransport`] — real multi-process TCP or Unix-domain sockets:
-//!   length-prefixed frames of the same `Wire` envelopes, a rank-0
-//!   rendezvous that assigns ranks and exchanges peer addresses, one
-//!   writer thread per peer, and reconnect-free fail-fast mapped onto the
-//!   existing peer-death path.
+//! * [`SocketTransport`] — real multi-process Unix-domain sockets:
+//!   length-prefixed frames of the same `Wire` envelopes, written by the
+//!   node's own thread, a rank-0 rendezvous that assigns ranks and
+//!   exchanges peer paths, one reader thread per peer, and reconnect-free
+//!   fail-fast mapped onto the existing peer-death path.
 //!
 //! Both deliver into a [`Mailbox`], which owns the receive side: the
 //! non-blocking pop and the machine's one blocking receive (park once,
@@ -110,8 +110,8 @@ pub enum TransportKind {
     /// In-process mailboxes plus the simulated cost model (the default).
     #[default]
     InProc,
-    /// Real sockets: length-prefixed frames over TCP or Unix-domain
-    /// stream sockets, with a rank-0 rendezvous handshake.
+    /// Real sockets: length-prefixed frames over Unix-domain stream
+    /// sockets, with a rank-0 rendezvous handshake.
     Socket(SocketCfg),
 }
 
@@ -140,7 +140,7 @@ pub enum ConfigError {
     /// written for (anything but x86-64 unix): there is no fallback.
     MultiplexedUnsupported,
     /// `Socket` machines cap at [`SOCKET_MAX_RANKS`] ranks: a full mesh
-    /// needs O(n²) file descriptors and 2(n-1) threads per rank.
+    /// needs O(n²) file descriptors and n-1 reader threads per rank.
     SocketRanks {
         /// The requested machine size.
         nprocs: usize,

@@ -1,28 +1,29 @@
-//! The real-socket backend: the same machine over TCP or Unix-domain
-//! stream sockets, across OS processes.
+//! The real-socket backend: the same machine over Unix-domain stream
+//! sockets, across OS processes.
 //!
 //! Topology is a full mesh. A run bootstraps in two phases:
 //!
 //! 1. **Rendezvous.** Every rank first binds its own *mesh listener*,
-//!    then rank 0 additionally binds the rendezvous address from
+//!    then rank 0 additionally binds the rendezvous path from
 //!    [`SocketCfg`]. Each other rank connects there and sends
-//!    `Join { want_rank, listen_addr }`; once all `nprocs` ranks are
-//!    present, rank 0 answers each with `Welcome { rank, addrs }` — the
-//!    assigned rank plus every rank's mesh address — and closes the
+//!    `Join { want_rank, listen_path }`; once all `nprocs` ranks are
+//!    present, rank 0 answers each with `Welcome { rank, paths }` — the
+//!    assigned rank plus every rank's mesh path — and closes the
 //!    rendezvous listener.
 //! 2. **Mesh.** Rank `i` connects to every rank `j < i` (announcing
 //!    itself with `Hello { rank }`) and accepts connections from every
 //!    `j > i`. Listeners come down once the mesh is complete; there is no
 //!    reconnect path — a lost connection is a dead peer.
 //!
-//! After the handshake each endpoint runs one **writer thread** and one
-//! **reader thread** per peer. Writers own the send half: they encode
-//! [`Wire`] envelopes with [`WireCodec`], frame them with a `u32` length
-//! prefix, and batch flushes by draining their feed channel before each
-//! `flush` — per-pair FIFO holds because one FIFO channel feeds one
-//! ordered byte stream. Readers decode frames into the endpoint's
+//! After the handshake the node's own thread writes: [`Transport::send_wire`]
+//! encodes the [`Wire`] envelope with [`WireCodec`] behind a `u32` length
+//! prefix and `write_all`s the frame to the peer's stream, so per-pair
+//! FIFO is the byte order of one stream. Each endpoint runs one **reader
+//! thread** per peer, decoding frames into the endpoint's unbounded
 //! [`Mailbox`], which the node parks on exactly as it parks on an
-//! in-process one.
+//! in-process one. That is why a write cannot deadlock: a `write_all`
+//! blocked on a full socket buffer waits only for the peer's reader
+//! thread, which drains without waiting on the peer's node.
 //!
 //! Failure mapping is reconnect-free fail-fast, same contract as the
 //! in-process backend: a panicking node broadcasts a `Failed` frame
@@ -31,24 +32,21 @@
 //! failed — both land on the machine-wide [`FailBoard`], which wakes
 //! the node if it is parked on its mailbox.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::envelope::Wire;
 use crate::transport::codec::{put_string, CodecError, WireCodec, WireReader};
 use crate::transport::{FailBoard, Mailbox, Transport};
 
 /// Rank cap for socket machines: the mesh needs O(n²) descriptors
-/// machine-wide and 2(n-1) I/O threads per rank, so the backend stays
+/// machine-wide and n-1 reader threads per rank, so the backend stays
 /// honest about what a full mesh can carry. (In-process machines go to
 /// [`crate::MAX_NODES`].)
 pub const SOCKET_MAX_RANKS: usize = 64;
@@ -81,11 +79,9 @@ const HS_HELLO: u8 = 12;
 /// process).
 static PATH_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A socket address, either family.
+/// Where a socket machine's ranks meet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SockAddr {
-    /// A TCP `host:port`, e.g. `"127.0.0.1:7000"`.
-    Tcp(String),
     /// A Unix-domain socket path.
     Unix(PathBuf),
     /// Pick a fresh Unix-domain path under the temp directory at run
@@ -95,18 +91,12 @@ pub enum SockAddr {
     Auto,
 }
 
-impl SockAddr {
-    fn is_tcp(&self) -> bool {
-        matches!(self, SockAddr::Tcp(_))
-    }
-}
-
 /// Socket-backend configuration: where ranks rendezvous and how long the
 /// bootstrap may take.
 #[derive(Debug, Clone)]
 pub struct SocketCfg {
-    /// The rendezvous address rank 0 listens on and every other rank
-    /// connects to. The mesh uses the same address family.
+    /// The rendezvous path rank 0 listens on and every other rank
+    /// connects to. Mesh listeners are bound next to it.
     pub rendezvous: SockAddr,
     /// Bound on the whole bootstrap (rendezvous plus mesh). Processes of
     /// a multi-process launch may start seconds apart; connects retry
@@ -124,11 +114,6 @@ impl SocketCfg {
     /// Rendezvous over a Unix-domain socket at `path`.
     pub fn unix(path: impl Into<PathBuf>) -> Self {
         SocketCfg { rendezvous: SockAddr::Unix(path.into()), ..Self::loopback() }
-    }
-
-    /// Rendezvous over TCP at `addr` (`host:port`).
-    pub fn tcp(addr: impl Into<String>) -> Self {
-        SocketCfg { rendezvous: SockAddr::Tcp(addr.into()), ..Self::loopback() }
     }
 
     /// Override the bootstrap deadline.
@@ -151,193 +136,89 @@ impl SocketCfg {
             _ => self.clone(),
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Family-agnostic streams and listeners
-// ---------------------------------------------------------------------------
-
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(d),
-            Stream::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-            Stream::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
-    fn shutdown_write(&self) {
-        let _ = match self {
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
-}
-
-impl Listener {
-    /// Bind the rendezvous listener at the configured address. A stale
-    /// Unix socket file from a crashed previous run is removed first.
-    fn bind_rendezvous(addr: &SockAddr) -> io::Result<Listener> {
-        match addr {
-            SockAddr::Tcp(a) => Ok(Listener::Tcp(TcpListener::bind(a.as_str())?)),
-            SockAddr::Unix(p) => {
-                let _ = std::fs::remove_file(p);
-                Ok(Listener::Unix(UnixListener::bind(p)?, p.clone()))
-            }
+    /// The concrete rendezvous path.
+    fn rendezvous_path(&self) -> &Path {
+        match &self.rendezvous {
+            SockAddr::Unix(p) => p,
             SockAddr::Auto => unreachable!("Auto is resolved before binding"),
         }
     }
+}
 
-    /// Bind this rank's mesh listener in the same family as the
-    /// rendezvous: an ephemeral loopback TCP port, or a derived
-    /// per-rank Unix path next to the rendezvous path.
-    fn bind_mesh(rendezvous: &SockAddr, rank: usize) -> io::Result<Listener> {
-        if rendezvous.is_tcp() {
-            return Ok(Listener::Tcp(TcpListener::bind("127.0.0.1:0")?));
-        }
-        let base = match rendezvous {
-            SockAddr::Unix(p) => p.clone(),
-            _ => unreachable!("Auto is resolved before binding"),
-        };
-        let path = base.with_file_name(format!(
-            "{}.m{rank}.{}.{}",
-            base.file_name().and_then(|s| s.to_str()).unwrap_or("ace"),
-            std::process::id(),
-            PATH_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
+// ---------------------------------------------------------------------------
+// Listeners and dialing
+// ---------------------------------------------------------------------------
+
+/// A bound listener and the socket file it removes when dropped.
+struct Listener {
+    sock: UnixListener,
+    path: PathBuf,
+}
+
+impl Listener {
+    /// Bind at `path`, removing a stale socket file from a crashed
+    /// previous run first.
+    fn bind(path: PathBuf) -> io::Result<Listener> {
         let _ = std::fs::remove_file(&path);
-        Ok(Listener::Unix(UnixListener::bind(&path)?, path))
+        Ok(Listener { sock: UnixListener::bind(&path)?, path })
     }
 
-    /// The address string peers dial: `tcp:host:port` or `unix:path`.
-    fn advertised(&self) -> io::Result<String> {
-        Ok(match self {
-            Listener::Tcp(l) => format!("tcp:{}", l.local_addr()?),
-            Listener::Unix(_, p) => format!("unix:{}", p.display()),
-        })
+    /// Bind this rank's mesh listener at a derived per-rank path next to
+    /// the rendezvous path.
+    fn bind_mesh(rendezvous: &Path, rank: usize) -> io::Result<Listener> {
+        Listener::bind(rendezvous.with_file_name(format!(
+            "{}.m{rank}.{}.{}",
+            rendezvous.file_name().and_then(|s| s.to_str()).unwrap_or("ace"),
+            std::process::id(),
+            PATH_SEQ.fetch_add(1, Ordering::Relaxed),
+        )))
     }
 
     /// Accept one connection before `deadline` (polling non-blocking so a
     /// wedged bootstrap cannot hang forever). The accepted stream is
     /// returned in blocking mode.
-    fn accept_deadline(&self, deadline: Instant) -> io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(true)?,
-            Listener::Unix(l, _) => l.set_nonblocking(true)?,
-        }
-        loop {
-            let got = match self {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            };
-            match got {
-                Ok(s) => {
-                    s.set_nonblocking(false)?;
-                    return Ok(s);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "handshake accept timed out",
-                        ));
-                    }
-                    std::thread::sleep(HANDSHAKE_POLL);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Close the listener, removing a Unix socket file.
-    fn cleanup(self) {
-        if let Listener::Unix(_, p) = self {
-            let _ = std::fs::remove_file(p);
-        }
+    fn accept_deadline(&self, deadline: Instant) -> io::Result<UnixStream> {
+        self.sock.set_nonblocking(true)?;
+        let would_block = |k| k == io::ErrorKind::WouldBlock;
+        let (s, _) = retry(deadline, "handshake accept", would_block, || self.sock.accept())?;
+        s.set_nonblocking(false)?;
+        Ok(s)
     }
 }
 
-/// Dial an advertised `tcp:`/`unix:` address, retrying until `deadline`
-/// (the peer's listener may not be up yet in a multi-process launch).
-fn connect(addr: &str, deadline: Instant) -> io::Result<Stream> {
+impl Drop for Listener {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Dial `path`, retrying until `deadline` (the peer's listener may not be
+/// up yet in a multi-process launch).
+fn connect(path: &Path, deadline: Instant) -> io::Result<UnixStream> {
+    let absent = |k| matches!(k, io::ErrorKind::ConnectionRefused | io::ErrorKind::NotFound);
+    let what = format!("connect to {}", path.display());
+    retry(deadline, &what, absent, || UnixStream::connect(path))
+}
+
+/// Run `attempt` every [`HANDSHAKE_POLL`] while it fails with an error
+/// kind `transient` accepts, giving up as timed out at `deadline`.
+fn retry<T>(
+    deadline: Instant,
+    what: &str,
+    transient: impl Fn(io::ErrorKind) -> bool,
+    mut attempt: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     loop {
-        let got = if let Some(a) = addr.strip_prefix("tcp:") {
-            TcpStream::connect(a).map(Stream::Tcp)
-        } else if let Some(p) = addr.strip_prefix("unix:") {
-            UnixStream::connect(p).map(Stream::Unix)
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("unparseable peer address {addr:?}"),
-            ));
-        };
-        match got {
-            Ok(s) => return Ok(s),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::ConnectionRefused
-                        | io::ErrorKind::NotFound
-                        | io::ErrorKind::AddrNotAvailable
-                ) =>
-            {
+        match attempt() {
+            Err(e) if transient(e.kind()) => {
                 if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("connect to {addr} timed out: {e}"),
-                    ));
+                    let msg = format!("{what} timed out: {e}");
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
                 }
                 std::thread::sleep(HANDSHAKE_POLL);
             }
-            Err(e) => return Err(e),
+            done => return done,
         }
     }
 }
@@ -346,9 +227,21 @@ fn connect(addr: &str, deadline: Instant) -> io::Result<Stream> {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+/// Build one frame in `buf` — a `u32` length prefix, the frame `kind`,
+/// then whatever `body` appends — and write it with one `write_all`.
+fn send_frame(
+    mut w: impl Write,
+    buf: &mut Vec<u8>,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(kind);
+    body(buf);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(buf)
 }
 
 fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
@@ -356,18 +249,23 @@ fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     r.read_exact(&mut len)?;
     let n = u32::from_le_bytes(len) as usize;
     if n > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
+        return Err(invalid(format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte cap")));
     }
     let mut body = vec![0u8; n];
     r.read_exact(&mut body)?;
     Ok(body)
 }
 
+fn put_u32(buf: &mut Vec<u8>, v: usize) {
+    buf.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
 fn bad_frame(e: CodecError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("malformed handshake frame: {e}"))
+    invalid(format!("malformed handshake frame: {e}"))
 }
 
 fn remaining(deadline: Instant) -> io::Result<Duration> {
@@ -383,81 +281,74 @@ fn remaining(deadline: Instant) -> io::Result<Duration> {
 // ---------------------------------------------------------------------------
 
 /// Run the rank-0 side of the rendezvous: collect `nprocs - 1` joins,
-/// assign ranks, reply with the full address table. Returns that table.
+/// assign ranks, reply with the full path table. Returns that table.
 fn host_rendezvous(
     cfg: &SocketCfg,
     nprocs: usize,
-    my_addr: String,
+    my_path: String,
     deadline: Instant,
 ) -> io::Result<Vec<String>> {
-    let rdv = Listener::bind_rendezvous(&cfg.rendezvous)?;
-    let mut addrs = vec![String::new(); nprocs];
-    addrs[0] = my_addr;
-    let mut joined: Vec<(usize, Stream)> = Vec::with_capacity(nprocs - 1);
+    let rdv = Listener::bind(cfg.rendezvous_path().to_path_buf())?;
+    let mut paths = vec![String::new(); nprocs];
+    paths[0] = my_path;
+    let mut joined: Vec<(usize, UnixStream)> = Vec::with_capacity(nprocs - 1);
     for _ in 1..nprocs {
         let mut s = rdv.accept_deadline(deadline)?;
         s.set_read_timeout(Some(remaining(deadline)?))?;
         let body = read_frame(&mut s)?;
         let mut r = WireReader::new(&body);
         if r.u8().map_err(bad_frame)? != HS_JOIN {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "expected Join"));
+            return Err(invalid("expected Join"));
         }
         let want = r.u32().map_err(bad_frame)? as usize;
-        let addr = r.string().map_err(bad_frame)?;
+        let path = r.string().map_err(bad_frame)?;
         // Honor the requested rank when it's free; otherwise hand out the
         // lowest free one (the joiner errors out if that's not the rank
         // it was launched as — a double-launch, not something to paper
         // over).
-        let assigned = if want < nprocs && addrs[want].is_empty() {
+        let assigned = if want < nprocs && paths[want].is_empty() {
             want
         } else {
-            match addrs.iter().position(|a| a.is_empty()) {
+            match paths.iter().position(|a| a.is_empty()) {
                 Some(i) => i,
                 None => unreachable!("accept loop admits exactly nprocs - 1 joiners"),
             }
         };
-        addrs[assigned] = addr;
+        paths[assigned] = path;
         joined.push((assigned, s));
     }
-    for (rank, mut s) in joined {
-        let mut body = vec![HS_WELCOME];
-        body.extend_from_slice(&(rank as u32).to_le_bytes());
-        body.extend_from_slice(&(nprocs as u32).to_le_bytes());
-        for a in &addrs {
-            put_string(&mut body, a);
-        }
-        write_frame(&mut s, &body)?;
-        s.flush()?;
+    let mut buf = Vec::new();
+    for (rank, s) in joined {
+        send_frame(&s, &mut buf, HS_WELCOME, |b| {
+            put_u32(b, rank);
+            put_u32(b, nprocs);
+            for p in &paths {
+                put_string(b, p);
+            }
+        })?;
     }
-    rdv.cleanup();
-    Ok(addrs)
+    Ok(paths)
 }
 
-/// Run the joiner side: announce our mesh address and desired rank, wait
-/// for the address table.
+/// Run the joiner side: announce our mesh path and desired rank, wait
+/// for the path table.
 fn join_rendezvous(
     cfg: &SocketCfg,
     rank: usize,
     nprocs: usize,
-    my_addr: &str,
+    my_path: &str,
     deadline: Instant,
 ) -> io::Result<Vec<String>> {
-    let rdv_addr = match &cfg.rendezvous {
-        SockAddr::Tcp(a) => format!("tcp:{a}"),
-        SockAddr::Unix(p) => format!("unix:{}", p.display()),
-        SockAddr::Auto => unreachable!("Auto is resolved before binding"),
-    };
-    let mut s = connect(&rdv_addr, deadline)?;
-    let mut body = vec![HS_JOIN];
-    body.extend_from_slice(&(rank as u32).to_le_bytes());
-    put_string(&mut body, my_addr);
-    write_frame(&mut s, &body)?;
-    s.flush()?;
+    let mut s = connect(cfg.rendezvous_path(), deadline)?;
+    send_frame(&s, &mut Vec::new(), HS_JOIN, |b| {
+        put_u32(b, rank);
+        put_string(b, my_path);
+    })?;
     s.set_read_timeout(Some(remaining(deadline)?))?;
     let body = read_frame(&mut s)?;
     let mut r = WireReader::new(&body);
     if r.u8().map_err(bad_frame)? != HS_WELCOME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected Welcome"));
+        return Err(invalid("expected Welcome"));
     }
     let assigned = r.u32().map_err(bad_frame)? as usize;
     let n = r.u32().map_err(bad_frame)? as usize;
@@ -468,49 +359,42 @@ fn join_rendezvous(
         ));
     }
     if n != nprocs {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("machine size mismatch: launched with nprocs={nprocs}, rendezvous says {n}"),
-        ));
+        let says = format!("launched with nprocs={nprocs}, rendezvous says {n}");
+        return Err(invalid(format!("machine size mismatch: {says}")));
     }
-    let mut addrs = Vec::with_capacity(n);
+    let mut paths = Vec::with_capacity(n);
     for _ in 0..n {
-        addrs.push(r.string().map_err(bad_frame)?);
+        paths.push(r.string().map_err(bad_frame)?);
     }
-    Ok(addrs)
+    Ok(paths)
 }
 
 // ---------------------------------------------------------------------------
 // The endpoint
 // ---------------------------------------------------------------------------
 
-/// What the node enqueues to a per-peer writer thread.
-enum Out<M> {
-    Wire(Wire<M>),
-    Failed { rank: u32, msg: String },
-    Goodbye,
-}
-
 /// One rank's endpoint on a socket machine. Construction
 /// ([`SocketTransport::establish`]) performs the full bootstrap described
-/// in the module docs; afterwards the endpoint is driven entirely by the
-/// owning node thread plus its per-peer I/O threads.
+/// in the module docs; afterwards the owning node thread writes every
+/// frame itself and the per-peer reader threads deliver.
 pub struct SocketTransport<M> {
     rank: usize,
     /// Fed by the per-peer reader threads, and directly by self-sends
     /// (which loop back without touching a socket).
     inbox: Arc<Mailbox<M>>,
-    /// Per-peer writer feeds, `None` at our own rank.
-    writers: Vec<Option<Sender<Out<M>>>>,
-    writer_joins: RefCell<Vec<JoinHandle<()>>>,
+    /// Per-peer streams, written by the node thread. `None` at our own
+    /// rank and after a write to that peer failed; empty after the
+    /// farewell.
+    peers: RefCell<Vec<Option<UnixStream>>>,
+    /// The frame under construction, reused by every send.
+    frame: RefCell<Vec<u8>>,
     board: Arc<FailBoard>,
-    shut: Cell<bool>,
 }
 
 impl<M: WireCodec + Send + 'static> SocketTransport<M> {
     /// Bootstrap this rank's endpoint: bind, rendezvous, build the mesh,
-    /// start the per-peer I/O threads. Blocks until the whole machine has
-    /// met (all `nprocs` ranks) or the handshake deadline passes.
+    /// start the per-peer reader threads. Blocks until the whole machine
+    /// has met (all `nprocs` ranks) or the handshake deadline passes.
     pub(crate) fn establish(
         rank: usize,
         nprocs: usize,
@@ -519,23 +403,20 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
     ) -> io::Result<SocketTransport<M>> {
         assert!(rank < nprocs, "rank {rank} out of range for {nprocs} ranks");
         let deadline = Instant::now() + cfg.handshake_timeout;
-        let mesh = Listener::bind_mesh(&cfg.rendezvous, rank)?;
-        let my_addr = mesh.advertised()?;
-        let addrs = if rank == 0 {
-            host_rendezvous(cfg, nprocs, my_addr, deadline)?
+        let mesh = Listener::bind_mesh(cfg.rendezvous_path(), rank)?;
+        let my_path = mesh.path.display().to_string();
+        let paths = if rank == 0 {
+            host_rendezvous(cfg, nprocs, my_path, deadline)?
         } else {
-            join_rendezvous(cfg, rank, nprocs, &my_addr, deadline)?
+            join_rendezvous(cfg, rank, nprocs, &my_path, deadline)?
         };
 
-        let mut streams: Vec<Option<Stream>> = (0..nprocs).map(|_| None).collect();
+        let mut peers: Vec<Option<UnixStream>> = (0..nprocs).map(|_| None).collect();
         // Dial every lower rank, announcing who we are...
-        for (peer, addr) in addrs.iter().enumerate().take(rank) {
-            let mut s = connect(addr, deadline)?;
-            let mut body = vec![HS_HELLO];
-            body.extend_from_slice(&(rank as u32).to_le_bytes());
-            write_frame(&mut s, &body)?;
-            s.flush()?;
-            streams[peer] = Some(s);
+        for (peer, path) in paths.iter().enumerate().take(rank) {
+            let s = connect(Path::new(path), deadline)?;
+            send_frame(&s, &mut Vec::new(), HS_HELLO, |b| put_u32(b, rank))?;
+            peers[peer] = Some(s);
         }
         // ...and accept every higher one, learning who they are.
         for _ in rank + 1..nprocs {
@@ -544,26 +425,21 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
             let body = read_frame(&mut s)?;
             let mut r = WireReader::new(&body);
             if r.u8().map_err(bad_frame)? != HS_HELLO {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "expected Hello"));
+                return Err(invalid("expected Hello"));
             }
             let peer = r.u32().map_err(bad_frame)? as usize;
-            if peer <= rank || peer >= nprocs || streams[peer].is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected Hello from rank {peer}"),
-                ));
+            if peer <= rank || peer >= nprocs || peers[peer].is_some() {
+                return Err(invalid(format!("unexpected Hello from rank {peer}")));
             }
-            streams[peer] = Some(s);
+            peers[peer] = Some(s);
         }
-        mesh.cleanup();
+        drop(mesh);
 
         let inbox = Arc::new(Mailbox::new());
         let parked = Arc::clone(&inbox);
         board.on_failure(move || parked.poke());
-        let mut writers: Vec<Option<Sender<Out<M>>>> = (0..nprocs).map(|_| None).collect();
-        let mut writer_joins = Vec::with_capacity(nprocs.saturating_sub(1));
-        for (peer, slot) in streams.iter_mut().enumerate() {
-            let Some(s) = slot.take() else { continue };
+        for (peer, s) in peers.iter().enumerate() {
+            let Some(s) = s else { continue };
             s.set_read_timeout(None)?;
             let read_half = s.try_clone()?;
             let rd_inbox = Arc::clone(&inbox);
@@ -572,53 +448,65 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
                 .name(format!("ace-rd-{rank}-{peer}"))
                 .spawn(move || reader_loop(read_half, peer, rd_inbox, rd_board))
                 .expect("spawn socket reader");
-            let (wtx, wrx) = unbounded();
-            let h = std::thread::Builder::new()
-                .name(format!("ace-wr-{rank}-{peer}"))
-                .spawn(move || writer_loop(s, wrx, rank))
-                .expect("spawn socket writer");
-            writers[peer] = Some(wtx);
-            writer_joins.push(h);
         }
         Ok(SocketTransport {
             rank,
             inbox,
-            writers,
-            writer_joins: RefCell::new(writer_joins),
+            peers: RefCell::new(peers),
+            frame: RefCell::new(Vec::new()),
             board,
-            shut: Cell::new(false),
         })
     }
-}
 
-impl<M> SocketTransport<M> {
+    /// Write one frame to `peer`. A send to a peer whose stream is gone
+    /// is a dead wire and is dropped, matching the in-process semantics;
+    /// a failed write makes the stream gone.
+    fn send_to(&self, peer: usize, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
+        let mut peers = self.peers.borrow_mut();
+        let Some(Some(s)) = peers.get(peer) else { return };
+        if send_frame(s, &mut self.frame.borrow_mut(), kind, body).is_err() {
+            peers[peer] = None;
+        }
+    }
+
     /// Close the wire once: optionally broadcast a failure, always say
-    /// goodbye, and join the writers so every frame is flushed before the
-    /// owning thread (or process) goes away.
+    /// goodbye, and half-close every stream. The frames are in the kernel
+    /// when this returns, so the owning thread (or process) may go away.
     fn farewell(&self, failed: Option<(usize, &str)>) {
-        if self.shut.replace(true) {
-            return;
-        }
-        for tx in self.writers.iter().flatten() {
+        let peers = std::mem::take(&mut *self.peers.borrow_mut());
+        let mut buf = self.frame.borrow_mut();
+        for s in peers.iter().flatten() {
             if let Some((rank, msg)) = failed {
-                let _ = tx.send(Out::Failed { rank: rank as u32, msg: msg.to_string() });
+                let _ = send_frame(s, &mut buf, FR_FAILED, |b| {
+                    put_u32(b, rank);
+                    put_string(b, msg);
+                });
             }
-            let _ = tx.send(Out::Goodbye);
-        }
-        for h in self.writer_joins.borrow_mut().drain(..) {
-            let _ = h.join();
+            let _ = send_frame(s, &mut buf, FR_GOODBYE, |b| put_u32(b, self.rank));
+            let _ = s.shutdown(Shutdown::Write);
         }
     }
 }
 
-impl<M> Transport<M> for SocketTransport<M> {
+impl<M> Drop for SocketTransport<M> {
+    /// An endpoint dropped without [`Transport::shutdown`] (the hard-kill
+    /// path) half-closes what is still open: the reader threads hold
+    /// their own clones of the streams, so merely dropping ours would
+    /// leave the connections up. Peers see EOF without a goodbye and
+    /// record this rank as failed.
+    fn drop(&mut self) {
+        for s in self.peers.get_mut().iter().flatten() {
+            let _ = s.shutdown(Shutdown::Write);
+        }
+    }
+}
+
+impl<M: WireCodec + Send + 'static> Transport<M> for SocketTransport<M> {
     fn send_wire(&self, dst: usize, wire: Wire<M>) {
         if dst == self.rank {
             self.inbox.push(wire);
-        } else if let Some(tx) = &self.writers[dst] {
-            // A send after the writer exited (peer gone) is a dead wire;
-            // dropping the envelope matches the in-process semantics.
-            let _ = tx.send(Out::Wire(wire));
+        } else {
+            self.send_to(dst, FR_WIRE, |b| wire.encode(b));
         }
     }
 
@@ -648,105 +536,33 @@ impl<M> Transport<M> for SocketTransport<M> {
     }
 }
 
-/// Writer thread: one per peer, owning the connection's send half.
-/// Batches syscalls by draining the feed channel before flushing, so a
-/// burst of wire envelopes becomes one stream write — per-pair FIFO is
-/// preserved because this single thread drains a FIFO channel into an
-/// ordered byte stream.
-fn writer_loop<M: WireCodec>(s: Stream, rx: Receiver<Out<M>>, my_rank: usize) {
-    let mut w = io::BufWriter::new(s);
-    let mut buf = Vec::new();
-    // Once a write fails the peer is gone; keep draining the channel so
-    // the node never blocks, but stop touching the socket.
-    let mut dead = false;
-    'feed: loop {
-        let first = match rx.recv() {
-            Ok(m) => m,
-            // Endpoint dropped without shutdown (the hard-kill path):
-            // flush what we have and close abruptly — peers see EOF
-            // without a goodbye and record us as failed.
-            Err(_) => break 'feed,
-        };
-        let mut next = Some(first);
-        while let Some(m) = next {
-            match m {
-                Out::Wire(wire) => {
-                    if !dead {
-                        buf.clear();
-                        buf.push(FR_WIRE);
-                        wire.encode(&mut buf);
-                        dead = write_frame(&mut w, &buf).is_err();
-                    }
-                }
-                Out::Failed { rank, msg } => {
-                    if !dead {
-                        buf.clear();
-                        buf.push(FR_FAILED);
-                        buf.extend_from_slice(&rank.to_le_bytes());
-                        put_string(&mut buf, &msg);
-                        dead = write_frame(&mut w, &buf).is_err() || w.flush().is_err();
-                    }
-                }
-                Out::Goodbye => {
-                    if !dead {
-                        buf.clear();
-                        buf.push(FR_GOODBYE);
-                        buf.extend_from_slice(&(my_rank as u32).to_le_bytes());
-                        let _ = write_frame(&mut w, &buf);
-                        let _ = w.flush();
-                    }
-                    w.get_ref().shutdown_write();
-                    return;
-                }
-            }
-            next = rx.try_recv().ok();
-        }
-        if !dead && w.flush().is_err() {
-            dead = true;
-        }
-    }
-    let _ = w.flush();
-    // The detached reader thread holds its own clone of this socket, so
-    // merely dropping the write half would leave the connection open;
-    // half-close explicitly so the peer's reader sees EOF (no goodbye)
-    // and records this rank as failed.
-    w.get_ref().shutdown_write();
-}
-
 /// Reader thread: one per peer, owning the connection's receive half.
 /// Decoded wire envelopes feed the endpoint's mailbox; failure frames and
 /// abrupt closes land on the failure board. A reader outlives its
 /// endpoint only until the peer closes the connection, delivering to a
 /// mailbox nobody reads any more.
 fn reader_loop<M: WireCodec>(
-    mut s: Stream,
+    mut s: UnixStream,
     peer: usize,
     inbox: Arc<Mailbox<M>>,
     board: Arc<FailBoard>,
 ) {
-    loop {
+    let death = loop {
         let body = match read_frame(&mut s) {
             Ok(b) => b,
+            // EOF without a Goodbye frame: the peer's process died
+            // abruptly (a panic broadcasts Failed + Goodbye first, so
+            // first-writer-wins keeps the real cause).
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                // EOF without a Goodbye frame: the peer's process died
-                // abruptly (a panic broadcasts Failed + Goodbye first, so
-                // first-writer-wins keeps the real cause).
-                board.record(peer, "connection closed without goodbye".to_string());
-                return;
+                break "connection closed without goodbye".to_string()
             }
-            Err(e) => {
-                board.record(peer, format!("connection error: {e}"));
-                return;
-            }
+            Err(e) => break format!("connection error: {e}"),
         };
         let mut r = WireReader::new(&body);
         match r.u8() {
             Ok(FR_WIRE) => match Wire::<M>::decode(&mut r) {
                 Ok(wire) => inbox.push(wire),
-                Err(e) => {
-                    board.record(peer, format!("undecodable wire frame: {e}"));
-                    return;
-                }
+                Err(e) => break format!("undecodable wire frame: {e}"),
             },
             Ok(FR_FAILED) => {
                 let rank = r.u32().unwrap_or(peer as u32) as usize;
@@ -754,16 +570,11 @@ fn reader_loop<M: WireCodec>(
                 board.record(rank, msg);
             }
             Ok(FR_GOODBYE) => return,
-            Ok(k) => {
-                board.record(peer, format!("unknown frame kind {k}"));
-                return;
-            }
-            Err(_) => {
-                board.record(peer, "empty frame".to_string());
-                return;
-            }
+            Ok(k) => break format!("unknown frame kind {k}"),
+            Err(_) => break "empty frame".to_string(),
         }
-    }
+    };
+    board.record(peer, death);
 }
 
 #[cfg(test)]
@@ -869,5 +680,53 @@ mod tests {
             // never come; its own deadline converts that into an error.
             assert!(host.join().unwrap().is_err(), "host must time out, not hang");
         });
+    }
+
+    #[test]
+    fn both_directions_flood_before_either_receives() {
+        // Each rank sends the other 8 MiB of payload words before receiving
+        // anything, so both directions fill their socket buffers at once.
+        // A send may block in the kernel, but only until the peer's reader
+        // thread drains it into the mailbox; it never waits on the peer's
+        // own receive.
+        const FRAMES: u64 = 2_000;
+        const WORDS: u64 = 512;
+        let flood = |rank: usize, ep: SocketTransport<u64>| {
+            let peer = 1 - rank;
+            for f in 0..FRAMES {
+                let parts = (f * WORDS..(f + 1) * WORDS).map(|w| (w, 8)).collect();
+                let wire_bytes = 8 * WORDS as usize;
+                let batch =
+                    Wire::Batch { src: rank, send_time: 0, wire_bytes, parts, vc: None, sw: 0 };
+                ep.send_wire(peer, batch);
+            }
+            let mut next = 0;
+            while next < FRAMES * WORDS {
+                match recv(&ep, Duration::from_secs(30)) {
+                    Some(Wire::Batch { src, parts, .. }) => {
+                        assert_eq!(src, peer);
+                        for (w, _) in parts {
+                            assert_eq!(w, next, "rank {rank}: stream from {peer} reordered");
+                            next += 1;
+                        }
+                    }
+                    other => panic!("rank {rank}: unexpected {other:?}"),
+                }
+            }
+            ep
+        };
+        let t0 = Instant::now();
+        let hs: Vec<_> = endpoints(2)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, ep)| std::thread::spawn(move || flood(rank, ep)))
+            .collect();
+        while !hs.iter().all(|h| h.is_finished()) {
+            assert!(t0.elapsed() < Duration::from_secs(30), "the two-way flood wedged");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for h in hs {
+            h.join().expect("flood thread").shutdown();
+        }
     }
 }

