@@ -290,12 +290,6 @@ impl RegionEntry {
         self.data.borrow().clone()
     }
 
-    /// Snapshot the current data (bulk transfer payload). Zero-copy alias
-    /// of [`RegionEntry::share_data`], kept under the historical name.
-    pub fn clone_data(&self) -> Arc<[u64]> {
-        self.share_data()
-    }
-
     /// Mutate the region data in place, copying first if the buffer is
     /// aliased by an in-flight message, a twin, or another entry.
     pub fn with_data_mut<R>(&self, f: impl FnOnce(&mut [u64]) -> R) -> R {
@@ -432,7 +426,7 @@ mod tests {
     fn data_install_round_trip() {
         let e = entry(3);
         e.install_data(&[7, 8, 9]);
-        assert_eq!(&*e.clone_data(), &[7, 8, 9]);
+        assert_eq!(&*e.share_data(), &[7, 8, 9]);
     }
 
     #[test]

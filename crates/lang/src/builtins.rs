@@ -1,14 +1,14 @@
 //! The Ace library routines of Table 2 plus the SPMD helpers, as one table.
 //!
-//! A row states everything the compiler knows about a builtin: `sema` reads
-//! its signature, `lower` turns a call into the row's intrinsic (coercing
-//! each argument to its parameter type) and [`crate::ir::Inst::is_sync`]
-//! reads the flag that forbids moving annotations across it. What a
-//! builtin *does* is the VM's `intrinsic`.
+//! A row states everything the compiler knows about a builtin: `lower`
+//! checks a call against its signature and turns it into the row's
+//! intrinsic (coercing each argument to its parameter type) and
+//! [`crate::ir::Inst::is_sync`] reads the flag that forbids moving
+//! annotations across it. What a builtin *does* is the VM's `intrinsic`.
 
 use crate::ast::Ty;
 use crate::ir::Intr;
-use crate::sema::Sig;
+use crate::lower::Sig;
 use BTy::*;
 
 /// A builtin's parameter or result type.
@@ -20,7 +20,7 @@ pub enum BTy {
     Void,
     /// `shared void*`: accepts any shared pointer.
     Ptr,
-    /// A protocol-name string literal. `sema` checks these positions
+    /// A protocol-name string literal. `lower` checks these positions
     /// itself; no expression has this type.
     Proto,
 }
@@ -93,7 +93,7 @@ impl BTy {
 
 impl Builtin {
     /// The signature calls are checked and coerced against.
-    pub fn sig(&self) -> Sig {
+    pub(crate) fn sig(&self) -> Sig {
         Sig { params: self.params.iter().map(|t| t.ty()).collect(), ret: self.ret.ty() }
     }
 }

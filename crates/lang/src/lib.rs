@@ -5,12 +5,13 @@
 //! dynamically from spaces, with compile-time-checked restrictions on
 //! shared pointers. The compiler:
 //!
-//! 1. parses and type-checks **Ace-C**, a C subset rich enough for the
-//!    paper's benchmark kernels (ints, doubles, local arrays, flat
-//!    structs, `shared` pointers, functions with recursion);
-//! 2. lowers to a CFG-based IR, inserting the runtime annotations around
-//!    every shared access exactly as Figure 5 describes (`MAP`,
-//!    `START_READ`/`WRITE`, the access, `END_*`);
+//! 1. parses **Ace-C**, a C subset rich enough for the paper's benchmark
+//!    kernels (ints, doubles, local arrays, flat structs, `shared`
+//!    pointers, functions with recursion);
+//! 2. lowers to a CFG-based IR in one walk that also type-checks and
+//!    enforces the `shared` pointer rules, inserting the runtime
+//!    annotations around every shared access exactly as Figure 5
+//!    describes (`MAP`, `START_READ`/`WRITE`, the access, `END_*`);
 //! 3. runs the interprocedural **space/protocol dataflow** of §4.2:
 //!    space sets propagate from `new_space`/`gmalloc` sites, protocol
 //!    bindings propagate flow-sensitively from `new_space` and
@@ -37,7 +38,6 @@ pub mod lex;
 pub mod lower;
 pub mod opt;
 pub mod parse;
-pub mod sema;
 pub mod vm;
 
 pub use config::SystemConfig;
@@ -82,8 +82,7 @@ impl OptLevel {
 pub fn compile(source: &str, config: &SystemConfig, level: OptLevel) -> Result<Program, String> {
     let toks = lex::lex(source)?;
     let unit = parse::parse(&toks)?;
-    let typed = sema::check(&unit)?;
-    let mut prog = lower::lower(&typed);
+    let mut prog = lower::lower(&unit)?;
     let facts = analysis::analyze(&prog);
     // Each level adds one pass to the level before it.
     let passes = [opt::licm::run as fn(&mut _, &_, &_), opt::merge::run, opt::direct::run];

@@ -1,30 +1,76 @@
-//! Lowering: typed AST → IR with annotation insertion (Figure 5).
+//! Lowering: AST → IR with annotation insertion (Figure 5), checked as it
+//! goes.
 //!
 //! Every shared load becomes `MAP; START_READ; load; END_READ` and every
 //! shared store `MAP; START_WRITE; store; END_WRITE`, around the raw word
 //! access — exactly the translation the paper's Figure 5 shows for
 //! `*(x->world) = 4`. The `Map`/`Start`/`End` of one access share an
 //! [`AccessId`] so the optimization passes can treat them as a unit.
+//!
+//! The same walk is the type checker, so an expression's type is computed
+//! once, where its code is emitted. It enforces the paper's restrictions
+//! (§3.1): all shared data is reached through `shared T*` handles allocated
+//! from spaces; there is no arithmetic on shared pointers unless the result
+//! is dereferenced immediately (i.e., only `p[i]`, `p->f`, `*p` are legal —
+//! a pointer into the middle of a region cannot be materialized).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use ace_protocols::ProtoSpec;
 
-use crate::ast::{self, BinOp, Expr, ExprKind, LValue, Stmt, Ty};
+use crate::ast::{BinOp, Expr, ExprKind, Func, LValue, Stmt, Ty, Unit};
 use crate::builtins::builtin;
 use crate::ir::*;
-use crate::sema::{Binding, TypedUnit};
 
-struct FnLower<'a> {
-    tu: &'a TypedUnit,
-    func_ids: &'a HashMap<String, FuncId>,
-    naccess: &'a mut u32,
-    nsites: &'a mut u32,
+/// A function signature.
+#[derive(Clone)]
+pub(crate) struct Sig {
+    /// Parameter types.
+    pub params: Vec<Ty>,
+    /// Return type.
+    pub ret: Ty,
+}
+
+/// What every function's walk looks up: each struct's fields in word
+/// order, and each function's index and signature.
+struct Tables<'a> {
+    structs: HashMap<&'a str, Vec<(&'a str, &'a Ty, ValTy)>>,
+    funcs: HashMap<&'a str, (FuncId, Sig)>,
+}
+
+/// A local variable or parameter.
+#[derive(Clone)]
+struct Local {
+    slot: u32,
+    ty: Ty,
+    array: bool,
+}
+
+/// Where `base[i]`, `base->field` or `*base` is.
+enum Place {
+    /// An element of a local array slot.
+    Elem(u32, VReg),
+    /// A word of a region: handle, word offset, type.
+    Shared(VReg, VReg, ValTy),
+}
+
+/// The selector applied to a place's base.
+enum Sel<'a> {
+    Index(&'a Expr),
+    Field(&'a str),
+    Deref,
+}
+
+struct FnLower<'a, 'n> {
+    tables: &'a Tables<'a>,
+    naccess: &'n mut u32,
+    nsites: &'n mut u32,
     /// The declared return type, which every `return` converts to.
     ret: &'a Ty,
     slots: Vec<Slot>,
-    scopes: Vec<HashMap<String, (u32, Binding)>>,
+    /// Visible locals, innermost last; a scope is a suffix.
+    vars: Vec<(&'a str, Local)>,
     blocks: Vec<(Vec<Inst>, Option<Term>)>,
     cur: BlockId,
     nregs: u32,
@@ -32,66 +78,137 @@ struct FnLower<'a> {
     loops: Vec<(BlockId, BlockId)>,
 }
 
-/// Lower a checked unit to a program (annotations inserted, all modes
-/// `Dispatch`).
-pub fn lower(tu: &TypedUnit) -> Program {
-    let mut func_ids = HashMap::new();
-    for (i, f) in tu.unit.funcs.iter().enumerate() {
-        func_ids.insert(f.name.clone(), i);
+/// Check a unit and lower it to a program (annotations inserted, all
+/// modes `Dispatch`).
+///
+/// # Errors
+///
+/// Returns the first rule the unit breaks, with its line.
+pub fn lower(unit: &Unit) -> Result<Program, String> {
+    let mut structs = HashMap::new();
+    for sd in &unit.structs {
+        let mut fields = Vec::new();
+        for (ty, f) in &sd.fields {
+            let Some(vt) = word(ty) else {
+                return Err(format!("struct {}: field {f} has unsupported type {ty:?}", sd.name));
+            };
+            fields.push((&**f, ty, vt));
+        }
+        if structs.insert(&*sd.name, fields).is_some() {
+            return Err(format!("duplicate struct {}", sd.name));
+        }
     }
-    let mut naccess = 0;
-    let mut nsites = 0;
-    let mut funcs = Vec::new();
-    for f in &tu.unit.funcs {
-        funcs.push(lower_fn(tu, &func_ids, f, &mut naccess, &mut nsites));
+    let mut funcs = HashMap::new();
+    for (id, f) in unit.funcs.iter().enumerate() {
+        if builtin(&f.name).is_some() {
+            return Err(format!("line {}: function {} shadows a builtin", f.line, f.name));
+        }
+        let sig =
+            Sig { params: f.params.iter().map(|(t, _)| t.clone()).collect(), ret: f.ret.clone() };
+        if funcs.insert(&*f.name, (id, sig)).is_some() {
+            return Err(format!("duplicate function {}", f.name));
+        }
     }
-    let main = func_ids["main"];
-    Program { funcs, main, naccesses: naccess, code: OnceLock::new() }
+    let Some(&(main, _)) = funcs.get("main") else {
+        return Err("program has no main()".into());
+    };
+    let tables = Tables { structs, funcs };
+    let (mut naccess, mut nsites) = (0, 0);
+    let funcs = unit
+        .funcs
+        .iter()
+        .map(|f| lower_fn(&tables, f, &mut naccess, &mut nsites))
+        .collect::<Result<_, _>>()?;
+    Ok(Program { funcs, main, naccesses: naccess, code: OnceLock::new() })
 }
 
-fn val_ty(t: &Ty) -> ValTy {
+/// The word type of a region element or struct field of type `t`.
+fn word(t: &Ty) -> Option<ValTy> {
     match t {
-        Ty::Int => ValTy::I,
-        Ty::Double => ValTy::F,
-        Ty::Space => ValTy::S,
-        Ty::SharedPtr(_) => ValTy::H,
-        other => panic!("no value type for {other:?}"),
+        Ty::Int => Some(ValTy::I),
+        Ty::Double => Some(ValTy::F),
+        Ty::SharedPtr(_) => Some(ValTy::H),
+        _ => None,
     }
 }
 
-fn elem_words(tu: &TypedUnit, t: &Ty) -> u32 {
-    match t {
-        Ty::Struct(n) => tu.structs.words(n).expect("checked struct") as u32,
-        _ => 1,
+/// The word type of `name`, a variable, parameter or function declared
+/// `ty` on `line`.
+fn val_ty(ty: &Ty, name: &str, line: u32) -> Result<ValTy, String> {
+    match (ty, word(ty)) {
+        (_, Some(vt)) => Ok(vt),
+        (Ty::Space, _) => Ok(ValTy::S),
+        (Ty::Struct(n), _) => Err(format!(
+            "line {line}: struct {n} values live in regions; declare `shared struct {n}*`"
+        )),
+        _ => Err(format!("line {line}: cannot declare void variable {name}")),
     }
+}
+
+/// Whether a `got` value may go where a `want` is declared: the same type,
+/// an int widened to double, or one shared pointer for another when the
+/// `shared void*` side allows it. A store (`arg` false) adopts a
+/// `shared void*` value, an uncast `gmalloc`, as any shared pointer; a
+/// call (`arg` true) passes any shared pointer to a `shared void*`
+/// parameter.
+fn assignable(want: &Ty, got: &Ty, arg: bool) -> bool {
+    let void_side = if arg { want } else { got };
+    want == got
+        || (*want == Ty::Double && *got == Ty::Int)
+        || (want.is_shared_ptr()
+            && got.is_shared_ptr()
+            && matches!(void_side, Ty::SharedPtr(inner) if **inner == Ty::Void))
+}
+
+/// The type `a op b` computes in: §3.1 allows no arithmetic on shared
+/// pointers, only equality.
+fn operand_ty(op: BinOp, a: &Ty, b: &Ty, line: u32) -> Result<Ty, String> {
+    if a.is_shared_ptr() || b.is_shared_ptr() {
+        if matches!(op, BinOp::Eq | BinOp::Ne) && a == b {
+            return Ok(a.clone());
+        }
+        return Err(format!(
+            "line {line}: arithmetic on shared pointers is disallowed (Ace §3.1); use p[i]"
+        ));
+    }
+    match (op, a, b) {
+        (_, Ty::Int, Ty::Int) => Ok(Ty::Int),
+        (BinOp::And | BinOp::Or, ..) => Err(format!("line {line}: logical ops need int operands")),
+        (BinOp::Rem, ..) => Err(format!("line {line}: %% needs int operands")),
+        (_, Ty::Int | Ty::Double, Ty::Int | Ty::Double) => Ok(Ty::Double),
+        _ => Err(format!("line {line}: numeric op on {a:?} and {b:?}")),
+    }
+}
+
+fn protocol(name: &str, line: u32) -> Result<ProtoSpec, String> {
+    ProtoSpec::by_name(name).ok_or_else(|| format!("line {line}: unknown protocol \"{name}\""))
 }
 
 fn lower_fn(
-    tu: &TypedUnit,
-    func_ids: &HashMap<String, FuncId>,
-    f: &ast::Func,
+    tables: &Tables,
+    f: &Func,
     naccess: &mut u32,
     nsites: &mut u32,
-) -> IFunc {
+) -> Result<IFunc, String> {
     let mut lw = FnLower {
-        tu,
-        func_ids,
+        tables,
         naccess,
         nsites,
         ret: &f.ret,
         slots: Vec::new(),
-        scopes: vec![HashMap::new()],
+        vars: Vec::new(),
         blocks: vec![(Vec::new(), None)],
         cur: 0,
         nregs: 0,
         loops: Vec::new(),
     };
     for (ty, name) in &f.params {
-        let slot = lw.slots.len() as u32;
-        lw.slots.push(Slot::Scalar(val_ty(ty)));
-        lw.scopes[0].insert(name.clone(), (slot, Binding::Scalar(ty.clone())));
+        let local = Local { slot: lw.slots.len() as u32, ty: ty.clone(), array: false };
+        lw.slots.push(Slot::Scalar(val_ty(ty, name, f.line)?));
+        lw.vars.push((name, local));
     }
-    lw.block(&f.body);
+    let ret = (f.ret != Ty::Void).then(|| val_ty(&f.ret, &f.name, f.line)).transpose()?;
+    lw.block(&f.body)?;
     // Fall-through return for void functions.
     lw.seal(Term::Ret(None));
     let blocks = lw
@@ -99,17 +216,17 @@ fn lower_fn(
         .into_iter()
         .map(|(insts, term)| Block { insts, term: term.unwrap_or(Term::Ret(None)) })
         .collect();
-    IFunc {
+    Ok(IFunc {
         name: f.name.clone(),
         nparams: f.params.len(),
         slots: lw.slots,
         nregs: lw.nregs,
-        ret: (f.ret != Ty::Void).then(|| val_ty(&f.ret)),
+        ret,
         blocks,
-    }
+    })
 }
 
-impl FnLower<'_> {
+impl<'a> FnLower<'a, '_> {
     fn reg(&mut self) -> VReg {
         self.nregs += 1;
         self.nregs - 1
@@ -142,113 +259,82 @@ impl FnLower<'_> {
         *self.naccess - 1
     }
 
-    fn lookup(&self, name: &str) -> (u32, Binding) {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-            .cloned()
-            .expect("sema resolved all names")
+    fn lookup(&self, name: &str, line: u32) -> Result<Local, String> {
+        let found = self.vars.iter().rev().find(|(n, _)| *n == name);
+        found.map(|(_, l)| l.clone()).ok_or_else(|| format!("line {line}: unknown variable {name}"))
     }
 
     // ------------------------------------------------------------------
     // statements
     // ------------------------------------------------------------------
 
-    fn block(&mut self, stmts: &[Stmt]) {
-        self.scopes.push(HashMap::new());
+    fn block(&mut self, stmts: &'a [Stmt]) -> Result<(), String> {
+        let scope = self.vars.len();
         for s in stmts {
-            self.stmt(s);
+            self.stmt(s)?;
         }
-        self.scopes.pop();
+        self.vars.truncate(scope);
+        Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), String> {
         match s {
-            Stmt::Decl { ty, name, array_len, init, .. } => {
+            Stmt::Decl { ty, name, array_len, init, line } => {
+                let vt = val_ty(ty, name, *line)?;
                 let slot = self.slots.len() as u32;
-                match array_len {
-                    Some(len) => {
-                        self.slots.push(Slot::Array(val_ty(ty), *len));
-                        self.scopes
-                            .last_mut()
-                            .unwrap()
-                            .insert(name.clone(), (slot, Binding::Array(ty.clone(), *len)));
+                match (array_len, init) {
+                    (Some(_), Some(_)) => {
+                        return Err(format!("line {line}: array declarations take no initializer"))
                     }
-                    None => {
-                        self.slots.push(Slot::Scalar(val_ty(ty)));
-                        self.scopes
-                            .last_mut()
-                            .unwrap()
-                            .insert(name.clone(), (slot, Binding::Scalar(ty.clone())));
-                        if let Some(init) = init {
-                            let (r, t) = self.expr(init);
-                            let r = self.coerce(r, &t, ty);
-                            self.emit(Inst::StoreLocal { slot, a: r });
-                        }
-                    }
+                    (Some(len), None) => self.slots.push(Slot::Array(vt, *len)),
+                    (None, _) => self.slots.push(Slot::Scalar(vt)),
                 }
+                // The name is in scope after its initializer.
+                if let Some(init) = init {
+                    let (r, t) = self.expr(init)?;
+                    let r = self.assign(r, &t, ty, *line)?;
+                    self.emit(Inst::StoreLocal { slot, a: r });
+                }
+                let array = array_len.is_some();
+                self.vars.push((name, Local { slot, ty: ty.clone(), array }));
             }
-            Stmt::Assign { lhs, rhs, .. } => {
-                let (rv, rt) = self.expr(rhs);
-                match lhs {
+            Stmt::Assign { lhs, rhs, line } => {
+                let (rv, rt) = self.expr(rhs)?;
+                let line = *line;
+                let (place, want) = match lhs {
                     LValue::Var(n) => {
-                        let (slot, b) = self.lookup(n);
-                        let Binding::Scalar(want) = b else { unreachable!("checked") };
-                        let rv = self.coerce(rv, &rt, &want);
-                        self.emit(Inst::StoreLocal { slot, a: rv });
-                    }
-                    LValue::Index(base, idx) => {
-                        // Local array or shared store.
-                        if let ExprKind::Var(n) = &base.kind {
-                            let (slot, b) = self.lookup(n);
-                            if let Binding::Array(want, _) = b {
-                                let (iv, _) = self.expr(idx);
-                                let rv = self.coerce(rv, &rt, &want);
-                                self.emit(Inst::StoreArr { slot, idx: iv, a: rv });
-                                return;
-                            }
+                        let l = self.lookup(n, line)?;
+                        if l.array {
+                            return Err(format!("line {line}: cannot assign whole array {n}"));
                         }
-                        let (hv, ht) = self.expr(base);
-                        let Ty::SharedPtr(elem) = ht else { unreachable!("checked") };
-                        let (iv, _) = self.expr(idx);
-                        let rv = self.coerce(rv, &rt, &elem);
-                        self.shared_store(hv, iv, rv);
+                        let rv = self.assign(rv, &rt, &l.ty, line)?;
+                        self.emit(Inst::StoreLocal { slot: l.slot, a: rv });
+                        return Ok(());
                     }
-                    LValue::Member(base, field) => {
-                        let (hv, ht) = self.expr(base);
-                        let Ty::SharedPtr(inner) = ht else { unreachable!("checked") };
-                        let Ty::Struct(sname) = *inner else { unreachable!("checked") };
-                        let (off, fty) = self.tu.structs.field(&sname, field).expect("checked");
-                        let offv = self.reg();
-                        self.emit(Inst::ConstI(offv, off as i64));
-                        let rv = self.coerce(rv, &rt, &fty);
-                        self.shared_store(hv, offv, rv);
-                    }
-                    LValue::Deref(base) => {
-                        let (hv, ht) = self.expr(base);
-                        let Ty::SharedPtr(elem) = ht else { unreachable!("checked") };
-                        let zero = self.reg();
-                        self.emit(Inst::ConstI(zero, 0));
-                        let rv = self.coerce(rv, &rt, &elem);
-                        self.shared_store(hv, zero, rv);
-                    }
+                    LValue::Index(base, idx) => self.place(base, Sel::Index(idx), line)?,
+                    LValue::Member(base, field) => self.place(base, Sel::Field(field), line)?,
+                    LValue::Deref(base) => self.place(base, Sel::Deref, line)?,
+                };
+                let rv = self.assign(rv, &rt, &want, line)?;
+                match place {
+                    Place::Elem(slot, idx) => self.emit(Inst::StoreArr { slot, idx, a: rv }),
+                    Place::Shared(handle, off, _) => self.shared_store(handle, off, rv),
                 }
             }
             Stmt::Expr(e) => {
-                self.expr(e);
+                self.expr(e)?;
             }
             Stmt::If { cond, then_blk, else_blk } => {
-                let (c, _) = self.expr(cond);
+                let c = self.int(cond)?;
                 let tb = self.new_block();
                 let eb = self.new_block();
                 let join = self.new_block();
                 self.seal(Term::Br { cond: c, t: tb, f: eb });
                 self.switch(tb);
-                self.block(then_blk);
+                self.block(then_blk)?;
                 self.seal(Term::Jump(join));
                 self.switch(eb);
-                self.block(else_blk);
+                self.block(else_blk)?;
                 self.seal(Term::Jump(join));
                 self.switch(join);
             }
@@ -258,59 +344,65 @@ impl FnLower<'_> {
                 let exit = self.new_block();
                 self.seal(Term::Jump(header));
                 self.switch(header);
-                let (c, _) = self.expr(cond);
+                let c = self.int(cond)?;
                 self.seal(Term::Br { cond: c, t: bodyb, f: exit });
                 self.loops.push((header, exit));
                 self.switch(bodyb);
-                self.block(body);
+                self.block(body)?;
                 self.seal(Term::Jump(header));
                 self.loops.pop();
                 self.switch(exit);
             }
             Stmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
-                self.stmt(init);
+                let scope = self.vars.len();
+                self.stmt(init)?;
                 let header = self.new_block();
                 let bodyb = self.new_block();
                 let stepb = self.new_block();
                 let exit = self.new_block();
                 self.seal(Term::Jump(header));
                 self.switch(header);
-                let (c, _) = self.expr(cond);
+                let c = self.int(cond)?;
                 self.seal(Term::Br { cond: c, t: bodyb, f: exit });
                 self.loops.push((stepb, exit));
                 self.switch(bodyb);
-                self.block(body);
+                self.block(body)?;
                 self.seal(Term::Jump(stepb));
                 self.switch(stepb);
-                self.stmt(step);
+                self.stmt(step)?;
                 self.seal(Term::Jump(header));
                 self.loops.pop();
-                self.scopes.pop();
+                self.vars.truncate(scope);
                 self.switch(exit);
             }
-            Stmt::Return(e, _) => {
-                let r = e.as_ref().map(|e| {
-                    let (r, t) = self.expr(e);
-                    self.coerce(r, &t, self.ret)
-                });
+            Stmt::Return(e, line) => {
+                let r = match (e, self.ret) {
+                    (None, Ty::Void) => None,
+                    (None, other) => {
+                        return Err(format!("line {line}: missing return value of type {other:?}"))
+                    }
+                    (Some(_), Ty::Void) => {
+                        return Err(format!("line {line}: void function returns a value"))
+                    }
+                    (Some(e), want) => {
+                        let (r, t) = self.expr(e)?;
+                        Some(self.assign(r, &t, want, *line)?)
+                    }
+                };
                 self.seal(Term::Ret(r));
                 let dead = self.new_block();
                 self.switch(dead);
             }
-            Stmt::Break(_) => {
-                let (_, brk) = *self.loops.last().expect("checked");
-                self.seal(Term::Jump(brk));
-                let dead = self.new_block();
-                self.switch(dead);
-            }
-            Stmt::Continue(_) => {
-                let (cont, _) = *self.loops.last().expect("checked");
-                self.seal(Term::Jump(cont));
+            Stmt::Break(line) | Stmt::Continue(line) => {
+                let Some(&(cont, brk)) = self.loops.last() else {
+                    return Err(format!("line {line}: break/continue outside a loop"));
+                };
+                self.seal(Term::Jump(if matches!(s, Stmt::Break(_)) { brk } else { cont }));
                 let dead = self.new_block();
                 self.switch(dead);
             }
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -336,6 +428,76 @@ impl FnLower<'_> {
         self.emit(Inst::Ann { hook: Hook::EndWrite, aid, mode, handle: mapped });
     }
 
+    /// Lower `base` and select from it: a local array's element, or a
+    /// word of the region a shared pointer names. Returns the word's type.
+    fn place(&mut self, base: &'a Expr, sel: Sel<'a>, line: u32) -> Result<(Place, Ty), String> {
+        if let (ExprKind::Var(n), Sel::Index(idx)) = (&base.kind, &sel) {
+            if let Ok(Local { slot, ty, array: true }) = self.lookup(n, line) {
+                return Ok((Place::Elem(slot, self.int(idx)?), ty));
+            }
+        }
+        let (hv, ht) = self.expr(base)?;
+        let pointee = match ht {
+            Ty::SharedPtr(inner) => Ok(*inner),
+            other => Err(other),
+        };
+        match sel {
+            Sel::Index(idx) => {
+                let elem = pointee.map_err(|t| format!("line {line}: cannot index into {t:?}"))?;
+                let Some(vt) = word(&elem) else {
+                    return Err(match elem {
+                        Ty::Struct(n) => {
+                            format!("line {line}: index a `shared struct {n}*` via ->field, not []")
+                        }
+                        other => format!("line {line}: cannot index into {other:?}"),
+                    });
+                };
+                Ok((Place::Shared(hv, self.int(idx)?, vt), elem))
+            }
+            Sel::Field(field) => {
+                let name = match pointee {
+                    Ok(Ty::Struct(name)) => name,
+                    Ok(other) | Err(other) => {
+                        return Err(format!(
+                            "line {line}: -> requires a shared struct pointer, found {other:?}"
+                        ))
+                    }
+                };
+                let fields = self.tables.structs.get(&*name).map_or(&[][..], Vec::as_slice);
+                let Some((off, &(_, fty, vt))) =
+                    fields.iter().enumerate().find(|(_, (f, ..))| *f == field)
+                else {
+                    return Err(format!("line {line}: struct {name} has no field {field}"));
+                };
+                let offv = self.reg();
+                self.emit(Inst::ConstI(offv, off as i64));
+                Ok((Place::Shared(hv, offv, vt), fty.clone()))
+            }
+            Sel::Deref => {
+                let elem = pointee.map_err(|t| format!("line {line}: cannot deref {t:?}"))?;
+                let Some(vt) = word(&elem) else {
+                    return Err(format!("line {line}: cannot deref pointer to {elem:?}"));
+                };
+                let zero = self.reg();
+                self.emit(Inst::ConstI(zero, 0));
+                Ok((Place::Shared(hv, zero, vt), elem))
+            }
+        }
+    }
+
+    fn load(&mut self, base: &'a Expr, sel: Sel<'a>, line: u32) -> Result<(VReg, Ty), String> {
+        let (place, ty) = self.place(base, sel, line)?;
+        let dst = match place {
+            Place::Elem(slot, idx) => {
+                let dst = self.reg();
+                self.emit(Inst::LoadArr { dst, slot, idx });
+                dst
+            }
+            Place::Shared(handle, off, vt) => self.shared_load(handle, off, vt),
+        };
+        Ok((dst, ty))
+    }
+
     // ------------------------------------------------------------------
     // expressions
     // ------------------------------------------------------------------
@@ -356,8 +518,27 @@ impl FnLower<'_> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> (VReg, Ty) {
-        match &e.kind {
+    /// `r`, of type `got`, converted for a destination declared `want`.
+    fn assign(&mut self, r: VReg, got: &Ty, want: &Ty, line: u32) -> Result<VReg, String> {
+        if !assignable(want, got, false) {
+            return Err(format!("line {line}: cannot assign {got:?} to {want:?}"));
+        }
+        Ok(self.coerce(r, got, want))
+    }
+
+    /// Lower `e`, which must be an int: a condition, an index, an operand
+    /// of `!`.
+    fn int(&mut self, e: &'a Expr) -> Result<VReg, String> {
+        let (r, t) = self.expr(e)?;
+        if t != Ty::Int {
+            return Err(format!("line {}: condition must be int, found {t:?}", e.line));
+        }
+        Ok(r)
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> Result<(VReg, Ty), String> {
+        let line = e.line;
+        Ok(match &e.kind {
             ExprKind::Int(v) => {
                 let r = self.reg();
                 self.emit(Inst::ConstI(r, *v));
@@ -368,42 +549,21 @@ impl FnLower<'_> {
                 self.emit(Inst::ConstF(r, *v));
                 (r, Ty::Double)
             }
-            ExprKind::Str(_) => unreachable!("checked: strings only in protocol positions"),
-            ExprKind::Var(n) => {
-                let (slot, b) = self.lookup(n);
-                let Binding::Scalar(t) = b else { unreachable!("checked") };
-                let r = self.reg();
-                self.emit(Inst::LoadLocal { dst: r, slot });
-                (r, t)
+            ExprKind::Str(_) => {
+                return Err(format!(
+                    "line {line}: string literals are only valid as protocol names in new_space/change_protocol"
+                ))
             }
-            ExprKind::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
-                // Short-circuit through a temporary slot.
-                let slot = self.slots.len() as u32;
-                self.slots.push(Slot::Scalar(ValTy::I));
-                let (av, _) = self.expr(a);
-                self.emit(Inst::StoreLocal { slot, a: av });
-                let rhs_b = self.new_block();
-                let join = self.new_block();
-                if matches!(op, BinOp::And) {
-                    self.seal(Term::Br { cond: av, t: rhs_b, f: join });
-                } else {
-                    self.seal(Term::Br { cond: av, t: join, f: rhs_b });
+            ExprKind::Var(n) => {
+                let l = self.lookup(n, line)?;
+                if l.array {
+                    return Err(format!("line {line}: array {n} must be indexed"));
                 }
-                self.switch(rhs_b);
-                let (bv, _) = self.expr(b);
-                self.emit(Inst::StoreLocal { slot, a: bv });
-                self.seal(Term::Jump(join));
-                self.switch(join);
                 let r = self.reg();
-                self.emit(Inst::LoadLocal { dst: r, slot });
-                (r, Ty::Int)
+                self.emit(Inst::LoadLocal { dst: r, slot: l.slot });
+                (r, l.ty)
             }
             ExprKind::Bin(op, a, b) => {
-                let (av, at) = self.expr(a);
-                let (bv, bt) = self.expr(b);
-                let ty = if at == Ty::Double || bt == Ty::Double { Ty::Double } else { at.clone() };
-                let av = self.coerce(av, &at, &ty);
-                let bv = self.coerce(bv, &bt, &ty);
                 let ir_op = match op {
                     BinOp::Add => Bin::Add,
                     BinOp::Sub => Bin::Sub,
@@ -416,8 +576,13 @@ impl FnLower<'_> {
                     BinOp::Le => Bin::Le,
                     BinOp::Gt => Bin::Gt,
                     BinOp::Ge => Bin::Ge,
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
+                    BinOp::And | BinOp::Or => return self.short_circuit(*op, a, b, line),
                 };
+                let (av, at) = self.expr(a)?;
+                let (bv, bt) = self.expr(b)?;
+                let ty = operand_ty(*op, &at, &bt, line)?;
+                let av = self.coerce(av, &at, &ty);
+                let bv = self.coerce(bv, &bt, &ty);
                 let vt = match &ty {
                     Ty::Double => ValTy::F,
                     Ty::SharedPtr(_) => ValTy::H,
@@ -432,82 +597,126 @@ impl FnLower<'_> {
                 (dst, rt)
             }
             ExprKind::Neg(a) => {
-                let (av, at) = self.expr(a);
+                let (av, at) = self.expr(a)?;
+                let ty = match at {
+                    Ty::Int => ValTy::I,
+                    Ty::Double => ValTy::F,
+                    _ => return Err(format!("line {line}: cannot negate {at:?}")),
+                };
                 let dst = self.reg();
-                self.emit(Inst::Neg { dst, ty: val_ty(&at), a: av });
+                self.emit(Inst::Neg { dst, ty, a: av });
                 (dst, at)
             }
             ExprKind::Not(a) => {
-                let (av, _) = self.expr(a);
+                let av = self.int(a)?;
                 let dst = self.reg();
                 self.emit(Inst::Not { dst, a: av });
                 (dst, Ty::Int)
             }
-            ExprKind::Index(base, idx) => {
-                if let ExprKind::Var(n) = &base.kind {
-                    let (slot, b) = self.lookup(n);
-                    if let Binding::Array(elem, _) = b {
-                        let (iv, _) = self.expr(idx);
-                        let dst = self.reg();
-                        self.emit(Inst::LoadArr { dst, slot, idx: iv });
-                        return (dst, elem);
-                    }
-                }
-                let (hv, ht) = self.expr(base);
-                let Ty::SharedPtr(elem) = ht else { unreachable!("checked") };
-                let (iv, _) = self.expr(idx);
-                let dst = self.shared_load(hv, iv, val_ty(&elem));
-                (dst, *elem)
-            }
-            ExprKind::Member(base, field) => {
-                let (hv, ht) = self.expr(base);
-                let Ty::SharedPtr(inner) = ht else { unreachable!("checked") };
-                let Ty::Struct(sname) = *inner else { unreachable!("checked") };
-                let (off, fty) = self.tu.structs.field(&sname, field).expect("checked");
-                let offv = self.reg();
-                self.emit(Inst::ConstI(offv, off as i64));
-                let dst = self.shared_load(hv, offv, val_ty(&fty));
-                (dst, fty)
-            }
-            ExprKind::Deref(base) => {
-                let (hv, ht) = self.expr(base);
-                let Ty::SharedPtr(elem) = ht else { unreachable!("checked") };
-                let zero = self.reg();
-                self.emit(Inst::ConstI(zero, 0));
-                let dst = self.shared_load(hv, zero, val_ty(&elem));
-                (dst, *elem)
-            }
+            ExprKind::Index(base, idx) => return self.load(base, Sel::Index(idx), line),
+            ExprKind::Member(base, field) => return self.load(base, Sel::Field(field), line),
+            ExprKind::Deref(base) => return self.load(base, Sel::Deref, line),
             ExprKind::Cast(to, inner) => {
                 // `(shared T*) gmalloc(s, n)` carries the element size into
                 // the allocation.
                 if let (Ty::SharedPtr(elem), ExprKind::Call(name, args)) = (to, &inner.kind) {
                     if name == "gmalloc" {
-                        return self.gmalloc(args, elem_words(self.tu, elem), to.clone());
+                        let words = match &**elem {
+                            Ty::Struct(n) => match self.tables.structs.get(&**n) {
+                                Some(fields) => fields.len() as u32,
+                                None => return Err(format!("line {line}: unknown struct {n}")),
+                            },
+                            _ => 1,
+                        };
+                        return self.gmalloc(args, words, to.clone(), inner.line);
                     }
                 }
-                let (r, from) = self.expr(inner);
+                let (r, from) = self.expr(inner)?;
                 match (&from, to) {
-                    (Ty::Int, Ty::Double) => {
-                        let d = self.reg();
-                        self.emit(Inst::IntToF { dst: d, a: r });
-                        (d, to.clone())
-                    }
                     (Ty::Double, Ty::Int) => {
                         let d = self.reg();
                         self.emit(Inst::FToInt { dst: d, a: r });
                         (d, to.clone())
                     }
-                    _ => (r, to.clone()), // bit reinterpretation
+                    (Ty::Int | Ty::Double, Ty::Int | Ty::Double)
+                    | (Ty::Int | Ty::SharedPtr(_), Ty::SharedPtr(_))
+                    | (Ty::SharedPtr(_), Ty::Int) => (self.coerce(r, &from, to), to.clone()),
+                    _ => return Err(format!("line {line}: invalid cast {from:?} -> {to:?}")),
                 }
             }
-            ExprKind::Call(name, args) => self.call(name, args),
-        }
+            ExprKind::Call(name, args) => return self.call(name, args, line),
+        })
     }
 
-    fn gmalloc(&mut self, args: &[Expr], elem_words: u32, ty: Ty) -> (VReg, Ty) {
-        let (sv, _) = self.expr(&args[0]);
-        let (nv, _) = self.expr(&args[1]);
-        self.intrinsic(Intr::Gmalloc { elem_words }, vec![sv, nv], ty)
+    /// `a && b` / `a || b`, through a temporary slot.
+    fn short_circuit(
+        &mut self,
+        op: BinOp,
+        a: &'a Expr,
+        b: &'a Expr,
+        line: u32,
+    ) -> Result<(VReg, Ty), String> {
+        let slot = self.slots.len() as u32;
+        self.slots.push(Slot::Scalar(ValTy::I));
+        let (av, at) = self.expr(a)?;
+        self.emit(Inst::StoreLocal { slot, a: av });
+        let rhs_b = self.new_block();
+        let join = self.new_block();
+        if op == BinOp::And {
+            self.seal(Term::Br { cond: av, t: rhs_b, f: join });
+        } else {
+            self.seal(Term::Br { cond: av, t: join, f: rhs_b });
+        }
+        self.switch(rhs_b);
+        let (bv, bt) = self.expr(b)?;
+        operand_ty(op, &at, &bt, line)?;
+        self.emit(Inst::StoreLocal { slot, a: bv });
+        self.seal(Term::Jump(join));
+        self.switch(join);
+        let r = self.reg();
+        self.emit(Inst::LoadLocal { dst: r, slot });
+        Ok((r, Ty::Int))
+    }
+
+    /// Lower a call's arguments, each converted to its parameter's type.
+    fn args(
+        &mut self,
+        name: &str,
+        params: &[Ty],
+        args: &'a [Expr],
+        line: u32,
+    ) -> Result<Vec<VReg>, String> {
+        if params.len() != args.len() {
+            return Err(format!(
+                "line {line}: {name} expects {} arguments, got {}",
+                params.len(),
+                args.len()
+            ));
+        }
+        let mut vals = Vec::with_capacity(args.len());
+        for (want, a) in params.iter().zip(args) {
+            let (v, got) = self.expr(a)?;
+            if !assignable(want, &got, true) {
+                return Err(format!(
+                    "line {}: argument to {name} has type {got:?}, expected {want:?}",
+                    a.line
+                ));
+            }
+            vals.push(self.coerce(v, &got, want));
+        }
+        Ok(vals)
+    }
+
+    fn gmalloc(
+        &mut self,
+        args: &'a [Expr],
+        elem_words: u32,
+        ty: Ty,
+        line: u32,
+    ) -> Result<(VReg, Ty), String> {
+        let params = builtin("gmalloc").map(|b| b.sig().params).unwrap_or_default();
+        let vals = self.args("gmalloc", &params, args, line)?;
+        Ok(self.intrinsic(Intr::Gmalloc { elem_words }, vals, ty))
     }
 
     fn intrinsic(&mut self, which: Intr, args: Vec<VReg>, ret: Ty) -> (VReg, Ty) {
@@ -516,55 +725,61 @@ impl FnLower<'_> {
         (dst.unwrap_or(0), ret)
     }
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> (VReg, Ty) {
-        let proto_arg = |i: usize| -> ProtoSpec {
-            let ExprKind::Str(s) = &args[i].kind else { unreachable!("checked") };
-            ProtoSpec::by_name(s).expect("checked protocol name")
-        };
-        // The builtins whose instruction is not their table row's.
-        match name {
-            "new_space" => {
-                let which = Intr::NewSpace { spec: proto_arg(0), site: *self.nsites };
+    fn call(&mut self, name: &str, args: &'a [Expr], line: u32) -> Result<(VReg, Ty), String> {
+        // The builtins whose instruction is not their table row's: string
+        // operands, a result typed by the argument, an element size.
+        match (name, args) {
+            ("new_space", [Expr { kind: ExprKind::Str(p), .. }]) => {
+                let which = Intr::NewSpace { spec: protocol(p, line)?, site: *self.nsites };
                 *self.nsites += 1;
-                return self.intrinsic(which, vec![], Ty::Space);
+                return Ok(self.intrinsic(which, vec![], Ty::Space));
             }
-            "change_protocol" => {
-                let which = Intr::ChangeProtocol { spec: proto_arg(1) };
-                let (sv, _) = self.expr(&args[0]);
-                return self.intrinsic(which, vec![sv], Ty::Void);
+            ("new_space", _) => return Err(format!("line {line}: new_space(\"ProtocolName\")")),
+            ("change_protocol", _) => {
+                if let [space, Expr { kind: ExprKind::Str(p), .. }] = args {
+                    let (sv, t) = self.expr(space)?;
+                    if t == Ty::Space {
+                        let which = Intr::ChangeProtocol { spec: protocol(p, line)? };
+                        return Ok(self.intrinsic(which, vec![sv], Ty::Void));
+                    }
+                }
+                return Err(format!("line {line}: change_protocol(space, \"ProtocolName\")"));
             }
+            ("bcast_p", [root, ptr]) => {
+                let a = self.int(root)?;
+                let (b, t) = self.expr(ptr)?;
+                if !t.is_shared_ptr() {
+                    return Err(format!("line {line}: bcast_p needs a shared pointer"));
+                }
+                return Ok(self.intrinsic(Intr::BcastP, vec![a, b], t));
+            }
+            ("bcast_p", _) => return Err(format!("line {line}: bcast_p(root, ptr)")),
             // Uncast gmalloc allocates raw words.
-            "gmalloc" => return self.gmalloc(args, 1, Ty::SharedPtr(Box::new(Ty::Void))),
-            "lock" | "unlock" => {
-                let hook = if name == "lock" { Hook::Lock } else { Hook::Unlock };
-                let (handle, _) = self.expr(&args[0]);
-                let aid = self.fresh_aid();
-                self.emit(Inst::Ann { hook, aid, mode: DispatchMode::Dispatch, handle });
-                return (0, Ty::Void);
-            }
-            "bcast_p" => {
-                let (a, _) = self.expr(&args[0]);
-                let (b, t) = self.expr(&args[1]);
-                return self.intrinsic(Intr::BcastP, vec![a, b], t);
+            ("gmalloc", _) => {
+                return self.gmalloc(args, 1, Ty::SharedPtr(Box::new(Ty::Void)), line)
             }
             _ => {}
         }
         let row = builtin(name);
-        let sig = row.map_or_else(|| self.tu.sigs[name].clone(), |b| b.sig());
-        let mut vals = Vec::with_capacity(args.len());
-        for (want, a) in sig.params.iter().zip(args) {
-            let (v, t) = self.expr(a);
-            vals.push(self.coerce(v, &t, want));
-        }
+        let (func, sig) = match (row, self.tables.funcs.get(name)) {
+            (Some(b), _) => (None, b.sig()),
+            (None, Some((id, sig))) => (Some(*id), sig.clone()),
+            (None, None) => return Err(format!("line {line}: unknown function {name}")),
+        };
+        let vals = self.args(name, &sig.params, args, line)?;
         let dst = (sig.ret != Ty::Void).then(|| self.reg());
-        self.emit(match row {
-            Some(b) => {
-                let (which, _) = b.lowers.expect("the other builtins are lowered above");
-                Inst::Intrinsic { dst, which, args: vals }
+        let inst = match (func, row.and_then(|b| b.lowers)) {
+            (Some(func), _) => Inst::Call { dst, func, args: vals },
+            (None, Some((which, _))) => Inst::Intrinsic { dst, which, args: vals },
+            // `lock` and `unlock`: an annotation on the handle.
+            (None, None) => {
+                let hook = if name == "lock" { Hook::Lock } else { Hook::Unlock };
+                let aid = self.fresh_aid();
+                Inst::Ann { hook, aid, mode: DispatchMode::Dispatch, handle: vals[0] }
             }
-            None => Inst::Call { dst, func: self.func_ids[name], args: vals },
-        });
-        (dst.unwrap_or(0), sig.ret)
+        };
+        self.emit(inst);
+        Ok((dst.unwrap_or(0), sig.ret))
     }
 }
 
@@ -573,10 +788,14 @@ mod tests {
     use super::*;
     use crate::lex::lex;
     use crate::parse::parse;
-    use crate::sema::check;
+    use crate::{compile, OptLevel, SystemConfig};
+
+    fn check_src(src: &str) -> Result<Program, String> {
+        lower(&parse(&lex(src)?)?)
+    }
 
     fn lower_src(src: &str) -> Program {
-        lower(&check(&parse(&lex(src).unwrap()).unwrap()).unwrap())
+        check_src(src).unwrap()
     }
 
     /// Count annotation instructions in a program.
@@ -674,5 +893,161 @@ mod tests {
             }
         }
         assert!(saw, "expected offset constant before the member access map");
+    }
+
+    #[test]
+    fn em3d_style_program_checks() {
+        let src = r#"
+            void main() {
+                space eval = new_space("SC");
+                shared double *v = (shared double*) gmalloc(eval, 10);
+                int i;
+                double acc = 0.0;
+                for (i = 0; i < 10; i = i + 1) { acc = acc + v[i]; }
+                change_protocol(eval, "Update");
+                barrier(eval);
+            }
+        "#;
+        check_src(src).unwrap();
+    }
+
+    #[test]
+    fn rejects_pointer_arithmetic() {
+        let src = r#"
+            void main() {
+                space s = new_space("SC");
+                shared int *p = (shared int*) gmalloc(s, 4);
+                shared int *q = (shared int*) gmalloc(s, 4);
+                int bad = (p + 1) == q;
+            }
+        "#;
+        let err = check_src(src).unwrap_err();
+        assert!(err.contains("arithmetic on shared pointers"), "{err}");
+    }
+
+    #[test]
+    fn pointer_equality_is_allowed() {
+        let src = r#"
+            void main() {
+                space s = new_space("SC");
+                shared int *p = (shared int*) gmalloc(s, 4);
+                shared int *q = p;
+                int same = p == q;
+            }
+        "#;
+        check_src(src).unwrap();
+    }
+
+    #[test]
+    fn struct_member_typing() {
+        let src = r#"
+            struct node { double val; int deg; };
+            void main() {
+                space s = new_space("SC");
+                shared struct node *n = (shared struct node*) gmalloc(s, 2);
+                double v = n->val;
+                n->deg = 3;
+            }
+        "#;
+        check_src(src).unwrap();
+    }
+
+    #[test]
+    fn rejects_unknown_field_and_var() {
+        assert!(check_src(
+            "struct n { int a; }; void main() { space s = new_space(\"SC\");
+             shared struct n *p = (shared struct n*) gmalloc(s, 1); int x = p->b; }"
+        )
+        .is_err());
+        assert!(check_src("void main() { int x = y; }").is_err());
+    }
+
+    #[test]
+    fn requires_main() {
+        assert!(check_src("void helper() { }").unwrap_err().contains("no main"));
+    }
+
+    #[test]
+    fn break_outside_loop_rejected() {
+        assert!(check_src("void main() { break; }").is_err());
+    }
+
+    #[test]
+    fn local_arrays_of_handles() {
+        let src = r#"
+            void main() {
+                space s = new_space("SC");
+                shared double *nbrs[8];
+                int i;
+                for (i = 0; i < 8; i = i + 1) {
+                    nbrs[i] = (shared double*) gmalloc(s, 1);
+                }
+                double x = nbrs[3][0];
+            }
+        "#;
+        check_src(src).unwrap();
+    }
+
+    #[test]
+    fn return_type_checked() {
+        assert!(check_src("int f() { return 1.5; } void main() { }").is_err());
+        assert!(check_src("double f() { return 1; } void main() { }").is_ok());
+    }
+
+    /// A store adopts a `shared void*` value as any shared pointer; a call
+    /// passes any shared pointer to a `shared void*` parameter. Neither
+    /// rule runs the other way.
+    #[test]
+    fn shared_void_pointer_direction() {
+        let ok = [
+            "void main() { space s = new_space(\"SC\"); shared int *p = gmalloc(s, 1); }",
+            "void main() { space s = new_space(\"SC\"); shared int *p; p = gmalloc(s, 1); }",
+            "shared int *f(space s) { return gmalloc(s, 1); } void main() { }",
+            "void main() { space s = new_space(\"SC\");
+             shared int *p = (shared int*) gmalloc(s, 1); lock(p); unlock(p); }",
+        ];
+        for src in ok {
+            check_src(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        }
+        let bad = [
+            ("void main() { space s = new_space(\"SC\");
+              shared int *p = (shared int*) gmalloc(s, 1); shared void *v = p; }",
+             "cannot assign SharedPtr(Int) to SharedPtr(Void)"),
+            ("void g(shared int *q) { } void main() { space s = new_space(\"SC\"); g(gmalloc(s, 1)); }",
+             "argument to g has type SharedPtr(Void), expected SharedPtr(Int)"),
+            ("void main() { lock(1); }", "argument to lock has type Int"),
+        ];
+        for (src, want) in bad {
+            let err = check_src(src).unwrap_err();
+            assert!(err.contains(want), "{src}: {err}");
+        }
+    }
+
+    /// Programs the checker once passed and the lowering then panicked on,
+    /// each with a fragment of the error it is now.
+    #[test]
+    fn programs_that_crashed_lowering_are_errors() {
+        let cases = [
+            ("void f(struct n x) {} void main() { }", "struct n values live in regions"),
+            ("struct n f() {} void main() { }", "struct n values live in regions"),
+            ("void f(void x) {} void main() { }", "cannot declare void variable x"),
+            (
+                "void main() { space s = new_space(\"SC\");
+                 shared struct nosuch *p = (shared struct nosuch*) gmalloc(s, 1); }",
+                "unknown struct nosuch",
+            ),
+            ("void main() { space s = new_space(\"Bogus\"); }", "unknown protocol \"Bogus\""),
+            (
+                "void main() { space s = new_space(\"SC\"); change_protocol(s, \"Bogus\"); }",
+                "unknown protocol \"Bogus\"",
+            ),
+        ];
+        let cfg = SystemConfig::builtin();
+        for (src, want) in cases {
+            for level in OptLevel::ALL {
+                let err = compile(src, &cfg, level).unwrap_err();
+                assert!(err.contains(want), "{src} at {level:?}: {err}");
+            }
+        }
     }
 }

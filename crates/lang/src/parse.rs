@@ -41,7 +41,10 @@ impl<'a> P<'a> {
 
     fn bump(&mut self) -> Tok {
         let t = self.toks[self.pos].tok.clone();
-        self.pos += 1;
+        // `Eof` stays current, so an error after it can still name a line.
+        if t != Tok::Eof {
+            self.pos += 1;
+        }
         t
     }
 
@@ -521,6 +524,13 @@ mod tests {
         let Stmt::Decl { init: Some(e), .. } = &u.funcs[0].body[0] else { panic!() };
         let ExprKind::Bin(BinOp::Add, _, r) = &e.kind else { panic!("not add: {e:?}") };
         assert!(matches!(r.kind, ExprKind::Bin(BinOp::Mul, _, _)));
+    }
+
+    #[test]
+    fn source_ending_mid_declaration_is_an_error() {
+        // The type consumes the last token; the name finds `Eof`.
+        let err = parse_src("void main() { double").unwrap_err();
+        assert!(err.contains("expected identifier, found Eof"), "{err}");
     }
 
     #[test]

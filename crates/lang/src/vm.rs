@@ -702,7 +702,7 @@ mod tests {
     }
 
     /// `ret main() { ty x = X; ty y = Y; return x op y; }`. Where the source
-    /// cannot spell the op (sema rejects float `%`, and `&&` / `||` lower to
+    /// cannot spell the op (`lower` rejects float `%`, and `&&` / `||` lower to
     /// branches), `op` is `-` and the returned `BinOp` becomes `swap`.
     fn binop(
         ty: &str,

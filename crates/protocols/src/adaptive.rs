@@ -382,21 +382,6 @@ impl AdaptiveEngine {
         }
     }
 
-    /// The configuration this engine runs.
-    pub fn spec(&self) -> AdaptiveSpec {
-        self.spec
-    }
-
-    /// The candidate bit currently serving the space.
-    pub fn current(&self) -> u8 {
-        self.cur.get()
-    }
-
-    /// Switches committed so far.
-    pub fn switches(&self) -> u64 {
-        self.epoch.get()
-    }
-
     fn inner(&self) -> Rc<dyn Protocol> {
         self.inner.borrow().clone()
     }

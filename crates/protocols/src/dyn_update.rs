@@ -186,7 +186,7 @@ impl Protocol for DynamicUpdate {
                 Self::add_outstanding(rt, e, -1);
             }
         } else {
-            rt.send_proto(e.id.home(), e.id, op::UPD_HOME, 0, Some(e.clone_data()));
+            rt.send_proto(e.id.home(), e.id, op::UPD_HOME, 0, Some(e.share_data()));
         }
     }
 
@@ -201,7 +201,7 @@ impl Protocol for DynamicUpdate {
             // ---------------- home side ----------------
             op::JOIN => {
                 e.add_sharer(from);
-                rt.send_proto(from, e.id, op::DATA, 0, Some(e.clone_data()));
+                rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::UPD_HOME => {
                 e.install_shared(msg.data.expect("update carries data"));

@@ -463,7 +463,7 @@ fn protocol_without_a_mask_stays_slow_and_correct() {
         fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
         fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
             match msg.op {
-                1 => rt.send_proto(msg.from as usize, e.id, 2, 0, Some(e.clone_data())),
+                1 => rt.send_proto(msg.from as usize, e.id, 2, 0, Some(e.share_data())),
                 _ => {
                     e.install_shared(msg.data.expect("reply carries data"));
                     e.st.set(R_SHARED);

@@ -117,7 +117,7 @@ impl Protocol for HomeOwned {
         let from = msg.from as usize;
         match msg.op {
             op::FETCH => {
-                rt.send_proto(from, e.id, op::DATA, 0, Some(e.clone_data()));
+                rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::DATA => {
                 e.install_shared(msg.data.expect("fetch reply carries data"));

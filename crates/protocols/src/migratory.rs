@@ -60,7 +60,7 @@ impl Migratory {
     /// Remote side: send the copy home.
     fn write_back(&self, rt: &AceRt, e: &RegionEntry) {
         e.st.set(R_INVALID);
-        rt.send_proto(e.id.home(), e.id, op::WB, 0, Some(e.clone_data()));
+        rt.send_proto(e.id.home(), e.id, op::WB, 0, Some(e.share_data()));
     }
 }
 
@@ -153,7 +153,7 @@ impl Protocol for Migratory {
             op::MREQ => {
                 if !common::park_request(rt, e, &msg, op::RECALL) {
                     e.owner.set(from as i32);
-                    rt.send_proto(from, e.id, op::MDATA, 0, Some(e.clone_data()));
+                    rt.send_proto(from, e.id, op::MDATA, 0, Some(e.share_data()));
                 }
             }
             op::WB => common::master_home(self, rt, e, msg),
@@ -179,7 +179,7 @@ impl Protocol for Migratory {
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
         if !e.is_home_of(rt.rank()) {
             if e.st.get() == R_EXCL {
-                let data = Some(e.clone_data());
+                let data = Some(e.share_data());
                 common::leave_home(rt, e, op::FLUSH_X, data, "migratory flush ack");
             }
             e.aux.set(0);

@@ -117,7 +117,7 @@ impl Protocol for PipelinedWrite {
     fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
         self.ensure_copy(rt, e);
         if !e.is_home_of(rt.rank()) && e.twin.borrow().is_none() {
-            *e.twin.borrow_mut() = Some(e.clone_data());
+            *e.twin.borrow_mut() = Some(e.share_data());
         }
     }
 
@@ -136,7 +136,7 @@ impl Protocol for PipelinedWrite {
         };
         // The twin advances to the current local contents so the next
         // write section diffs only its own writes.
-        *e.twin.borrow_mut() = Some(e.clone_data());
+        *e.twin.borrow_mut() = Some(e.share_data());
         let s = rt.space(e.space);
         s.outstanding.set(s.outstanding.get() + 1);
         rt.send_proto(e.id.home(), e.id, op::DELTA, 0, Some(delta));
@@ -157,7 +157,7 @@ impl Protocol for PipelinedWrite {
         match msg.op {
             // home side
             op::FETCH => {
-                rt.send_proto(from, e.id, op::DATA, 0, Some(e.clone_data()));
+                rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::DELTA => {
                 let delta = msg.data.as_deref().expect("delta carries data");

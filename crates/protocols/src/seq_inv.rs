@@ -110,7 +110,7 @@ impl SeqInvalidate {
     fn grant_exclusive(&self, rt: &AceRt, e: &RegionEntry, to: usize) {
         e.sharers.clear();
         e.owner.set(to as i32);
-        rt.send_proto(to, e.id, op::DATA_X, 0, Some(e.clone_data()));
+        rt.send_proto(to, e.id, op::DATA_X, 0, Some(e.share_data()));
     }
 
     /// Remote side: honour a deferred or immediate invalidation.
@@ -122,7 +122,7 @@ impl SeqInvalidate {
     /// Remote side: honour a deferred or immediate recall.
     fn do_recall(&self, rt: &AceRt, e: &RegionEntry) {
         e.st.set(R_INVALID);
-        rt.send_proto(e.id.home(), e.id, op::WB_DATA, 0, Some(e.clone_data()));
+        rt.send_proto(e.id.home(), e.id, op::WB_DATA, 0, Some(e.share_data()));
     }
 }
 
@@ -258,7 +258,7 @@ impl Protocol for SeqInvalidate {
             op::RREQ | op::WREQ if common::park_request(rt, e, &msg, op::RECALL) => {}
             op::RREQ => {
                 e.add_sharer(from);
-                rt.send_proto(from, e.id, op::DATA_S, 0, Some(e.clone_data()));
+                rt.send_proto(from, e.id, op::DATA_S, 0, Some(e.share_data()));
             }
             op::WREQ => {
                 if self.sweep_sharers(rt, e, Some(from)) > 0 {
@@ -329,7 +329,7 @@ impl Protocol for SeqInvalidate {
         match e.st.get() {
             R_INVALID => {}
             R_SHARED => common::leave_home(rt, e, op::FLUSH_S, None, "flush ack"),
-            R_EXCL => common::leave_home(rt, e, op::FLUSH_X, Some(e.clone_data()), "flush ack"),
+            R_EXCL => common::leave_home(rt, e, op::FLUSH_X, Some(e.share_data()), "flush ack"),
             other => panic!("flush in transient state {other}"),
         }
         e.aux.set(0);

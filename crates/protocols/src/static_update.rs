@@ -156,7 +156,7 @@ impl Protocol for StaticUpdate {
             debug_assert!(e.is_home_of(rt.rank()));
             for sub in e.sharer_ranks() {
                 s.outstanding.set(s.outstanding.get() + 1);
-                rt.send_proto(sub, e.id, op::PUSH, 0, Some(e.clone_data()));
+                rt.send_proto(sub, e.id, op::PUSH, 0, Some(e.share_data()));
             }
         }
         rt.wait("static-update pushes", || s.outstanding.get() == 0);
@@ -169,7 +169,7 @@ impl Protocol for StaticUpdate {
             // home side
             op::SUBSCRIBE => {
                 e.add_sharer(from);
-                rt.send_proto(from, e.id, op::DATA, 0, Some(e.clone_data()));
+                rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::PUSH_ACK => {
                 let s = rt.space(e.space);

@@ -72,7 +72,7 @@ impl Protocol for WriteOnce {
     fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
         match msg.op {
             op::FETCH => {
-                rt.send_proto(msg.from as usize, e.id, op::DATA, 0, Some(e.clone_data()));
+                rt.send_proto(msg.from as usize, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::DATA => {
                 e.install_data(msg.data.as_deref().expect("data reply"));

@@ -1,6 +1,7 @@
 //! Property tests for the Ace-C compiler: random programs must evaluate
 //! to the same result at every optimization level (the passes are
-//! semantics-preserving), and the parser must reject what it should.
+//! semantics-preserving), the parser must reject what it should, and no
+//! source text makes `compile` panic.
 
 use ace::core::{run_ace, CostModel};
 use ace::lang::{compile, run_program, OptLevel, SystemConfig};
@@ -131,5 +132,32 @@ proptest! {
             run_program(rt, &prog).unwrap().as_i()
         });
         prop_assert_eq!(r.results[0], (a + b) * c - a % b + (a - c) / b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compile_never_panics_on_a_one_token_edit(
+        src in random_program(),
+        at in any::<usize>(),
+        duplicate in any::<bool>(),
+    ) {
+        // Delete or duplicate one whitespace-separated token: most edits
+        // break the syntax, the rest the types, a few neither. Whichever,
+        // `compile` answers `Ok` or `Err` at every level.
+        let mut toks: Vec<&str> = src.split_whitespace().collect();
+        let at = at % toks.len();
+        if duplicate {
+            toks.insert(at, toks[at]);
+        } else {
+            toks.remove(at);
+        }
+        let edited = toks.join(" ");
+        let cfg = SystemConfig::builtin();
+        for level in OptLevel::ALL {
+            let _ = compile(&edited, &cfg, level);
+        }
     }
 }
