@@ -21,19 +21,21 @@
 
 use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig};
+use ace_core::{
+    CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig, DEFAULT_COALESCE,
+};
 use proptest::prelude::*;
 
 fn machine() -> MachineBuilder {
     Spmd::builder().nprocs(4).cost(CostModel::cm5())
 }
 
-/// A traced 4-node run of `f` with coalescing forced off or on.
-fn run_app<F>(coalesce: bool, f: F) -> Observed
+/// A traced 4-node run of `f` under coalescing `policy`.
+fn run_app<F>(policy: CoalescePolicy, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    observe(machine().trace(TraceConfig::on()), |rt| rt.set_coalescing(coalesce), f)
+    observe(machine().trace(TraceConfig::on()), |rt| rt.node().set_coalesce(policy), f)
 }
 
 /// The scheduling-independent invariants, valid for every workload.
@@ -100,8 +102,8 @@ proptest! {
             hoist_maps: false,
         };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, |d| em3d::run(d, &p, v));
-        let on = run_app(true, |d| em3d::run(d, &p, v));
+        let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, v));
+        let on = run_app(DEFAULT_COALESCE, |d| em3d::run(d, &p, v));
         assert_equivalent(&off, &on, "em3d");
     }
 
@@ -113,8 +115,8 @@ proptest! {
     ) {
         let p = water::Params { molecules, steps: 2, seed };
         let v = if custom { Variant::Custom } else { Variant::Sc };
-        let off = run_app(false, |d| water::run(d, &p, v));
-        let on = run_app(true, |d| water::run(d, &p, v));
+        let off = run_app(CoalescePolicy::Off, |d| water::run(d, &p, v));
+        let on = run_app(DEFAULT_COALESCE, |d| water::run(d, &p, v));
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests, per-tag counts, and all.
@@ -137,8 +139,8 @@ fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
         seed: 42,
         hoist_maps: false,
     };
-    let off = run_app(false, |d| em3d::run(d, &p, Variant::Custom));
-    let on = run_app(true, |d| em3d::run(d, &p, Variant::Custom));
+    let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, Variant::Custom));
+    let on = run_app(DEFAULT_COALESCE, |d| em3d::run(d, &p, Variant::Custom));
     assert_equivalent(&off, &on, "em3d custom default scale");
     assert!(
         on.outcome.wire_msgs < on.outcome.msgs,

@@ -18,8 +18,8 @@ use std::rc::Rc;
 use ace_apps::runner::launch_ace_with;
 use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, Variant};
 use ace_core::{
-    run_ace_with, AceError, AceRt, CheckMode, ConformanceKind, CostModel, ExecBackend,
-    MachineBuilder, ProtoMsg, Protocol, RegionEntry, Spmd, TraceConfig,
+    run_ace_with, AceError, AceRt, CheckMode, CoalescePolicy, ConformanceKind, CostModel,
+    ExecBackend, MachineBuilder, ProtoMsg, Protocol, RegionEntry, Spmd, TraceConfig,
 };
 
 fn checked(nprocs: usize, mode: CheckMode) -> MachineBuilder {
@@ -357,7 +357,9 @@ fn a_checked_run_sends_what_the_unchecked_run_sends() {
         for coalesce in [false, true] {
             let observe = |mode| {
                 let r = launch_ace_with(checked(4, mode).trace(TraceConfig::on()), |d| {
-                    d.rt().set_coalescing(coalesce);
+                    if !coalesce {
+                        d.rt().node().set_coalesce(CoalescePolicy::Off);
+                    }
                     app(d)
                 });
                 let mut tags = r.trace.expect("trace requested").summary().tags;

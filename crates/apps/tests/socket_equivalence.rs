@@ -1,5 +1,5 @@
 //! The transport backend must be invisible to the program. Whether wire
-//! envelopes move through in-process channels (`TransportKind::InProc`)
+//! envelopes move through in-process mailboxes (`TransportKind::InProc`)
 //! or are framed by the codec and carried over real loopback sockets
 //! between the node threads (`TransportKind::socket_loopback()`), the
 //! machine executes the same logical computation: the substrate only
@@ -16,7 +16,7 @@
 //!   socket path perturbs at least as much as OS scheduling does; the
 //!   wire count is only bounded by the logical count.
 //! * **byte accounting** — the socket transport charges its own framing
-//!   header ([`SOCKET_HEADER_BYTES`] = 23 bytes) where the in-process
+//!   header ([`SOCKET_HEADER_BYTES`] = 38 bytes) where the in-process
 //!   backend charges the simulated CM-5 header (20 bytes), so byte
 //!   totals and the virtual clocks they feed legitimately differ. That
 //!   is a *cost model* difference, not a behavioral one, and nothing

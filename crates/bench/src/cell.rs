@@ -5,7 +5,7 @@
 
 use ace_apps::runner::{launch_ace_with, launch_crl_with, RunOutcome};
 use ace_apps::{barnes, bsc, em3d, tsp, water, Dsm, Variant};
-use ace_core::{CheckMode, CostModel, MachineBuilder, Spmd, TraceConfig};
+use ace_core::{CheckMode, CoalescePolicy, CostModel, MachineBuilder, Spmd, TraceConfig};
 use ace_lang::OptLevel;
 
 use crate::acec;
@@ -48,7 +48,8 @@ pub enum What {
 pub enum Tweak {
     /// The default machine.
     None,
-    /// `AceRt::set_coalescing(false)`: one wire envelope per logical send.
+    /// `CoalescePolicy::Off` on the runtime's node: one wire envelope per
+    /// logical send.
     NoCoalesce,
     /// Network latency and per-byte cost scaled by this factor.
     Net(u64),
@@ -177,7 +178,7 @@ impl Cell {
         match self.what {
             What::Ace(v) => launch_ace_with(self.machine(), |d| {
                 if self.tweak == Tweak::NoCoalesce {
-                    d.rt().set_coalescing(false);
+                    d.rt().node().set_coalesce(CoalescePolicy::Off);
                 }
                 self.kernel(d, v)
             }),

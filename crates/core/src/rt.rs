@@ -312,16 +312,6 @@ impl<'n> AceRt<'n> {
         self.fast_enabled.set(on);
     }
 
-    /// Enable or disable per-destination send coalescing (the second
-    /// escape hatch, mirroring [`AceRt::set_fast_paths`]). On by default
-    /// with [`DEFAULT_COALESCE`]; switching flushes anything buffered, so
-    /// no message straddles the change. Turning it off restores one wire
-    /// envelope per logical message — bit-identical to the pre-coalescing
-    /// runtime — for A/B measurement.
-    pub fn set_coalescing(&self, on: bool) {
-        self.node.set_coalesce(if on { DEFAULT_COALESCE } else { CoalescePolicy::Off });
-    }
-
     /// The last annotation hook entered on this node (see `last_hook`).
     pub fn last_hook(&self) -> &'static str {
         self.last_hook.get()

@@ -32,15 +32,15 @@ pub const HEADER_BYTES: usize = 20;
 pub struct Envelope<M> {
     /// Sending node's rank.
     pub src: usize,
-    /// Sender's virtual clock when the message was injected (for a
-    /// coalesced batch: when its wire envelope was flushed).
+    /// Sender's virtual clock when the message's wire envelope was
+    /// injected (for a coalesced message: when its buffer was flushed).
     pub send_time: u64,
     /// Sender's vector clock at injection — a dense snapshot, one lane per
     /// rank — present only when the machine runs with conformance checking
     /// enabled ([`crate::CheckMode`]). Sending is not a clock event
     /// ([`crate::VClock`]), so envelopes sent between two changes of the
-    /// sender's clock share one allocation. For a coalesced batch only
-    /// the first delivered part carries the clock (one merge per wire
+    /// sender's clock share one allocation. Of a wire envelope's parts
+    /// only the first delivered one carries the clock (one merge per wire
     /// envelope). Checker metadata is metrologically invisible: it
     /// contributes nothing to `bytes` or any cost charge.
     pub vc: Option<std::sync::Arc<[u64]>>,
@@ -53,47 +53,29 @@ pub struct Envelope<M> {
     /// two-barrier switch handshake makes that impossible for a coherent
     /// engine.
     pub sw: u64,
-    /// Wire bytes — payload plus [`HEADER_BYTES`] — captured at send time
-    /// by calling [`MsgSize::size_bytes`] once, so the receiver never
-    /// re-measures the payload and both ends charge identical bytes.
-    /// For a sub-message delivered out of a coalesced batch this is the
-    /// sub-message's own payload (headerless except on the batch's first
-    /// part); see `Node::send` for the charging rules.
+    /// On a [`Wire`] envelope, its wire bytes: the parts' payloads plus one
+    /// header. On a delivered message, its own payload. Payloads are
+    /// measured once at send time by [`MsgSize::size_bytes`], so the
+    /// receiver never re-measures them and both ends charge identical
+    /// bytes; see `Node::send` for the charging rules.
     pub bytes: usize,
     /// The message itself.
     pub msg: M,
 }
 
-/// What actually travels on the transport: either a plain envelope or a
-/// coalesced batch of logical messages bound for the same destination.
-/// The batch is the *wire* unit — it pays latency, header and overheads
-/// once; its parts are re-expanded into individual [`Envelope`]s on the
-/// receiving side so handlers never see batching.
+/// What actually travels on the transport: one envelope whose message is
+/// the `(msg, payload_bytes)` parts it carries, in send order, all bound
+/// for one destination. An uncoalesced send is a one-part envelope; a
+/// coalescing flush carries every part its buffer held. Either way the
+/// envelope is the *wire* unit — it pays latency, header and overheads
+/// once, and its `bytes` are the summed payloads plus one header — and
+/// the receiver re-expands it into one [`Envelope`] per part, so handlers
+/// never see grouping.
 ///
 /// This is the unit a [`crate::transport::Transport`] backend carries:
-/// the in-process backend moves it through a channel, the socket backend
-/// frames it with [`crate::transport::WireCodec`].
-#[derive(Debug)]
-pub enum Wire<M> {
-    /// One logical message, one wire envelope.
-    Single(Envelope<M>),
-    /// A coalesced flush of one destination's buffered messages.
-    Batch {
-        /// Sending node's rank.
-        src: usize,
-        /// Sender's virtual clock at flush.
-        send_time: u64,
-        /// Summed payload bytes of all parts plus one wire header.
-        wire_bytes: usize,
-        /// `(msg, payload_bytes)` in send order.
-        parts: Vec<(M, usize)>,
-        /// Sender's vector clock at flush, when checking is enabled.
-        vc: Option<std::sync::Arc<[u64]>>,
-        /// Sender's protocol-switch epoch at flush (see [`Envelope::sw`]);
-        /// stamped back onto every re-expanded part.
-        sw: u64,
-    },
-}
+/// the in-process backend pushes it into the destination's mailbox, the
+/// socket backend frames it with [`crate::transport::WireCodec`].
+pub type Wire<M> = Envelope<Vec<(M, usize)>>;
 
 impl MsgSize for () {
     fn size_bytes(&self) -> usize {
@@ -120,9 +102,16 @@ impl MsgSize for std::sync::Arc<[u64]> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A one-part wire envelope carrying `msg` from `src`, as an
+    /// uncoalesced send injects it.
+    pub(crate) fn one_part(src: usize, msg: u64) -> Wire<u64> {
+        let bytes = 8 + HEADER_BYTES;
+        Envelope { src, send_time: 0, bytes, vc: None, sw: 0, msg: vec![(msg, 8)] }
+    }
 
     #[test]
     fn builtin_sizes() {

@@ -76,7 +76,7 @@ pub use ace_trace::{
 
 /// Maximum number of simulated processors. Sharer sets in the protocol
 /// layers keep a 64-bit bitmask fast path and spill to a word vector past
-/// 64 ranks, so the cap is set by practicality (per-node threads, channel
-/// fan-in), not representation; 4096 nodes is where the scaling study
-/// tops out.
+/// 64 ranks, so the cap is set by practicality (the host memory and time
+/// one machine of that many nodes takes), not representation; 4096 nodes
+/// is where the scaling study tops out.
 pub const MAX_NODES: usize = 4096;

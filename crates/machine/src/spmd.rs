@@ -243,7 +243,7 @@ impl MachineBuilder {
     }
 
     /// Which wire substrate the machine runs on (see [`TransportKind`]);
-    /// in-process channels by default. Incompatible combinations are
+    /// in-process mailboxes by default. Incompatible combinations are
     /// rejected eagerly by [`MachineBuilder::validate`] rather than at
     /// some blocking point deep in a run.
     pub fn transport(mut self, kind: TransportKind) -> Self {

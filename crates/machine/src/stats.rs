@@ -4,7 +4,7 @@
 ///
 /// Message accounting is split into *logical* and *wire* views. A logical
 /// message is one `Node::send` call; a wire message is one envelope that
-/// actually crossed a channel. With coalescing off the two coincide; with
+/// actually crossed the transport. With coalescing off the two coincide; with
 /// coalescing on, many logical messages can share one wire envelope (and
 /// one header), so `wire_msgs <= logical_msgs` always holds. Logical byte
 /// accounting charges every message its payload plus header — a
@@ -15,7 +15,7 @@
 pub struct NodeStats {
     /// Logical messages injected by this node (one per `send` call).
     pub logical_msgs: u64,
-    /// Wire envelopes this node put on a channel.
+    /// Wire envelopes this node put on the transport.
     pub wire_msgs: u64,
     /// Logical bytes injected: payload plus one header per logical message,
     /// independent of how messages were grouped on the wire.

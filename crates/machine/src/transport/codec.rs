@@ -1,4 +1,4 @@
-//! Hand-rolled wire encoding for envelopes and batches.
+//! Hand-rolled wire encoding for envelopes.
 //!
 //! The build environment is offline (no serde/bincode), so the socket
 //! backend frames messages with an explicit little-endian codec: every
@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::envelope::{Envelope, Wire};
+use crate::envelope::Envelope;
 
 /// A decode failure: the frame was truncated, carried an unknown tag, or
 /// an embedded string was not UTF-8.
@@ -215,58 +215,33 @@ impl<M: WireCodec> WireCodec for Envelope<M> {
     }
 }
 
-/// Wire-envelope tags.
-const WIRE_SINGLE: u8 = 0;
-const WIRE_BATCH: u8 = 1;
-
-impl<M: WireCodec> WireCodec for Wire<M> {
+/// A wire envelope's message: a `u32` part count, then each part as its
+/// `u32` payload size followed by the message. With the [`Envelope`]
+/// impl above this is the whole frame codec of a [`crate::Wire`].
+impl<M: WireCodec> WireCodec for Vec<(M, usize)> {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Wire::Single(env) => {
-                out.push(WIRE_SINGLE);
-                env.encode(out);
-            }
-            Wire::Batch { src, send_time, wire_bytes, parts, vc, sw } => {
-                out.push(WIRE_BATCH);
-                out.extend_from_slice(&(*src as u32).to_le_bytes());
-                out.extend_from_slice(&send_time.to_le_bytes());
-                out.extend_from_slice(&(*wire_bytes as u32).to_le_bytes());
-                put_vc(out, vc);
-                out.extend_from_slice(&sw.to_le_bytes());
-                out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
-                for (msg, payload) in parts {
-                    out.extend_from_slice(&(*payload as u32).to_le_bytes());
-                    msg.encode(out);
-                }
-            }
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        for (msg, payload) in self {
+            out.extend_from_slice(&(*payload as u32).to_le_bytes());
+            msg.encode(out);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            WIRE_SINGLE => Ok(Wire::Single(Envelope::decode(r)?)),
-            WIRE_BATCH => {
-                let src = r.u32()? as usize;
-                let send_time = r.u64()?;
-                let wire_bytes = r.u32()? as usize;
-                let vc = get_vc(r)?;
-                let sw = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut parts = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let payload = r.u32()? as usize;
-                    parts.push((M::decode(r)?, payload));
-                }
-                Ok(Wire::Batch { src, send_time, wire_bytes, parts, vc, sw })
-            }
-            t => Err(CodecError::BadTag(t)),
+        let n = r.u32()? as usize;
+        let mut parts = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let payload = r.u32()? as usize;
+            parts.push((M::decode(r)?, payload));
         }
+        Ok(parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Wire;
 
     fn round_trip<M: WireCodec>(w: &Wire<M>) -> Wire<M> {
         let mut buf = Vec::new();
@@ -294,58 +269,34 @@ mod tests {
     }
 
     #[test]
-    fn single_wire_round_trips() {
-        let w = Wire::Single(Envelope {
-            src: 2,
-            send_time: 777,
-            bytes: 16,
-            vc: Some(Arc::from(vec![1u64, 2])),
-            sw: 9,
-            msg: 41u64,
-        });
-        match round_trip(&w) {
-            Wire::Single(env) => {
-                assert_eq!((env.src, env.send_time, env.bytes, env.msg), (2, 777, 16, 41));
-                assert_eq!(env.vc.as_deref(), Some(&[1u64, 2][..]));
-                assert_eq!(env.sw, 9);
-            }
-            Wire::Batch { .. } => panic!("single decoded as batch"),
-        }
-    }
-
-    #[test]
-    fn batch_wire_round_trips_in_order() {
-        let w: Wire<Vec<u64>> = Wire::Batch {
+    fn wire_envelope_round_trips_its_parts_in_order() {
+        let parts = vec![(vec![1, 2], 16), (vec![], 0), (vec![9], 8)];
+        let w: Wire<Vec<u64>> = Envelope {
             src: 3,
             send_time: 42,
-            wire_bytes: 100,
-            parts: vec![(vec![1, 2], 16), (vec![], 0), (vec![9], 8)],
-            vc: None,
+            bytes: 100,
+            vc: Some(Arc::from(vec![1u64, 2])),
             sw: 2,
+            msg: parts.clone(),
         };
-        match round_trip(&w) {
-            Wire::Batch { src, send_time, wire_bytes, parts, vc, sw } => {
-                assert_eq!((src, send_time, wire_bytes), (3, 42, 100));
-                assert!(vc.is_none());
-                assert_eq!(sw, 2);
-                assert_eq!(parts, vec![(vec![1, 2], 16), (vec![], 0), (vec![9], 8)]);
-            }
-            Wire::Single(_) => panic!("batch decoded as single"),
-        }
+        let back = round_trip(&w);
+        assert_eq!((back.src, back.send_time, back.bytes, back.sw), (3, 42, 100, 2));
+        assert_eq!(back.vc.as_deref(), Some(&[1u64, 2][..]));
+        assert_eq!(back.msg, parts);
     }
 
     #[test]
     fn truncated_and_bad_tag_frames_are_rejected() {
-        let env = Envelope { src: 0, send_time: 0, bytes: 8, vc: None, sw: 0, msg: 7u64 };
         let mut buf = Vec::new();
-        Wire::Single(env).encode(&mut buf);
+        crate::envelope::tests::one_part(0, 7).encode(&mut buf);
         for cut in 0..buf.len() {
             let err = Wire::<u64>::decode(&mut WireReader::new(&buf[..cut]));
             assert!(err.is_err(), "prefix of {cut} bytes must not decode");
         }
-        let bad = [9u8, 0, 0, 0];
+        // The vector-clock presence flag sits after src, send time and bytes.
+        buf[16] = 9;
         assert!(matches!(
-            Wire::<u64>::decode(&mut WireReader::new(&bad)),
+            Wire::<u64>::decode(&mut WireReader::new(&buf)),
             Err(CodecError::BadTag(9))
         ));
     }

@@ -73,14 +73,10 @@ impl<M> Transport<M> for InProcTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::Envelope;
+    use crate::envelope::tests::one_part as env;
     use crate::sched::Parker;
     use crate::transport::WaitWireError;
     use std::time::{Duration, Instant};
-
-    fn env(src: usize, msg: u64) -> Wire<u64> {
-        Wire::Single(Envelope { src, send_time: 0, bytes: 28, vc: None, sw: 0, msg })
-    }
 
     #[test]
     fn mesh_routes_per_pair_fifo() {
@@ -90,10 +86,8 @@ mod tests {
         eps[0].send_wire(1, env(0, 2));
         eps[0].send_wire(0, env(0, 3)); // self-send loops back
         for (ep, want) in [(&eps[1], 1), (&eps[1], 2), (&eps[0], 3)] {
-            match ep.mailbox().try_pop() {
-                Some(Wire::Single(e)) => assert_eq!(e.msg, want),
-                other => panic!("expected Single({want}), got {other:?}",),
-            }
+            let e = ep.mailbox().try_pop().expect("delivered");
+            assert_eq!(e.msg, vec![(want, 8)]);
         }
         assert!(eps[1].mailbox().try_pop().is_none());
     }

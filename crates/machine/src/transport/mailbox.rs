@@ -120,18 +120,11 @@ impl<M> Mailbox<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::Envelope;
+    use crate::envelope::tests::one_part as env;
     use std::time::Duration;
 
-    fn env(src: usize, msg: u64) -> Wire<u64> {
-        Wire::Single(Envelope { src, send_time: 0, bytes: 28, vc: None, sw: 0, msg })
-    }
-
     fn msg_of(w: Wire<u64>) -> u64 {
-        match w {
-            Wire::Single(e) => e.msg,
-            other => panic!("expected a single, got {other:?}"),
-        }
+        w.msg[0].0
     }
 
     fn soon() -> Instant {

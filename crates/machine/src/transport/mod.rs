@@ -3,7 +3,9 @@
 //!
 //! Everything above this module — coalescing, vector-clock piggybacking,
 //! logical/wire accounting, the cost model's virtual clocks — works in
-//! terms of [`Wire`] envelopes and four capabilities: inject a wire
+//! terms of one envelope shape, the [`Wire`] envelope (an
+//! [`crate::Envelope`] whose message is the parts it carries), and four
+//! capabilities: inject a wire
 //! envelope toward a destination, park until one is delivered, learn that
 //! a peer died, and shut down cleanly. [`Transport`] names exactly that
 //! seam, with two backends:
@@ -11,7 +13,7 @@
 //! * [`InProcTransport`] — a shared table of mailboxes plus the cost
 //!   model's simulated latencies; the default.
 //! * [`SocketTransport`] — real multi-process Unix-domain sockets:
-//!   length-prefixed frames of the same `Wire` envelopes, written by the
+//!   length-prefixed frames of the same wire envelopes, written by the
 //!   node's own thread, a rank-0 rendezvous that assigns ranks and
 //!   exchanges peer paths, one reader thread per peer, and reconnect-free
 //!   fail-fast mapped onto the existing peer-death path.

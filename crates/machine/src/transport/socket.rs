@@ -18,7 +18,10 @@
 //! After the handshake the node's own thread writes: [`Transport::send_wire`]
 //! encodes the [`Wire`] envelope with [`WireCodec`] behind a `u32` length
 //! prefix and `write_all`s the frame to the peer's stream, so per-pair
-//! FIFO is the byte order of one stream. Each endpoint runs one **reader
+//! FIFO is the byte order of one stream. Every wire frame has one shape,
+//! one part or many: length, frame kind, the envelope's source, send
+//! time, byte count, vector-clock flag (and clock) and switch epoch, then
+//! a part count and each part as its payload size and message. Each endpoint runs one **reader
 //! thread** per peer, decoding frames into the endpoint's unbounded
 //! [`Mailbox`], which the node parks on exactly as it parks on an
 //! in-process one. That is why a write cannot deadlock: a `write_all`
@@ -51,13 +54,14 @@ use crate::transport::{FailBoard, Mailbox, Transport};
 /// [`crate::MAX_NODES`].)
 pub const SOCKET_MAX_RANKS: usize = 64;
 
-/// Measured fixed framing overhead per wire envelope on this backend:
-/// 4-byte length prefix + 1 frame kind + 1 wire tag + 4 source rank +
-/// 8 send time + 4 byte count + 1 vector-clock presence flag. Reported
-/// through [`Transport::header_bytes`], so byte *accounting* under
-/// `Socket` reflects real framing while logical message counts stay
-/// identical to the in-process backend.
-pub const SOCKET_HEADER_BYTES: usize = 23;
+/// Measured fixed framing overhead of a one-part wire envelope on this
+/// backend: 4-byte length prefix + 1 frame kind + 4 source rank + 8 send
+/// time + 4 byte count + 1 vector-clock presence flag + 8 switch epoch +
+/// 4 part count + 4 part payload size. Reported through
+/// [`Transport::header_bytes`], so byte *accounting* under `Socket`
+/// reflects real framing while logical message counts stay identical to
+/// the in-process backend.
+pub const SOCKET_HEADER_BYTES: usize = 38;
 
 /// Hard ceiling on a received frame's body, so a corrupt length prefix
 /// cannot ask for gigabytes.
@@ -580,6 +584,7 @@ fn reader_loop<M: WireCodec>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::tests::one_part;
     use crate::envelope::Envelope;
     use crate::sched::Parker;
 
@@ -604,29 +609,30 @@ mod tests {
         })
     }
 
-    fn single(src: usize, msg: u64) -> Wire<u64> {
-        Wire::Single(Envelope { src, send_time: 0, bytes: 31, vc: None, sw: 0, msg })
+    #[test]
+    fn header_bytes_is_a_one_part_frame_minus_its_message() {
+        let mut frame = Vec::new();
+        send_frame(io::sink(), &mut frame, FR_WIRE, |b| one_part(3, 7).encode(b)).unwrap();
+        let mut msg = Vec::new();
+        7u64.encode(&mut msg);
+        assert_eq!(frame.len() - msg.len(), SOCKET_HEADER_BYTES);
     }
 
     #[test]
     fn mesh_establishes_and_delivers_fifo() {
         let eps = endpoints(3);
         for i in 0..10 {
-            eps[0].send_wire(2, single(0, i));
+            eps[0].send_wire(2, one_part(0, i));
         }
-        eps[1].send_wire(1, single(1, 99)); // self-send loops back
+        eps[1].send_wire(1, one_part(1, 99)); // self-send loops back
         let mut got = Vec::new();
         while got.len() < 10 {
-            match recv(&eps[2], Duration::from_secs(5)) {
-                Some(Wire::Single(e)) => got.push(e.msg),
-                other => panic!("unexpected: {other:?}"),
-            }
+            let e = recv(&eps[2], Duration::from_secs(5)).expect("delivered");
+            got.push(e.msg[0].0);
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        match recv(&eps[1], Duration::from_secs(1)) {
-            Some(Wire::Single(e)) => assert_eq!(e.msg, 99),
-            other => panic!("unexpected: {other:?}"),
-        }
+        let e = recv(&eps[1], Duration::from_secs(1)).expect("self-send delivered");
+        assert_eq!(e.msg, vec![(99, 8)]);
         for ep in &eps {
             ep.shutdown();
         }
@@ -694,23 +700,21 @@ mod tests {
         let flood = |rank: usize, ep: SocketTransport<u64>| {
             let peer = 1 - rank;
             for f in 0..FRAMES {
-                let parts = (f * WORDS..(f + 1) * WORDS).map(|w| (w, 8)).collect();
-                let wire_bytes = 8 * WORDS as usize;
-                let batch =
-                    Wire::Batch { src: rank, send_time: 0, wire_bytes, parts, vc: None, sw: 0 };
-                ep.send_wire(peer, batch);
+                let msg = (f * WORDS..(f + 1) * WORDS).map(|w| (w, 8)).collect();
+                let bytes = 8 * WORDS as usize;
+                ep.send_wire(
+                    peer,
+                    Envelope { src: rank, send_time: 0, bytes, vc: None, sw: 0, msg },
+                );
             }
             let mut next = 0;
             while next < FRAMES * WORDS {
-                match recv(&ep, Duration::from_secs(30)) {
-                    Some(Wire::Batch { src, parts, .. }) => {
-                        assert_eq!(src, peer);
-                        for (w, _) in parts {
-                            assert_eq!(w, next, "rank {rank}: stream from {peer} reordered");
-                            next += 1;
-                        }
-                    }
-                    other => panic!("rank {rank}: unexpected {other:?}"),
+                let wire = recv(&ep, Duration::from_secs(30))
+                    .unwrap_or_else(|| panic!("rank {rank}: nothing from {peer}"));
+                assert_eq!(wire.src, peer);
+                for (w, _) in wire.msg {
+                    assert_eq!(w, next, "rank {rank}: stream from {peer} reordered");
+                    next += 1;
                 }
             }
             ep

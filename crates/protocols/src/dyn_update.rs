@@ -278,7 +278,7 @@ impl Protocol for DynamicUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_core::{run_ace, CostModel, RegionId};
+    use ace_core::{run_ace, CoalescePolicy, CostModel, RegionId, DEFAULT_COALESCE};
     use std::rc::Rc;
 
     fn upd() -> Rc<dyn Protocol> {
@@ -381,9 +381,9 @@ mod tests {
         // the transport batches those cross-region UPDs into shared wire
         // envelopes. Logical traffic and results must not change; wire
         // traffic must drop.
-        let run = |coalesce: bool| {
+        let run = |policy: CoalescePolicy| {
             run_ace(2, CostModel::free(), move |rt| {
-                rt.set_coalescing(coalesce);
+                rt.node().set_coalesce(policy);
                 let s = rt.new_space(upd());
                 let mut rids = Vec::new();
                 for _ in 0..16 {
@@ -416,8 +416,8 @@ mod tests {
                 sum
             })
         };
-        let off = run(false);
-        let on = run(true);
+        let off = run(CoalescePolicy::Off);
+        let on = run(DEFAULT_COALESCE);
         let want: u64 = (1..=16).sum();
         assert_eq!(off.results, vec![want, want]);
         assert_eq!(on.results, vec![want, want]);

@@ -339,7 +339,7 @@ impl Protocol for SeqInvalidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_core::{run_ace, CostModel, RegionId};
+    use ace_core::{run_ace, CoalescePolicy, CostModel, RegionId, DEFAULT_COALESCE};
     use std::rc::Rc;
 
     fn sc() -> Rc<dyn Protocol> {
@@ -421,9 +421,9 @@ mod tests {
         // wait that flushes it — so coalescing must not change what any
         // node observes, and logical traffic must be bit-identical between
         // the two transports.
-        let run = |coalesce: bool| {
+        let run = |policy: CoalescePolicy| {
             run_ace(4, CostModel::free(), move |rt| {
-                rt.set_coalescing(coalesce);
+                rt.node().set_coalesce(policy);
                 let rid = shared_region(rt, 1);
                 for round in 0..6u64 {
                     // Everyone reads (populating the sharer list), then one
@@ -444,8 +444,8 @@ mod tests {
                 v
             })
         };
-        let off = run(false);
-        let on = run(true);
+        let off = run(CoalescePolicy::Off);
+        let on = run(DEFAULT_COALESCE);
         assert_eq!(off.results, vec![6; 4]);
         assert_eq!(on.results, off.results);
         assert_eq!(on.stats.total_msgs(), off.stats.total_msgs(), "same logical traffic");
