@@ -31,11 +31,9 @@ pub enum Em3dProto {
     /// Static update: sharer lists built once, pushes at barriers (≈5×).
     Static,
     /// Adaptive engine choosing among SC and the two update protocols
-    /// from the observed producer/consumer signals.
-    Adaptive,
-    /// Adaptive with the same candidate set but an explicit starting
-    /// candidate — the harness for proving the engine *discovers* the
-    /// update-protocol win from an arbitrary (e.g. SC) starting point.
+    /// from the observed producer/consumer signals, starting at the given
+    /// candidate bit — from SC it is the harness for proving the engine
+    /// *discovers* the update-protocol win.
     AdaptiveFrom(u8),
     /// Adaptive engine pinned to a single candidate bit
     /// ([`AdaptiveSpec::SC`] and friends) — the equivalence harnesses
@@ -183,22 +181,6 @@ pub fn run_with<D: Dsm>(d: &D, p: &Params, proto: Em3dProto) -> f64 {
             d.change_protocol(eval, ProtoSpec::StaticUpdate);
             d.change_protocol(hval, ProtoSpec::StaticUpdate);
         }
-        Em3dProto::Adaptive => {
-            // The programmer knows this is a producer→consumer pattern
-            // (that is why the update candidates are listed at all) but
-            // not which update flavor wins, so the engine starts at the
-            // conservative family member — dynamic update — and is left
-            // to discover the static-schedule refinement from the
-            // profiles. Starting at SC instead would be safe but pays
-            // invalidation-priced warmup intervals on the one app where
-            // SC is 5x off.
-            let spec = AdaptiveSpec::new(
-                AdaptiveSpec::SC | AdaptiveSpec::DYN_UPDATE | AdaptiveSpec::STATIC_UPDATE,
-            )
-            .starting_at(AdaptiveSpec::DYN_UPDATE);
-            d.change_protocol(eval, ProtoSpec::Adaptive(spec));
-            d.change_protocol(hval, ProtoSpec::Adaptive(spec));
-        }
         Em3dProto::AdaptiveFrom(bit) => {
             let spec = AdaptiveSpec::new(
                 AdaptiveSpec::SC | AdaptiveSpec::DYN_UPDATE | AdaptiveSpec::STATIC_UPDATE,
@@ -301,7 +283,15 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         match v {
             Variant::Sc => Em3dProto::Sc,
             Variant::Custom => Em3dProto::Static,
-            Variant::Adaptive => Em3dProto::Adaptive,
+            // The programmer knows this is a producer→consumer pattern
+            // (that is why the update candidates are listed at all) but
+            // not which update flavor wins, so the engine starts at the
+            // conservative family member — dynamic update — and is left
+            // to discover the static-schedule refinement from the
+            // profiles. Starting at SC instead would be safe but pays
+            // invalidation-priced warmup intervals on the one app where
+            // SC is 5x off.
+            Variant::Adaptive => Em3dProto::AdaptiveFrom(AdaptiveSpec::DYN_UPDATE),
         },
     )
 }

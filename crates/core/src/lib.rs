@@ -96,9 +96,10 @@ where
 /// Run ONE rank of a multi-process Ace machine in this OS process.
 ///
 /// The builder must select `TransportKind::Socket` with a concrete
-/// rendezvous address; the other ranks are peer processes calling
-/// `run_ace_rank` with the same machine size and address (rank 0 hosts the
-/// rendezvous). Same shutdown-barrier contract as [`run_ace`], so all
+/// socket address; the other ranks are peer processes calling
+/// `run_ace_rank` with the same machine size and address, started in any
+/// order (each listens at a path named after its rank). Same
+/// shutdown-barrier contract as [`run_ace`], so all
 /// processes leave together. Configuration problems come back as
 /// [`AceError::Config`] before any socket is opened.
 pub fn run_ace_rank<R, F>(

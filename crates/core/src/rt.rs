@@ -435,22 +435,8 @@ impl<'n> AceRt<'n> {
         arg: u64,
         data: Option<Arc<[u64]>>,
     ) {
-        self.send_proto_from(dst, self.rank(), region, op, arg, data);
-    }
-
-    /// Send a protocol message with an explicit originator (three-hop
-    /// forwarding: home forwards a request but the reply must go to the
-    /// original requester).
-    pub fn send_proto_from(
-        &self,
-        dst: usize,
-        from: usize,
-        region: RegionId,
-        op: u16,
-        arg: u64,
-        data: Option<Arc<[u64]>>,
-    ) {
-        self.node.send(dst, AceMsg::Proto(ProtoMsg { region, op, from: from as u16, arg, data }));
+        let from = self.rank() as u16;
+        self.node.send(dst, AceMsg::Proto(ProtoMsg { region, op, from, arg, data }));
     }
 
     /// Service incoming messages until `pred` holds. Protocols use this to
@@ -1321,7 +1307,7 @@ impl<'n> AceRt<'n> {
     }
 
     /// The default lock implementation: FIFO queue at the region's home.
-    pub fn default_lock(&self, e: &RegionEntry) {
+    pub(crate) fn default_lock(&self, e: &RegionEntry) {
         self.counters.borrow_mut().locks += 1;
         e.lock_granted.set(false);
         self.send(e.id.home(), AceMsg::LockReq { region: e.id });
@@ -1329,7 +1315,7 @@ impl<'n> AceRt<'n> {
     }
 
     /// The default unlock implementation.
-    pub fn default_unlock(&self, e: &RegionEntry) {
+    pub(crate) fn default_unlock(&self, e: &RegionEntry) {
         self.send(e.id.home(), AceMsg::LockRelease { region: e.id });
     }
 

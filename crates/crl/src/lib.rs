@@ -197,23 +197,18 @@ impl<'n> CrlRt<'n> {
 
     /// `rgn_barrier`: the global barrier.
     pub fn barrier(&self) {
-        self.rt.counters_mut(|c| c.barriers += 1);
-        self.rt.machine_barrier();
+        self.rt.barrier(self.space);
     }
 
     /// Region lock (home-queued FIFO, the same primitive Ace's default
     /// protocol provides, so the §5.1 comparison is apples-to-apples).
     pub fn lock(&self, r: RegionId) {
-        let e = self.rt.entry(r);
-        self.rt.node().charge(self.rt.node().cost().direct_call);
-        self.rt.default_lock(&e);
+        self.rt.lock_direct(r, &*self.proto);
     }
 
     /// Region unlock.
     pub fn unlock(&self, r: RegionId) {
-        let e = self.rt.entry(r);
-        self.rt.node().charge(self.rt.node().cost().direct_call);
-        self.rt.default_unlock(&e);
+        self.rt.unlock_direct(r, &*self.proto);
     }
 
     /// Broadcast (collective), for distributing root region ids.

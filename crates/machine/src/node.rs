@@ -234,12 +234,6 @@ pub struct Node<M> {
     /// when it commits a switch, stamped on every outgoing wire envelope
     /// (see [`Envelope::sw`]). Metrologically invisible.
     sw_epoch: Cell<u64>,
-    /// Highest switch epoch seen on any incoming envelope (max-merged on
-    /// absorb). During a switch handshake a node blocked in the commit
-    /// barrier can observe `sw_epoch + 1` — peers past the barrier have
-    /// already bumped — but never more: the engine's two-barrier commit
-    /// bounds the skew, and debug builds assert it.
-    sw_seen: Cell<u64>,
 }
 
 impl<M: MsgSize + Send> Node<M> {
@@ -275,7 +269,6 @@ impl<M: MsgSize + Send> Node<M> {
             violations: Cell::new(0),
             check_history: Cell::new((0, 0)),
             sw_epoch: Cell::new(0),
-            sw_seen: Cell::new(0),
         }
     }
 
@@ -321,11 +314,6 @@ impl<M: MsgSize + Send> Node<M> {
     /// Drain the node's event buffer for merging, if tracing is on.
     pub(crate) fn take_trace(&self) -> Option<NodeTrace> {
         self.sink.enabled().then(|| self.sink.take(self.rank))
-    }
-
-    /// Number of logical messages currently buffered across destinations.
-    pub fn pending_coalesced(&self) -> usize {
-        self.pending.get()
     }
 
     /// Switch the coalescing policy, flushing anything already buffered
@@ -625,21 +613,18 @@ impl<M: MsgSize + Send> Node<M> {
         if let (Some(mine), Some(theirs)) = (&self.vc, &inb.env.vc) {
             mine.borrow_mut().merge(theirs);
         }
-        if inb.env.sw > self.sw_seen.get() {
-            // Coherent switch commits sit between two machine barriers, so
-            // a message can arrive from at most one epoch ahead (its sender
-            // passed the commit barrier this node is still approaching) and
-            // never from a stale epoch after this node committed a newer
-            // one — the pre-commit flush drained those.
-            debug_assert!(
-                inb.env.sw <= self.sw_epoch.get() + 1,
-                "node {}: message from switch epoch {} arrived at epoch {}",
-                self.rank,
-                inb.env.sw,
-                self.sw_epoch.get()
-            );
-            self.sw_seen.set(inb.env.sw);
-        }
+        // Coherent switch commits sit between two machine barriers, so a
+        // message can arrive from at most one epoch ahead (its sender
+        // passed the commit barrier this node is still approaching) and
+        // never from a stale epoch after this node committed a newer one —
+        // the pre-commit flush drained those.
+        debug_assert!(
+            inb.env.sw <= self.sw_epoch.get() + 1,
+            "node {}: message from switch epoch {} arrived at epoch {}",
+            self.rank,
+            inb.env.sw,
+            self.sw_epoch.get()
+        );
         if self.sink.enabled() {
             if let Some((subs, wire_bytes)) = inb.wire {
                 self.sink.emit(
@@ -1023,7 +1008,7 @@ mod tests {
                 for i in 0..3 {
                     node.send(1, i + 1);
                 }
-                assert_eq!(node.pending_coalesced(), 3);
+                assert_eq!(node.pending.get(), 3);
                 node.flush_coalesced();
                 let s = node.stats();
                 assert_eq!(s.logical_msgs, 3);
@@ -1055,7 +1040,7 @@ mod tests {
                         node.send(1, i + 1);
                     }
                     // 2+2 flushed by the threshold; one message still queued.
-                    let pending = node.pending_coalesced() as u64;
+                    let pending = node.pending.get() as u64;
                     node.flush_coalesced();
                     (pending, node.stats().wire_msgs)
                 } else {
@@ -1137,9 +1122,9 @@ mod tests {
                 if node.rank() == 0 {
                     node.send(1, 1);
                     node.send(1, 2);
-                    assert_eq!(node.pending_coalesced(), 2);
+                    assert_eq!(node.pending.get(), 2);
                     node.set_coalesce(CoalescePolicy::Off);
-                    assert_eq!(node.pending_coalesced(), 0);
+                    assert_eq!(node.pending.get(), 0);
                     node.send(1, 3);
                     let s = node.stats();
                     (s.logical_msgs, s.wire_msgs)

@@ -12,7 +12,8 @@
 //!   the calling thread, or one OS thread per rank ([`ExecBackend`]).
 //! * [`MachineBuilder::spawn_rank`] — exactly one rank in this process,
 //!   over the socket transport; the other ranks are other OS processes
-//!   meeting at the configured rendezvous address.
+//!   given the same socket address, each listening at a path named after
+//!   its rank.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -336,7 +337,7 @@ impl MachineBuilder {
             }
             TransportKind::Socket(cfg) => {
                 // Resolve `Auto` once so every rank of this loopback run
-                // meets at the same generated rendezvous path.
+                // names its listener after the same generated path.
                 let cfg = cfg.resolved();
                 (0..nprocs).map(|_| NodeSeed::Socket(cfg.clone())).collect()
             }
@@ -417,11 +418,12 @@ impl MachineBuilder {
     /// Launch exactly one rank of a **multi-process** socket machine in
     /// this process, blocking until its closure returns. The other
     /// `nprocs - 1` ranks are expected to be peer OS processes calling
-    /// `spawn_rank` with the same machine size and rendezvous address
-    /// (rank 0 hosts the rendezvous).
+    /// `spawn_rank` with the same machine size and socket address, in any
+    /// order: every rank listens at a path named after its rank and dials
+    /// the ranks below it.
     ///
     /// Requires `.transport(TransportKind::Socket(..))` with a concrete
-    /// rendezvous address — every incompatibility is reported eagerly as
+    /// socket address — every incompatibility is reported eagerly as
     /// a [`ConfigError`] before any socket exists.
     ///
     /// # Panics

@@ -14,9 +14,9 @@
 //!   model's simulated latencies; the default.
 //! * [`SocketTransport`] — real multi-process Unix-domain sockets:
 //!   length-prefixed frames of the same wire envelopes, written by the
-//!   node's own thread, a rank-0 rendezvous that assigns ranks and
-//!   exchanges peer paths, one reader thread per peer, and reconnect-free
-//!   fail-fast mapped onto the existing peer-death path.
+//!   node's own thread, a mesh in which every rank listens at an address
+//!   computed from its rank, one reader thread per peer, and
+//!   reconnect-free fail-fast mapped onto the existing peer-death path.
 //!
 //! Both deliver into a [`Mailbox`], which owns the receive side: the
 //! non-blocking pop and the machine's one blocking receive (park once,
@@ -113,13 +113,13 @@ pub enum TransportKind {
     #[default]
     InProc,
     /// Real sockets: length-prefixed frames over Unix-domain stream
-    /// sockets, with a rank-0 rendezvous handshake.
+    /// sockets, each rank listening at a path named after its rank.
     Socket(SocketCfg),
 }
 
 impl TransportKind {
     /// A loopback socket machine: Unix-domain sockets under the temp
-    /// directory with a per-run rendezvous path. This is the
+    /// directory at a per-run path. This is the
     /// single-process configuration the equivalence suite runs — same
     /// framing, handshake and threads as a multi-process launch.
     pub fn socket_loopback() -> Self {

@@ -1,19 +1,18 @@
 //! The real-socket backend: the same machine over Unix-domain stream
 //! sockets, across OS processes.
 //!
-//! Topology is a full mesh. A run bootstraps in two phases:
-//!
-//! 1. **Rendezvous.** Every rank first binds its own *mesh listener*,
-//!    then rank 0 additionally binds the rendezvous path from
-//!    [`SocketCfg`]. Each other rank connects there and sends
-//!    `Join { want_rank, listen_path }`; once all `nprocs` ranks are
-//!    present, rank 0 answers each with `Welcome { rank, paths }` — the
-//!    assigned rank plus every rank's mesh path — and closes the
-//!    rendezvous listener.
-//! 2. **Mesh.** Rank `i` connects to every rank `j < i` (announcing
-//!    itself with `Hello { rank }`) and accepts connections from every
-//!    `j > i`. Listeners come down once the mesh is complete; there is no
-//!    reconnect path — a lost connection is a dead peer.
+//! Topology is a full mesh, and a rank finds its peers by their ranks:
+//! rank `r` listens at the [`SocketCfg`] path with `.m{r}` appended, so
+//! every rank can compute every peer's address. The bootstrap is one
+//! phase that every rank runs alike. Rank `i` binds its listener,
+//! replacing a socket file that a killed run left there (one a live
+//! process still accepts on means rank `i` is already running, an error).
+//! It then dials every rank `j < i`, retrying until `j`'s listener is up,
+//! and accepts every `j > i`. Both ends of each connection send
+//! `Hello { rank, nprocs }` and check the other's, so a machine-size
+//! mismatch fails on both sides at once. Listeners come down once the
+//! mesh is complete; there is no reconnect path — a lost connection is a
+//! dead peer.
 //!
 //! After the handshake the node's own thread writes: [`Transport::send_wire`]
 //! encodes the [`Wire`] envelope with [`WireCodec`] behind a `u32` length
@@ -36,6 +35,7 @@
 //! the node if it is parked on its mailbox.
 
 use std::cell::RefCell;
+use std::io::ErrorKind::{BrokenPipe, ConnectionReset, UnexpectedEof};
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -67,6 +67,10 @@ pub const SOCKET_HEADER_BYTES: usize = 38;
 /// cannot ask for gigabytes.
 const MAX_FRAME: usize = 1 << 28;
 
+/// Bound on the whole bootstrap. Processes of a multi-process launch may
+/// start seconds apart; connects retry until this deadline.
+const BOOTSTRAP_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Poll interval for deadline-bounded accepts and connect retries.
 const HANDSHAKE_POLL: Duration = Duration::from_millis(2);
 
@@ -74,13 +78,10 @@ const HANDSHAKE_POLL: Duration = Duration::from_millis(2);
 const FR_WIRE: u8 = 0;
 const FR_FAILED: u8 = 1;
 const FR_GOODBYE: u8 = 2;
-const HS_JOIN: u8 = 10;
-const HS_WELCOME: u8 = 11;
-const HS_HELLO: u8 = 12;
+const FR_HELLO: u8 = 3;
 
-/// Per-run uniquifier for auto-generated rendezvous and mesh-listener
-/// paths (several loopback machines may run concurrently in one test
-/// process).
+/// Per-run uniquifier for auto-generated paths (several loopback machines
+/// may run concurrently in one test process).
 static PATH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where a socket machine's ranks meet.
@@ -95,58 +96,46 @@ pub enum SockAddr {
     Auto,
 }
 
-/// Socket-backend configuration: where ranks rendezvous and how long the
-/// bootstrap may take.
+/// Socket-backend configuration: where a machine's ranks meet.
 #[derive(Debug, Clone)]
 pub struct SocketCfg {
-    /// The rendezvous path rank 0 listens on and every other rank
-    /// connects to. Mesh listeners are bound next to it.
+    /// The machine's address, the same for all its ranks: rank `r`
+    /// listens at this path with `.m{r}` appended.
     pub rendezvous: SockAddr,
-    /// Bound on the whole bootstrap (rendezvous plus mesh). Processes of
-    /// a multi-process launch may start seconds apart; connects retry
-    /// until this deadline.
-    pub handshake_timeout: Duration,
 }
 
 impl SocketCfg {
     /// Loopback configuration: auto-generated Unix-domain paths, for
     /// single-process runs (tests, the equivalence suite).
     pub fn loopback() -> Self {
-        SocketCfg { rendezvous: SockAddr::Auto, handshake_timeout: Duration::from_secs(30) }
+        SocketCfg { rendezvous: SockAddr::Auto }
     }
 
-    /// Rendezvous over a Unix-domain socket at `path`.
+    /// Meet over Unix-domain sockets named after `path`.
     pub fn unix(path: impl Into<PathBuf>) -> Self {
-        SocketCfg { rendezvous: SockAddr::Unix(path.into()), ..Self::loopback() }
-    }
-
-    /// Override the bootstrap deadline.
-    pub fn handshake_timeout(mut self, d: Duration) -> Self {
-        self.handshake_timeout = d;
-        self
+        SocketCfg { rendezvous: SockAddr::Unix(path.into()) }
     }
 
     /// Resolve [`SockAddr::Auto`] to a concrete per-run Unix path.
     pub(crate) fn resolved(&self) -> SocketCfg {
         match &self.rendezvous {
-            SockAddr::Auto => {
-                let path = std::env::temp_dir().join(format!(
-                    "ace-rdv-{}-{}",
-                    std::process::id(),
-                    PATH_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                SocketCfg { rendezvous: SockAddr::Unix(path), ..self.clone() }
-            }
+            SockAddr::Auto => SocketCfg::unix(std::env::temp_dir().join(format!(
+                "ace-sock-{}-{}",
+                std::process::id(),
+                PATH_SEQ.fetch_add(1, Ordering::Relaxed)
+            ))),
             _ => self.clone(),
         }
     }
 
-    /// The concrete rendezvous path.
-    fn rendezvous_path(&self) -> &Path {
-        match &self.rendezvous {
-            SockAddr::Unix(p) => p,
-            SockAddr::Auto => unreachable!("Auto is resolved before binding"),
-        }
+    /// Where `rank` listens: the configured path with `.m{rank}` appended.
+    fn rank_path(&self, rank: usize) -> PathBuf {
+        let SockAddr::Unix(base) = &self.rendezvous else {
+            unreachable!("Auto is resolved before binding")
+        };
+        let mut path = base.clone().into_os_string();
+        path.push(format!(".m{rank}"));
+        path.into()
     }
 }
 
@@ -161,22 +150,24 @@ struct Listener {
 }
 
 impl Listener {
-    /// Bind at `path`, removing a stale socket file from a crashed
-    /// previous run first.
-    fn bind(path: PathBuf) -> io::Result<Listener> {
-        let _ = std::fs::remove_file(&path);
-        Ok(Listener { sock: UnixListener::bind(&path)?, path })
-    }
-
-    /// Bind this rank's mesh listener at a derived per-rank path next to
-    /// the rendezvous path.
-    fn bind_mesh(rendezvous: &Path, rank: usize) -> io::Result<Listener> {
-        Listener::bind(rendezvous.with_file_name(format!(
-            "{}.m{rank}.{}.{}",
-            rendezvous.file_name().and_then(|s| s.to_str()).unwrap_or("ace"),
-            std::process::id(),
-            PATH_SEQ.fetch_add(1, Ordering::Relaxed),
-        )))
+    /// Bind `rank`'s listener at `path`. A socket file nobody accepts on
+    /// was left by a killed run and is replaced. One that a live process
+    /// accepts on means `rank` is already running: that is an error, and
+    /// the live file stays. The probe's connection closes before any
+    /// `Hello`, which the live rank's accept loop skips.
+    fn bind(path: PathBuf, rank: usize) -> io::Result<Listener> {
+        let sock = match UnixListener::bind(&path) {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
+                if UnixStream::connect(&path).is_ok() {
+                    let msg = format!("rank {rank} is already listening at {}", path.display());
+                    return Err(io::Error::new(io::ErrorKind::AddrInUse, msg));
+                }
+                std::fs::remove_file(&path)?;
+                UnixListener::bind(&path)?
+            }
+            bound => bound?,
+        };
+        Ok(Listener { sock, path })
     }
 
     /// Accept one connection before `deadline` (polling non-blocking so a
@@ -280,97 +271,27 @@ fn remaining(deadline: Instant) -> io::Result<Duration> {
     Ok(left)
 }
 
-// ---------------------------------------------------------------------------
-// Rendezvous
-// ---------------------------------------------------------------------------
-
-/// Run the rank-0 side of the rendezvous: collect `nprocs - 1` joins,
-/// assign ranks, reply with the full path table. Returns that table.
-fn host_rendezvous(
-    cfg: &SocketCfg,
-    nprocs: usize,
-    my_path: String,
-    deadline: Instant,
-) -> io::Result<Vec<String>> {
-    let rdv = Listener::bind(cfg.rendezvous_path().to_path_buf())?;
-    let mut paths = vec![String::new(); nprocs];
-    paths[0] = my_path;
-    let mut joined: Vec<(usize, UnixStream)> = Vec::with_capacity(nprocs - 1);
-    for _ in 1..nprocs {
-        let mut s = rdv.accept_deadline(deadline)?;
-        s.set_read_timeout(Some(remaining(deadline)?))?;
-        let body = read_frame(&mut s)?;
-        let mut r = WireReader::new(&body);
-        if r.u8().map_err(bad_frame)? != HS_JOIN {
-            return Err(invalid("expected Join"));
-        }
-        let want = r.u32().map_err(bad_frame)? as usize;
-        let path = r.string().map_err(bad_frame)?;
-        // Honor the requested rank when it's free; otherwise hand out the
-        // lowest free one (the joiner errors out if that's not the rank
-        // it was launched as — a double-launch, not something to paper
-        // over).
-        let assigned = if want < nprocs && paths[want].is_empty() {
-            want
-        } else {
-            match paths.iter().position(|a| a.is_empty()) {
-                Some(i) => i,
-                None => unreachable!("accept loop admits exactly nprocs - 1 joiners"),
-            }
-        };
-        paths[assigned] = path;
-        joined.push((assigned, s));
-    }
-    let mut buf = Vec::new();
-    for (rank, s) in joined {
-        send_frame(&s, &mut buf, HS_WELCOME, |b| {
-            put_u32(b, rank);
-            put_u32(b, nprocs);
-            for p in &paths {
-                put_string(b, p);
-            }
-        })?;
-    }
-    Ok(paths)
-}
-
-/// Run the joiner side: announce our mesh path and desired rank, wait
-/// for the path table.
-fn join_rendezvous(
-    cfg: &SocketCfg,
-    rank: usize,
-    nprocs: usize,
-    my_path: &str,
-    deadline: Instant,
-) -> io::Result<Vec<String>> {
-    let mut s = connect(cfg.rendezvous_path(), deadline)?;
-    send_frame(&s, &mut Vec::new(), HS_JOIN, |b| {
+/// Exchange `Hello { rank, nprocs }` on a fresh mesh connection: send
+/// ours, then read and check the peer's, returning its rank. Both ends
+/// run this, so a machine-size mismatch fails on both sides at once.
+fn hello(s: &mut UnixStream, rank: usize, nprocs: usize, deadline: Instant) -> io::Result<usize> {
+    send_frame(&*s, &mut Vec::new(), FR_HELLO, |b| {
         put_u32(b, rank);
-        put_string(b, my_path);
+        put_u32(b, nprocs);
     })?;
     s.set_read_timeout(Some(remaining(deadline)?))?;
-    let body = read_frame(&mut s)?;
+    let body = read_frame(s)?;
     let mut r = WireReader::new(&body);
-    if r.u8().map_err(bad_frame)? != HS_WELCOME {
-        return Err(invalid("expected Welcome"));
+    if r.u8().map_err(bad_frame)? != FR_HELLO {
+        return Err(invalid("expected Hello"));
     }
-    let assigned = r.u32().map_err(bad_frame)? as usize;
+    let peer = r.u32().map_err(bad_frame)? as usize;
     let n = r.u32().map_err(bad_frame)? as usize;
-    if assigned != rank {
-        return Err(io::Error::new(
-            io::ErrorKind::AddrInUse,
-            format!("rank {rank} already joined this machine (rendezvous offered {assigned})"),
-        ));
-    }
     if n != nprocs {
-        let says = format!("launched with nprocs={nprocs}, rendezvous says {n}");
+        let says = format!("rank {rank} has nprocs={nprocs}, rank {peer} has {n}");
         return Err(invalid(format!("machine size mismatch: {says}")));
     }
-    let mut paths = Vec::with_capacity(n);
-    for _ in 0..n {
-        paths.push(r.string().map_err(bad_frame)?);
-    }
-    Ok(paths)
+    Ok(peer)
 }
 
 // ---------------------------------------------------------------------------
@@ -396,9 +317,9 @@ pub struct SocketTransport<M> {
 }
 
 impl<M: WireCodec + Send + 'static> SocketTransport<M> {
-    /// Bootstrap this rank's endpoint: bind, rendezvous, build the mesh,
-    /// start the per-peer reader threads. Blocks until the whole machine
-    /// has met (all `nprocs` ranks) or the handshake deadline passes.
+    /// Bootstrap this rank's endpoint: bind, build the mesh, start the
+    /// per-peer reader threads. Blocks until the whole machine has met
+    /// (all `nprocs` ranks) or the bootstrap deadline passes.
     pub(crate) fn establish(
         rank: usize,
         nprocs: usize,
@@ -406,38 +327,35 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
         board: Arc<FailBoard>,
     ) -> io::Result<SocketTransport<M>> {
         assert!(rank < nprocs, "rank {rank} out of range for {nprocs} ranks");
-        let deadline = Instant::now() + cfg.handshake_timeout;
-        let mesh = Listener::bind_mesh(cfg.rendezvous_path(), rank)?;
-        let my_path = mesh.path.display().to_string();
-        let paths = if rank == 0 {
-            host_rendezvous(cfg, nprocs, my_path, deadline)?
-        } else {
-            join_rendezvous(cfg, rank, nprocs, &my_path, deadline)?
-        };
-
+        let deadline = Instant::now() + BOOTSTRAP_TIMEOUT;
+        let listener = Listener::bind(cfg.rank_path(rank), rank)?;
         let mut peers: Vec<Option<UnixStream>> = (0..nprocs).map(|_| None).collect();
-        // Dial every lower rank, announcing who we are...
-        for (peer, path) in paths.iter().enumerate().take(rank) {
-            let s = connect(Path::new(path), deadline)?;
-            send_frame(&s, &mut Vec::new(), HS_HELLO, |b| put_u32(b, rank))?;
-            peers[peer] = Some(s);
-        }
-        // ...and accept every higher one, learning who they are.
-        for _ in rank + 1..nprocs {
-            let mut s = mesh.accept_deadline(deadline)?;
-            s.set_read_timeout(Some(remaining(deadline)?))?;
-            let body = read_frame(&mut s)?;
-            let mut r = WireReader::new(&body);
-            if r.u8().map_err(bad_frame)? != HS_HELLO {
-                return Err(invalid("expected Hello"));
+        // Dial every lower rank...
+        for (peer, slot) in peers.iter_mut().enumerate().take(rank) {
+            let mut s = connect(&cfg.rank_path(peer), deadline)?;
+            let said = hello(&mut s, rank, nprocs, deadline)?;
+            if said != peer {
+                return Err(invalid(format!("rank {peer}'s address answered as rank {said}")));
             }
-            let peer = r.u32().map_err(bad_frame)? as usize;
+            *slot = Some(s);
+        }
+        // ...and accept every higher one. A connection that closes before
+        // its `Hello` is another process probing whether this rank is
+        // live (`Listener::bind`), not a peer.
+        while peers[rank + 1..].iter().any(Option::is_none) {
+            let mut s = listener.accept_deadline(deadline)?;
+            let peer = match hello(&mut s, rank, nprocs, deadline) {
+                Err(e) if matches!(e.kind(), UnexpectedEof | BrokenPipe | ConnectionReset) => {
+                    continue
+                }
+                said => said?,
+            };
             if peer <= rank || peer >= nprocs || peers[peer].is_some() {
                 return Err(invalid(format!("unexpected Hello from rank {peer}")));
             }
             peers[peer] = Some(s);
         }
-        drop(mesh);
+        drop(listener);
 
         let inbox = Arc::new(Mailbox::new());
         let parked = Arc::clone(&inbox);
@@ -593,20 +511,50 @@ mod tests {
         ep.mailbox().park(&Parker::thread(), Instant::now() + d, || false).ok()
     }
 
-    fn endpoints(n: usize) -> Vec<SocketTransport<u64>> {
-        let cfg = SocketCfg::loopback().resolved();
-        let board: Vec<Arc<FailBoard>> = (0..n).map(|_| Arc::new(FailBoard::new())).collect();
+    /// Bootstrap rank `rank` of an `n`-rank machine at `cfg`.
+    fn establish(rank: usize, n: usize, cfg: &SocketCfg) -> io::Result<SocketTransport<u64>> {
+        SocketTransport::establish(rank, n, cfg, Arc::new(FailBoard::new()))
+    }
+
+    /// Bootstrap an `n`-rank machine at `cfg`, rank `r` on its own thread
+    /// started after `delay(r)`.
+    fn mesh_at(
+        cfg: &SocketCfg,
+        n: usize,
+        delay: impl Fn(usize) -> Duration + Sync,
+    ) -> Vec<SocketTransport<u64>> {
+        let delay = &delay;
         std::thread::scope(|scope| {
-            let mut hs = Vec::new();
-            for rank in 0..n {
-                let cfg = cfg.clone();
-                let board = Arc::clone(&board[rank]);
-                hs.push(scope.spawn(move || {
-                    SocketTransport::establish(rank, n, &cfg, board).expect("establish")
-                }));
-            }
+            let hs: Vec<_> = (0..n)
+                .map(|rank| {
+                    scope.spawn(move || {
+                        std::thread::sleep(delay(rank));
+                        establish(rank, n, cfg).expect("establish")
+                    })
+                })
+                .collect();
             hs.into_iter().map(|h| h.join().expect("handshake thread")).collect()
         })
+    }
+
+    fn endpoints(n: usize) -> Vec<SocketTransport<u64>> {
+        mesh_at(&SocketCfg::loopback().resolved(), n, |_| Duration::ZERO)
+    }
+
+    /// Rank 0 sends the last rank ten envelopes, which arrive in order;
+    /// then every endpoint shuts down.
+    fn delivers_fifo_then_shuts_down(eps: &[SocketTransport<u64>]) {
+        let last = eps.len() - 1;
+        for i in 0..10 {
+            eps[0].send_wire(last, one_part(0, i));
+        }
+        let got: Vec<u64> = (0..10)
+            .map(|_| recv(&eps[last], Duration::from_secs(5)).expect("delivered").msg[0].0)
+            .collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        for ep in eps {
+            ep.shutdown();
+        }
     }
 
     #[test]
@@ -621,21 +569,60 @@ mod tests {
     #[test]
     fn mesh_establishes_and_delivers_fifo() {
         let eps = endpoints(3);
-        for i in 0..10 {
-            eps[0].send_wire(2, one_part(0, i));
-        }
         eps[1].send_wire(1, one_part(1, 99)); // self-send loops back
-        let mut got = Vec::new();
-        while got.len() < 10 {
-            let e = recv(&eps[2], Duration::from_secs(5)).expect("delivered");
-            got.push(e.msg[0].0);
-        }
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
         let e = recv(&eps[1], Duration::from_secs(1)).expect("self-send delivered");
         assert_eq!(e.msg, vec![(99, 8)]);
-        for ep in &eps {
-            ep.shutdown();
-        }
+        delivers_fifo_then_shuts_down(&eps);
+    }
+
+    #[test]
+    fn ranks_started_in_reverse_order_still_mesh() {
+        // Nobody hosts the bootstrap: the highest rank starts first, and
+        // rank 0 last and 200 ms late, while the others retry their dials.
+        let n = 4;
+        let cfg = SocketCfg::loopback().resolved();
+        let eps = mesh_at(&cfg, n, |rank| {
+            let late = if rank == 0 { 200 } else { 0 };
+            Duration::from_millis(20 * (n - 1 - rank) as u64 + late)
+        });
+        delivers_fifo_then_shuts_down(&eps);
+    }
+
+    #[test]
+    fn stale_socket_file_does_not_block_a_relaunch() {
+        let cfg = SocketCfg::loopback().resolved();
+        let stale = cfg.rank_path(1);
+        // A killed run's listener: dropping a `UnixListener` leaves its
+        // file behind, and nothing accepts on it any more.
+        drop(UnixListener::bind(&stale).unwrap());
+        assert!(stale.exists());
+        let eps = mesh_at(&cfg, 3, |_| Duration::ZERO);
+        delivers_fifo_then_shuts_down(&eps);
+        assert!(!stale.exists(), "the listener's file outlived the bootstrap");
+    }
+
+    #[test]
+    fn second_launch_of_a_live_rank_fails_and_the_machine_still_meets() {
+        let (n, cfg) = (3, SocketCfg::loopback().resolved());
+        let path = cfg.rank_path(1);
+        std::thread::scope(|scope| {
+            // Ranks 1 and 2 come up; rank 1 listens while it waits for 0.
+            let cfg = &cfg;
+            let live: Vec<_> =
+                (1..n).map(|rank| scope.spawn(move || establish(rank, n, cfg))).collect();
+            // Each probe closes before its `Hello`, as the duplicate's does.
+            let t0 = Instant::now();
+            while UnixStream::connect(&path).is_err() {
+                assert!(t0.elapsed() < Duration::from_secs(5), "rank 1 never listened");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let err = establish(1, n, cfg).err().expect("a second rank 1 must be refused");
+            assert!(err.to_string().contains("rank 1"), "{err}");
+            assert!(path.exists(), "the duplicate unlinked the live listener");
+            let mut eps = vec![establish(0, n, cfg).expect("rank 0")];
+            eps.extend(live.into_iter().map(|h| h.join().unwrap().expect("live rank")));
+            delivers_fifo_then_shuts_down(&eps);
+        });
     }
 
     #[test]
@@ -668,24 +655,21 @@ mod tests {
 
     #[test]
     fn machine_size_mismatch_is_an_error_not_a_hang() {
-        // A joiner launched with the wrong --procs must fail fast with a
-        // mismatch error instead of wedging the bootstrap.
-        let cfg = SocketCfg::loopback().handshake_timeout(Duration::from_secs(3)).resolved();
+        // Rank 1 launched with the wrong --procs: both ends of its first
+        // connection read the other's `Hello` and fail at once, long
+        // before the bootstrap deadline.
+        let cfg = SocketCfg::loopback().resolved();
+        let t0 = Instant::now();
         std::thread::scope(|scope| {
-            let c0 = cfg.clone();
-            let host = scope.spawn(move || {
-                SocketTransport::<u64>::establish(0, 2, &c0, Arc::new(FailBoard::new()))
-            });
-            let c1 = cfg.clone();
-            let joiner = scope.spawn(move || {
-                SocketTransport::<u64>::establish(1, 3, &c1, Arc::new(FailBoard::new()))
-            });
-            let err = joiner.join().unwrap().err().expect("size mismatch must be rejected");
-            assert!(err.to_string().contains("machine size mismatch"), "{err}");
-            // The host is left waiting for a mesh connection that will
-            // never come; its own deadline converts that into an error.
-            assert!(host.join().unwrap().is_err(), "host must time out, not hang");
+            let cfg = &cfg;
+            let ends =
+                [(0, 2), (1, 3)].map(|(rank, n)| scope.spawn(move || establish(rank, n, cfg)));
+            for end in ends {
+                let err = end.join().unwrap().err().expect("size mismatch must be rejected");
+                assert!(err.to_string().contains("machine size mismatch"), "{err}");
+            }
         });
+        assert!(t0.elapsed() < Duration::from_secs(5), "mismatch took {:?}", t0.elapsed());
     }
 
     #[test]

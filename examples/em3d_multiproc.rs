@@ -3,7 +3,8 @@
 //! With no arguments this parent process launches one child OS process
 //! per rank (`--rank R --procs N --rendezvous PATH`), each of which runs
 //! one rank of the same Ace machine over the Unix-socket transport —
-//! rank 0 hosts the rendezvous, the others join it. The parent then runs
+//! rank R listens at `PATH.mR` and dials every lower rank, so the
+//! children may start in any order. The parent then runs
 //! the identical workload on the in-process transport and checks that
 //! both machines produced bit-identical verification values: the
 //! transport is a substrate choice, not a semantic one.
@@ -67,8 +68,8 @@ fn main() {
         return;
     }
 
-    // Parent mode: one child process per rank, all meeting at a fresh
-    // Unix-socket rendezvous path.
+    // Parent mode: one child process per rank, all given the same fresh
+    // Unix-socket path.
     let exe = std::env::current_exe().expect("own executable path");
     let rdv = std::env::temp_dir().join(format!("ace-em3d-rdv-{}.sock", std::process::id()));
     let rdv = rdv.to_str().expect("utf-8 temp path").to_string();
