@@ -759,11 +759,16 @@ impl<'n> AceRt<'n> {
 
     /// Make sure this node has an entry for `r`, fetching metadata from
     /// home if needed. This is the protocol-independent half of `map`;
-    /// fixed-protocol runtimes (CRL) use it directly.
+    /// fixed-protocol runtimes (CRL) use it directly. A region whose home is
+    /// outside the machine (the null handle among them) panics with
+    /// [`AceError::UnknownRegion`]'s message: there is no home to ask.
     pub fn ensure_entry(&self, r: RegionId) -> Rc<RegionEntry> {
         if let Some(e) = self.lookup(r) {
             self.counters.borrow_mut().map_hits += 1;
             return e;
+        }
+        if r.home() >= self.nprocs() {
+            return self.entry(r);
         }
         assert_ne!(r.home(), self.rank(), "home regions exist from gmalloc");
         self.counters.borrow_mut().map_misses += 1;
@@ -1327,6 +1332,7 @@ impl<'n> AceRt<'n> {
     /// every node. Collective. The apps use this to distribute the region
     /// ids of freshly-built shared data structures.
     pub fn bcast(&self, root: usize, vals: &[u64]) -> Arc<[u64]> {
+        self.assert_root(root);
         let seq = self.bcast_seq.get();
         self.bcast_seq.set(seq + 1);
         if self.rank() == root {
@@ -1347,6 +1353,7 @@ impl<'n> AceRt<'n> {
     /// Gather each node's `vals` at `root`; returns rank-indexed payloads
     /// at the root and `None` elsewhere. Collective.
     pub fn gather(&self, root: usize, vals: &[u64]) -> Option<Vec<Arc<[u64]>>> {
+        self.assert_root(root);
         let seq = self.gather_seq.get();
         self.gather_seq.set(seq + 1);
         if self.rank() == root {
@@ -1361,6 +1368,13 @@ impl<'n> AceRt<'n> {
             self.send(root, AceMsg::Gather { seq, vals: vals.into() });
             None
         }
+    }
+
+    /// Panic unless `root` is a rank of this machine: every rank of a
+    /// collective rooted outside it would wait for the root forever.
+    fn assert_root(&self, root: usize) {
+        let n = self.nprocs();
+        assert!(root < n, "collective root {root} is outside the machine's {n} ranks");
     }
 
     /// All-reduce a single word with `op` (gather at node 0, reduce,
@@ -1693,6 +1707,18 @@ mod tests {
         run_ace(1, CostModel::free(), |rt| {
             rt.start_read(RegionId::new(0, 99));
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "collective root 7 is outside the machine's 2 ranks")]
+    fn bcast_from_a_root_outside_the_machine_panics() {
+        run_ace(2, CostModel::free(), |rt| rt.bcast(7, &[5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "collective root 2 is outside the machine's 2 ranks")]
+    fn gather_at_a_root_outside_the_machine_panics() {
+        run_ace(2, CostModel::free(), |rt| rt.gather(2, &[5]));
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub(crate) struct Code {
 struct FnCode {
     /// The blocks in order, each ended by its `Jump` / `Br` / `Ret`.
     ops: Vec<Op>,
-    /// A fresh frame: zeroed registers, then each slot's default words.
+    /// A fresh frame: registers zeroed but for constants, then each slot's default words.
     image: Vec<u64>,
     /// Where the parameters (slots `0..nparams`) live in the frame.
     params: std::ops::Range<usize>,
@@ -95,7 +95,6 @@ macro_rules! interpreter {
         enum Op {
             $($ni { d: u32, a: u32, b: u32 },)*
             $($nf { d: u32, a: u32, b: u32 },)*
-            Const(u32, u64),
             NegI { d: u32, a: u32 },
             NegF { d: u32, a: u32 },
             Not { d: u32, a: u32 },
@@ -142,7 +141,6 @@ macro_rules! interpreter {
                         let $yf = f64::from_bits(w[b as usize]);
                         w[d as usize] = $ef;
                     })*
-                    Op::Const(d, v) => w[d as usize] = v,
                     Op::NegI { d, a } => w[d as usize] = w[a as usize].wrapping_neg(),
                     Op::NegF { d, a } => w[d as usize] = (-f64::from_bits(w[a as usize])).to_bits(),
                     Op::Not { d, a } => w[d as usize] = (w[a as usize] == 0) as u64,
@@ -273,33 +271,95 @@ impl Code {
             (at, kind) if kind == scalar => at,
             _ => panic!("{}: slot {s} used as the wrong kind", f.name),
         };
+        // Each register's uses: a count, and per block (index, register), the
+        // terminator's at the block's length. A constant is its image word.
+        let mut blocks = f.blocks.clone();
+        let (mut uses, mut at) = (vec![0; f.nregs as usize], Vec::with_capacity(blocks.len()));
+        for b in &mut blocks {
+            let mut here = Vec::new();
+            for (k, i) in b.insts.iter_mut().enumerate() {
+                i.for_each_use_mut(|r| here.push((k, *r)));
+                match *i {
+                    Inst::ConstI(d, v) => image[d as usize] = v as u64,
+                    Inst::ConstF(d, v) => image[d as usize] = v.to_bits(),
+                    _ => {}
+                }
+            }
+            if let Term::Br { cond: r, .. } | Term::Ret(Some(r)) = b.term {
+                here.push((b.insts.len(), r));
+            }
+            here.iter().for_each(|&(_, r)| uses[r as usize] += 1);
+            at.push(here);
+        }
+        // A register's frame word: its own, or a scalar slot's when the
+        // `LoadLocal` defining it or the `StoreLocal` that is its one use
+        // emits no op. Registers are single-assignment (DESIGN.md §8).
+        let mut word: Vec<u32> = (0..f.nregs).collect();
+        for (b, at) in blocks.iter_mut().zip(&at) {
+            let (n, mut kept) = (b.insts.len(), Vec::new());
+            // The scalar slot instruction `k` loads (false) or stores (true).
+            let local = |k: usize| match b.insts[k] {
+                Inst::LoadLocal { slot, .. } => (slot, false),
+                Inst::StoreLocal { slot, .. } => (slot, true),
+                _ => (NONE, false),
+            };
+            for (i, inst) in b.insts.iter().enumerate() {
+                let alias = match *inst {
+                    // Every use comes before the slot's next store.
+                    Inst::LoadLocal { dst, slot: s } => {
+                        let end = (i + 1..n).find(|&k| local(k) == (s, true)).unwrap_or(n + 1);
+                        let here = at.iter().filter(|&&(k, r)| r == dst && i < k && k < end);
+                        Some((dst, slot(s, true))).filter(|_| here.count() == uses[dst as usize])
+                    }
+                    // The value's kept op writes the slot: nothing between
+                    // them loads or stores the slot or reads its old word.
+                    Inst::StoreLocal { slot: s, a } => {
+                        let w = slot(s, true);
+                        let def = (0..i).rev().find(|&k| b.insts[k].def() == Some(a));
+                        let def = def.filter(|&d| kept[d] && (d + 1..i).all(|k| local(k).0 != s));
+                        let read =
+                            |d| at.iter().any(|&(k, r)| d < k && k < i && word[r as usize] == w);
+                        Some((a, w))
+                            .filter(|_| uses[a as usize] == 1 && def.is_some_and(|d| !read(d)))
+                    }
+                    _ => None,
+                };
+                if let Some((r, w)) = alias {
+                    word[r as usize] = w;
+                }
+                kept.push(alias.is_none() && !matches!(inst, Inst::ConstI(..) | Inst::ConstF(..)));
+            }
+            let mut kept = kept.into_iter();
+            b.insts.retain(|_| kept.next().unwrap());
+        }
+        let w = |r: VReg| word[r as usize];
         // Each block's first pc: its ops, then its terminator.
         let mut pcs = vec![0];
-        for b in &f.blocks {
+        for b in &blocks {
             pcs.push(pcs[pcs.len() - 1] + b.insts.len() as u32 + 1);
         }
         let mut ops = Vec::with_capacity(pcs[f.blocks.len()] as usize);
-        for b in &f.blocks {
-            for inst in &b.insts {
+        for b in &mut blocks {
+            for inst in &mut b.insts {
+                inst.for_each_use_mut(|r| *r = w(*r));
                 let op = match *inst {
-                    Inst::ConstI(d, v) => Op::Const(d, v as u64),
-                    Inst::ConstF(d, v) => Op::Const(d, v.to_bits()),
-                    Inst::BinOp { dst, op, ty, a, b } => bin(op, ty, dst, a, b),
-                    Inst::Neg { dst, ty: ValTy::F, a } => Op::NegF { d: dst, a },
-                    Inst::Neg { dst, a, .. } => Op::NegI { d: dst, a },
-                    Inst::Not { dst, a } => Op::Not { d: dst, a },
-                    Inst::IntToF { dst, a } => Op::IntToF { d: dst, a },
-                    Inst::FToInt { dst, a } => Op::FToInt { d: dst, a },
-                    Inst::Mov { dst, a } => Op::Mov { d: dst, a },
-                    Inst::LoadLocal { dst, slot: s } => Op::Mov { d: dst, a: slot(s, true) },
+                    Inst::ConstI(..) | Inst::ConstF(..) => unreachable!("a constant emits no op"),
+                    Inst::BinOp { dst, op, ty, a, b } => bin(op, ty, w(dst), a, b),
+                    Inst::Neg { dst, ty: ValTy::F, a } => Op::NegF { d: w(dst), a },
+                    Inst::Neg { dst, a, .. } => Op::NegI { d: w(dst), a },
+                    Inst::Not { dst, a } => Op::Not { d: w(dst), a },
+                    Inst::IntToF { dst, a } => Op::IntToF { d: w(dst), a },
+                    Inst::FToInt { dst, a } => Op::FToInt { d: w(dst), a },
+                    Inst::Mov { dst, a } => Op::Mov { d: w(dst), a },
+                    Inst::LoadLocal { dst, slot: s } => Op::Mov { d: w(dst), a: slot(s, true) },
                     Inst::StoreLocal { slot: s, a } => Op::Mov { d: slot(s, true), a },
                     Inst::LoadArr { dst, slot: s, idx } => {
-                        Op::LoadArr { d: dst, arr: slot(s, false), idx }
+                        Op::LoadArr { d: w(dst), arr: slot(s, false), idx }
                     }
                     Inst::StoreArr { slot: s, idx, a } => {
                         Op::StoreArr { arr: slot(s, false), idx, a }
                     }
-                    Inst::Map { dst, handle, .. } => Op::Map { d: dst, h: handle },
+                    Inst::Map { dst, handle, .. } => Op::Map { d: w(dst), h: handle },
                     Inst::Ann { hook, mode: DispatchMode::Dispatch, handle, .. } => {
                         Op::Ann { hook, h: handle, p: NONE }
                     }
@@ -310,25 +370,25 @@ impl Code {
                         });
                         Op::Ann { hook, h: handle, p: p as u32 }
                     }
-                    Inst::GLoad { dst, handle, off, .. } => Op::GLoad { d: dst, h: handle, off },
+                    Inst::GLoad { dst, handle, off, .. } => Op::GLoad { d: w(dst), h: handle, off },
                     Inst::GStore { handle, off, val } => Op::GStore { h: handle, off, v: val },
                     Inst::Call { dst, func, ref args } => {
                         let at = self.args.len() as u32;
                         self.args.extend_from_slice(args);
-                        Op::Call { d: dst.unwrap_or(NONE), f: func as u32, args: at }
+                        Op::Call { d: dst.map_or(NONE, w), f: func as u32, args: at }
                     }
                     Inst::Intrinsic { dst, which, ref args } => {
                         self.intrs.push((which, self.args.len() as u32));
                         self.args.extend_from_slice(args);
-                        Op::Intrinsic { d: dst.unwrap_or(NONE), at: self.intrs.len() as u32 - 1 }
+                        Op::Intrinsic { d: dst.map_or(NONE, w), at: self.intrs.len() as u32 - 1 }
                     }
                 };
                 ops.push(op);
             }
             ops.push(match b.term {
                 Term::Jump(t) => Op::Jump(pcs[t]),
-                Term::Br { cond, t, f } => Op::Br { c: cond, t: pcs[t], f: pcs[f] },
-                Term::Ret(r) => Op::Ret(r.unwrap_or(NONE)),
+                Term::Br { cond, t, f } => Op::Br { c: w(cond), t: pcs[t], f: pcs[f] },
+                Term::Ret(r) => Op::Ret(r.map_or(NONE, w)),
             });
         }
         let first = f.nregs as usize;
@@ -861,6 +921,87 @@ mod tests {
     }
 
     #[test]
+    fn reading_through_an_unassigned_shared_pointer_is_an_unknown_region() {
+        // `p` holds the null handle, whose home is no rank: mapping it once
+        // panicked indexing the machine's ranks.
+        let src = "int main() { shared int *p; return p[0]; }";
+        for level in OptLevel::ALL {
+            let p = compile(src, &SystemConfig::builtin(), level).unwrap();
+            let run = || run_ace(2, CostModel::free(), |rt| run_program(rt, &p));
+            let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            let msg = e.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(&format!("region {} not known", RegionId::NULL)), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_store_writes_its_slot_early_only_if_nothing_reads_the_slot_in_between() {
+        // One block over slot `x`: r1 = x = 3; r3 = r1 + 5; <between>;
+        // x = r3; <after>; then main returns x * 100 + r<other>, lowered to
+        // `movs` `Mov`s. The add may write `x` itself in the second and
+        // third cases only. In the first, r4 reads the old x through r1
+        // after the add; in the fourth and fifth `x` is loaded or stored
+        // between the add and its store, which no source lowers to; in the
+        // last, r3 has a second use, after `x` changed again.
+        use Inst::{ConstI, LoadLocal, StoreLocal};
+        let bin = |dst, op, a, b| Inst::BinOp { dst, op, ty: ValTy::I, a, b };
+        let cases = [
+            (vec![bin(4, Bin::Add, 1, 1)], vec![], 4, 806, 2),
+            (vec![ConstI(4, 1)], vec![], 4, 801, 1),
+            // r1 is read after the store: a copy, so the add writes `x`.
+            (vec![], vec![], 1, 803, 2),
+            (vec![LoadLocal { dst: 4, slot: 0 }], vec![], 4, 803, 3),
+            (vec![ConstI(4, 7), StoreLocal { slot: 0, a: 4 }], vec![], 4, 807, 3),
+            (vec![], vec![ConstI(4, 2), StoreLocal { slot: 0, a: 4 }], 3, 208, 3),
+        ];
+        for (between, after, other, want, movs) in cases {
+            let mut insts = vec![ConstI(0, 3), StoreLocal { slot: 0, a: 0 }];
+            insts.extend([LoadLocal { dst: 1, slot: 0 }, ConstI(2, 5), bin(3, Bin::Add, 1, 2)]);
+            insts.extend(between);
+            insts.push(StoreLocal { slot: 0, a: 3 });
+            insts.extend(after);
+            insts.extend([LoadLocal { dst: 5, slot: 0 }, ConstI(6, 100)]);
+            insts.extend([bin(7, Bin::Mul, 5, 6), bin(8, Bin::Add, 7, other)]);
+            let main = IFunc {
+                name: "main".into(),
+                nparams: 0,
+                slots: vec![Slot::Scalar(ValTy::I)],
+                nregs: 9,
+                ret: Some(ValTy::I),
+                blocks: vec![Block { insts, term: Term::Ret(Some(8)) }],
+            };
+            let p = Program { funcs: vec![main], main: 0, naccesses: 0, code: Default::default() };
+            p.assert_single_assignment();
+            assert_eq!(outcome(&p), Ok(Value::I(want)), "x * 100 + r{other}");
+            let ops = &p.code.get().unwrap().funcs[0].ops;
+            assert_eq!(ops.iter().filter(|op| matches!(op, Op::Mov { .. })).count(), movs);
+        }
+    }
+
+    /// The five Table 4 kernels at LI+MC+DC and the `(ops, Mov ops)` their
+    /// code lowers to, summed over their functions. While every `LoadLocal`,
+    /// `StoreLocal` and constant was an op they read (692, 280), (811, 357),
+    /// (459, 187), (585, 226) and (553, 202).
+    const KERNELS: [(&str, (usize, usize)); 5] = [
+        (include_str!("../../bench/programs/barnes.ace"), (338, 24)),
+        (include_str!("../../bench/programs/bsc.ace"), (417, 31)),
+        (include_str!("../../bench/programs/em3d.ace"), (222, 20)),
+        (include_str!("../../bench/programs/tsp.ace"), (291, 40)),
+        (include_str!("../../bench/programs/water.ace"), (278, 17)),
+    ];
+
+    #[test]
+    fn kernels_lower_to_the_pinned_op_counts() {
+        let cfg = SystemConfig::builtin();
+        let got = KERNELS.map(|(src, _)| {
+            let code = Code::new(&compile(src, &cfg, OptLevel::Direct).unwrap());
+            let ops = code.funcs.iter().flat_map(|f| &f.ops);
+            (ops.clone().count(), ops.filter(|op| matches!(op, Op::Mov { .. })).count())
+        });
+        assert_eq!(got, KERNELS.map(|(_, want)| want));
+    }
+
+    #[test]
     #[should_panic(expected = "used as the wrong kind")]
     fn a_slot_used_as_the_wrong_kind_fails_when_the_code_is_built() {
         let mut p = compile(
@@ -874,6 +1015,22 @@ mod tests {
                 *slot = 0;
             }
         }
+        Code::new(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "used as the wrong kind")]
+    fn a_store_that_emits_no_op_still_checks_its_slot() {
+        // `x = x + 1`'s add writes `x` itself; its store is then retargeted
+        // at the array.
+        let src = "int main() { int a[2]; int x = 1; x = x + 1; return x; }";
+        let mut p = compile(src, &SystemConfig::builtin(), OptLevel::O0).unwrap();
+        let insts = &mut p.funcs[p.main].blocks[0].insts;
+        let last = insts.iter_mut().rev().find_map(|i| match i {
+            Inst::StoreLocal { slot, .. } => Some(slot),
+            _ => None,
+        });
+        *last.unwrap() = 0;
         Code::new(&p);
     }
 }

@@ -9,7 +9,9 @@
 //!
 //! Differences from upstream, deliberately accepted:
 //! * **No shrinking.** A failing case reports its deterministic seed
-//!   (test name + case index) instead of a minimized input.
+//!   (test name + case index) and its input as generated, not a minimized
+//!   one. A case whose body panics is reported the same way, and its panic
+//!   then resumes with that report appended to its message.
 //! * **Deterministic by construction.** Case `i` of test `t` always sees
 //!   the same inputs, so failures reproduce without a persistence file.
 
@@ -63,17 +65,50 @@ macro_rules! __proptest_impl {
             for __case in 0..__cfg.cases {
                 let mut __rng =
                     $crate::test_runner::TestRng::for_case(__test_name, __case as u64);
-                $(let $pat = $crate::strategy::Strategy::generate(&($strat), &mut __rng);)+
-                let __out: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (move || {
+                // Each input as `pattern = value`, formatted before the
+                // pattern binds (and perhaps moves) it.
+                let mut __input = ::std::string::String::new();
+                $(
+                    let __value = $crate::strategy::Strategy::generate(&($strat), &mut __rng);
+                    __input += &::std::format!("\n  {} = {:?}", stringify!($pat), __value);
+                    let $pat = __value;
+                )+
+                let __out = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body
                         ::std::result::Result::Ok(())
-                    })();
-                if let ::std::result::Result::Err(e) = __out {
-                    panic!(
-                        "proptest {} failed at case {}/{}: {}",
-                        __test_name, __case, __cfg.cases, e
-                    );
+                    },
+                ));
+                let __at = |how: &str| {
+                    ::std::format!(
+                        "proptest {} {} at case {}/{} on input:{}",
+                        __test_name, how, __case, __cfg.cases, __input
+                    )
+                };
+                match __out {
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => {}
+                    ::std::result::Result::Ok(::std::result::Result::Err(e)) => {
+                        panic!("{}\n{}", __at("failed"), e)
+                    }
+                    // Print the report, then resume the panic; a message
+                    // resumes with the report appended, so whoever catches
+                    // it sees the report too.
+                    ::std::result::Result::Err(panic) => {
+                        let report = __at("panicked");
+                        ::std::eprintln!("{}", report);
+                        let message = match panic.downcast_ref::<&str>() {
+                            ::std::option::Option::Some(m) => ::std::option::Option::Some(m.to_string()),
+                            ::std::option::Option::None => {
+                                panic.downcast_ref::<::std::string::String>().cloned()
+                            }
+                        };
+                        match message {
+                            ::std::option::Option::Some(m) => ::std::panic::resume_unwind(
+                                ::std::boxed::Box::new(::std::format!("{}\n{}", m, report)),
+                            ),
+                            ::std::option::Option::None => ::std::panic::resume_unwind(panic),
+                        }
+                    }
                 }
             }
         }
