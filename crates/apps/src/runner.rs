@@ -95,7 +95,7 @@ where
 }
 
 /// The one observing launch: run `kernel` on the Ace runtime after `prep`
-/// has set the runtime up (escape hatches, coalesce policy), then
+/// has set the runtime up (the fast-path escape hatch), then
 /// rendezvous and digest every rank's home regions.
 pub fn observe<P, F>(builder: MachineBuilder, prep: P, kernel: F) -> Observed
 where

@@ -21,9 +21,8 @@
 
 use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{
-    CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig, DEFAULT_COALESCE,
-};
+use ace_core::{AceMsg, CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig};
+use ace_machine::MsgSize;
 use proptest::prelude::*;
 
 fn machine() -> MachineBuilder {
@@ -35,7 +34,7 @@ fn run_app<F>(policy: CoalescePolicy, f: F) -> Observed
 where
     F: Fn(&AceDsm) -> f64 + Sync,
 {
-    observe(machine().trace(TraceConfig::on()), |rt| rt.node().set_coalesce(policy), f)
+    observe(machine().trace(TraceConfig::on()).coalesce(policy), |_| {}, f)
 }
 
 /// The scheduling-independent invariants, valid for every workload.
@@ -103,7 +102,7 @@ proptest! {
         };
         let v = if custom { Variant::Custom } else { Variant::Sc };
         let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, v));
-        let on = run_app(DEFAULT_COALESCE, |d| em3d::run(d, &p, v));
+        let on = run_app(AceMsg::COALESCE, |d| em3d::run(d, &p, v));
         assert_equivalent(&off, &on, "em3d");
     }
 
@@ -116,7 +115,7 @@ proptest! {
         let p = water::Params { molecules, steps: 2, seed };
         let v = if custom { Variant::Custom } else { Variant::Sc };
         let off = run_app(CoalescePolicy::Off, |d| water::run(d, &p, v));
-        let on = run_app(DEFAULT_COALESCE, |d| water::run(d, &p, v));
+        let on = run_app(AceMsg::COALESCE, |d| water::run(d, &p, v));
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests, per-tag counts, and all.
@@ -140,7 +139,7 @@ fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
         hoist_maps: false,
     };
     let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, Variant::Custom));
-    let on = run_app(DEFAULT_COALESCE, |d| em3d::run(d, &p, Variant::Custom));
+    let on = run_app(AceMsg::COALESCE, |d| em3d::run(d, &p, Variant::Custom));
     assert_equivalent(&off, &on, "em3d custom default scale");
     assert!(
         on.outcome.wire_msgs < on.outcome.msgs,
@@ -167,11 +166,7 @@ fn coalescing_cannot_deadlock_even_with_an_unreachable_threshold() {
     };
     for policy in [CoalescePolicy::Threshold(1 << 30), CoalescePolicy::FlushOnWait] {
         for variant in [Variant::Sc, Variant::Custom] {
-            let r = observe(
-                machine(),
-                |rt| rt.node().set_coalesce(policy),
-                |d| em3d::run(d, &p, variant),
-            );
+            let r = observe(machine().coalesce(policy), |_| {}, |d| em3d::run(d, &p, variant));
             assert!(r.outcome.verification.is_finite(), "{policy:?}/{variant:?} produced a result");
         }
     }

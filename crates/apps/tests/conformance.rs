@@ -356,12 +356,11 @@ fn a_checked_run_sends_what_the_unchecked_run_sends() {
     for (name, app) in apps {
         for coalesce in [false, true] {
             let observe = |mode| {
-                let r = launch_ace_with(checked(4, mode).trace(TraceConfig::on()), |d| {
-                    if !coalesce {
-                        d.rt().node().set_coalesce(CoalescePolicy::Off);
-                    }
-                    app(d)
-                });
+                let b = checked(4, mode).trace(TraceConfig::on());
+                let r = launch_ace_with(
+                    if coalesce { b } else { b.coalesce(CoalescePolicy::Off) },
+                    app,
+                );
                 let mut tags = r.trace.expect("trace requested").summary().tags;
                 tags.sort_by_key(|t| t.tag);
                 if coalesce {

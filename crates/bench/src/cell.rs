@@ -48,8 +48,8 @@ pub enum What {
 pub enum Tweak {
     /// The default machine.
     None,
-    /// `CoalescePolicy::Off` on the runtime's node: one wire envelope per
-    /// logical send.
+    /// `CoalescePolicy::Off` on every node: one wire envelope per logical
+    /// send.
     NoCoalesce,
     /// Network latency and per-byte cost scaled by this factor.
     Net(u64),
@@ -166,7 +166,8 @@ impl Cell {
     pub fn machine(&self) -> MachineBuilder {
         let b = Spmd::builder().nprocs(self.procs).cost(CostModel::cm5());
         match self.tweak {
-            Tweak::None | Tweak::NoCoalesce => b,
+            Tweak::None => b,
+            Tweak::NoCoalesce => b.coalesce(CoalescePolicy::Off),
             Tweak::Net(scale) => b.cost(CostModel::cm5_net_scaled(scale)),
             Tweak::Check(mode) => b.check(mode),
             Tweak::Traced => b.trace(TraceConfig::on()),
@@ -176,12 +177,7 @@ impl Cell {
     /// Run the cell once.
     pub fn run(&self) -> RunOutcome {
         match self.what {
-            What::Ace(v) => launch_ace_with(self.machine(), |d| {
-                if self.tweak == Tweak::NoCoalesce {
-                    d.rt().node().set_coalesce(CoalescePolicy::Off);
-                }
-                self.kernel(d, v)
-            }),
+            What::Ace(v) => launch_ace_with(self.machine(), |d| self.kernel(d, v)),
             What::Crl => launch_crl_with(self.machine(), |d| self.kernel(d, Variant::Sc)),
             What::Compiled(level) => acec::kernel(self.app).run_compiled(level, self.machine()),
             What::Hand => acec::kernel(self.app).run_hand(self.machine()),

@@ -1,11 +1,4 @@
 //! Structured runtime errors.
-//!
-//! The historical annotation API panics on misuse (an unmapped region is
-//! the DSM equivalent of a wild pointer). [`AceError`] gives the same
-//! failures a typed, `Result`-returning surface — [`crate::AceRt::try_entry`]
-//! and friends — and routes the panicking paths through it so every
-//! diagnostic carries the region, the space, and the last hook the runtime
-//! executed on the failing node.
 
 use std::fmt;
 
@@ -99,25 +92,6 @@ pub enum AceError {
         /// the failure ("none" if no hook has run yet).
         last_hook: &'static str,
     },
-    /// The region exists but belongs to a different space than required.
-    SpaceMismatch {
-        /// The region that was asked for.
-        region: RegionId,
-        /// The space the caller required.
-        expected: SpaceId,
-        /// The space the region actually belongs to.
-        actual: SpaceId,
-    },
-    /// The region's entry survives as an unmapped cache entry (CRL-style
-    /// unmapped-region caching) but the caller asked for a mapped view.
-    UseAfterUnmap {
-        /// The unmapped region.
-        region: RegionId,
-        /// The asking node.
-        rank: usize,
-        /// The last annotation hook the runtime ran on this node.
-        last_hook: &'static str,
-    },
     /// No space with this id exists on this node.
     UnknownSpace {
         /// The space that was asked for.
@@ -153,16 +127,6 @@ impl fmt::Display for AceError {
         match self {
             AceError::UnknownRegion { region, rank, last_hook } => {
                 write!(f, "region {region} not known on node {rank} (last hook: {last_hook})")
-            }
-            AceError::SpaceMismatch { region, expected, actual } => {
-                write!(f, "region {region} belongs to space {actual}, expected space {expected}")
-            }
-            AceError::UseAfterUnmap { region, rank, last_hook } => {
-                write!(
-                    f,
-                    "region {region} is no longer mapped on node {rank} \
-                     (last hook: {last_hook})"
-                )
             }
             AceError::UnknownSpace { space, rank } => {
                 write!(f, "unknown space {space} on node {rank}")
@@ -231,13 +195,6 @@ mod tests {
 
     #[test]
     fn display_covers_all_variants() {
-        let r = RegionId::new(1, 2);
-        assert!(AceError::SpaceMismatch { region: r, expected: SpaceId(0), actual: SpaceId(1) }
-            .to_string()
-            .contains("expected space"));
-        assert!(AceError::UseAfterUnmap { region: r, rank: 0, last_hook: "unmap" }
-            .to_string()
-            .contains("no longer mapped"));
         assert!(AceError::UnknownSpace { space: SpaceId(7), rank: 1 }
             .to_string()
             .contains("unknown space"));

@@ -48,7 +48,7 @@ pub use ids::{RegionId, SpaceId};
 pub use msg::{AceMsg, ProtoMsg};
 pub use protocol::{Actions, GrantSet, Protocol};
 pub use region::{FastMask, RegionEntry, Sharers};
-pub use rt::{AceRt, DEFAULT_COALESCE, REMOTE_INVALID, REMOTE_SHARED};
+pub use rt::{AceRt, REMOTE_INVALID, REMOTE_SHARED};
 pub use space::SpaceEntry;
 
 /// Run an SPMD Ace program on `nprocs` simulated processors.

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use ace_machine::transport::{put_words, CodecError, WireCodec, WireReader};
-use ace_machine::MsgSize;
+use ace_machine::{CoalescePolicy, MsgSize};
 
 use crate::ids::{RegionId, SpaceId};
 
@@ -70,6 +70,12 @@ pub enum AceMsg {
 }
 
 impl MsgSize for AceMsg {
+    /// Threshold-8 bounds how long a logical message can linger in a
+    /// buffer mid-phase (a full buffer goes out immediately) while still
+    /// amortizing headers and latency across protocol fan-out; every
+    /// blocking point flushes whatever is left.
+    const COALESCE: CoalescePolicy = CoalescePolicy::Threshold(8);
+
     fn size_bytes(&self) -> usize {
         match self {
             AceMsg::Proto(p) => 12 + p.data.as_ref().map_or(0, |d| d.len() * 8),

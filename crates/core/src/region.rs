@@ -297,17 +297,6 @@ impl RegionEntry {
         f(cow_slice(&mut slot))
     }
 
-    /// Overwrite the local copy with incoming data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload size does not match the region size.
-    pub fn install_data(&self, incoming: &[u64]) {
-        let mut slot = self.data.borrow_mut();
-        assert_eq!(incoming.len(), slot.len(), "payload size mismatch for {}", self.id);
-        cow_slice(&mut slot).copy_from_slice(incoming);
-    }
-
     /// Adopt a full-region payload by reference: a pointer swap, aliasing
     /// the sender's buffer. Copy-on-write protects both sides afterwards.
     ///
@@ -423,22 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn data_install_round_trip() {
-        let e = entry(3);
-        e.install_data(&[7, 8, 9]);
-        assert_eq!(&*e.share_data(), &[7, 8, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "payload size mismatch")]
-    fn mismatched_install_panics() {
-        entry(3).install_data(&[1, 2]);
-    }
-
-    #[test]
     fn cow_write_never_mutates_outstanding_snapshot() {
         let e = entry(3);
-        e.install_data(&[1, 2, 3]);
+        e.install_shared(Arc::from(vec![1, 2, 3]));
         let snap = e.share_data();
         e.with_data_mut(|d| d[0] = 99);
         assert_eq!(&*snap, &[1, 2, 3], "wire snapshot must stay frozen");
@@ -459,7 +435,7 @@ mod tests {
     #[test]
     fn unshared_mutation_stays_in_place() {
         let e = entry(2);
-        e.install_data(&[3, 4]);
+        e.install_shared(Arc::from(vec![3, 4]));
         let p0 = e.data.borrow().as_ptr();
         e.with_data_mut(|d| d[0] = 8);
         assert_eq!(p0, e.data.borrow().as_ptr(), "no copy when uniquely owned");

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use ace_machine::pod::{self, Pod};
-use ace_machine::{CoalescePolicy, Envelope, EventKind, Hook, Node};
+use ace_machine::{Envelope, EventKind, Hook, Node};
 
 use crate::check::Checker;
 use crate::counters::OpCounters;
@@ -68,12 +68,6 @@ struct BarTag {
     /// Machine-wide sum the most recent release carried, until taken.
     prof_in: Option<Arc<[u64]>>,
 }
-
-/// The coalescing policy [`AceRt::new`] installs. Threshold-8 bounds how
-/// long a logical message can linger in a buffer mid-phase (a full buffer
-/// goes out immediately) while still amortizing headers and latency
-/// across fan-out bursts; every blocking point flushes whatever is left.
-pub const DEFAULT_COALESCE: CoalescePolicy = CoalescePolicy::Threshold(8);
 
 /// Per-collective gather buffer: contributions tagged by source rank.
 type GatherBuf = Vec<(usize, Arc<[u64]>)>;
@@ -273,7 +267,7 @@ pub struct AceRt<'n> {
 impl<'n> AceRt<'n> {
     /// Wrap a substrate node in a fresh runtime.
     pub fn new(node: &'n Node<AceMsg>) -> Self {
-        let rt = AceRt {
+        AceRt {
             node,
             regions: RefCell::default(),
             rc_hits: Cell::new(0),
@@ -291,15 +285,7 @@ impl<'n> AceRt<'n> {
             early: RefCell::new(Vec::new()),
             fast_enabled: Cell::new(true),
             checker: Checker::new(node.check_mode()),
-        };
-        // Coalescing is on by default at the runtime layer (like the fast
-        // paths): protocol fan-out — update pushes, invalidation rounds —
-        // is exactly the traffic batching amortizes. Every runtime
-        // blocking point funnels through `Node::poll_until`, which flushes
-        // on entry and after each handled message, so the policy is safe
-        // for arbitrary protocol code.
-        rt.node.set_coalesce(DEFAULT_COALESCE);
-        rt
+        }
     }
 
     /// Enable or disable the per-region fast paths ([`RegionEntry::fast`]).
@@ -719,34 +705,6 @@ impl<'n> AceRt<'n> {
             rank: self.rank(),
             last_hook: self.last_hook.get(),
         })
-    }
-
-    /// Resolve a region the caller is about to *access*: the entry must
-    /// exist and be usable — mapped, inside an open access section, or at
-    /// its home. An entry that survives only as an unmapped cache line
-    /// (CRL-style unmapped-region caching) yields
-    /// [`AceError::UseAfterUnmap`] rather than handing out stale data.
-    pub fn try_entry(&self, r: RegionId) -> Result<Rc<RegionEntry>, AceError> {
-        let e = self.try_lookup(r)?;
-        if e.mapped.get() == 0 && !e.busy() && !e.is_home_of(self.rank()) {
-            return Err(AceError::UseAfterUnmap {
-                region: r,
-                rank: self.rank(),
-                last_hook: self.last_hook.get(),
-            });
-        }
-        Ok(e)
-    }
-
-    /// [`AceRt::try_entry`] constrained to a space: a region that resolves
-    /// but belongs elsewhere yields [`AceError::SpaceMismatch`]. Used when
-    /// an id crosses an API boundary typed only as "a region of space S".
-    pub fn try_entry_in(&self, r: RegionId, sid: SpaceId) -> Result<Rc<RegionEntry>, AceError> {
-        let e = self.try_entry(r)?;
-        if e.space != sid {
-            return Err(AceError::SpaceMismatch { region: r, expected: sid, actual: e.space });
-        }
-        Ok(e)
     }
 
     /// Look up a region entry, panicking if the region was never mapped
@@ -1783,21 +1741,19 @@ mod tests {
             ];
             for id in strangers {
                 assert!(rt.lookup(id).is_none(), "{id}");
-                for err in [rt.try_lookup(id).err(), rt.try_entry(id).err()] {
-                    assert_eq!(
-                        err,
-                        Some(AceError::UnknownRegion {
-                            region: id,
-                            rank: rt.rank(),
-                            last_hook: "end_read"
-                        })
-                    );
-                }
+                assert_eq!(
+                    rt.try_lookup(id).err(),
+                    Some(AceError::UnknownRegion {
+                        region: id,
+                        rank: rt.rank(),
+                        last_hook: "end_read"
+                    })
+                );
             }
             assert_eq!(table_shape(rt), shape, "a failed lookup must not grow the table");
             let after = rt.counters();
             // The counters split lookups by outcome, nothing else.
-            assert_eq!(after.region_cache_misses - before.region_cache_misses, 15);
+            assert_eq!(after.region_cache_misses - before.region_cache_misses, 10);
             assert_eq!(after.region_cache_hits, before.region_cache_hits);
             assert!(matches!(
                 rt.try_space(SpaceId(1)),
@@ -1830,7 +1786,7 @@ mod tests {
             // Homes are never evicted.
             let gone = rt.rank() == 0 || {
                 rt.evict(rid);
-                rt.lookup(rid).is_none() && rt.try_entry(rid).is_err()
+                rt.lookup(rid).is_none() && rt.try_lookup(rid).is_err()
             };
             rt.map(rid);
             rt.machine_barrier();
@@ -1946,52 +1902,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn try_entry_reports_structured_errors() {
-        let r = run_ace(1, CostModel::free(), |rt| {
-            let s = rt.new_space(noop());
-            let other = rt.new_space(noop());
-            let rid = rt.gmalloc::<u64>(s, 2);
-
-            let unknown = rt.try_entry(RegionId::new(0, 999)).err().unwrap();
-            let mismatch = rt.try_entry_in(rid, other).err().unwrap();
-            let ok = rt.try_entry_in(rid, s).is_ok();
-            (unknown, mismatch, ok)
-        });
-        let (unknown, mismatch, ok) = r.results[0].clone();
-        assert!(matches!(unknown, AceError::UnknownRegion { rank: 0, .. }));
-        assert!(matches!(
-            mismatch,
-            AceError::SpaceMismatch { expected: SpaceId(1), actual: SpaceId(0), .. }
-        ));
-        assert!(ok);
-    }
-
-    #[test]
-    fn try_entry_flags_use_after_unmap_remotely() {
-        let r = run_ace(2, CostModel::free(), |rt| {
-            let s = rt.new_space(noop());
-            let rid = if rt.rank() == 0 {
-                RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
-            } else {
-                RegionId(rt.bcast(0, &[])[0])
-            };
-            rt.map(rid);
-            rt.unmap(rid);
-            let got = rt.try_entry(rid);
-            rt.machine_barrier();
-            match (rt.rank(), got) {
-                // Home keeps its entry alive regardless of map count.
-                (0, Ok(_)) => true,
-                // The remote's entry survives as an unmapped cache entry,
-                // but a mapped view of it is a use-after-unmap.
-                (1, Err(AceError::UseAfterUnmap { rank: 1, .. })) => true,
-                _ => false,
-            }
-        });
-        assert_eq!(r.results, vec![true, true]);
     }
 
     /// Like `NoopProtocol`, but declares every maskable hook fast in every
@@ -2137,6 +2047,64 @@ mod tests {
         });
     }
 
+    /// A protocol that never mentions the mask (`examples/custom_protocol.rs`
+    /// minus its `fast_mask`): every annotation dispatches, nothing is ever
+    /// fast, and the data still arrives.
+    #[test]
+    fn protocol_without_a_mask_stays_slow_and_correct() {
+        const FETCHING: u32 = 4;
+        struct Maskless;
+        impl Protocol for Maskless {
+            fn name(&self) -> &'static str {
+                "Maskless"
+            }
+            fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
+                if !e.is_home_of(rt.rank()) && e.st.get() == REMOTE_INVALID {
+                    e.st.set(FETCHING);
+                    rt.send_proto(e.id.home(), e.id, 1, 0, None);
+                    rt.wait("maskless fetch", || e.st.get() == REMOTE_SHARED);
+                }
+            }
+            fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+            fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
+                match msg.op {
+                    1 => rt.send_proto(msg.from as usize, e.id, 2, 0, Some(e.share_data())),
+                    _ => {
+                        e.install_shared(msg.data.expect("reply carries data"));
+                        e.st.set(REMOTE_SHARED);
+                    }
+                }
+            }
+            fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        }
+
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let s = rt.new_space(Rc::new(Maskless));
+            if rt.rank() == 0 {
+                let rid = rt.gmalloc::<u64>(s, 1);
+                rt.start_write(rid);
+                rt.with_mut::<u64, _>(rid, |d| d[0] = 9);
+                rt.end_write(rid);
+            }
+            rt.machine_barrier();
+            let rid = RegionId::new(0, 0);
+            rt.map(rid);
+            let mut sum = 0;
+            for _ in 0..10 {
+                rt.start_read(rid);
+                sum += rt.with::<u64, _>(rid, |d| d[0]);
+                rt.end_read(rid);
+            }
+            assert_eq!(rt.entry(rid).fast.get(), Actions::empty());
+            let c = rt.counters();
+            (sum, c.fast_hits, c.dispatched)
+        });
+        assert_eq!(r.results[0], (90, 0, 22));
+        assert_eq!(r.results[1], (90, 0, 20));
+    }
+
     #[test]
     fn fast_mask_absorbs_accesses_and_escape_hatch_restores_dispatch() {
         let r = run_ace(1, CostModel::cm5(), |rt| {
@@ -2178,7 +2146,7 @@ mod tests {
             rt.map(rid);
             rt.start_read(rid);
             rt.end_read(rid);
-            let err = rt.try_entry(RegionId::new(0, 42)).err().unwrap();
+            let err = rt.try_lookup(RegionId::new(0, 42)).err().unwrap();
             (rt.last_hook(), err.to_string())
         });
         let (hook, msg) = r.results[0].clone();

@@ -1,11 +1,12 @@
-//! CRL runs coalesce. `CrlRt` builds its runtime with `AceRt::new`, which
-//! puts the node on `DEFAULT_COALESCE`, and `run_crl_with` leaves that
-//! policy alone; only a machine that never builds a runtime, or a cell that
-//! sets `CoalescePolicy::Off` itself, sends uncoalesced.
+//! Which runs coalesce. A machine's policy is the one its builder names,
+//! else its message type's (`MsgSize::COALESCE`): `Threshold(8)` for the
+//! Ace runtime's messages, which `CrlRt` shares. So Ace and CRL runs
+//! coalesce unless their builder says `.coalesce(CoalescePolicy::Off)`,
+//! and then they do not.
 
-use ace_apps::runner::launch_crl;
+use ace_apps::runner::{launch_ace_with, launch_crl, launch_crl_with};
 use ace_apps::{tsp, Variant};
-use ace_core::CostModel;
+use ace_core::{CoalescePolicy, CostModel, Spmd};
 
 /// TSP's fig7a CRL row sends fewer wire envelopes than logical messages;
 /// a test-sized run must too.
@@ -19,4 +20,18 @@ fn a_crl_run_coalesces() {
         out.wire_msgs,
         out.msgs
     );
+}
+
+/// A builder's `Off` holds on both runtimes: every logical send is its own
+/// wire envelope.
+#[test]
+fn a_run_built_uncoalesced_sends_one_envelope_per_message() {
+    let p = tsp::Params::small();
+    let off = || Spmd::builder().nprocs(4).cost(CostModel::cm5()).coalesce(CoalescePolicy::Off);
+    let ace = launch_ace_with(off(), |d| tsp::run(d, &p, Variant::Sc));
+    let crl = launch_crl_with(off(), |d| tsp::run(d, &p, Variant::Sc));
+    for (name, out) in [("ace", ace), ("crl", crl)] {
+        assert!(out.msgs > 0, "{name}: the run sent nothing");
+        assert_eq!(out.wire_msgs, out.msgs, "{name}: a builder's Off was overridden");
+    }
 }

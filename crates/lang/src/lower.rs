@@ -648,7 +648,8 @@ impl<'a> FnLower<'a, '_> {
         })
     }
 
-    /// `a && b` / `a || b`, through a temporary slot.
+    /// `a && b` / `a || b`, through a temporary slot that ends up 0 or 1.
+    /// `&&` stores `a` itself: it survives only when it is 0.
     fn short_circuit(
         &mut self,
         op: BinOp,
@@ -659,6 +660,7 @@ impl<'a> FnLower<'a, '_> {
         let slot = self.slots.len() as u32;
         self.slots.push(Slot::Scalar(ValTy::I));
         let (av, at) = self.expr(a)?;
+        let av = if op == BinOp::Or { self.truth(av, a) } else { av };
         self.emit(Inst::StoreLocal { slot, a: av });
         let rhs_b = self.new_block();
         let join = self.new_block();
@@ -670,12 +672,32 @@ impl<'a> FnLower<'a, '_> {
         self.switch(rhs_b);
         let (bv, bt) = self.expr(b)?;
         operand_ty(op, &at, &bt, line)?;
+        let bv = self.truth(bv, b);
         self.emit(Inst::StoreLocal { slot, a: bv });
         self.seal(Term::Jump(join));
         self.switch(join);
         let r = self.reg();
         self.emit(Inst::LoadLocal { dst: r, slot });
         Ok((r, Ty::Int))
+    }
+
+    /// `e`'s value `v` as C's truth value, 0 or 1: `v` itself when `e` is
+    /// a comparison, a `!`, a `&&` or a `||`, else `v != 0`.
+    fn truth(&mut self, v: VReg, e: &Expr) -> VReg {
+        let boolean = match &e.kind {
+            ExprKind::Not(_) => true,
+            ExprKind::Bin(op, ..) => {
+                !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem)
+            }
+            _ => false,
+        };
+        if boolean {
+            return v;
+        }
+        let (zero, dst) = (self.reg(), self.reg());
+        self.emit(Inst::ConstI(zero, 0));
+        self.emit(Inst::BinOp { dst, op: Bin::Ne, ty: ValTy::I, a: v, b: zero });
+        dst
     }
 
     /// Lower a call's arguments, each converted to its parameter's type.

@@ -9,6 +9,10 @@
 /// report the full payload size, not the size of the handle: sharing a
 /// buffer saves host memory, never simulated bandwidth.
 pub trait MsgSize {
+    /// The coalescing policy of a machine of these messages whose builder
+    /// names none ([`crate::MachineBuilder::coalesce`]).
+    const COALESCE: crate::CoalescePolicy = crate::CoalescePolicy::Off;
+
     /// Payload size in bytes (excluding the fixed header).
     fn size_bytes(&self) -> usize;
 

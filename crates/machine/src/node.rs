@@ -209,7 +209,7 @@ pub struct Node<M> {
     inbox: RefCell<VecDeque<Inbound<M>>>,
     /// Per-destination coalescing buffers; `pending` counts buffered
     /// parts across all destinations so the common empty case is one load.
-    coalesce: Cell<CoalescePolicy>,
+    coalesce: CoalescePolicy,
     outbuf: RefCell<OutBufs<M>>,
     pending: Cell<usize>,
     /// This node's parking handle: the waiter senders wake it through, and
@@ -259,7 +259,7 @@ impl<M: MsgSize + Send> Node<M> {
             msgs_recv: Cell::new(0),
             watchdog: Cell::new(setup.watchdog),
             inbox: RefCell::new(VecDeque::new()),
-            coalesce: Cell::new(setup.coalesce),
+            coalesce: setup.coalesce,
             outbuf: RefCell::new(OutBufs::new(nprocs)),
             pending: Cell::new(0),
             parker,
@@ -314,13 +314,6 @@ impl<M: MsgSize + Send> Node<M> {
     /// Drain the node's event buffer for merging, if tracing is on.
     pub(crate) fn take_trace(&self) -> Option<NodeTrace> {
         self.sink.enabled().then(|| self.sink.take(self.rank))
-    }
-
-    /// Switch the coalescing policy, flushing anything already buffered
-    /// first so no message straddles a policy change.
-    pub fn set_coalesce(&self, policy: CoalescePolicy) {
-        self.flush_coalesced();
-        self.coalesce.set(policy);
     }
 
     /// The conformance-checking mode this machine was built with.
@@ -431,7 +424,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// normal polling path, like a loopback active message).
     pub fn send(&self, dst: usize, msg: M) {
         debug_assert!(dst < self.nprocs, "send to nonexistent node {dst}");
-        let policy = self.coalesce.get();
+        let policy = self.coalesce;
         let payload = msg.size_bytes();
         // Logical accounting is policy-independent: every message is
         // charged its payload plus one header, however the wire groups it.
@@ -1110,31 +1103,5 @@ mod tests {
                 done.get()
             });
         assert_eq!(r.results, vec![11, 10]);
-    }
-
-    #[test]
-    fn set_coalesce_flushes_before_switching() {
-        let r = Spmd::builder()
-            .nprocs(2)
-            .cost(CostModel::free())
-            .coalesce(CoalescePolicy::FlushOnWait)
-            .run::<u64, _, _>(|node| {
-                if node.rank() == 0 {
-                    node.send(1, 1);
-                    node.send(1, 2);
-                    assert_eq!(node.pending.get(), 2);
-                    node.set_coalesce(CoalescePolicy::Off);
-                    assert_eq!(node.pending.get(), 0);
-                    node.send(1, 3);
-                    let s = node.stats();
-                    (s.logical_msgs, s.wire_msgs)
-                } else {
-                    let seen = Cell::new(0u64);
-                    node.poll_until("3 msgs", |_, _| seen.set(seen.get() + 1), || seen.get() == 3);
-                    (0, 0)
-                }
-            });
-        // Two buffered messages went out as one batch, then one single.
-        assert_eq!(r.results[0], (3, 2));
     }
 }

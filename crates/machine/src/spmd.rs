@@ -89,7 +89,8 @@ pub struct MachineBuilder {
     cost: CostModel,
     trace: TraceConfig,
     watchdog: Duration,
-    coalesce: CoalescePolicy,
+    /// `None` until [`MachineBuilder::coalesce`] names one.
+    coalesce: Option<CoalescePolicy>,
     check: CheckMode,
     /// `None` until [`MachineBuilder::backend`] names one.
     backend: Option<ExecBackend>,
@@ -167,7 +168,7 @@ impl MachineBuilder {
             cost: CostModel::cm5(),
             trace: TraceConfig::off(),
             watchdog: DEFAULT_WATCHDOG,
-            coalesce: CoalescePolicy::Off,
+            coalesce: None,
             check: CheckMode::Off,
             backend: None,
             transport: TransportKind::InProc,
@@ -198,11 +199,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Initial per-destination send-coalescing policy (off by default at
-    /// the substrate level; nodes can switch at runtime with
-    /// [`Node::set_coalesce`]).
+    /// Every node's send-coalescing policy for the whole run; a builder
+    /// that names none gets the message type's [`MsgSize::COALESCE`].
     pub fn coalesce(mut self, policy: CoalescePolicy) -> Self {
-        self.coalesce = policy;
+        self.coalesce = Some(policy);
         self
     }
 
@@ -274,12 +274,12 @@ impl MachineBuilder {
         Ok(())
     }
 
-    fn node_setup(&self) -> NodeSetup {
+    fn node_setup<M: MsgSize>(&self) -> NodeSetup {
         NodeSetup {
             cost: Arc::new(self.cost.clone()),
             watchdog: self.watchdog,
             trace: self.trace.clone(),
-            coalesce: self.coalesce,
+            coalesce: self.coalesce.unwrap_or(M::COALESCE),
             check: self.check,
         }
     }
@@ -326,7 +326,7 @@ impl MachineBuilder {
         assert!(nprocs >= 1, "need at least one node");
         assert!(nprocs <= MAX_NODES, "at most {MAX_NODES} nodes supported");
 
-        let setup = self.node_setup();
+        let setup = self.node_setup::<M>();
         let board = Arc::new(FailBoard::new());
         // One failure board and (in-process) one shared mailbox table:
         // every node clones an `Arc`, so wiring an n-node machine is
@@ -457,7 +457,7 @@ impl MachineBuilder {
                     }),
             )
         };
-        let setup = self.node_setup();
+        let setup = self.node_setup::<M>();
         let (result, stats, trace) =
             node_life(rank, self.nprocs, endpoint, Parker::thread(), &setup, &board, f)
                 .unwrap_or_else(|e| std::panic::resume_unwind(e));

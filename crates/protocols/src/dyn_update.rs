@@ -278,7 +278,9 @@ impl Protocol for DynamicUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_core::{run_ace, CoalescePolicy, CostModel, RegionId, DEFAULT_COALESCE};
+    use ace_core::{
+        run_ace, run_ace_with, CoalescePolicy, CostModel, MachineBuilder, RegionId, Spmd,
+    };
     use std::rc::Rc;
 
     fn upd() -> Rc<dyn Protocol> {
@@ -381,9 +383,8 @@ mod tests {
         // the transport batches those cross-region UPDs into shared wire
         // envelopes. Logical traffic and results must not change; wire
         // traffic must drop.
-        let run = |policy: CoalescePolicy| {
-            run_ace(2, CostModel::free(), move |rt| {
-                rt.node().set_coalesce(policy);
+        let run = |b: MachineBuilder| {
+            run_ace_with(b.nprocs(2).cost(CostModel::free()), |rt| {
                 let s = rt.new_space(upd());
                 let mut rids = Vec::new();
                 for _ in 0..16 {
@@ -416,8 +417,8 @@ mod tests {
                 sum
             })
         };
-        let off = run(CoalescePolicy::Off);
-        let on = run(DEFAULT_COALESCE);
+        let off = run(Spmd::builder().coalesce(CoalescePolicy::Off));
+        let on = run(Spmd::builder());
         let want: u64 = (1..=16).sum();
         assert_eq!(off.results, vec![want, want]);
         assert_eq!(on.results, vec![want, want]);

@@ -41,8 +41,6 @@ pub mod adaptive;
 mod common;
 pub mod counter;
 pub mod dyn_update;
-#[cfg(test)]
-mod fast_mask_tests;
 pub mod home_owned;
 pub mod migratory;
 pub mod null;
@@ -159,6 +157,68 @@ pub(crate) fn shared_region(
 #[cfg(test)]
 mod tests {
     use super::auxbits::*;
+    use crate::{make, shared_region, ProtoSpec};
+    use ace_core::{run_ace, Actions, CostModel};
+
+    /// Under the update protocols the one `on_map` with work to do is on a
+    /// remote entry a handover left unmapped: that map sends exactly the one
+    /// message that joins, and the maps and unmaps after it send nothing.
+    #[test]
+    fn a_map_after_a_handover_joins_once() {
+        for spec in [ProtoSpec::DynUpdate, ProtoSpec::StaticUpdate] {
+            run_ace(2, CostModel::free(), |rt| {
+                let (s, rid) = shared_region(rt, make(spec), 1);
+                rt.unmap(rid);
+                rt.change_protocol(s, make(spec));
+                let sent = || rt.node().stats().logical_msgs;
+                let before = sent();
+                rt.map(rid);
+                assert_eq!(sent() - before, u64::from(rt.rank() == 1), "{}: joined", spec.name());
+                let before = (sent(), rt.counters().fast_maps);
+                rt.map(rid);
+                rt.unmap(rid);
+                assert_eq!((sent(), rt.counters().fast_maps), (before.0, before.1 + 2));
+            });
+        }
+    }
+
+    /// The barrier-time invalidation changes entries from outside any
+    /// callback on them; the cache must follow (it is the one caller of
+    /// `AceRt::rederive_fast`).
+    #[test]
+    fn barrier_invalidation_recaches_the_mask() {
+        for spec in [ProtoSpec::HomeOwned, ProtoSpec::Pipelined] {
+            run_ace(2, CostModel::free(), |rt| {
+                let p = make(spec);
+                let (s, rid) = shared_region(rt, p.clone(), 1);
+                rt.start_read(rid);
+                rt.end_read(rid);
+                let e = rt.entry(rid);
+                assert!(e.fast.get().contains(Actions::START_READ), "copy resident");
+                rt.barrier(s);
+                assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{}: stale after barrier", p.name());
+                assert_eq!(e.fast.get().contains(Actions::START_READ), rt.rank() == 0);
+            });
+        }
+    }
+
+    /// A protocol switch re-caches every region's mask from the adopting
+    /// protocol, on both sides of the handover.
+    #[test]
+    fn handover_recaches_the_mask() {
+        run_ace(2, CostModel::free(), |rt| {
+            let (s, rid) = shared_region(rt, make(ProtoSpec::Sc), 1);
+            rt.start_read(rid);
+            rt.end_read(rid);
+            for spec in [ProtoSpec::Null, ProtoSpec::DynUpdate, ProtoSpec::Migratory, ProtoSpec::Sc]
+            {
+                let p = make(spec);
+                rt.change_protocol(s, p.clone());
+                let e = rt.entry(rid);
+                assert_eq!(e.fast.get(), p.fast_mask(rt, &e), "{}: stale after adopt", p.name());
+            }
+        });
+    }
 
     #[test]
     fn grantee_round_trip() {

@@ -169,6 +169,9 @@ impl Protocol for Migratory {
             op::RECALL => match e.st.get() {
                 R_EXCL if e.busy() || auxbits::has(e, WANTED) => auxbits::set(e, RECALL_PENDING),
                 R_EXCL => self.write_back(rt, e),
+                // The recall crossed this node's flush, whose FLUSH_X is
+                // carrying the copy home and ends home's round there.
+                R_INVALID if auxbits::has(e, FLUSH_WAIT) => {}
                 other => panic!("migratory RECALL in state {other}"),
             },
             op::FLUSH_ACK => auxbits::clear(e, FLUSH_WAIT),

@@ -313,6 +313,9 @@ impl Protocol for SeqInvalidate {
             op::RECALL => match e.st.get() {
                 R_EXCL if e.busy() || auxbits::has(e, WANTED) => auxbits::set(e, RECALL_PENDING),
                 R_EXCL => self.do_recall(rt, e),
+                // The recall crossed this node's flush, whose FLUSH_X is
+                // carrying the copy home and ends home's round there.
+                R_INVALID if auxbits::has(e, FLUSH_WAIT) => {}
                 other => panic!("RECALL in unexpected state {other}"),
             },
             op::FLUSH_ACK => auxbits::clear(e, FLUSH_WAIT),
@@ -339,7 +342,9 @@ impl Protocol for SeqInvalidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_core::{run_ace, CoalescePolicy, CostModel, RegionId, DEFAULT_COALESCE};
+    use ace_core::{
+        run_ace, run_ace_with, CoalescePolicy, CostModel, MachineBuilder, RegionId, Spmd,
+    };
     use std::rc::Rc;
 
     fn sc() -> Rc<dyn Protocol> {
@@ -421,9 +426,8 @@ mod tests {
         // wait that flushes it — so coalescing must not change what any
         // node observes, and logical traffic must be bit-identical between
         // the two transports.
-        let run = |policy: CoalescePolicy| {
-            run_ace(4, CostModel::free(), move |rt| {
-                rt.node().set_coalesce(policy);
+        let run = |b: MachineBuilder| {
+            run_ace_with(b.nprocs(4).cost(CostModel::free()), |rt| {
                 let rid = shared_region(rt, 1);
                 for round in 0..6u64 {
                     // Everyone reads (populating the sharer list), then one
@@ -444,8 +448,8 @@ mod tests {
                 v
             })
         };
-        let off = run(CoalescePolicy::Off);
-        let on = run(DEFAULT_COALESCE);
+        let off = run(Spmd::builder().coalesce(CoalescePolicy::Off));
+        let on = run(Spmd::builder());
         assert_eq!(off.results, vec![6; 4]);
         assert_eq!(on.results, off.results);
         assert_eq!(on.stats.total_msgs(), off.stats.total_msgs(), "same logical traffic");

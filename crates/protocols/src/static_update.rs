@@ -188,7 +188,7 @@ impl Protocol for StaticUpdate {
             op::PUSH => {
                 // Barrier-time contents for this region; ack each push (the
                 // acks for one coalesced batch leave as one wire envelope).
-                e.install_data(msg.data.as_deref().expect("push carries data"));
+                e.install_shared(msg.data.expect("push carries data"));
                 if e.st.get() != R_INVALID {
                     e.st.set(R_SHARED);
                 }

@@ -75,7 +75,7 @@ impl Protocol for WriteOnce {
                 rt.send_proto(msg.from as usize, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::DATA => {
-                e.install_data(msg.data.as_deref().expect("data reply"));
+                e.install_shared(msg.data.expect("data reply"));
                 e.st.set(R_SHARED);
             }
             other => panic!("WriteOnce: unknown opcode {other}"),

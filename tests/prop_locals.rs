@@ -27,10 +27,11 @@ enum Stmt {
     ReadWriteRead(usize, usize, i64),
     /// `x{c} = x{c} + (x{a} && x{b} < k);` or
     /// `if (x{a} || x{b} > k) { x{c} = x{c} + 1; }`: the branch reads a bare
-    /// local. Ace-C's `a || b` is `a` when `a` is not 0 and `a && b` is `b`
-    /// when `a` is not 0, where C has 1, so a value is only used as a number
-    /// when the operand it may be is a comparison.
+    /// local.
     Logic(bool, usize, usize, usize, i64),
+    /// `x{c} = x{c} + (x{a} && x{b});` or `x{c} = x{c} + (x{a} || x{b});`:
+    /// the value of a logical operator on bare locals, which C makes 0 or 1.
+    Truth(bool, usize, usize, usize),
     /// `for (i = 0; i < n; i = i + 1) { x{v} = x{v} * 3 + i - x{w}; }`
     Loop(usize, usize, i64),
     /// `x{v} = f(x{a}, d) + x{v};`
@@ -53,6 +54,9 @@ impl Stmt {
             Stmt::Logic(false, a, b, c, k) => {
                 format!("if (x{a} || x{b} > {k}) {{ x{c} = x{c} + 1; }}")
             }
+            Stmt::Truth(and, a, b, c) => {
+                format!("x{c} = x{c} + (x{a} {} x{b});", if and { "&&" } else { "||" })
+            }
             Stmt::Loop(v, w, n) => {
                 format!("for (i = 0; i < {n}; i = i + 1) {{ x{v} = x{v} * 3 + i - x{w}; }}")
             }
@@ -74,6 +78,10 @@ impl Stmt {
             }
             Stmt::Logic(and, a, b, c, k) => {
                 let hit = if and { x[a] != 0 && x[b] < k } else { x[a] != 0 || x[b] > k };
+                x[c] = x[c].wrapping_add(hit as i64);
+            }
+            Stmt::Truth(and, a, b, c) => {
+                let hit = if and { x[a] != 0 && x[b] != 0 } else { x[a] != 0 || x[b] != 0 };
                 x[c] = x[c].wrapping_add(hit as i64);
             }
             Stmt::Loop(v, w, n) => {
@@ -109,6 +117,7 @@ fn stmt() -> impl Strategy<Value = Stmt> {
         (x(), x(), 1i64..9).prop_map(|(a, b, k)| Stmt::ReadWriteRead(a, b, k)),
         (any::<bool>(), x(), x(), (x(), 0i64..20))
             .prop_map(|(and, a, b, (c, k))| Stmt::Logic(and, a, b, c, k)),
+        (any::<bool>(), x(), x(), x()).prop_map(|(and, a, b, c)| Stmt::Truth(and, a, b, c)),
         (x(), x(), 0i64..5).prop_map(|(v, w, n)| Stmt::Loop(v, w, n)),
         (x(), x(), 0i64..4).prop_map(|(v, a, d)| Stmt::Call(v, a, d)),
         (x(), x(), 1i64..20).prop_map(|(a, b, k)| Stmt::Branch(a, b, k)),
