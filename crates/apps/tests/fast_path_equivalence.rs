@@ -5,7 +5,7 @@
 //! message and byte counts, same annotation counters, and the same
 //! per-node digest of every home region's contents. The only permitted
 //! differences are the fast-hit/dispatch counter split, the count of
-//! maps and unmaps that ran no hook, and simulated time, which may only
+//! maps that ran no hook, and simulated time, which may only
 //! shrink (each absorbed annotation charges `fast_path` instead of a full
 //! dispatch; a `map` charges `map_lookup` on either path).
 //!
@@ -45,9 +45,9 @@ fn assert_fast_accounting(off: &Observed, on: &Observed, ctx: &str) {
     let (off, on) = (&off.outcome, &on.outcome);
     assert_eq!(off.counters.fast_hits, 0, "{ctx}: escape hatch really off");
     assert!(on.counters.fast_hits > 0, "{ctx}: workload should exercise the fast path");
-    // Likewise for `map` / `unmap`, so the equivalence covers their fast
-    // path on every workload here, not vacuously.
-    assert_eq!(off.counters.fast_maps, 0, "{ctx}: escape hatch covers map and unmap");
+    // Likewise for `map`, so the equivalence covers its fast path on every
+    // workload here, not vacuously.
+    assert_eq!(off.counters.fast_maps, 0, "{ctx}: escape hatch covers map");
     assert!(on.counters.fast_maps > 0, "{ctx}: workload should map through the fast path");
     assert_eq!(
         off.counters.dispatched + off.counters.direct,
@@ -82,7 +82,7 @@ fn assert_equivalent(ctx: &str, run: impl Fn(bool) -> Observed) -> Observed {
 
     // All counters must agree exactly, the wire-envelope grouping
     // included; only the split between fast hits and dispatched/direct
-    // calls, and how many maps and unmaps ran no hook, may differ.
+    // calls, and how many maps ran no hook, may differ.
     let strip = |c: &OpCounters| OpCounters {
         dispatched: 0,
         direct: 0,

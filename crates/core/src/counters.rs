@@ -37,10 +37,10 @@ pub struct OpCounters {
     /// was a state-preserving no-op in the current region state, so the
     /// runtime skipped dispatch (and span construction) entirely.
     pub fast_hits: u64,
-    /// `map` and `unmap` calls absorbed by the fast mask: `on_map` /
-    /// `on_unmap` was a no-op in the region's state, so the runtime did its
-    /// own part (lookup, map count, `map_hits` / `unmaps`) and resolved no
-    /// protocol. Kept apart from `fast_hits`, whose ratio
+    /// `map` calls absorbed by the fast mask: `on_map` was a no-op in the
+    /// region's state, so the runtime did its own part (lookup, map count,
+    /// `map_hits`) and resolved no protocol. (An `unmap` never resolves
+    /// one.) Kept apart from `fast_hits`, whose ratio
     /// ([`OpCounters::fast_hit_rate`]) is over access annotations.
     pub fast_maps: u64,
     /// Region lookups that found an entry. (The name is from when a
@@ -55,16 +55,6 @@ pub struct OpCounters {
     /// Wire envelopes this node sent; `<= logical_msgs`, with the gap
     /// being the sends that coalescing batched into shared envelopes.
     pub wire_msgs: u64,
-    /// Slow-path access starts on a non-home region whose cached copy was
-    /// invalid (cross-protocol base state [`crate::rt::REMOTE_INVALID`]):
-    /// the accesses that force a fetch from home. Counted uniformly by the
-    /// runtime, not by protocols, so adaptive-vs-static comparisons see
-    /// identical numbers for identical access sequences.
-    pub remote_misses: u64,
-    /// Slow-path `start_write` calls on a non-home region holding a valid
-    /// *shared* copy (state code 2 by cross-protocol convention): read
-    /// copies that had to be upgraded to write ownership.
-    pub upgrades: u64,
     /// Protocol switches this node committed: `change_protocol` calls plus
     /// adaptive-engine flush-point switches (each also bumps the node's
     /// wire-visible switch epoch).
@@ -112,8 +102,6 @@ impl OpCounters {
         self.region_cache_misses += o.region_cache_misses;
         self.logical_msgs += o.logical_msgs;
         self.wire_msgs += o.wire_msgs;
-        self.remote_misses += o.remote_misses;
-        self.upgrades += o.upgrades;
         self.switches += o.switches;
         self.bar_msgs += o.bar_msgs;
     }

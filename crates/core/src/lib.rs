@@ -22,8 +22,9 @@
 //! | `Ace_Lock` / `Ace_UnLock` | [`AceRt::lock`] / [`AceRt::unlock`] |
 //!
 //! Protocols implement *full access control* (§2.1): hooks before and after
-//! reads and writes, at map/unmap, and at synchronization points, plus an
-//! active-message handler for their wire protocol.
+//! reads and writes, at map, and at synchronization points, plus an
+//! active-message handler for their wire protocol. (No protocol acts on an
+//! unmap, so the runtime's unmap only drops the map count.)
 
 mod check;
 pub mod counters;
@@ -48,7 +49,7 @@ pub use ids::{RegionId, SpaceId};
 pub use msg::{AceMsg, ProtoMsg};
 pub use protocol::{Actions, GrantSet, Protocol};
 pub use region::{FastMask, RegionEntry, Sharers};
-pub use rt::{AceRt, REMOTE_INVALID, REMOTE_SHARED};
+pub use rt::{AceRt, REMOTE_INVALID};
 pub use space::SpaceEntry;
 
 /// Run an SPMD Ace program on `nprocs` simulated processors.

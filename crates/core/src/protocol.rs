@@ -15,7 +15,6 @@ pub struct Actions(pub u16);
 
 impl Actions {
     pub const MAP: Actions = Actions(1 << 0);
-    pub const UNMAP: Actions = Actions(1 << 1);
     pub const START_READ: Actions = Actions(1 << 2);
     pub const END_READ: Actions = Actions(1 << 3);
     pub const START_WRITE: Actions = Actions(1 << 4);
@@ -30,9 +29,9 @@ impl Actions {
     );
 
     /// The per-region hooks a fast mask ([`Protocol::fast_mask`]) speaks
-    /// for: `map`, `unmap` and the four of [`Actions::ACCESS`]. Locks and
-    /// barriers always run.
-    pub const MASKABLE: Actions = Actions(Actions::MAP.0 | Actions::UNMAP.0 | Actions::ACCESS.0);
+    /// for: `map` and the four of [`Actions::ACCESS`]. Locks and barriers
+    /// always run.
+    pub const MASKABLE: Actions = Actions(Actions::MAP.0 | Actions::ACCESS.0);
 
     /// The empty set.
     pub fn empty() -> Self {
@@ -131,8 +130,8 @@ pub trait Protocol: 'static {
         Actions::empty()
     }
 
-    /// The per-region hooks ([`Actions::MASKABLE`]: `on_map`, `on_unmap`
-    /// and the four access hooks) that, run on `e` *in its current state*,
+    /// The per-region hooks ([`Actions::MASKABLE`]: `on_map` and the four
+    /// access hooks) that, run on `e` *in its current state*,
     /// would send nothing and change nothing — the in-state fast path
     /// (CRL's in-cache hit). Must be a pure function of `e` and
     /// `rt.rank()`; the runtime caches the value in [`RegionEntry::fast`]
@@ -155,15 +154,9 @@ pub trait Protocol: 'static {
         GrantSet::exclusive()
     }
 
-    /// A region was just allocated at its home node.
-    fn on_create(&self, _rt: &AceRt, _e: &RegionEntry) {}
-
     /// A region was mapped on this node (entry exists; data buffer
     /// allocated but possibly invalid).
     fn on_map(&self, _rt: &AceRt, _e: &RegionEntry) {}
-
-    /// The region was unmapped on this node.
-    fn on_unmap(&self, _rt: &AceRt, _e: &RegionEntry) {}
 
     /// Before-read hook: must return with a readable local copy.
     fn start_read(&self, rt: &AceRt, e: &RegionEntry);
@@ -209,10 +202,6 @@ pub trait Protocol: 'static {
     /// Adopt a region previously brought to base state by another protocol
     /// (runs after the flush barrier during `change_protocol`).
     fn adopt(&self, _rt: &AceRt, _e: &RegionEntry) {}
-
-    /// New space bound to this protocol (runs in `new_space` and after the
-    /// swap in `change_protocol`).
-    fn init_space(&self, _rt: &AceRt, _s: &SpaceEntry) {}
 }
 
 #[cfg(test)]
@@ -263,8 +252,7 @@ pub(crate) mod tests {
         assert!(m.contains(Actions::END_WRITE));
         assert!(!m.contains(Actions::MAP));
         assert!(!m.contains(Actions::LOCK));
-        let mapping = Actions::MAP.union(Actions::UNMAP);
-        assert_eq!(Actions::MASKABLE, m.union(mapping));
+        assert_eq!(Actions::MASKABLE, m.union(Actions::MAP));
         assert_eq!(
             Actions::MASKABLE.intersect(Actions::LOCK.union(Actions::BARRIER)),
             Actions::empty()

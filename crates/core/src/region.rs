@@ -204,17 +204,18 @@ pub struct RegionEntry {
     pub write_active: Cell<u32>,
 
     /// Fast mask: the per-region hooks ([`crate::Actions::MASKABLE`] —
-    /// `on_map`, `on_unmap` and the four access hooks) that are
-    /// state-preserving no-ops in the region's *current* state (the
-    /// analogue of CRL's in-cache fast path). The runtime checks it before
-    /// resolving the region's protocol; a set bit promises the hook would
-    /// neither send messages nor mutate any entry or space state, so the
-    /// runtime skips it entirely. Empty = always slow.
+    /// `on_map` and the four access hooks) that are state-preserving
+    /// no-ops in the region's *current* state (the analogue of CRL's
+    /// in-cache fast path). The runtime checks it before resolving the
+    /// region's protocol; a set bit promises the hook would neither send
+    /// messages nor mutate any entry or space state, so the runtime skips
+    /// it entirely. Empty = always slow.
     ///
     /// This is a cache of [`crate::Protocol::fast_mask`], owned by the
-    /// runtime: it re-evaluates the protocol's declaration when it returns
-    /// from `on_create`, an `on_map`, `on_unmap` or annotation hook that
-    /// ran, `handle`, and `adopt`, and empties it after `flush` (a flushed
+    /// runtime: it evaluates the protocol's declaration when `gmalloc`
+    /// creates the entry, re-evaluates it when it returns from an `on_map`
+    /// or annotation hook that ran, `handle`, and `adopt`, and empties it
+    /// after `flush` (a flushed
     /// region belongs to no protocol until the next one adopts it). Those
     /// are the callbacks *on this entry*; code that changes an entry from
     /// anywhere else calls [`crate::AceRt::rederive_fast`].
@@ -308,27 +309,6 @@ impl RegionEntry {
         assert_eq!(incoming.len(), slot.len(), "payload size mismatch for {}", self.id);
         *slot = incoming;
     }
-
-    /// Add `rank` to the sharer set.
-    pub fn add_sharer(&self, rank: usize) {
-        self.sharers.add(rank);
-    }
-
-    /// Remove `rank` from the sharer set.
-    pub fn drop_sharer(&self, rank: usize) {
-        self.sharers.remove(rank);
-    }
-
-    /// Whether `rank` is in the sharer set.
-    pub fn is_sharer(&self, rank: usize) -> bool {
-        self.sharers.contains(rank)
-    }
-
-    /// Iterate the ranks present in the sharer set (snapshot: the set may
-    /// be mutated while iterating).
-    pub fn sharer_ranks(&self) -> impl Iterator<Item = usize> {
-        self.sharers.iter()
-    }
 }
 
 #[cfg(test)]
@@ -351,15 +331,15 @@ mod tests {
 
     #[test]
     fn sharer_bitmask_ops() {
-        let e = entry(1);
-        e.add_sharer(0);
-        e.add_sharer(5);
-        e.add_sharer(63);
-        assert!(e.is_sharer(5));
-        assert_eq!(e.sharer_ranks().collect::<Vec<_>>(), vec![0, 5, 63]);
-        e.drop_sharer(5);
-        assert!(!e.is_sharer(5));
-        assert_eq!(e.sharer_ranks().collect::<Vec<_>>(), vec![0, 63]);
+        let s = &entry(1).sharers;
+        s.add(0);
+        s.add(5);
+        s.add(63);
+        assert!(s.contains(5));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 5, 63]);
+        s.remove(5);
+        assert!(!s.contains(5));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63]);
     }
 
     #[test]

@@ -289,8 +289,8 @@ impl<'n> AceRt<'n> {
     }
 
     /// Enable or disable the per-region fast paths ([`RegionEntry::fast`]).
-    /// On by default; turning them off makes every `map`, `unmap` and
-    /// access annotation resolve its protocol and run its hook, which must
+    /// On by default; turning them off makes every `map` and access
+    /// annotation resolve its protocol and run its hook, which must
     /// be behaviourally identical (only slower — for the annotations, in
     /// virtual time too). Exposed for equivalence tests and A/B
     /// benchmarking.
@@ -477,7 +477,7 @@ impl<'n> AceRt<'n> {
             AceMsg::MetaReply { region, space, words } => {
                 // Create the (invalid) cache entry the mapper is waiting on.
                 let e = Rc::new(RegionEntry::new(region, space, words as usize));
-                e.st.set(crate::rt::REMOTE_INVALID);
+                e.st.set(REMOTE_INVALID);
                 self.regions.borrow_mut().insert(e);
             }
             AceMsg::BarArrive { tag, epoch, prof } => self.bar_note_arrival(tag, epoch, prof),
@@ -526,12 +526,9 @@ impl<'n> AceRt<'n> {
     /// call `new_space` in the same program order (SPMD), which makes the
     /// locally-generated ids agree machine-wide.
     pub fn new_space(&self, protocol: Rc<dyn Protocol>) -> SpaceId {
-        let id = SpaceId(self.spaces.borrow().len() as u32);
-        let s = Rc::new(SpaceEntry::new(id, protocol));
-        s.proto().init_space(self, &s);
         let mut spaces = self.spaces.borrow_mut();
-        assert_eq!(spaces.len(), id.0 as usize, "init_space of {id} created a space");
-        spaces.push(s);
+        let id = SpaceId(spaces.len() as u32);
+        spaces.push(Rc::new(SpaceEntry::new(id, protocol)));
         id
     }
 
@@ -595,7 +592,6 @@ impl<'n> AceRt<'n> {
         s.dirty.borrow_mut().clear();
         s.aux.set(0);
         self.note_switch(s.id, old.name(), new.name());
-        new.init_space(self, s);
         for env in self.early.take() {
             self.dispatch(env);
         }
@@ -649,10 +645,8 @@ impl<'n> AceRt<'n> {
         let id = RegionId::new(self.rank(), seq);
         let e = Rc::new(RegionEntry::new(id, space, words));
         e.st.set(HOME_OWNED_STATE);
-        let proto = self.space(space).proto();
-        self.regions.borrow_mut().insert(e.clone());
-        proto.on_create(self, &e);
-        self.cache_fast(&e, Some(&*proto));
+        self.cache_fast(&e, Some(&*self.space(space).proto()));
+        self.regions.borrow_mut().insert(e);
         id
     }
 
@@ -738,7 +732,7 @@ impl<'n> AceRt<'n> {
     /// Whether `action` on `e` takes the in-state fast path: the fast
     /// paths are on and the region's protocol has declared the hook a
     /// no-op in the region's current state ([`RegionEntry::fast`]). The one
-    /// test under `map`, `unmap` and the four access annotations; on a hit
+    /// test under `map` and the four access annotations; on a hit
     /// the caller resolves no protocol, opens no span, calls no hook and
     /// leaves the mask alone (a hook that did not run moved no state).
     #[inline]
@@ -766,42 +760,14 @@ impl<'n> AceRt<'n> {
     }
 
     /// `ACE_UNMAP`. The cache entry is retained (CRL-style unmapped-region
-    /// caching); only the map count drops.
+    /// caching); only the map count drops. No protocol acts on an unmap, so
+    /// none is resolved.
     pub fn unmap(&self, r: RegionId) {
         let e = self.entry(r);
         self.counters.borrow_mut().unmaps += 1;
         assert!(e.mapped.get() > 0, "unmap of unmapped region {r}");
         e.mapped.set(e.mapped.get() - 1);
-        if self.fast_hit(&e, Actions::UNMAP) {
-            self.last_hook.set(Hook::Unmap.name());
-            self.counters.borrow_mut().fast_maps += 1;
-            return;
-        }
-        let proto = self.space(e.space).proto();
-        let span = self.span_enter(Hook::Unmap, e.space, Some(&e), &*proto, None);
-        proto.on_unmap(self, &e);
-        self.cache_fast(&e, Some(&*proto));
-        self.span_exit(span);
-    }
-
-    /// Uniform sharing-signal accounting for a slow-path access start,
-    /// taken *before* the hook runs (the hook mutates the state code). A
-    /// non-home region in the invalid base state is a remote miss — the
-    /// access forces a fetch; a non-home write on a valid shared copy
-    /// (state 2 by cross-protocol convention) is an upgrade. Counted by
-    /// the runtime, not by protocols, so identical access sequences yield
-    /// identical counts regardless of which protocol serves them.
-    #[inline]
-    fn note_slow_access(&self, e: &RegionEntry, write: bool) {
-        if e.is_home_of(self.rank()) {
-            return;
-        }
-        let st = e.st.get();
-        if st == REMOTE_INVALID {
-            self.counters.borrow_mut().remote_misses += 1;
-        } else if write && st == REMOTE_SHARED {
-            self.counters.borrow_mut().upgrades += 1;
-        }
+        self.last_hook.set(Hook::Unmap.name());
     }
 
     /// Re-derive `e`'s cached fast mask from its protocol's declaration
@@ -820,7 +786,7 @@ impl<'n> AceRt<'n> {
         let mask = owner.map_or(Actions::empty(), |p| p.fast_mask(self, e));
         debug_assert!(
             owner.is_none_or(|p| mask.contains(p.null_actions().intersect(Actions::MASKABLE))),
-            "{}: a map, unmap or access hook declared null must be fast in every state, got {mask:?}",
+            "{}: a map or access hook declared null must be fast in every state, got {mask:?}",
             e.id
         );
         e.fast.set(mask);
@@ -914,9 +880,6 @@ impl<'n> AceRt<'n> {
                     self.counters.borrow_mut().direct += 1;
                     self.node.charge(self.node.cost().direct_call);
                 }
-            }
-            if let Edge::Open { write } = edge {
-                self.note_slow_access(&e, write);
             }
             let p = via.get(self, &e, &mut held);
             let span = self.span_enter(hook, e.space, Some(&e), p, None);
@@ -1393,11 +1356,6 @@ impl<'n> AceRt<'n> {
 pub const HOME_OWNED_STATE: u32 = 0;
 /// Canonical base-state code for a remote entry with an invalid cache.
 pub const REMOTE_INVALID: u32 = 1;
-/// Remote entry holding a valid shared (read) copy. A cross-protocol
-/// convention rather than a runtime-enforced state: every fetching
-/// protocol in the suite parks a readable remote copy on code 2. Used
-/// only for uniform upgrade accounting, never for protocol decisions.
-pub const REMOTE_SHARED: u32 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -2018,30 +1976,32 @@ mod tests {
                     }
                 }
             }
-            // `map` / `unmap`: the same mask, but no rung of the ladder —
-            // the lookup is charged and the call counted on either path.
+            // `map`: the same mask, but no rung of the ladder — the lookup
+            // is charged and the call counted on either path. `unmap`
+            // reaches no protocol: it is counted, charges nothing and emits
+            // no span, mask or no mask.
             for fast_on in [true, false] {
                 rt.set_fast_paths(fast_on);
                 for hook in [Hook::Map, Hook::Unmap] {
                     let case = format!("{} fast_on={fast_on}", hook.name());
                     let (mut want, t0) = (rt.counters(), rt.node().now());
                     sink.take(0);
-                    let ns = if hook == Hook::Map {
+                    let (ns, hit) = if hook == Hook::Map {
                         rt.map(rid);
                         want.map_hits += 1;
-                        700
+                        want.fast_maps += fast_on as u64;
+                        (700, fast_on)
                     } else {
                         rt.unmap(rid);
                         want.unmaps += 1;
-                        0
+                        (0, true)
                     };
-                    want.fast_maps += fast_on as u64;
                     let after = rt.counters();
                     want.region_cache_hits = after.region_cache_hits;
                     assert_eq!(after, want, "{case}: counters");
                     assert_eq!(rt.node().now() - t0, ns, "{case}: charge");
                     assert_eq!(rt.last_hook(), hook.name(), "{case}: last_hook");
-                    assert_eq!(traced(), if fast_on { Vec::new() } else { span(hook) }, "{case}");
+                    assert_eq!(traced(), if hit { Vec::new() } else { span(hook) }, "{case}");
                 }
             }
         });
@@ -2052,6 +2012,7 @@ mod tests {
     /// fast, and the data still arrives.
     #[test]
     fn protocol_without_a_mask_stays_slow_and_correct() {
+        const VALID: u32 = 2;
         const FETCHING: u32 = 4;
         struct Maskless;
         impl Protocol for Maskless {
@@ -2062,7 +2023,7 @@ mod tests {
                 if !e.is_home_of(rt.rank()) && e.st.get() == REMOTE_INVALID {
                     e.st.set(FETCHING);
                     rt.send_proto(e.id.home(), e.id, 1, 0, None);
-                    rt.wait("maskless fetch", || e.st.get() == REMOTE_SHARED);
+                    rt.wait("maskless fetch", || e.st.get() == VALID);
                 }
             }
             fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
@@ -2073,7 +2034,7 @@ mod tests {
                     1 => rt.send_proto(msg.from as usize, e.id, 2, 0, Some(e.share_data())),
                     _ => {
                         e.install_shared(msg.data.expect("reply carries data"));
-                        e.st.set(REMOTE_SHARED);
+                        e.st.set(VALID);
                     }
                 }
             }

@@ -142,10 +142,8 @@ impl<'n> CrlRt<'n> {
     /// `rgn_unmap`: drop the mapping; the region enters the URC and may be
     /// evicted (flushing its coherence state home) when the URC overflows.
     pub fn unmap(&self, r: RegionId) {
+        self.rt.unmap(r);
         let e = self.rt.entry(r);
-        self.rt.counters_mut(|c| c.unmaps += 1);
-        assert!(e.mapped.get() > 0, "rgn_unmap of unmapped region {r}");
-        e.mapped.set(e.mapped.get() - 1);
         if e.mapped.get() == 0 && !e.is_home_of(self.rank()) {
             let stamp = self.urc_stamp.get();
             self.urc_stamp.set(stamp + 1);

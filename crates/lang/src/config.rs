@@ -31,9 +31,8 @@ use ace_protocols::ProtoSpec;
 
 /// The configuration points of a protocol block, in the order the file
 /// lists them, each with the action it declares.
-pub const POINTS: [(&str, Actions); 9] = [
+pub const POINTS: [(&str, Actions); 8] = [
     ("Map", Actions::MAP),
-    ("Unmap", Actions::UNMAP),
     ("StartRead", Actions::START_READ),
     ("EndRead", Actions::END_READ),
     ("StartWrite", Actions::START_WRITE),
@@ -80,7 +79,11 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed lines or unknown protocol names.
+    /// Returns a message for an unknown protocol name, and one quoting the
+    /// line for a second block of one protocol or a malformed line: an
+    /// unknown point, a missing value or a word after it, a point value
+    /// other than `null`, `defined` or `default`, or an `Optimizable` other
+    /// than `yes` or `no`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut entries = HashMap::new();
         let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
@@ -91,6 +94,9 @@ impl SystemConfig {
             let name = rest.trim_end_matches('{').trim().to_string();
             let spec = ProtoSpec::by_name(&name)
                 .ok_or_else(|| format!("unknown protocol '{name}' in configuration"))?;
+            if entries.contains_key(&name) {
+                return Err(format!("a second block for protocol {name}: '{line}'"));
+            }
             let mut null_actions = Actions::empty();
             let mut optimizable = false;
             loop {
@@ -100,18 +106,26 @@ impl SystemConfig {
                 if body == "}" {
                     break;
                 }
+                let bad = |what: &str| Err(format!("{what} in protocol {name}: '{body}'"));
                 let mut it = body.split_whitespace();
-                let key = it.next().unwrap_or("");
-                let val = it.next().unwrap_or("");
+                let (Some(key), Some(val), None) = (it.next(), it.next(), it.next()) else {
+                    return bad("expected a point and one value");
+                };
                 if key == "Optimizable" {
-                    optimizable = val == "yes";
+                    match val {
+                        "yes" => optimizable = true,
+                        "no" => optimizable = false,
+                        _ => return bad("Optimizable is 'yes' or 'no'"),
+                    }
                     continue;
                 }
                 let Some((_, action)) = POINTS.iter().find(|(point, _)| *point == key) else {
-                    return Err(format!("unknown point '{key}' in protocol {name}"));
+                    return bad("unknown point");
                 };
-                if val == "null" {
-                    null_actions = null_actions.union(*action);
+                match val {
+                    "null" => null_actions = null_actions.union(*action),
+                    "defined" | "default" => {}
+                    _ => return bad("a point is 'null', 'defined' or 'default'"),
                 }
             }
             entries.insert(name, ProtoEntry { spec, optimizable, null_actions });
@@ -171,10 +185,38 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// `parse`'s error for `text`, which must quote `line`.
+    fn rejected(text: &str, line: &str) {
+        let err = SystemConfig::parse(text).expect_err(text);
+        assert!(err.contains(&format!("'{line}'")), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_a_point_value_other_than_null_defined_or_default() {
+        rejected("protocol SC {\nStartRead nul\n}\n", "StartRead nul");
+        rejected("protocol SC {\nStartRead\n}\n", "StartRead");
+    }
+
+    #[test]
+    fn parse_rejects_an_optimizable_other_than_yes_or_no() {
+        rejected("protocol Update {\nOptimizable maybe\n}\n", "Optimizable maybe");
+    }
+
+    #[test]
+    fn parse_rejects_words_after_the_value() {
+        rejected("protocol SC {\nEndRead null defined\n}\n", "EndRead null defined");
+        rejected("protocol SC {\nOptimizable no thanks\n}\n", "Optimizable no thanks");
+    }
+
+    #[test]
+    fn parse_rejects_a_second_block_for_one_protocol() {
+        rejected("protocol SC {\n}\nprotocol SC {\n}\n", "protocol SC {");
+    }
+
     #[test]
     fn figure1_style_entry() {
         let cfg = SystemConfig::parse(
-            "protocol Update {\nStartRead null\nEndRead null\nOptimizable yes\n}\n",
+            "protocol Update {\nStartRead null\nEndRead null\nLock default\nOptimizable yes\n}\n",
         )
         .unwrap();
         let e = cfg.get("Update").unwrap();

@@ -61,17 +61,17 @@ pub enum DispatchMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hook {
     /// `ACE_START_READ`.
-    StartRead = 2,
+    StartRead = 1,
     /// `ACE_END_READ`.
-    EndRead = 3,
+    EndRead = 2,
     /// `ACE_START_WRITE`.
-    StartWrite = 4,
+    StartWrite = 3,
     /// `ACE_END_WRITE`.
-    EndWrite = 5,
+    EndWrite = 4,
     /// `Ace_Lock(region)`.
-    Lock = 7,
+    Lock = 6,
     /// `Ace_UnLock(region)`.
-    Unlock = 8,
+    Unlock = 7,
 }
 
 impl Hook {

@@ -29,8 +29,8 @@
 //! routine, [`ace_core::AceRt::handover`], with "swap the inner protocol"
 //! in place of "rebind the space": old protocol flushes every region to
 //! base state → drain outstanding → machine barrier → swap inner, bump the
-//! wire-visible switch epoch → `init_space` + `adopt` (the runtime re-caches
-//! every region's fast mask from the new protocol) → machine barrier.
+//! wire-visible switch epoch → `adopt` (the runtime re-caches every
+//! region's fast mask from the new protocol) → machine barrier.
 //!
 //! # What it costs
 //!
@@ -43,12 +43,10 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use ace_core::{
-    AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry, REMOTE_INVALID,
-    REMOTE_SHARED,
-};
+use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
 use crate::registry::{make, ProtoSpec};
+use crate::states::{R_INVALID, R_SHARED};
 
 /// Candidate-set configuration for one adaptive space: which protocols
 /// the engine may select, where it starts, and how eagerly it moves.
@@ -87,7 +85,7 @@ impl AdaptiveSpec {
     pub const DYN_UPDATE: u8 = 1 << 1;
     /// Static update ([`crate::StaticUpdate`]).
     pub const STATIC_UPDATE: u8 = 1 << 2;
-    /// Migratory single-copy ([`crate::Migratory`]).
+    /// Migratory single-copy ([`crate::SeqInvalidate`] with exclusive reads).
     pub const MIGRATORY: u8 = 1 << 3;
     /// Null protocol ([`crate::NullProtocol`]) — pinned only.
     pub const NULL: u8 = 1 << 4;
@@ -469,22 +467,14 @@ impl Protocol for AdaptiveEngine {
         self.inner().fast_mask(rt, e)
     }
 
-    fn on_create(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().on_create(rt, e);
-    }
-
     fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
         self.inner().on_map(rt, e);
-    }
-
-    fn on_unmap(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().on_unmap(rt, e);
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
         if self.profiling() {
             Self::bump(&self.reads);
-            if !e.is_home_of(rt.rank()) && e.st.get() == REMOTE_INVALID {
+            if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
                 Self::bump(&self.rmiss);
             }
         }
@@ -500,7 +490,7 @@ impl Protocol for AdaptiveEngine {
             Self::bump(&self.writes);
             if !e.is_home_of(rt.rank()) {
                 let st = e.st.get();
-                if st == REMOTE_INVALID || st == REMOTE_SHARED {
+                if st == R_INVALID || st == R_SHARED {
                     Self::bump(&self.wmiss);
                 }
             }
@@ -527,7 +517,7 @@ impl Protocol for AdaptiveEngine {
         prof[P_LOCKS] = self.locks.take();
         for e in rt.regions_of_space(s.id) {
             if e.is_home_of(rt.rank()) {
-                let links = e.sharer_ranks().count() as u64;
+                let links = e.sharers.iter().count() as u64;
                 if links > 0 {
                     prof[P_FAN] += links;
                     prof[P_NSH] += 1;
@@ -562,10 +552,6 @@ impl Protocol for AdaptiveEngine {
 
     fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
         self.inner().adopt(rt, e);
-    }
-
-    fn init_space(&self, rt: &AceRt, s: &SpaceEntry) {
-        self.inner().init_space(rt, s);
     }
 }
 

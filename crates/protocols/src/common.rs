@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use ace_core::{AceRt, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
+use ace_core::{AceRt, RegionEntry, SpaceEntry};
 
-use crate::auxbits::{self, BUSY, FLUSH_WAIT, WANTED};
+use crate::auxbits::{self, FLUSH_WAIT, WANTED};
 use crate::states::R_INVALID;
 
 /// Remote side of a miss: send `req` home and block until the reply moves
@@ -47,54 +47,6 @@ pub(crate) fn leave_home(
     e.st.set(R_INVALID);
     rt.send_proto(e.id.home(), e.id, op, 0, data);
     rt.wait(what, || !auxbits::has(e, FLUSH_WAIT));
-}
-
-/// Home side of a start hook: block until the master copy is valid at home
-/// and no directory round is in flight, sending `recall` to the exclusive
-/// owner if the master is away.
-pub(crate) fn recall_master(rt: &AceRt, e: &RegionEntry, recall: u16, what: &str) {
-    while e.owner.get() != -1 || auxbits::has(e, BUSY) {
-        if !auxbits::has(e, BUSY) {
-            auxbits::set(e, BUSY);
-            rt.send_proto(e.owner.get() as usize, e.id, recall, 0, None);
-        }
-        rt.wait(what, || !auxbits::has(e, BUSY));
-    }
-}
-
-/// Home side of a request handler: park `msg` in the blocked queue if it
-/// cannot be served now — home is inside its own access section, a round is
-/// in flight, or the master is away (which starts the `recall` round).
-/// Returns whether it was parked; `false` means the master is valid and
-/// idle, serve the request.
-pub(crate) fn park_request(rt: &AceRt, e: &RegionEntry, msg: &ProtoMsg, recall: u16) -> bool {
-    if !e.busy() && !auxbits::has(e, BUSY) {
-        if e.owner.get() == -1 {
-            return false;
-        }
-        auxbits::set(e, BUSY);
-        rt.send_proto(e.owner.get() as usize, e.id, recall, 0, None);
-    }
-    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
-    true
-}
-
-/// Home side: the exclusive copy came home in `msg` (recall response or
-/// flush). Install it, end the round, and serve whoever queued behind it.
-pub(crate) fn master_home(p: &dyn Protocol, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg) {
-    e.install_shared(msg.data.expect("writeback carries data"));
-    e.owner.set(-1);
-    auxbits::clear(e, BUSY);
-    drain_blocked(p, rt, e);
-}
-
-/// Home side: replay the requests parked during a round (or behind home's
-/// own section) through `p`'s handler, oldest first.
-pub(crate) fn drain_blocked(p: &dyn Protocol, rt: &AceRt, e: &RegionEntry) {
-    let parked: Vec<(u16, u16, u64)> = e.blocked.borrow_mut().drain(..).collect();
-    for (from, op, arg) in parked {
-        p.handle(rt, e, ProtoMsg { region: e.id, op, from, arg, data: None }, from as usize);
-    }
 }
 
 /// Drop this node's cached copy of `e`, and the twin diffed against it,

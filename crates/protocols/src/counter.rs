@@ -78,7 +78,6 @@ impl Protocol for FetchAddCounter {
             .union(Actions::END_WRITE)
             .union(Actions::UNLOCK)
             .union(Actions::MAP)
-            .union(Actions::UNMAP)
     }
 
     // Sections carry no coherence meaning here — mutation happens under

@@ -101,7 +101,7 @@ impl DynamicUpdate {
         // refcount bumps instead of O(sharers) deep copies.
         let snapshot = e.share_data();
         let mut n = 0u64;
-        for s in e.sharer_ranks() {
+        for s in e.sharers.iter() {
             if s == writer {
                 continue;
             }
@@ -137,7 +137,7 @@ impl Protocol for DynamicUpdate {
     }
 
     fn null_actions(&self) -> Actions {
-        Actions::END_READ.union(Actions::UNMAP)
+        Actions::END_READ
     }
 
     // An update protocol: writers push new values to every standing copy,
@@ -147,7 +147,7 @@ impl Protocol for DynamicUpdate {
         GrantSet::concurrent()
     }
 
-    // `end_read` and `on_unmap` are unconditional no-ops (declared null);
+    // `end_read` is an unconditional no-op (declared null);
     // `on_map` and the start hooks all come down to `join_if_invalid`, a
     // no-op whenever a writable copy is already present (home, or a joined
     // sharer — writers need no exclusivity under update propagation).
@@ -200,7 +200,7 @@ impl Protocol for DynamicUpdate {
         match msg.op {
             // ---------------- home side ----------------
             op::JOIN => {
-                e.add_sharer(from);
+                e.sharers.add(from);
                 rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::UPD_HOME => {
@@ -210,7 +210,7 @@ impl Protocol for DynamicUpdate {
                 }
             }
             op::LEAVE => {
-                e.drop_sharer(from);
+                e.sharers.remove(from);
                 rt.send_proto(from, e.id, op::LEAVE_ACK, 0, None);
             }
             op::UPD_ACK => {

@@ -57,11 +57,7 @@ impl Protocol for HomeOwned {
     }
 
     fn null_actions(&self) -> Actions {
-        Actions::START_WRITE
-            .union(Actions::END_WRITE)
-            .union(Actions::END_READ)
-            .union(Actions::MAP)
-            .union(Actions::UNMAP)
+        Actions::START_WRITE.union(Actions::END_WRITE).union(Actions::END_READ).union(Actions::MAP)
     }
 
     // Writes go straight to the home copy; remote readers fetch on
@@ -71,7 +67,7 @@ impl Protocol for HomeOwned {
         GrantSet { write_write: false, read_write: true }
     }
 
-    // Map, unmap, the write hooks and `end_read` are unconditional no-ops
+    // Map, the write hooks and `end_read` are unconditional no-ops
     // (and declared null). `start_read` only fetches on a remote invalid
     // copy, so it is fast at home or while a pulled copy is still valid.
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {

@@ -2,7 +2,7 @@
 //!
 //! Every protocol here implements the full-access-control interface of
 //! [`ace_core::Protocol`]: hooks before/after reads and writes, at
-//! map/unmap, and at synchronization points, plus an active-message
+//! map, and at synchronization points, plus an active-message
 //! handler. Each protocol's distributed state lives in the protocol-owned
 //! fields of [`ace_core::RegionEntry`] (state code, sharer bitmask, owner,
 //! pending count, aux word, blocked queue, twin buffer) and in
@@ -11,27 +11,26 @@
 //! | protocol | paper use | semantics |
 //! |---|---|---|
 //! | [`SeqInvalidate`] | the default | sequentially-consistent, home-based invalidation (CRL-class MSI) |
+//! | Migratory: the [`SeqInvalidate`] that [`make`] builds for [`ProtoSpec::Migratory`] | migratory data | SC whose reads take the exclusive copy too: the single copy migrates to each accessor |
 //! | [`DynamicUpdate`] | Barnes-Hut bodies, EM3D experiment | writes propagated to all sharers immediately after each write |
 //! | [`StaticUpdate`] | EM3D | sharer lists built on first touch, updates pushed at barriers (Falsafi et al.'s EM3D protocol) |
 //! | [`NullProtocol`] | Water intra-molecular phase | no coherence actions at all |
-//! | [`Migratory`] | migratory data | single copy migrates to each accessor with exclusive ownership |
 //! | [`PipelinedWrite`] | Water inter-molecular phase | local writes diffed against a twin; f64 deltas pipelined home and accumulated; completion checked at barriers |
 //! | [`HomeOwned`] | BSC | asserts only the creating node writes; readers pull bulk copies, validity bounded by barriers |
 //! | [`FetchAddCounter`] | TSP job counter | `lock` performs a one-round-trip fetch-and-add at home |
 //! | [`AdaptiveEngine`] | runtime-chosen | meta-protocol: samples sharing signals, switches a space among the above at barriers |
 //!
-//! A protocol here is its state machine and little else. What every
-//! home-based protocol needs — fetch a copy and wait, leave home and wait
-//! for the ack, recall the master, park and replay requests, drop cached
-//! copies at a barrier — is written once in the private `common` module,
-//! parameterised by opcode and wait label; and no protocol maintains a
-//! region's cached fast mask: each declares [`ace_core::Protocol::fast_mask`]
-//! — which of `on_map`, `on_unmap` and the four access hooks are no-ops
-//! in the entry's state, starting from the ones its `null_actions` lists
-//! as no-ops in every state — and the runtime does the caching. Only the
-//! two update protocols do anything at a mapping (the first `map` of a
-//! remote region subscribes or joins); under the rest a `map` or `unmap`
-//! never reaches the protocol.
+//! A protocol here is its state machine and little else. What several
+//! home-based protocols need — fetch a copy and wait, leave home and wait
+//! for the ack, drop cached copies at a barrier — is written once in the
+//! private `common` module, parameterised by opcode and wait label; and no
+//! protocol maintains a region's cached fast mask: each declares
+//! [`ace_core::Protocol::fast_mask`] — which of `on_map` and the four
+//! access hooks are no-ops in the entry's state, starting from the ones its
+//! `null_actions` lists as no-ops in every state — and the runtime does the
+//! caching. Only the two update protocols do anything at a mapping (the
+//! first `map` of a remote region subscribes or joins); under the rest a
+//! `map` never reaches the protocol, and an `unmap` reaches none.
 //!
 //! The [`registry`] module is the analogue of the paper's protocol
 //! registration script (Figure 1): a table of protocol names, their
@@ -42,7 +41,6 @@ mod common;
 pub mod counter;
 pub mod dyn_update;
 pub mod home_owned;
-pub mod migratory;
 pub mod null;
 pub mod pipelined;
 pub mod registry;
@@ -53,7 +51,6 @@ pub use adaptive::{AdaptiveEngine, AdaptiveSpec};
 pub use counter::FetchAddCounter;
 pub use dyn_update::DynamicUpdate;
 pub use home_owned::HomeOwned;
-pub use migratory::Migratory;
 pub use null::NullProtocol;
 pub use pipelined::PipelinedWrite;
 pub use registry::{make, ProtoSpec};
@@ -65,9 +62,9 @@ pub use static_update::StaticUpdate;
 /// a remote region; protocols take it from there.
 pub mod states {
     /// This node is the region's home (master copy lives here).
-    pub const HOME: u32 = 0;
+    pub const HOME: u32 = ace_core::rt::HOME_OWNED_STATE;
     /// Remote cache: no valid copy.
-    pub const R_INVALID: u32 = 1;
+    pub const R_INVALID: u32 = ace_core::REMOTE_INVALID;
     /// Remote cache: valid read copy.
     pub const R_SHARED: u32 = 2;
     /// Remote cache: exclusive, writable copy.
@@ -177,7 +174,7 @@ mod tests {
                 let before = (sent(), rt.counters().fast_maps);
                 rt.map(rid);
                 rt.unmap(rid);
-                assert_eq!((sent(), rt.counters().fast_maps), (before.0, before.1 + 2));
+                assert_eq!((sent(), rt.counters().fast_maps), (before.0, before.1 + 1));
             });
         }
     }

@@ -30,7 +30,6 @@ impl Protocol for NullProtocol {
 
     fn null_actions(&self) -> Actions {
         Actions::MAP
-            .union(Actions::UNMAP)
             .union(Actions::START_READ)
             .union(Actions::END_READ)
             .union(Actions::START_WRITE)
@@ -42,8 +41,8 @@ impl Protocol for NullProtocol {
         GrantSet::concurrent()
     }
 
-    // Every per-region hook is an unconditional no-op, so maps, unmaps
-    // and accesses are fast in every state.
+    // Every per-region hook is an unconditional no-op, so maps and
+    // accesses are fast in every state.
     fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
         self.null_actions()
     }

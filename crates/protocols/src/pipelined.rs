@@ -80,7 +80,7 @@ impl Protocol for PipelinedWrite {
     }
 
     fn null_actions(&self) -> Actions {
-        Actions::END_READ.union(Actions::MAP).union(Actions::UNMAP)
+        Actions::END_READ.union(Actions::MAP)
     }
 
     // Pipelined updates deliberately relax consistency: writers stream
@@ -90,7 +90,7 @@ impl Protocol for PipelinedWrite {
         GrantSet::concurrent()
     }
 
-    // Map, unmap and `end_read` are unconditional no-ops (declared null).
+    // Map and `end_read` are unconditional no-ops (declared null).
     // Starts are no-ops once a copy
     // is resident (and, for writes, the twin snapshot exists — the home
     // writes the master directly and never twins). A remote `end_write`

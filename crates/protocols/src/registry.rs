@@ -14,8 +14,8 @@ use std::rc::Rc;
 use ace_core::{Actions, GrantSet, Protocol};
 
 use crate::{
-    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, HomeOwned, Migratory,
-    NullProtocol, PipelinedWrite, SeqInvalidate, StaticUpdate,
+    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, HomeOwned, NullProtocol,
+    PipelinedWrite, SeqInvalidate, StaticUpdate,
 };
 
 /// A serializable protocol selector, used by applications to request
@@ -30,7 +30,7 @@ pub enum ProtoSpec {
     StaticUpdate,
     /// Null protocol.
     Null,
-    /// Migratory single-copy.
+    /// Migratory single-copy: SC whose reads take the exclusive copy.
     Migratory,
     /// Pipelined delta writes.
     Pipelined,
@@ -83,7 +83,7 @@ pub fn make(spec: ProtoSpec) -> Rc<dyn Protocol> {
         ProtoSpec::DynUpdate => Rc::new(DynamicUpdate::new()),
         ProtoSpec::StaticUpdate => Rc::new(StaticUpdate::new()),
         ProtoSpec::Null => Rc::new(NullProtocol::new()),
-        ProtoSpec::Migratory => Rc::new(Migratory::new()),
+        ProtoSpec::Migratory => Rc::new(SeqInvalidate::migratory()),
         ProtoSpec::Pipelined => Rc::new(PipelinedWrite::new()),
         ProtoSpec::HomeOwned => Rc::new(HomeOwned::new()),
         ProtoSpec::FetchAdd(stride) => Rc::new(FetchAddCounter::with_stride(stride)),

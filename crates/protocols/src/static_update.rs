@@ -90,10 +90,7 @@ impl Protocol for StaticUpdate {
     // and the barrier do work. This mirrors the paper's observation that
     // the protocol "sets most of its handlers to be the null handler".
     fn null_actions(&self) -> Actions {
-        Actions::START_READ
-            .union(Actions::END_READ)
-            .union(Actions::START_WRITE)
-            .union(Actions::UNMAP)
+        Actions::START_READ.union(Actions::END_READ).union(Actions::START_WRITE)
     }
 
     // One writer updates the static copy set; standing readers keep
@@ -154,7 +151,7 @@ impl Protocol for StaticUpdate {
         for rid in s.take_dirty() {
             let e = rt.entry(rid);
             debug_assert!(e.is_home_of(rt.rank()));
-            for sub in e.sharer_ranks() {
+            for sub in e.sharers.iter() {
                 s.outstanding.set(s.outstanding.get() + 1);
                 rt.send_proto(sub, e.id, op::PUSH, 0, Some(e.share_data()));
             }
@@ -168,7 +165,7 @@ impl Protocol for StaticUpdate {
         match msg.op {
             // home side
             op::SUBSCRIBE => {
-                e.add_sharer(from);
+                e.sharers.add(from);
                 rt.send_proto(from, e.id, op::DATA, 0, Some(e.share_data()));
             }
             op::PUSH_ACK => {
@@ -177,7 +174,7 @@ impl Protocol for StaticUpdate {
                 s.outstanding.set(s.outstanding.get() - 1);
             }
             op::UNSUB => {
-                e.drop_sharer(from);
+                e.sharers.remove(from);
                 rt.send_proto(from, e.id, op::UNSUB_ACK, 0, None);
             }
             // subscriber side

@@ -14,7 +14,7 @@ use ace_core::{run_ace, AceRt, Actions, CostModel, Protocol, RegionEntry, Region
 use ace_protocols::auxbits::{BUSY, INV_PENDING, LISTED, RECALL_PENDING, WANTED};
 use ace_protocols::registry::all_protocols;
 use ace_protocols::states::{R_EXCL, R_INVALID, R_SHARED};
-use ace_protocols::{make, Migratory, ProtoSpec};
+use ace_protocols::{make, ProtoSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Seeds swept per protocol: `0..SEEDS`.
@@ -22,13 +22,13 @@ const SEEDS: u64 = 256;
 
 const NONE: Actions = Actions(0);
 const STARTS: Actions = Actions(Actions::START_READ.0 | Actions::START_WRITE.0);
+const ENDS: Actions = Actions(Actions::END_READ.0 | Actions::END_WRITE.0);
 const WRITES: Actions = Actions(Actions::START_WRITE.0 | Actions::END_WRITE.0);
 
 type Hook = fn(&dyn Protocol, &AceRt, &RegionEntry);
 /// Every hook a fast mask or a null declaration can name.
-const HOOKS: [(Actions, &str, Hook); 8] = [
+const HOOKS: [(Actions, &str, Hook); 7] = [
     (Actions::MAP, "on_map", |p, rt, e| p.on_map(rt, e)),
-    (Actions::UNMAP, "on_unmap", |p, rt, e| p.on_unmap(rt, e)),
     (Actions::START_READ, "start_read", |p, rt, e| p.start_read(rt, e)),
     (Actions::END_READ, "end_read", |p, rt, e| p.end_read(rt, e)),
     (Actions::START_WRITE, "start_write", |p, rt, e| p.start_write(rt, e)),
@@ -107,7 +107,7 @@ fn states(spec: ProtoSpec) -> Vec<State> {
             ("home", |s| s.home && s.bits(A::MAP, NONE)),
             ("a joined remote", |s| s.remote(R_SHARED) && s.bits(A::MAP, NONE)),
             ("a remote a handover left invalid and unmapped", |s| {
-                s.remote(R_INVALID) && s.e.mapped.get() == 0 && s.bits(A::UNMAP, A::MAP)
+                s.remote(R_INVALID) && s.e.mapped.get() == 0 && s.bits(NONE, A::MAP)
             }),
             ("that remote mapped again", |s| s.left && s.remote(R_SHARED) && s.bits(A::MAP, NONE)),
         ],
@@ -125,7 +125,7 @@ fn states(spec: ProtoSpec) -> Vec<State> {
             }),
             ("the remote owner", |s| s.remote(R_EXCL) && s.bits(STARTS, NONE)),
             ("the remote owner with RECALL_PENDING inside a section", |s| {
-                s.e.aux.get() & RECALL_PENDING != 0 && s.e.busy() && s.bits(NONE, A::ACCESS)
+                s.e.aux.get() & RECALL_PENDING != 0 && s.e.busy() && s.bits(STARTS, ENDS)
             }),
         ],
         ProtoSpec::Pipelined => vec![
@@ -374,8 +374,8 @@ fn every_static_protocol_keeps_its_fast_mask_and_null_promises() {
 /// catch that declaration in the recall's state.
 #[test]
 fn the_audit_refinds_migratory_end_hooks_declared_null() {
-    let ends = Actions::END_READ.union(Actions::END_WRITE);
-    let fails = sweep(ProtoSpec::Migratory, Some(Migratory.null_actions().union(ends)))
+    let null = make(ProtoSpec::Migratory).null_actions().union(ENDS);
+    let fails = sweep(ProtoSpec::Migratory, Some(null))
         .err()
         .expect("the audit passed a declaration that drops recalls");
     let msg = "end_write is declared null but is not a no-op";
