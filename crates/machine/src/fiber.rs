@@ -19,15 +19,19 @@
 //! * A fiber is created, run and finished on the thread that called
 //!   [`run`]; nothing is `Send`, no `Rc` changes thread.
 //! * `run` returns only when every body has, so a body may borrow from
-//!   `run`'s caller. A stack is unmapped once its body has returned and
-//!   the executor is back on its own.
-//! * Each stack ends in a `PROT_NONE` guard page: overflow is a `SIGSEGV`
-//!   (frames over a page are probed), not a scribble over a neighbour.
+//!   `run`'s caller. Its stacks then go to the thread's pool, and the
+//!   next `run` gives its fiber `i` stack `i`, building the first frame
+//!   afresh, and maps new stacks only past the pool's end. A `run` unmaps
+//!   the pooled stacks its machine does not need, and the thread's exit
+//!   the rest: only ever on the executor's own stack, never on a fiber's.
+//! * Each stack ends in a `PROT_NONE` guard page, kept for its whole life:
+//!   overflow is a `SIGSEGV` (frames over a page are probed), not a
+//!   scribble over a neighbour.
 //! * A body never unwinds into the trampoline, which has no frame above
 //!   it: the trampoline aborts the process if one does.
 //! * A fiber never switches out while its thread is unwinding (`suspend`
 //!   asserts it): the panic count is the thread's, so the next fiber to
-//!   panic would be a double panic. No `Drop` may block.
+//!   panic would be a double panic. No `Drop` may suspend a fiber.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -41,6 +45,8 @@ pub(crate) const SUPPORTED: bool = true;
 /// A fiber's stack, and so a node's under `Multiplexed`. The apps recurse
 /// only logarithmically (Barnes' octree walk), so 1 MiB is deep water; at
 /// 4096 nodes it is 4 GiB reserved, of which touched pages materialize.
+/// The thread keeps its last machine's stacks, touched pages and all, for
+/// the next machine it runs.
 const MUX_STACK_BYTES: usize = 1 << 20;
 /// Resumes between two reads of the host clock behind [`now`]. A blocked
 /// fiber only needs the time to notice a watchdog of seconds, so reading
@@ -61,16 +67,15 @@ unsafe extern "C" {
 }
 
 /// One fiber's stack: `MUX_STACK_BYTES` above a guard page, by its base.
+/// Dropped (and unmapped) only by the executor on its own stack: a `run`
+/// trimming the pool, or the thread's exit.
 struct Stack(*mut c_void);
 
 impl Stack {
     const LEN: usize = PAGE + MUX_STACK_BYTES;
 
-    /// Map a stack and build its fiber's first frame. Returns it with what
-    /// [`switch`] first loads for it: six zeroed callee-saved registers to
-    /// pop, [`trampoline`] to return to, and above that the null return
-    /// address it "was called from", where a backtrace stops.
-    fn new() -> (Stack, usize) {
+    /// Map a stack whose lowest page is its guard.
+    fn map() -> Stack {
         // SAFETY: a fresh private anonymous mapping at an address of the
         // kernel's choosing aliases nothing; the result is checked.
         let base =
@@ -80,36 +85,46 @@ impl Stack {
         // uses yet. Stacks grow down, so this is where an overflow lands.
         let guarded = unsafe { mprotect(base, PAGE, PROT_NONE) };
         assert_eq!(guarded, 0, "mprotect of a fiber stack's guard page failed");
+        Stack(base)
+    }
+
+    /// Build a fiber's first frame on this stack, over whatever a finished
+    /// fiber left there. Returns what [`switch`] first loads for it: six
+    /// zeroed callee-saved registers to pop, [`trampoline`] to return to,
+    /// and above that the null return address it "was called from", where
+    /// a backtrace stops.
+    fn first_frame(&self) -> usize {
         let frame = [0, 0, 0, 0, 0, 0, trampoline as extern "sysv64" fn() -> ! as usize, 0];
-        let sp = base as usize + Self::LEN - 8 * frame.len();
+        let sp = self.0 as usize + Self::LEN - 8 * frame.len();
         // The ABI's entry condition, as after a `call`: without it the
         // first aligned SSE spill in the body faults.
         assert_eq!((sp + 8 * 7) % 16, 8, "a fiber must start with rsp = 16n + 8");
         // SAFETY: the top 64 bytes of this stack's own writable pages
-        // (64 < MUX_STACK_BYTES), which nothing points into.
+        // (64 < MUX_STACK_BYTES). The stack is fresh or pooled, so no
+        // fiber runs on it and nothing points into it.
         unsafe { (sp as *mut [usize; 8]).write(frame) };
-        (Stack(base), sp)
+        sp
     }
+}
 
-    /// Not a `Drop`: the one caller is the executor, on its own stack,
-    /// once the fiber that ran on this one is done.
-    fn unmap(self) {
-        // SAFETY: exactly the mapping `new` made, which (see above) no
-        // live stack pointer points into any more.
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: exactly the mapping `map` made. Only the executor drops
+        // a stack, on its own stack, and only one no fiber will resume.
         let unmapped = unsafe { munmap(self.0, Self::LEN) };
-        assert_eq!(unmapped, 0, "munmap of a fiber stack failed");
+        debug_assert_eq!(unmapped, 0, "munmap of a fiber stack failed");
     }
 }
 
 /// Push the callee-saved registers, publish the stack pointer through
 /// `save`, and continue on the stack `to` names by popping what this
-/// function (or [`Stack::new`]) left there. Returns when something
+/// function (or [`Stack::first_frame`]) left there. Returns when something
 /// switches back.
 ///
 /// # Safety
 ///
 /// `save` must be writable and `to` a stack pointer this function
-/// published (or `Stack::new` built) for a stack that is still mapped,
+/// published (or `Stack::first_frame` built) for a stack that is still mapped,
 /// not running, and owned by the calling thread. `mxcsr` and the x87
 /// control word are not saved: nothing in this program changes either.
 #[unsafe(naked)]
@@ -126,16 +141,21 @@ unsafe extern "sysv64" fn switch(save: *mut usize, to: usize) {
 struct Fiber {
     /// Where this fiber's registers are while it is switched out.
     sp: Cell<usize>,
-    /// `None` once the body has returned and the stack is unmapped.
-    stack: Option<Stack>,
+    /// Until the body has returned.
+    live: bool,
+    stack: Stack,
     body: Option<Box<dyn FnOnce()>>,
 }
 
-/// The calling thread's executor: empty unless the thread is inside
-/// [`run`]. No `RefCell` borrow is ever held across a [`switch`].
+/// The calling thread's executor: empty but for its pool unless the
+/// thread is inside [`run`]. No `RefCell` borrow is ever held across a
+/// [`switch`].
 #[derive(Default)]
 struct Executor {
     fibers: RefCell<Vec<Fiber>>,
+    /// The last `run`'s stacks by fiber id, for the next `run`'s fibers:
+    /// fiber `i` gets stack `i` again, with the pages its rank touched.
+    pool: RefCell<Vec<Stack>>,
     /// Woken fiber ids, oldest first.
     ready: RefCell<VecDeque<usize>>,
     /// The fiber that is running; meaningless while the executor is.
@@ -184,20 +204,24 @@ extern "sysv64" fn trampoline() -> ! {
 /// (see module docs for the order). A body that panics aborts the
 /// process: catch what can be caught inside it. Panics inside a fiber.
 pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
-    let spawn = |body: Box<dyn FnOnce() + 'a>| {
-        // SAFETY: only the lifetime changes. The body is consumed by its
-        // fiber, and this function does not return before every fiber
-        // has finished (`live == 0` below), so nothing borrowed for 'a
-        // is used after 'a.
-        let body: Box<dyn FnOnce()> = unsafe { std::mem::transmute(body) };
-        let (stack, sp) = Stack::new();
-        Fiber { sp: Cell::new(sp), stack: Some(stack), body: Some(body) }
-    };
     // Fibers reach `EXEC` through `with` calls of their own, nested in this one.
     EXEC.with(|e| {
         assert!(e.fibers.borrow().is_empty(), "fiber::run called from inside a fiber");
+        let n = bodies.len();
+        let mut pooled = e.pool.take().into_iter();
+        let spawn = |body: Box<dyn FnOnce() + 'a>| {
+            // SAFETY: only the lifetime changes. The body is consumed by its
+            // fiber, and this function does not return before every fiber
+            // has finished (`live == 0` below), so nothing borrowed for 'a
+            // is used after 'a.
+            let body: Box<dyn FnOnce()> = unsafe { std::mem::transmute(body) };
+            let stack = pooled.next().unwrap_or_else(Stack::map);
+            Fiber { sp: Cell::new(stack.first_frame()), live: true, stack, body: Some(body) }
+        };
         let fibers: Vec<Fiber> = bodies.into_iter().map(spawn).collect();
-        let n = fibers.len();
+        // Unmaps the pooled stacks this machine does not need, so the
+        // thread holds at most one machine's.
+        drop(pooled);
         *e.fibers.borrow_mut() = fibers;
         e.ready.borrow_mut().extend(0..n);
         e.stalled.set(false);
@@ -208,12 +232,12 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
                 // Deadlock: only a running fiber wakes another, and none is.
                 e.stalled.set(true);
                 let fibers = e.fibers.borrow();
-                e.ready.borrow_mut().extend((0..n).filter(|&i| fibers[i].stack.is_some()));
+                e.ready.borrow_mut().extend((0..n).filter(|&i| fibers[i].live));
                 continue;
             };
             let to = {
                 let fiber = &e.fibers.borrow()[id];
-                fiber.stack.is_some().then(|| fiber.sp.get())
+                fiber.live.then(|| fiber.sp.get())
             };
             // A stale id: woken, then failed by the deadlock rule before its turn.
             let Some(to) = to else { continue };
@@ -223,17 +247,17 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
             }
             clock_due -= 1;
             e.current.set(id);
-            // SAFETY: `to` was built by `Stack::new` or published by the
-            // switch in `suspend`, for a stack that is still mapped (checked
-            // above) and not running (the executor is); `save` is `EXEC.sp`.
+            // SAFETY: `to` was built by `Stack::first_frame` or published by the
+            // switch in `suspend`, for a live fiber's stack (checked above),
+            // which is mapped and not running (the executor is); `save` is
+            // `EXEC.sp`.
             unsafe { switch(e.sp.as_ptr(), to) };
             if e.finished.replace(false) {
-                let stack = e.fibers.borrow_mut()[id].stack.take();
-                stack.expect("a fiber finishes once").unmap();
+                e.fibers.borrow_mut()[id].live = false;
                 live -= 1;
             }
         }
-        e.fibers.take();
+        *e.pool.borrow_mut() = e.fibers.take().into_iter().map(|f| f.stack).collect();
         e.ready.take();
         e.now.take();
     });
@@ -275,6 +299,7 @@ pub(crate) fn wake(id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::hint::black_box;
     use std::rc::Rc;
 
@@ -326,6 +351,41 @@ mod tests {
         run(bodies.collect());
         assert_eq!((passes.get(), token.get()), (2 * N, 2 * N));
         EXEC.with(|e| assert!(e.fibers.borrow().is_empty() && e.ready.borrow().is_empty()));
+    }
+
+    /// The bases of the calling thread's pooled stacks, by fiber id.
+    fn pooled() -> Vec<usize> {
+        EXEC.with(|e| e.pool.borrow().iter().map(|s| s.0 as usize).collect())
+    }
+
+    /// Run `n` bodies and return the stack each ran on, by fiber id: the
+    /// address of a local in it, rounded down to the pooled stack holding it.
+    fn stacks_run_on(n: usize) -> Vec<usize> {
+        let locals = RefCell::new(Vec::new());
+        let bodies = (0..n).map(|_| {
+            let locals = &locals;
+            boxed(move || {
+                let here = black_box(0u8);
+                locals.borrow_mut().push(&here as *const u8 as usize);
+            })
+        });
+        run(bodies.collect());
+        let pool = pooled();
+        let stack_of = |a: usize| pool.iter().copied().find(|&b| b < a && a < b + Stack::LEN);
+        let locals = locals.into_inner().into_iter();
+        locals.map(|a| stack_of(a).expect("a local on a pooled stack")).collect()
+    }
+
+    #[test]
+    fn a_second_run_reuses_the_first_runs_stacks_and_a_smaller_one_trims_them() {
+        const N: usize = 8;
+        let first = stacks_run_on(N);
+        let distinct: BTreeSet<usize> = first.iter().copied().collect();
+        assert_eq!(distinct.len(), N, "one stack per fiber");
+        assert_eq!(stacks_run_on(N), first, "fiber i ran on stack i again: nothing was mapped");
+        let fewer = stacks_run_on(3);
+        assert_eq!(fewer, first[..3]);
+        assert_eq!(pooled(), fewer, "exactly the smaller run's stacks stay pooled");
     }
 
     #[test]

@@ -53,13 +53,17 @@ fn recurse(depth: u64) -> u64 {
     recurse(depth + 1) + pad[7]
 }
 
-#[test]
-fn fiber_overflow_dies_on_the_guard_page() {
+/// Die in `child`: a 2-rank machine whose rank 1 recurses without bound,
+/// after `warm_ups` machines of 2 have pooled their stacks for it.
+fn overflow_after(warm_ups: usize, test: &str) {
     if in_child() {
+        for _ in 0..warm_ups {
+            mux(2).run::<u64, _, _>(|_| 0);
+        }
         mux(2).run::<u64, _, _>(|node| if node.rank() == 1 { recurse(0) } else { 0 });
         return;
     }
-    let out = child("fiber_overflow_dies_on_the_guard_page");
+    let out = child(test);
     let signal = out.status.signal();
     assert!(
         matches!(signal, Some(11 | 7)),
@@ -69,7 +73,17 @@ fn fiber_overflow_dies_on_the_guard_page() {
     );
 }
 
-/// Blocks when dropped — what no `Drop` in the workspace may do.
+#[test]
+fn fiber_overflow_dies_on_the_guard_page() {
+    overflow_after(0, "fiber_overflow_dies_on_the_guard_page");
+}
+
+#[test]
+fn fiber_overflow_on_a_reused_stack_dies_on_the_guard_page() {
+    overflow_after(1, "fiber_overflow_on_a_reused_stack_dies_on_the_guard_page");
+}
+
+/// Suspends its fiber when dropped — what no `Drop` may do.
 struct ParkOnDrop<'a>(&'a Node<u64>);
 
 impl Drop for ParkOnDrop<'_> {
@@ -100,12 +114,20 @@ fn vm_size_kib() -> u64 {
     line.split_whitespace().nth(1).and_then(|kib| kib.parse().ok()).expect("VmSize in kiB")
 }
 
-/// 4096 ranks pass a token round the ring twice. Returns the address
+/// Minor page faults this process has taken: field 10 of `/proc/self/stat`.
+#[cfg(target_os = "linux")]
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
+    // Field 2 is the command in parentheses, which may hold spaces.
+    let rest = &stat[stat.rfind(')').expect("a (comm) field") + 1..];
+    rest.split_whitespace().nth(7).and_then(|f| f.parse().ok()).expect("minflt, field 10")
+}
+
+/// `n` ranks pass a token round the ring twice. Returns the address
 /// space the process held as rank 0 started, every stack mapped.
 #[cfg(target_os = "linux")]
-fn ring_twice() -> u64 {
-    const N: usize = 4096;
-    let r = mux(N).run::<u64, _, _>(|node| {
+fn ring_twice(n: usize) -> u64 {
+    let r = mux(n).run::<u64, _, _>(|node| {
         let me = node.rank();
         let held = std::cell::Cell::new(0u64);
         let vm_size = if me == 0 { vm_size_kib() } else { 0 };
@@ -114,8 +136,8 @@ fn ring_twice() -> u64 {
         }
         for _lap in 0..2 {
             node.poll_until("the token", |_, env| held.set(env.msg), || held.get() != 0);
-            if held.get() < 2 * N as u64 {
-                node.send((me + 1) % N, held.get() + 1);
+            if held.get() < 2 * n as u64 {
+                node.send((me + 1) % n, held.get() + 1);
             }
             held.set(0);
         }
@@ -126,19 +148,64 @@ fn ring_twice() -> u64 {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn fiber_stacks_are_unmapped_when_the_machine_is_done() {
+fn fiber_stacks_are_reused_then_released() {
     if !in_child() {
-        let out = child("fiber_stacks_are_unmapped_when_the_machine_is_done");
+        let out = child("fiber_stacks_are_reused_then_released");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         return;
     }
-    // The first machine grows the heap to its working size; the second
-    // must leave the address space where it found it.
-    ring_twice();
+    const N: usize = 4096;
+    const SLACK_KIB: u64 = 4 * 1024;
+    const STACK_KIB: u64 = (4096 + (1 << 20)) / 1024;
+    let on_a_thread = |rings: usize| {
+        let rings = move || {
+            for _ in 0..rings {
+                ring_twice(N);
+            }
+        };
+        std::thread::spawn(rings).join().expect("the rings' thread");
+    };
+    // A thread's allocator arena outlives it, free for the next thread to
+    // take: the baseline is read with one in place, at its working size.
+    on_a_thread(1);
+    let start = vm_size_kib();
+    // A thread's stacks go when it does, whatever machines it ran.
+    on_a_thread(2);
+    let joined = vm_size_kib();
+    assert!(
+        joined.abs_diff(start) < SLACK_KIB,
+        "VmSize {start} -> {joined} kiB across a joined thread"
+    );
+    // The second machine runs on the first one's stacks: nothing is
+    // mapped again, and nothing is left behind.
+    ring_twice(N);
     let before = vm_size_kib();
-    let during = ring_twice();
+    let during = ring_twice(N);
     let after = vm_size_kib();
-    assert!(during > before + 4096 * 1024, "premise: 4096 one-MiB stacks were mapped");
-    // A leaked guard page per fiber would be 16 MiB.
-    assert!(after < before + 4 * 1024, "VmSize {before} -> {during} -> {after} kiB");
+    assert!(before > start + N as u64 * 1024, "premise: {N} one-MiB stacks stay pooled");
+    assert!(
+        during.abs_diff(before) < SLACK_KIB && after.abs_diff(before) < SLACK_KIB,
+        "VmSize {before} -> {during} -> {after} kiB"
+    );
+    // A smaller machine keeps only its own stacks.
+    mux(1).run::<u64, _, _>(|_| 0);
+    let trimmed = vm_size_kib();
+    assert!(trimmed < start + SLACK_KIB + STACK_KIB, "VmSize {start} -> {trimmed} kiB");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn fiber_stacks_of_a_warm_machine_take_no_page_faults() {
+    if !in_child() {
+        let out = child("fiber_stacks_of_a_warm_machine_take_no_page_faults");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        return;
+    }
+    const N: usize = 256;
+    ring_twice(N);
+    let before = minor_faults();
+    ring_twice(N);
+    let faults = minor_faults() - before;
+    // A stack mapped afresh faults in at least its top page: N of them.
+    assert!(faults <= 16, "a warm {N}-rank machine took {faults} minor faults");
 }
