@@ -590,7 +590,6 @@ impl<'n> AceRt<'n> {
         self.machine_barrier();
         install();
         s.dirty.borrow_mut().clear();
-        s.aux.set(0);
         self.note_switch(s.id, old.name(), new.name());
         for env in self.early.take() {
             self.dispatch(env);

@@ -12,7 +12,9 @@ use crate::protocol::Protocol;
 /// pointers to the appropriate protocol's routines. [...] The structure
 /// also contains a pointer by which protocols may associate data with a
 /// space (for example, a static update protocol may wish to associate the
-/// sharer list for a particular data structure with its space)."
+/// sharer list for a particular data structure with its space)." No
+/// protocol here needs that pointer: the dirty list and the outstanding
+/// count below are all the per-space state the library keeps.
 pub struct SpaceEntry {
     /// The space's machine-wide id.
     pub id: SpaceId,
@@ -26,8 +28,6 @@ pub struct SpaceEntry {
     /// Outstanding asynchronous operations the protocol must drain before
     /// a barrier completes (pipelined writes in flight, unacked updates).
     pub outstanding: Cell<u64>,
-    /// Protocol-defined scalar slot (learning-phase flags, epochs, ...).
-    pub aux: Cell<u64>,
 }
 
 impl SpaceEntry {
@@ -38,7 +38,6 @@ impl SpaceEntry {
             protocol: RefCell::new(protocol),
             dirty: RefCell::new(Vec::new()),
             outstanding: Cell::new(0),
-            aux: Cell::new(0),
         }
     }
 

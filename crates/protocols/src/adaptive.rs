@@ -83,7 +83,7 @@ impl AdaptiveSpec {
     pub const SC: u8 = 1 << 0;
     /// Dynamic update ([`crate::DynamicUpdate`]).
     pub const DYN_UPDATE: u8 = 1 << 1;
-    /// Static update ([`crate::StaticUpdate`]).
+    /// Static update ([`crate::DynamicUpdate`] pushing at the barrier).
     pub const STATIC_UPDATE: u8 = 1 << 2;
     /// Migratory single-copy ([`crate::SeqInvalidate`] with exclusive reads).
     pub const MIGRATORY: u8 = 1 << 3;

@@ -6,14 +6,14 @@
 //! handler. Each protocol's distributed state lives in the protocol-owned
 //! fields of [`ace_core::RegionEntry`] (state code, sharer bitmask, owner,
 //! pending count, aux word, blocked queue, twin buffer) and in
-//! [`ace_core::SpaceEntry`] (dirty list, outstanding count, aux).
+//! [`ace_core::SpaceEntry`] (dirty list, outstanding count).
 //!
 //! | protocol | paper use | semantics |
 //! |---|---|---|
 //! | [`SeqInvalidate`] | the default | sequentially-consistent, home-based invalidation (CRL-class MSI) |
 //! | Migratory: the [`SeqInvalidate`] that [`make`] builds for [`ProtoSpec::Migratory`] | migratory data | SC whose reads take the exclusive copy too: the single copy migrates to each accessor |
 //! | [`DynamicUpdate`] | Barnes-Hut bodies, EM3D experiment | writes propagated to all sharers immediately after each write |
-//! | [`StaticUpdate`] | EM3D | sharer lists built on first touch, updates pushed at barriers (Falsafi et al.'s EM3D protocol) |
+//! | Static update: the [`DynamicUpdate`] that [`make`] builds for [`ProtoSpec::StaticUpdate`] | EM3D | dynamic update that pushes at the barrier instead of after each write (Falsafi et al.'s EM3D protocol) |
 //! | [`NullProtocol`] | Water intra-molecular phase | no coherence actions at all |
 //! | [`PipelinedWrite`] | Water inter-molecular phase | local writes diffed against a twin; f64 deltas pipelined home and accumulated; completion checked at barriers |
 //! | [`HomeOwned`] | BSC | asserts only the creating node writes; readers pull bulk copies, validity bounded by barriers |
@@ -28,8 +28,8 @@
 //! [`ace_core::Protocol::fast_mask`] — which of `on_map` and the four
 //! access hooks are no-ops in the entry's state, starting from the ones its
 //! `null_actions` lists as no-ops in every state — and the runtime does the
-//! caching. Only the two update protocols do anything at a mapping (the
-//! first `map` of a remote region subscribes or joins); under the rest a
+//! caching. Only the update protocols do anything at a mapping (the first
+//! `map` of a remote region joins its sharer list); under the rest a
 //! `map` never reaches the protocol, and an `unmap` reaches none.
 //!
 //! The [`registry`] module is the analogue of the paper's protocol
@@ -45,7 +45,6 @@ pub mod null;
 pub mod pipelined;
 pub mod registry;
 pub mod seq_inv;
-pub mod static_update;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveSpec};
 pub use counter::FetchAddCounter;
@@ -55,7 +54,6 @@ pub use null::NullProtocol;
 pub use pipelined::PipelinedWrite;
 pub use registry::{make, ProtoSpec};
 pub use seq_inv::SeqInvalidate;
-pub use static_update::StaticUpdate;
 
 /// Region state codes shared by the invalidation-style protocols. The
 /// runtime establishes `HOME` at `gmalloc` and `R_INVALID` on first map of
@@ -95,7 +93,7 @@ pub mod auxbits {
     /// set, yanks defer exactly like during an open section.
     pub const WANTED: u64 = 1 << 3;
     /// Remote side of an update protocol: this node is on home's sharer
-    /// list (joined, subscribed) and must take itself off it in `flush`.
+    /// list (joined) and must take itself off it in `flush`.
     pub const LISTED: u64 = 1 << 4;
     /// Remote side: `flush` told home this node is leaving and is waiting
     /// for the acknowledgement.

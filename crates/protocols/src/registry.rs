@@ -15,7 +15,7 @@ use ace_core::{Actions, GrantSet, Protocol};
 
 use crate::{
     AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, HomeOwned, NullProtocol,
-    PipelinedWrite, SeqInvalidate, StaticUpdate,
+    PipelinedWrite, SeqInvalidate,
 };
 
 /// A serializable protocol selector, used by applications to request
@@ -81,7 +81,7 @@ pub fn make(spec: ProtoSpec) -> Rc<dyn Protocol> {
     match spec {
         ProtoSpec::Sc => Rc::new(SeqInvalidate::new()),
         ProtoSpec::DynUpdate => Rc::new(DynamicUpdate::new()),
-        ProtoSpec::StaticUpdate => Rc::new(StaticUpdate::new()),
+        ProtoSpec::StaticUpdate => Rc::new(DynamicUpdate::at_barrier()),
         ProtoSpec::Null => Rc::new(NullProtocol::new()),
         ProtoSpec::Migratory => Rc::new(SeqInvalidate::migratory()),
         ProtoSpec::Pipelined => Rc::new(PipelinedWrite::new()),
