@@ -294,4 +294,83 @@ mod tests {
         });
         assert_eq!(r.results, vec![7.0, 7.0]);
     }
+
+    /// A 4-rank home-owned run held to the simulated time, traffic and
+    /// counters it had as its own module: a region created under SC and
+    /// read on the remote ranks, handed over to HomeOwned for three rounds
+    /// of a home write, a barrier, a remote read and a barrier (which keeps
+    /// the next write off the copies being pulled), then handed back to SC
+    /// for one more home write and remote read. Exact only where every run
+    /// repeats (the multiplexed executor).
+    #[cfg(all(target_arch = "x86_64", unix))]
+    #[test]
+    fn a_home_owned_run_is_pinned() {
+        use crate::{make, ProtoSpec};
+        use ace_core::OpCounters;
+        let r = run_ace(4, CostModel::cm5(), |rt| {
+            let (s, rid) = crate::shared_region(rt, make(ProtoSpec::Sc), 2);
+            let read = || {
+                rt.start_read(rid);
+                let v = rt.with::<u64, _>(rid, |d| d[0] + d[1]);
+                rt.end_read(rid);
+                v
+            };
+            let write = |round: u64| {
+                rt.start_write(rid);
+                rt.with_mut::<u64, _>(rid, |d| d[round as usize % 2] += round * 10);
+                rt.end_write(rid);
+            };
+            if rt.rank() != 0 {
+                read();
+            }
+            rt.change_protocol(s, make(ProtoSpec::HomeOwned));
+            let mut seen = 0;
+            for round in 1..=3u64 {
+                if rt.rank() == 0 {
+                    write(round);
+                }
+                rt.barrier(s);
+                seen += read();
+                rt.barrier(s);
+            }
+            rt.change_protocol(s, make(ProtoSpec::Sc));
+            if rt.rank() == 0 {
+                write(4);
+            }
+            rt.barrier(s);
+            if rt.rank() != 0 {
+                seen += read();
+            }
+            (seen, rt.counters())
+        });
+        let mut c = OpCounters::default();
+        for (rank, (seen, counters)) in r.results.iter().enumerate() {
+            assert_eq!(*seen, if rank == 0 { 10 + 30 + 60 } else { 10 + 30 + 60 + 100 });
+            c.merge(counters);
+        }
+        let s = &r.stats;
+        let got = (s.sim_time(), s.total_msgs(), s.total_wire_msgs(), s.total_bytes());
+        assert_eq!(got, (1_009_900, 117, 117, 4008));
+        let want = OpCounters {
+            map_hits: 1,
+            map_misses: 3,
+            start_reads: 18,
+            read_misses: 15,
+            start_writes: 4,
+            ends: 22,
+            barriers: 28,
+            proto_msgs: 33,
+            dispatched: 15,
+            fast_hits: 29,
+            fast_maps: 1,
+            region_cache_hits: 106,
+            region_cache_misses: 3,
+            logical_msgs: 108,
+            wire_msgs: 108,
+            switches: 8,
+            bar_msgs: 132,
+            ..OpCounters::default()
+        };
+        assert_eq!(c, want);
+    }
 }
