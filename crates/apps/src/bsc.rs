@@ -13,8 +13,9 @@
 //! runtime system supports user-specified granularity, the default
 //! protocol uses bulk transfer automatically", which is why the
 //! custom-protocol win is *marginal* for BSC. The custom variant plugs in
-//! [`ace_protocols::HomeOwned`], exploiting "the fact that data are
-//! written only by the processors that created them".
+//! the home-owned protocol ([`ace_protocols::ProtoSpec::HomeOwned`]),
+//! exploiting "the fact that data are written only by the processors that
+//! created them".
 //!
 //! The parallel algorithm is a bulk-synchronous right-looking fan-out:
 //! factor the diagonal block, solve the sub-diagonal panel, apply the

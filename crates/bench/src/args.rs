@@ -70,7 +70,7 @@ impl Args {
     /// Parse `argv` (without the program name). A flag's value is the next
     /// argument unless that is itself an `--option`: then a `[X]` flag
     /// stands bare and any other valued flag is an error, as is a
-    /// subcommand, flag or positional argument [`COMMANDS`] does not list,
+    /// subcommand, flag or positional argument `COMMANDS` does not list,
     /// or a `FILE...` list left empty.
     pub fn parse(argv: &[String]) -> Result<Args, String> {
         let (cmd, rest) = argv.split_first().ok_or("missing subcommand")?;

@@ -1,6 +1,6 @@
 //! How a machine's nodes get the host CPU ([`ExecBackend`]), and the one
-//! way a node blocks: it publishes its [`Waiter`] where wakers will find
-//! it and parks through its [`Parker`] — an OS thread in the kernel, a
+//! way a node blocks: it publishes its `Waiter` where wakers will find
+//! it and parks through its `Parker` — an OS thread in the kernel, a
 //! fiber by handing the executor's thread to the next runnable node
 //! (`fiber.rs` has the executor's rules, DESIGN.md §13 the reasons).
 //! Whoever ends the wait — a sender, a failing peer — takes the waiter

@@ -2,7 +2,7 @@
 //!
 //! One [`Mailbox`] per destination rank in one shared read-only table (so
 //! an `n`-node machine clones one `Arc` per node, not `n` senders), and
-//! the machine-wide [`FailBoard`] for fail-fast peer-death detection. A
+//! the machine-wide `FailBoard` for fail-fast peer-death detection. A
 //! send is a push into the destination's mailbox, which also wakes the
 //! destination if it is parked there. All latency and bandwidth semantics
 //! live above this layer in the cost model; delivery itself is

@@ -1,9 +1,9 @@
 //! One rank's inbox and its one way to block on it.
 //!
 //! A [`Mailbox`] is a mutex around a FIFO of delivered [`Wire`] envelopes
-//! plus, while the owning node is blocked, that node's [`Waiter`]. Both
+//! plus, while the owning node is blocked, that node's `Waiter`. Both
 //! backends deliver into it — in-process senders directly, socket reader
-//! threads after decoding — and [`Mailbox::park`] is the machine's single
+//! threads after decoding — and `Mailbox::park` is the machine's single
 //! blocking receive, shared by both transports and both execution
 //! backends.
 //!
@@ -12,9 +12,9 @@
 //! waiter out under the lock (so exactly one party does) and wakes it
 //! outside the lock. Three things end a wait:
 //!
-//! * a delivery ([`Mailbox::push`]),
-//! * a peer failure (the [`FailBoard`](super::FailBoard) calls
-//!   [`Mailbox::poke`] on every mailbox when the first failure lands),
+//! * a delivery (`Mailbox::push`),
+//! * a peer failure (the `FailBoard` calls
+//!   `Mailbox::poke` on every mailbox when the first failure lands),
 //! * the caller's deadline, when the node withdraws its own waiter.
 //!
 //! Wake-ups per blocking episode is therefore 1 — the invariant

@@ -31,7 +31,7 @@
 //! in-process backend: a panicking node broadcasts a `Failed` frame
 //! (rank + panic message) to every peer before closing, and an endpoint
 //! whose connection dies *without* a `Goodbye` frame records the peer as
-//! failed — both land on the machine-wide [`FailBoard`], which wakes
+//! failed — both land on the machine-wide `FailBoard`, which wakes
 //! the node if it is parked on its mailbox.
 
 use std::cell::RefCell;
@@ -299,7 +299,7 @@ fn hello(s: &mut UnixStream, rank: usize, nprocs: usize, deadline: Instant) -> i
 // ---------------------------------------------------------------------------
 
 /// One rank's endpoint on a socket machine. Construction
-/// ([`SocketTransport::establish`]) performs the full bootstrap described
+/// (`SocketTransport::establish`) performs the full bootstrap described
 /// in the module docs; afterwards the owning node thread writes every
 /// frame itself and the per-peer reader threads deliver.
 pub struct SocketTransport<M> {

@@ -91,7 +91,8 @@ impl AdaptiveSpec {
     pub const NULL: u8 = 1 << 4;
     /// Pipelined delta writes ([`crate::PipelinedWrite`]).
     pub const PIPELINED: u8 = 1 << 5;
-    /// Home-owned bulk regions ([`crate::HomeOwned`]).
+    /// Home-owned bulk regions (the [`crate::PipelinedWrite`] that
+    /// [`crate::make`] builds for [`crate::ProtoSpec::HomeOwned`]).
     pub const HOME_OWNED: u8 = 1 << 6;
     /// Fetch-and-add counter ([`crate::FetchAddCounter`]) — pinned only.
     pub const FETCH_ADD: u8 = 1 << 7;

@@ -16,7 +16,7 @@
 //! | Static update: the [`DynamicUpdate`] that [`make`] builds for [`ProtoSpec::StaticUpdate`] | EM3D | dynamic update that pushes at the barrier instead of after each write (Falsafi et al.'s EM3D protocol) |
 //! | [`NullProtocol`] | Water intra-molecular phase | no coherence actions at all |
 //! | [`PipelinedWrite`] | Water inter-molecular phase | local writes diffed against a twin; f64 deltas pipelined home and accumulated; completion checked at barriers |
-//! | [`HomeOwned`] | BSC | asserts only the creating node writes; readers pull bulk copies, validity bounded by barriers |
+//! | Home-owned: the [`PipelinedWrite`] that [`make`] builds for [`ProtoSpec::HomeOwned`] | BSC | pipelined write that writes only at home (asserted): home writes the master directly, readers pull bulk copies, validity bounded by barriers |
 //! | [`FetchAddCounter`] | TSP job counter | `lock` performs a one-round-trip fetch-and-add at home |
 //! | [`AdaptiveEngine`] | runtime-chosen | meta-protocol: samples sharing signals, switches a space among the above at barriers |
 //!
@@ -40,7 +40,6 @@ pub mod adaptive;
 mod common;
 pub mod counter;
 pub mod dyn_update;
-pub mod home_owned;
 pub mod null;
 pub mod pipelined;
 pub mod registry;
@@ -49,7 +48,6 @@ pub mod seq_inv;
 pub use adaptive::{AdaptiveEngine, AdaptiveSpec};
 pub use counter::FetchAddCounter;
 pub use dyn_update::DynamicUpdate;
-pub use home_owned::HomeOwned;
 pub use null::NullProtocol;
 pub use pipelined::PipelinedWrite;
 pub use registry::{make, ProtoSpec};
@@ -198,15 +196,26 @@ mod tests {
     }
 
     /// A protocol switch re-caches every region's mask from the adopting
-    /// protocol, on both sides of the handover.
+    /// protocol, on both sides of the handover: into every static protocol,
+    /// and between two instances of one type that differ only in a flag
+    /// (Pipelined → HomeOwned → Pipelined).
     #[test]
     fn handover_recaches_the_mask() {
         run_ace(2, CostModel::free(), |rt| {
             let (s, rid) = shared_region(rt, make(ProtoSpec::Sc), 1);
             rt.start_read(rid);
             rt.end_read(rid);
-            for spec in [ProtoSpec::Null, ProtoSpec::DynUpdate, ProtoSpec::Migratory, ProtoSpec::Sc]
-            {
+            for spec in [
+                ProtoSpec::Null,
+                ProtoSpec::DynUpdate,
+                ProtoSpec::StaticUpdate,
+                ProtoSpec::Migratory,
+                ProtoSpec::Pipelined,
+                ProtoSpec::HomeOwned,
+                ProtoSpec::Pipelined,
+                ProtoSpec::FetchAdd(1),
+                ProtoSpec::Sc,
+            ] {
                 let p = make(spec);
                 rt.change_protocol(s, p.clone());
                 let e = rt.entry(rid);

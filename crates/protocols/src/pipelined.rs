@@ -19,6 +19,11 @@
 //! cached copy is invalidated; the next read refetches the accumulated
 //! master. Region data is interpreted as `f64`s, matching its use for
 //! force accumulation.
+//!
+//! *Home-owned* (BSC, [`ProtoSpec::HomeOwned`](crate::ProtoSpec::HomeOwned))
+//! is this protocol written only at home: "data are written only by the
+//! processors that created them" (§5.2). Its write hooks are null, and
+//! readers pull whole blocks in bulk and keep them until the next barrier.
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
@@ -48,27 +53,33 @@ pub mod op {
     }
 }
 
-/// The pipelined delta-write protocol.
+/// The pipelined delta-write protocol; or, as [`make`](crate::make) builds
+/// it for [`ProtoSpec::HomeOwned`](crate::ProtoSpec::HomeOwned), home-owned.
 #[derive(Default)]
-pub struct PipelinedWrite;
+pub struct PipelinedWrite {
+    /// Regions are written only by their creator: home-owned.
+    home_only: bool,
+}
 
 impl PipelinedWrite {
     /// Constructor for registry use.
     pub fn new() -> Self {
-        PipelinedWrite
+        PipelinedWrite::default()
     }
 
-    fn ensure_copy(&self, rt: &AceRt, e: &RegionEntry) {
-        if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
-            rt.counters_mut(|c| c.read_misses += 1);
-            common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "pipelined fetch");
-        }
+    /// The home-owned protocol: pipelined write that writes only at home.
+    pub(crate) fn home_owned() -> Self {
+        PipelinedWrite { home_only: true }
     }
 }
 
 impl Protocol for PipelinedWrite {
     fn name(&self) -> &'static str {
-        "Pipelined"
+        if self.home_only {
+            "HomeOwned"
+        } else {
+            "Pipelined"
+        }
     }
 
     fn op_name(&self, op: u16) -> &'static str {
@@ -79,20 +90,30 @@ impl Protocol for PipelinedWrite {
         true
     }
 
+    // Home-owned writes only at home, where both write hooks are no-ops.
     fn null_actions(&self) -> Actions {
-        Actions::END_READ.union(Actions::MAP)
+        let writes = Actions::START_WRITE.union(Actions::END_WRITE);
+        let null = Actions::END_READ.union(Actions::MAP);
+        if self.home_only {
+            null.union(writes)
+        } else {
+            null
+        }
     }
 
     // Pipelined updates deliberately relax consistency: writers stream
-    // updates to standing copies without waiting, so overlapping
-    // sections of any kind are part of the contract.
+    // updates to standing copies without waiting, so overlapping sections
+    // of any kind are part of the contract. Home-owned has one writer.
     fn grants(&self) -> GrantSet {
-        GrantSet::concurrent()
+        if self.home_only {
+            GrantSet { write_write: false, read_write: true }
+        } else {
+            GrantSet::concurrent()
+        }
     }
 
-    // Map and `end_read` are unconditional no-ops (declared null).
-    // Starts are no-ops once a copy
-    // is resident (and, for writes, the twin snapshot exists — the home
+    // The null hooks are unconditional no-ops. Starts are no-ops once a
+    // copy is resident (and, for writes, the twin snapshot exists — the home
     // writes the master directly and never twins). A remote `end_write`
     // always ships a delta home, so it is only ever fast at home.
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
@@ -109,13 +130,23 @@ impl Protocol for PipelinedWrite {
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
-        self.ensure_copy(rt, e);
+        if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
+            rt.counters_mut(|c| c.read_misses += 1);
+            common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "pipelined fetch");
+        }
     }
 
     fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
 
+    // Null under home-owned, whose contract is then checked only in the
+    // forced-slow runs (`AceRt::set_fast_paths(false)`).
     fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
-        self.ensure_copy(rt, e);
+        debug_assert!(
+            !self.home_only || e.is_home_of(rt.rank()),
+            "home-owned regions are written only by their creator ({})",
+            e.id
+        );
+        self.start_read(rt, e);
         if !e.is_home_of(rt.rank()) && e.twin.borrow().is_none() {
             *e.twin.borrow_mut() = Some(e.share_data());
         }
@@ -143,10 +174,10 @@ impl Protocol for PipelinedWrite {
     }
 
     fn barrier(&self, rt: &AceRt, s: &SpaceEntry) {
-        // Drain our in-flight deltas, drop our cached copies (a local
-        // action), then rendezvous once. Every other writer's deltas were
-        // likewise acked before that writer arrived, so post-barrier
-        // re-fetches observe the fully accumulated master.
+        // Drain our in-flight deltas (home-owned sends none), drop our
+        // cached copies (a local action), then rendezvous once. Every other
+        // writer's deltas were likewise acked before that writer arrived,
+        // so post-barrier re-fetches observe the fully accumulated master.
         rt.wait("pipelined deltas drain", || s.outstanding.get() == 0);
         common::drop_remote_copies(rt, s);
         rt.space_barrier(s);
@@ -179,7 +210,7 @@ impl Protocol for PipelinedWrite {
                 e.install_shared(msg.data.expect("fetch reply carries data"));
                 e.st.set(R_SHARED);
             }
-            other => panic!("Pipelined: unknown opcode {other}"),
+            other => panic!("{}: unknown opcode {other}", self.name()),
         }
     }
 
@@ -200,7 +231,11 @@ mod tests {
     use std::rc::Rc;
 
     fn setup(rt: &AceRt, words: usize) -> (SpaceId, RegionId) {
-        crate::shared_region(rt, Rc::new(PipelinedWrite), words)
+        crate::shared_region(rt, Rc::new(PipelinedWrite::new()), words)
+    }
+
+    fn home_owned(rt: &AceRt, words: usize) -> (SpaceId, RegionId) {
+        crate::shared_region(rt, crate::make(crate::ProtoSpec::HomeOwned), words)
     }
 
     #[test]
@@ -293,6 +328,75 @@ mod tests {
             v
         });
         assert_eq!(r.results, vec![7.0, 7.0]);
+    }
+
+    #[test]
+    fn home_writes_cost_no_messages() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let (s, rid) = home_owned(rt, 64);
+            rt.barrier(s);
+            let before = rt.counters().proto_msgs;
+            if rt.rank() == 0 {
+                for i in 0..50u64 {
+                    rt.start_write(rid);
+                    rt.with_mut::<u64, _>(rid, |d| d[(i % 64) as usize] = i);
+                    rt.end_write(rid);
+                }
+            }
+            rt.counters().proto_msgs - before
+        });
+        assert_eq!(r.results, vec![0, 0]);
+    }
+
+    #[test]
+    fn consumers_pull_bulk_once_per_phase() {
+        let r = run_ace(3, CostModel::free(), |rt| {
+            let (s, rid) = home_owned(rt, 32);
+            if rt.rank() == 0 {
+                rt.start_write(rid);
+                rt.with_mut::<u64, _>(rid, |d| {
+                    d.iter_mut().enumerate().for_each(|(i, x)| *x = i as u64)
+                });
+                rt.end_write(rid);
+            }
+            rt.barrier(s);
+            let before = rt.counters().read_misses;
+            let mut sum = 0;
+            for _ in 0..10 {
+                rt.start_read(rid);
+                sum = rt.with::<u64, _>(rid, |d| d.iter().sum::<u64>());
+                rt.end_read(rid);
+            }
+            (sum, rt.counters().read_misses - before)
+        });
+        let want: u64 = (0..32).sum();
+        for (rank, (sum, misses)) in r.results.iter().enumerate() {
+            assert_eq!(*sum, want);
+            assert_eq!(*misses, if rank == 0 { 0 } else { 1 }, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn barrier_bounds_staleness() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let (s, rid) = home_owned(rt, 1);
+            let mut seen = Vec::new();
+            for i in 0..4u64 {
+                if rt.rank() == 0 {
+                    rt.start_write(rid);
+                    rt.with_mut::<u64, _>(rid, |d| d[0] = i + 1);
+                    rt.end_write(rid);
+                }
+                rt.barrier(s);
+                rt.start_read(rid);
+                seen.push(rt.with::<u64, _>(rid, |d| d[0]));
+                rt.end_read(rid);
+                rt.barrier(s);
+            }
+            seen
+        });
+        assert_eq!(r.results[0], vec![1, 2, 3, 4]);
+        assert_eq!(r.results[1], vec![1, 2, 3, 4]);
     }
 
     /// A 4-rank home-owned run held to the simulated time, traffic and

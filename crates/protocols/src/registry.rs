@@ -14,8 +14,8 @@ use std::rc::Rc;
 use ace_core::{Actions, GrantSet, Protocol};
 
 use crate::{
-    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, HomeOwned, NullProtocol,
-    PipelinedWrite, SeqInvalidate,
+    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, NullProtocol, PipelinedWrite,
+    SeqInvalidate,
 };
 
 /// A serializable protocol selector, used by applications to request
@@ -85,7 +85,7 @@ pub fn make(spec: ProtoSpec) -> Rc<dyn Protocol> {
         ProtoSpec::Null => Rc::new(NullProtocol::new()),
         ProtoSpec::Migratory => Rc::new(SeqInvalidate::migratory()),
         ProtoSpec::Pipelined => Rc::new(PipelinedWrite::new()),
-        ProtoSpec::HomeOwned => Rc::new(HomeOwned::new()),
+        ProtoSpec::HomeOwned => Rc::new(PipelinedWrite::home_owned()),
         ProtoSpec::FetchAdd(stride) => Rc::new(FetchAddCounter::with_stride(stride)),
         ProtoSpec::Adaptive(spec) => Rc::new(AdaptiveEngine::new(spec)),
     }
