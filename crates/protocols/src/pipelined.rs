@@ -92,10 +92,9 @@ impl Protocol for PipelinedWrite {
 
     // Home-owned writes only at home, where both write hooks are no-ops.
     fn null_actions(&self) -> Actions {
-        let writes = Actions::START_WRITE.union(Actions::END_WRITE);
         let null = Actions::END_READ.union(Actions::MAP);
         if self.home_only {
-            null.union(writes)
+            null.union(Actions::START_WRITE).union(Actions::END_WRITE)
         } else {
             null
         }
