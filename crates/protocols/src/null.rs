@@ -109,4 +109,85 @@ mod tests {
         assert!(!n.contains(Actions::BARRIER));
         assert!(p.optimizable());
     }
+
+    /// A 4-rank run through Null and FetchAdd held to the simulated time,
+    /// traffic and counters it had while fetch-and-add was its own module:
+    /// a 1-word region created under SC and read on the remote ranks,
+    /// handed over to Null for two runtime-queued lock/unlock pairs per
+    /// rank, then to FetchAdd for three tickets per rank (lock, read, write
+    /// ticket + 1, unlock), then back to SC, where every rank reads the
+    /// count. Exact only where every run repeats (the multiplexed executor).
+    #[cfg(all(target_arch = "x86_64", unix))]
+    #[test]
+    fn a_null_and_fetch_add_run_is_pinned() {
+        use crate::{make, ProtoSpec};
+        use ace_core::OpCounters;
+        let r = run_ace(4, CostModel::cm5(), |rt| {
+            let (s, rid) = crate::shared_region(rt, make(ProtoSpec::Sc), 1);
+            let read = || {
+                rt.start_read(rid);
+                let v = rt.with::<u64, _>(rid, |d| d[0]);
+                rt.end_read(rid);
+                v
+            };
+            if rt.rank() != 0 {
+                read();
+            }
+            rt.change_protocol(s, make(ProtoSpec::Null));
+            for _ in 0..2 {
+                rt.lock(rid);
+                rt.unlock(rid);
+            }
+            rt.barrier(s);
+            rt.change_protocol(s, make(ProtoSpec::FetchAdd(1)));
+            let tickets: Vec<u64> = (0..3)
+                .map(|_| {
+                    rt.lock(rid);
+                    let t = read();
+                    rt.start_write(rid);
+                    rt.with_mut::<u64, _>(rid, |d| d[0] = t + 1);
+                    rt.end_write(rid);
+                    rt.unlock(rid);
+                    t
+                })
+                .collect();
+            rt.barrier(s);
+            rt.change_protocol(s, make(ProtoSpec::Sc));
+            (tickets, read(), rt.counters())
+        });
+        let mut c = OpCounters::default();
+        let mut all = Vec::new();
+        for (tickets, count, counters) in &r.results {
+            assert_eq!(*count, 12);
+            all.extend_from_slice(tickets);
+            c.merge(counters);
+        }
+        all.sort_unstable();
+        assert_eq!(all, (0..12).collect::<Vec<u64>>(), "every ticket issued exactly once");
+        let s = &r.stats;
+        let got = (s.sim_time(), s.total_msgs(), s.total_wire_msgs(), s.total_bytes());
+        assert_eq!(got, (1_186_640, 123, 116, 3912));
+        let want = OpCounters {
+            map_hits: 41,
+            map_misses: 3,
+            start_reads: 19,
+            read_misses: 6,
+            start_writes: 12,
+            ends: 31,
+            barriers: 8,
+            locks: 20,
+            proto_msgs: 33,
+            dispatched: 46,
+            fast_hits: 56,
+            fast_maps: 1,
+            region_cache_hits: 197,
+            region_cache_misses: 3,
+            logical_msgs: 114,
+            wire_msgs: 107,
+            switches: 12,
+            bar_msgs: 96,
+            ..OpCounters::default()
+        };
+        assert_eq!(c, want);
+    }
 }
