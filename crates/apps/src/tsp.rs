@@ -180,7 +180,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     d.barrier(shared_space);
 
     if v == Variant::Custom {
-        d.change_protocol(counter_space, ProtoSpec::FetchAdd(1));
+        d.change_protocol(counter_space, ProtoSpec::FetchAdd);
     } else if v == Variant::Adaptive {
         // FetchAdd redefines `lock` itself, so the engine may not cross
         // into or out of it freely: the counter space pins it instead.

@@ -221,8 +221,8 @@ fn hand_tsp(rt: &AceRt) -> f64 {
     rt.map(best);
     rt.barrier(bspace);
 
-    rt.change_protocol(cspace, make(ProtoSpec::FetchAdd(1)));
-    let fa = make(ProtoSpec::FetchAdd(1));
+    rt.change_protocol(cspace, make(ProtoSpec::FetchAdd));
+    let fa = make(ProtoSpec::FetchAdd);
 
     // Greedy nearest-neighbour bound (identical to the kernel's).
     let mut used = [false; N];

@@ -361,7 +361,7 @@ mod tests {
         ),
         (
             include_str!("../../bench/programs/tsp.ace"),
-            "0-0:{Sc} 1-4:{FetchAdd(1)} 5-10:{Sc}",
+            "0-0:{Sc} 1-4:{FetchAdd} 5-10:{Sc}",
             // One `IntToF` more than before `return` converted to the
             // declared type: `double main()` returns `reduce_min_i(...)`.
             [(25, 0, 500), (25, 0, 500), (24, 0, 499), (0, 19, 494)],

@@ -162,7 +162,7 @@ impl AdaptiveSpec {
             Self::NULL => ProtoSpec::Null,
             Self::PIPELINED => ProtoSpec::Pipelined,
             Self::HOME_OWNED => ProtoSpec::HomeOwned,
-            Self::FETCH_ADD => ProtoSpec::FetchAdd(1),
+            Self::FETCH_ADD => ProtoSpec::FetchAdd,
             other => panic!("not a single candidate bit: {other:#x}"),
         }
     }

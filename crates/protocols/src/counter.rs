@@ -10,9 +10,8 @@
 //! value in the local copy; the read inside the section hits locally, the
 //! write updates only the (ignored) local copy, and `unlock` is free.
 //!
-//! The region is interpreted as a single `u64` counter. The `stride` is
-//! what home adds per acquisition; applications that advance the counter
-//! by one per job use the default of 1.
+//! The region is interpreted as a single `u64` counter, advanced by one
+//! per acquisition.
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry};
 
@@ -36,25 +35,13 @@ pub mod op {
 const VALUE_WAIT: u64 = 1 << 9;
 
 /// The fetch-and-add counter protocol.
-pub struct FetchAddCounter {
-    stride: u64,
-}
-
-impl Default for FetchAddCounter {
-    fn default() -> Self {
-        FetchAddCounter { stride: 1 }
-    }
-}
+#[derive(Default)]
+pub struct FetchAddCounter;
 
 impl FetchAddCounter {
     /// Counter protocol advancing by 1 per `lock`.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counter protocol advancing by `stride` per `lock`.
-    pub fn with_stride(stride: u64) -> Self {
-        FetchAddCounter { stride }
+        FetchAddCounter
     }
 }
 
@@ -109,7 +96,7 @@ impl Protocol for FetchAddCounter {
             return;
         }
         e.aux.set(e.aux.get() | VALUE_WAIT);
-        rt.send_proto(e.id.home(), e.id, op::FADD, self.stride, None);
+        rt.send_proto(e.id.home(), e.id, op::FADD, 1, None);
         rt.wait("fetch-and-add value", || e.aux.get() & VALUE_WAIT == 0);
     }
 

@@ -213,7 +213,7 @@ mod tests {
                 ProtoSpec::Pipelined,
                 ProtoSpec::HomeOwned,
                 ProtoSpec::Pipelined,
-                ProtoSpec::FetchAdd(1),
+                ProtoSpec::FetchAdd,
                 ProtoSpec::Sc,
             ] {
                 let p = make(spec);

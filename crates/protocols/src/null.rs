@@ -139,7 +139,7 @@ mod tests {
                 rt.unlock(rid);
             }
             rt.barrier(s);
-            rt.change_protocol(s, make(ProtoSpec::FetchAdd(1)));
+            rt.change_protocol(s, make(ProtoSpec::FetchAdd));
             let tickets: Vec<u64> = (0..3)
                 .map(|_| {
                     rt.lock(rid);

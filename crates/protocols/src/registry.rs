@@ -36,8 +36,8 @@ pub enum ProtoSpec {
     Pipelined,
     /// Home-owned bulk regions.
     HomeOwned,
-    /// Fetch-and-add counter with the given stride.
-    FetchAdd(u64),
+    /// Fetch-and-add counter.
+    FetchAdd,
     /// Adaptive meta-protocol over a candidate set of the above.
     Adaptive(AdaptiveSpec),
 }
@@ -54,7 +54,7 @@ impl ProtoSpec {
             ProtoSpec::Migratory => "Migratory",
             ProtoSpec::Pipelined => "Pipelined",
             ProtoSpec::HomeOwned => "HomeOwned",
-            ProtoSpec::FetchAdd(_) => "FetchAdd",
+            ProtoSpec::FetchAdd => "FetchAdd",
             ProtoSpec::Adaptive(_) => "Adaptive",
         }
     }
@@ -69,7 +69,7 @@ impl ProtoSpec {
             "Migratory" => ProtoSpec::Migratory,
             "Pipelined" => ProtoSpec::Pipelined,
             "HomeOwned" => ProtoSpec::HomeOwned,
-            "FetchAdd" => ProtoSpec::FetchAdd(1),
+            "FetchAdd" => ProtoSpec::FetchAdd,
             "Adaptive" => ProtoSpec::Adaptive(AdaptiveSpec::default_set()),
             _ => return None,
         })
@@ -86,7 +86,7 @@ pub fn make(spec: ProtoSpec) -> Rc<dyn Protocol> {
         ProtoSpec::Migratory => Rc::new(SeqInvalidate::migratory()),
         ProtoSpec::Pipelined => Rc::new(PipelinedWrite::new()),
         ProtoSpec::HomeOwned => Rc::new(PipelinedWrite::home_owned()),
-        ProtoSpec::FetchAdd(stride) => Rc::new(FetchAddCounter::with_stride(stride)),
+        ProtoSpec::FetchAdd => Rc::new(FetchAddCounter::new()),
         ProtoSpec::Adaptive(spec) => Rc::new(AdaptiveEngine::new(spec)),
     }
 }
@@ -118,7 +118,7 @@ pub fn all_protocols() -> Vec<ProtocolInfo> {
         ProtoSpec::Migratory,
         ProtoSpec::Pipelined,
         ProtoSpec::HomeOwned,
-        ProtoSpec::FetchAdd(1),
+        ProtoSpec::FetchAdd,
         ProtoSpec::Adaptive(AdaptiveSpec::default_set()),
     ]
     .into_iter()

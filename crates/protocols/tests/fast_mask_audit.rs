@@ -137,7 +137,7 @@ fn states(spec: ProtoSpec) -> Vec<State> {
                 !s.home && s.e.twin.borrow().is_some() && s.bits(A::START_WRITE, A::END_WRITE)
             }),
         ],
-        ProtoSpec::Null | ProtoSpec::FetchAdd(_) => {
+        ProtoSpec::Null | ProtoSpec::FetchAdd => {
             vec![("a remote after an access", |s| {
                 !s.home && s.touched && s.bits(A::MASKABLE, NONE)
             })]
@@ -199,7 +199,7 @@ fn program(spec: ProtoSpec, seed: u64) -> Program {
                 1 if maps[i] > 0 => Step::Unmap(i),
                 _ if maps[i] == 0 => Step::Map(i),
                 // FetchAdd's contract: accesses only between lock and unlock.
-                _ if matches!(spec, ProtoSpec::FetchAdd(_)) => Step::LockWrite(i),
+                _ if matches!(spec, ProtoSpec::FetchAdd) => Step::LockWrite(i),
                 3 if writes(i) => Step::Write(i),
                 4 if writes(0) && maps[1 - i] > 0 => Step::Nested,
                 5 if writes(i) => Step::LockWrite(i),

@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn fetch_add_tickets_unique(per_node in 1usize..20, nprocs in 2usize..6) {
         let r = run_ace(nprocs, CostModel::free(), move |rt| {
-            let s = rt.new_space(make(ProtoSpec::FetchAdd(1)));
+            let s = rt.new_space(make(ProtoSpec::FetchAdd));
             let rid = if rt.rank() == 0 {
                 RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
             } else {
