@@ -139,9 +139,10 @@ pub trait Protocol: 'static {
     /// It must contain every maskable hook [`Protocol::null_actions`]
     /// declares (null in every state implies fast in this one;
     /// debug-asserted where the runtime caches the mask). The default is
-    /// empty: every call runs its hook, which is always correct.
+    /// exactly those null hooks: a protocol whose other hooks do work in
+    /// some state declares more.
     fn fast_mask(&self, _rt: &AceRt, _e: &RegionEntry) -> Actions {
-        Actions::empty()
+        self.null_actions().intersect(Actions::MASKABLE)
     }
 
     /// Which concurrent cross-node section combinations this protocol can

@@ -1232,15 +1232,17 @@ impl<'n> AceRt<'n> {
     }
 
     /// The default lock implementation: FIFO queue at the region's home.
-    pub(crate) fn default_lock(&self, e: &RegionEntry) {
+    /// For a protocol's lock hook; programs lock through [`AceRt::lock`].
+    pub fn default_lock(&self, e: &RegionEntry) {
         self.counters.borrow_mut().locks += 1;
         e.lock_granted.set(false);
         self.send(e.id.home(), AceMsg::LockReq { region: e.id });
         self.wait("lock grant", || e.lock_granted.get());
     }
 
-    /// The default unlock implementation.
-    pub(crate) fn default_unlock(&self, e: &RegionEntry) {
+    /// The default unlock implementation. For a protocol's unlock hook;
+    /// programs unlock through [`AceRt::unlock`].
+    pub fn default_unlock(&self, e: &RegionEntry) {
         self.send(e.id.home(), AceMsg::LockRelease { region: e.id });
     }
 

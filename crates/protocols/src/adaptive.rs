@@ -94,7 +94,9 @@ impl AdaptiveSpec {
     /// Home-owned bulk regions (the [`crate::PipelinedWrite`] that
     /// [`crate::make`] builds for [`crate::ProtoSpec::HomeOwned`]).
     pub const HOME_OWNED: u8 = 1 << 6;
-    /// Fetch-and-add counter ([`crate::FetchAddCounter`]) — pinned only.
+    /// Fetch-and-add counter (the [`crate::NullProtocol`] that
+    /// [`crate::make`] builds for [`crate::ProtoSpec::FetchAdd`]) — pinned
+    /// only.
     pub const FETCH_ADD: u8 = 1 << 7;
 
     /// The free-running default: the candidates that share the section

@@ -15,9 +15,9 @@
 //! | [`DynamicUpdate`] | Barnes-Hut bodies, EM3D experiment | writes propagated to all sharers immediately after each write |
 //! | Static update: the [`DynamicUpdate`] that [`make`] builds for [`ProtoSpec::StaticUpdate`] | EM3D | dynamic update that pushes at the barrier instead of after each write (Falsafi et al.'s EM3D protocol) |
 //! | [`NullProtocol`] | Water intra-molecular phase | no coherence actions at all |
+//! | Fetch-and-add: the [`NullProtocol`] that [`make`] builds for [`ProtoSpec::FetchAdd`] | TSP job counter | the null protocol whose `lock` is a one-round-trip fetch-and-add at home and whose `unlock` is free |
 //! | [`PipelinedWrite`] | Water inter-molecular phase | local writes diffed against a twin; f64 deltas pipelined home and accumulated; completion checked at barriers |
 //! | Home-owned: the [`PipelinedWrite`] that [`make`] builds for [`ProtoSpec::HomeOwned`] | BSC | pipelined write that writes only at home (asserted): home writes the master directly, readers pull bulk copies, validity bounded by barriers |
-//! | [`FetchAddCounter`] | TSP job counter | `lock` performs a one-round-trip fetch-and-add at home |
 //! | [`AdaptiveEngine`] | runtime-chosen | meta-protocol: samples sharing signals, switches a space among the above at barriers |
 //!
 //! A protocol here is its state machine and little else. What several
@@ -27,8 +27,8 @@
 //! protocol maintains a region's cached fast mask: each declares
 //! [`ace_core::Protocol::fast_mask`] — which of `on_map` and the four
 //! access hooks are no-ops in the entry's state, starting from the ones its
-//! `null_actions` lists as no-ops in every state — and the runtime does the
-//! caching. Only the update protocols do anything at a mapping (the first
+//! `null_actions` lists as no-ops in every state (the trait's default, and
+//! all the null protocol needs) — and the runtime does the caching. Only the update protocols do anything at a mapping (the first
 //! `map` of a remote region joins its sharer list); under the rest a
 //! `map` never reaches the protocol, and an `unmap` reaches none.
 //!
@@ -38,7 +38,6 @@
 
 pub mod adaptive;
 mod common;
-pub mod counter;
 pub mod dyn_update;
 pub mod null;
 pub mod pipelined;
@@ -46,7 +45,6 @@ pub mod registry;
 pub mod seq_inv;
 
 pub use adaptive::{AdaptiveEngine, AdaptiveSpec};
-pub use counter::FetchAddCounter;
 pub use dyn_update::DynamicUpdate;
 pub use null::NullProtocol;
 pub use pipelined::PipelinedWrite;

@@ -14,8 +14,7 @@ use std::rc::Rc;
 use ace_core::{Actions, GrantSet, Protocol};
 
 use crate::{
-    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, FetchAddCounter, NullProtocol, PipelinedWrite,
-    SeqInvalidate,
+    AdaptiveEngine, AdaptiveSpec, DynamicUpdate, NullProtocol, PipelinedWrite, SeqInvalidate,
 };
 
 /// A serializable protocol selector, used by applications to request
@@ -36,7 +35,7 @@ pub enum ProtoSpec {
     Pipelined,
     /// Home-owned bulk regions.
     HomeOwned,
-    /// Fetch-and-add counter.
+    /// Fetch-and-add counter: the null protocol whose lock fetches and adds.
     FetchAdd,
     /// Adaptive meta-protocol over a candidate set of the above.
     Adaptive(AdaptiveSpec),
@@ -86,7 +85,7 @@ pub fn make(spec: ProtoSpec) -> Rc<dyn Protocol> {
         ProtoSpec::Migratory => Rc::new(SeqInvalidate::migratory()),
         ProtoSpec::Pipelined => Rc::new(PipelinedWrite::new()),
         ProtoSpec::HomeOwned => Rc::new(PipelinedWrite::home_owned()),
-        ProtoSpec::FetchAdd => Rc::new(FetchAddCounter::new()),
+        ProtoSpec::FetchAdd => Rc::new(NullProtocol::fetch_add()),
         ProtoSpec::Adaptive(spec) => Rc::new(AdaptiveEngine::new(spec)),
     }
 }
