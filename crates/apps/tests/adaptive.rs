@@ -148,7 +148,6 @@ fn switch_storm(builder: ace_core::MachineBuilder) {
                 | AdaptiveSpec::STATIC_UPDATE
                 | AdaptiveSpec::PIPELINED,
         )
-        .with_dwell(1)
         .storming();
         let engine: Rc<dyn Protocol> = Rc::new(AdaptiveEngine::new(spec));
         let s = rt.new_space(engine);

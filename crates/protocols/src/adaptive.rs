@@ -49,7 +49,7 @@ use crate::registry::{make, ProtoSpec};
 use crate::states::{R_INVALID, R_SHARED};
 
 /// Candidate-set configuration for one adaptive space: which protocols
-/// the engine may select, where it starts, and how eagerly it moves.
+/// the engine may select, where it starts, and whether it storms.
 ///
 /// Candidates are a bitmask of [`AdaptiveSpec::SC`] and friends. A
 /// single-bit set *pins* the engine: it delegates every hook to that
@@ -69,11 +69,8 @@ pub struct AdaptiveSpec {
     pub candidates: u8,
     /// The single candidate bit the space starts on.
     pub initial: u8,
-    /// Profiled barriers that must elapse after a switch (and before the
-    /// first) before the next switch may commit.
-    pub min_dwell: u8,
     /// Storm mode: ignore the cost model and rotate round-robin through
-    /// the candidate set every `min_dwell` barriers. A stress harness for
+    /// the candidate set at every profiled barrier. A stress harness for
     /// the handover machinery, not a policy.
     pub storm: bool,
 }
@@ -110,24 +107,23 @@ impl AdaptiveSpec {
     }
 
     /// An engine free to pick among `candidates`, starting from SC when
-    /// present (else the lowest bit), with a dwell of 1: the engine may
-    /// act on the very first profiled interval. The 25% hysteresis bar in
-    /// `decide` is what damps oscillation; a longer dwell only delays the
-    /// first (usually decisive) switch, and on barrier-dense apps those
-    /// extra intervals under the wrong protocol are the dominant cost of
-    /// adapting at all.
+    /// present (else the lowest bit). It may act on the very first profiled
+    /// interval: the 25% hysteresis bar in `decide` is what damps
+    /// oscillation; a dwell would only delay the first (usually decisive)
+    /// switch, and on barrier-dense apps those extra intervals under the
+    /// wrong protocol are the dominant cost of adapting at all.
     pub fn new(candidates: u8) -> Self {
         assert!(candidates != 0, "adaptive spec needs at least one candidate");
         let initial =
             if candidates & Self::SC != 0 { Self::SC } else { 1 << candidates.trailing_zeros() };
-        AdaptiveSpec { candidates, initial, min_dwell: 1, storm: false }
+        AdaptiveSpec { candidates, initial, storm: false }
     }
 
     /// An engine pinned to a single protocol: pure delegation, no
     /// profiling, no switches.
     pub fn pinned(bit: u8) -> Self {
         assert_eq!(bit.count_ones(), 1, "pin takes exactly one candidate bit");
-        AdaptiveSpec { candidates: bit, initial: bit, min_dwell: 0, storm: false }
+        AdaptiveSpec { candidates: bit, initial: bit, storm: false }
     }
 
     /// Override the starting candidate.
@@ -137,9 +133,11 @@ impl AdaptiveSpec {
         self
     }
 
-    /// Override the dwell.
-    pub fn with_dwell(mut self, dwell: u8) -> Self {
-        self.min_dwell = dwell;
+    /// Does nothing: an engine may switch at every profiled barrier, so
+    /// there is no dwell to set. Kept only because the repo benchmark
+    /// (`benchmark/`, read-only to a change here) calls it; ROADMAP's
+    /// *Carried* benchmark-only housekeeping PR deletes both.
+    pub fn with_dwell(self, _dwell: u8) -> Self {
         self
     }
 
@@ -344,8 +342,6 @@ pub struct AdaptiveEngine {
     /// Switches this engine committed (the space's share of the node's
     /// wire-visible switch epoch).
     epoch: Cell<u64>,
-    /// Profiled barriers since the last switch.
-    dwell: Cell<u32>,
     // Interval signal accumulators, drained into the staged profile at
     // each barrier. Slow-path only: fast-mask hits never reach the
     // engine, which is exactly why sampling is free at steady state.
@@ -374,7 +370,6 @@ impl AdaptiveEngine {
             inner: RefCell::new(make(AdaptiveSpec::spec_for(spec.initial))),
             cur: Cell::new(spec.initial),
             epoch: Cell::new(0),
-            dwell: Cell::new(0),
             rmiss: Cell::new(0),
             wmiss: Cell::new(0),
             reads: Cell::new(0),
@@ -418,10 +413,6 @@ impl AdaptiveEngine {
         let n = rt.nprocs() as u64;
         debug_assert_eq!(a[P_EPOCH], self.epoch.get() * n, "adaptive engines out of lockstep");
         debug_assert_eq!(a[P_CUR], self.cur.get() as u64 * n, "candidate disagreement");
-        self.dwell.set(self.dwell.get() + 1);
-        if self.dwell.get() < self.spec.min_dwell as u32 {
-            return;
-        }
         let g = Signals::from_profile(a);
         let next = if self.spec.storm {
             self.next_round_robin()
@@ -435,7 +426,6 @@ impl AdaptiveEngine {
         };
         if next != self.cur.get() {
             self.switch_to(rt, s, next);
-            self.dwell.set(0);
         }
     }
 
@@ -750,7 +740,6 @@ mod tests {
             let spec = AdaptiveSpec::new(
                 AdaptiveSpec::SC | AdaptiveSpec::STATIC_UPDATE | AdaptiveSpec::PIPELINED,
             )
-            .with_dwell(1)
             .storming();
             let (s, rid) = setup(rt, spec, 2);
             for i in 0..9u64 {
@@ -768,7 +757,7 @@ mod tests {
             }
             rt.counters().switches
         });
-        // 18 profiled barriers with dwell 1: a switch at every other
+        // 18 profiled barriers: a switch at every other
         // barrier at least (the rotation always moves).
         for &s in &r.results {
             assert!(s >= 6, "storm produced too few switches: {s}");
