@@ -757,8 +757,8 @@ mod tests {
             }
             rt.counters().switches
         });
-        // 18 profiled barriers: a switch at every other
-        // barrier at least (the rotation always moves).
+        // 18 profiled barriers: a switch at every other barrier at least
+        // (the rotation always moves).
         for &s in &r.results {
             assert!(s >= 6, "storm produced too few switches: {s}");
         }

@@ -28,9 +28,10 @@
 //! [`ace_core::Protocol::fast_mask`] — which of `on_map` and the four
 //! access hooks are no-ops in the entry's state, starting from the ones its
 //! `null_actions` lists as no-ops in every state (the trait's default, and
-//! all the null protocol needs) — and the runtime does the caching. Only the update protocols do anything at a mapping (the first
-//! `map` of a remote region joins its sharer list); under the rest a
-//! `map` never reaches the protocol, and an `unmap` reaches none.
+//! all the null protocol needs) — and the runtime does the caching. Only
+//! the update protocols do anything at a mapping (the first `map` of a
+//! remote region joins its sharer list); under the rest a `map` never
+//! reaches the protocol, and an `unmap` reaches none.
 //!
 //! The [`registry`] module is the analogue of the paper's protocol
 //! registration script (Figure 1): a table of protocol names, their
