@@ -24,7 +24,8 @@ use ace_core::{
     TransportKind,
 };
 use ace_protocols::{make, AdaptiveEngine, AdaptiveSpec, ProtoSpec};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A run of `f` under `CheckMode::Fail`, asserted violation-free.
 fn run_app<F>(nprocs: usize, f: F) -> Observed
@@ -49,34 +50,31 @@ fn assert_equivalent(a: &Observed, b: &Observed) {
     assert_eq!(strip(&x.counters), strip(&y.counters), "counters");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Pinned adaptive vs the static protocol it names, on EM3D, across
-    /// random workloads: bit-identical in results, digests, and logical
-    /// traffic. Both sides pay one identical `change_protocol` handover
-    /// per space, so even the switch counters must match.
-    #[test]
-    fn pinned_adaptive_is_bit_identical_to_static_on_em3d(
-        seed in 0u64..1000,
-        steps in 1usize..4,
-        pct_remote in 5u32..50,
-        dynamic in any::<bool>(),
-    ) {
+/// Pinned adaptive vs the static protocol it names, on EM3D, across
+/// random workloads: bit-identical in results, digests, and logical
+/// traffic. Both sides pay one identical `change_protocol` handover
+/// per space, so even the switch counters must match. Seeds 78..81
+/// (`fast_path_equivalence` lists every suite's seeds for these EM3D
+/// inputs; no two share one).
+#[test]
+fn pinned_adaptive_is_bit_identical_to_static_on_em3d() {
+    for seed in 78..81 {
+        let rng = &mut StdRng::seed_from_u64(seed);
         let p = em3d::Params {
             e_nodes: 40,
             h_nodes: 40,
             degree: 3,
-            pct_remote,
-            steps,
-            seed,
+            pct_remote: rng.gen_range(5..50),
+            steps: rng.gen_range(1..4),
+            seed: rng.gen_range(0..1000),
             hoist_maps: false,
         };
-        let (stat, bit) = if dynamic {
+        let (stat, bit) = if rng.gen_bool(0.5) {
             (em3d::Em3dProto::Dynamic, AdaptiveSpec::DYN_UPDATE)
         } else {
             (em3d::Em3dProto::Static, AdaptiveSpec::STATIC_UPDATE)
         };
+        eprintln!("seed {seed}: {p:?}, {stat:?}");
         let a = run_app(4, |d| em3d::run_with(d, &p, em3d::Em3dProto::Pinned(bit)));
         let b = run_app(4, |d| em3d::run_with(d, &p, stat));
         assert_equivalent(&a, &b);

@@ -27,7 +27,8 @@
 use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
 use ace_core::{CheckMode, CostModel, ExecBackend, MachineBuilder, OpCounters, Spmd, TraceConfig};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A traced, checked run of `f` under `backend`.
 fn run_app<F>(backend: ExecBackend, nprocs: usize, f: F) -> Observed
@@ -69,39 +70,42 @@ fn assert_equivalent(th: &Observed, mx: &Observed, ctx: &str) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn em3d_backend_preserves_behavior(
-        seed in 0u64..1000,
-        steps in 1usize..4,
-        pct_remote in 5u32..50,
-        custom in any::<bool>(),
-    ) {
+/// Seeds 74..78 (`fast_path_equivalence` lists every suite's
+/// seeds for these EM3D inputs; no two share one).
+#[test]
+fn em3d_backend_preserves_behavior() {
+    for seed in 74..78 {
+        let rng = &mut StdRng::seed_from_u64(seed);
         let p = em3d::Params {
             e_nodes: 40,
             h_nodes: 40,
             degree: 3,
-            pct_remote,
-            steps,
-            seed,
+            pct_remote: rng.gen_range(5..50),
+            steps: rng.gen_range(1..4),
+            seed: rng.gen_range(0..1000),
             hoist_maps: false,
         };
-        let v = if custom { Variant::Custom } else { Variant::Sc };
+        let v = if rng.gen_bool(0.5) { Variant::Custom } else { Variant::Sc };
+        eprintln!("seed {seed}: {p:?}, {v:?}");
         let th = run_app(ExecBackend::Threads, 4, |d| em3d::run(d, &p, v));
         let mx = run_app(ExecBackend::Multiplexed, 4, |d| em3d::run(d, &p, v));
         assert_equivalent(&th, &mx, "em3d");
     }
+}
 
-    #[test]
-    fn water_backend_preserves_behavior(
-        seed in 0u64..1000,
-        molecules in 16usize..48,
-        custom in any::<bool>(),
-    ) {
-        let p = water::Params { molecules, steps: 2, seed };
-        let v = if custom { Variant::Custom } else { Variant::Sc };
+/// Seeds 68..72 (`fast_path_equivalence` lists every suite's
+/// seeds for these Water inputs; no two share one).
+#[test]
+fn water_backend_preserves_behavior() {
+    for seed in 68..72 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let p = water::Params {
+            molecules: rng.gen_range(16..48),
+            steps: 2,
+            seed: rng.gen_range(0..1000),
+        };
+        let v = if rng.gen_bool(0.5) { Variant::Custom } else { Variant::Sc };
+        eprintln!("seed {seed}: {p:?}, {v:?}");
         let th = run_app(ExecBackend::Threads, 4, |d| water::run(d, &p, v));
         let mx = run_app(ExecBackend::Multiplexed, 4, |d| water::run(d, &p, v));
         assert_equivalent(&th, &mx, "water");

@@ -23,7 +23,8 @@ use ace_apps::runner::{observe, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
 use ace_core::{AceMsg, CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig};
 use ace_machine::MsgSize;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn machine() -> MachineBuilder {
     Spmd::builder().nprocs(4).cost(CostModel::cm5())
@@ -81,39 +82,42 @@ fn assert_equivalent(off: &Observed, on: &Observed, ctx: &str) {
     assert_transport_accounting(off, on, ctx);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn em3d_coalescing_preserves_behavior(
-        seed in 0u64..1000,
-        steps in 1usize..4,
-        pct_remote in 5u32..50,
-        custom in any::<bool>(),
-    ) {
+/// Seeds 70..74 (`fast_path_equivalence` lists every suite's
+/// seeds for these EM3D inputs; no two share one).
+#[test]
+fn em3d_coalescing_preserves_behavior() {
+    for seed in 70..74 {
+        let rng = &mut StdRng::seed_from_u64(seed);
         let p = em3d::Params {
             e_nodes: 40,
             h_nodes: 40,
             degree: 3,
-            pct_remote,
-            steps,
-            seed,
+            pct_remote: rng.gen_range(5..50),
+            steps: rng.gen_range(1..4),
+            seed: rng.gen_range(0..1000),
             hoist_maps: false,
         };
-        let v = if custom { Variant::Custom } else { Variant::Sc };
+        let v = if rng.gen_bool(0.5) { Variant::Custom } else { Variant::Sc };
+        eprintln!("seed {seed}: {p:?}, {v:?}");
         let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, v));
         let on = run_app(AceMsg::COALESCE, |d| em3d::run(d, &p, v));
         assert_equivalent(&off, &on, "em3d");
     }
+}
 
-    #[test]
-    fn water_coalescing_preserves_behavior(
-        seed in 0u64..1000,
-        molecules in 16usize..48,
-        custom in any::<bool>(),
-    ) {
-        let p = water::Params { molecules, steps: 2, seed };
-        let v = if custom { Variant::Custom } else { Variant::Sc };
+/// Seeds 64..68 (`fast_path_equivalence` lists every suite's
+/// seeds for these Water inputs; no two share one).
+#[test]
+fn water_coalescing_preserves_behavior() {
+    for seed in 64..68 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let p = water::Params {
+            molecules: rng.gen_range(16..48),
+            steps: 2,
+            seed: rng.gen_range(0..1000),
+        };
+        let v = if rng.gen_bool(0.5) { Variant::Custom } else { Variant::Sc };
+        eprintln!("seed {seed}: {p:?}, {v:?}");
         let off = run_app(CoalescePolicy::Off, |d| water::run(d, &p, v));
         let on = run_app(AceMsg::COALESCE, |d| water::run(d, &p, v));
         // Water's fixed (node, molecule) force reduction order makes it
@@ -125,10 +129,10 @@ proptest! {
 
 #[test]
 fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
-    // One deterministic, larger configuration outside proptest. The
-    // update-protocol variant is the fan-out-heavy one: each end_write
-    // pushes a UPD per cross-region sharer, and consecutive pushes to the
-    // same sharer share envelopes.
+    // One deterministic, larger configuration. The update-protocol
+    // variant is the fan-out-heavy one: each end_write pushes a UPD per
+    // cross-region sharer, and consecutive pushes to the same sharer
+    // share envelopes.
     let p = em3d::Params {
         e_nodes: 120,
         h_nodes: 120,

@@ -1794,21 +1794,21 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// Random `gmalloc` / `map` / evict / `lookup` on three ranks against
-        /// a `BTreeMap` per rank. Every rank replays the whole script (so all
-        /// agree on which ids exist) and acts on its own steps; a barrier
-        /// after each step keeps the others serving metadata requests.
-        #[test]
-        fn table_agrees_with_a_btreemap_model(
-            script in proptest::collection::vec(
-                (0usize..3, 0u8..4, proptest::prelude::any::<u64>()),
-                1..60,
-            )
-        ) {
-            use std::collections::BTreeMap;
+    /// Random `gmalloc` / `map` / evict / `lookup` on three ranks against
+    /// a `BTreeMap` per rank. Every rank replays the whole script (so all
+    /// agree on which ids exist) and acts on its own steps; a barrier
+    /// after each step keeps the others serving metadata requests.
+    #[test]
+    fn table_agrees_with_a_btreemap_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        use std::collections::BTreeMap;
+        for seed in 0..48 {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let script: Vec<(usize, u8, u64)> = (0..rng.gen_range(1..60))
+                .map(|_| (rng.gen_range(0..3), rng.gen_range(0..4), rng.next_u64()))
+                .collect();
+            eprintln!("seed {seed}: {script:?}");
             run_ace(3, CostModel::free(), |rt| {
                 let s = rt.new_space(noop());
                 let me = rt.rank();

@@ -8,7 +8,7 @@
 //!
 //! The workload is EM3D (the paper's most communication-dense kernel)
 //! under both its SC and static-update protocol assignments, with the
-//! graph parameters driven by proptest.
+//! graph parameters drawn from seeds.
 
 #![cfg(all(target_arch = "x86_64", unix))]
 
@@ -17,7 +17,8 @@ use ace_apps::runner::{launch_ace_with, RunOutcome};
 use ace_apps::Variant;
 use ace_core::{CostModel, ExecBackend, Spmd, TraceConfig};
 use ace_machine::validate_chrome_trace;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn run_em3d(p: &em3d::Params, v: Variant, nprocs: usize, trace: TraceConfig) -> RunOutcome {
     let b = Spmd::builder()
@@ -39,26 +40,23 @@ fn assert_observationally_identical(off: &RunOutcome, on: &RunOutcome) {
     assert!(off.trace.is_none() && on.trace.is_some());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn tracing_never_perturbs_em3d(
-        seed in 0u64..1000,
-        steps in 1usize..4,
-        pct_remote in 5u32..50,
-        custom in any::<bool>(),
-    ) {
+/// Seeds 64..70 (`ace-apps`' `fast_path_equivalence` lists every suite's
+/// seeds for these EM3D inputs; no two share one).
+#[test]
+fn tracing_never_perturbs_em3d() {
+    for seed in 64..70 {
+        let rng = &mut StdRng::seed_from_u64(seed);
         let p = em3d::Params {
             e_nodes: 40,
             h_nodes: 40,
             degree: 3,
-            pct_remote,
-            steps,
-            seed,
+            pct_remote: rng.gen_range(5..50),
+            steps: rng.gen_range(1..4),
+            seed: rng.gen_range(0..1000),
             hoist_maps: false,
         };
-        let v = if custom { Variant::Custom } else { Variant::Sc };
+        let v = if rng.gen_bool(0.5) { Variant::Custom } else { Variant::Sc };
+        eprintln!("seed {seed}: {p:?}, {v:?}");
         let off = run_em3d(&p, v, 4, TraceConfig::off());
         let on = run_em3d(&p, v, 4, TraceConfig::on());
         assert_observationally_identical(&off, &on);
@@ -67,22 +65,24 @@ proptest! {
         // message events match the machine's stats, per-node virtual time
         // is monotone, and the Chrome export validates.
         let trace = on.trace.as_ref().unwrap();
-        prop_assert_eq!(trace.send_count(), on.wire_msgs, "one Send event per wire envelope");
-        prop_assert_eq!(trace.logical_send_count(), on.msgs);
+        assert_eq!(trace.send_count(), on.wire_msgs, "one Send event per wire envelope");
+        assert_eq!(trace.logical_send_count(), on.msgs);
         for n in &trace.nodes {
-            prop_assert!(n.events.windows(2).all(|w| w[0].t <= w[1].t),
-                "node {} timeline must be monotone", n.rank);
+            assert!(
+                n.events.windows(2).all(|w| w[0].t <= w[1].t),
+                "node {} timeline must be monotone",
+                n.rank
+            );
         }
         let check = validate_chrome_trace(&trace.to_chrome_json()).unwrap();
-        prop_assert_eq!(check.flow_starts as u64, on.wire_msgs, "one flow arrow per wire envelope");
-        prop_assert_eq!(check.flow_starts, check.flows_matched);
+        assert_eq!(check.flow_starts as u64, on.wire_msgs, "one flow arrow per wire envelope");
+        assert_eq!(check.flow_starts, check.flows_matched);
     }
 }
 
 #[test]
 fn tracing_never_perturbs_em3d_default_scale() {
-    // One deterministic, larger configuration outside proptest so a
-    // failure here reproduces without a seed file.
+    // One deterministic, larger configuration.
     let p = em3d::Params {
         e_nodes: 120,
         h_nodes: 120,

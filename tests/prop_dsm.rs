@@ -10,10 +10,11 @@
 use ace::core::{run_ace, CostModel, RegionId};
 use ace::crl::run_crl;
 use ace::protocols::{make, ProtoSpec};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One phase: for each region, which node writes which value (or none).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Schedule {
     nprocs: usize,
     nregions: usize,
@@ -21,13 +22,28 @@ struct Schedule {
     phases: Vec<Vec<Option<(usize, u64)>>>,
 }
 
-fn schedule() -> impl Strategy<Value = Schedule> {
-    (2usize..5, 1usize..5, 1usize..4).prop_flat_map(|(nprocs, nregions, nphases)| {
-        proptest::collection::vec(
-            proptest::collection::vec(proptest::option::of((0..nprocs, 1u64..1000)), nregions),
-            nphases,
-        )
-        .prop_map(move |phases| Schedule { nprocs, nregions, phases })
+fn schedule(rng: &mut StdRng) -> Schedule {
+    let (nprocs, nregions) = (rng.gen_range(2..5), rng.gen_range(1..5));
+    let phases = (0..rng.gen_range(1..4))
+        .map(|_| {
+            (0..nregions)
+                .map(|_| {
+                    rng.gen_bool(0.5).then(|| (rng.gen_range(0..nprocs), rng.gen_range(1..1000)))
+                })
+                .collect()
+        })
+        .collect();
+    Schedule { nprocs, nregions, phases }
+}
+
+/// The schedules of the `k`th oracle property, each printed before it
+/// runs. Each property sweeps its own 24 seeds, `24k..24k + 24`, so no
+/// two of them run the same schedule.
+fn schedules(k: u64) -> impl Iterator<Item = Schedule> {
+    (24 * k..24 * (k + 1)).map(|seed| {
+        let s = schedule(&mut StdRng::seed_from_u64(seed));
+        eprintln!("seed {seed}: {s:?}");
+        s
     })
 }
 
@@ -45,8 +61,7 @@ fn oracle(s: &Schedule) -> Vec<u64> {
 }
 
 fn run_schedule_ace(s: &Schedule, proto: ProtoSpec) -> Vec<Vec<u64>> {
-    let s = s.clone();
-    let r = run_ace(s.nprocs, CostModel::free(), move |rt| {
+    let r = run_ace(s.nprocs, CostModel::free(), |rt| {
         let space = rt.new_space(make(ProtoSpec::Sc));
         let regions: Vec<RegionId> = if rt.rank() == 0 {
             let ids: Vec<u64> = (0..s.nregions).map(|_| rt.gmalloc::<u64>(space, 1).0).collect();
@@ -83,41 +98,43 @@ fn run_schedule_ace(s: &Schedule, proto: ProtoSpec) -> Vec<Vec<u64>> {
     r.results
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn sc_matches_oracle(s in schedule()) {
+#[test]
+fn sc_matches_oracle() {
+    for s in schedules(0) {
         let want = oracle(&s);
         for node in run_schedule_ace(&s, ProtoSpec::Sc) {
-            prop_assert_eq!(&node, &want);
+            assert_eq!(node, want);
         }
     }
+}
 
-    #[test]
-    fn dynamic_update_matches_oracle(s in schedule()) {
+#[test]
+fn dynamic_update_matches_oracle() {
+    for s in schedules(1) {
         let want = oracle(&s);
         for node in run_schedule_ace(&s, ProtoSpec::DynUpdate) {
-            prop_assert_eq!(&node, &want);
+            assert_eq!(node, want);
         }
     }
+}
 
-    #[test]
-    fn migratory_matches_oracle(s in schedule()) {
+#[test]
+fn migratory_matches_oracle() {
+    for s in schedules(2) {
         let want = oracle(&s);
         for node in run_schedule_ace(&s, ProtoSpec::Migratory) {
-            prop_assert_eq!(&node, &want);
+            assert_eq!(node, want);
         }
     }
+}
 
-    #[test]
-    fn crl_matches_oracle(s in schedule()) {
+#[test]
+fn crl_matches_oracle() {
+    for s in schedules(3) {
         let want = oracle(&s);
-        let sc = s.clone();
-        let r = run_crl(s.nprocs, CostModel::free(), move |crl| {
+        let r = run_crl(s.nprocs, CostModel::free(), |crl| {
             let regions: Vec<RegionId> = if crl.rank() == 0 {
-                let ids: Vec<u64> =
-                    (0..sc.nregions).map(|_| crl.create_words(1).0).collect();
+                let ids: Vec<u64> = (0..s.nregions).map(|_| crl.create_words(1).0).collect();
                 crl.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
             } else {
                 crl.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
@@ -126,7 +143,7 @@ proptest! {
                 crl.map(r);
             }
             crl.barrier();
-            for phase in &sc.phases {
+            for phase in &s.phases {
                 for (r, w) in phase.iter().enumerate() {
                     if let Some((writer, v)) = w {
                         if *writer == crl.rank() {
@@ -148,32 +165,36 @@ proptest! {
             out
         });
         for node in r.results {
-            prop_assert_eq!(&node, &want);
+            assert_eq!(node, want);
         }
     }
+}
 
-    #[test]
-    fn protocol_chain_preserves_data(
-        vals in proptest::collection::vec(1u64..10_000, 1..6),
-        protos in proptest::collection::vec(0usize..4, 1..5),
-    ) {
+#[test]
+fn protocol_chain_preserves_data() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let vals: Vec<u64> = (0..rng.gen_range(1..6)).map(|_| rng.gen_range(1..10_000)).collect();
+        let protos: Vec<usize> = (0..rng.gen_range(1..5)).map(|_| rng.gen_range(0..4)).collect();
+        eprintln!("seed {seed}: vals {vals:?}, protos {protos:?}");
         // Writing under SC, then threading the space through a random
         // chain of protocol changes, must preserve region contents.
         let chain: Vec<ProtoSpec> = protos
             .iter()
-            .map(|i| [ProtoSpec::Sc, ProtoSpec::DynUpdate, ProtoSpec::StaticUpdate, ProtoSpec::HomeOwned][*i])
+            .map(|i| {
+                [ProtoSpec::Sc, ProtoSpec::DynUpdate, ProtoSpec::StaticUpdate, ProtoSpec::HomeOwned]
+                    [*i]
+            })
             .collect();
-        let vals2 = vals.clone();
-        let r = run_ace(3, CostModel::free(), move |rt| {
+        let r = run_ace(3, CostModel::free(), |rt| {
             let space = rt.new_space(make(ProtoSpec::Sc));
             let regions: Vec<RegionId> = if rt.rank() == 0 {
-                let ids: Vec<u64> =
-                    vals2.iter().map(|_| rt.gmalloc::<u64>(space, 1).0).collect();
+                let ids: Vec<u64> = vals.iter().map(|_| rt.gmalloc::<u64>(space, 1).0).collect();
                 rt.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
             } else {
                 rt.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
             };
-            for (&r, &v) in regions.iter().zip(&vals2) {
+            for (&r, &v) in regions.iter().zip(&vals) {
                 rt.map(r);
                 if rt.rank() == 0 {
                     rt.start_write(r);
@@ -202,7 +223,7 @@ proptest! {
             out
         });
         for node in r.results {
-            prop_assert_eq!(&node, &vals);
+            assert_eq!(node, vals);
         }
     }
 }

@@ -10,14 +10,15 @@
 use ace::core::{run_ace, CostModel};
 use ace::lang::vm::Value;
 use ace::lang::{compile, run_program, OptLevel, SystemConfig};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The locals are `x0..x4`; `t` and `i` are scratch.
 const N: usize = 5;
 
 /// One generated statement. Local indices are below [`N`], constants small
 /// and positive; arithmetic wraps, in the VM and in the oracle alike.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Stmt {
     /// `x{v} = x{v} + k;`
     Bump(usize, i64),
@@ -109,19 +110,18 @@ fn f(n: i64, d: i64) -> i64 {
     keep.wrapping_add(if d > 0 { f(n.wrapping_add(1), d - 1) } else { 0 })
 }
 
-fn stmt() -> impl Strategy<Value = Stmt> {
-    let x = || 0..N;
-    prop_oneof![
-        (x(), 1i64..50).prop_map(|(v, k)| Stmt::Bump(v, k)),
-        (x(), x()).prop_map(|(a, b)| Stmt::Swap(a, b)),
-        (x(), x(), 1i64..9).prop_map(|(a, b, k)| Stmt::ReadWriteRead(a, b, k)),
-        (any::<bool>(), x(), x(), (x(), 0i64..20))
-            .prop_map(|(and, a, b, (c, k))| Stmt::Logic(and, a, b, c, k)),
-        (any::<bool>(), x(), x(), x()).prop_map(|(and, a, b, c)| Stmt::Truth(and, a, b, c)),
-        (x(), x(), 0i64..5).prop_map(|(v, w, n)| Stmt::Loop(v, w, n)),
-        (x(), x(), 0i64..4).prop_map(|(v, a, d)| Stmt::Call(v, a, d)),
-        (x(), x(), 1i64..20).prop_map(|(a, b, k)| Stmt::Branch(a, b, k)),
-    ]
+fn stmt(rng: &mut StdRng) -> Stmt {
+    let (a, b, c) = (rng.gen_range(0..N), rng.gen_range(0..N), rng.gen_range(0..N));
+    match rng.gen_range(0..8) {
+        0 => Stmt::Bump(a, rng.gen_range(1..50)),
+        1 => Stmt::Swap(a, b),
+        2 => Stmt::ReadWriteRead(a, b, rng.gen_range(1..9)),
+        3 => Stmt::Logic(rng.gen_bool(0.5), a, b, c, rng.gen_range(0..20)),
+        4 => Stmt::Truth(rng.gen_bool(0.5), a, b, c),
+        5 => Stmt::Loop(a, b, rng.gen_range(0..5)),
+        6 => Stmt::Call(a, b, rng.gen_range(0..4)),
+        _ => Stmt::Branch(a, b, rng.gen_range(1..20)),
+    }
 }
 
 /// The program's source and what the oracle says `main` returns.
@@ -147,21 +147,19 @@ int main() {{
     (src, want)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn every_level_returns_what_the_oracle_computes(
-        init in (0i64..10, 0i64..10, 0i64..10, 0i64..10, 0i64..10),
-        stmts in proptest::collection::vec(stmt(), 1..14),
-    ) {
-        let (a, b, c, d, e) = init;
-        let (src, want) = program([a, b, c, d, e], &stmts);
+#[test]
+fn every_level_returns_what_the_oracle_computes() {
+    for seed in 0..64 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let init: [i64; N] = std::array::from_fn(|_| rng.gen_range(0..10));
+        let stmts: Vec<Stmt> = (0..rng.gen_range(1..14)).map(|_| stmt(rng)).collect();
+        eprintln!("seed {seed}: {init:?} {stmts:?}");
+        let (src, want) = program(init, &stmts);
         let cfg = SystemConfig::builtin();
         for level in OptLevel::ALL {
             let prog = compile(&src, &cfg, level).expect("generated programs compile");
             let got = run_ace(1, CostModel::free(), |rt| run_program(rt, &prog)).results[0];
-            prop_assert_eq!(got, Some(Value::I(want)), "at {:?}:\n{}", level, src);
+            assert_eq!(got, Some(Value::I(want)), "at {level:?}:\n{src}");
         }
     }
 }

@@ -3,21 +3,22 @@
 
 use ace::core::{run_ace, CostModel, RegionId};
 use ace::protocols::{make, ProtoSpec};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Pipelined delta writes: concurrent additive contributions from
-    /// random writers sum exactly (commutative accumulation, no lost
-    /// updates), even though no writer ever holds exclusive access.
-    #[test]
-    fn pipelined_accumulation_is_exact(
-        contributions in proptest::collection::vec((0usize..4, 1i32..100), 1..40),
-    ) {
+/// Pipelined delta writes: concurrent additive contributions from
+/// random writers sum exactly (commutative accumulation, no lost
+/// updates), even though no writer ever holds exclusive access.
+#[test]
+fn pipelined_accumulation_is_exact() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let contributions: Vec<(usize, i32)> = (0..rng.gen_range(1..40))
+            .map(|_| (rng.gen_range(0..4), rng.gen_range(1..100)))
+            .collect();
+        eprintln!("seed {seed}: {contributions:?}");
         let expected: f64 = contributions.iter().map(|(_, v)| *v as f64).sum();
-        let contributions2 = contributions.clone();
-        let r = run_ace(4, CostModel::free(), move |rt| {
+        let r = run_ace(4, CostModel::free(), |rt| {
             let s = rt.new_space(make(ProtoSpec::Pipelined));
             let rid = if rt.rank() == 0 {
                 RegionId(rt.bcast(0, &[rt.gmalloc::<f64>(s, 1).0])[0])
@@ -26,7 +27,7 @@ proptest! {
             };
             rt.map(rid);
             rt.barrier(s);
-            for (writer, v) in &contributions2 {
+            for (writer, v) in &contributions {
                 if *writer == rt.rank() {
                     rt.start_write(rid);
                     rt.with_mut::<f64, _>(rid, |d| d[0] += *v as f64);
@@ -41,18 +42,20 @@ proptest! {
             v
         });
         for v in r.results {
-            prop_assert_eq!(v, expected);
+            assert_eq!(v, expected);
         }
     }
+}
 
-    /// Static update: after each barrier, every prior subscriber observes
-    /// exactly the home's latest value, for random write sequences.
-    #[test]
-    fn static_update_publishes_exactly_at_barriers(
-        writes in proptest::collection::vec(1u64..1000, 1..8),
-    ) {
-        let writes2 = writes.clone();
-        let r = run_ace(3, CostModel::free(), move |rt| {
+/// Static update: after each barrier, every prior subscriber observes
+/// exactly the home's latest value, for random write sequences.
+#[test]
+fn static_update_publishes_exactly_at_barriers() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let writes: Vec<u64> = (0..rng.gen_range(1..8)).map(|_| rng.gen_range(1..1000)).collect();
+        eprintln!("seed {seed}: {writes:?}");
+        let r = run_ace(3, CostModel::free(), |rt| {
             let s = rt.new_space(make(ProtoSpec::StaticUpdate));
             let rid = if rt.rank() == 0 {
                 RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
@@ -62,7 +65,7 @@ proptest! {
             rt.map(rid); // subscribes
             rt.barrier(s);
             let mut seen = Vec::new();
-            for w in &writes2 {
+            for w in &writes {
                 if rt.rank() == 0 {
                     rt.start_write(rid);
                     rt.with_mut::<u64, _>(rid, |d| d[0] = *w);
@@ -77,15 +80,20 @@ proptest! {
             seen
         });
         for seen in r.results {
-            prop_assert_eq!(&seen, &writes);
+            assert_eq!(seen, writes);
         }
     }
+}
 
-    /// Fetch-and-add: random interleavings of acquisitions from random
-    /// nodes issue every ticket exactly once.
-    #[test]
-    fn fetch_add_tickets_unique(per_node in 1usize..20, nprocs in 2usize..6) {
-        let r = run_ace(nprocs, CostModel::free(), move |rt| {
+/// Fetch-and-add: random interleavings of acquisitions from random
+/// nodes issue every ticket exactly once.
+#[test]
+fn fetch_add_tickets_unique() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (per_node, nprocs) = (rng.gen_range(1..20), rng.gen_range(2..6));
+        eprintln!("seed {seed}: per_node {per_node}, nprocs {nprocs}");
+        let r = run_ace(nprocs, CostModel::free(), |rt| {
             let s = rt.new_space(make(ProtoSpec::FetchAdd));
             let rid = if rt.rank() == 0 {
                 RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
@@ -112,17 +120,19 @@ proptest! {
         let mut all: Vec<u64> = r.results.into_iter().flatten().collect();
         all.sort_unstable();
         let want: Vec<u64> = (0..(per_node * nprocs) as u64).collect();
-        prop_assert_eq!(all, want);
+        assert_eq!(all, want);
     }
+}
 
-    /// Migratory: random ownership-hopping read-modify-write chains never
-    /// lose an increment.
-    #[test]
-    fn migratory_rmw_chain_is_lossless(
-        ops in proptest::collection::vec(0usize..4, 1..30),
-    ) {
-        let ops2 = ops.clone();
-        let r = run_ace(4, CostModel::free(), move |rt| {
+/// Migratory: random ownership-hopping read-modify-write chains never
+/// lose an increment.
+#[test]
+fn migratory_rmw_chain_is_lossless() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ops: Vec<usize> = (0..rng.gen_range(1..30)).map(|_| rng.gen_range(0..4)).collect();
+        eprintln!("seed {seed}: {ops:?}");
+        let r = run_ace(4, CostModel::free(), |rt| {
             let s = rt.new_space(make(ProtoSpec::Migratory));
             let rid = if rt.rank() == 0 {
                 RegionId(rt.bcast(0, &[rt.gmalloc::<u64>(s, 1).0])[0])
@@ -131,7 +141,7 @@ proptest! {
             };
             rt.map(rid);
             rt.machine_barrier();
-            for w in &ops2 {
+            for w in &ops {
                 if *w == rt.rank() {
                     rt.start_write(rid);
                     rt.with_mut::<u64, _>(rid, |d| d[0] += 1);
@@ -146,38 +156,44 @@ proptest! {
             v
         });
         for v in r.results {
-            prop_assert_eq!(v, ops.len() as u64);
+            assert_eq!(v, ops.len() as u64);
         }
     }
+}
 
-    /// Pod views: arbitrary f64/u32 data round-trips bit-exactly through
-    /// region storage and bulk transfer.
-    #[test]
-    fn region_data_round_trips(vals in proptest::collection::vec(any::<f64>(), 1..64)) {
-        let vals2 = vals.clone();
-        let r = run_ace(2, CostModel::free(), move |rt| {
+/// Pod views: arbitrary f64 data, every bit pattern (subnormals,
+/// infinities and NaNs too), round-trips bit-exactly through region
+/// storage and bulk transfer.
+#[test]
+fn region_data_round_trips() {
+    for seed in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let vals: Vec<f64> =
+            (0..rng.gen_range(1..64)).map(|_| f64::from_bits(rng.next_u64())).collect();
+        eprintln!("seed {seed}: {vals:?}");
+        let r = run_ace(2, CostModel::free(), |rt| {
             let s = rt.new_space(make(ProtoSpec::Sc));
             let rid = if rt.rank() == 0 {
-                RegionId(rt.bcast(0, &[rt.gmalloc::<f64>(s, vals2.len()).0])[0])
+                RegionId(rt.bcast(0, &[rt.gmalloc::<f64>(s, vals.len()).0])[0])
             } else {
                 RegionId(rt.bcast(0, &[])[0])
             };
             rt.map(rid);
             if rt.rank() == 0 {
                 rt.start_write(rid);
-                rt.with_mut::<f64, _>(rid, |d| d[..vals2.len()].copy_from_slice(&vals2));
+                rt.with_mut::<f64, _>(rid, |d| d[..vals.len()].copy_from_slice(&vals));
                 rt.end_write(rid);
             }
             rt.machine_barrier();
             rt.start_read(rid);
-            let got = rt.with::<f64, _>(rid, |d| d[..vals2.len()].to_vec());
+            let got = rt.with::<f64, _>(rid, |d| d[..vals.len()].to_vec());
             rt.end_read(rid);
             rt.machine_barrier();
             got
         });
         for got in r.results {
             for (g, w) in got.iter().zip(&vals) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
+                assert_eq!(g.to_bits(), w.to_bits());
             }
         }
     }
