@@ -62,11 +62,11 @@ pub enum AceMsg {
     LockGrant { region: RegionId },
     /// Lock released by the holder.
     LockRelease { region: RegionId },
-    /// Broadcast payload from a root node (used to distribute root region
-    /// ids after setup, like exchanging `address_t`s in the paper's apps).
-    Bcast { seq: u64, vals: Arc<[u64]> },
-    /// One node's contribution to a gather at a root node.
-    Gather { seq: u64, vals: Arc<[u64]> },
+    /// A sender's words for one collective: a broadcast root's payload
+    /// (how the apps distribute root region ids after setup, like
+    /// exchanging `address_t`s in the paper's apps), or one node's
+    /// contribution to a gather at its root. `seq` numbers the collective.
+    Collective { seq: u64, vals: Arc<[u64]> },
 }
 
 impl MsgSize for AceMsg {
@@ -83,7 +83,7 @@ impl MsgSize for AceMsg {
             AceMsg::MetaReply { .. } => 20,
             AceMsg::BarArrive { .. } | AceMsg::BarRelease { .. } => 12,
             AceMsg::LockReq { .. } | AceMsg::LockGrant { .. } | AceMsg::LockRelease { .. } => 8,
-            AceMsg::Bcast { vals, .. } | AceMsg::Gather { vals, .. } => 8 + vals.len() * 8,
+            AceMsg::Collective { vals, .. } => 8 + vals.len() * 8,
         }
     }
 
@@ -97,8 +97,7 @@ impl MsgSize for AceMsg {
             AceMsg::LockReq { .. } => "lock_req",
             AceMsg::LockGrant { .. } => "lock_grant",
             AceMsg::LockRelease { .. } => "lock_release",
-            AceMsg::Bcast { .. } => "bcast",
-            AceMsg::Gather { .. } => "gather",
+            AceMsg::Collective { .. } => "collective",
         }
     }
 }
@@ -112,8 +111,7 @@ const T_BAR_RELEASE: u8 = 4;
 const T_LOCK_REQ: u8 = 5;
 const T_LOCK_GRANT: u8 = 6;
 const T_LOCK_RELEASE: u8 = 7;
-const T_BCAST: u8 = 8;
-const T_GATHER: u8 = 9;
+const T_COLLECTIVE: u8 = 8;
 
 fn put_opt_words(out: &mut Vec<u8>, vals: &Option<Arc<[u64]>>) {
     match vals {
@@ -178,13 +176,8 @@ impl WireCodec for AceMsg {
                 out.push(T_LOCK_RELEASE);
                 region.0.encode(out);
             }
-            AceMsg::Bcast { seq, vals } => {
-                out.push(T_BCAST);
-                seq.encode(out);
-                put_words(out, vals);
-            }
-            AceMsg::Gather { seq, vals } => {
-                out.push(T_GATHER);
+            AceMsg::Collective { seq, vals } => {
+                out.push(T_COLLECTIVE);
                 seq.encode(out);
                 put_words(out, vals);
             }
@@ -215,8 +208,7 @@ impl WireCodec for AceMsg {
             T_LOCK_REQ => AceMsg::LockReq { region: RegionId(r.u64()?) },
             T_LOCK_GRANT => AceMsg::LockGrant { region: RegionId(r.u64()?) },
             T_LOCK_RELEASE => AceMsg::LockRelease { region: RegionId(r.u64()?) },
-            T_BCAST => AceMsg::Bcast { seq: r.u64()?, vals: r.words()?.into() },
-            T_GATHER => AceMsg::Gather { seq: r.u64()?, vals: r.words()?.into() },
+            T_COLLECTIVE => AceMsg::Collective { seq: r.u64()?, vals: r.words()?.into() },
             t => return Err(CodecError::BadTag(t)),
         })
     }
@@ -247,8 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn bcast_size_scales() {
-        let m = AceMsg::Bcast { seq: 0, vals: Arc::from(vec![1, 2, 3]) };
+    fn collective_size_scales() {
+        let m = AceMsg::Collective { seq: 0, vals: Arc::from(vec![1, 2, 3]) };
         assert_eq!(m.size_bytes(), 8 + 24);
     }
 
@@ -301,8 +293,8 @@ mod tests {
             AceMsg::LockReq { region: RegionId::new(0, 1) },
             AceMsg::LockGrant { region: RegionId::new(0, 1) },
             AceMsg::LockRelease { region: RegionId::new(0, 1) },
-            AceMsg::Bcast { seq: 4, vals: Arc::from(vec![10u64, 20]) },
-            AceMsg::Gather { seq: 4, vals: Arc::from(Vec::<u64>::new()) },
+            AceMsg::Collective { seq: 4, vals: Arc::from(vec![10u64, 20]) },
+            AceMsg::Collective { seq: 5, vals: Arc::from(Vec::<u64>::new()) },
         ];
         for m in &msgs {
             let mut buf = Vec::new();

@@ -69,8 +69,8 @@ struct BarTag {
     prof_in: Option<Arc<[u64]>>,
 }
 
-/// Per-collective gather buffer: contributions tagged by source rank.
-type GatherBuf = Vec<(usize, Arc<[u64]>)>;
+/// One collective's words received so far, tagged by source rank.
+type CollBuf = Vec<(usize, Arc<[u64]>)>;
 
 /// Every region entry this node holds, indexed by the two fields of its
 /// id: home, then `seq`. A home hands out `seq` from a counter, so its row
@@ -238,11 +238,10 @@ pub struct AceRt<'n> {
     /// Barrier state by tag: slot 0 the machine barrier's, slot `1 + sid`
     /// a space's. Grown on first use of a tag, by this node or a child.
     bars: RefCell<Vec<BarTag>>,
-    // Collective data exchange.
-    bcast_seq: Cell<u64>,
-    bcast_recv: RefCell<HashMap<u64, Arc<[u64]>>>,
-    gather_seq: Cell<u64>,
-    gather_recv: RefCell<HashMap<u64, GatherBuf>>,
+    /// The next collective's `seq`. Every node enters collectives in
+    /// program order, so one counter agrees machine-wide.
+    coll_seq: Cell<u64>,
+    coll_recv: RefCell<HashMap<u64, CollBuf>>,
     counters: RefCell<OpCounters>,
     /// The annotation hook most recently entered on this node ("none"
     /// before the first). Tracked unconditionally (a `Cell` store) so
@@ -275,10 +274,8 @@ impl<'n> AceRt<'n> {
             spaces: RefCell::default(),
             next_region_seq: Cell::new(0),
             bars: RefCell::default(),
-            bcast_seq: Cell::new(0),
-            bcast_recv: RefCell::new(HashMap::new()),
-            gather_seq: Cell::new(0),
-            gather_recv: RefCell::new(HashMap::new()),
+            coll_seq: Cell::new(0),
+            coll_recv: RefCell::new(HashMap::new()),
             counters: RefCell::new(OpCounters::default()),
             last_hook: Cell::new("none"),
             handling: Cell::new((0, 0, 0)),
@@ -509,11 +506,8 @@ impl<'n> AceRt<'n> {
                     None => e.lock_held.set(false),
                 }
             }
-            AceMsg::Bcast { seq, vals } => {
-                self.bcast_recv.borrow_mut().insert(seq, vals);
-            }
-            AceMsg::Gather { seq, vals } => {
-                self.gather_recv.borrow_mut().entry(seq).or_default().push((src, vals));
+            AceMsg::Collective { seq, vals } => {
+                self.coll_recv.borrow_mut().entry(seq).or_default().push((src, vals));
             }
         }
     }
@@ -1255,20 +1249,18 @@ impl<'n> AceRt<'n> {
     /// ids of freshly-built shared data structures.
     pub fn bcast(&self, root: usize, vals: &[u64]) -> Arc<[u64]> {
         self.assert_root(root);
-        let seq = self.bcast_seq.get();
-        self.bcast_seq.set(seq + 1);
+        let seq = self.coll_seq.replace(self.coll_seq.get() + 1);
         if self.rank() == root {
             // One allocation; every recipient's message aliases it.
             let payload: Arc<[u64]> = vals.into();
             for dst in 0..self.nprocs() {
                 if dst != root {
-                    self.send(dst, AceMsg::Bcast { seq, vals: payload.clone() });
+                    self.send(dst, AceMsg::Collective { seq, vals: payload.clone() });
                 }
             }
             payload
         } else {
-            self.wait("broadcast payload", || self.bcast_recv.borrow().contains_key(&seq));
-            self.bcast_recv.borrow_mut().remove(&seq).unwrap()
+            self.take_collective(seq, 1, "broadcast payload").pop().unwrap().1
         }
     }
 
@@ -1276,20 +1268,23 @@ impl<'n> AceRt<'n> {
     /// at the root and `None` elsewhere. Collective.
     pub fn gather(&self, root: usize, vals: &[u64]) -> Option<Vec<Arc<[u64]>>> {
         self.assert_root(root);
-        let seq = self.gather_seq.get();
-        self.gather_seq.set(seq + 1);
+        let seq = self.coll_seq.replace(self.coll_seq.get() + 1);
         if self.rank() == root {
-            self.wait("gather contributions", || {
-                self.gather_recv.borrow().get(&seq).map_or(0, |v| v.len()) == self.nprocs() - 1
-            });
-            let mut got = self.gather_recv.borrow_mut().remove(&seq).unwrap_or_default();
+            let mut got = self.take_collective(seq, self.nprocs() - 1, "gather contributions");
             got.push((root, vals.into()));
             got.sort_by_key(|(src, _)| *src);
             Some(got.into_iter().map(|(_, v)| v).collect())
         } else {
-            self.send(root, AceMsg::Gather { seq, vals: vals.into() });
+            self.send(root, AceMsg::Collective { seq, vals: vals.into() });
             None
         }
+    }
+
+    /// Wait until `n` senders' words for collective `seq` have arrived,
+    /// then take them.
+    fn take_collective(&self, seq: u64, n: usize, what: &str) -> CollBuf {
+        self.wait(what, || self.coll_recv.borrow().get(&seq).map_or(0, Vec::len) == n);
+        self.coll_recv.borrow_mut().remove(&seq).unwrap_or_default()
     }
 
     /// Panic unless `root` is a rank of this machine: every rank of a
