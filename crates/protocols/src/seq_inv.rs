@@ -307,6 +307,9 @@ impl Protocol for SeqInvalidate {
                 auxbits::set(e, BUSY);
                 self.sweep_sharers(rt, e, None);
                 rt.wait("sharer invalidations", || e.pending.get() == 0);
+                // Every sharer acked, and BUSY parked any request that
+                // would have joined during the round.
+                e.sharers.clear();
                 auxbits::clear(e, BUSY);
                 // Parked requests stay parked until end_write drains them:
                 // granting a copy now would let a reader see the master
@@ -501,6 +504,72 @@ mod tests {
             v
         });
         assert_eq!(r.results, vec![5; 4]);
+    }
+
+    /// Home's own write sweeps the sharers it invalidates out of the
+    /// directory, as a remote writer's grant does: the next home write is
+    /// a hit that sends nothing.
+    #[test]
+    fn a_home_write_forgets_the_sharers_it_invalidated() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let rid = shared_region(rt, 1);
+            if rt.rank() == 1 {
+                rt.start_read(rid);
+                rt.end_read(rid);
+            }
+            rt.machine_barrier();
+            let mut sent = Vec::new();
+            if rt.rank() == 0 {
+                for v in 1..=2u64 {
+                    let before = rt.node().stats().logical_msgs;
+                    rt.start_write(rid);
+                    rt.with_mut::<u64, _>(rid, |d| d[0] = v);
+                    rt.end_write(rid);
+                    sent.push(rt.node().stats().logical_msgs - before);
+                }
+            }
+            rt.machine_barrier();
+            sent
+        });
+        assert_eq!(r.results[0], vec![1, 0], "one INV, then a hit");
+    }
+
+    /// A remote rank may drop an invalidated copy without telling home
+    /// (CRL's unmapped-region cache does, through `AceRt::evict`); home's
+    /// next write must not send an INV to a rank that holds no entry.
+    #[test]
+    fn a_home_write_after_an_evicted_copy_sends_no_inv() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let rid = shared_region(rt, 1);
+            let write = |v: u64| {
+                if rt.rank() == 0 {
+                    rt.start_write(rid);
+                    rt.with_mut::<u64, _>(rid, |d| d[0] = v);
+                    rt.end_write(rid);
+                }
+                rt.machine_barrier();
+            };
+            if rt.rank() == 1 {
+                rt.start_read(rid);
+                rt.end_read(rid);
+            }
+            rt.machine_barrier();
+            write(1);
+            if rt.rank() == 1 {
+                rt.unmap(rid);
+                rt.evict(rid);
+            }
+            rt.machine_barrier();
+            write(2);
+            if rt.rank() == 1 {
+                rt.map(rid);
+            }
+            rt.start_read(rid);
+            let v = rt.with::<u64, _>(rid, |d| d[0]);
+            rt.end_read(rid);
+            v
+        });
+        assert_eq!(r.results, vec![2, 2]);
     }
 
     #[test]
