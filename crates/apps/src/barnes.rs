@@ -204,9 +204,7 @@ fn accel_from<D: Dsm>(
 ) {
     let cid = pool[idx];
     d.map(cid);
-    d.start_read(cid);
-    let cell = d.with::<Cell, _>(cid, |c| c[0]);
-    d.end_read(cid);
+    let cell = d.read::<Cell, _>(cid, |c| c[0]);
     d.unmap(cid);
 
     let dx = cell.cm[0] - pos[0];
@@ -221,9 +219,7 @@ fn accel_from<D: Dsm>(
                 continue;
             }
             d.map(bid);
-            d.start_read(bid);
-            let (bp, bm) = d.with::<Body, _>(bid, |b| (b[0].pos, b[0].mass));
-            d.end_read(bid);
+            let (bp, bm) = d.read::<Body, _>(bid, |b| (b[0].pos, b[0].mass));
             d.unmap(bid);
             let rx = bp[0] - pos[0];
             let ry = bp[1] - pos[1];
@@ -282,8 +278,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     let mut rng = StdRng::seed_from_u64(p.seed.wrapping_add(d.rank() as u64 * 77));
     for &rid in &my_ids {
         d.map(rid);
-        d.start_write(rid);
-        d.with_mut::<Body, _>(rid, |b| {
+        d.write::<Body, _>(rid, |b| {
             b[0] = Body {
                 pos: [rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)],
                 vel: [
@@ -295,7 +290,6 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                 mass: 1.0 / p.bodies as f64,
             };
         });
-        d.end_write(rid);
         d.unmap(rid);
     }
     d.barrier(bodies_space);
@@ -323,9 +317,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
             let mut hi = [f64::MIN; 3];
             for &bid in &body_ids {
                 d.map(bid);
-                d.start_read(bid);
-                let (bp, bm) = d.with::<Body, _>(bid, |b| (b[0].pos, b[0].mass));
-                d.end_read(bid);
+                let (bp, bm) = d.read::<Body, _>(bid, |b| (b[0].pos, b[0].mass));
                 d.unmap(bid);
                 for a in 0..3 {
                     lo[a] = lo[a].min(bp[a]);
@@ -345,9 +337,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
             for (k, cell) in tree.cells.iter().enumerate() {
                 let rid = pool[k];
                 d.map(rid);
-                d.start_write(rid);
-                d.with_mut::<Cell, _>(rid, |c| c[0] = *cell);
-                d.end_write(rid);
+                d.write::<Cell, _>(rid, |c| c[0] = *cell);
                 d.unmap(rid);
             }
             d.charge_mem(10 * body_ids.len() as u64);
@@ -363,9 +353,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         let mut new_acc = Vec::with_capacity(my_ids.len());
         for &rid in &my_ids {
             d.map(rid);
-            d.start_read(rid);
-            let me = d.with::<Body, _>(rid, |b| b[0]);
-            d.end_read(rid);
+            let me = d.read::<Body, _>(rid, |b| b[0]);
             d.unmap(rid);
             let mut acc = [0.0; 3];
             let mut flops = 0;
@@ -376,9 +364,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // Write accelerations after the full traversal pass.
         for (&rid, acc) in my_ids.iter().zip(&new_acc) {
             d.map(rid);
-            d.start_write(rid);
-            d.with_mut::<Body, _>(rid, |b| b[0].acc = *acc);
-            d.end_write(rid);
+            d.write::<Body, _>(rid, |b| b[0].acc = *acc);
             d.unmap(rid);
         }
         d.barrier(bodies_space);
@@ -386,14 +372,12 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // ---- update phase: leapfrog on owned bodies ----
         for &rid in &my_ids {
             d.map(rid);
-            d.start_write(rid);
-            d.with_mut::<Body, _>(rid, |b| {
+            d.write::<Body, _>(rid, |b| {
                 for a in 0..3 {
                     b[0].vel[a] += DT * b[0].acc[a];
                     b[0].pos[a] += DT * b[0].vel[a];
                 }
             });
-            d.end_write(rid);
             d.unmap(rid);
             d.charge_flops(12);
         }
@@ -403,10 +387,8 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     let mut local = 0.0;
     for &rid in &my_ids {
         d.map(rid);
-        d.start_read(rid);
         local +=
-            d.with::<Body, _>(rid, |b| b[0].pos[0].abs() + b[0].pos[1].abs() + b[0].pos[2].abs());
-        d.end_read(rid);
+            d.read::<Body, _>(rid, |b| b[0].pos[0].abs() + b[0].pos[1].abs() + b[0].pos[2].abs());
         d.unmap(rid);
     }
     d.allreduce_f64(local, |a, b| a + b)

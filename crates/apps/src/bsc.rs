@@ -197,9 +197,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     for (&(i, j), &rid) in my_blocks.iter().zip(&my_ids) {
         d.map(rid);
         let a = a_block(p, i, j);
-        d.start_write(rid);
-        d.with_mut::<f64, _>(rid, |m| m.copy_from_slice(&a));
-        d.end_write(rid);
+        d.write::<f64, _>(rid, |m| m.copy_from_slice(&a));
         d.unmap(rid);
         d.charge_flops((b * b * b) as u64 / 2);
     }
@@ -219,9 +217,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     // access (the CRL idiom; block transfers are bulk either way).
     let read_block = |d: &D, rid: u64| -> Vec<f64> {
         d.map(rid);
-        d.start_read(rid);
-        let m = d.with::<f64, _>(rid, |x| x.to_vec());
-        d.end_read(rid);
+        let m = d.read::<f64, _>(rid, |x| x.to_vec());
         d.unmap(rid);
         m
     };
@@ -231,9 +227,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         let dk = id_of[&(k, k)];
         if owner(k, k, d.nprocs()) == d.rank() {
             d.map(dk);
-            d.start_write(dk);
-            d.with_mut::<f64, _>(dk, |m| potrf(m, b));
-            d.end_write(dk);
+            d.write::<f64, _>(dk, |m| potrf(m, b));
             d.unmap(dk);
             d.charge_flops((b * b * b) as u64 / 3);
         }
@@ -245,9 +239,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                 let l = read_block(d, dk);
                 let rik = id_of[&(i, k)];
                 d.map(rik);
-                d.start_write(rik);
-                d.with_mut::<f64, _>(rik, |m| trsm(m, &l, b));
-                d.end_write(rik);
+                d.write::<f64, _>(rik, |m| trsm(m, &l, b));
                 d.unmap(rik);
                 d.charge_flops((b * b * b) as u64 / 2);
             }
@@ -271,9 +263,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                 let lj = read_block(d, rjk);
                 let rij = id_of[&(i, j)];
                 d.map(rij);
-                d.start_write(rij);
-                d.with_mut::<f64, _>(rij, |m| gemm_sub(m, &li, &lj, b));
-                d.end_write(rij);
+                d.write::<f64, _>(rij, |m| gemm_sub(m, &li, &lj, b));
                 d.unmap(rij);
                 d.charge_flops(2 * (b * b * b) as u64);
             }
@@ -287,14 +277,12 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     for (&(i, j), &rid) in my_blocks.iter().zip(&my_ids) {
         let want = l0_block(p, i, j);
         d.map(rid);
-        d.start_read(rid);
-        d.with::<f64, _>(rid, |m| {
+        d.read::<f64, _>(rid, |m| {
             for (got, want) in m.iter().zip(&want) {
                 max_dev = max_dev.max((got - want).abs());
                 checksum += got.abs();
             }
         });
-        d.end_read(rid);
         d.unmap(rid);
     }
     let dev = d.allreduce_f64(max_dev, |a, b| a.max(b));

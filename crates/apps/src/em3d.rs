@@ -116,9 +116,7 @@ fn compute_phase<D: Dsm>(d: &D, side: &Side, hoist: bool) {
             if !hoist {
                 d.map(nbr);
             }
-            d.start_read(nbr);
-            acc += w * d.with::<f64, _>(nbr, |v| v[0]);
-            d.end_read(nbr);
+            acc += w * d.read::<f64, _>(nbr, |v| v[0]);
             if !hoist {
                 d.unmap(nbr);
             }
@@ -127,9 +125,7 @@ fn compute_phase<D: Dsm>(d: &D, side: &Side, hoist: bool) {
         if !hoist {
             d.map(*own);
         }
-        d.start_write(*own);
-        d.with_mut::<f64, _>(*own, |v| v[0] = v[0] * 0.5 + acc);
-        d.end_write(*own);
+        d.write::<f64, _>(*own, |v| v[0] = v[0] * 0.5 + acc);
         if !hoist {
             d.unmap(*own);
         }
@@ -162,9 +158,7 @@ pub fn run_with<D: Dsm>(d: &D, p: &Params, proto: Em3dProto) -> f64 {
     // Initialize owned values (inside write sections, under SC).
     for (k, &rid) in my_e_ids.iter().chain(my_h_ids.iter()).enumerate() {
         d.map(rid);
-        d.start_write(rid);
-        d.with_mut::<f64, _>(rid, |v| v[0] = (k % 17) as f64 * 0.25 + 1.0);
-        d.end_write(rid);
+        d.write::<f64, _>(rid, |v| v[0] = (k % 17) as f64 * 0.25 + 1.0);
         d.unmap(rid);
     }
     d.barrier(eval);
@@ -228,9 +222,7 @@ pub fn run_with<D: Dsm>(d: &D, p: &Params, proto: Em3dProto) -> f64 {
     let mut local = 0.0;
     for &rid in e_side.my_vals.iter().chain(h_side.my_vals.iter()) {
         d.map(rid);
-        d.start_read(rid);
-        local += d.with::<f64, _>(rid, |v| v[0]);
-        d.end_read(rid);
+        local += d.read::<f64, _>(rid, |v| v[0]);
         d.unmap(rid);
     }
     d.allreduce_f64(local, |a, b| a + b)

@@ -166,9 +166,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         let counter = d.gmalloc::<u64>(counter_space, 1);
         let best = d.gmalloc::<u64>(shared_space, 1);
         d.map(best);
-        d.start_write(best);
-        d.with_mut::<u64, _>(best, |b| b[0] = u64::MAX);
-        d.end_write(best);
+        d.write::<u64, _>(best, |b| b[0] = u64::MAX);
         let ids = d.bcast(0, &[counter, best]);
         (ids[0], ids[1])
     } else {
@@ -193,12 +191,8 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // Claim the next job: lock, read, increment, unlock. Under the
         // fetch-and-add protocol this whole block is one round trip.
         d.lock(counter);
-        d.start_read(counter);
-        let ticket = d.with::<u64, _>(counter, |c| c[0]);
-        d.end_read(counter);
-        d.start_write(counter);
-        d.with_mut::<u64, _>(counter, |c| c[0] = ticket + 1);
-        d.end_write(counter);
+        let ticket = d.read::<u64, _>(counter, |c| c[0]);
+        d.write::<u64, _>(counter, |c| c[0] = ticket + 1);
         d.unlock(counter);
         if ticket >= total {
             break;
@@ -210,9 +204,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // Read the shared bound once per job — the access the custom
         // protocol optimizes. The value is *observed* but pruning uses the
         // deterministic greedy bound so total work is protocol-invariant.
-        d.start_read(best);
-        let _observed = d.with::<u64, _>(best, |x| x[0]);
-        d.end_read(best);
+        let _observed = d.read::<u64, _>(best, |x| x[0]);
 
         let before = greedy_bound(&dist) + 1;
         let mut local_best = before;
@@ -233,22 +225,16 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         if local_best < before {
             // Publish the improvement under the bound's lock.
             d.lock(best);
-            d.start_read(best);
-            let cur = d.with::<u64, _>(best, |x| x[0]);
-            d.end_read(best);
+            let cur = d.read::<u64, _>(best, |x| x[0]);
             if local_best < cur {
-                d.start_write(best);
-                d.with_mut::<u64, _>(best, |x| x[0] = local_best);
-                d.end_write(best);
+                d.write::<u64, _>(best, |x| x[0] = local_best);
             }
             d.unlock(best);
         }
     }
 
     d.barrier(shared_space);
-    d.start_read(best);
-    let answer = d.with::<u64, _>(best, |x| x[0]);
-    d.end_read(best);
+    let answer = d.read::<u64, _>(best, |x| x[0]);
     d.barrier(shared_space);
     answer as f64
 }

@@ -98,8 +98,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     let mut rng = StdRng::seed_from_u64(p.seed.wrapping_add(d.rank() as u64));
     for &rid in &my_ids {
         d.map(rid);
-        d.start_write(rid);
-        d.with_mut::<f64, _>(rid, |m| {
+        d.write::<f64, _>(rid, |m| {
             for x in m.iter_mut().take(3) {
                 *x = rng.gen_range(-1.0..1.0);
             }
@@ -107,7 +106,6 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                 *x = rng.gen_range(-0.1..0.1);
             }
         });
-        d.end_write(rid);
         d.unmap(rid);
     }
     d.barrier(mols_space);
@@ -151,8 +149,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // ---- intra-molecular phase: half-kick + drift on owned data ----
         for &rid in &my_ids {
             d.map(rid);
-            d.start_write(rid);
-            d.with_mut::<f64, _>(rid, |m| {
+            d.write::<f64, _>(rid, |m| {
                 for a in 0..3 {
                     let acc = m[FRC + a];
                     m[VEL + a] += 0.5 * DT * acc;
@@ -160,7 +157,6 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                     m[FRC + a] = 0.0; // zero the accumulator for this step
                 }
             });
-            d.end_write(rid);
             d.unmap(rid);
             d.charge_flops(18);
         }
@@ -178,12 +174,8 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
             let (ri, rj) = (mol_id[i], mol_id[j]);
             d.map(ri);
             d.map(rj);
-            d.start_read(ri);
-            let pi = d.with::<f64, _>(ri, |m| [m[0], m[1], m[2]]);
-            d.end_read(ri);
-            d.start_read(rj);
-            let pj = d.with::<f64, _>(rj, |m| [m[0], m[1], m[2]]);
-            d.end_read(rj);
+            let pi = d.read::<f64, _>(ri, |m| [m[0], m[1], m[2]]);
+            let pj = d.read::<f64, _>(rj, |m| [m[0], m[1], m[2]]);
             let f = pair_force(&pi, &pj);
             d.charge_flops(14);
             for a in 0..3 {
@@ -213,13 +205,11 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
                     }
                     let rid = mol_id[i];
                     d.map(rid);
-                    d.start_write(rid);
-                    d.with_mut::<f64, _>(rid, |m| {
+                    d.write::<f64, _>(rid, |m| {
                         for a in 0..3 {
                             m[FRC + a] += f[a];
                         }
                     });
-                    d.end_write(rid);
                     d.unmap(rid);
                     d.charge_flops(3);
                 }
@@ -233,13 +223,11 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // ---- update phase: second half-kick on owned data ----
         for &rid in &my_ids {
             d.map(rid);
-            d.start_write(rid);
-            d.with_mut::<f64, _>(rid, |m| {
+            d.write::<f64, _>(rid, |m| {
                 for a in 0..3 {
                     m[VEL + a] += 0.5 * DT * m[FRC + a];
                 }
             });
-            d.end_write(rid);
             d.unmap(rid);
             d.charge_flops(6);
         }
@@ -251,9 +239,7 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     let mut local = 0.0;
     for &rid in &my_ids {
         d.map(rid);
-        d.start_read(rid);
-        local += d.with::<f64, _>(rid, |m| m[0].abs() + m[1].abs() + m[2].abs());
-        d.end_read(rid);
+        local += d.read::<f64, _>(rid, |m| m[0].abs() + m[1].abs() + m[2].abs());
         d.unmap(rid);
     }
     d.allreduce_f64(local, |a, b| a + b)
