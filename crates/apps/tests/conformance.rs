@@ -192,8 +192,8 @@ fn section_left_open_at_exit_is_reported() {
 fn concurrent_conflicting_sections_across_nodes_are_reported() {
     // Both nodes hold a write section on one region with no intervening
     // messages: vector-clock-concurrent, and never granted by the
-    // exclusive `Unfenced` protocol. The analysis runs on node 0 over the
-    // gathered section histories, so node 0 carries the report.
+    // exclusive `Unfenced` protocol. Node 0, the barrier tree's root,
+    // scans the records each passage carries, so it carries the report.
     let r = checked(2, CheckMode::Log).run(|node| {
         let rt = AceRt::new(node);
         let s = rt.new_space(Rc::new(Unfenced));
@@ -236,6 +236,108 @@ fn concurrent_conflicting_sections_across_nodes_are_reported() {
         other => panic!("wrong report: {other}"),
     }
     assert_eq!(r.stats.total_violations(), 1);
+}
+
+/// A 2-node `Unfenced` machine's program: both ranks map one region of
+/// rank 0's, then `f` runs with the region's id.
+fn on_one_region<R: Send>(
+    mode: CheckMode,
+    f: impl Fn(&AceRt, ace_core::RegionId) -> R + Sync,
+) -> ace_core::SpmdResult<R> {
+    checked(2, mode).run(|node| {
+        let rt = AceRt::new(node);
+        let s = rt.new_space(Rc::new(Unfenced));
+        let rid = if rt.rank() == 0 {
+            let rid = rt.gmalloc::<u64>(s, 1);
+            rt.bcast(0, &[rid.0])[0]
+        } else {
+            rt.bcast(0, &[])[0]
+        };
+        let rid = ace_core::RegionId(rid);
+        rt.map(rid);
+        rt.machine_barrier();
+        let r = f(&rt, rid);
+        rt.shutdown();
+        r
+    })
+}
+
+/// The two ranks of a `ConflictingSections` report, in report order.
+fn conflict_ranks(v: &[AceError]) -> Vec<[usize; 2]> {
+    v.iter()
+        .map(|e| match e {
+            AceError::Conformance {
+                kind: ConformanceKind::ConflictingSections { a, b }, ..
+            } => [a.rank, b.rank],
+            other => panic!("not a conflict: {other}"),
+        })
+        .collect()
+}
+
+#[test]
+fn a_section_held_open_across_a_barrier_conflicts_with_a_write_before_it() {
+    // Rank 1's write section spans a barrier; rank 0 writes the region
+    // before that barrier. The barrier orders rank 0's section before
+    // everything rank 1 does after it, but not before rank 1's open: the
+    // two overlap. Rank 0's record reaches node 0 at the first barrier,
+    // rank 1's at the second, and the pair is still found.
+    let r = on_one_region(CheckMode::Log, |rt, rid| {
+        if rt.rank() == 1 {
+            rt.start_write(rid);
+        } else {
+            rt.start_write(rid);
+            rt.with_mut::<u64, _>(rid, |m| m[0] = 1);
+            rt.end_write(rid);
+        }
+        rt.machine_barrier();
+        let held = rt.violations().len();
+        if rt.rank() == 1 {
+            rt.with_mut::<u64, _>(rid, |m| m[0] = 2);
+            rt.end_write(rid);
+        }
+        rt.machine_barrier();
+        (held, rt.violations())
+    });
+    let (held, v0) = &r.results[0];
+    assert_eq!(*held, 0, "rank 1's section was still open: nothing to report yet");
+    assert_eq!(conflict_ranks(v0), [[0, 1]], "{v0:?}");
+    assert!(r.results[1].1.is_empty());
+    assert_eq!(r.stats.total_violations(), 1);
+}
+
+#[test]
+fn a_conflict_is_reported_at_the_barrier_that_carries_it() {
+    // Node 0 holds the report as soon as the barrier that ends the
+    // conflicting sections' passage returns, before any shutdown.
+    let r = on_one_region(CheckMode::Log, |rt, rid| {
+        rt.start_write(rid);
+        rt.with_mut::<u64, _>(rid, |m| m[0] = rt.rank() as u64);
+        rt.end_write(rid);
+        rt.machine_barrier();
+        rt.violations()
+    });
+    assert_eq!(conflict_ranks(&r.results[0]), [[0, 1]], "{:?}", r.results[0]);
+    assert!(r.results[1].is_empty());
+}
+
+#[test]
+fn a_fail_run_dies_at_the_barrier_that_carries_a_conflict() {
+    let run = std::panic::catch_unwind(|| {
+        on_one_region(CheckMode::Fail, |rt, rid| {
+            rt.start_write(rid);
+            rt.with_mut::<u64, _>(rid, |m| m[0] = rt.rank() as u64);
+            rt.end_write(rid);
+            rt.machine_barrier();
+            assert!(rt.rank() != 0, "node 0 left the barrier that carried a conflict");
+        })
+    });
+    let e = run.expect_err("a conflicting run fails");
+    let msg = e.downcast_ref::<String>().map_or("<non-string panic>", String::as_str);
+    assert!(
+        msg.starts_with("node 0 panicked: conformance violation")
+            && msg.contains("concurrent write+write sections"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -341,11 +443,12 @@ fn conflicting_sections_on_ranks_past_255_name_those_ranks() {
 
 #[test]
 fn a_checked_run_sends_what_the_unchecked_run_sends() {
-    // The checker's one exchange — the history gather at shutdown, and the
-    // barrier behind it — is off the books: with coalescing off a wire
-    // envelope is a logical message, so all three totals and every tag's
-    // row repeat exactly; with it on the wire grouping rides arrival order
-    // (see `coalescing_equivalence`) and the logical view is compared.
+    // The checker sends nothing of its own: its records ride the barrier
+    // arrivals the program sends anyway, at no charge. With coalescing
+    // off a wire envelope is a logical message, so all three totals and
+    // every tag's row repeat exactly; with it on the wire grouping rides
+    // arrival order (see `coalescing_equivalence`) and the logical view
+    // is compared.
     let em3d_p = em3d::Params::small();
     let water_p = water::Params::small();
     type App<'a> = &'a (dyn Fn(&AceDsm) -> f64 + Sync);

@@ -38,16 +38,18 @@
 //! encoding: a lane at the start of `open_own`'s barrier epoch — every
 //! rank this node has heard nothing from since its last barrier — is left
 //! out, so a record's size follows who talked to whom, not the machine
-//! size. At shutdown the histories are gathered at node 0, which scans
-//! them in place, region by region, and builds a [`SectionRecord`] only
-//! for the two halves of a pair it reports.
+//! size. At every barrier arrival a node moves its history into a
+//! [`SectionBatch`] on its `BarArrive`, and the root of the barrier tree
+//! scans each passage's records in place, region by region, before it
+//! releases the passage, building a [`SectionRecord`] only for the two
+//! halves of a pair it reports. It keeps a window of earlier batches only
+//! while a section that may overlap them is still open, so a checked run
+//! holds one passage of history, not the whole run's.
 //!
-//! Checking is metrologically invisible. Vector clocks add no bytes and
-//! no virtual-time charges, and the shutdown exchange — whose size is a
-//! property of the history, not of the program — runs inside
-//! `Node::off_the_books`: a checked run reports the simulated time,
-//! message counts and byte counts of the unchecked one (wall clock and
-//! memory differ; see DESIGN.md §12).
+//! Checking is metrologically invisible. Vector clocks and batches add no
+//! bytes, no messages and no virtual-time charges: a checked run reports
+//! the simulated time, message counts and byte counts of the unchecked
+//! one (wall clock and memory differ; see DESIGN.md §12).
 //!
 //! Violations become structured [`AceError::Conformance`] values and
 //! `EventKind::Violation` trace events. `Log` records and keeps going;
@@ -55,13 +57,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ace_machine::{CheckMode, EventKind, Node, SparseClock, NO_REGION};
 
 use crate::error::{AceError, ConformanceKind, SectionRecord};
 use crate::ids::RegionId;
-use crate::msg::AceMsg;
+use crate::msg::{AceMsg, SectionBatch};
 use crate::protocol::GrantSet;
 
 /// An access section currently open on this node.
@@ -78,6 +79,8 @@ struct OpenSection {
     proto: &'static str,
     /// That protocol's declared concurrency grants.
     grants: GrantSet,
+    /// Barriers this node had arrived at when the section opened.
+    passage: u64,
 }
 
 /// Words of a record before its sparse open clock.
@@ -199,7 +202,7 @@ impl<'a> Record<'a> {
 
 /// Whether a section can be the subject of a conflict report. One whose
 /// every possible overlap is granted cannot, and is not recorded, so the
-/// shutdown exchange stays proportional to what can actually conflict.
+/// batches stay proportional to what can actually conflict.
 /// Read/read never conflicts, so a read section matters only when
 /// read+write is ungranted; a write section matters unless both
 /// write+write and read+write are granted.
@@ -218,17 +221,18 @@ pub(crate) struct Checker {
     mode: CheckMode,
     /// Open outermost sections, keyed by (region bits, is-write).
     open: RefCell<HashMap<(u64, bool), OpenSection>>,
-    /// Completed sections that can participate in a cross-node conflict
-    /// (sections whose every overlap is granted are filtered at open), as
-    /// encoded records back to back.
+    /// Sections closed since this node's last barrier arrival that can
+    /// participate in a cross-node conflict (sections whose every overlap
+    /// is granted are filtered at open), as encoded records back to back.
     history: RefCell<Vec<u64>>,
+    /// Barriers this node has arrived at.
+    passage: Cell<u64>,
+    /// On the barrier tree's root: earlier passages' batches that a
+    /// section still open may conflict with.
+    window: RefCell<Window>,
     /// Violations recorded on this node (including, on node 0, the
-    /// cross-node conflicts found at shutdown).
+    /// cross-node conflicts found at each barrier passage).
     violations: RefCell<Vec<AceError>>,
-    /// Idempotence guard for the shutdown analysis: `AceRt::shutdown` can
-    /// run twice (once by the program, once by the `run_ace` wrapper) and
-    /// the gather/analysis must happen exactly once.
-    analyzed: Cell<bool>,
 }
 
 impl Checker {
@@ -237,8 +241,9 @@ impl Checker {
             mode,
             open: RefCell::new(HashMap::new()),
             history: RefCell::new(Vec::new()),
+            passage: Cell::new(0),
+            window: RefCell::default(),
             violations: RefCell::new(Vec::new()),
-            analyzed: Cell::new(false),
         }
     }
 
@@ -295,7 +300,13 @@ impl Checker {
         });
         self.open.borrow_mut().insert(
             (region.0, write),
-            OpenSection { open_t: node.now(), open_clock, proto, grants },
+            OpenSection {
+                open_t: node.now(),
+                open_clock,
+                proto,
+                grants,
+                passage: self.passage.get(),
+            },
         );
     }
 
@@ -326,13 +337,6 @@ impl Checker {
         .push(&mut self.history.borrow_mut());
     }
 
-    /// Whether the shutdown analysis already ran (sets the guard on first
-    /// call). All nodes call this the same number of times in SPMD order,
-    /// so the collective gather below it stays aligned.
-    pub(crate) fn begin_analysis(&self) -> bool {
-        !self.analyzed.replace(true)
-    }
-
     /// Node-exit sweep: every section still open is a leak.
     pub(crate) fn sweep_open(&self, node: &Node<AceMsg>) {
         let mut leaked: Vec<((u64, bool), OpenSection)> = self.open.borrow_mut().drain().collect();
@@ -349,45 +353,83 @@ impl Checker {
         }
     }
 
-    /// Hand this node's section history over for the shutdown gather (its
-    /// size goes on the node's stats).
-    pub(crate) fn take_history(&self, node: &Node<AceMsg>) -> Vec<u64> {
+    /// This node is arriving at a barrier: hand its records over for the
+    /// passage's batch (their size goes on the node's stats), with the
+    /// passage its oldest open recordable section opened at.
+    pub(crate) fn take_batch(&self, node: &Node<AceMsg>) -> Box<SectionBatch> {
         let words = self.history.take();
         node.note_check_history(Record::all(&words).count() as u64, words.len() as u64);
-        words
+        let open = self.open.borrow();
+        let recordable = open.values().filter(|o| o.open_clock.is_some());
+        let oldest = recordable.map(|o| o.passage).min().unwrap_or(u64::MAX);
+        self.passage.set(self.passage.get() + 1);
+        Box::new(SectionBatch { oldest, chunks: vec![words] })
     }
 
-    /// Node-0 side of the shutdown exchange: scan every rank's history
-    /// and report each vector-clock-concurrent, ungranted pair.
-    pub(crate) fn analyze(&self, node: &Node<AceMsg>, all: &[Arc<[u64]>]) {
-        let mut recs: Vec<Record> = all.iter().flat_map(|words| Record::all(words)).collect();
-        // Stable: within a region, rank order and then closing order.
-        recs.sort_by_key(Record::region);
-        for group in recs.chunk_by(|a, b| a.region() == b.region()) {
-            for (i, j) in find_conflicts(group) {
-                self.report(
-                    node,
-                    AceError::Conformance {
-                        region: RegionId(group[i].region()),
-                        rank: group[i].rank(),
-                        kind: ConformanceKind::ConflictingSections {
-                            a: Box::new(group[i].materialize(node.nprocs())),
-                            b: Box::new(group[j].materialize(node.nprocs())),
-                        },
+    /// Root side of a barrier passage, before its release: report every
+    /// vector-clock-concurrent, ungranted pair with a half among the
+    /// passage's records.
+    pub(crate) fn scan_passage(&self, node: &Node<AceMsg>, batch: SectionBatch) {
+        let closed_in = self.passage.get() - 1;
+        self.window.borrow_mut().scan(closed_in, batch, |a, b| {
+            self.report(
+                node,
+                AceError::Conformance {
+                    region: RegionId(a.region()),
+                    rank: a.rank(),
+                    kind: ConformanceKind::ConflictingSections {
+                        a: Box::new(a.materialize(node.nprocs())),
+                        b: Box::new(b.materialize(node.nprocs())),
                     },
-                );
+                },
+            );
+        });
+    }
+}
+
+/// The root's retained batches, oldest first, each under the passage its
+/// records closed in (the number of barriers their nodes had arrived at).
+#[derive(Default)]
+struct Window(Vec<(u64, Vec<Vec<u64>>)>);
+
+impl Window {
+    /// Call `found` on each conflicting pair with a half in `batch`, the
+    /// records that closed in passage `closed_in` (so each pair is judged
+    /// once; the older or else lower-ranked half first). Then keep what a
+    /// later record may conflict with: a section that opens after this
+    /// barrier is ordered after every record it carried (the release
+    /// carries the root's clock, which merged every arrival), so only a
+    /// section open now can overlap them — keep the batches from
+    /// `batch.oldest` on, none when no section spans the barrier.
+    fn scan(&mut self, closed_in: u64, batch: SectionBatch, mut found: impl FnMut(Record, Record)) {
+        let mut all = Vec::new();
+        let old = self.0.iter().map(|(_, chunks)| (false, chunks));
+        for (fresh, chunks) in old.chain([(true, &batch.chunks)]) {
+            all.extend(chunks.iter().flat_map(|c| Record::all(c)).map(|r| (fresh, r)));
+        }
+        // Stable: a rank's records stay in the order they closed.
+        all.sort_by_key(|(fresh, r)| (r.region(), *fresh, r.rank()));
+        let mut group = Vec::new();
+        for region in all.chunk_by(|a, b| a.1.region() == b.1.region()) {
+            group.clear();
+            group.extend(region.iter().map(|&(_, r)| r));
+            let from = region.partition_point(|(fresh, _)| !fresh);
+            for (i, j) in find_conflicts(&group, from) {
+                found(group[i], group[j]);
             }
         }
+        self.0.push((closed_in, batch.chunks));
+        self.0.retain(|(c, _)| *c >= batch.oldest);
     }
 }
 
 /// Pairwise conflict scan over one region's records: returns index pairs
-/// `(i, j)` with `i < j` that are cross-rank, in an ungranted
-/// combination, and vector-clock concurrent.
-fn find_conflicts(recs: &[Record]) -> Vec<(usize, usize)> {
+/// `(i, j)` with `i < j` and `from <= j` that are cross-rank, in an
+/// ungranted combination, and vector-clock concurrent.
+fn find_conflicts(recs: &[Record], from: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for i in 0..recs.len() {
-        for j in (i + 1)..recs.len() {
+        for j in (i + 1).max(from)..recs.len() {
             let (a, b) = (&recs[i], &recs[j]);
             if a.rank() == b.rank() || (!a.write() && !b.write()) {
                 continue;
@@ -416,6 +458,7 @@ fn find_conflicts(recs: &[Record]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use std::collections::{BTreeSet, VecDeque};
+    use std::sync::Arc;
 
     use ace_machine::VClock;
     use rand::rngs::StdRng;
@@ -449,7 +492,7 @@ mod tests {
 
     fn conflicts(history: &[Vec<u64>]) -> Vec<(usize, usize)> {
         let recs: Vec<Record> = history.iter().map(|w| Record::split_first(w).0).collect();
-        find_conflicts(&recs)
+        find_conflicts(&recs, 0)
     }
 
     #[test]
@@ -505,7 +548,7 @@ mod tests {
         let w = rec(256, true, &open, 2, GrantSet::exclusive());
         let w = Record::split_first(&w).0;
         assert_eq!((w.rank(), w.write()), (256, true));
-        assert_eq!(find_conflicts(&[r, w]), vec![(0, 1)]);
+        assert_eq!(find_conflicts(&[r, w], 0), vec![(0, 1)]);
     }
 
     #[test]
@@ -633,6 +676,8 @@ mod tests {
         /// As [`OpenSection::open_clock`], plus the dense clock it encodes.
         new: Option<(u64, Vec<u64>, Vec<u64>)>,
         old_vc: Vec<u64>,
+        /// As [`OpenSection::passage`].
+        passage: u64,
     }
 
     struct ModelRank {
@@ -648,6 +693,23 @@ mod tests {
         /// Per record: the dense clock its open clock was taken from.
         opened_at: Vec<Vec<u64>>,
         dense: Vec<(u64, oracle::DenseRecord)>,
+        /// How much of `history` earlier barrier arrivals shipped, and per
+        /// shipped record the passage whose batch carried it.
+        shipped: usize,
+        shipped_in: Vec<u64>,
+    }
+
+    impl ModelRank {
+        /// As [`Checker::take_batch`], into the batch of the passage
+        /// whose records are those closed since the last arrival.
+        fn ship(&mut self, batch: &mut SectionBatch) {
+            let recordable = self.open.values().filter(|o| o.new.is_some());
+            let oldest = recordable.map(|o| o.passage).min().unwrap_or(u64::MAX);
+            batch.oldest = batch.oldest.min(oldest);
+            batch.chunks.push(self.history[self.shipped..].to_vec());
+            self.shipped = self.history.len();
+            self.shipped_in.resize(self.opened_at.len(), self.passages);
+        }
     }
 
     /// What one schedule exercised.
@@ -658,6 +720,8 @@ mod tests {
         open_across_barrier: usize,
         peer_a_passage_ahead: usize,
         silent_rank: usize,
+        /// Conflicts the window scan found between two passages' records.
+        through_window: usize,
     }
 
     fn children(r: usize, n: usize) -> impl Iterator<Item = usize> {
@@ -725,8 +789,13 @@ mod tests {
                 history: Vec::new(),
                 opened_at: Vec::new(),
                 dense: Vec::new(),
+                shipped: 0,
+                shipped_in: Vec::new(),
             })
             .collect();
+        // One batch per passage, and one for what closed after the last.
+        let mut batches: Vec<SectionBatch> =
+            (0..=barriers).map(|_| SectionBatch { oldest: u64::MAX, chunks: Vec::new() }).collect();
         // Per-pair FIFO channels, `chan[dst][src]`.
         let mut chan: Vec<Vec<VecDeque<Msg>>> =
             (0..n).map(|_| (0..n).map(|_| VecDeque::new()).collect()).collect();
@@ -797,6 +866,7 @@ mod tests {
                     if me.open.values().any(|o| o.new.is_some()) {
                         seen.open_across_barrier += 1;
                     }
+                    me.ship(&mut batches[me.passages as usize]);
                     me.passages += 1;
                     me.waiting = true;
                     me.new.enter_barrier();
@@ -815,10 +885,8 @@ mod tests {
                         me.new.push_sparse(&mut pairs);
                         (own, pairs, me.new.lanes().to_vec())
                     });
-                    me.open.insert(
-                        (region, write),
-                        ModelOpen { depth: 1, new, old_vc: me.old.tick() },
-                    );
+                    let (old_vc, passage) = (me.old.tick(), me.passages);
+                    me.open.insert((region, write), ModelOpen { depth: 1, new, old_vc, passage });
                 }
                 Op::Close(region, write) => {
                     let o = me.open.get_mut(&(region, write)).unwrap();
@@ -853,6 +921,9 @@ mod tests {
             }
         }
         assert!(ranks.iter().all(|r| !r.waiting && r.passages == barriers as u64), "seed {seed}");
+        for r in &mut ranks {
+            r.ship(&mut batches[barriers]);
+        }
         if ranks.iter().any(|r| r.history.is_empty()) && ranks.iter().any(|r| !r.history.is_empty())
         {
             seen.silent_rank += 1;
@@ -879,7 +950,8 @@ mod tests {
                     (rank, seq)
                 })
                 .collect();
-            new_pairs.extend(find_conflicts(&recs).into_iter().map(|(i, j)| (names[i], names[j])));
+            new_pairs
+                .extend(find_conflicts(&recs, 0).into_iter().map(|(i, j)| (names[i], names[j])));
 
             let (dense_names, dense): (Vec<Name>, Vec<_>) = ranks
                 .iter()
@@ -904,6 +976,25 @@ mod tests {
         }
         assert_eq!(new_pairs, old_pairs, "seed {seed}: {n} ranks, {barriers} barriers");
         seen.conflicts += new_pairs.len();
+
+        // The same records streamed: each passage's batch scanned at the
+        // root against the window, as `Checker::scan_passage` does.
+        let mut window = Window::default();
+        let mut streamed = BTreeSet::new();
+        for (closed_in, batch) in batches.into_iter().enumerate() {
+            window.scan(closed_in as u64, batch, |a, b| {
+                let [a, b] = [a, b].map(|rec| (rec.rank(), rec.0[2]));
+                let shipped_in = |(rank, seq): Name| ranks[rank].shipped_in[seq as usize];
+                assert_eq!(shipped_in(b), closed_in as u64, "seed {seed}: a pair has a new half");
+                if shipped_in(a) != shipped_in(b) {
+                    seen.through_window += 1;
+                }
+                let pair = if a < b { (a, b) } else { (b, a) };
+                assert!(streamed.insert(pair), "seed {seed}: {pair:?} judged twice");
+            });
+        }
+        assert!(window.0.is_empty(), "seed {seed}: nothing stays open past the end");
+        assert_eq!(streamed, new_pairs, "seed {seed}: {n} ranks, {barriers} barriers, streamed");
     }
 
     #[test]
@@ -917,5 +1008,6 @@ mod tests {
         assert!(seen.open_across_barrier > 0, "a section held open across a barrier");
         assert!(seen.peer_a_passage_ahead > 0, "a message from a peer one passage ahead");
         assert!(seen.silent_rank > 0, "a rank that contributes no record");
+        assert!(seen.through_window > 0, "a conflict with a section held open across a barrier");
     }
 }

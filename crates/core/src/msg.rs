@@ -34,6 +34,18 @@ pub struct ProtoMsg {
     pub data: Option<Arc<[u64]>>,
 }
 
+/// A barrier passage's conformance-checker records on their way up the
+/// combining tree to the root, which scans them. Each tree node appends
+/// its children's chunks to its own: no record is copied.
+#[derive(Debug)]
+pub struct SectionBatch {
+    /// Barriers passed when the subtree's oldest still-open recordable
+    /// section opened; `u64::MAX` when none is open.
+    pub(crate) oldest: u64,
+    /// One node's records per chunk, in the order that node closed them.
+    pub(crate) chunks: Vec<Vec<u64>>,
+}
+
 /// Everything that travels between Ace nodes.
 #[derive(Debug)]
 pub enum AceMsg {
@@ -50,7 +62,8 @@ pub enum AceMsg {
     /// like the checker's vector clocks it is metrologically invisible —
     /// the barrier message still charges its fixed 12 bytes — because it
     /// models a few words folded into a packet the barrier sends anyway.
-    BarArrive { tag: u32, epoch: u64, prof: Option<Arc<[u64]>> },
+    /// So is `batch`, the subtree's checker records under a check mode.
+    BarArrive { tag: u32, epoch: u64, prof: Option<Arc<[u64]>>, batch: Option<Box<SectionBatch>> },
     /// Barrier release, fanned down the same tree from the root. `prof`
     /// carries the element-wise sum of every arrival's profile
     /// contribution when at least one node staged one (see
@@ -131,6 +144,28 @@ fn get_opt_words(r: &mut WireReader<'_>) -> Result<Option<Arc<[u64]>>, CodecErro
     }
 }
 
+fn put_batch(out: &mut Vec<u8>, batch: &Option<Box<SectionBatch>>) {
+    out.push(batch.is_some() as u8);
+    if let Some(b) = batch {
+        b.oldest.encode(out);
+        out.extend_from_slice(&(b.chunks.len() as u32).to_le_bytes());
+        b.chunks.iter().for_each(|c| put_words(out, c));
+    }
+}
+
+fn get_batch(r: &mut WireReader<'_>) -> Result<Option<Box<SectionBatch>>, CodecError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let oldest = r.u64()?;
+            // Not preallocated from the count: a corrupt one must not.
+            let chunks = (0..r.u32()?).map(|_| r.words()).collect::<Result<_, _>>()?;
+            Ok(Some(Box::new(SectionBatch { oldest, chunks })))
+        }
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
 impl WireCodec for AceMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -152,11 +187,12 @@ impl WireCodec for AceMsg {
                 out.extend_from_slice(&space.0.to_le_bytes());
                 words.encode(out);
             }
-            AceMsg::BarArrive { tag, epoch, prof } => {
+            AceMsg::BarArrive { tag, epoch, prof, batch } => {
                 out.push(T_BAR_ARRIVE);
                 out.extend_from_slice(&tag.to_le_bytes());
                 epoch.encode(out);
                 put_opt_words(out, prof);
+                put_batch(out, batch);
             }
             AceMsg::BarRelease { tag, epoch, prof } => {
                 out.push(T_BAR_RELEASE);
@@ -199,9 +235,12 @@ impl WireCodec for AceMsg {
                 space: SpaceId(r.u32()?),
                 words: r.u64()?,
             },
-            T_BAR_ARRIVE => {
-                AceMsg::BarArrive { tag: r.u32()?, epoch: r.u64()?, prof: get_opt_words(r)? }
-            }
+            T_BAR_ARRIVE => AceMsg::BarArrive {
+                tag: r.u32()?,
+                epoch: r.u64()?,
+                prof: get_opt_words(r)?,
+                batch: get_batch(r)?,
+            },
             T_BAR_RELEASE => {
                 AceMsg::BarRelease { tag: r.u32()?, epoch: r.u64()?, prof: get_opt_words(r)? }
             }
@@ -265,8 +304,13 @@ mod tests {
     fn barrier_profile_is_metrologically_invisible() {
         // The sharing profile rides a message the barrier sends anyway;
         // like checker vector clocks it must not change byte accounting.
-        let bare = AceMsg::BarArrive { tag: 1, epoch: 2, prof: None };
-        let full = AceMsg::BarArrive { tag: 1, epoch: 2, prof: Some(Arc::from(vec![0u64; 8])) };
+        let bare = AceMsg::BarArrive { tag: 1, epoch: 2, prof: None, batch: None };
+        let full = AceMsg::BarArrive {
+            tag: 1,
+            epoch: 2,
+            prof: Some(Arc::from(vec![0u64; 8])),
+            batch: Some(Box::new(SectionBatch { oldest: 0, chunks: vec![vec![0; 16]] })),
+        };
         assert_eq!(bare.size_bytes(), 12);
         assert_eq!(full.size_bytes(), bare.size_bytes());
         let rel = AceMsg::BarRelease { tag: 1, epoch: 2, prof: Some(Arc::from(vec![7u64])) };
@@ -286,8 +330,14 @@ mod tests {
             AceMsg::Proto(ProtoMsg { region: RegionId::NULL, op: 0, from: 0, arg: 0, data: None }),
             AceMsg::MetaReq { region: RegionId::new(1, 5) },
             AceMsg::MetaReply { region: RegionId::new(1, 5), space: SpaceId(2), words: 64 },
-            AceMsg::BarArrive { tag: 7, epoch: 3, prof: None },
-            AceMsg::BarArrive { tag: 7, epoch: 3, prof: Some(Arc::from(vec![1u64, 0, 9])) },
+            AceMsg::BarArrive { tag: 7, epoch: 3, prof: None, batch: None },
+            AceMsg::BarArrive {
+                tag: 7,
+                epoch: 3,
+                prof: Some(Arc::from(vec![1u64, 0, 9])),
+                batch: None,
+            },
+            two_chunk_arrival(),
             AceMsg::BarRelease { tag: 7, epoch: 3, prof: None },
             AceMsg::BarRelease { tag: u32::MAX, epoch: 1, prof: Some(Arc::from(vec![4u64])) },
             AceMsg::LockReq { region: RegionId::new(0, 1) },
@@ -310,16 +360,36 @@ mod tests {
         }
     }
 
+    /// An arrival carrying a checker batch of two chunks, one empty.
+    fn two_chunk_arrival() -> AceMsg {
+        let chunks = vec![vec![7u64, 1 << 40, 3], Vec::new()];
+        AceMsg::BarArrive {
+            tag: 2,
+            epoch: 5,
+            prof: None,
+            batch: Some(Box::new(SectionBatch { oldest: 4, chunks })),
+        }
+    }
+
+    #[test]
+    fn a_message_stays_48_bytes() {
+        // The batch rides boxed, so a `None` costs every message nothing.
+        assert_eq!(std::mem::size_of::<AceMsg>(), 48);
+    }
+
     #[test]
     fn truncated_ace_frames_are_rejected() {
-        let m = AceMsg::MetaReply { region: RegionId::new(2, 9), space: SpaceId(1), words: 8 };
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(
-                AceMsg::decode(&mut WireReader::new(&buf[..cut])).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
+        let meta = AceMsg::MetaReply { region: RegionId::new(2, 9), space: SpaceId(1), words: 8 };
+        for m in [meta, two_chunk_arrival()] {
+            let mut buf = Vec::new();
+            m.encode(&mut buf);
+            for cut in 0..buf.len() {
+                assert!(
+                    AceMsg::decode(&mut WireReader::new(&buf[..cut])).is_err(),
+                    "{}: prefix of {cut} bytes must not decode",
+                    m.tag()
+                );
+            }
         }
         assert!(matches!(
             AceMsg::decode(&mut WireReader::new(&[200u8])),

@@ -12,7 +12,7 @@ use crate::check::Checker;
 use crate::counters::OpCounters;
 use crate::error::{AceError, ConformanceKind};
 use crate::ids::{RegionId, SpaceId};
-use crate::msg::{AceMsg, ProtoMsg};
+use crate::msg::{AceMsg, ProtoMsg, SectionBatch};
 use crate::protocol::{Actions, Protocol};
 use crate::region::RegionEntry;
 use crate::space::SpaceEntry;
@@ -46,7 +46,8 @@ fn bar_children(rank: usize, nprocs: usize) -> std::ops::Range<usize> {
 /// tag, every tree node sums its subtree's element-wise before passing one
 /// partial sum up, and the root's total rides every `BarRelease` — so
 /// every node decides on identical machine-wide data with zero extra
-/// messages.
+/// messages. The conformance checker's section records ride the same
+/// arrivals up to the root, which scans them (`batch`).
 #[derive(Default)]
 struct BarTag {
     /// Barriers this node has entered on the tag.
@@ -67,6 +68,8 @@ struct BarTag {
     prof_out: Option<Vec<u64>>,
     /// Machine-wide sum the most recent release carried, until taken.
     prof_in: Option<Arc<[u64]>>,
+    /// The checker's records those arrivals carried, chunks appended.
+    batch: Option<Box<SectionBatch>>,
 }
 
 /// One collective's words received so far, tagged by source rank.
@@ -477,7 +480,9 @@ impl<'n> AceRt<'n> {
                 e.st.set(REMOTE_INVALID);
                 self.regions.borrow_mut().insert(e);
             }
-            AceMsg::BarArrive { tag, epoch, prof } => self.bar_note_arrival(tag, epoch, prof),
+            AceMsg::BarArrive { tag, epoch, prof, batch } => {
+                self.bar_note_arrival(tag, epoch, prof, batch)
+            }
             AceMsg::BarRelease { tag, epoch, prof } => {
                 self.counters.borrow_mut().bar_msgs += 1;
                 self.bar_release(tag, epoch, prof);
@@ -787,8 +792,9 @@ impl<'n> AceRt<'n> {
 
     /// Violations the conformance checker has recorded on this node so
     /// far. Cross-node conflicting-section reports appear on node 0 only,
-    /// after [`AceRt::shutdown`] has run its analysis. Always empty under
-    /// `CheckMode::Off`.
+    /// as soon as the barrier passage that carries the later-closing
+    /// section's record returns there (the last is [`AceRt::shutdown`]'s).
+    /// Always empty under `CheckMode::Off`.
     pub fn violations(&self) -> Vec<AceError> {
         self.checker.violations()
     }
@@ -1131,14 +1137,15 @@ impl<'n> AceRt<'n> {
     }
 
     fn barrier_tag(&self, tag: u32) {
-        if self.checker.enabled() {
+        let batch = self.checker.enabled().then(|| {
             self.node.vc_enter_barrier();
-        }
+            self.checker.take_batch(self.node)
+        });
         let (epoch, prof) = self.bar(tag, |b| {
             b.local_epoch += 1;
             (b.local_epoch, b.prof_out.take().map(Arc::from))
         });
-        self.bar_note_arrival(tag, epoch, prof);
+        self.bar_note_arrival(tag, epoch, prof, batch);
         self.wait("barrier release", || self.bar(tag, |b| b.released >= epoch));
     }
 
@@ -1150,11 +1157,18 @@ impl<'n> AceRt<'n> {
 
     /// One arrival at `(tag, epoch)` reached this tree node: its own, or a
     /// child's standing for that child's whole subtree. The last one sends
-    /// the subtree's single arrival (and combined profile) to the parent —
-    /// or, at the root, starts the release.
-    fn bar_note_arrival(&self, tag: u32, epoch: u64, prof: Option<Arc<[u64]>>) {
+    /// the subtree's single arrival (and combined profile and records) to
+    /// the parent — or, at the root, has the checker scan the records and
+    /// starts the release.
+    fn bar_note_arrival(
+        &self,
+        tag: u32,
+        epoch: u64,
+        prof: Option<Arc<[u64]>>,
+        batch: Option<Box<SectionBatch>>,
+    ) {
         let children = bar_children(self.rank(), self.nprocs()).len();
-        // `Some(combined profile)` once the subtree is complete.
+        // `Some((combined profile, records))` once the subtree is complete.
         let full = self.bar(tag, |b| {
             if b.arrivals == 0 {
                 b.open_epoch = epoch;
@@ -1169,21 +1183,35 @@ impl<'n> AceRt<'n> {
                     *s += v;
                 }
             }
+            if let Some(mut add) = batch {
+                if let Some(acc) = b.batch.take() {
+                    add.oldest = add.oldest.min(acc.oldest);
+                    add.chunks.extend(acc.chunks);
+                }
+                b.batch = Some(add);
+            }
             b.arrivals += 1;
             (b.arrivals == 1 + children).then(|| {
                 b.arrivals = 0;
-                b.prof_acc.take().map(Arc::<[u64]>::from)
+                (b.prof_acc.take().map(Arc::<[u64]>::from), b.batch.take())
             })
         });
-        if let Some(prof) = full {
+        if let Some((prof, batch)) = full {
             // A child may arrive for a barrier this node has yet to enter,
             // so arrivals are counted here, inside the passage they belong
             // to: the counter then reads whole passages at any point
             // outside a barrier, whatever the timing.
             self.counters.borrow_mut().bar_msgs += children as u64;
             match bar_parent(self.rank()) {
-                Some(parent) => self.bar_send(parent, AceMsg::BarArrive { tag, epoch, prof }),
-                None => self.bar_release(tag, epoch, prof),
+                Some(parent) => {
+                    self.bar_send(parent, AceMsg::BarArrive { tag, epoch, prof, batch })
+                }
+                None => {
+                    if let Some(batch) = batch {
+                        self.checker.scan_passage(self.node, *batch);
+                    }
+                    self.bar_release(tag, epoch, prof);
+                }
             }
         }
     }
@@ -1317,33 +1345,18 @@ impl<'n> AceRt<'n> {
     /// Final machine-wide barrier; after it returns every node has
     /// finished all protocol work it owes to others.
     ///
-    /// Under an active check mode this is also where the conformance
-    /// checker runs its node-exit work, exactly once (the guard makes a
-    /// second call — the `run_ace` wrapper after a program that already
-    /// shut down — barrier-only, so a program can call `shutdown` itself
-    /// and then inspect [`AceRt::violations`]): leaked-section sweep,
-    /// then a gather of every node's section history at node 0, which
-    /// reports cross-node conflicting sections, then a barrier that holds
-    /// every node until the verdict is in. The gather and that barrier
-    /// run off the books ([`Node::off_the_books`]): how much history there
-    /// is depends on who heard from whom, which is not the program's to
-    /// pay for or the benchmarks' to see.
+    /// Under an active check mode the barrier carries the last passage's
+    /// section records to node 0 like any other (so node 0's
+    /// [`AceRt::violations`] hold every cross-node conflict once it
+    /// returns), and then every section still open on this node is
+    /// reported as a leak. Calling it twice — a program that shuts down
+    /// itself to inspect its violations, then the `run_ace` wrapper — is
+    /// another barrier, and finds nothing new.
     pub fn shutdown(&self) {
         self.machine_barrier();
-        if !self.checker.enabled() || !self.checker.begin_analysis() {
-            return;
+        if self.checker.enabled() {
+            self.checker.sweep_open(self.node);
         }
-        self.checker.sweep_open(self.node);
-        let counters = self.counters.borrow().clone();
-        let gathered =
-            self.node.off_the_books(|| self.gather(0, &self.checker.take_history(self.node)));
-        if let Some(all) = gathered {
-            // On the books again: a violation is reported, and traced, at
-            // the time the program ended.
-            self.checker.analyze(self.node, &all);
-        }
-        self.node.off_the_books(|| self.machine_barrier());
-        *self.counters.borrow_mut() = counters;
     }
 }
 

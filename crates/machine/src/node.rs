@@ -61,10 +61,10 @@ pub enum CoalescePolicy {
 /// it needs (a [`VClock`] per node, stamped on [`Envelope::vc`]); the
 /// actual access-control checks live in the runtime layer above. Checking
 /// is metrologically invisible: the clocks charge no virtual time and no
-/// bytes, and the one exchange the checker adds — the history gather at
-/// shutdown — runs inside [`Node::off_the_books`], so check-on and
-/// check-off runs of a conforming program report identical simulated
-/// time, message counts and byte counts.
+/// bytes, and the checker sends nothing of its own — its section records
+/// ride the barrier arrivals the program sends anyway, at no charge — so
+/// check-on and check-off runs of a conforming program report identical
+/// simulated time, message counts and byte counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
     /// No checking; misuse falls back to the debug assertions.
@@ -227,8 +227,8 @@ pub struct Node<M> {
     vc: Option<RefCell<VClock>>,
     /// Conformance violations recorded against this node.
     violations: Cell<u64>,
-    /// Size of the section history this node handed to the shutdown
-    /// analysis, as `(records, words)`.
+    /// Size of the section history this node's barrier arrivals carried
+    /// to the checker, as `(records, words)`.
     check_history: Cell<(u64, u64)>,
     /// This node's protocol-switch epoch: bumped by an adaptive engine
     /// when it commits a switch, stamped on every outgoing wire envelope
@@ -350,11 +350,12 @@ impl<M: MsgSize + Send> Node<M> {
         self.violations.get()
     }
 
-    /// Record how much section history this node contributed to the
-    /// shutdown analysis (surfaced through [`NodeStats::check_records`]
-    /// and [`NodeStats::check_words`]).
+    /// Count section history this node's barrier arrival carries to the
+    /// checker (summed into [`NodeStats::check_records`] and
+    /// [`NodeStats::check_words`]).
     pub fn note_check_history(&self, records: u64, words: u64) {
-        self.check_history.set((records, words));
+        let (r, w) = self.check_history.get();
+        self.check_history.set((r + records, w + words));
     }
 
     /// Count one checker event — a section open or close — on this node's
@@ -386,35 +387,6 @@ impl<M: MsgSize + Send> Node<M> {
     /// clock event, so consecutive sends share one snapshot.
     fn vc_stamp(&self) -> Option<Arc<[u64]>> {
         self.vc.as_ref().map(|vc| vc.borrow_mut().stamp())
-    }
-
-    /// Run `f` off the books: whatever it sends and receives leaves this
-    /// node's virtual clock, its [`NodeStats`] message and byte counters
-    /// and its trace as they were. For an exchange that belongs to the
-    /// instrument and not to the program — the conformance checker's
-    /// history gather — whose size is not a property of the program.
-    /// Collective in effect: every message sent inside one node's window
-    /// must be received inside its receiver's.
-    pub fn off_the_books<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.flush_coalesced();
-        let clock = self.clock.get();
-        let counts = [
-            &self.logical_sent,
-            &self.wire_sent,
-            &self.bytes_sent,
-            &self.wire_bytes_sent,
-            &self.msgs_recv,
-        ];
-        let saved = counts.map(Cell::get);
-        self.sink.set_muted(true);
-        let r = f();
-        self.flush_coalesced();
-        self.sink.set_muted(false);
-        for (c, v) in counts.iter().zip(saved) {
-            c.set(v);
-        }
-        self.clock.set(clock);
-        r
     }
 
     /// Inject a message to `dst`. Under [`CoalescePolicy::Off`] it leaves

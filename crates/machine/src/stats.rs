@@ -35,12 +35,12 @@ pub struct NodeStats {
     /// Conformance violations the runtime checker recorded against this
     /// node (always zero when the machine runs with `CheckMode::Off`).
     pub violations: u64,
-    /// Completed access sections this node recorded for the checker's
-    /// shutdown analysis (zero under `CheckMode::Off`, and for sections
-    /// whose every overlap the protocol grants).
+    /// Completed access sections this node recorded for the checker
+    /// (zero under `CheckMode::Off`, and for sections whose every overlap
+    /// the protocol grants).
     pub check_records: u64,
-    /// Words those records took once encoded — what the shutdown gather
-    /// moved from this node.
+    /// Words those records took once encoded — what this node's barrier
+    /// arrivals carried up the combining tree.
     pub check_words: u64,
     /// The node's final protocol-switch epoch: how many adaptive protocol
     /// switches it committed (zero on machines running static protocols).

@@ -14,9 +14,7 @@ use crate::{EventKind, TraceConfig, TraceEvent};
 /// any event-construction work behind [`TraceSink::enabled`] so the
 /// disabled cost is exactly that branch.
 pub struct TraceSink {
-    /// Whether [`TraceSink::emit`] records: configured on and not muted.
-    enabled: Cell<bool>,
-    configured: bool,
+    enabled: bool,
     capacity: usize,
     events: RefCell<VecDeque<TraceEvent>>,
     dropped: Cell<u64>,
@@ -26,8 +24,7 @@ impl TraceSink {
     /// Build a sink from a configuration, preallocating the ring.
     pub fn new(cfg: &TraceConfig) -> Self {
         TraceSink {
-            enabled: Cell::new(cfg.enabled),
-            configured: cfg.enabled,
+            enabled: cfg.enabled,
             capacity: cfg.capacity,
             events: RefCell::new(if cfg.enabled {
                 VecDeque::with_capacity(cfg.capacity)
@@ -47,22 +44,14 @@ impl TraceSink {
     /// this before building an [`EventKind`].
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        self.enabled.get()
-    }
-
-    /// Stop (`true`) or resume (`false`) recording on a sink that was
-    /// configured on; a sink configured off stays off. While muted the
-    /// sink reports itself disabled, so instrumentation points skip their
-    /// events exactly as on an untraced run.
-    pub fn set_muted(&self, muted: bool) {
-        self.enabled.set(self.configured && !muted);
+        self.enabled
     }
 
     /// Record one event at virtual time `t`. A full ring drops its oldest
     /// event (the tail of a run is the interesting part for diagnosis).
     #[inline]
     pub fn emit(&self, t: u64, kind: EventKind) {
-        if !self.enabled.get() {
+        if !self.enabled {
             return;
         }
         let mut q = self.events.borrow_mut();
@@ -123,20 +112,6 @@ mod tests {
         assert_eq!(nt.rank, 3);
         assert_eq!(nt.dropped, 3);
         assert_eq!(nt.events.iter().map(|e| e.t).collect::<Vec<_>>(), vec![3, 4]);
-    }
-
-    #[test]
-    fn muted_sink_records_nothing_and_resumes() {
-        let s = TraceSink::new(&TraceConfig::with_capacity(4));
-        s.set_muted(true);
-        assert!(!s.enabled());
-        s.emit(1, EventKind::Block { what: "hidden".into() });
-        s.set_muted(false);
-        s.emit(2, EventKind::Block { what: "seen".into() });
-        assert_eq!(s.take(0).events.iter().map(|e| e.t).collect::<Vec<_>>(), vec![2]);
-        let off = TraceSink::disabled();
-        off.set_muted(false);
-        assert!(!off.enabled(), "unmuting does not enable a sink configured off");
     }
 
     #[test]
