@@ -40,9 +40,10 @@ pub struct RunOutcome {
     /// Total conformance violations recorded across all nodes (always 0
     /// unless the run was launched with a [`ace_core::CheckMode`]).
     pub violations: u64,
-    /// Section records the conformance checker analysed at shutdown, and
-    /// the words they were encoded in, across all nodes (both 0 unless
-    /// the run was checked).
+    /// Section records the conformance checker recorded, and the words
+    /// they were encoded in, across all nodes: what the barrier arrivals
+    /// carried to node 0, which scans each passage's records before
+    /// releasing it (both 0 unless the run was checked).
     pub check_records: u64,
     /// See [`RunOutcome::check_records`].
     pub check_words: u64,

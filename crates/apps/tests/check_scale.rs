@@ -6,7 +6,9 @@
 //! overlap). A record that carried two dense clocks took 517 words here
 //! and the run peaked at 726 MiB; a record holds what the verdict reads,
 //! and that is a few dozen words wherever a node hears from a few
-//! neighbours between barriers. Records ride each barrier arrival to
+//! neighbours between barriers. A record whose open clock equals the one
+//! stored before it stores no pairs: 23.6 words a record while each
+//! stored its own, 15.5 since. Records ride each barrier arrival to
 //! node 0, which scans and drops them, so the run holds one passage of
 //! history: it peaked at 21.9 MiB while every node kept its records until
 //! a shutdown gather, and at about 10 MiB since.
@@ -50,7 +52,7 @@ fn checked_em3d_at_256_ranks_stays_small() {
     assert!(r.check_records > 10_000, "SC records every section: {}", r.check_records);
     let mean = r.check_words as f64 / r.check_records as f64;
     println!("{} records in {} words: {mean:.1} words per record", r.check_records, r.check_words);
-    assert!(mean <= 40.0, "a record's size must not follow the machine's: {mean:.1} words");
+    assert!(mean <= 20.0, "a record's size must not follow the machine's: {mean:.1} words");
     if let Some(mib) = peak_rss_mib() {
         println!("peak RSS {mib:.1} MiB");
         assert!(mib <= 16.0, "a checked 256-rank run peaked at {mib:.1} MiB");

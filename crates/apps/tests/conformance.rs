@@ -62,6 +62,25 @@ fn barnes_runs_violation_free_under_fail() {
 }
 
 #[test]
+fn barnes_at_the_default_scale_stores_each_clock_once() {
+    // The default input of `ace-bench check barnes`. A force passage is
+    // thousands of read sections per rank, and nearly every one opens with
+    // the clock of the section before it: that clock is stored once, not
+    // once per record (≈ 19 words a record while each stored its own).
+    let p = barnes::Params { bodies: 1024, steps: 2, theta: 1.0, seed: 3 };
+    let r = launch_ace_with(checked(8, CheckMode::Fail), |d| barnes::run(d, &p, Variant::Custom));
+    assert!(r.verification.is_finite());
+    assert_eq!(r.violations, 0);
+    let mean = r.check_words as f64 / r.check_records as f64;
+    assert!(
+        mean <= 10.0,
+        "{} records in {} words: {mean:.2} a record",
+        r.check_records,
+        r.check_words
+    );
+}
+
+#[test]
 fn bsc_runs_violation_free_under_fail() {
     for v in [Variant::Sc, Variant::Custom] {
         assert_conformant("bsc", |d| bsc::run(d, &bsc::Params::small(), v));

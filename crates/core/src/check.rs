@@ -27,7 +27,8 @@
 //! sender's clock, so happens-before crosses the tree edge by edge, with
 //! no single node that every rank talks to.)
 //!
-//! A record is a run of words in one flat per-node history:
+//! A record is a run of words in one flat per-node history, the node's
+//! *chunk* of records closed since its last barrier arrival:
 //!
 //! ```text
 //! [region, rank | flags << 32 | pairs << 40, open_t, close_t, proto8,
@@ -38,13 +39,19 @@
 //! encoding: a lane at the start of `open_own`'s barrier epoch — every
 //! rank this node has heard nothing from since its last barrier — is left
 //! out, so a record's size follows who talked to whom, not the machine
-//! size. At every barrier arrival a node moves its history into a
-//! [`SectionBatch`] on its `BarArrive`, and the root of the barrier tree
-//! scans each passage's records in place, region by region, before it
+//! size. A record whose pairs equal the last ones stored in its chunk
+//! stores none and sets a flag instead (until a node hears something new
+//! from a peer, every section it opens has the same pairs), so a run of
+//! such records costs seven words each. A chunk still decodes on its own: its first
+//! record with pairs stores them. At every barrier arrival a node moves
+//! its chunk into a [`SectionBatch`] on its `BarArrive`, and the root of
+//! the barrier tree scans each passage's records in place before it
 //! releases the passage, building a [`SectionRecord`] only for the two
-//! halves of a pair it reports. It keeps a window of earlier batches only
-//! while a section that may overlap them is still open, so a checked run
-//! holds one passage of history, not the whole run's.
+//! halves of a pair it reports. Read/read never conflicts, so it gathers
+//! and pairs only the records on regions that some record it holds
+//! writes. It keeps a window of earlier batches only while a section that
+//! may overlap them is still open, so a checked run holds one passage of
+//! history, not the whole run's.
 //!
 //! Checking is metrologically invisible. Vector clocks and batches add no
 //! bytes, no messages and no virtual-time charges: a checked run reports
@@ -89,7 +96,18 @@ const HEADER_WORDS: usize = 7;
 const WRITE_BIT: u32 = 32;
 const WRITE_WRITE_BIT: u32 = 33;
 const READ_WRITE_BIT: u32 = 34;
+/// The record's open clock has the pairs last stored in its chunk, and
+/// none follow its header.
+const SAME_PAIRS_BIT: u32 = 35;
 const PAIRS_SHIFT: u32 = 40;
+
+/// One node's records since its last barrier arrival, back to back, and
+/// where in them the open-clock pairs last stored lie.
+#[derive(Default)]
+struct Chunk {
+    words: Vec<u64>,
+    last_pairs: std::ops::Range<usize>,
+}
 
 /// A section at the moment it closes: everything a record holds.
 struct Closed<'a> {
@@ -108,63 +126,73 @@ struct Closed<'a> {
 }
 
 impl Closed<'_> {
-    /// Append the record to a history.
-    fn push(&self, history: &mut Vec<u64>) {
+    /// Append the record to a chunk, with its pairs only when they differ
+    /// from the last ones stored there.
+    fn push(&self, chunk: &mut Chunk) {
         debug_assert!(self.rank <= u32::MAX as usize && self.open_pairs.len().is_multiple_of(2));
         let mut name8 = [0u8; 8];
         for (d, &b) in name8.iter_mut().zip(self.proto.as_bytes()) {
             *d = b;
         }
-        history.extend([
+        let same = !self.open_pairs.is_empty()
+            && chunk.words[chunk.last_pairs.clone()] == *self.open_pairs;
+        let stored = if same { 0 } else { self.open_pairs.len() };
+        chunk.words.extend([
             self.region.0,
             self.rank as u64
                 | (self.write as u64) << WRITE_BIT
                 | (self.grants.write_write as u64) << WRITE_WRITE_BIT
                 | (self.grants.read_write as u64) << READ_WRITE_BIT
-                | (self.open_pairs.len() as u64 / 2) << PAIRS_SHIFT,
+                | (same as u64) << SAME_PAIRS_BIT
+                | (stored as u64 / 2) << PAIRS_SHIFT,
             self.open_t,
             self.close_t,
             u64::from_le_bytes(name8),
             self.close_tick,
             self.open_own,
         ]);
-        history.extend_from_slice(self.open_pairs);
+        if !same {
+            chunk.last_pairs = chunk.words.len()..chunk.words.len() + stored;
+            chunk.words.extend_from_slice(self.open_pairs);
+        }
     }
 }
 
-/// One record, borrowed from the history it was gathered in.
+/// One record, borrowed from the chunk it was gathered in: its header,
+/// and its open clock's pairs (its own, or the last stored before it).
 #[derive(Clone, Copy)]
-struct Record<'a>(&'a [u64]);
+struct Record<'a> {
+    head: &'a [u64],
+    pairs: &'a [u64],
+}
 
 impl<'a> Record<'a> {
-    /// Split the first record off `words`.
-    fn split_first(words: &'a [u64]) -> (Record<'a>, &'a [u64]) {
-        let len = HEADER_WORDS + 2 * (words[1] >> PAIRS_SHIFT) as usize;
-        let (rec, rest) = words.split_at(len);
-        (Record(rec), rest)
-    }
-
-    /// Every record of one node's history, in the order they closed.
+    /// Every record of one chunk, in the order they closed.
     fn all(mut words: &'a [u64]) -> impl Iterator<Item = Record<'a>> {
+        let mut last: &[u64] = &[];
         std::iter::from_fn(move || {
             (!words.is_empty()).then(|| {
-                let (rec, rest) = Record::split_first(words);
+                let (head, rest) = words.split_at(HEADER_WORDS);
+                let (pairs, rest) = rest.split_at(2 * (head[1] >> PAIRS_SHIFT) as usize);
+                if head[1] & (1 << SAME_PAIRS_BIT) == 0 {
+                    last = pairs;
+                }
                 words = rest;
-                rec
+                Record { head, pairs: last }
             })
         })
     }
 
     fn region(&self) -> u64 {
-        self.0[0]
+        self.head[0]
     }
 
     fn rank(&self) -> usize {
-        (self.0[1] & u64::from(u32::MAX)) as usize
+        (self.head[1] & u64::from(u32::MAX)) as usize
     }
 
     fn flag(&self, bit: u32) -> bool {
-        self.0[1] & (1 << bit) != 0
+        self.head[1] & (1 << bit) != 0
     }
 
     fn write(&self) -> bool {
@@ -176,24 +204,24 @@ impl<'a> Record<'a> {
     }
 
     fn close_tick(&self) -> u64 {
-        self.0[5]
+        self.head[5]
     }
 
     fn open_clock(&self) -> SparseClock<'a> {
-        SparseClock { rank: self.rank(), own: self.0[6], pairs: &self.0[HEADER_WORDS..] }
+        SparseClock { rank: self.rank(), own: self.head[6], pairs: self.pairs }
     }
 
     /// The record as the report carries it.
     fn materialize(&self, nprocs: usize) -> SectionRecord {
-        let name8 = self.0[4].to_le_bytes();
+        let name8 = self.head[4].to_le_bytes();
         let len = name8.iter().position(|&b| b == 0).unwrap_or(8);
         SectionRecord {
             region: RegionId(self.region()),
             rank: self.rank(),
             write: self.write(),
             proto: String::from_utf8_lossy(&name8[..len]).into_owned(),
-            open_t: self.0[2],
-            close_t: self.0[3],
+            open_t: self.head[2],
+            close_t: self.head[3],
             open_vc: self.open_clock().to_dense(nprocs),
             close_tick: self.close_tick(),
         }
@@ -223,8 +251,8 @@ pub(crate) struct Checker {
     open: RefCell<HashMap<(u64, bool), OpenSection>>,
     /// Sections closed since this node's last barrier arrival that can
     /// participate in a cross-node conflict (sections whose every overlap
-    /// is granted are filtered at open), as encoded records back to back.
-    history: RefCell<Vec<u64>>,
+    /// is granted are filtered at open), as one encoded chunk.
+    history: RefCell<Chunk>,
     /// Barriers this node has arrived at.
     passage: Cell<u64>,
     /// On the barrier tree's root: earlier passages' batches that a
@@ -240,7 +268,7 @@ impl Checker {
         Checker {
             mode,
             open: RefCell::new(HashMap::new()),
-            history: RefCell::new(Vec::new()),
+            history: RefCell::default(),
             passage: Cell::new(0),
             window: RefCell::default(),
             violations: RefCell::new(Vec::new()),
@@ -357,7 +385,7 @@ impl Checker {
     /// passage's batch (their size goes on the node's stats), with the
     /// passage its oldest open recordable section opened at.
     pub(crate) fn take_batch(&self, node: &Node<AceMsg>) -> Box<SectionBatch> {
-        let words = self.history.take();
+        let words = self.history.take().words;
         node.note_check_history(Record::all(&words).count() as u64, words.len() as u64);
         let open = self.open.borrow();
         let recordable = open.values().filter(|o| o.open_clock.is_some());
@@ -401,12 +429,22 @@ impl Window {
     /// carries the root's clock, which merged every arrival), so only a
     /// section open now can overlap them — keep the batches from
     /// `batch.oldest` on, none when no section spans the barrier.
+    ///
+    /// Read/read never conflicts, so only records on a region that some
+    /// record here writes are gathered at all.
     fn scan(&mut self, closed_in: u64, batch: SectionBatch, mut found: impl FnMut(Record, Record)) {
-        let mut all = Vec::new();
-        let old = self.0.iter().map(|(_, chunks)| (false, chunks));
-        for (fresh, chunks) in old.chain([(true, &batch.chunks)]) {
-            all.extend(chunks.iter().flat_map(|c| Record::all(c)).map(|r| (fresh, r)));
-        }
+        let records = || {
+            let old = self.0.iter().map(|(_, chunks)| (false, chunks));
+            old.chain([(true, &batch.chunks)]).flat_map(|(fresh, chunks)| {
+                chunks.iter().flat_map(|c| Record::all(c)).map(move |r| (fresh, r))
+            })
+        };
+        let mut written: Vec<u64> =
+            records().filter(|(_, r)| r.write()).map(|(_, r)| r.region()).collect();
+        written.sort_unstable();
+        written.dedup();
+        let mut all: Vec<_> =
+            records().filter(|(_, r)| written.binary_search(&r.region()).is_ok()).collect();
         // Stable: a rank's records stay in the order they closed.
         all.sort_by_key(|(fresh, r)| (r.region(), *fresh, r.rank()));
         let mut group = Vec::new();
@@ -466,14 +504,20 @@ mod tests {
 
     use super::*;
 
-    /// One encoded record on region 7 whose open clock is the dense
-    /// `open_vc` and whose close ticked the own lane to `close_tick`.
-    fn rec(rank: usize, write: bool, open_vc: &[u64], close_tick: u64, g: GrantSet) -> Vec<u64> {
+    /// Append a record on region 7 whose open clock is the dense `open_vc`
+    /// and whose close ticked the own lane to `close_tick`.
+    fn push_rec(
+        chunk: &mut Chunk,
+        rank: usize,
+        write: bool,
+        open_vc: &[u64],
+        close_tick: u64,
+        g: GrantSet,
+    ) {
         let mut clock = VClock::new(rank, open_vc.len());
         clock.merge(open_vc);
         let mut open_pairs = Vec::new();
         clock.push_sparse(&mut open_pairs);
-        let mut words = Vec::new();
         Closed {
             region: RegionId(7),
             rank,
@@ -486,12 +530,22 @@ mod tests {
             open_pairs: &open_pairs,
             close_tick,
         }
-        .push(&mut words);
-        words
+        .push(chunk);
+    }
+
+    /// One such record, as a chunk of its own.
+    fn rec(rank: usize, write: bool, open_vc: &[u64], close_tick: u64, g: GrantSet) -> Vec<u64> {
+        let mut chunk = Chunk::default();
+        push_rec(&mut chunk, rank, write, open_vc, close_tick, g);
+        chunk.words
+    }
+
+    fn first(words: &[u64]) -> Record<'_> {
+        Record::all(words).next().unwrap()
     }
 
     fn conflicts(history: &[Vec<u64>]) -> Vec<(usize, usize)> {
-        let recs: Vec<Record> = history.iter().map(|w| Record::split_first(w).0).collect();
+        let recs: Vec<Record> = history.iter().map(|w| first(w)).collect();
         find_conflicts(&recs, 0)
     }
 
@@ -499,7 +553,7 @@ mod tests {
     fn record_round_trip() {
         let e1 = 1u64 << 32;
         let open_vc = [e1 + 9, e1, e1, e1 + 2, e1];
-        let mut words = Vec::new();
+        let mut chunk = Chunk::default();
         Closed {
             region: RegionId(7),
             rank: 3,
@@ -512,12 +566,12 @@ mod tests {
             open_pairs: &[0, e1 + 9],
             close_tick: e1 + 3,
         }
-        .push(&mut words);
-        let first_len = words.len();
-        words.extend(rec(1, false, &[0, 1], 2, GrantSet::concurrent()));
+        .push(&mut chunk);
+        let first_len = chunk.words.len();
+        push_rec(&mut chunk, 1, false, &[0, 1], 2, GrantSet::concurrent());
 
         assert_eq!(first_len, HEADER_WORDS + 2, "one lane off the epoch default: one pair");
-        let recs: Vec<Record> = Record::all(&words).collect();
+        let recs: Vec<Record> = Record::all(&chunk.words).collect();
         assert_eq!(recs.len(), 2, "records of different lengths walk back to back");
         let d = recs[0].materialize(5);
         assert_eq!(recs[0].grants(), GrantSet::exclusive());
@@ -541,14 +595,46 @@ mod tests {
         let mut open = vec![0; n];
         open[300] = 1;
         let r = rec(300, false, &open, 2, GrantSet::exclusive());
-        let r = Record::split_first(&r).0;
+        let r = first(&r);
         assert_eq!((r.rank(), r.write()), (300, false));
         open[300] = 0;
         open[256] = 1;
         let w = rec(256, true, &open, 2, GrantSet::exclusive());
-        let w = Record::split_first(&w).0;
+        let w = first(&w);
         assert_eq!((w.rank(), w.write()), (256, true));
         assert_eq!(find_conflicts(&[r, w], 0), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn a_shared_open_clock_is_stored_once() {
+        let e1 = 1u64 << 32;
+        let shared = [e1 + 4, e1 + 7, e1, e1 + 2];
+        let other = [e1 + 5, e1 + 7, e1, e1 + 2];
+        let ex = GrantSet::exclusive();
+        let mut chunk = Chunk::default();
+        for tick in [8, 9, 10] {
+            push_rec(&mut chunk, 1, tick % 2 == 0, &shared, e1 + tick, ex);
+        }
+        let once = 3 * HEADER_WORDS + 4;
+        assert_eq!(
+            chunk.words.len(),
+            once,
+            "two pairs after the first header, none after the rest"
+        );
+        push_rec(&mut chunk, 1, true, &other, e1 + 11, ex);
+        push_rec(&mut chunk, 1, true, &other, e1 + 12, ex);
+        assert_eq!(chunk.words.len(), once + 2 * HEADER_WORDS + 4, "a new clock is stored again");
+
+        // The next chunk starts afresh: its first record carries its pairs.
+        let mut next = Chunk::default();
+        push_rec(&mut next, 1, false, &other, e1 + 13, ex);
+        assert_eq!(next.words.len(), HEADER_WORDS + 4);
+        let dense = |words: &[u64]| -> Vec<Vec<u64>> {
+            Record::all(words).map(|r| r.materialize(4).open_vc).collect()
+        };
+        let want = [&shared, &shared, &shared, &other, &other].map(|c| c.to_vec());
+        assert_eq!(dense(&chunk.words), want);
+        assert_eq!(dense(&next.words), [other.to_vec()], "decoded with no predecessor");
     }
 
     #[test]
@@ -689,13 +775,14 @@ mod tests {
         passages: u64,
         waiting: bool,
         arrived: HashMap<u64, usize>,
-        history: Vec<u64>,
+        /// Records closed since the last arrival, as [`Checker::history`].
+        chunk: Chunk,
         /// Per record: the dense clock its open clock was taken from.
         opened_at: Vec<Vec<u64>>,
         dense: Vec<(u64, oracle::DenseRecord)>,
-        /// How much of `history` earlier barrier arrivals shipped, and per
-        /// shipped record the passage whose batch carried it.
-        shipped: usize,
+        /// Every chunk an arrival shipped, in order, and per shipped
+        /// record the passage whose batch carried it.
+        shipped: Vec<Vec<u64>>,
         shipped_in: Vec<u64>,
     }
 
@@ -706,8 +793,9 @@ mod tests {
             let recordable = self.open.values().filter(|o| o.new.is_some());
             let oldest = recordable.map(|o| o.passage).min().unwrap_or(u64::MAX);
             batch.oldest = batch.oldest.min(oldest);
-            batch.chunks.push(self.history[self.shipped..].to_vec());
-            self.shipped = self.history.len();
+            let chunk = std::mem::take(&mut self.chunk).words;
+            batch.chunks.push(chunk.clone());
+            self.shipped.push(chunk);
             self.shipped_in.resize(self.opened_at.len(), self.passages);
         }
     }
@@ -722,6 +810,13 @@ mod tests {
         silent_rank: usize,
         /// Conflicts the window scan found between two passages' records.
         through_window: usize,
+        /// Of those, conflicts on a region no record of the newer passage
+        /// writes.
+        retained_write_only: usize,
+        /// Records whose open clock shares the pairs stored before it.
+        shared_clock: usize,
+        /// Regions with records, none of them a write.
+        read_only_region: usize,
     }
 
     fn children(r: usize, n: usize) -> impl Iterator<Item = usize> {
@@ -786,10 +881,10 @@ mod tests {
                 passages: 0,
                 waiting: false,
                 arrived: HashMap::new(),
-                history: Vec::new(),
+                chunk: Chunk::default(),
                 opened_at: Vec::new(),
                 dense: Vec::new(),
-                shipped: 0,
+                shipped: Vec::new(),
                 shipped_in: Vec::new(),
             })
             .collect();
@@ -911,7 +1006,7 @@ mod tests {
                         open_pairs: &open_pairs,
                         close_tick: me.new.tick(),
                     }
-                    .push(&mut me.history);
+                    .push(&mut me.chunk);
                     me.opened_at.push(dense);
                     me.dense.push((
                         region,
@@ -924,21 +1019,27 @@ mod tests {
         for r in &mut ranks {
             r.ship(&mut batches[barriers]);
         }
-        if ranks.iter().any(|r| r.history.is_empty()) && ranks.iter().any(|r| !r.history.is_empty())
+        if ranks.iter().any(|r| r.opened_at.is_empty())
+            && ranks.iter().any(|r| !r.opened_at.is_empty())
         {
             seen.silent_rank += 1;
         }
 
         // A section is named by its rank and its index in that rank's
         // history; both sides record the same sections in the same order.
+        // Each chunk decodes on its own, as the root reads it.
         type Name = (usize, u64);
         let (mut new_pairs, mut old_pairs) = (BTreeSet::<(Name, Name)>::new(), BTreeSet::new());
         for region in 0..3u64 {
             let recs: Vec<Record> = ranks
                 .iter()
-                .flat_map(|r| Record::all(&r.history))
+                .flat_map(|r| r.shipped.iter().flat_map(|c| Record::all(c)))
                 .filter(|rec| rec.region() == region)
                 .collect();
+            seen.shared_clock += recs.iter().filter(|rec| rec.flag(SAME_PAIRS_BIT)).count();
+            if !recs.is_empty() && recs.iter().all(|rec| !rec.write()) {
+                seen.read_only_region += 1;
+            }
             let names: Vec<Name> = recs
                 .iter()
                 .map(|rec| {
@@ -982,12 +1083,20 @@ mod tests {
         let mut window = Window::default();
         let mut streamed = BTreeSet::new();
         for (closed_in, batch) in batches.into_iter().enumerate() {
+            let fresh_written: BTreeSet<u64> = (batch.chunks.iter())
+                .flat_map(|c| Record::all(c))
+                .filter_map(|rec| rec.write().then_some(rec.region()))
+                .collect();
             window.scan(closed_in as u64, batch, |a, b| {
-                let [a, b] = [a, b].map(|rec| (rec.rank(), rec.0[2]));
+                let region = a.region();
+                let [a, b] = [a, b].map(|rec| (rec.rank(), rec.head[2]));
                 let shipped_in = |(rank, seq): Name| ranks[rank].shipped_in[seq as usize];
                 assert_eq!(shipped_in(b), closed_in as u64, "seed {seed}: a pair has a new half");
                 if shipped_in(a) != shipped_in(b) {
                     seen.through_window += 1;
+                    if !fresh_written.contains(&region) {
+                        seen.retained_write_only += 1;
+                    }
                 }
                 let pair = if a < b { (a, b) } else { (b, a) };
                 assert!(streamed.insert(pair), "seed {seed}: {pair:?} judged twice");
@@ -1009,5 +1118,19 @@ mod tests {
         assert!(seen.peer_a_passage_ahead > 0, "a message from a peer one passage ahead");
         assert!(seen.silent_rank > 0, "a rank that contributes no record");
         assert!(seen.through_window > 0, "a conflict with a section held open across a barrier");
+        // Only regions someone writes are scanned: one written only by a
+        // retained record still is, and a read-only one changes nothing.
+        assert!(seen.retained_write_only > 0, "a fresh read against a retained write");
+        assert!(seen.read_only_region > 0, "a region only read");
+        assert!(seen.shared_clock > 0, "a record that stores no pairs of its own");
+        eprintln!(
+            "{} conflicts, {} through the window ({} on a region written only before), \
+             {} read-only regions, {} records sharing a clock",
+            seen.conflicts,
+            seen.through_window,
+            seen.retained_write_only,
+            seen.read_only_region,
+            seen.shared_clock,
+        );
     }
 }

@@ -87,8 +87,10 @@ impl MachineStats {
         self.nodes.iter().map(|n| n.violations).sum()
     }
 
-    /// Section records the checker analysed at shutdown, and the words
-    /// they were encoded in, across all nodes.
+    /// Section records the checker recorded, and the words they were
+    /// encoded in, across all nodes: what the barrier arrivals carried up
+    /// the combining tree to node 0, which scans each passage's records
+    /// before releasing it.
     pub fn total_check_history(&self) -> (u64, u64) {
         self.nodes.iter().fold((0, 0), |(r, w), n| (r + n.check_records, w + n.check_words))
     }
