@@ -11,11 +11,19 @@
 //! stored its own, 15.5 since. Records ride each barrier arrival to
 //! node 0, which scans and drops them, so the run holds one passage of
 //! history: it peaked at 21.9 MiB while every node kept its records until
-//! a shutdown gather, and at about 10 MiB since.
+//! a shutdown gather, and at about 10 MiB in release since. A node holds
+//! coalescing buffers only for the destinations it has parts pending for,
+//! and its vector clock is its own envelope stamp: that took the release
+//! peak from 10.1 to about 8.2 MiB (debug 13.6 → 11.8), when every node
+//! held an empty buffer per rank and a second copy of its clock.
 
 use ace_apps::runner::launch_ace_with;
 use ace_apps::{em3d, Variant};
 use ace_core::{CheckMode, CostModel, ExecBackend, Spmd};
+
+/// The bound on this process's peak RSS, MiB: it runs in both profiles,
+/// and a debug build's code and stacks are larger.
+const PEAK_MIB: f64 = if cfg!(debug_assertions) { 13.0 } else { 9.5 };
 
 /// Peak resident set of this process in MiB (`VmHWM`), where the kernel
 /// reports one.
@@ -55,6 +63,6 @@ fn checked_em3d_at_256_ranks_stays_small() {
     assert!(mean <= 20.0, "a record's size must not follow the machine's: {mean:.1} words");
     if let Some(mib) = peak_rss_mib() {
         println!("peak RSS {mib:.1} MiB");
-        assert!(mib <= 16.0, "a checked 256-rank run peaked at {mib:.1} MiB");
+        assert!(mib <= PEAK_MIB, "a checked 256-rank run peaked at {mib:.1} MiB, over {PEAK_MIB}");
     }
 }

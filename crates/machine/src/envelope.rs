@@ -43,10 +43,11 @@ pub struct Envelope<M> {
     /// rank — present only when the machine runs with conformance checking
     /// enabled ([`crate::CheckMode`]). Sending is not a clock event
     /// ([`crate::VClock`]), so envelopes sent between two changes of the
-    /// sender's clock share one allocation. Of a wire envelope's parts
-    /// only the first delivered one carries the clock (one merge per wire
-    /// envelope). Checker metadata is metrologically invisible: it
-    /// contributes nothing to `bytes` or any cost charge.
+    /// sender's clock share one allocation: the clock's own lanes. Of a
+    /// wire envelope's parts only the first delivered one carries the
+    /// clock (one merge per wire envelope). Checker metadata is
+    /// metrologically invisible: it contributes nothing to `bytes` or any
+    /// cost charge.
     pub vc: Option<std::sync::Arc<[u64]>>,
     /// The sender's protocol-switch epoch at injection: how many adaptive
     /// protocol switches the sender had committed when this message left.

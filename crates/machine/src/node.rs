@@ -1,7 +1,7 @@
 //! A simulated processor: rank, message endpoints, virtual clock, counters.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,70 +112,9 @@ struct Inbound<M> {
     wire: Option<(u32, u32)>,
 }
 
-/// Per-destination coalescing buffers that scale to thousands of ranks: a
-/// dense `Vec` of buffers at small `nprocs`, a `HashMap` keyed by the few
-/// destinations actually touched above that (a 4096-node machine must not
-/// pay 4096 empty `Vec`s per node), plus a dirty list so flushing visits
-/// only destinations that hold messages instead of scanning every rank.
-struct OutBufs<M> {
-    dense: Vec<Vec<(M, usize)>>,
-    sparse: HashMap<usize, Vec<(M, usize)>>,
-    /// Destinations whose buffer went empty→nonempty since the last full
-    /// flush. May hold duplicates (a threshold flush empties a buffer but
-    /// leaves its entry); `flush_coalesced` sorts and the per-destination
-    /// flush no-ops on empty, so duplicates are harmless.
-    dirty: Vec<usize>,
-}
-
-/// Above this many ranks the per-destination buffers live in a map.
-const DENSE_OUTBUF_MAX: usize = 256;
-
-impl<M> OutBufs<M> {
-    fn new(nprocs: usize) -> Self {
-        OutBufs {
-            dense: if nprocs <= DENSE_OUTBUF_MAX {
-                (0..nprocs).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            sparse: HashMap::new(),
-            dirty: Vec::new(),
-        }
-    }
-
-    /// Append one part to `dst`'s buffer, returning the buffer's new
-    /// length (for threshold checks).
-    fn push(&mut self, dst: usize, part: (M, usize)) -> usize {
-        let buf = if self.dense.is_empty() {
-            self.sparse.entry(dst).or_default()
-        } else {
-            &mut self.dense[dst]
-        };
-        if buf.is_empty() {
-            self.dirty.push(dst);
-        }
-        buf.push(part);
-        buf.len()
-    }
-
-    /// Take `dst`'s buffered parts (empty if none).
-    fn take(&mut self, dst: usize) -> Vec<(M, usize)> {
-        if self.dense.is_empty() {
-            self.sparse.remove(&dst).unwrap_or_default()
-        } else {
-            std::mem::take(&mut self.dense[dst])
-        }
-    }
-
-    /// Take the dirty list, sorted ascending so flush order (and with it
-    /// the per-destination `send_overhead` clock charges) is rank order —
-    /// identical to the old full scan, independent of send order.
-    fn take_dirty(&mut self) -> Vec<usize> {
-        let mut d = std::mem::take(&mut self.dirty);
-        d.sort_unstable();
-        d
-    }
-}
+/// One destination's coalescing buffer: its pending parts, each with its
+/// payload size. Flushed, it moves into the wire envelope as it is.
+type Parts<M> = Vec<(M, usize)>;
 
 /// One simulated processor.
 ///
@@ -207,11 +146,12 @@ pub struct Node<M> {
     /// popped for handling, so per-message virtual-clock semantics are
     /// identical to unbatched reception (same order, same arrival math).
     inbox: RefCell<VecDeque<Inbound<M>>>,
-    /// Per-destination coalescing buffers; `pending` counts buffered
-    /// parts across all destinations so the common empty case is one load.
     coalesce: CoalescePolicy,
-    outbuf: RefCell<OutBufs<M>>,
-    pending: Cell<usize>,
+    /// The coalescing buffers of the destinations that have parts
+    /// pending, sorted by destination. An entry lives from its first part
+    /// to its flush, so a node keeps no table per peer: what it holds
+    /// follows its traffic, not the machine's size.
+    outbuf: RefCell<Vec<(usize, Parts<M>)>>,
     /// This node's parking handle: the waiter senders wake it through, and
     /// the park on the mailbox inside [`Node::recv_blocking`] — the
     /// substrate's one true blocking point, and a fiber's one yield point.
@@ -260,8 +200,7 @@ impl<M: MsgSize + Send> Node<M> {
             watchdog: Cell::new(setup.watchdog),
             inbox: RefCell::new(VecDeque::new()),
             coalesce: setup.coalesce,
-            outbuf: RefCell::new(OutBufs::new(nprocs)),
-            pending: Cell::new(0),
+            outbuf: RefCell::new(Vec::new()),
             parker,
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
@@ -383,10 +322,11 @@ impl<M: MsgSize + Send> Node<M> {
     }
 
     /// The clock snapshot for an outgoing wire envelope, or `None` when
-    /// checking is off (the common case: one branch). Sending is not a
-    /// clock event, so consecutive sends share one snapshot.
+    /// checking is off (the common case: one branch). The snapshot is the
+    /// clock's own lanes, shared ([`VClock::stamp`]): a send copies
+    /// nothing, and the node keeps no second copy of its clock.
     fn vc_stamp(&self) -> Option<Arc<[u64]>> {
-        self.vc.as_ref().map(|vc| vc.borrow_mut().stamp())
+        self.vc.as_ref().map(|vc| vc.borrow().stamp())
     }
 
     /// Inject a message to `dst`. Under [`CoalescePolicy::Off`] it leaves
@@ -394,8 +334,18 @@ impl<M: MsgSize + Send> Node<M> {
     /// coalescing buffer (charging `pack_cost`) and goes out with the next
     /// flush. Sending to self is allowed (the message is delivered via the
     /// normal polling path, like a loopback active message).
+    ///
+    /// # Panics
+    ///
+    /// Panics naming this node and `dst` if `dst` is not a rank of the
+    /// machine: here, not at a later flush.
     pub fn send(&self, dst: usize, msg: M) {
-        debug_assert!(dst < self.nprocs, "send to nonexistent node {dst}");
+        assert!(
+            dst < self.nprocs,
+            "node {}: send to nonexistent node {dst} (the machine has {})",
+            self.rank,
+            self.nprocs
+        );
         let policy = self.coalesce;
         let payload = msg.size_bytes();
         // Logical accounting is policy-independent: every message is
@@ -414,17 +364,22 @@ impl<M: MsgSize + Send> Node<M> {
             let bytes = (payload + self.header_bytes) as u32;
             self.sink.emit(pack_at, EventKind::Pack { dst: dst as u16, tag: msg.tag(), bytes });
         }
-        match policy {
-            CoalescePolicy::Off => self.emit(dst, vec![(msg, payload)]),
-            policy => {
-                let len = self.outbuf.borrow_mut().push(dst, (msg, payload));
-                self.pending.set(self.pending.get() + 1);
-                if let CoalescePolicy::Threshold(n) = policy {
-                    if len >= n.max(1) {
-                        self.flush_dst(dst);
-                    }
-                }
-            }
+        let limit = match policy {
+            CoalescePolicy::Off => return self.emit(dst, vec![(msg, payload)]),
+            CoalescePolicy::Threshold(n) => n.max(1),
+            CoalescePolicy::FlushOnWait => usize::MAX,
+        };
+        let full = {
+            let mut bufs = self.outbuf.borrow_mut();
+            let i = bufs.binary_search_by_key(&dst, |&(d, _)| d).unwrap_or_else(|i| {
+                bufs.insert(i, (dst, Vec::new()));
+                i
+            });
+            bufs[i].1.push((msg, payload));
+            (bufs[i].1.len() >= limit).then(|| bufs.remove(i).1)
+        };
+        if let Some(parts) = full {
+            self.emit(dst, parts);
         }
     }
 
@@ -435,17 +390,18 @@ impl<M: MsgSize + Send> Node<M> {
     /// parks — together those make every blocking point flush, the
     /// liveness rule coalescing relies on.
     pub fn flush_coalesced(&self) {
-        if self.pending.get() == 0 {
+        if self.outbuf.borrow().is_empty() {
             return;
         }
-        // Visit only destinations that buffered something since the last
-        // flush, in ascending rank order so the per-destination clock
-        // charges land exactly as the old 0..nprocs scan did. (The dirty
-        // list is taken first: `flush_dst` re-borrows the buffers.)
-        let dirty = self.outbuf.borrow_mut().take_dirty();
-        for dst in dirty {
-            self.flush_dst(dst);
+        // The list is sorted, so the per-destination `send_overhead`
+        // charges land in ascending rank order whatever order the sends
+        // came in. `emit` buffers nothing, so the emptied list goes back
+        // with its capacity.
+        let mut bufs = self.outbuf.take();
+        for (dst, parts) in bufs.drain(..) {
+            self.emit(dst, parts);
         }
+        self.outbuf.replace(bufs);
     }
 
     /// Flush point after a handled message inside a poll loop: flush only
@@ -457,15 +413,6 @@ impl<M: MsgSize + Send> Node<M> {
     fn flush_after_handle(&self) {
         if self.inbox.borrow().is_empty() {
             self.flush_coalesced();
-        }
-    }
-
-    /// Flush one destination's buffer as one wire envelope.
-    fn flush_dst(&self, dst: usize) {
-        let parts = self.outbuf.borrow_mut().take(dst);
-        if !parts.is_empty() {
-            self.pending.set(self.pending.get() - parts.len());
-            self.emit(dst, parts);
         }
     }
 
@@ -758,6 +705,11 @@ mod tests {
     use crate::envelope::HEADER_BYTES;
     use crate::spmd::Spmd;
 
+    /// `(destination, parts)` for every buffer `node` holds.
+    fn buffered(node: &Node<u64>) -> Vec<(usize, usize)> {
+        node.outbuf.borrow().iter().map(|(dst, parts)| (*dst, parts.len())).collect()
+    }
+
     #[test]
     fn clock_advances_on_send_and_recv() {
         let cost = CostModel::cm5();
@@ -973,7 +925,7 @@ mod tests {
                 for i in 0..3 {
                     node.send(1, i + 1);
                 }
-                assert_eq!(node.pending.get(), 3);
+                assert_eq!(buffered(node), [(1, 3)]);
                 node.flush_coalesced();
                 let s = node.stats();
                 assert_eq!(s.logical_msgs, 3);
@@ -1005,7 +957,7 @@ mod tests {
                         node.send(1, i + 1);
                     }
                     // 2+2 flushed by the threshold; one message still queued.
-                    let pending = node.pending.get() as u64;
+                    let pending = buffered(node)[0].1 as u64;
                     node.flush_coalesced();
                     (pending, node.stats().wire_msgs)
                 } else {
@@ -1075,5 +1027,79 @@ mod tests {
                 done.get()
             });
         assert_eq!(r.results, vec![11, 10]);
+    }
+
+    #[test]
+    fn flush_order_is_rank_order_above_256_ranks() {
+        // Rank 0 buffers one message for every peer, highest rank first,
+        // then flushes: the envelopes leave in ascending rank order, each
+        // one `send_overhead` after the one before it.
+        let c = CostModel::cm5();
+        let n = 300;
+        let r = Spmd::builder()
+            .nprocs(n)
+            .cost(c.clone())
+            .coalesce(CoalescePolicy::FlushOnWait)
+            .run::<u64, _, _>(|node| {
+                if node.rank() == 0 {
+                    for dst in (1..node.nprocs()).rev() {
+                        node.send(dst, dst as u64);
+                    }
+                    assert_eq!(buffered(node).len(), node.nprocs() - 1);
+                    node.flush_coalesced();
+                } else {
+                    let got = Cell::new(0u64);
+                    node.poll_until("one message", |_, env| got.set(env.msg), || got.get() != 0);
+                    assert_eq!(got.get(), node.rank() as u64);
+                }
+                node.now()
+            });
+        let packed = (n as u64 - 1) * c.pack_cost;
+        let flight = c.wire_time(8 + HEADER_BYTES) + c.recv_overhead;
+        for (rank, &clock) in r.results.iter().enumerate().skip(1) {
+            assert_eq!(clock, packed + rank as u64 * c.send_overhead + flight, "rank {rank}");
+        }
+        assert_eq!(r.stats.nodes[0].wire_msgs, n as u64 - 1);
+    }
+
+    #[test]
+    fn a_threshold_flush_leaves_other_destinations_buffered() {
+        Spmd::builder()
+            .nprocs(3)
+            .cost(CostModel::free())
+            .coalesce(CoalescePolicy::Threshold(2))
+            .run::<u64, _, _>(|node| {
+                let seen = Cell::new(0usize);
+                let want = match node.rank() {
+                    0 => {
+                        node.send(2, 1);
+                        node.send(1, 2);
+                        assert_eq!(buffered(node), [(1, 1), (2, 1)]);
+                        node.send(1, 3);
+                        assert_eq!(buffered(node), [(2, 1)], "only rank 1's buffer reached 2");
+                        assert_eq!(node.wire_sent.get(), 1);
+                        node.flush_coalesced();
+                        assert!(buffered(node).is_empty(), "a flush leaves no buffer held");
+                        0
+                    }
+                    1 => 2,
+                    _ => 1,
+                };
+                node.poll_until("messages", |_, _| seen.set(seen.get() + 1), || seen.get() == want);
+            });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1: send to nonexistent node 5 (the machine has 2)")]
+    fn a_send_to_a_rank_outside_the_machine_panics_at_the_send() {
+        Spmd::builder()
+            .nprocs(2)
+            .cost(CostModel::free())
+            .coalesce(CoalescePolicy::FlushOnWait)
+            .run::<u64, _, _>(|node| {
+                if node.rank() == 1 {
+                    node.send(5, 0);
+                }
+            });
     }
 }

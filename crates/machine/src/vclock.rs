@@ -38,16 +38,17 @@ fn default_lane(own: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct VClock {
     rank: usize,
-    lanes: Vec<u64>,
-    /// The snapshot outgoing envelopes share, until a lane next changes.
-    stamp: Option<Arc<[u64]>>,
+    /// Every lane, indexed by rank. The clock is its own stamp: outgoing
+    /// envelopes share this allocation, and a change copies it only while
+    /// one of them still holds it.
+    lanes: Arc<[u64]>,
 }
 
 impl VClock {
     /// The zero clock of `rank` on an `nprocs`-node machine.
     pub fn new(rank: usize, nprocs: usize) -> Self {
         debug_assert!(rank < nprocs);
-        VClock { rank, lanes: vec![0; nprocs], stamp: None }
+        VClock { rank, lanes: std::iter::repeat_n(0, nprocs).collect() }
     }
 
     /// Every lane, indexed by rank.
@@ -58,10 +59,9 @@ impl VClock {
     /// Count one checker event (a section open or close) on the own lane
     /// and return the lane's new value.
     pub fn tick(&mut self) -> u64 {
-        let own = &mut self.lanes[self.rank];
+        let own = &mut Arc::make_mut(&mut self.lanes)[self.rank];
         *own += 1;
         debug_assert!(*own != default_lane(*own), "2^32 section events inside one barrier epoch");
-        self.stamp = None;
         *own
     }
 
@@ -69,31 +69,29 @@ impl VClock {
     /// ticks. Greater than every value the lane has held, so the jump is
     /// one more (unrecorded) event on it.
     pub fn enter_barrier(&mut self) {
-        let own = &mut self.lanes[self.rank];
+        let own = &mut Arc::make_mut(&mut self.lanes)[self.rank];
         debug_assert!(*own >> TICK_BITS < u64::from(u32::MAX), "2^32 barrier passages");
         *own = default_lane(*own) + (1 << TICK_BITS);
-        self.stamp = None;
     }
 
-    /// Merge a peer's stamp: lane-wise maximum.
+    /// Merge a peer's stamp: lane-wise maximum. A merge that raises no
+    /// lane leaves the clock, and every stamp sharing it, as it was.
     pub fn merge(&mut self, other: &[u64]) {
         debug_assert_eq!(other.len(), self.lanes.len());
-        let mut raised = false;
-        for (mine, &theirs) in self.lanes.iter_mut().zip(other) {
-            if theirs > *mine {
-                *mine = theirs;
-                raised = true;
-            }
-        }
-        if raised {
-            self.stamp = None;
+        let Some(first) = self.lanes.iter().zip(other).position(|(mine, theirs)| theirs > mine)
+        else {
+            return;
+        };
+        let lanes = &mut Arc::make_mut(&mut self.lanes)[first..];
+        for (mine, &theirs) in lanes.iter_mut().zip(&other[first..]) {
+            *mine = (*mine).max(theirs);
         }
     }
 
-    /// The dense snapshot an outgoing envelope carries. Allocated once per
-    /// change of the clock, not once per send.
-    pub fn stamp(&mut self) -> Arc<[u64]> {
-        self.stamp.get_or_insert_with(|| self.lanes.as_slice().into()).clone()
+    /// The dense snapshot an outgoing envelope carries: the clock itself,
+    /// shared. Sending is not a clock event, so it allocates nothing.
+    pub fn stamp(&self) -> Arc<[u64]> {
+        Arc::clone(&self.lanes)
     }
 
     /// Append the other ranks' lanes as `(lane, value)` word pairs, in
@@ -108,7 +106,7 @@ impl VClock {
         }
         debug_assert_eq!(
             SparseClock { rank: self.rank, own, pairs: &out[from..] }.to_dense(self.lanes.len()),
-            self.lanes,
+            *self.lanes,
             "a sparse clock decodes to the dense one it was taken from"
         );
     }
@@ -161,7 +159,7 @@ mod tests {
     fn round_trip(c: &VClock) {
         let pairs = sparse(c);
         let s = SparseClock { rank: c.rank, own: c.lanes[c.rank], pairs: &pairs };
-        assert_eq!(s.to_dense(c.lanes.len()), c.lanes);
+        assert_eq!(s.to_dense(c.lanes.len()), *c.lanes);
         for lane in 0..c.lanes.len() {
             assert_eq!(s.lane(lane), c.lanes[lane]);
         }
@@ -195,6 +193,24 @@ mod tests {
         assert_eq!(&*s2, &[0, 5]);
         a.tick();
         assert_eq!(&*a.stamp(), &[1, 5]);
+    }
+
+    #[test]
+    fn a_stamp_keeps_its_lanes_when_the_clock_moves_on() {
+        let mut a = VClock::new(1, 3);
+        let before_tick = a.stamp();
+        a.tick();
+        let before_barrier = a.stamp();
+        a.enter_barrier();
+        let before_merge = a.stamp();
+        a.merge(&[4, 0, 9]);
+        assert_eq!(&*before_tick, &[0, 0, 0]);
+        assert_eq!(&*before_barrier, &[0, 1, 0]);
+        assert_eq!(&*before_merge, &[0, 1 << 32, 0]);
+        assert_eq!(a.lanes(), [4, 1 << 32, 9]);
+        let after = a.stamp();
+        a.merge(&[4, 0, 9]);
+        assert!(Arc::ptr_eq(&after, &a.stamp()), "a merge that raises nothing copies nothing");
     }
 
     #[test]
