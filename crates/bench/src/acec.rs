@@ -36,6 +36,89 @@ pub struct Kernel {
     /// Hand-written runtime-system version (returns the verification
     /// value; must equal the compiled program's).
     pub hand: fn(&AceRt) -> f64,
+    /// How the source's fixed-size arrays divide its work over the ranks,
+    /// which decides the machines it runs on.
+    pub split: Split,
+}
+
+/// How a kernel divides its work over `np` ranks. Ace-C arrays are sized
+/// in the source, so each kernel runs only on the machines its arrays
+/// hold; a machine it cannot split would index past an array or name a
+/// `bcast_p` root outside the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split {
+    /// `items` dealt in equal runs (`per = items / np`, item `g` on rank
+    /// `g / per`) of at most `per_rank`: `np` must divide `items`.
+    Even { items: usize, what: &'static str, per_rank: usize },
+    /// One array slot per rank, at most `max` ranks.
+    AtMost(usize),
+    /// Any machine: the work is claimed from a shared counter.
+    Any,
+}
+
+impl Split {
+    /// Whether the kernel runs on `np` ranks.
+    pub fn takes(self, np: usize) -> bool {
+        match self {
+            Split::Even { items, per_rank, .. } => {
+                np > 0 && items % np == 0 && items / np <= per_rank
+            }
+            Split::AtMost(max) => (1..=max).contains(&np),
+            Split::Any => np > 0,
+        }
+    }
+
+    /// The largest machine the kernel runs on, if it has one.
+    pub fn largest(self) -> Option<usize> {
+        match self {
+            Split::Even { items, .. } => Some(items),
+            Split::AtMost(max) => Some(max),
+            Split::Any => None,
+        }
+    }
+}
+
+/// A `--procs` some Table 4 kernel cannot split its work over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProcsError {
+    /// The first kernel (in column order) that rejects it.
+    pub kernel: &'static str,
+    /// The rejected machine size.
+    pub procs: usize,
+    /// That kernel's split.
+    pub split: Split,
+}
+
+impl std::fmt::Display for ProcsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (kernel, procs) = (self.kernel, self.procs);
+        write!(f, "table4 --procs {procs}: the {kernel} kernel cannot split its work over {procs} ranks: ")?;
+        match self.split {
+            Split::Even { items, what, per_rank } => write!(
+                f,
+                "it deals {items} {what} in equal runs of at most {per_rank}, so it takes --procs {}",
+                or_list(&(1..=items).filter(|&n| self.split.takes(n)).collect::<Vec<_>>())
+            )?,
+            Split::AtMost(_) => write!(f, "it keeps one array slot per rank")?,
+            Split::Any => write!(f, "a machine has at least one rank")?,
+        }
+        if let Some(largest) = self.split.largest() {
+            write!(f, "; the largest --procs it takes is {largest}")?;
+        }
+        write!(f, ", and the whole table takes --procs {}", or_list(&table4_procs()))
+    }
+}
+
+impl std::error::Error for ProcsError {}
+
+/// `[3, 4, 6]` as "3, 4 or 6".
+fn or_list(ns: &[usize]) -> String {
+    let words: Vec<String> = ns.iter().map(usize::to_string).collect();
+    match words.split_last() {
+        None => "none".into(),
+        Some((last, [])) => last.clone(),
+        Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+    }
 }
 
 /// All five kernels, in the paper's column order.
@@ -45,11 +128,32 @@ pub fn kernels() -> Vec<Kernel> {
             name: "Barnes-Hut",
             source: include_str!("../programs/barnes.ace"),
             hand: hand_barnes,
+            split: Split::Even { items: 48, what: "bodies", per_rank: 16 },
         },
-        Kernel { name: "BSC", source: include_str!("../programs/bsc.ace"), hand: hand_bsc },
-        Kernel { name: "EM3D", source: include_str!("../programs/em3d.ace"), hand: hand_em3d },
-        Kernel { name: "TSP", source: include_str!("../programs/tsp.ace"), hand: hand_tsp },
-        Kernel { name: "WATER", source: include_str!("../programs/water.ace"), hand: hand_water },
+        Kernel {
+            name: "BSC",
+            source: include_str!("../programs/bsc.ace"),
+            hand: hand_bsc,
+            split: Split::AtMost(8),
+        },
+        Kernel {
+            name: "EM3D",
+            source: include_str!("../programs/em3d.ace"),
+            hand: hand_em3d,
+            split: Split::Even { items: 128, what: "nodes of each kind", per_rank: 64 },
+        },
+        Kernel {
+            name: "TSP",
+            source: include_str!("../programs/tsp.ace"),
+            hand: hand_tsp,
+            split: Split::Any,
+        },
+        Kernel {
+            name: "WATER",
+            source: include_str!("../programs/water.ace"),
+            hand: hand_water,
+            split: Split::Even { items: 32, what: "molecules", per_rank: 16 },
+        },
     ]
 }
 
@@ -76,12 +180,28 @@ impl Kernel {
 
 /// Table 4 as cells, kernel-major: the four optimization levels, then the
 /// hand-written version ("hand"), at `procs` simulated processors.
-pub fn table4_cells(procs: usize) -> Vec<Cell> {
+///
+/// # Errors
+///
+/// When some kernel cannot split its work over `procs` ranks (see
+/// [`Split`]); the error names the first such kernel.
+pub fn table4_cells(procs: usize) -> Result<Vec<Cell>, ProcsError> {
+    let ks = kernels();
+    if let Some(k) = ks.iter().find(|k| !k.split.takes(procs)) {
+        return Err(ProcsError { kernel: k.name, procs, split: k.split });
+    }
     let mut configs: Vec<_> =
         OptLevel::ALL.iter().map(|&l| (l.label(), What::Compiled(l), Tweak::None)).collect();
     configs.push(("hand", What::Hand, Tweak::None));
-    let names: Vec<&'static str> = kernels().iter().map(|k| k.name).collect();
-    grid(&names, &configs, Input::Default, procs)
+    let names: Vec<&'static str> = ks.iter().map(|k| k.name).collect();
+    Ok(grid(&names, &configs, Input::Default, procs))
+}
+
+/// The machine sizes every Table 4 kernel runs on.
+pub fn table4_procs() -> Vec<usize> {
+    let ks = kernels();
+    let largest = ks.iter().filter_map(|k| k.split.largest()).min().unwrap_or(0);
+    (1..=largest).filter(|&n| ks.iter().all(|k| k.split.takes(n))).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -853,7 +973,7 @@ mod tests {
 
     #[test]
     fn table4_shape_holds() {
-        let rows: Vec<Row> = table4_cells(4).iter().map(measure).collect();
+        let rows: Vec<Row> = table4_cells(4).unwrap().iter().map(measure).collect();
         if let Some(violation) = shape_violation(&rows) {
             panic!("{violation}");
         }
@@ -877,5 +997,54 @@ mod tests {
             assert!(w[1].0 <= w[0].0 && w[1].1 <= w[0].1, "TSP: annotations grew: {counts:?}");
         }
         assert!(counts[3] < counts[0], "TSP: optimization removed nothing: {counts:?}");
+    }
+
+    #[test]
+    fn table4_rejects_32_procs_before_any_machine_starts() {
+        let err = table4_cells(32).unwrap_err();
+        assert_eq!(err.kernel, "Barnes-Hut");
+        assert_eq!(err.split.largest(), Some(48));
+        let text = err.to_string();
+        assert!(text.contains("the largest --procs it takes is 48"), "{text}");
+        assert!(text.ends_with("the whole table takes --procs 4 or 8"), "{text}");
+        // Past Barnes' bodies, BSC's per-rank cursor array is the limit.
+        let err = table4_cells(48).unwrap_err();
+        assert_eq!((err.kernel, err.split.largest()), ("BSC", Some(8)));
+        assert!(table4_cells(0).is_err() && table4_cells(7).is_err());
+        let argv = ["table4", "--procs", "32"].map(String::from);
+        let args = crate::args::Args::parse(&argv).unwrap();
+        let err = crate::figures::table4(&args).unwrap_err();
+        assert!(err.starts_with("table4 --procs 32: the Barnes-Hut kernel"), "{err}");
+    }
+
+    #[test]
+    fn every_kernel_runs_at_both_ends_of_its_split() {
+        for k in kernels() {
+            let sizes: Vec<usize> = (1..=128).filter(|&n| k.split.takes(n)).collect();
+            for procs in [sizes[0], sizes[sizes.len() - 1]] {
+                let run = |what| {
+                    let cell = Cell {
+                        app: k.name,
+                        config: "test",
+                        what,
+                        input: Input::Default,
+                        procs,
+                        tweak: Tweak::None,
+                    };
+                    measure(&cell).out.verification
+                };
+                let (hand, compiled) = (run(What::Hand), run(What::Compiled(OptLevel::Direct)));
+                assert!(close(hand, compiled), "{} at {procs}: {hand} vs {compiled}", k.name);
+            }
+        }
+    }
+
+    #[test]
+    fn table4_accepts_8_procs() {
+        let cells = table4_cells(8).unwrap();
+        assert_eq!(cells.len(), 25);
+        assert!(cells.iter().all(|c| c.procs == 8));
+        assert_eq!(table4_procs(), [4, 8]);
+        assert!(kernels().iter().all(|k| k.split.takes(8) && k.split.takes(4)));
     }
 }

@@ -235,8 +235,9 @@ pub fn check(a: &Args) -> Result<(), String> {
 /// (the cells are kernel-major: four levels, then hand).
 pub fn table4(a: &Args) -> Result<(), String> {
     let procs = a.num("--procs", 8)?;
+    let cells = table4_cells(procs).map_err(|e| e.to_string())?;
     println!("Table 4: compiler optimization effects ({procs} procs, simulated ms)");
-    let rows: Vec<Row> = table4_cells(procs).iter().map(measure).collect();
+    let rows: Vec<Row> = cells.iter().map(measure).collect();
     print!("{:<24}", "Optimization");
     for k in rows.chunks(5) {
         print!(" {:>11}", k[0].cell.app);

@@ -7,9 +7,15 @@
 //! makes this safe is that *every* local mutation goes through
 //! [`RegionEntry::with_data_mut`], which copies-on-write when the buffer is
 //! shared — an outstanding wire snapshot (or another node's installed
-//! alias) is therefore never observably mutated.
+//! alias) is therefore never observably mutated. The same copy-on-write
+//! lets every fresh entry of one size alias its node's one all-zero buffer
+//! until it is first written.
+//!
+//! An entry holds inline only what every region uses on the hot path; the
+//! state few regions ever touch ([`Cold`]) sits behind one lazily
+//! allocated box, as do the sharer words above rank 63.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -31,16 +37,17 @@ fn cow_slice(slot: &mut Arc<[u64]>) -> &mut [u64] {
 /// Ranks 0..63 live in a single `Cell<u64>` bitmask (the overwhelmingly
 /// common case, and the representation every protocol used when the
 /// machine was capped at 64 nodes); ranks 64 and up spill lazily into a
-/// word vector that is only allocated the first time a wide rank shows up.
+/// boxed word vector that is only allocated the first time a wide rank
+/// shows up, so a set costs two words until then.
 /// All operations stay `&self` (`Cell`/`RefCell` inside) to match the
 /// node-local single-threaded discipline of [`RegionEntry`].
 #[derive(Default)]
 pub struct Sharers {
     /// Ranks 0..=63, one bit each.
     small: Cell<u64>,
-    /// Ranks 64.., bit `r - 64` in word `(r - 64) / 64`. Empty until a
-    /// wide rank is added.
-    spill: RefCell<Vec<u64>>,
+    /// Ranks 64.., bit `r - 64` in word `(r - 64) / 64`. Unallocated
+    /// until a wide rank is added.
+    spill: OnceCell<Box<RefCell<Vec<u64>>>>,
 }
 
 impl Sharers {
@@ -55,7 +62,7 @@ impl Sharers {
             self.small.set(self.small.get() | (1 << rank));
         } else {
             let (w, b) = ((rank - 64) / 64, (rank - 64) % 64);
-            let mut spill = self.spill.borrow_mut();
+            let mut spill = self.spill.get_or_init(Box::default).borrow_mut();
             if spill.len() <= w {
                 spill.resize(w + 1, 0);
             }
@@ -67,10 +74,9 @@ impl Sharers {
     pub fn remove(&self, rank: usize) {
         if rank < 64 {
             self.small.set(self.small.get() & !(1 << rank));
-        } else {
+        } else if let Some(spill) = self.spill.get() {
             let (w, b) = ((rank - 64) / 64, (rank - 64) % 64);
-            let mut spill = self.spill.borrow_mut();
-            if let Some(word) = spill.get_mut(w) {
+            if let Some(word) = spill.borrow_mut().get_mut(w) {
                 *word &= !(1 << b);
             }
         }
@@ -82,30 +88,42 @@ impl Sharers {
             self.small.get() & (1 << rank) != 0
         } else {
             let (w, b) = ((rank - 64) / 64, (rank - 64) % 64);
-            self.spill.borrow().get(w).is_some_and(|word| word & (1 << b) != 0)
+            self.wide(|spill| spill.get(w).is_some_and(|word| word & (1 << b) != 0))
         }
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.small.get() == 0 && self.spill.borrow().iter().all(|&w| w == 0)
+        self.small.get() == 0 && self.wide(|spill| spill.iter().all(|&w| w == 0))
     }
 
     /// Drop every member.
     pub fn clear(&self) {
         self.small.set(0);
-        self.spill.borrow_mut().clear();
+        if let Some(spill) = self.spill.get() {
+            spill.borrow_mut().clear();
+        }
+    }
+
+    /// Apply `f` to the spill words (empty while unallocated).
+    fn wide<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
+        match self.spill.get() {
+            Some(spill) => f(&spill.borrow()),
+            None => f(&[]),
+        }
     }
 
     /// A content fingerprint for snapshots/tests: equals the raw bitmask
     /// for ≤64-rank sets, and folds the spill words in (position-salted)
     /// above that.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = self.small.get();
-        for (i, &w) in self.spill.borrow().iter().enumerate() {
-            f ^= w.rotate_left((i as u32 + 1) * 7);
-        }
-        f
+        self.wide(|spill| {
+            let mut f = self.small.get();
+            for (i, &w) in spill.iter().enumerate() {
+                f ^= w.rotate_left((i as u32 + 1) * 7);
+            }
+            f
+        })
     }
 
     /// Iterate member ranks in ascending order. The iterator walks a
@@ -115,14 +133,13 @@ impl Sharers {
         SharerRanks {
             cur: self.small.get(),
             base: 0,
-            words: {
-                let spill = self.spill.borrow();
+            words: self.wide(|spill| {
                 if spill.iter().all(|&w| w == 0) {
                     Vec::new()
                 } else {
-                    spill.clone()
+                    spill.to_vec()
                 }
-            },
+            }),
             next_word: 0,
         }
     }
@@ -174,15 +191,36 @@ impl FastMask {
     }
 }
 
+/// The per-region state few entries ever use: requests parked behind a
+/// transient state, the diff snapshot of a pipelined writer, and the
+/// default region lock. A [`RegionEntry`] allocates it on the first push,
+/// twin or lock, so a region that is only read, written and shared pays
+/// one pointer for all of it.
+#[derive(Default)]
+pub struct Cold {
+    /// Requests that arrived while the region was in a transient state,
+    /// replayed when the region quiesces: `(from, op, arg)`.
+    pub blocked: RefCell<VecDeque<(u16, u16, u64)>>,
+    /// Twin buffer for diffing protocols (pipelined delta writes). Taken
+    /// as a zero-copy snapshot of `data`; copy-on-write keeps it frozen.
+    pub twin: RefCell<Option<Arc<[u64]>>>,
+    /// Default lock, home side: held by someone.
+    pub lock_held: Cell<bool>,
+    /// Default lock, home side: FIFO of waiting ranks.
+    pub lock_queue: RefCell<VecDeque<u16>>,
+    /// Default lock, requester side: our pending request has been granted.
+    pub lock_granted: Cell<bool>,
+}
+
 /// Node-local state for one region: the cached data, access bookkeeping,
 /// and a bag of protocol-owned fields.
 ///
 /// Rather than a `Box<dyn Any>` per region, protocols share a fixed set of
 /// fields that cover what real directory protocols keep per line: a state
-/// code, a sharer bitmask, an owner, an outstanding-ack count, a scalar, a
-/// blocked-request queue and an optional twin buffer. Each protocol
+/// code, a sharer bitmask, an owner, an outstanding-ack count and a
+/// scalar inline, and the rarely used rest in [`Cold`]. Each protocol
 /// documents its own interpretation. This keeps the per-region footprint
-/// flat and the hot path allocation-free.
+/// flat (104 bytes) and the hot path allocation-free.
 pub struct RegionEntry {
     /// The region's global id (home rank is `id.home()`).
     pub id: RegionId,
@@ -193,8 +231,9 @@ pub struct RegionEntry {
     pub words: usize,
     /// The local copy of the region's data. At the home node this is the
     /// master copy; elsewhere it is a cache whose validity the protocol
-    /// tracks in `st`. Shared zero-copy with in-flight messages; mutate
-    /// only through [`RegionEntry::with_data_mut`].
+    /// tracks in `st`. Shared zero-copy with in-flight messages, and in a
+    /// fresh entry with every other fresh entry of its size; mutate only
+    /// through [`RegionEntry::with_data_mut`].
     pub data: RefCell<Arc<[u64]>>,
     /// Map count (maps nest, per CRL semantics).
     pub mapped: Cell<u32>,
@@ -233,30 +272,21 @@ pub struct RegionEntry {
     pub pending: Cell<u32>,
     /// Protocol-defined scalar (epoch numbers, fetched tickets, ...).
     pub aux: Cell<u64>,
-    /// Requests that arrived while the region was in a transient state,
-    /// replayed when the region quiesces: `(from, op, arg)`.
-    pub blocked: RefCell<VecDeque<(u16, u16, u64)>>,
-    /// Twin buffer for diffing protocols (pipelined delta writes). Taken
-    /// as a zero-copy snapshot of `data`; copy-on-write keeps it frozen.
-    pub twin: RefCell<Option<Arc<[u64]>>>,
-
-    // ---- default region lock (home side + requester side) ----
-    /// Home side: lock currently held by someone.
-    pub lock_held: Cell<bool>,
-    /// Home side: FIFO of waiting rank(s).
-    pub lock_queue: RefCell<VecDeque<u16>>,
-    /// Requester side: our pending lock request has been granted.
-    pub lock_granted: Cell<bool>,
+    /// The rarely used state, allocated on first use: read it through
+    /// [`RegionEntry::cold`], write it through [`RegionEntry::cold_init`].
+    cold: OnceCell<Box<Cold>>,
 }
 
 impl RegionEntry {
-    /// Create the entry with zeroed data (home allocation or fresh cache).
-    pub fn new(id: RegionId, space: SpaceId, words: usize) -> Self {
+    /// Create the entry over `data`, whose length is the region's size. A
+    /// fresh entry (home allocation or cache) gets its node's shared
+    /// all-zero buffer of that size, which its first write makes private.
+    pub fn new(id: RegionId, space: SpaceId, data: Arc<[u64]>) -> Self {
         RegionEntry {
             id,
             space,
-            words,
-            data: RefCell::new(Arc::from(vec![0u64; words])),
+            words: data.len(),
+            data: RefCell::new(data),
             mapped: Cell::new(0),
             read_active: Cell::new(0),
             write_active: Cell::new(0),
@@ -266,12 +296,31 @@ impl RegionEntry {
             owner: Cell::new(-1),
             pending: Cell::new(0),
             aux: Cell::new(0),
-            blocked: RefCell::new(VecDeque::new()),
-            twin: RefCell::new(None),
-            lock_held: Cell::new(false),
-            lock_queue: RefCell::new(VecDeque::new()),
-            lock_granted: Cell::new(false),
+            cold: OnceCell::new(),
         }
+    }
+
+    /// The entry's rarely used state, if anything has used it yet. For
+    /// read-only probes: allocates nothing, and `None` reads as a default
+    /// [`Cold`] (no parked request, no twin, the lock free).
+    pub fn cold(&self) -> Option<&Cold> {
+        self.cold.get().map(|c| &**c)
+    }
+
+    /// The entry's rarely used state, allocated on first use: for a push,
+    /// a twin or a lock.
+    pub fn cold_init(&self) -> &Cold {
+        self.cold.get_or_init(Box::default)
+    }
+
+    /// Whether a request is parked in [`Cold::blocked`].
+    pub fn has_blocked(&self) -> bool {
+        self.cold().is_some_and(|c| !c.blocked.borrow().is_empty())
+    }
+
+    /// Whether [`Cold::twin`] holds a snapshot.
+    pub fn has_twin(&self) -> bool {
+        self.cold().is_some_and(|c| c.twin.borrow().is_some())
     }
 
     /// Whether this node is the region's home.
@@ -316,7 +365,98 @@ mod tests {
     use super::*;
 
     fn entry(words: usize) -> RegionEntry {
-        RegionEntry::new(RegionId::new(2, 5), SpaceId(1), words)
+        RegionEntry::new(RegionId::new(2, 5), SpaceId(1), Arc::from(vec![0; words]))
+    }
+
+    #[test]
+    fn an_entry_stays_small() {
+        // Every node holds an entry per region it has mapped. The rarely
+        // used state and the wide sharer words ride boxed, so an entry
+        // that never uses them pays a pointer for each.
+        assert!(
+            std::mem::size_of::<RegionEntry>() <= 104,
+            "RegionEntry grew to {} bytes",
+            std::mem::size_of::<RegionEntry>()
+        );
+        assert_eq!(std::mem::size_of::<Sharers>(), 16);
+    }
+
+    #[test]
+    fn fresh_entries_share_one_zero_buffer_until_written() {
+        let zeros: Arc<[u64]> = Arc::from(vec![0; 3]);
+        let a = RegionEntry::new(RegionId::new(0, 1), SpaceId(0), zeros.clone());
+        let b = RegionEntry::new(RegionId::new(0, 2), SpaceId(0), zeros.clone());
+        assert_eq!(a.words, 3);
+        assert!(Arc::ptr_eq(&a.data.borrow(), &b.data.borrow()), "fresh entries alias one buffer");
+        a.with_data_mut(|d| d[1] = 4);
+        assert!(!Arc::ptr_eq(&a.data.borrow(), &zeros), "the first write makes a private copy");
+        assert_eq!(&**a.data.borrow(), &[0, 4, 0]);
+        assert!(Arc::ptr_eq(&b.data.borrow(), &zeros));
+        assert_eq!(&**b.data.borrow(), &[0; 3], "the other entry still reads zeros");
+        assert_eq!(&*zeros, &[0; 3]);
+        let payload: Arc<[u64]> = Arc::from(vec![7, 8, 9]);
+        b.install_shared(payload.clone());
+        assert!(Arc::ptr_eq(&payload, &b.data.borrow()), "install is still a pointer swap");
+    }
+
+    #[test]
+    fn only_a_push_a_twin_or_a_lock_allocates_the_cold_box() {
+        let e = entry(2);
+        assert!(e.cold().is_none(), "a fresh entry holds no cold box");
+        assert!(!e.has_blocked() && !e.has_twin());
+        e.sharers.add(3);
+        e.sharers.add(100);
+        e.with_data_mut(|d| d[0] = 1);
+        assert!(e.cold().is_none(), "read-only probes and hot fields allocate nothing");
+        e.cold_init().blocked.borrow_mut().push_back((1, 2, 3));
+        assert!(e.has_blocked() && !e.has_twin());
+        *e.cold_init().twin.borrow_mut() = Some(e.share_data());
+        assert!(e.has_twin());
+        let locked = entry(1);
+        locked.cold_init().lock_held.set(true);
+        assert!(locked.cold().is_some_and(|c| c.lock_held.get()));
+    }
+
+    #[test]
+    fn sharers_match_a_set_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ops: Vec<(u8, usize)> =
+                (0..200).map(|_| (rng.gen_range(0..10u8), rng.gen_range(0..300usize))).collect();
+            eprintln!("seed {seed}: {ops:?}");
+            let (s, mut model) = (Sharers::new(), BTreeSet::new());
+            for &(op, rank) in &ops {
+                match op {
+                    0 => {
+                        s.clear();
+                        model.clear();
+                    }
+                    1..=5 => {
+                        s.add(rank);
+                        model.insert(rank);
+                    }
+                    _ => {
+                        s.remove(rank);
+                        model.remove(&rank);
+                    }
+                }
+                assert_eq!(s.contains(rank), model.contains(&rank), "seed {seed}: rank {rank}");
+                assert_eq!(s.is_empty(), model.is_empty(), "seed {seed}");
+                assert!(s.iter().eq(model.iter().copied()), "seed {seed}: iteration order");
+            }
+            assert!((0..300).all(|r| s.contains(r) == model.contains(&r)), "seed {seed}");
+            // An equal set built fresh in another order has the same
+            // fingerprint, whatever spill words the first one grew.
+            let fresh = Sharers::new();
+            for &r in model.iter().rev() {
+                fresh.add(r);
+            }
+            assert_eq!(s.fingerprint(), fresh.fingerprint(), "seed {seed}");
+        }
     }
 
     #[test]

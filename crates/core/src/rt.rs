@@ -1,7 +1,7 @@
 //! The per-node Ace runtime: dispatch, mapping, synchronization.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -238,6 +238,9 @@ pub struct AceRt<'n> {
     /// Indexed by `SpaceId`: ids come from this node's own counter.
     spaces: RefCell<Vec<Rc<SpaceEntry>>>,
     next_region_seq: Cell<u64>,
+    /// One all-zero buffer per region size, which every fresh entry of
+    /// that size aliases until its first write (see [`AceRt::zeros`]).
+    zeros: RefCell<BTreeMap<usize, Arc<[u64]>>>,
     /// Barrier state by tag: slot 0 the machine barrier's, slot `1 + sid`
     /// a space's. Grown on first use of a tag, by this node or a child.
     bars: RefCell<Vec<BarTag>>,
@@ -276,6 +279,7 @@ impl<'n> AceRt<'n> {
             rc_misses: Cell::new(0),
             spaces: RefCell::default(),
             next_region_seq: Cell::new(0),
+            zeros: RefCell::default(),
             bars: RefCell::default(),
             coll_seq: Cell::new(0),
             coll_recv: RefCell::new(HashMap::new()),
@@ -476,7 +480,7 @@ impl<'n> AceRt<'n> {
             }
             AceMsg::MetaReply { region, space, words } => {
                 // Create the (invalid) cache entry the mapper is waiting on.
-                let e = Rc::new(RegionEntry::new(region, space, words as usize));
+                let e = Rc::new(RegionEntry::new(region, space, self.zeros(words as usize)));
                 e.st.set(REMOTE_INVALID);
                 self.regions.borrow_mut().insert(e);
             }
@@ -492,23 +496,25 @@ impl<'n> AceRt<'n> {
                     .lookup(region)
                     .unwrap_or_else(|| panic!("lock request for unknown region {region}"));
                 assert!(e.is_home_of(self.rank()), "lock request must target home");
-                if e.lock_held.get() {
-                    e.lock_queue.borrow_mut().push_back(src as u16);
+                let lock = e.cold_init();
+                if lock.lock_held.get() {
+                    lock.lock_queue.borrow_mut().push_back(src as u16);
                 } else {
-                    e.lock_held.set(true);
+                    lock.lock_held.set(true);
                     self.send(src, AceMsg::LockGrant { region });
                 }
             }
             AceMsg::LockGrant { region } => {
                 let e = self.lookup(region).expect("lock grant for unknown region");
-                e.lock_granted.set(true);
+                e.cold_init().lock_granted.set(true);
             }
             AceMsg::LockRelease { region } => {
                 let e = self.lookup(region).expect("lock release for unknown region");
-                let next = e.lock_queue.borrow_mut().pop_front();
+                let lock = e.cold_init();
+                let next = lock.lock_queue.borrow_mut().pop_front();
                 match next {
                     Some(next) => self.send(next as usize, AceMsg::LockGrant { region }),
-                    None => e.lock_held.set(false),
+                    None => lock.lock_held.set(false),
                 }
             }
             AceMsg::Collective { seq, vals } => {
@@ -641,11 +647,26 @@ impl<'n> AceRt<'n> {
         let seq = self.next_region_seq.get();
         self.next_region_seq.set(seq + 1);
         let id = RegionId::new(self.rank(), seq);
-        let e = Rc::new(RegionEntry::new(id, space, words));
+        let e = Rc::new(RegionEntry::new(id, space, self.zeros(words)));
         e.st.set(HOME_OWNED_STATE);
         self.cache_fast(&e, Some(&*self.space(space).proto()));
         self.regions.borrow_mut().insert(e);
         id
+    }
+
+    /// This node's all-zero buffer of `words` words, for a fresh entry to
+    /// alias: copy-on-write makes an entry's copy private at its first
+    /// write, and most pooled or cached entries are replaced by a `DATA`
+    /// or never written. A miss first drops every buffer no entry aliases
+    /// any more: an idle buffer lives only until the next size this node
+    /// has not cached.
+    fn zeros(&self, words: usize) -> Arc<[u64]> {
+        let mut zeros = self.zeros.borrow_mut();
+        if let Some(z) = zeros.get(&words) {
+            return z.clone();
+        }
+        zeros.retain(|_, z| Arc::strong_count(z) > 1);
+        zeros.entry(words).or_insert_with(|| Arc::from(vec![0; words])).clone()
     }
 
     /// All region entries this node knows that belong to `space`, in id order.
@@ -1257,9 +1278,10 @@ impl<'n> AceRt<'n> {
     /// For a protocol's lock hook; programs lock through [`AceRt::lock`].
     pub fn default_lock(&self, e: &RegionEntry) {
         self.counters.borrow_mut().locks += 1;
-        e.lock_granted.set(false);
+        let lock = e.cold_init();
+        lock.lock_granted.set(false);
         self.send(e.id.home(), AceMsg::LockReq { region: e.id });
-        self.wait("lock grant", || e.lock_granted.get());
+        self.wait("lock grant", || lock.lock_granted.get());
     }
 
     /// The default unlock implementation. For a protocol's unlock hook;
@@ -1411,6 +1433,39 @@ mod tests {
         });
         assert_eq!(r.results[0], (16, SpaceId(0), 0));
         assert_eq!(r.results[1], (16, SpaceId(0), 1));
+    }
+
+    #[test]
+    fn fresh_entries_alias_one_zero_buffer_per_size() {
+        let r = run_ace(2, CostModel::free(), |rt| {
+            let s = rt.new_space(noop());
+            let ids = if rt.rank() == 0 {
+                let ids = [4, 4, 5].map(|words| rt.gmalloc_words(s, words).0);
+                rt.bcast(0, &ids)
+            } else {
+                rt.bcast(0, &[])
+            };
+            let [a, b, c] = [0, 1, 2].map(|i| RegionId(ids[i]));
+            for rid in [a, b, c] {
+                rt.map(rid);
+            }
+            let alias = |x: RegionId, y: RegionId| {
+                Arc::ptr_eq(&rt.entry(x).share_data(), &rt.entry(y).share_data())
+            };
+            let fresh = (alias(a, b), alias(a, c));
+            rt.machine_barrier();
+            if rt.rank() == 0 {
+                rt.start_write(a);
+                rt.with_mut::<u64, _>(a, |d| d[0] = 9);
+                rt.end_write(a);
+            }
+            let zeros = rt.entry(b).share_data().iter().all(|&w| w == 0);
+            (fresh, alias(a, b), zeros)
+        });
+        // Home allocations and remote metadata entries alike: one buffer
+        // per size, and a write makes only the writer's copy private.
+        assert_eq!(r.results[0], ((true, false), false, true));
+        assert_eq!(r.results[1], ((true, false), true, true));
     }
 
     #[test]
@@ -1585,8 +1640,9 @@ mod tests {
             // After everything quiesces the home lock must be free.
             if rt.rank() == 0 {
                 let e = rt.entry(rid);
-                rt.wait("lock settles", || !e.lock_held.get());
-                assert!(e.lock_queue.borrow().is_empty());
+                let lock = e.cold().expect("a locked region has its lock state");
+                rt.wait("lock settles", || !lock.lock_held.get());
+                assert!(lock.lock_queue.borrow().is_empty());
             }
             true
         });

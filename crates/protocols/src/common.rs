@@ -53,7 +53,9 @@ pub(crate) fn leave_home(
 /// without telling anyone: for protocols that keep no directory.
 pub(crate) fn drop_copy(e: &RegionEntry) {
     e.st.set(R_INVALID);
-    *e.twin.borrow_mut() = None;
+    if let Some(c) = e.cold() {
+        c.twin.take();
+    }
 }
 
 /// Barrier-time invalidation: drop every remote copy this node caches of

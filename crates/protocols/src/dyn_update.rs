@@ -118,7 +118,8 @@ impl DynamicUpdate {
     /// header) and go out when the writer blocks in `barrier`'s
     /// "update rounds drain" wait or a buffer reaches its threshold.
     fn push_round(&self, rt: &AceRt, e: &RegionEntry, writer: usize) {
-        let seq = e.blocked.borrow().back().map_or(0, |&(_, seq, _)| seq.wrapping_add(1));
+        let newest = e.cold().and_then(|c| c.blocked.borrow().back().map(|&(_, seq, _)| seq));
+        let seq = newest.map_or(0, |seq| seq.wrapping_add(1));
         // One snapshot shared across the whole fan-out: O(sharers)
         // refcount bumps instead of O(sharers) deep copies.
         let snapshot = e.share_data();
@@ -133,7 +134,7 @@ impl DynamicUpdate {
         if n == 0 {
             Self::round_done(rt, e, writer);
         } else {
-            e.blocked.borrow_mut().push_back((writer as u16, seq, n));
+            e.cold_init().blocked.borrow_mut().push_back((writer as u16, seq, n));
         }
     }
 
@@ -276,7 +277,7 @@ impl Protocol for DynamicUpdate {
             }
             op::UPD_ACK => {
                 // Retire one ack of round `msg.arg`; its last finishes it.
-                let mut q = e.blocked.borrow_mut();
+                let mut q = e.cold().expect("ack for unknown update round").blocked.borrow_mut();
                 let idx = q
                     .iter()
                     .position(|&(_, seq, _)| seq == msg.arg as u16)

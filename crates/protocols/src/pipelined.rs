@@ -121,7 +121,7 @@ impl Protocol for PipelinedWrite {
             fast = fast.union(Actions::ACCESS);
         } else if e.st.get() != R_INVALID {
             fast = fast.union(Actions::START_READ);
-            if e.twin.borrow().is_some() {
+            if e.has_twin() {
                 fast = fast.union(Actions::START_WRITE);
             }
         }
@@ -146,8 +146,8 @@ impl Protocol for PipelinedWrite {
             e.id
         );
         self.start_read(rt, e);
-        if !e.is_home_of(rt.rank()) && e.twin.borrow().is_none() {
-            *e.twin.borrow_mut() = Some(e.share_data());
+        if !e.is_home_of(rt.rank()) && !e.has_twin() {
+            *e.cold_init().twin.borrow_mut() = Some(e.share_data());
         }
     }
 
@@ -157,7 +157,7 @@ impl Protocol for PipelinedWrite {
         }
         let delta: std::sync::Arc<[u64]> = {
             let data = e.data.borrow();
-            let twin = e.twin.borrow();
+            let twin = e.cold().expect("write section had a twin").twin.borrow();
             let twin = twin.as_deref().expect("write section had a twin");
             data.iter()
                 .zip(twin.iter())
@@ -166,7 +166,7 @@ impl Protocol for PipelinedWrite {
         };
         // The twin advances to the current local contents so the next
         // write section diffs only its own writes.
-        *e.twin.borrow_mut() = Some(e.share_data());
+        *e.cold_init().twin.borrow_mut() = Some(e.share_data());
         let s = rt.space(e.space);
         s.outstanding.set(s.outstanding.get() + 1);
         rt.send_proto(e.id.home(), e.id, op::DELTA, 0, Some(delta));

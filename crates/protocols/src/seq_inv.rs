@@ -156,7 +156,7 @@ impl SeqInvalidate {
     /// Home side: replay the requests parked during a round (or behind
     /// home's own section) through the handler, oldest first.
     fn drain_blocked(&self, rt: &AceRt, e: &RegionEntry) {
-        let parked: Vec<(u16, u16, u64)> = e.blocked.borrow_mut().drain(..).collect();
+        let parked = e.cold().map(|c| c.blocked.take()).unwrap_or_default();
         for (from, op, arg) in parked {
             self.handle(rt, e, ProtoMsg { region: e.id, op, from, arg, data: None }, from as usize);
         }
@@ -189,7 +189,7 @@ fn park_request(rt: &AceRt, e: &RegionEntry, msg: &ProtoMsg) -> bool {
         auxbits::set(e, BUSY);
         rt.send_proto(e.owner.get() as usize, e.id, op::RECALL, 0, None);
     }
-    e.blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
+    e.cold_init().blocked.borrow_mut().push_back((msg.from, msg.op, msg.arg));
     true
 }
 
@@ -237,7 +237,7 @@ impl Protocol for SeqInvalidate {
                 }
             }
             // Home end hooks only replay parked requests.
-            if e.blocked.borrow().is_empty() {
+            if !e.has_blocked() {
                 fast = fast.union(Actions::END_READ).union(Actions::END_WRITE);
             }
         } else {
@@ -282,7 +282,7 @@ impl Protocol for SeqInvalidate {
 
     fn end_read(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            if !e.busy() && !auxbits::has(e, BUSY) && !e.blocked.borrow().is_empty() {
+            if !e.busy() && !auxbits::has(e, BUSY) && e.has_blocked() {
                 self.drain_blocked(rt, e);
             }
             return;

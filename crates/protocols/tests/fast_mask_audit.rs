@@ -51,11 +51,11 @@ fn state(rt: &AceRt, e: &RegionEntry) -> String {
         e.owner.get(),
         e.sharers.fingerprint(),
         e.pending.get(),
-        e.blocked.borrow().len(),
+        e.cold().map_or(0, |c| c.blocked.borrow().len()),
         e.mapped.get(),
         e.read_active.get(),
         e.write_active.get(),
-        e.twin.borrow().as_deref(),
+        e.cold().and_then(|c| c.twin.borrow().clone()).as_deref(),
         &**e.data.borrow(),
         e.fast.get(),
         rt.space(e.space).outstanding.get(),
@@ -131,10 +131,10 @@ fn states(spec: ProtoSpec) -> Vec<State> {
         ProtoSpec::Pipelined => vec![
             ("home", |s| s.home && s.bits(A::ACCESS, NONE)),
             ("a remote with a copy and no twin", |s| {
-                s.remote(R_SHARED) && s.e.twin.borrow().is_none() && s.bits(A::START_READ, WRITES)
+                s.remote(R_SHARED) && !s.e.has_twin() && s.bits(A::START_READ, WRITES)
             }),
             ("a remote with a twin", |s| {
-                !s.home && s.e.twin.borrow().is_some() && s.bits(A::START_WRITE, A::END_WRITE)
+                !s.home && s.e.has_twin() && s.bits(A::START_WRITE, A::END_WRITE)
             }),
         ],
         ProtoSpec::Null | ProtoSpec::FetchAdd => {
