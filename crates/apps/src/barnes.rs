@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::dsm::{exchange_ids, Dsm};
 use crate::Variant;
-use ace_core::Pod;
 use ace_protocols::{AdaptiveSpec, ProtoSpec};
 
 /// Bodies per leaf cell before it splits.
@@ -31,27 +30,26 @@ pub const LEAF_CAP: usize = 8;
 const EPS2: f64 = 1e-4;
 const DT: f64 = 0.01;
 
-/// One octree cell as stored in its region.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-pub struct Cell {
-    /// Center of mass.
-    pub cm: [f64; 3],
-    /// Total mass.
-    pub mass: f64,
-    /// Geometric cell size (cube edge).
-    pub size: f64,
-    /// 1 if leaf.
-    pub leaf: u64,
-    /// Children: cell-pool indices (`u64::MAX` = empty). Valid internal.
-    pub child: [u64; 8],
-    /// Member body region ids. Valid when leaf.
-    pub bodies: [u64; LEAF_CAP],
-    /// Number of member bodies when leaf.
-    pub nbodies: u64,
+ace_machine::pod_struct! {
+    /// One octree cell as stored in its region.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Cell {
+        /// Center of mass.
+        pub cm: [f64; 3],
+        /// Total mass.
+        pub mass: f64,
+        /// Geometric cell size (cube edge).
+        pub size: f64,
+        /// 1 if leaf.
+        pub leaf: u64,
+        /// Children: cell-pool indices (`u64::MAX` = empty). Valid internal.
+        pub child: [u64; 8],
+        /// Member body region ids. Valid when leaf.
+        pub bodies: [u64; LEAF_CAP],
+        /// Number of member bodies when leaf.
+        pub nbodies: u64,
+    }
 }
-
-unsafe impl Pod for Cell {}
 
 impl Cell {
     fn empty() -> Self {
@@ -67,21 +65,20 @@ impl Cell {
     }
 }
 
-/// One body as stored in its region.
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
-pub struct Body {
-    /// Position.
-    pub pos: [f64; 3],
-    /// Velocity.
-    pub vel: [f64; 3],
-    /// Acceleration (recomputed each step).
-    pub acc: [f64; 3],
-    /// Mass.
-    pub mass: f64,
+ace_machine::pod_struct! {
+    /// One body as stored in its region.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct Body {
+        /// Position.
+        pub pos: [f64; 3],
+        /// Velocity.
+        pub vel: [f64; 3],
+        /// Acceleration (recomputed each step).
+        pub acc: [f64; 3],
+        /// Mass.
+        pub mass: f64,
+    }
 }
-
-unsafe impl Pod for Body {}
 
 /// Barnes-Hut workload parameters.
 #[derive(Debug, Clone)]

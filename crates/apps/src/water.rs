@@ -15,7 +15,10 @@
 //! [`ace_protocols::NullProtocol`] and the force phase under
 //! [`ace_protocols::PipelinedWrite`] (delta accumulation, completion
 //! checked at the barrier). The SC variant relies on exclusive write
-//! sections for the read-modify-write force updates.
+//! sections for the read-modify-write force updates. Both apply the force
+//! buffers as a wavefront: in round `k` processor `r` writes owner
+//! `k − r`'s molecules, so owners take their writers in rank order, all
+//! owners at once.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +64,17 @@ fn block(total: usize, nprocs: usize, rank: usize) -> std::ops::Range<usize> {
     (per * rank).min(total)..(per * (rank + 1)).min(total)
 }
 
+/// The force wavefront's schedule for `rank`: one entry per round, naming
+/// the owner whose molecules `rank` writes in it. With `owners` ranks
+/// owning a molecule there are `2·owners − 1` rounds, and in round `k`
+/// rank `r` writes owner `k − r` when `0 ≤ k − r < owners`.
+fn wavefront(n: usize, nprocs: usize, rank: usize) -> Vec<Option<usize>> {
+    let owners = (0..nprocs).filter(|&r| !block(n, nprocs, r).is_empty()).count();
+    (0..(2 * owners).saturating_sub(1))
+        .map(|k| k.checked_sub(rank).filter(|&o| o < owners && rank < owners))
+        .collect()
+}
+
 /// Bounded inverse-cube pair force (gravity-like with softening), cheap
 /// and stable — the sharing pattern, not the chemistry, is what the
 /// benchmark reproduces.
@@ -75,10 +89,11 @@ fn pair_force(pi: &[f64], pj: &[f64]) -> [f64; 3] {
 
 /// Run Water; returns the verification value (global Σ|pos| after the
 /// last step). Every node first accumulates its pair contributions into a
-/// private buffer, then the nodes apply their buffers in a fixed
-/// (node, molecule-index) order — f64 addition does not commute in
-/// rounding, so this fixed reduction order is what makes the checksum
-/// reproducible run-to-run and digest-comparable across configurations.
+/// private buffer, then applies it in the rounds of a wavefront (see
+/// `wavefront`), so every molecule sums in a fixed (node, molecule-index)
+/// order — f64 addition does not commute in rounding, so this fixed
+/// reduction order is what makes the checksum reproducible run-to-run and
+/// digest-comparable across configurations.
 pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
     let mols_space = d.new_space(ProtoSpec::Sc);
     let n = p.molecules;
@@ -192,27 +207,25 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
         // this rendezvous the sharer sets the first writer invalidates
         // (and with them the message counts) depend on read/write timing.
         d.barrier(mols_space);
-        // Apply the buffers in a fixed (node, molecule-index) reduction
-        // order: nodes take barrier-separated turns, molecules in index
-        // order within a turn, so every accumulator sums the same values
-        // in the same order on every run regardless of how messages
-        // interleave.
-        for turn in 0..d.nprocs() {
-            if turn == d.rank() {
-                for (i, f) in frc.iter().enumerate() {
-                    if !touched[i] {
-                        continue;
-                    }
-                    let rid = mol_id[i];
-                    d.map(rid);
-                    d.write::<f64, _>(rid, |m| {
-                        for a in 0..3 {
-                            m[FRC + a] += f[a];
-                        }
-                    });
-                    d.unmap(rid);
-                    d.charge_flops(3);
+        // Apply the buffers as a wavefront: in round k this node writes
+        // owner k − rank's molecules in index order, then every node enters
+        // the barrier. Each owner takes one writer a round, in rank order,
+        // so every accumulator sums the same values in the same order on
+        // every run regardless of how messages interleave.
+        for owner in wavefront(n, d.nprocs(), d.rank()) {
+            for i in owner.map_or(0..0, |o| block(n, d.nprocs(), o)) {
+                if !touched[i] {
+                    continue;
                 }
+                let rid = mol_id[i];
+                d.map(rid);
+                d.write::<f64, _>(rid, |m| {
+                    for a in 0..3 {
+                        m[FRC + a] += frc[i][a];
+                    }
+                });
+                d.unmap(rid);
+                d.charge_flops(3);
             }
             d.barrier(mols_space);
         }
@@ -248,8 +261,8 @@ pub fn run<D: Dsm>(d: &D, p: &Params, v: Variant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{launch_ace, launch_crl};
-    use ace_core::CostModel;
+    use crate::runner::{launch_ace, launch_crl, observe};
+    use ace_core::{CostModel, Spmd};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -287,6 +300,72 @@ mod tests {
             cu.msgs,
             sc.msgs
         );
+    }
+
+    #[test]
+    fn wavefront_gives_each_owner_one_writer_per_round_in_rank_order() {
+        for n in [1, 7, 24, 96, 512] {
+            for nprocs in [1, 2, 3, 5, 8, 32, 1024] {
+                let owning: Vec<usize> =
+                    (0..nprocs).filter(|&r| !block(n, nprocs, r).is_empty()).collect();
+                let rounds = 2 * owning.len() - 1;
+                let plans: Vec<_> = (0..nprocs).map(|r| wavefront(n, nprocs, r)).collect();
+                // writers[o]: the ranks that write owner o, in round order.
+                let mut writers = vec![Vec::new(); nprocs];
+                for k in 0..rounds {
+                    let mut taken = vec![false; nprocs];
+                    for (r, plan) in plans.iter().enumerate() {
+                        assert_eq!(plan.len(), rounds, "n={n} P={nprocs}: rank {r}'s rounds");
+                        if let Some(o) = plan[k] {
+                            assert!(
+                                !std::mem::replace(&mut taken[o], true),
+                                "n={n} P={nprocs}: round {k} gives owner {o} two writers"
+                            );
+                            writers[o].push(r);
+                        }
+                    }
+                }
+                // Every (rank, owner) pair of owning ranks in exactly one
+                // round, each owner's writers in increasing rank order.
+                for (o, w) in writers.iter().enumerate() {
+                    let want = if owning.contains(&o) { &owning[..] } else { &[][..] };
+                    assert_eq!(w, want, "n={n} P={nprocs}: owner {o}'s writers");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wavefront_sums_bit_for_bit_as_the_rank_turns_did() {
+        // The verification value and the fold of every rank's home-region
+        // digest (final forces included), recorded from the barrier-
+        // separated rank turns the wavefront replaced. Every variant sums
+        // in the same order, so all three share one pair per input.
+        let bench = Params { molecules: 96, steps: 2, seed: 8 };
+        let cases = [
+            (Params::small(), 1, 0x4041af8e420e712d_u64, 0xd5a30331036edcba_u64),
+            (Params::small(), 3, 0x4042a0153d14c3e5, 0x885db076ef26bdee),
+            (Params::small(), 5, 0x404195963ca51174, 0xd6d2fc548d54b10a),
+            (Params::small(), 8, 0x4042001b9806940b, 0xb40ac10490817375),
+            (bench, 8, 0x406251e5acb2fbea, 0x8123f3f739770e7d),
+        ];
+        for (p, procs, bits, digest) in &cases {
+            for v in [Variant::Sc, Variant::Custom, Variant::Adaptive] {
+                let machine = Spmd::builder().nprocs(*procs).cost(CostModel::free());
+                let got = observe(machine, |_| {}, |d| run(d, p, v));
+                let fold = got.digests.iter().fold(0, |h: u64, &d| h.rotate_left(5) ^ d);
+                let case = format!("{} molecules, {procs} ranks, {v:?}", p.molecules);
+                assert_eq!(got.outcome.verification.to_bits(), *bits, "{case}");
+                assert_eq!(fold, *digest, "{case}");
+            }
+        }
+        for (p, procs, bits, _) in [&cases[1], &cases[3]] {
+            let got = launch_crl(*procs, CostModel::free(), |d| run(d, p, Variant::Sc));
+            assert_eq!(got.verification.to_bits(), *bits, "CRL, {procs} ranks");
+        }
+        let paper =
+            launch_ace(32, CostModel::free(), |d| run(d, &Params::paper(), Variant::Custom));
+        assert_eq!(paper.verification.to_bits(), 0x40881def93d01f5f, "paper input, 32 ranks");
     }
 
     #[test]

@@ -291,10 +291,11 @@ pub fn scaling(a: &Args) -> Result<(), String> {
     for app in apps {
         println!("{app}");
         let counts = std::iter::successors(Some(min.next_power_of_two()), |p| Some(p * 2));
-        // Water's deterministic force reduction takes `nprocs`
-        // barrier-separated turns per step, so its machine-size cost is
-        // quadratic in ranks no matter how thin the input; the curve past
-        // 1024 would measure only that artifact.
+        // Water's force phase is a wavefront of `2·owners − 1`
+        // barrier-separated rounds per step, so its message count stays
+        // quadratic in ranks however thin the input (3.2 M logical
+        // messages at 1024); past 1024 the sweep would spend its host
+        // time on those barriers.
         let ceiling = max.min(if app == "water" { 1024 } else { MAX_NODES });
         let counts = counts.take_while(|&p| p <= ceiling);
         // Figure 7b's first three: sc, custom, adaptive.

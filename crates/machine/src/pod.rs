@@ -2,8 +2,9 @@
 //!
 //! Region data in both runtimes is stored as `[u64]` words (8-byte aligned,
 //! like the CM-5's double-word-aligned heap). Applications view a region as
-//! a slice of some plain-old-data element type. The casts here are the only
-//! `unsafe` in the workspace and are guarded by size/alignment checks.
+//! a slice of some plain-old-data element type. The casts here, and the
+//! `Pod` impls that license them, are the only `unsafe` in the workspace
+//! outside the fiber switch, and are guarded by size/alignment checks.
 
 /// Marker for types that are valid for any bit pattern and contain no
 /// padding requirements beyond 8-byte alignment.
@@ -11,8 +12,10 @@
 /// # Safety
 ///
 /// Implementors must be `repr(C)` (or primitive), contain no references,
-/// no interior mutability and no invalid bit patterns, and have alignment
-/// at most 8.
+/// no interior mutability, no invalid bit patterns and no padding bytes,
+/// and have alignment at most 8. A struct implements it through
+/// [`pod_struct!`](crate::pod_struct), which proves all of that at compile
+/// time.
 pub unsafe trait Pod: Copy + 'static {}
 
 unsafe impl Pod for u8 {}
@@ -26,6 +29,65 @@ unsafe impl Pod for i64 {}
 unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
+
+/// Define a `repr(C)` struct and implement [`Pod`] for it once the compiler
+/// has proved it holds no padding: every field is `Pod`, the struct's size
+/// is the sum of its fields' sizes, and its alignment is at most 8. A
+/// padded struct would hand uninitialised bytes to every view of it.
+///
+/// ```
+/// ace_machine::pod_struct! {
+///     #[derive(Clone, Copy)]
+///     pub struct Sample {
+///         pub t: f64,
+///         pub id: u32,
+///         pub tag: u32,
+///     }
+/// }
+/// let words = [0u64; 2];
+/// assert_eq!(ace_machine::pod::view::<Sample>(&words, 1)[0].id, 0);
+/// ```
+///
+/// A struct with padding does not compile:
+///
+/// ```compile_fail,E0080
+/// ace_machine::pod_struct! {
+///     #[derive(Clone, Copy)]
+///     pub struct Padded {
+///         pub tag: u8,
+///         pub x: f64,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! pod_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr(C)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty),*
+        }
+
+        const _: () = {
+            const fn field_is_pod<T: $crate::pod::Pod>() {}
+            $(field_is_pod::<$fty>();)*
+            assert!(
+                ::core::mem::size_of::<$name>() == 0 $(+ ::core::mem::size_of::<$fty>())*,
+                concat!("`", stringify!($name), "` has padding, so it cannot be Pod"),
+            );
+            assert!(::core::mem::align_of::<$name>() <= 8, "Pod alignment must be <= 8");
+        };
+
+        // SAFETY: `repr(C)`, every field is `Pod`, and the assertions above
+        // prove there is no padding and the alignment fits word storage.
+        unsafe impl $crate::pod::Pod for $name {}
+    };
+}
 
 /// Number of `u64` words needed to store `count` elements of `T`.
 pub fn words_for<T: Pod>(count: usize) -> usize {
@@ -104,14 +166,14 @@ mod tests {
 
     #[test]
     fn struct_view() {
-        #[derive(Copy, Clone, Debug, PartialEq)]
-        #[repr(C)]
-        struct P {
-            x: f64,
-            y: f64,
-            tag: u64,
+        pod_struct! {
+            #[derive(Copy, Clone, Debug, PartialEq)]
+            struct P {
+                x: f64,
+                y: f64,
+                tag: u64,
+            }
         }
-        unsafe impl Pod for P {}
         let mut store = vec![0u64; words_for::<P>(2)];
         {
             let v = view_mut::<P>(&mut store, 2);
