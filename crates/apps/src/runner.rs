@@ -10,7 +10,7 @@ use ace_crl::run_crl_with;
 use crate::dsm::{AceDsm, CrlDsm};
 
 /// Everything a harness needs from one benchmark run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// The app's deterministic verification value (node 0's copy).
     pub verification: f64,
@@ -69,12 +69,68 @@ pub struct Observed {
     pub digests: Vec<u64>,
 }
 
+/// What an equivalence suite's axis may change between two runs of one
+/// program, and [`Observed::assert_equivalent`] therefore leaves out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// How logical messages group into wire envelopes
+    /// ([`OpCounters::wire_msgs`]): coalescing, the execution backend, an
+    /// engine in front of a protocol.
+    Wire,
+    /// Wire grouping and the header bytes a transport charges per envelope
+    /// (in-process against socket): every byte total.
+    Transport,
+    /// Which hook calls the fast mask absorbed: fast hits and maps that ran
+    /// no hook against dispatched and direct calls.
+    FastPath,
+}
+
 impl Observed {
     /// Protocol tag -> (logical messages, payload bytes), read from the
     /// trace of a traced launch.
     pub fn per_tag(&self) -> BTreeMap<&'static str, (u64, u64)> {
         let trace = self.outcome.trace.as_ref().expect("per_tag needs a traced launch");
         trace.summary().tags.iter().map(|t| (t.tag, (t.logical, t.bytes))).collect()
+    }
+
+    /// Assert that `other` ran the program `self` ran, as far as `axis`
+    /// lets two runs differ: the same verification bits, per-rank digests,
+    /// logical messages and payload bytes, per-tag logical counts and
+    /// bytes (when the runs were traced), counters but those `axis`
+    /// changes, no conformance violation, and no more wire envelopes than
+    /// logical messages on either side. A failure names `ctx`.
+    pub fn assert_equivalent(&self, other: &Observed, axis: Axis, ctx: &str) {
+        let (a, b) = (&self.outcome, &other.outcome);
+        assert_eq!(a.verification.to_bits(), b.verification.to_bits(), "{ctx}: verification value");
+        assert_eq!(self.digests, other.digests, "{ctx}: per-node region digests");
+        assert_eq!(a.msgs, b.msgs, "{ctx}: total logical message count");
+        let bytes = axis != Axis::Transport;
+        if bytes {
+            assert_eq!(a.bytes, b.bytes, "{ctx}: total payload bytes");
+        }
+        if a.trace.is_some() || b.trace.is_some() {
+            let tags = |o: &Observed| {
+                let tags = o.per_tag().into_iter();
+                tags.map(|(tag, (n, by))| (tag, n, by * bytes as u64)).collect::<Vec<_>>()
+            };
+            assert_eq!(tags(self), tags(other), "{ctx}: per-tag logical counts and bytes");
+        }
+        let strip = |c: &OpCounters| match axis {
+            Axis::Wire | Axis::Transport => OpCounters { wire_msgs: 0, ..c.clone() },
+            Axis::FastPath => {
+                OpCounters { dispatched: 0, direct: 0, fast_hits: 0, fast_maps: 0, ..c.clone() }
+            }
+        };
+        assert_eq!(strip(&a.counters), strip(&b.counters), "{ctx}: counters");
+        assert_eq!((a.violations, b.violations), (0, 0), "{ctx}: conformance violations");
+        for o in [a, b] {
+            assert!(
+                o.wire_msgs <= o.msgs,
+                "{ctx}: coalescing can only merge envelopes (wire={} logical={})",
+                o.wire_msgs,
+                o.msgs
+            );
+        }
     }
 }
 

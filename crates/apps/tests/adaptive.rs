@@ -17,11 +17,10 @@
 
 use std::rc::Rc;
 
-use ace_apps::runner::{observe, Observed};
+use ace_apps::runner::{observe, Axis, Observed};
 use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, Variant};
 use ace_core::{
-    run_ace_with, CheckMode, CostModel, ExecBackend, OpCounters, Protocol, RegionId, Spmd,
-    TransportKind,
+    run_ace_with, CheckMode, CostModel, ExecBackend, Protocol, RegionId, Spmd, TransportKind,
 };
 use ace_protocols::{make, AdaptiveEngine, AdaptiveSpec, ProtoSpec};
 use rand::rngs::StdRng;
@@ -36,18 +35,6 @@ where
     let o = observe(builder, |_| {}, f);
     assert_eq!(o.outcome.violations, 0, "checker counted violations");
     o
-}
-
-/// Everything that must not depend on whether a protocol was reached
-/// directly or through the engine, bit for bit.
-fn assert_equivalent(a: &Observed, b: &Observed) {
-    let (x, y) = (&a.outcome, &b.outcome);
-    assert_eq!(x.verification.to_bits(), y.verification.to_bits(), "verification value");
-    assert_eq!(a.digests, b.digests, "per-node region digests");
-    assert_eq!((x.msgs, x.bytes), (y.msgs, y.bytes), "logical messages and bytes");
-    // Wire grouping is timing-dependent; logical accounting is not.
-    let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&x.counters), strip(&y.counters), "counters");
 }
 
 /// Pinned adaptive vs the static protocol it names, on EM3D, across
@@ -77,7 +64,7 @@ fn pinned_adaptive_is_bit_identical_to_static_on_em3d() {
         eprintln!("seed {seed}: {p:?}, {stat:?}");
         let a = run_app(4, |d| em3d::run_with(d, &p, em3d::Em3dProto::Pinned(bit)));
         let b = run_app(4, |d| em3d::run_with(d, &p, stat));
-        assert_equivalent(&a, &b);
+        a.assert_equivalent(&b, Axis::Wire, &format!("seed {seed}"));
     }
 }
 

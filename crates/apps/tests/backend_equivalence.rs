@@ -24,9 +24,9 @@
 //! sixteen nodes on the one executor thread still make progress through
 //! barrier-heavy phases.
 
-use ace_apps::runner::{observe, Observed};
+use ace_apps::runner::{observe, Axis, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{CheckMode, CostModel, ExecBackend, MachineBuilder, OpCounters, Spmd, TraceConfig};
+use ace_core::{CheckMode, CostModel, ExecBackend, MachineBuilder, Spmd, TraceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,30 +44,6 @@ fn machine(nprocs: usize) -> MachineBuilder {
         .cost(CostModel::cm5())
         .trace(TraceConfig::on())
         .check(CheckMode::Log)
-}
-
-/// Full logical bit-equivalence across backends. The wire grouping is
-/// the one timing-dependent observable (see the module comment); it is
-/// only bounded, never compared exactly.
-fn assert_equivalent(th: &Observed, mx: &Observed, ctx: &str) {
-    let (t, m) = (&th.outcome, &mx.outcome);
-    assert_eq!(t.verification.to_bits(), m.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(th.digests, mx.digests, "{ctx}: per-node region digests");
-    assert_eq!(t.msgs, m.msgs, "{ctx}: total logical message count");
-    assert_eq!(t.bytes, m.bytes, "{ctx}: total payload bytes");
-    assert_eq!(th.per_tag(), mx.per_tag(), "{ctx}: per-tag logical counts and bytes");
-    let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&t.counters), strip(&m.counters), "{ctx}: counters");
-    assert_eq!(t.violations, m.violations, "{ctx}: conformance report");
-    assert_eq!(t.violations, 0, "{ctx}: checker counted violations");
-    for (name, o) in [("threads", t), ("multiplexed", m)] {
-        assert!(
-            o.wire_msgs <= o.msgs,
-            "{ctx}/{name}: coalescing can only merge envelopes (wire={} logical={})",
-            o.wire_msgs,
-            o.msgs
-        );
-    }
 }
 
 /// Seeds 74..78 (`fast_path_equivalence` lists every suite's
@@ -89,7 +65,7 @@ fn em3d_backend_preserves_behavior() {
         eprintln!("seed {seed}: {p:?}, {v:?}");
         let th = run_app(ExecBackend::Threads, 4, |d| em3d::run(d, &p, v));
         let mx = run_app(ExecBackend::Multiplexed, 4, |d| em3d::run(d, &p, v));
-        assert_equivalent(&th, &mx, "em3d");
+        th.assert_equivalent(&mx, Axis::Wire, "em3d");
     }
 }
 
@@ -108,7 +84,7 @@ fn water_backend_preserves_behavior() {
         eprintln!("seed {seed}: {p:?}, {v:?}");
         let th = run_app(ExecBackend::Threads, 4, |d| water::run(d, &p, v));
         let mx = run_app(ExecBackend::Multiplexed, 4, |d| water::run(d, &p, v));
-        assert_equivalent(&th, &mx, "water");
+        th.assert_equivalent(&mx, Axis::Wire, "water");
     }
 }
 
@@ -128,7 +104,7 @@ fn em3d_backends_agree_at_64_nodes() {
     };
     let th = run_app(ExecBackend::Threads, 64, |d| em3d::run(d, &p, Variant::Custom));
     let mx = run_app(ExecBackend::Multiplexed, 64, |d| em3d::run(d, &p, Variant::Custom));
-    assert_equivalent(&th, &mx, "em3d @ 64");
+    th.assert_equivalent(&mx, Axis::Wire, "em3d @ 64");
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //! departure relies on a blocking point flushing the buffers. If any wait could block with
 //! sends still buffered, this run would hang until the watchdog panics.
 
-use ace_apps::runner::{observe, Observed};
+use ace_apps::runner::{observe, Axis, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
 use ace_core::{AceMsg, CoalescePolicy, CostModel, MachineBuilder, OpCounters, Spmd, TraceConfig};
 use ace_machine::MsgSize;
@@ -65,23 +65,6 @@ fn assert_transport_accounting(off: &Observed, on: &Observed, ctx: &str) {
     }
 }
 
-/// Full logical bit-equivalence, for workloads deterministic end to end.
-fn assert_equivalent(off: &Observed, on: &Observed, ctx: &str) {
-    let (o, n) = (&off.outcome, &on.outcome);
-    assert_eq!(o.verification.to_bits(), n.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(off.digests, on.digests, "{ctx}: per-node region digests");
-    assert_eq!(o.msgs, n.msgs, "{ctx}: total logical message count");
-    assert_eq!(o.bytes, n.bytes, "{ctx}: total payload bytes");
-    assert_eq!(off.per_tag(), on.per_tag(), "{ctx}: per-tag logical counts and bytes");
-
-    // All counters must agree exactly except the wire grouping, which is
-    // the one thing coalescing exists to change: the two sides differ in
-    // it by design (`assert_transport_accounting` says how).
-    let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&o.counters), strip(&n.counters), "{ctx}: counters");
-    assert_transport_accounting(off, on, ctx);
-}
-
 /// Seeds 70..74 (`fast_path_equivalence` lists every suite's
 /// seeds for these EM3D inputs; no two share one).
 #[test]
@@ -101,7 +84,8 @@ fn em3d_coalescing_preserves_behavior() {
         eprintln!("seed {seed}: {p:?}, {v:?}");
         let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, v));
         let on = run_app(AceMsg::COALESCE, |d| em3d::run(d, &p, v));
-        assert_equivalent(&off, &on, "em3d");
+        off.assert_equivalent(&on, Axis::Wire, "em3d");
+        assert_transport_accounting(&off, &on, "em3d");
     }
 }
 
@@ -123,7 +107,8 @@ fn water_coalescing_preserves_behavior() {
         // Water's fixed (node, molecule) force reduction order makes it
         // bit-deterministic, so it earns the same strict comparison as
         // EM3D — digests, per-tag counts, and all.
-        assert_equivalent(&off, &on, "water");
+        off.assert_equivalent(&on, Axis::Wire, "water");
+        assert_transport_accounting(&off, &on, "water");
     }
 }
 
@@ -144,7 +129,8 @@ fn em3d_coalescing_reduces_wire_traffic_at_default_scale() {
     };
     let off = run_app(CoalescePolicy::Off, |d| em3d::run(d, &p, Variant::Custom));
     let on = run_app(AceMsg::COALESCE, |d| em3d::run(d, &p, Variant::Custom));
-    assert_equivalent(&off, &on, "em3d custom default scale");
+    off.assert_equivalent(&on, Axis::Wire, "em3d custom default scale");
+    assert_transport_accounting(&off, &on, "em3d custom default scale");
     assert!(
         on.outcome.wire_msgs < on.outcome.msgs,
         "EM3D update pushes should coalesce: {} wire vs {} logical",

@@ -25,7 +25,7 @@
 //! a node blocks). So every comparison here — the wire-envelope grouping
 //! and "may only shrink" included — is exact, on one sample per side.
 
-use ace_apps::runner::{observe, Observed};
+use ace_apps::runner::{observe, Axis, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
 use ace_core::{CostModel, ExecBackend, OpCounters, Spmd};
 use rand::rngs::StdRng;
@@ -75,32 +75,11 @@ fn assert_fast_accounting(off: &Observed, on: &Observed, ctx: &str) {
 /// returns the fast run's observations.
 fn assert_equivalent(ctx: &str, run: impl Fn(bool) -> Observed) -> Observed {
     let (slow, fast) = (run(false), run(true));
-    let (off, on) = (&slow.outcome, &fast.outcome);
-    assert_eq!(off.verification.to_bits(), on.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(slow.digests, fast.digests, "{ctx}: per-node region digests");
-    assert_eq!(off.msgs, on.msgs, "{ctx}: total message count");
-    assert_eq!(off.bytes, on.bytes, "{ctx}: total payload bytes");
-
-    // All counters must agree exactly, the wire-envelope grouping
-    // included; only the split between fast hits and dispatched/direct
-    // calls, and how many maps ran no hook, may differ.
-    let strip = |c: &OpCounters| OpCounters {
-        dispatched: 0,
-        direct: 0,
-        fast_hits: 0,
-        fast_maps: 0,
-        ..c.clone()
-    };
-    assert_eq!(strip(&off.counters), strip(&on.counters), "{ctx}: counters");
+    slow.assert_equivalent(&fast, Axis::FastPath, ctx);
     assert_fast_accounting(&slow, &fast, ctx);
-
     // Skipped hooks only ever remove locally-charged cost.
-    assert!(
-        on.sim_ns <= off.sim_ns,
-        "{ctx}: fast paths slowed the run (on={} off={})",
-        on.sim_ns,
-        off.sim_ns
-    );
+    let (off, on) = (slow.outcome.sim_ns, fast.outcome.sim_ns);
+    assert!(on <= off, "{ctx}: fast paths slowed the run (on={on} off={off})");
     fast
 }
 

@@ -22,9 +22,9 @@
 //!   is a *cost model* difference, not a behavioral one, and nothing
 //!   logical may depend on it.
 
-use ace_apps::runner::{observe, Observed};
+use ace_apps::runner::{observe, Axis, Observed};
 use ace_apps::{em3d, water, AceDsm, Variant};
-use ace_core::{CheckMode, CostModel, OpCounters, Spmd, TraceConfig, TransportKind};
+use ace_core::{CheckMode, CostModel, Spmd, TraceConfig, TransportKind};
 
 /// A traced, checked run of `f` over `transport`.
 fn run_app<F>(transport: TransportKind, nprocs: usize, f: F) -> Observed
@@ -38,29 +38,6 @@ where
         .check(CheckMode::Log)
         .transport(transport);
     observe(builder, |_| {}, f)
-}
-
-/// Full logical bit-equivalence across transports; wire grouping and byte
-/// accounting excluded per the module comment.
-fn assert_equivalent(inproc: &Observed, socket: &Observed, ctx: &str) {
-    let (ip, sk) = (&inproc.outcome, &socket.outcome);
-    assert_eq!(ip.verification.to_bits(), sk.verification.to_bits(), "{ctx}: verification value");
-    assert_eq!(inproc.digests, socket.digests, "{ctx}: per-node region digests");
-    assert_eq!(ip.msgs, sk.msgs, "{ctx}: total logical message count");
-    let logical = |o: &Observed| o.per_tag().into_iter().map(|(t, c)| (t, c.0)).collect::<Vec<_>>();
-    assert_eq!(logical(inproc), logical(socket), "{ctx}: per-tag logical message counts");
-    let strip = |c: &OpCounters| OpCounters { wire_msgs: 0, ..c.clone() };
-    assert_eq!(strip(&ip.counters), strip(&sk.counters), "{ctx}: counters");
-    assert_eq!(ip.violations, sk.violations, "{ctx}: conformance report");
-    assert_eq!(ip.violations, 0, "{ctx}: checker counted violations");
-    for (name, o) in [("inproc", ip), ("socket", sk)] {
-        assert!(
-            o.wire_msgs <= o.msgs,
-            "{ctx}/{name}: coalescing can only merge envelopes (wire={} logical={})",
-            o.wire_msgs,
-            o.msgs
-        );
-    }
 }
 
 #[test]
@@ -77,7 +54,7 @@ fn em3d_transports_agree() {
     for variant in [Variant::Sc, Variant::Custom] {
         let ip = run_app(TransportKind::InProc, 8, |d| em3d::run(d, &p, variant));
         let sk = run_app(TransportKind::socket_loopback(), 8, |d| em3d::run(d, &p, variant));
-        assert_equivalent(&ip, &sk, "em3d");
+        ip.assert_equivalent(&sk, Axis::Transport, "em3d");
     }
 }
 
@@ -87,7 +64,7 @@ fn water_transports_agree() {
     for variant in [Variant::Sc, Variant::Custom] {
         let ip = run_app(TransportKind::InProc, 8, |d| water::run(d, &p, variant));
         let sk = run_app(TransportKind::socket_loopback(), 8, |d| water::run(d, &p, variant));
-        assert_equivalent(&ip, &sk, "water");
+        ip.assert_equivalent(&sk, Axis::Transport, "water");
     }
 }
 
@@ -107,5 +84,5 @@ fn em3d_transports_agree_at_16_ranks() {
     };
     let ip = run_app(TransportKind::InProc, 16, |d| em3d::run(d, &p, Variant::Custom));
     let sk = run_app(TransportKind::socket_loopback(), 16, |d| em3d::run(d, &p, Variant::Custom));
-    assert_equivalent(&ip, &sk, "em3d @ 16");
+    ip.assert_equivalent(&sk, Axis::Transport, "em3d @ 16");
 }

@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 use crate::cell::Input;
-use crate::{ablation, figures, tracecheck, verify};
+use crate::{ablation, claims, figures, tracecheck};
 
 /// What a subcommand runs.
 pub type Run = fn(&Args) -> Result<(), String>;
@@ -18,7 +18,7 @@ const PAPER: Flag = ("--paper", "");
 const PROCS: Flag = ("--procs", "N");
 const JSON: Flag = ("--json", "[PATH]");
 const TRACE: Flag = ("--trace", "PATH");
-const APP: Flag = ("--app", "APP,...");
+const APP: Flag = ("--app", "APP[,APP]");
 const MIN: Flag = ("--min", "N");
 const MAX: Flag = ("--max", "N");
 const SMOKE: Flag = ("--smoke", "");
@@ -36,7 +36,7 @@ const COMMANDS: [(&str, &str, &[Flag], Run); 8] = [
     ("scaling", "", &[APP, MIN, MAX, JSON, SMOKE], figures::scaling),
     ("ablation", "", &[], ablation::ablation),
     ("tracecheck", "", &[PROCS, OUT, VALIDATE], tracecheck::tracecheck),
-    ("verify", "FILE...", &[], |a| a.each_file(verify::verify)),
+    ("report", "", &[], claims::report),
 ];
 
 /// The usage text, printed (to stderr, exit status 2) with any parse error.
@@ -155,13 +155,19 @@ impl Args {
 
     /// Where `--json [PATH]` points: an explicit path wins; bare `--json`
     /// falls back to `default_name` at the repo root, where CI and
-    /// EXPERIMENTS.md expect the tracked `BENCH_*.json` files.
+    /// `ace-bench report` expect the tracked `BENCH_*.json` files.
     pub fn json_path(&self, default_name: &str) -> Option<PathBuf> {
         self.has("--json").then(|| match self.value("--json") {
             Some(p) => PathBuf::from(p),
-            None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(default_name),
+            None => repo_root().join(default_name),
         })
     }
+}
+
+/// The repository's root: where the tracked `BENCH_*.json` files and
+/// EXPERIMENTS.md live.
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Resolve a comma-separated app list against `known`: entries are
@@ -251,14 +257,23 @@ mod tests {
 
     #[test]
     fn file_lists_are_never_empty_and_never_ignored() {
-        assert!(parse(&["verify"]).unwrap_err().contains("at least one of FILE..."));
         assert!(parse(&["tracecheck", "--validate"])
             .unwrap_err()
             .contains("at least one of FILE..."));
         // Without `--validate` a file would be silently ignored.
         assert!(parse(&["tracecheck", "a.json"]).unwrap_err().contains("no positional"));
-        assert_eq!(parse(&["verify", "a.json"]).unwrap().files, ["a.json"]);
+        assert_eq!(parse(&["tracecheck", "--validate", "a.json"]).unwrap().files, ["a.json"]);
         assert!(parse(&["tracecheck"]).unwrap().files.is_empty());
+        assert!(parse(&["report", "BENCH_fig7a.json"]).unwrap_err().contains("no positional"));
+    }
+
+    #[test]
+    fn a_comma_list_is_one_value() {
+        // `--app water` once landed in the file list, so the sweep ran
+        // every app.
+        let a = parse(&["scaling", "--app", "water", "--max", "4"]).unwrap();
+        assert_eq!((a.value("--app"), a.files.len()), (Some("water"), 0));
+        assert!(parse(&["scaling", "--app"]).unwrap_err().contains("`--app` needs a value"));
     }
 
     #[test]
@@ -268,7 +283,7 @@ mod tests {
         assert!(
             text.contains("  ace-bench tracecheck [--procs N] [--out PATH] [--validate FILE...]")
         );
-        assert!(text.contains("  ace-bench verify FILE...\n"), "{text}");
+        assert!(text.contains("  ace-bench report\n"), "{text}");
         assert!(text.contains("[--small] [--paper]"), "{text}");
     }
 }

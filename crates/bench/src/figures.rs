@@ -1,15 +1,17 @@
 //! The paper's evaluation (§5) as data: each figure is a list of cells
 //! laid out line-major, measured, pivoted into printed lines and — with
-//! `--json` — written out row by row.
+//! `--json` — written out row by row. [`FIGURES`] names, for each table a
+//! `BENCH_*.json` file holds, the cells it measures and the columns its
+//! lines print through; `ace-bench report` lays the committed rows out
+//! through the same columns.
 
 use ace_apps::Variant;
 use ace_core::{CheckMode, MAX_NODES};
-use ace_lang::OptLevel;
 
 use crate::acec::table4_cells;
 use crate::args::{parse_apps, Args};
 use crate::cell::{grid, measure, Cell, Input, Row, Tweak, What, APPS};
-use crate::json;
+use crate::{claims, json};
 
 const SC: What = What::Ace(Variant::Sc);
 const CUSTOM: What = What::Ace(Variant::Custom);
@@ -43,10 +45,10 @@ pub const FIG7B: [Config; 5] = [
 /// table line. Every figure lays its cells out line-major — all the
 /// configurations of one printed line, then the next line's — so a line is
 /// a run of consecutive rows.
-type Col = (&'static str, usize, fn(&[Row]) -> String);
+pub type Col = (&'static str, usize, fn(&[Row]) -> String);
 
 /// The row of `line` whose configuration label is `config`.
-fn by<'a>(line: &'a [Row], config: &str) -> &'a Row {
+pub(crate) fn by<'a>(line: &'a [Row], config: &str) -> &'a Row {
     let found = line.iter().find(|r| r.cell.config == config);
     found.unwrap_or_else(|| panic!("no `{config}` cell on this line"))
 }
@@ -69,24 +71,141 @@ fn line(key: &str, cols: &[Col], text: impl Fn(&Col) -> String) -> String {
 }
 
 /// A table's key column: its header, and the text from a line's first row.
-type Key = (&'static str, fn(&Row) -> String);
+pub type Key = (&'static str, fn(&Row) -> String);
+
+/// The header line of a table.
+fn header(key: Key, cols: &[Col]) -> String {
+    line(key.0, cols, |col| col.0.to_string())
+}
+
+/// The printed line of the rows `l`.
+fn body(key: Key, cols: &[Col], l: &[Row]) -> String {
+    line(&(key.1)(&l[0]), cols, |col| (col.2)(l))
+}
 
 /// The one pivot: measure `cells`, `n` configurations to the printed line,
 /// and print each line as soon as it is measured (the top of the scaling
 /// sweep takes minutes).
 fn table(key: Key, cols: &[Col], n: usize, cells: &[Cell]) -> Vec<Row> {
-    println!("{}", line(key.0, cols, |col| col.0.to_string()));
+    println!("{}", header(key, cols));
     let mut rows = Vec::new();
     for cells in cells.chunks(n) {
         let l: Vec<Row> = cells.iter().map(measure).collect();
-        println!("{}", line(&(key.1)(&l[0]), cols, |col| (col.2)(&l)));
+        println!("{}", body(key, cols, &l));
         rows.extend(l);
     }
     rows
 }
 
+/// A table the harness writes to `BENCH_<table>.json`: which cells it
+/// measures and how its lines print.
+pub struct Figure {
+    /// The rows' `table` field, and the file's name.
+    pub table: &'static str,
+    /// The key column.
+    pub key: Key,
+    /// The columns, the paper column last where the table has claims.
+    pub cols: &'static [Col],
+    /// Rows to a printed line.
+    pub n: usize,
+    /// The cells the committed file holds, in order, given its first
+    /// row's processor count (the scaling sweep ignores it).
+    pub cells: fn(usize) -> Result<Vec<Cell>, String>,
+}
+
+impl Figure {
+    /// `rows` as printed: the header, then one line per `n` rows.
+    pub fn layout(&self, rows: &[Row]) -> String {
+        let lines = rows.chunks(self.n).map(|l| body(self.key, self.cols, l) + "\n");
+        header(self.key, self.cols) + "\n" + &lines.collect::<String>()
+    }
+
+    /// Print the table while measuring `cells`, then its claims list.
+    fn show(&self, cells: &[Cell]) -> Vec<Row> {
+        let rows = table(self.key, self.cols, self.n, cells);
+        print!("\n{}", claims::list(&claims::evaluate(self, &rows)));
+        rows
+    }
+}
+
 /// The key column of the per-app tables.
 const BY_APP: Key = ("benchmark   ", |r| format!("{:<12}", r.cell.app));
+
+const SC_MS: Col = ("SC (ms)", 12, |l| ms(l, "sc"));
+const CUSTOM_MS: Col = ("custom (ms)", 14, |l| ms(l, "custom"));
+const SPEEDUP: Col = ("speedup", 10, |l| ratio(l, "sc", "custom"));
+const ADAPTIVE_MS: Col = ("adaptive (ms)", 14, |l| ms(l, "adaptive"));
+const SWITCHES: Col = ("switches", 9, |l| by(l, "adaptive").out.counters.switches.to_string());
+
+const FIG7A_COLS: [Col; 5] = [
+    ("Ace (ms)", 12, |l| ms(l, "ace")),
+    ("CRL (ms)", 12, |l| ms(l, "crl")),
+    ("CRL/Ace", 10, |l| ratio(l, "crl", "ace")),
+    ADAPTIVE_MS,
+    ("paper", 12, |l| claims::column("fig7a", l)),
+];
+
+const FIG7B_COLS: [Col; 8] = [
+    SC_MS,
+    CUSTOM_MS,
+    SPEEDUP,
+    ADAPTIVE_MS,
+    SWITCHES,
+    ("custom wire/logical", 22, |l| {
+        format!("{}/{}", by(l, "custom").out.wire_msgs, by(l, "custom").out.msgs)
+    }),
+    ("custom-nocoal (ms)", 19, |l| ms(l, "custom-nocoal")),
+    ("paper", 30, |l| claims::column("fig7b", l)),
+];
+
+/// Table 4's columns: the four optimization levels (kernel-major cells,
+/// [`OptLevel::ALL`](ace_lang::OptLevel::ALL) order), the hand kernel, and
+/// how much slower the best level is than hand.
+const TABLE4_COLS: [Col; 7] = [
+    ("base", 9, |l| format!("{:.2}", l[0].ms())),
+    ("LI", 9, |l| format!("{:.2}", l[1].ms())),
+    ("LI+MC", 9, |l| format!("{:.2}", l[2].ms())),
+    ("LI+MC+DC", 9, |l| format!("{:.2}", l[3].ms())),
+    ("hand", 9, |l| ms(l, "hand")),
+    ("best/hand", 10, |l| format!("{:.2}", l[3].ms() / by(l, "hand").ms())),
+    ("paper", 38, |l| claims::column("table4", l)),
+];
+
+const SCALING_COLS: [Col; 5] = [SC_MS, CUSTOM_MS, SPEEDUP, ADAPTIVE_MS, SWITCHES];
+
+/// Every table the harness writes, as the committed files hold it:
+/// Figure 7a, Figure 7b and Table 4 at 8 ranks on the default inputs,
+/// and the whole scaling sweep.
+pub static FIGURES: [Figure; 4] = [
+    Figure {
+        table: "fig7a",
+        key: BY_APP,
+        cols: &FIG7A_COLS,
+        n: 3,
+        cells: |procs| Ok(grid(&APPS, &FIG7A, Input::Default, procs)),
+    },
+    Figure {
+        table: "fig7b",
+        key: BY_APP,
+        cols: &FIG7B_COLS,
+        n: 5,
+        cells: |procs| Ok(grid(&APPS, &FIG7B, Input::Default, procs)),
+    },
+    Figure {
+        table: "table4",
+        key: ("kernel      ", |r| format!("{:<12}", r.cell.app)),
+        cols: &TABLE4_COLS,
+        n: 5,
+        cells: |procs| table4_cells(procs).map_err(|e| e.to_string()),
+    },
+    Figure {
+        table: "scaling",
+        key: ("app       procs", |r| format!("{:<8} {:>6}", r.cell.app, r.cell.procs)),
+        cols: &SCALING_COLS,
+        n: 3,
+        cells: |_| Ok(scaling_cells(&SCALING_APPS, 2, MAX_NODES)),
+    },
+];
 
 /// The `--json` tail every figure shares.
 fn write_json(a: &Args, table: &str, rows: &[Row]) -> Result<(), String> {
@@ -122,46 +241,28 @@ fn write_trace(a: &Args, what: What, procs: usize) -> Result<(), String> {
     Ok(())
 }
 
-const FIG7A_COLS: [Col; 4] = [
-    ("Ace (ms)", 12, |l| ms(l, "ace")),
-    ("CRL (ms)", 12, |l| ms(l, "crl")),
-    ("CRL/Ace", 10, |l| ratio(l, "crl", "ace")),
-    ("adaptive (ms)", 14, |l| ms(l, "adaptive")),
-];
+/// The figure that writes `table`.
+pub fn figure(table: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.table == table)
+}
 
 /// `ace-bench fig7a`.
 pub fn fig7a(a: &Args) -> Result<(), String> {
     let (input, procs) = (a.input(), a.num("--procs", 8)?);
     println!("Figure 7a: Ace runtime vs CRL (SC protocol), {procs} procs");
-    let rows = table(BY_APP, &FIG7A_COLS, 3, &grid(&APPS, &FIG7A, input, procs));
+    let rows = FIGURES[0].show(&grid(&APPS, &FIG7A, input, procs));
     println!("\n(simulated time on the CM-5-flavoured cost model; >1 means Ace is faster;");
     println!(" the adaptive column is Ace under the runtime protocol-selection engine)");
     write_json(a, "fig7a", &rows)?;
     write_trace(a, SC, procs)
 }
 
-/// The columns Figure 7b and the scaling sweep share.
-const VARIANT_COLS: [Col; 5] = [
-    ("SC (ms)", 12, |l| ms(l, "sc")),
-    ("custom (ms)", 14, |l| ms(l, "custom")),
-    ("speedup", 10, |l| ratio(l, "sc", "custom")),
-    ("adaptive (ms)", 14, |l| ms(l, "adaptive")),
-    ("switches", 9, |l| by(l, "adaptive").out.counters.switches.to_string()),
-];
-
 /// `ace-bench fig7b`.
 pub fn fig7b(a: &Args) -> Result<(), String> {
     let (input, procs) = (a.input(), a.num("--procs", 8)?);
     println!("Figure 7b: SC vs application-specific protocols in Ace, {procs} procs");
-    let wire: Col = ("custom wire/logical", 22, |l| {
-        format!("{}/{}", by(l, "custom").out.wire_msgs, by(l, "custom").out.msgs)
-    });
-    let cols = [&VARIANT_COLS[..], &[wire]].concat();
-    let rows = table(BY_APP, &cols, 5, &grid(&APPS, &FIG7B, input, procs));
-    let speedups = rows.chunks(5).map(|l| by(l, "sc").ms() / by(l, "custom").ms());
-    let avg = speedups.sum::<f64>() / APPS.len() as f64;
-    println!("\naverage speedup: {avg:.2} (paper: range 1.02-5, average ~2)");
-    println!("custom protocols: barnes=dynamic update, bsc=home-owned, em3d=static update,");
+    let rows = FIGURES[1].show(&grid(&APPS, &FIG7B, input, procs));
+    println!("\ncustom protocols: barnes=dynamic update, bsc=home-owned, em3d=static update,");
     println!("                  tsp=fetch-and-add counter, water=null+pipelined phases");
     println!("adaptive: the engine picks per-space protocols at flush points at runtime");
     println!("*-nocoal configs rerun with the coalescing transport disabled");
@@ -230,35 +331,17 @@ pub fn check(a: &Args) -> Result<(), String> {
 }
 
 /// `ace-bench table4`: effects of the compiler optimizations on the
-/// benchmark kernels, against hand-written runtime-system code. Printed
-/// transposed: one line per optimization level, one column per kernel
-/// (the cells are kernel-major: four levels, then hand).
+/// benchmark kernels, against hand-written runtime-system code: one line
+/// per kernel (the cells are kernel-major: four levels, then hand).
 pub fn table4(a: &Args) -> Result<(), String> {
     let procs = a.num("--procs", 8)?;
     let cells = table4_cells(procs).map_err(|e| e.to_string())?;
     println!("Table 4: compiler optimization effects ({procs} procs, simulated ms)");
-    let rows: Vec<Row> = cells.iter().map(measure).collect();
-    print!("{:<24}", "Optimization");
+    let rows = FIGURES[2].show(&cells);
+    println!("\nverification, compiled at LI+MC+DC and hand:");
     for k in rows.chunks(5) {
-        print!(" {:>11}", k[0].cell.app);
-    }
-    let labels = OptLevel::ALL.map(OptLevel::label).into_iter().chain(["Hand-optimized"]);
-    for (i, label) in labels.enumerate() {
-        print!("\n{label:<24}");
-        for k in rows.chunks(5) {
-            print!(" {:>11.2}", k[i].ms());
-        }
-    }
-    println!("\n\nbest-compiled / hand ratios (paper: 1.1-1.3x):");
-    for k in rows.chunks(5) {
-        let (best, hand) = (&k[3], &k[4]);
-        println!(
-            "  {:<12} {:.2}x   (verification compiled={:.6} hand={:.6})",
-            hand.cell.app,
-            best.ms() / hand.ms(),
-            best.out.verification,
-            hand.out.verification
-        );
+        let (best, hand) = (&k[3].out, &k[4].out);
+        println!("  {:<12} {:.6} {:.6}", k[0].cell.app, best.verification, hand.verification);
     }
     write_json(a, "table4", &rows)?;
     write_trace(a, CUSTOM, procs)
@@ -286,10 +369,16 @@ pub fn scaling(a: &Args) -> Result<(), String> {
         ("SC wall", 12, |l| format!("{:.1}ms", wall_ms(by(l, "sc")))),
         ("custom wall", 12, |l| format!("{:.1}ms", wall_ms(by(l, "custom")))),
     ];
-    let cols = [&VARIANT_COLS[..], &walls].concat();
-    let mut rows = Vec::new();
-    for app in apps {
-        println!("{app}");
+    let cols = [&SCALING_COLS[..], &walls].concat();
+    let rows = table(FIGURES[3].key, &cols, 3, &scaling_cells(&apps, min, max));
+    write_json(a, "scaling", &rows)
+}
+
+/// The sweep's cells, app-major: Figure 7b's first three configurations
+/// (sc, custom, adaptive) at each power of two from `min` to `max`.
+fn scaling_cells(apps: &[&'static str], min: usize, max: usize) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &app in apps {
         let counts = std::iter::successors(Some(min.next_power_of_two()), |p| Some(p * 2));
         // Water's force phase is a wavefront of `2·owners − 1`
         // barrier-separated rounds per step, so its message count stays
@@ -298,13 +387,9 @@ pub fn scaling(a: &Args) -> Result<(), String> {
         // time on those barriers.
         let ceiling = max.min(if app == "water" { 1024 } else { MAX_NODES });
         let counts = counts.take_while(|&p| p <= ceiling);
-        // Figure 7b's first three: sc, custom, adaptive.
-        let cells: Vec<Cell> =
-            counts.flat_map(|p| grid(&[app], &FIG7B[..3], Input::Weak, p)).collect();
-        rows.extend(table((" procs", |r| format!("{:>6}", r.cell.procs)), &cols, 3, &cells));
-        println!();
+        cells.extend(counts.flat_map(|p| grid(&[app], &FIG7B[..3], Input::Weak, p)));
     }
-    write_json(a, "scaling", &rows)
+    cells
 }
 
 /// `BENCH_scaling.json`'s em3d / custom / 256 row as committed before the
@@ -365,18 +450,18 @@ mod tests {
 
     #[test]
     fn fig7a_small_has_expected_shape() {
-        let rows = table(BY_APP, &FIG7A_COLS, 3, &grid(&APPS, &FIG7A, Input::Small, 4));
+        let rows = FIGURES[0].show(&grid(&APPS, &FIG7A, Input::Small, 4));
         assert_eq!(rows.len(), 15);
         for l in rows.chunks(3) {
             assert!(by(l, "ace").ms() > 0.0 && by(l, "crl").ms() > 0.0, "{}", l[0].cell.app);
             assert!(l.iter().all(|r| r.cell.app == l[0].cell.app), "cells are app-major");
         }
-        let table = std::iter::once(line(BY_APP.0, &FIG7A_COLS, |col| col.0.to_string()))
-            .chain(rows.chunks(3).map(|l| line(&BY_APP.1(&l[0]), &FIG7A_COLS, |col| (col.2)(l))));
-        let table: Vec<String> = table.collect();
+        let layout = FIGURES[0].layout(&rows);
+        let table: Vec<&str> = layout.lines().collect();
         assert_eq!(table.len(), 6);
-        assert!(table[0].ends_with("    CRL/Ace  adaptive (ms)"), "{}", table[0]);
-        assert!(table.iter().all(|l| l.len() == table[0].len()), "columns align: {table:#?}");
+        assert!(table[0].ends_with("    CRL/Ace  adaptive (ms)        paper"), "{}", table[0]);
+        let width = |l: &str| l.chars().count();
+        assert!(table.iter().all(|l| width(l) == width(table[0])), "columns align: {table:#?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! tree and CI can regenerate it and `git diff --exit-code`. The format is a
 //! plain JSON array of flat objects, one per line for easy diffing,
 //! written by hand because the workspace builds offline (no serde);
-//! `ace-bench verify` reads it back through `ace_trace::jsonlite`.
+//! `ace-bench report` reads it back through `ace_trace::jsonlite`.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -67,7 +67,7 @@ mod tests {
             "[\n  {\"table\":\"fig7b\",\"app\":\"bsc\",\"config\":\"sc\",\"procs\":2,"
         ));
         assert_eq!(s.matches('{').count(), 2);
-        // What `verify` reads back is what was measured.
+        // What `report` reads back is what was measured.
         let doc = jsonlite::parse(&s).expect("rows parse");
         let parsed = doc.as_arr().unwrap();
         let num =

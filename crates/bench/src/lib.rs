@@ -9,7 +9,9 @@
 //!   conformance-checker overhead table, Table 4 and the processor-count
 //!   scaling sweep, each as cells, a pivot into printed lines, and notes.
 //! * [`json`] — the one row writer.
-//! * [`verify`] — the CI gates over the written rows.
+//! * [`claims`] — the paper's claims and the repository's acceptance bars
+//!   as one table, the one evaluation of a figure's rows against them, and
+//!   `report`, which renders the committed rows into EXPERIMENTS.md.
 //! * [`acec`] — the Ace-C benchmark kernels and their hand-written
 //!   runtime-system counterparts for the compiler evaluation (Table 4).
 //! * [`ablation`], [`tracecheck`], [`args`] — the remaining subcommands
@@ -25,7 +27,7 @@ pub mod ablation;
 pub mod acec;
 pub mod args;
 pub mod cell;
+pub mod claims;
 pub mod figures;
 pub mod json;
 pub mod tracecheck;
-pub mod verify;

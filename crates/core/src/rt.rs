@@ -703,10 +703,17 @@ impl<'n> AceRt<'n> {
     /// instruction. An id no entry was ever stored under — `NULL`, a home
     /// past the machine, a `seq` its home has not reached — is `None`.
     pub fn lookup(&self, r: RegionId) -> Option<Rc<RegionEntry>> {
-        let e = self.regions.borrow().get(r).cloned();
+        let e = self.resident(r);
         let n = if e.is_some() { &self.rc_hits } else { &self.rc_misses };
         n.set(n.get() + 1);
         e
+    }
+
+    /// [`AceRt::lookup`] without counting a region-cache hit or miss: for
+    /// a protocol revisiting ids it listed itself (a barrier draining
+    /// [`SpaceEntry::dirty`]), where an id evicted since answers `None`.
+    pub fn resident(&self, r: RegionId) -> Option<Rc<RegionEntry>> {
+        self.regions.borrow().get(r).cloned()
     }
 
     /// [`AceRt::lookup`] with a typed error: `Err(UnknownRegion)` — which

@@ -23,7 +23,8 @@ pub struct SpaceEntry {
     /// one-line operation for applications (§2.2).
     pub protocol: RefCell<Rc<dyn Protocol>>,
     /// Regions of this space that the protocol wants revisited at the next
-    /// barrier (e.g. dirty regions of a static update protocol).
+    /// barrier (the dirty regions of static update, the copies pipelined
+    /// write fetched).
     pub dirty: RefCell<Vec<RegionId>>,
     /// Outstanding asynchronous operations the protocol must drain before
     /// a barrier completes (pipelined writes in flight, unacked updates).

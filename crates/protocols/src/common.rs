@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ace_core::{AceRt, RegionEntry, SpaceEntry};
+use ace_core::{AceRt, RegionEntry};
 
 use crate::auxbits::{self, FLUSH_WAIT, WANTED};
 use crate::states::R_INVALID;
@@ -55,18 +55,5 @@ pub(crate) fn drop_copy(e: &RegionEntry) {
     e.st.set(R_INVALID);
     if let Some(c) = e.cold() {
         c.twin.take();
-    }
-}
-
-/// Barrier-time invalidation: drop every remote copy this node caches of
-/// `s`'s regions, so post-barrier reads re-pull. A local action, needing no
-/// coordination — and the one place a protocol changes entries outside a
-/// callback on them, so it re-derives their fast masks itself.
-pub(crate) fn drop_remote_copies(rt: &AceRt, s: &SpaceEntry) {
-    for e in rt.regions_of_space(s.id) {
-        if !e.is_home_of(rt.rank()) {
-            drop_copy(&e);
-            rt.rederive_fast(&e);
-        }
     }
 }

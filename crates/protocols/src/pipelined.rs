@@ -132,6 +132,9 @@ impl Protocol for PipelinedWrite {
         if !e.is_home_of(rt.rank()) && e.st.get() == R_INVALID {
             rt.counters_mut(|c| c.read_misses += 1);
             common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "pipelined fetch");
+            // The copy stays until the barrier drops it, so a region is
+            // listed at most once a barrier: no `mark_dirty` scan.
+            rt.space(e.space).dirty.borrow_mut().push(e.id);
         }
     }
 
@@ -173,12 +176,19 @@ impl Protocol for PipelinedWrite {
     }
 
     fn barrier(&self, rt: &AceRt, s: &SpaceEntry) {
-        // Drain our in-flight deltas (home-owned sends none), drop our
-        // cached copies (a local action), then rendezvous once. Every other
-        // writer's deltas were likewise acked before that writer arrived,
-        // so post-barrier re-fetches observe the fully accumulated master.
+        // Drain our in-flight deltas (home-owned sends none), drop the
+        // copies fetched since the last barrier (a local action: the ids
+        // the misses listed, skipping any evicted since), then rendezvous
+        // once. Every other writer's deltas were likewise acked before that
+        // writer arrived, so post-barrier re-fetches observe the fully
+        // accumulated master. Dropping is the one place a protocol changes
+        // entries outside a callback on them, so it re-derives their fast
+        // masks itself.
         rt.wait("pipelined deltas drain", || s.outstanding.get() == 0);
-        common::drop_remote_copies(rt, s);
+        for e in s.take_dirty().into_iter().filter_map(|r| rt.resident(r)) {
+            common::drop_copy(&e);
+            rt.rederive_fast(&e);
+        }
         rt.space_barrier(s);
     }
 
@@ -287,22 +297,50 @@ mod tests {
 
     #[test]
     fn reads_refetch_after_barrier() {
+        // A barrier drops exactly the copies its node fetched since the
+        // last one: one a write section fetched, a home-owned reader's
+        // block, and none for an entry evicted before the barrier (its
+        // listed id is skipped, and the next map fetches afresh).
         let r = run_ace(2, CostModel::free(), |rt| {
             let (s, rid) = setup(rt, 1);
+            let (h, block) = home_owned(rt, 1);
+            let mine = if rt.rank() == 0 { vec![rt.gmalloc_words(s, 1).0] } else { vec![] };
+            let gone = RegionId(rt.bcast(0, &mine)[0]);
+            let read = |r: RegionId| {
+                rt.start_read(r);
+                let v = rt.with::<f64, _>(r, |d| d[0]);
+                rt.end_read(r);
+                v
+            };
+            let add = |r: RegionId, x: f64| {
+                rt.start_write(r);
+                rt.with_mut::<f64, _>(r, |d| d[0] += x);
+                rt.end_write(r);
+            };
             rt.barrier(s);
-            if rt.rank() == 0 {
-                // Home writes master directly.
-                rt.start_write(rid);
-                rt.with_mut::<f64, _>(rid, |d| d[0] = 6.5);
-                rt.end_write(rid);
+            if rt.rank() == 1 {
+                add(rid, 1.0);
+                rt.map(gone);
+                read(gone);
+                rt.unmap(gone);
+                rt.evict(gone);
+                read(block);
             }
             rt.barrier(s);
-            rt.start_read(rid);
-            let v = rt.with::<f64, _>(rid, |d| d[0]);
-            rt.end_read(rid);
-            v
+            rt.barrier(h);
+            let listed = rt.space(s).dirty.borrow().len() + rt.space(h).dirty.borrow().len();
+            if rt.rank() == 0 {
+                add(rid, 2.0);
+                add(block, 7.0);
+                add(gone, 5.0);
+            }
+            rt.barrier(s);
+            rt.barrier(h);
+            rt.map(gone);
+            let seen = [read(rid), read(block), read(gone)];
+            (seen, listed, rt.counters().read_misses)
         });
-        assert_eq!(r.results, vec![6.5, 6.5]);
+        assert_eq!(r.results, vec![([3.0, 7.0, 5.0], 0, 0), ([3.0, 7.0, 5.0], 0, 6)]);
     }
 
     #[test]
