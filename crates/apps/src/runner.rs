@@ -271,4 +271,26 @@ mod tests {
         let tags = ace.per_tag();
         assert_eq!(tags.values().map(|t| t.0).sum::<u64>(), ace.outcome.msgs);
     }
+
+    #[test]
+    fn observed_ace_and_crl_agree_on_small_water() {
+        // Water's final forces are sums over the force wavefront's writers,
+        // so the region digests see that reduction order where the
+        // verification value (Σ|pos|) does not. Ace SC, Ace custom and CRL
+        // leave one memory image, and its per-rank digests are pinned.
+        use crate::{water, Variant};
+        let p = water::Params::small();
+        let b = || Spmd::builder().nprocs(4).cost(CostModel::cm5());
+        let sc = observe(b(), |_| {}, |d| water::run(d, &p, Variant::Sc));
+        let custom = observe(b(), |_| {}, |d| water::run(d, &p, Variant::Custom));
+        let crl = observe_crl(b(), |d| water::run(d, &p, Variant::Sc));
+        for (name, o) in [("Ace custom", &custom), ("CRL", &crl)] {
+            let bits = |o: &Observed| o.outcome.verification.to_bits();
+            assert_eq!(bits(o), bits(&sc), "{name}: verification value");
+            assert_eq!(o.digests, sc.digests, "{name}: same source, same final memory image");
+        }
+        let pinned =
+            [0x3629670d5f764df6, 0x06e30b4602274f01, 0xa29414fdf39b0e15, 0xbe58e02477dcdd36];
+        assert_eq!(sc.digests, pinned);
+    }
 }

@@ -1,7 +1,6 @@
 //! A simulated processor: rank, message endpoints, virtual clock, counters.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,15 +19,6 @@ use crate::vclock::VClock;
 /// watchdog converts them into a panic with the caller-provided diagnostic.
 pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
-/// A drain burst stops pulling wire envelopes off the mailbox once the
-/// local inbox holds this many messages. The bound is part of the
-/// simulated result, not a tuning knob: it decides when the local inbox
-/// reads empty, and an empty inbox is a coalescing flush point. Draining
-/// without a bound moves EM3D custom's fig7b `sim_ns` by 2.3 % and a dozen
-/// Table 4 rows, so the value stays what every committed BENCH file was
-/// measured with.
-const DRAIN_BURST: usize = 64;
-
 /// When to flush a destination's coalescing buffer.
 ///
 /// Under any policy other than `Off`, [`Node::send`] appends the logical
@@ -39,9 +29,12 @@ const DRAIN_BURST: usize = 64;
 /// amortization that makes fine-grained protocol fan-out cheap.
 ///
 /// Liveness rule: every blocking point flushes. [`Node::poll_until`]
-/// flushes on entry, whenever a handled message leaves the local inbox
-/// empty, and again right before it parks on the mailbox, so no peer can
-/// deadlock waiting on a message its sender is still buffering.
+/// flushes on entry, whenever the last part of a received wire envelope
+/// has been handled, and again right before it parks on the mailbox, so
+/// no peer can deadlock waiting on a message its sender is still
+/// buffering. A handler's replies therefore leave with the envelope that
+/// caused them, as a CM-5 handler's did, and the replies to one train of
+/// parts still leave as one wire envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
     /// Every logical send leaves at once as a one-part wire envelope (the
@@ -95,21 +88,14 @@ pub(crate) struct NodeSetup {
     pub check: CheckMode,
 }
 
-/// An inbox entry: an envelope plus its precomputed arrival time and
-/// receive charge. Arrival is a pure function of the *wire* envelope
-/// (send time + flight time of the wire bytes), computed once when the
-/// wire message is expanded; the charge and trace event are applied when
-/// the entry is popped, preserving absorb-at-pop semantics.
-struct Inbound<M> {
-    env: Envelope<M>,
-    arrival: u64,
-    /// `recv_overhead` for a wire envelope's first part; `pack_cost` (the
-    /// unpack charge) for each later part of the same envelope.
-    charge: u64,
-    /// `Some((subs, wire_bytes))` on the entry that represents the wire
-    /// envelope itself (its first part): pop emits one Recv trace event so
-    /// flow arrows stay one-per-wire-message.
-    wire: Option<(u32, u32)>,
+/// The wire envelope a node is receiving, after its first part was handed
+/// out: what its later parts share with the first, and those parts, in
+/// send order.
+struct Receiving<M> {
+    src: usize,
+    send_time: u64,
+    sw: u64,
+    parts: std::vec::IntoIter<(M, usize)>,
 }
 
 /// One destination's coalescing buffer: its pending parts, each with its
@@ -141,11 +127,10 @@ pub struct Node<M> {
     wire_bytes_sent: Cell<u64>,
     msgs_recv: Cell<u64>,
     watchdog: Cell<Duration>,
-    /// Local inbox filled by draining the mailbox in bursts. Messages are
-    /// *not* absorbed on drain — [`Node::absorb`] runs when a message is
-    /// popped for handling, so per-message virtual-clock semantics are
-    /// identical to unbatched reception (same order, same arrival math).
-    inbox: RefCell<VecDeque<Inbound<M>>>,
+    /// The wire envelope whose parts are being handed out, present
+    /// exactly while it has parts left: the mailbox is read again only
+    /// once it is used up.
+    receiving: RefCell<Option<Receiving<M>>>,
     coalesce: CoalescePolicy,
     /// The coalescing buffers of the destinations that have parts
     /// pending, sorted by destination. An entry lives from its first part
@@ -163,7 +148,8 @@ pub struct Node<M> {
     check: CheckMode,
     /// This node's vector clock, present only when `check` is enabled:
     /// ticked at the checker's section events, stamped on every outgoing
-    /// wire envelope, merged from [`Envelope::vc`] on absorb.
+    /// wire envelope, merged from [`Envelope::vc`] once per received wire
+    /// envelope.
     vc: Option<RefCell<VClock>>,
     /// Conformance violations recorded against this node.
     violations: Cell<u64>,
@@ -198,7 +184,7 @@ impl<M: MsgSize + Send> Node<M> {
             wire_bytes_sent: Cell::new(0),
             msgs_recv: Cell::new(0),
             watchdog: Cell::new(setup.watchdog),
-            inbox: RefCell::new(VecDeque::new()),
+            receiving: RefCell::new(None),
             coalesce: setup.coalesce,
             outbuf: RefCell::new(Vec::new()),
             parker,
@@ -386,9 +372,9 @@ impl<M: MsgSize + Send> Node<M> {
     /// Flush every destination's coalescing buffer, in rank order. A
     /// no-op when nothing is buffered (the overwhelmingly common case at
     /// blocking points). Called automatically by [`Node::poll_until`] on
-    /// entry, whenever a handled message empties the inbox, and before it
-    /// parks — together those make every blocking point flush, the
-    /// liveness rule coalescing relies on.
+    /// entry, whenever a received wire envelope's last part has been
+    /// handled, and before it parks — together those make every blocking
+    /// point flush, the liveness rule coalescing relies on.
     pub fn flush_coalesced(&self) {
         if self.outbuf.borrow().is_empty() {
             return;
@@ -402,18 +388,6 @@ impl<M: MsgSize + Send> Node<M> {
             self.emit(dst, parts);
         }
         self.outbuf.replace(bufs);
-    }
-
-    /// Flush point after a handled message inside a poll loop: flush only
-    /// once the local inbox has drained. While already-delivered messages
-    /// remain queued the node cannot block, so holding the buffers open is
-    /// safe — and it lets the replies generated while draining one
-    /// coalesced batch (say, the acks for a train of update pushes) leave
-    /// as one wire envelope instead of one per handled message.
-    fn flush_after_handle(&self) {
-        if self.inbox.borrow().is_empty() {
-            self.flush_coalesced();
-        }
     }
 
     /// Put one wire envelope on the transport: one `send_overhead`, one
@@ -446,83 +420,51 @@ impl<M: MsgSize + Send> Node<M> {
         self.transport.send_wire(dst, wire);
     }
 
-    /// Expand one wire envelope into inbox entries, one per part. Arrival
-    /// is computed here — once per wire envelope, from its wire bytes — so
-    /// its parts all become available at the same virtual instant, exactly
-    /// when the one wire message lands.
-    fn enqueue_wire(&self, wire: Wire<M>, inbox: &mut VecDeque<Inbound<M>>) {
-        let Envelope { src, send_time, bytes, mut vc, sw, msg: parts } = wire;
-        let arrival = send_time + self.cost.wire_time(bytes);
-        let subs = parts.len() as u32;
-        for (i, (msg, payload)) in parts.into_iter().enumerate() {
-            // Only the first part carries the sender's vector clock: one
-            // merge per wire envelope.
-            inbox.push_back(Inbound {
-                env: Envelope { src, send_time, bytes: payload, vc: vc.take(), sw, msg },
-                arrival,
-                charge: if i == 0 { self.cost.recv_overhead } else { self.cost.pack_cost },
-                wire: (i == 0).then_some((subs, bytes as u32)),
-            });
-        }
-    }
-
-    /// Pull a burst of messages off the mailbox into the local inbox,
-    /// without absorbing them. Per-pair FIFO is preserved: the mailbox
-    /// delivers in send order per source and the inbox is a queue. A
-    /// many-part wire envelope counts as one pull but may expand past
-    /// [`DRAIN_BURST`].
-    fn drain_burst(&self, inbox: &mut VecDeque<Inbound<M>>) {
-        while inbox.len() < DRAIN_BURST {
-            match self.transport.mailbox().try_pop() {
-                Some(w) => self.enqueue_wire(w, inbox),
-                None => break,
-            }
-        }
-    }
-
     /// Non-blocking receive, for [`Node::poll_until`] alone: the machine
-    /// has one receive point. On delivery the local clock advances to cover
-    /// the message's flight time and the receive overhead is charged.
+    /// has one receive point. It hands out the next part of the wire
+    /// envelope being received, and takes the next envelope off the
+    /// mailbox only once that one has no parts left.
     fn try_recv(&self) -> Option<Envelope<M>> {
-        let mut inbox = self.inbox.borrow_mut();
-        if inbox.is_empty() {
-            self.drain_burst(&mut inbox);
-        }
-        let inb = inbox.pop_front()?;
-        drop(inbox);
-        self.absorb(&inb);
-        Some(inb.env)
+        self.next_part().or_else(|| self.transport.mailbox().try_pop().map(|w| self.open(w)))
     }
 
-    /// The blocking receive behind [`Node::poll_until`]: called with the
-    /// local inbox and the mailbox both found empty, it flushes this
-    /// node's own coalescing buffers (the liveness rule: never sleep on a
-    /// message a peer may be waiting to trigger), parks — once — on the
-    /// mailbox until a wire envelope arrives, and expands it into the
-    /// inbox for [`Node::try_recv`] to pop. Under the multiplexed backend
-    /// this park is the yield point: the node's fiber is suspended for
-    /// exactly the park.
+    /// The blocking receive behind [`Node::poll_until`]: called with no
+    /// envelope being received and the mailbox found empty, it flushes
+    /// this node's own coalescing buffers (the liveness rule: never sleep
+    /// on a message a peer may be waiting to trigger), parks — once — on
+    /// the mailbox until a wire envelope arrives, and opens it. Under the
+    /// multiplexed backend this park is the yield point: the node's fiber
+    /// is suspended for exactly the park.
     ///
     /// # Panics
     ///
     /// Panics naming the culprit if a peer has died (nothing this node
     /// waits for can be relied on to arrive), or as wedged if `deadline`
     /// — the caller's watchdog — passes first.
-    fn recv_blocking(&self, what: &str, deadline: Instant) {
+    fn recv_blocking(&self, what: &str, deadline: Instant) -> Envelope<M> {
         self.flush_coalesced();
         let failed = || self.transport.failed_rank() >= 0;
         match self.transport.mailbox().park(&self.parker, deadline, failed) {
-            Ok(wire) => self.enqueue_wire(wire, &mut self.inbox.borrow_mut()),
+            Ok(wire) => self.open(wire),
             Err(WaitWireError::Dead) => self.peer_died(what),
             Err(WaitWireError::Timeout) => self.wedged(what),
         }
     }
 
-    fn absorb(&self, inb: &Inbound<M>) {
-        let now = self.clock.get().max(inb.arrival) + inb.charge;
+    /// Start receiving `wire` and hand out its first part. The envelope is
+    /// absorbed here, once: the clock advances to its arrival (send time
+    /// plus the flight of its wire bytes) and pays `recv_overhead`, the
+    /// sender's vector clock is merged, and one `Recv` event is traced, so
+    /// flow arrows stay one per wire envelope. Its later parts wait in
+    /// [`Node::next_part`].
+    fn open(&self, wire: Wire<M>) -> Envelope<M> {
+        let Envelope { src, send_time, bytes, vc, sw, msg: parts } = wire;
+        let subs = parts.len() as u32;
+        let arrival = send_time + self.cost.wire_time(bytes);
+        let now = self.clock.get().max(arrival) + self.cost.recv_overhead;
         self.clock.set(now);
         self.msgs_recv.set(self.msgs_recv.get() + 1);
-        if let (Some(mine), Some(theirs)) = (&self.vc, &inb.env.vc) {
+        if let (Some(mine), Some(theirs)) = (&self.vc, &vc) {
             mine.borrow_mut().merge(theirs);
         }
         // Coherent switch commits sit between two machine barriers, so a
@@ -531,26 +473,48 @@ impl<M: MsgSize + Send> Node<M> {
         // never from a stale epoch after this node committed a newer one —
         // the pre-commit flush drained those.
         debug_assert!(
-            inb.env.sw <= self.sw_epoch.get() + 1,
-            "node {}: message from switch epoch {} arrived at epoch {}",
+            sw <= self.sw_epoch.get() + 1,
+            "node {}: message from switch epoch {sw} arrived at epoch {}",
             self.rank,
-            inb.env.sw,
             self.sw_epoch.get()
         );
+        let mut parts = parts.into_iter();
+        let (msg, payload) = parts.next().expect("a wire envelope carries at least one part");
         if self.sink.enabled() {
-            if let Some((subs, wire_bytes)) = inb.wire {
-                self.sink.emit(
-                    now,
-                    EventKind::Recv {
-                        src: inb.env.src as u16,
-                        tag: inb.env.msg.tag(),
-                        bytes: wire_bytes,
-                        sent_at: inb.env.send_time,
-                        subs,
-                    },
-                );
-            }
+            let (tag, bytes) = (msg.tag(), bytes as u32);
+            self.sink.emit(
+                now,
+                EventKind::Recv { src: src as u16, tag, bytes, sent_at: send_time, subs },
+            );
         }
+        if parts.len() > 0 {
+            self.receiving.replace(Some(Receiving { src, send_time, sw, parts }));
+        }
+        Envelope { src, send_time, bytes: payload, vc, sw, msg }
+    }
+
+    /// The next part of the wire envelope being received, if it has one
+    /// left, charged `pack_cost` (the unpack). Its arrival was covered when
+    /// the envelope was opened, and only the first part carries the
+    /// sender's vector clock.
+    fn next_part(&self) -> Option<Envelope<M>> {
+        let mut receiving = self.receiving.borrow_mut();
+        let r = receiving.as_mut()?;
+        let (msg, payload) = r.parts.next().expect("a received envelope holds parts left");
+        let env = Envelope {
+            src: r.src,
+            send_time: r.send_time,
+            bytes: payload,
+            vc: None,
+            sw: r.sw,
+            msg,
+        };
+        if r.parts.len() == 0 {
+            *receiving = None;
+        }
+        self.charge(self.cost.pack_cost);
+        self.msgs_recv.set(self.msgs_recv.get() + 1);
+        Some(env)
     }
 
     /// The first recorded failure's panic message, as a `: msg` suffix for
@@ -618,12 +582,12 @@ impl<M: MsgSize + Send> Node<M> {
     ///
     /// Coalescing liveness: the node's own buffers are flushed on entry —
     /// before the wait can block on a reply this node itself still holds —
-    /// and again whenever a handled message leaves the inbox empty,
-    /// because handlers send replies (a sharer answering a recall inside a
-    /// barrier wait, say) that a peer's forward progress may depend on.
-    /// While the inbox still holds delivered messages the node cannot
-    /// block, so the flush is deferred and the replies for one incoming
-    /// batch coalesce.
+    /// and again once the last part of each received wire envelope has
+    /// been handled, because handlers send replies (a sharer answering a
+    /// recall inside a barrier wait, say) that a peer's forward progress
+    /// may depend on. A reply thus leaves with the envelope that caused
+    /// it, never behind requests that arrived after it, and the replies
+    /// to one envelope's train of parts coalesce.
     ///
     /// `pred` is re-checked after **every** message: as soon as the wait is
     /// satisfied the loop returns, leaving any further queued messages for
@@ -661,15 +625,15 @@ impl<M: MsgSize + Send> Node<M> {
     ) {
         let deadline = self.watchdog_deadline();
         loop {
-            let Some(env) = self.try_recv() else {
-                if pred() {
-                    return;
-                }
-                self.recv_blocking(what, deadline);
-                continue;
+            let env = match self.try_recv() {
+                Some(env) => env,
+                None if pred() => return,
+                None => self.recv_blocking(what, deadline),
             };
             handle(self, env);
-            self.flush_after_handle();
+            if self.receiving.borrow().is_none() {
+                self.flush_coalesced();
+            }
             if pred() {
                 return;
             }
@@ -885,7 +849,7 @@ mod tests {
         // A burst of queued messages must not advance the clock until each
         // one is actually popped: after the first poll_until returns (its
         // predicate satisfied by message #1), the receiver's clock reflects
-        // one receive even though the whole burst is already local.
+        // one receive even though the whole burst is already delivered.
         let cost = CostModel::cm5();
         let recv_overhead = cost.recv_overhead;
         let r = Spmd::builder().nprocs(2).cost(cost).run::<u64, _, _>(|node| {
@@ -1003,7 +967,7 @@ mod tests {
         // Request/reply ping-pong under FlushOnWait: nothing flushes
         // until a node actually blocks, so this deadlocks
         // unless poll_until flushes on entry (the request) and after each
-        // handled message (the reply, sent from handler context).
+        // handled envelope (the reply, sent from handler context).
         let r = Spmd::builder()
             .nprocs(2)
             .cost(CostModel::free())
@@ -1027,6 +991,94 @@ mod tests {
                 done.get()
             });
         assert_eq!(r.results, vec![11, 10]);
+    }
+
+    #[test]
+    fn a_reply_leaves_with_the_envelope_that_caused_it() {
+        // Rank 0's request reaches rank 2's mailbox ahead of three
+        // envelopes from rank 1. The reply rank 2's handler buffers leaves
+        // once the request's envelope is used up, stamped one
+        // `send_overhead` after the handler's clock: not after rank 1's
+        // envelopes are handled too.
+        let c = CostModel::cm5();
+        let (so, ro, pc) = (c.send_overhead, c.recv_overhead, c.pack_cost);
+        let r = Spmd::builder()
+            .nprocs(3)
+            .cost(c.clone())
+            .coalesce(CoalescePolicy::FlushOnWait)
+            .run::<u64, _, _>(|node| match node.rank() {
+                0 => {
+                    node.send(2, 10);
+                    let sent_at = Cell::new(None);
+                    node.poll_until(
+                        "reply",
+                        |_, env| sent_at.set(Some(env.send_time)),
+                        || sent_at.get().is_some(),
+                    );
+                    vec![sent_at.get().unwrap()]
+                }
+                1 => {
+                    for i in 1..=3 {
+                        node.send(2, i);
+                        node.flush_coalesced();
+                    }
+                    Vec::new()
+                }
+                _ => {
+                    let srcs = RefCell::new(Vec::new());
+                    let handled_at = Cell::new(0);
+                    node.poll_until(
+                        "the request and three more",
+                        |n, env| {
+                            if env.src == 0 {
+                                n.send(0, env.msg + 1);
+                                handled_at.set(n.now());
+                            }
+                            srcs.borrow_mut().push(env.src as u64);
+                        },
+                        || srcs.borrow().len() == 4,
+                    );
+                    assert_eq!(srcs.into_inner(), [0, 1, 1, 1], "the request is handled first");
+                    vec![handled_at.get()]
+                }
+            });
+        let handled_at = pc + so + c.wire_time(8 + HEADER_BYTES) + ro + pc;
+        assert_eq!(r.results[2], [handled_at]);
+        assert_eq!(r.results[0], [handled_at + so], "the reply's send stamp");
+    }
+
+    #[test]
+    fn the_replies_to_a_train_leave_as_one_envelope() {
+        // Five requests leave rank 0 as one wire envelope; rank 1's five
+        // replies, buffered while the train's parts are handled, go back
+        // as one too.
+        let r = Spmd::builder()
+            .nprocs(2)
+            .cost(CostModel::cm5())
+            .coalesce(CoalescePolicy::FlushOnWait)
+            .run::<u64, _, _>(|node| {
+                let seen = RefCell::new(Vec::new());
+                if node.rank() == 0 {
+                    for i in 0..5 {
+                        node.send(1, i);
+                    }
+                }
+                node.poll_until(
+                    "five messages",
+                    |n, env| {
+                        if n.rank() == 1 {
+                            n.send(0, env.msg + 100);
+                        }
+                        seen.borrow_mut().push(env.msg);
+                    },
+                    || seen.borrow().len() == 5,
+                );
+                seen.into_inner()
+            });
+        assert_eq!(r.results, [vec![100, 101, 102, 103, 104], vec![0, 1, 2, 3, 4]]);
+        for s in &r.stats.nodes {
+            assert_eq!((s.logical_msgs, s.wire_msgs, s.msgs_recv), (5, 1, 5));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The node drains its mailbox in bursts into a local inbox. Per-pair
-//! FIFO must survive that: the mailbox delivers in send order per source
-//! and the inbox is a queue.
+//! The node takes wire envelopes off its mailbox one at a time and hands
+//! out their parts in order. Per-pair FIFO must survive that: the mailbox
+//! delivers in send order per source.
 
 use std::cell::RefCell;
 
@@ -9,8 +9,7 @@ use ace_machine::{CostModel, Spmd};
 #[test]
 fn per_pair_fifo_holds_under_batching() {
     // Several senders racing at the same receiver: cross-pair interleaving
-    // is free to vary, but each pair's stream must arrive in send order
-    // even when the drain pulls many messages per burst.
+    // is free to vary, but each pair's stream must arrive in send order.
     const N: usize = 4;
     const PER: u64 = 300;
     let r = Spmd::builder().nprocs(N).cost(CostModel::free()).run::<u64, _, _>(|node| {

@@ -321,7 +321,7 @@ mod tests {
         assert_eq!(all, (0..12).collect::<Vec<u64>>(), "every ticket issued exactly once");
         let s = &r.stats;
         let got = (s.sim_time(), s.total_msgs(), s.total_wire_msgs(), s.total_bytes());
-        assert_eq!(got, (1_186_640, 123, 116, 3912));
+        assert_eq!(got, (1_170_440, 123, 116, 3912));
         let want = OpCounters {
             map_hits: 41,
             map_misses: 3,

@@ -491,7 +491,7 @@ mod tests {
         }
         let s = &r.stats;
         let got = (s.sim_time(), s.total_msgs(), s.total_wire_msgs(), s.total_bytes());
-        assert_eq!(got, (1_009_900, 117, 117, 4008));
+        assert_eq!(got, (1_003_300, 117, 117, 4008));
         let want = OpCounters {
             map_hits: 1,
             map_misses: 3,

@@ -812,6 +812,6 @@ mod tests {
         assert_eq!(r.results, vec![60; 4]);
         let s = &r.stats;
         let got = (s.sim_time(), s.total_msgs(), s.total_wire_msgs(), s.total_bytes());
-        assert_eq!(got, (666_860, 57, 54, 2088));
+        assert_eq!(got, (659_740, 57, 54, 2088));
     }
 }
