@@ -338,12 +338,19 @@ pub static CLAIMS: [Claim; 18] = [
         deviations: &[
             (
                 "Barnes-Hut",
-                "compiled beats hand by 6 %: an SC home write no longer re-invalidates ranks \
+                "compiled beats hand by 5.5 %: an SC home write no longer re-invalidates ranks \
                  an earlier one invalidated, which cut the compiled rows' messages, while the \
                  hand kernel, mapped to every body, pays more update fan-out",
             ),
             ("EM3D", FAST_PATH),
             ("TSP", FAST_PATH),
+            (
+                "WATER",
+                "both kernels shed about 0.13 ms once a message alone in its envelope packs \
+                 for nothing (LI+MC+DC 8.396 → 8.266 ms, hand 6.459 → 6.323 ms); the same \
+                 saving is a larger share of the smaller hand time, which lifts the ratio \
+                 from 1.300 to 1.307",
+            ),
         ],
     },
     Claim {
@@ -755,7 +762,7 @@ mod tests {
     fn a_recorded_deviation_renders_and_passes_and_an_unrecorded_one_fails() {
         let block = render("BENCH_table4.json", TABLE4).unwrap();
         assert!(block.contains("✗ [hand-fastest]"), "{block}");
-        assert!(block.contains("Barnes-Hut 0.940 ✗") && block.contains("Barnes-Hut deviates: "));
+        assert!(block.contains("Barnes-Hut 0.945 ✗") && block.contains("Barnes-Hut deviates: "));
         // BSC's hand kernel as slow as its best compiled level: no reason recorded.
         let bsc_best = outcome(TABLE4, "BSC", OptLevel::Direct.label()).sim_ns;
         let slow_hand = edited(TABLE4, |app, c, o| {

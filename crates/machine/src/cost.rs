@@ -42,12 +42,12 @@ pub struct CostModel {
     pub flop: u64,
     /// One local memory access issued by application code.
     pub mem: u64,
-    /// CPU cost of appending one logical sub-message to a coalescing
-    /// buffer (a bounds check, a length update, a pointer store). Paid
-    /// per sub-message when [`crate::CoalescePolicy`] batches sends; the
-    /// amortized win is that the batch pays `msg_latency`, `send_overhead`
-    /// and header bytes once per *wire* envelope instead of once per
-    /// logical message.
+    /// CPU cost of adding one sub-message to a wire envelope that has a
+    /// head (a bounds check, a length update, a pointer store), and of
+    /// taking it out at the receiver: k−1 times at each end of a k-part
+    /// envelope, whose head rides `send_overhead` / `recv_overhead` under
+    /// every [`crate::CoalescePolicy`]. The batch pays `msg_latency`,
+    /// `send_overhead` and header bytes once per *wire* envelope.
     pub pack_cost: u64,
     /// Extra CPU cost CRL pays per map for its unmapped-region cache scan
     /// and second-level table probe (CRL 1.0's mapping design; the paper

@@ -21,12 +21,12 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// When to flush a destination's coalescing buffer.
 ///
-/// Under any policy other than `Off`, [`Node::send`] appends the logical
-/// message to a per-destination buffer instead of injecting a wire
-/// envelope. A buffered batch is charged one `msg_latency`, one
-/// [`Node::header_bytes`] header and one `send_overhead` for the whole wire
-/// envelope, plus [`CostModel::pack_cost`] per sub-message — the
-/// amortization that makes fine-grained protocol fan-out cheap.
+/// [`Node::send`] appends every message to its destination's buffer, and
+/// the policy sets how many parts leave as one wire envelope. An envelope
+/// is charged one `msg_latency`, one [`Node::header_bytes`] header and one
+/// `send_overhead`, plus [`CostModel::pack_cost`] per part after its head —
+/// the amortization that makes fine-grained protocol fan-out cheap. A lone
+/// part costs what an `Off` send does.
 ///
 /// Liveness rule: every blocking point flushes. [`Node::poll_until`]
 /// flushes on entry, whenever the last part of a received wire envelope
@@ -37,7 +37,7 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 /// parts still leave as one wire envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
-    /// Every logical send leaves at once as a one-part wire envelope (the
+    /// A buffer whose limit is 1: every send leaves at once, alone (the
     /// pre-coalescing substrate's numbers, bit for bit).
     #[default]
     Off,
@@ -315,11 +315,11 @@ impl<M: MsgSize + Send> Node<M> {
         self.vc.as_ref().map(|vc| vc.borrow().stamp())
     }
 
-    /// Inject a message to `dst`. Under [`CoalescePolicy::Off`] it leaves
-    /// at once as a one-part wire envelope; otherwise it joins `dst`'s
-    /// coalescing buffer (charging `pack_cost`) and goes out with the next
-    /// flush. Sending to self is allowed (the message is delivered via the
-    /// normal polling path, like a loopback active message).
+    /// Inject a message to `dst`: it joins `dst`'s coalescing buffer, which
+    /// leaves once it holds the policy's limit of parts or at the next
+    /// flush. Only a part that joins a non-empty buffer charges `pack_cost`.
+    /// Sending to self is allowed (the message is delivered via the normal
+    /// polling path, like a loopback active message).
     ///
     /// # Panics
     ///
@@ -332,26 +332,13 @@ impl<M: MsgSize + Send> Node<M> {
             self.rank,
             self.nprocs
         );
-        let policy = self.coalesce;
         let payload = msg.size_bytes();
         // Logical accounting is policy-independent: every message is
         // charged its payload plus one header, however the wire groups it.
         self.logical_sent.set(self.logical_sent.get() + 1);
         self.bytes_sent.set(self.bytes_sent.get() + (payload + self.header_bytes) as u64);
-        // An unbuffered send skips `pack_cost`, and its Pack carries its
-        // Send's stamp: after the `send_overhead` that `emit` will charge.
-        let pack_at = if policy == CoalescePolicy::Off {
-            self.clock.get() + self.cost.send_overhead
-        } else {
-            self.charge(self.cost.pack_cost);
-            self.clock.get()
-        };
-        if self.sink.enabled() {
-            let bytes = (payload + self.header_bytes) as u32;
-            self.sink.emit(pack_at, EventKind::Pack { dst: dst as u16, tag: msg.tag(), bytes });
-        }
-        let limit = match policy {
-            CoalescePolicy::Off => return self.emit(dst, vec![(msg, payload)]),
+        let limit = match self.coalesce {
+            CoalescePolicy::Off => 1,
             CoalescePolicy::Threshold(n) => n.max(1),
             CoalescePolicy::FlushOnWait => usize::MAX,
         };
@@ -361,6 +348,16 @@ impl<M: MsgSize + Send> Node<M> {
                 bufs.insert(i, (dst, Vec::new()));
                 i
             });
+            // A later part packs; the head is composed under the envelope's
+            // `send_overhead`, as an `Off` send is.
+            if !bufs[i].1.is_empty() {
+                self.charge(self.cost.pack_cost);
+            }
+            if self.sink.enabled() {
+                let bytes = (payload + self.header_bytes) as u32;
+                let pack = EventKind::Pack { dst: dst as u16, tag: msg.tag(), bytes };
+                self.sink.emit(self.now(), pack);
+            }
             bufs[i].1.push((msg, payload));
             (bufs[i].1.len() >= limit).then(|| bufs.remove(i).1)
         };
@@ -697,8 +694,10 @@ mod tests {
     fn uncoalesced_exchange_is_pinned() {
         // Rank 0 sends 1 and 2, rank 1 answers both with 3. Under `Off`
         // each send pays `send_overhead` and one header, each receive one
-        // flight of (payload + header) bytes and one `recv_overhead`; the
-        // Pack event carries the same stamp as its Send.
+        // flight of (payload + header) bytes and one `recv_overhead`; each
+        // part is its envelope's head, so it packs for nothing and its
+        // Pack carries the clock it entered the buffer at: one
+        // `send_overhead` before its Send.
         let c = CostModel::cm5();
         let (so, ro) = (c.send_overhead, c.recv_overhead);
         let bytes = 8 + HEADER_BYTES as u64;
@@ -762,9 +761,9 @@ mod tests {
         assert_eq!(
             wire(&trace.nodes[0]),
             vec![
-                (so, pack(1)),
+                (0, pack(1)),
                 (so, send(1)),
-                (2 * so, pack(1)),
+                (so, pack(1)),
                 (2 * so, send(1)),
                 (back, recv(1, reply))
             ]
@@ -774,10 +773,109 @@ mod tests {
             vec![
                 (recv1, recv(0, so)),
                 (recv2, recv(0, 2 * so)),
-                (reply, pack(0)),
+                (recv2, pack(0)),
                 (reply, send(0))
             ]
         );
+    }
+
+    #[test]
+    fn a_lone_part_costs_an_uncoalesced_send() {
+        // A request and its reply each travel alone in their envelope.
+        // Under every policy such a part is its envelope's head and packs
+        // for nothing, so `Threshold(8)` and `FlushOnWait` repeat the `Off`
+        // run: the same clocks at both ends, the same wire bytes and the
+        // same `Send` stamps.
+        let run = |policy| {
+            let r = Spmd::builder()
+                .nprocs(2)
+                .cost(CostModel::cm5())
+                .trace(TraceConfig::on())
+                .coalesce(policy)
+                .run::<u64, _, _>(|node| {
+                    let done = Cell::new(false);
+                    if node.rank() == 0 {
+                        node.send(1, 10);
+                    }
+                    node.poll_until(
+                        "the exchange",
+                        |n, env| {
+                            if n.rank() == 1 {
+                                n.send(0, env.msg + 1);
+                            }
+                            done.set(true);
+                        },
+                        || done.get(),
+                    );
+                    node.now()
+                });
+            let sends = |n: &NodeTrace| -> Vec<u64> {
+                n.events
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::Send { .. }))
+                    .map(|e| e.t)
+                    .collect()
+            };
+            let trace = r.trace.expect("tracing was enabled");
+            let wire: Vec<u64> = r.stats.nodes.iter().map(|s| s.wire_bytes).collect();
+            (r.results, wire, trace.nodes.iter().map(sends).collect::<Vec<_>>())
+        };
+        let c = CostModel::cm5();
+        let (so, ro) = (c.send_overhead, c.recv_overhead);
+        let flight = c.wire_time(8 + HEADER_BYTES);
+        let reply = so + flight + ro + so;
+        let off = run(CoalescePolicy::Off);
+        assert_eq!(off.0, [reply + flight + ro, reply]);
+        assert_eq!(off.1, [8 + HEADER_BYTES as u64; 2]);
+        assert_eq!(off.2, [vec![so], vec![reply]]);
+        for policy in [CoalescePolicy::Threshold(8), CoalescePolicy::FlushOnWait] {
+            assert_eq!(run(policy), off, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_train_pays_packing_for_its_later_parts_at_both_ends() {
+        // Five parts leave rank 0 as one envelope, flushed by the threshold
+        // at the fifth. The head is composed under the envelope's
+        // `send_overhead`; each of the four parts that join it packs once at
+        // the sender and unpacks once at the receiver. Each part's Pack
+        // carries the clock it entered the buffer at.
+        let c = CostModel::cm5();
+        let (so, ro, pc) = (c.send_overhead, c.recv_overhead, c.pack_cost);
+        let r = Spmd::builder()
+            .nprocs(2)
+            .cost(c.clone())
+            .trace(TraceConfig::on())
+            .coalesce(CoalescePolicy::Threshold(5))
+            .run::<u64, _, _>(|node| {
+                if node.rank() == 0 {
+                    for i in 0..5 {
+                        node.send(1, i);
+                    }
+                    assert_eq!(node.wire_sent.get(), 1, "the fifth part fills the buffer");
+                } else {
+                    let seen = Cell::new(0);
+                    node.poll_until(
+                        "the train",
+                        |_, _| seen.set(seen.get() + 1),
+                        || seen.get() == 5,
+                    );
+                }
+                node.now()
+            });
+        let sent = so + 4 * pc;
+        let arrival = sent + c.wire_time(5 * 8 + HEADER_BYTES);
+        assert_eq!(r.results, [sent, arrival + ro + 4 * pc]);
+        assert_eq!((sent, r.results[1] - arrival - ro), (4_200, 1_200), "3000 + 4·300, 4·300");
+        // Rank 0's events: five Packs, then the envelope's Send.
+        let trace = r.trace.expect("tracing was enabled");
+        let events: Vec<(u64, bool)> = trace.nodes[0]
+            .events
+            .iter()
+            .map(|e| (e.t, matches!(e.kind, EventKind::Send { .. })))
+            .collect();
+        let packs = (0..5).map(|k| (k * pc, false));
+        assert_eq!(events, packs.chain([(sent, true)]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -875,9 +973,11 @@ mod tests {
     #[test]
     fn batch_charges_one_latency_one_header() {
         // Three logical u64 sends coalesce into one wire envelope: the
-        // sender pays 3× pack + 1× send_overhead; the receiver's clock
-        // covers one flight of (3×8 + HEADER) bytes plus one recv_overhead
-        // and two pack (unpack) charges — not three full latencies.
+        // sender pays 1× send_overhead for the head and 2× pack for the
+        // parts that join it (3000 + 2·300 = 3600 on cm5); the receiver's
+        // clock covers one flight of (3×8 + HEADER) bytes plus one
+        // recv_overhead and two pack (unpack) charges — not three full
+        // latencies.
         let cost = CostModel::cm5();
         let c = cost.clone();
         let r = Spmd::builder()
@@ -903,8 +1003,9 @@ mod tests {
                 node.now()
             }
         });
-        let send_done = 3 * c.pack_cost + c.send_overhead;
+        let send_done = 2 * c.pack_cost + c.send_overhead;
         assert_eq!(r.results[0], send_done);
+        assert_eq!(send_done, 3_600);
         let arrival = send_done + c.wire_time(3 * 8 + HEADER_BYTES);
         assert_eq!(r.results[1], arrival + c.recv_overhead + 2 * c.pack_cost);
     }
@@ -999,9 +1100,12 @@ mod tests {
         // envelopes from rank 1. The reply rank 2's handler buffers leaves
         // once the request's envelope is used up, stamped one
         // `send_overhead` after the handler's clock: not after rank 1's
-        // envelopes are handled too.
+        // envelopes are handled too. Request and reply each open an empty
+        // buffer, so neither packs: the handler's clock is one
+        // `send_overhead`, one flight of (8 + HEADER) bytes and one
+        // `recv_overhead`, 3000 + 14 800 + 3000 = 20 800 on cm5.
         let c = CostModel::cm5();
-        let (so, ro, pc) = (c.send_overhead, c.recv_overhead, c.pack_cost);
+        let (so, ro) = (c.send_overhead, c.recv_overhead);
         let r = Spmd::builder()
             .nprocs(3)
             .cost(c.clone())
@@ -1042,8 +1146,9 @@ mod tests {
                     vec![handled_at.get()]
                 }
             });
-        let handled_at = pc + so + c.wire_time(8 + HEADER_BYTES) + ro + pc;
+        let handled_at = so + c.wire_time(8 + HEADER_BYTES) + ro;
         assert_eq!(r.results[2], [handled_at]);
+        assert_eq!(handled_at, 20_800);
         assert_eq!(r.results[0], [handled_at + so], "the reply's send stamp");
     }
 
@@ -1085,7 +1190,9 @@ mod tests {
     fn flush_order_is_rank_order_above_256_ranks() {
         // Rank 0 buffers one message for every peer, highest rank first,
         // then flushes: the envelopes leave in ascending rank order, each
-        // one `send_overhead` after the one before it.
+        // one `send_overhead` after the one before it. Every part is the
+        // head of its own buffer, so the buffering packs for nothing and
+        // rank r's message leaves at r·`send_overhead`.
         let c = CostModel::cm5();
         let n = 300;
         let r = Spmd::builder()
@@ -1106,11 +1213,11 @@ mod tests {
                 }
                 node.now()
             });
-        let packed = (n as u64 - 1) * c.pack_cost;
         let flight = c.wire_time(8 + HEADER_BYTES) + c.recv_overhead;
         for (rank, &clock) in r.results.iter().enumerate().skip(1) {
-            assert_eq!(clock, packed + rank as u64 * c.send_overhead + flight, "rank {rank}");
+            assert_eq!(clock, rank as u64 * c.send_overhead + flight, "rank {rank}");
         }
+        assert_eq!(r.results[0], (n as u64 - 1) * c.send_overhead);
         assert_eq!(r.stats.nodes[0].wire_msgs, n as u64 - 1);
     }
 

@@ -136,12 +136,12 @@ pub enum EventKind {
         subs: u32,
     },
     /// One logical send. Every `send` call emits exactly one `Pack`,
-    /// whether the message departs immediately (coalescing off — the
-    /// matching [`EventKind::Send`] follows at the same timestamp) or
-    /// joins a per-destination coalescing buffer to ride a later wire
-    /// envelope. Summaries derive exact per-tag *logical* counts from
-    /// these; wire envelopes (`Send`) are filed under their first
-    /// sub-message's tag only.
+    /// stamped with the clock when the message enters its destination's
+    /// coalescing buffer, whether it departs at once (coalescing off — the
+    /// matching [`EventKind::Send`] follows one `send_overhead` later) or
+    /// rides a later wire envelope. Summaries derive exact per-tag
+    /// *logical* counts from these; wire envelopes (`Send`) are filed
+    /// under their first sub-message's tag only.
     Pack {
         /// Destination rank.
         dst: u16,
