@@ -52,6 +52,8 @@ pub trait Dsm {
 
     /// One read section: `start_read`, then `f` over the data, then `end_read`.
     /// `f` runs while the data is borrowed: it must not open a section on `r`.
+    /// [`AceDsm`] overrides it with [`AceRt::read`], which does the three on
+    /// one region lookup.
     #[inline]
     fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
         self.start_read(r);
@@ -61,6 +63,7 @@ pub trait Dsm {
     }
     /// One write section: `start_write`, then `f` over the data, then `end_write`.
     /// `f` runs while the data is borrowed: it must not open a section on `r`.
+    /// [`AceDsm`] overrides it with [`AceRt::write`] (one region lookup).
     #[inline]
     fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         self.start_write(r);
@@ -149,6 +152,12 @@ impl Dsm for AceDsm<'_, '_> {
     }
     fn with_mut<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         self.rt.with_mut(RegionId(r), f)
+    }
+    fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
+        self.rt.read(RegionId(r), f)
+    }
+    fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
+        self.rt.write(RegionId(r), f)
     }
     fn barrier(&self, space: u32) {
         self.rt.barrier(SpaceId(space));

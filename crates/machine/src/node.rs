@@ -29,12 +29,12 @@ pub const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 /// part costs what an `Off` send does.
 ///
 /// Liveness rule: every blocking point flushes. [`Node::poll_until`]
-/// flushes on entry, whenever the last part of a received wire envelope
-/// has been handled, and again right before it parks on the mailbox, so
-/// no peer can deadlock waiting on a message its sender is still
-/// buffering. A handler's replies therefore leave with the envelope that
-/// caused them, as a CM-5 handler's did, and the replies to one train of
-/// parts still leave as one wire envelope.
+/// flushes on entry and whenever the last part of a received wire
+/// envelope has been handled, so it never parks on the mailbox with a
+/// part buffered and no peer can deadlock waiting on a message its sender
+/// is still buffering. A handler's replies therefore leave with the
+/// envelope that caused them, as a CM-5 handler's did, and the replies to
+/// one train of parts still leave as one wire envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoalescePolicy {
     /// A buffer whose limit is 1: every send leaves at once, alone (the
@@ -89,18 +89,23 @@ pub(crate) struct NodeSetup {
 }
 
 /// The wire envelope a node is receiving, after its first part was handed
-/// out: what its later parts share with the first, and those parts, in
-/// send order.
+/// out: what its later parts share with the first, and those parts, last
+/// part first, so the next one is popped off the end.
 struct Receiving<M> {
     src: usize,
     send_time: u64,
     sw: u64,
-    parts: std::vec::IntoIter<(M, usize)>,
+    parts: Parts<M>,
 }
 
 /// One destination's coalescing buffer: its pending parts, each with its
 /// payload size. Flushed, it moves into the wire envelope as it is.
 type Parts<M> = Vec<(M, usize)>;
+
+/// Emptied part lists a node keeps for the next coalescing buffers it
+/// opens: a received wire envelope's list, once its parts are handed out,
+/// becomes a later send's, so steady traffic allocates none.
+const SPARE_PARTS: usize = 8;
 
 /// One simulated processor.
 ///
@@ -137,6 +142,9 @@ pub struct Node<M> {
     /// to its flush, so a node keeps no table per peer: what it holds
     /// follows its traffic, not the machine's size.
     outbuf: RefCell<Vec<(usize, Parts<M>)>>,
+    /// Empty part lists, at most [`SPARE_PARTS`], that a new coalescing
+    /// buffer takes before it allocates one (see [`Node::recycle`]).
+    spare: RefCell<Vec<Parts<M>>>,
     /// This node's parking handle: the waiter senders wake it through, and
     /// the park on the mailbox inside [`Node::recv_blocking`] — the
     /// substrate's one true blocking point, and a fiber's one yield point.
@@ -187,6 +195,7 @@ impl<M: MsgSize + Send> Node<M> {
             receiving: RefCell::new(None),
             coalesce: setup.coalesce,
             outbuf: RefCell::new(Vec::new()),
+            spare: RefCell::new(Vec::new()),
             parker,
             sink: TraceSink::new(&setup.trace),
             check: setup.check,
@@ -345,7 +354,7 @@ impl<M: MsgSize + Send> Node<M> {
         let full = {
             let mut bufs = self.outbuf.borrow_mut();
             let i = bufs.binary_search_by_key(&dst, |&(d, _)| d).unwrap_or_else(|i| {
-                bufs.insert(i, (dst, Vec::new()));
+                bufs.insert(i, (dst, self.spare.borrow_mut().pop().unwrap_or_default()));
                 i
             });
             // A later part packs; the head is composed under the envelope's
@@ -369,9 +378,9 @@ impl<M: MsgSize + Send> Node<M> {
     /// Flush every destination's coalescing buffer, in rank order. A
     /// no-op when nothing is buffered (the overwhelmingly common case at
     /// blocking points). Called automatically by [`Node::poll_until`] on
-    /// entry, whenever a received wire envelope's last part has been
-    /// handled, and before it parks — together those make every blocking
-    /// point flush, the liveness rule coalescing relies on.
+    /// entry and whenever a received wire envelope's last part has been
+    /// handled — together those leave nothing buffered when it parks, the
+    /// liveness rule coalescing relies on.
     pub fn flush_coalesced(&self) {
         if self.outbuf.borrow().is_empty() {
             return;
@@ -390,7 +399,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// Put one wire envelope on the transport: one `send_overhead`, one
     /// header over the parts' summed payloads, one `Send` event. Every
     /// wire envelope a node sends leaves through here.
-    fn emit(&self, dst: usize, parts: Vec<(M, usize)>) {
+    fn emit(&self, dst: usize, parts: Parts<M>) {
         self.charge(self.cost.send_overhead);
         let bytes = parts.iter().map(|&(_, b)| b).sum::<usize>() + self.header_bytes;
         self.wire_sent.set(self.wire_sent.get() + 1);
@@ -417,21 +426,20 @@ impl<M: MsgSize + Send> Node<M> {
         self.transport.send_wire(dst, wire);
     }
 
-    /// Non-blocking receive, for [`Node::poll_until`] alone: the machine
-    /// has one receive point. It hands out the next part of the wire
-    /// envelope being received, and takes the next envelope off the
-    /// mailbox only once that one has no parts left.
-    fn try_recv(&self) -> Option<Envelope<M>> {
-        self.next_part().or_else(|| self.transport.mailbox().try_pop().map(|w| self.open(w)))
-    }
-
-    /// The blocking receive behind [`Node::poll_until`]: called with no
-    /// envelope being received and the mailbox found empty, it flushes
-    /// this node's own coalescing buffers (the liveness rule: never sleep
-    /// on a message a peer may be waiting to trigger), parks — once — on
-    /// the mailbox until a wire envelope arrives, and opens it. Under the
-    /// multiplexed backend this park is the yield point: the node's fiber
-    /// is suspended for exactly the park.
+    /// The blocking receive behind [`Node::poll_until`], called once the
+    /// wire envelope being received has no parts left: it takes the next
+    /// envelope off the mailbox, parking — once — until one arrives if the
+    /// mailbox is empty, and opens it. The pop and the publication of this
+    /// node's waiter are one lock acquisition ([`Mailbox::park`]). Under
+    /// the multiplexed backend the park is the yield point: the node's
+    /// fiber is suspended for exactly the park.
+    ///
+    /// This node's coalescing buffers are empty here (the liveness rule:
+    /// never sleep on a message a peer may be waiting to trigger):
+    /// `poll_until` flushed them on entry and after the last part of every
+    /// envelope it handled, and nothing in between sends.
+    ///
+    /// [`Mailbox::park`]: crate::transport::Mailbox::park
     ///
     /// # Panics
     ///
@@ -439,7 +447,11 @@ impl<M: MsgSize + Send> Node<M> {
     /// waits for can be relied on to arrive), or as wedged if `deadline`
     /// — the caller's watchdog — passes first.
     fn recv_blocking(&self, what: &str, deadline: Instant) -> Envelope<M> {
-        self.flush_coalesced();
+        debug_assert!(
+            self.outbuf.borrow().is_empty(),
+            "node {}: parks with sends buffered",
+            self.rank
+        );
         let failed = || self.transport.failed_rank() >= 0;
         match self.transport.mailbox().park(&self.parker, deadline, failed) {
             Ok(wire) => self.open(wire),
@@ -455,7 +467,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// flow arrows stay one per wire envelope. Its later parts wait in
     /// [`Node::next_part`].
     fn open(&self, wire: Wire<M>) -> Envelope<M> {
-        let Envelope { src, send_time, bytes, vc, sw, msg: parts } = wire;
+        let Envelope { src, send_time, bytes, vc, sw, msg: mut parts } = wire;
         let subs = parts.len() as u32;
         let arrival = send_time + self.cost.wire_time(bytes);
         let now = self.clock.get().max(arrival) + self.cost.recv_overhead;
@@ -475,8 +487,8 @@ impl<M: MsgSize + Send> Node<M> {
             self.rank,
             self.sw_epoch.get()
         );
-        let mut parts = parts.into_iter();
-        let (msg, payload) = parts.next().expect("a wire envelope carries at least one part");
+        parts.reverse();
+        let (msg, payload) = parts.pop().expect("a wire envelope carries at least one part");
         if self.sink.enabled() {
             let (tag, bytes) = (msg.tag(), bytes as u32);
             self.sink.emit(
@@ -484,7 +496,9 @@ impl<M: MsgSize + Send> Node<M> {
                 EventKind::Recv { src: src as u16, tag, bytes, sent_at: send_time, subs },
             );
         }
-        if parts.len() > 0 {
+        if parts.is_empty() {
+            self.recycle(parts);
+        } else {
             self.receiving.replace(Some(Receiving { src, send_time, sw, parts }));
         }
         Envelope { src, send_time, bytes: payload, vc, sw, msg }
@@ -497,7 +511,7 @@ impl<M: MsgSize + Send> Node<M> {
     fn next_part(&self) -> Option<Envelope<M>> {
         let mut receiving = self.receiving.borrow_mut();
         let r = receiving.as_mut()?;
-        let (msg, payload) = r.parts.next().expect("a received envelope holds parts left");
+        let (msg, payload) = r.parts.pop().expect("a received envelope holds parts left");
         let env = Envelope {
             src: r.src,
             send_time: r.send_time,
@@ -506,12 +520,22 @@ impl<M: MsgSize + Send> Node<M> {
             sw: r.sw,
             msg,
         };
-        if r.parts.len() == 0 {
-            *receiving = None;
+        if let Some(done) = receiving.take_if(|r| r.parts.is_empty()) {
+            self.recycle(done.parts);
         }
         self.charge(self.cost.pack_cost);
         self.msgs_recv.set(self.msgs_recv.get() + 1);
         Some(env)
+    }
+
+    /// Keep an emptied part list for a later coalescing buffer, unless
+    /// [`SPARE_PARTS`] are kept already.
+    fn recycle(&self, parts: Parts<M>) {
+        debug_assert!(parts.is_empty());
+        let mut spare = self.spare.borrow_mut();
+        if spare.len() < SPARE_PARTS {
+            spare.push(parts);
+        }
     }
 
     /// The first recorded failure's panic message, as a `: msg` suffix for
@@ -586,9 +610,12 @@ impl<M: MsgSize + Send> Node<M> {
     /// it, never behind requests that arrived after it, and the replies
     /// to one envelope's train of parts coalesce.
     ///
-    /// `pred` is re-checked after **every** message: as soon as the wait is
-    /// satisfied the loop returns, leaving any further queued messages for
-    /// the node's next poll. This matters for virtual-time fidelity — a
+    /// `pred` must read only this node's state, which nothing but a handled
+    /// message changes. It is tested once on entry and once after
+    /// **every** message, and at no other time (an empty mailbox changes
+    /// nothing it reads, so the loop goes straight to the park): as soon
+    /// as the wait is satisfied the loop returns, leaving any further
+    /// queued messages for the node's next poll. This matters for virtual-time fidelity — a
     /// thread that races ahead in wall-clock time can enqueue messages
     /// whose virtual send time is far in this node's future, and absorbing
     /// them while blocked on an earlier event would serialize logically
@@ -622,9 +649,11 @@ impl<M: MsgSize + Send> Node<M> {
     ) {
         let deadline = self.watchdog_deadline();
         loop {
-            let env = match self.try_recv() {
+            // `pred` was false on entry and after the last part handled,
+            // and only a handled part changes what it reads: an empty
+            // mailbox is no reason to test it again.
+            let env = match self.next_part() {
                 Some(env) => env,
-                None if pred() => return,
                 None => self.recv_blocking(what, deadline),
             };
             handle(self, env);
@@ -876,6 +905,53 @@ mod tests {
             .collect();
         let packs = (0..5).map(|k| (k * pc, false));
         assert_eq!(events, packs.chain([(sent, true)]).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn poll_until_tests_its_predicate_once_per_handled_part() {
+        // Rank 1 waits for five messages: a three-part envelope, then two
+        // lone ones that rank 0 sends only after rank 1's ack, so rank 1
+        // finds its mailbox empty and parks in between. Each predicate is
+        // tested on entry and after each handled part, and never because
+        // the mailbox ran empty.
+        let r = Spmd::builder()
+            .nprocs(2)
+            .cost(CostModel::free())
+            .coalesce(CoalescePolicy::FlushOnWait)
+            .run::<u64, _, _>(|node| {
+                let seen = Cell::new(0);
+                let mut tests = 0;
+                if node.rank() == 0 {
+                    for i in 0..3 {
+                        node.send(1, i);
+                    }
+                    let pred = || {
+                        tests += 1;
+                        seen.get() == 1
+                    };
+                    node.poll_until("the ack", |_, _| seen.set(seen.get() + 1), pred);
+                    for i in 3..5 {
+                        node.send(1, i);
+                        node.flush_coalesced();
+                    }
+                } else {
+                    let handle = |n: &Node<u64>, env: Envelope<u64>| {
+                        seen.set(seen.get() + 1);
+                        if env.msg == 2 {
+                            n.send(0, 99);
+                        }
+                    };
+                    let pred = || {
+                        tests += 1;
+                        seen.get() == 5
+                    };
+                    node.poll_until("five messages", handle, pred);
+                }
+                (tests, node.stats().parks)
+            });
+        assert_eq!(r.results[0].0, 1 + 1, "rank 0: entry, the ack");
+        assert_eq!(r.results[1].0, 1 + 5, "rank 1: entry, five parts");
+        assert!(r.results[1].1 >= 1, "premise: rank 1 ran its mailbox empty and parked");
     }
 
     #[test]

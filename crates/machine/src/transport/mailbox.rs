@@ -86,7 +86,10 @@ impl<M> Mailbox<M> {
 
     /// The blocking receive: return the next envelope, parking the
     /// calling node (through `parker`: its thread, or its fiber, which
-    /// hands the executor's thread on) until one is delivered.
+    /// hands the executor's thread on) until one is delivered. It pops a
+    /// queued envelope or publishes the waiter in one lock acquisition, and
+    /// takes one more to pop what the wake-up delivered: with the sender's
+    /// `push`, three a hop.
     ///
     /// `failed` reads the machine's failure flag. It is re-checked after
     /// the waiter is published, which closes the window where a failure
