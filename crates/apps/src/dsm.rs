@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use ace_core::{AceRt, Pod, RegionId, SpaceId};
+use ace_core::{AceRt, Pod, RegionId, Resolve, SpaceId};
 use ace_crl::CrlRt;
 use ace_protocols::{make, ProtoSpec};
 
@@ -52,8 +52,8 @@ pub trait Dsm {
 
     /// One read section: `start_read`, then `f` over the data, then `end_read`.
     /// `f` runs while the data is borrowed: it must not open a section on `r`.
-    /// [`AceDsm`] overrides it with [`AceRt::read`], which does the three on
-    /// one region lookup.
+    /// [`AceDsm`] and [`CrlDsm`] override it with [`AceRt::read`] /
+    /// [`CrlRt::read`], which do the three on one region lookup.
     #[inline]
     fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
         self.start_read(r);
@@ -63,7 +63,8 @@ pub trait Dsm {
     }
     /// One write section: `start_write`, then `f` over the data, then `end_write`.
     /// `f` runs while the data is borrowed: it must not open a section on `r`.
-    /// [`AceDsm`] overrides it with [`AceRt::write`] (one region lookup).
+    /// [`AceDsm`] and [`CrlDsm`] override it with [`AceRt::write`] /
+    /// [`CrlRt::write`] (one region lookup).
     #[inline]
     fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         self.start_write(r);
@@ -154,10 +155,10 @@ impl Dsm for AceDsm<'_, '_> {
         self.rt.with_mut(RegionId(r), f)
     }
     fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
-        self.rt.read(RegionId(r), f)
+        self.rt.read(RegionId(r), Resolve::Space, f)
     }
     fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
-        self.rt.write(RegionId(r), f)
+        self.rt.write(RegionId(r), Resolve::Space, f)
     }
     fn barrier(&self, space: u32) {
         self.rt.barrier(SpaceId(space));
@@ -207,10 +208,10 @@ impl<'a, 'n> CrlDsm<'a, 'n> {
 
 impl Dsm for CrlDsm<'_, '_> {
     fn rank(&self) -> usize {
-        self.crl.rank()
+        self.crl.inner().rank()
     }
     fn nprocs(&self) -> usize {
-        self.crl.nprocs()
+        self.crl.inner().nprocs()
     }
     fn new_space(&self, _spec: ProtoSpec) -> u32 {
         0 // CRL has one fixed protocol and no spaces
@@ -238,10 +239,16 @@ impl Dsm for CrlDsm<'_, '_> {
         self.crl.end_write(RegionId(r));
     }
     fn with<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
-        self.crl.with(RegionId(r), f)
+        self.crl.inner().with(RegionId(r), f)
     }
     fn with_mut<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
-        self.crl.with_mut(RegionId(r), f)
+        self.crl.inner().with_mut(RegionId(r), f)
+    }
+    fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
+        self.crl.read(RegionId(r), f)
+    }
+    fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
+        self.crl.write(RegionId(r), f)
     }
     fn barrier(&self, _space: u32) {
         self.crl.barrier();
@@ -253,22 +260,22 @@ impl Dsm for CrlDsm<'_, '_> {
         self.crl.unlock(RegionId(r));
     }
     fn bcast(&self, root: usize, vals: &[u64]) -> Arc<[u64]> {
-        self.crl.bcast(root, vals)
+        self.crl.inner().bcast(root, vals)
     }
     fn gather(&self, root: usize, vals: &[u64]) -> Option<Vec<Arc<[u64]>>> {
-        self.crl.gather(root, vals)
+        self.crl.inner().gather(root, vals)
     }
     fn allreduce_u64(&self, val: u64, op: fn(u64, u64) -> u64) -> u64 {
-        self.crl.allreduce_u64(val, op)
+        self.crl.inner().allreduce_u64(val, op)
     }
     fn allreduce_f64(&self, val: f64, op: fn(f64, f64) -> f64) -> f64 {
-        self.crl.allreduce_f64(val, op)
+        self.crl.inner().allreduce_f64(val, op)
     }
     fn charge_flops(&self, n: u64) {
-        self.crl.charge_flops(n);
+        self.crl.inner().charge_flops(n);
     }
     fn charge_mem(&self, n: u64) {
-        self.crl.charge_mem(n);
+        self.crl.inner().charge_mem(n);
     }
 }
 
@@ -385,7 +392,9 @@ mod tests {
         let n = 3;
         let want = (1..=n as u64).sum::<u64>();
         let a = run_ace(n, CostModel::free(), |rt| kernel(&AceDsm::new(rt), || rt.counters()));
-        let c = run_crl(n, CostModel::free(), |crl| kernel(&CrlDsm::new(crl), || crl.counters()));
+        let c = run_crl(n, CostModel::free(), |crl| {
+            kernel(&CrlDsm::new(crl), || crl.inner().counters())
+        });
         assert_eq!(a.results, vec![want; n]);
         assert_eq!(c.results, vec![want; n]);
     }

@@ -167,6 +167,18 @@ where
     }))
 }
 
+/// [`observe`] on the CRL baseline (which has no escape hatches to prepare).
+pub fn observe_crl<F>(builder: MachineBuilder, kernel: F) -> Observed
+where
+    F: Fn(&CrlDsm) -> f64 + Sync,
+{
+    collect(run_crl_with(builder, |crl| {
+        let v = kernel(&CrlDsm::new(crl));
+        crl.inner().machine_barrier();
+        (v, crl.inner().data_digest(), crl.inner().counters())
+    }))
+}
+
 /// Run `f` on the CRL baseline and collect the outcome.
 pub fn launch_crl<F>(nprocs: usize, cost: CostModel, f: F) -> RunOutcome
 where
@@ -180,7 +192,7 @@ pub fn launch_crl_with<F>(builder: MachineBuilder, f: F) -> RunOutcome
 where
     F: Fn(&CrlDsm) -> f64 + Sync,
 {
-    collect(run_crl_with(builder, |crl| (f(&CrlDsm::new(crl)), 0, crl.counters()))).outcome
+    collect(run_crl_with(builder, |crl| (f(&CrlDsm::new(crl)), 0, crl.inner().counters()))).outcome
 }
 
 /// Fold per-rank `(verification, digest, counters)` results into the record.
@@ -214,18 +226,6 @@ mod tests {
     use super::*;
     use crate::dsm::Dsm;
     use ace_core::TraceConfig;
-
-    /// [`observe`] on the CRL baseline (which has no escape hatches to prepare).
-    fn observe_crl<F>(builder: MachineBuilder, kernel: F) -> Observed
-    where
-        F: Fn(&CrlDsm) -> f64 + Sync,
-    {
-        collect(run_crl_with(builder, |crl| {
-            let v = kernel(&CrlDsm::new(crl));
-            crl.inner().machine_barrier();
-            (v, crl.inner().data_digest(), crl.counters())
-        }))
-    }
 
     #[test]
     fn outcomes_carry_stats() {

@@ -1,29 +1,30 @@
-//! A section through `AceDsm` looks its region up once. `AceDsm::read` /
-//! `write` are `AceRt::read` / `write`, which run the start hook, the
-//! typed view and the end hook on one lookup of the region's entry; the
-//! trait's default `read` / `write` call `start_*`, `with*` and `end_*`,
-//! and each of those looks the region up again. The two must run the same
-//! program: the same verification bits and region digests, simulated
-//! time, messages, wire envelopes and bytes, per-tag counts and every
-//! counter, except that the region-cache hits drop by exactly two per
-//! section opened.
+//! A section through `AceDsm` or `CrlDsm` looks its region up once.
+//! `AceDsm::read` / `write` are `AceRt::read` / `write` and `CrlDsm`'s are
+//! `CrlRt::read` / `write`, which run the start hook, the typed view and
+//! the end hook on one lookup of the region's entry; the trait's default
+//! `read` / `write` call `start_*`, `with*` and `end_*`, and each of those
+//! looks the region up again. The two must run the same program: the same
+//! verification bits and region digests, simulated time, messages, wire
+//! envelopes and bytes, per-tag counts and every counter, except that the
+//! region-cache hits drop by exactly two per section opened.
 //!
 //! Each of the five apps runs at `Params::small()` on 4 multiplexed ranks
-//! under each variant, once through `AceDsm` and once through `Unscoped`,
-//! a pass-through `Dsm` that keeps the trait's default `read` / `write`.
+//! under each Ace variant and on CRL, once through the runtime's adapter
+//! and once through `Unscoped`, a pass-through `Dsm` that keeps the
+//! trait's default `read` / `write`.
 
 use std::sync::Arc;
 
-use ace_apps::runner::{observe, Axis, Observed};
-use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, Dsm, Variant};
-use ace_core::{CostModel, ExecBackend, Pod, Spmd, TraceConfig};
+use ace_apps::runner::{observe, observe_crl, Axis, Observed};
+use ace_apps::{barnes, bsc, em3d, tsp, water, AceDsm, CrlDsm, Dsm, Variant};
+use ace_core::{CostModel, ExecBackend, MachineBuilder, Pod, Spmd, TraceConfig};
 use ace_protocols::ProtoSpec;
 
-/// `AceDsm` with the trait's default `read` / `write`: three lookups a
+/// An adapter with the trait's default `read` / `write`: three lookups a
 /// section.
-struct Unscoped<'d, 'a, 'n>(&'d AceDsm<'a, 'n>);
+struct Unscoped<'d, D>(&'d D);
 
-impl Dsm for Unscoped<'_, '_, '_> {
+impl<D: Dsm> Dsm for Unscoped<'_, D> {
     fn rank(&self) -> usize {
         self.0.rank()
     }
@@ -92,20 +93,26 @@ impl Dsm for Unscoped<'_, '_, '_> {
     }
 }
 
-/// A traced 4-rank multiplexed run of `kernel`.
-fn run(kernel: impl Fn(&AceDsm) -> f64 + Sync) -> Observed {
-    let machine = Spmd::builder()
-        .nprocs(4)
-        .cost(CostModel::cm5())
-        .backend(ExecBackend::Multiplexed)
-        .trace(TraceConfig::on());
-    observe(machine, |_| {}, kernel)
+/// A traced 4-rank multiplexed machine.
+fn machine() -> MachineBuilder {
+    let b = Spmd::builder().nprocs(4).cost(CostModel::cm5());
+    b.backend(ExecBackend::Multiplexed).trace(TraceConfig::on())
 }
 
-/// Hold a run through `AceDsm` and one through `Unscoped` of `app` under
-/// `v` to the module's contract.
-fn check(app: &str, v: Variant, scoped: Observed, mut unscoped: Observed) {
-    let ctx = format!("{app}/{}", v.name());
+/// A run of `kernel` on Ace.
+fn run(kernel: impl Fn(&AceDsm) -> f64 + Sync) -> Observed {
+    observe(machine(), |_| {}, kernel)
+}
+
+/// A run of `kernel` on CRL.
+fn run_crl(kernel: impl Fn(&CrlDsm) -> f64 + Sync) -> Observed {
+    observe_crl(machine(), kernel)
+}
+
+/// Hold a run through the adapter and one through `Unscoped` of `app`
+/// under `config` to the module's contract.
+fn check(app: &str, config: &str, scoped: Observed, mut unscoped: Observed) {
+    let ctx = format!("{app}/{config}");
     let (a, b) = (&scoped.outcome, &mut unscoped.outcome);
     // Everything but the lookups, exactly: not even the wire grouping moves.
     assert_eq!(a.sim_ns, b.sim_ns, "{ctx}: simulated time");
@@ -130,8 +137,11 @@ macro_rules! app_test {
             for v in [Variant::Sc, Variant::Custom, Variant::Adaptive] {
                 let scoped = run(|d| $app::run(d, &p, v));
                 let unscoped = run(|d| $app::run(&Unscoped(d), &p, v));
-                check(stringify!($app), v, scoped, unscoped);
+                check(stringify!($app), v.name(), scoped, unscoped);
             }
+            let scoped = run_crl(|d| $app::run(d, &p, Variant::Sc));
+            let unscoped = run_crl(|d| $app::run(&Unscoped(d), &p, Variant::Sc));
+            check(stringify!($app), "crl", scoped, unscoped);
         }
     };
 }

@@ -58,7 +58,7 @@ pub fn ablation(_: &Args) -> Result<(), String> {
         let r = Spmd::builder().nprocs(2).cost(CostModel::cm5()).run(|node| {
             let crl = CrlRt::with_urc_capacity(node, cap);
             read_sweep(&CrlDsm::new(&crl), 2048, 4, 2);
-            let c = crl.counters();
+            let c = crl.inner().counters();
             crl.inner().shutdown();
             (c.map_misses, c.read_misses)
         });

@@ -18,10 +18,8 @@
 //! of the slowdown was a result of the extra ACE_MAP calls within the
 //! computation loop").
 
-use std::rc::Rc;
-
 use ace_apps::runner::{launch_ace_with, RunOutcome};
-use ace_core::{AceRt, MachineBuilder, Protocol, RegionId, SpaceId};
+use ace_core::{AceRt, MachineBuilder, RegionId, Resolve};
 use ace_lang::{compile, run_program, OptLevel, SystemConfig};
 use ace_protocols::{make, ProtoSpec};
 
@@ -206,7 +204,10 @@ pub fn table4_procs() -> Vec<usize> {
 
 // ---------------------------------------------------------------------
 // Hand-written runtime versions. Each mirrors its Ace-C kernel's
-// arithmetic exactly; only the placement of runtime calls differs.
+// arithmetic exactly; only the placement of runtime calls differs. Every
+// section is one `read` / `write` resolved to the protocol the programmer
+// knows is registered, which leaves out the hooks it declares null and
+// calls the rest directly (§5.3).
 // ---------------------------------------------------------------------
 
 fn dist(a: usize, b: usize) -> u64 {
@@ -245,15 +246,15 @@ fn hand_em3d(rt: &AceRt) -> f64 {
     let sc = make(ProtoSpec::Sc);
     for (i, &rid) in my_e.iter().enumerate() {
         rt.map(rid);
-        rt.start_write_direct(rid, &*sc);
-        rt.with_mut::<f64, _>(rid, |v| v[0] = ((me * per_e + i) % 7) as f64 + 1.0);
-        rt.end_write_direct(rid, &*sc);
+        rt.write::<f64, _>(rid, Resolve::Static(&*sc), |v| {
+            v[0] = ((me * per_e + i) % 7) as f64 + 1.0
+        });
     }
     for (i, &rid) in my_h.iter().enumerate() {
         rt.map(rid);
-        rt.start_write_direct(rid, &*sc);
-        rt.with_mut::<f64, _>(rid, |v| v[0] = ((me * per_h + i) % 5) as f64 + 1.0);
-        rt.end_write_direct(rid, &*sc);
+        rt.write::<f64, _>(rid, Resolve::Static(&*sc), |v| {
+            v[0] = ((me * per_h + i) % 5) as f64 + 1.0
+        });
     }
     rt.barrier(eval);
     rt.barrier(hval);
@@ -285,13 +286,12 @@ fn hand_em3d(rt: &AceRt) -> f64 {
             for j in 0..DEG {
                 let nb = (base * 7 + j * 13 + 3) % NH;
                 let w = 0.01 * ((base + j) % 5 + 1) as f64;
-                // StaticUpdate reads are registered null: the expert skips
-                // the start/end entirely.
-                acc += w * rt.with_unchecked::<f64, _>(all_h[nb], |v| v[0]);
+                // StaticUpdate reads are registered null: the section
+                // calls neither hook.
+                acc += w * rt.read::<f64, _>(all_h[nb], Resolve::Static(&*stat), |v| v[0]);
             }
-            let ev = my_e[i];
-            rt.with_mut_unchecked::<f64, _>(ev, |v| v[0] = v[0] * 0.5 + acc);
-            rt.end_write_direct(ev, &*stat); // non-null: marks dirty
+            // Of a write, only the end is non-null: it marks the region dirty.
+            rt.write::<f64, _>(my_e[i], Resolve::Static(&*stat), |v| v[0] = v[0] * 0.5 + acc);
             rt.charge_flops((2 * DEG + 2) as u64);
         }
         rt.barrier(eval);
@@ -301,11 +301,9 @@ fn hand_em3d(rt: &AceRt) -> f64 {
             for j in 0..DEG {
                 let nb = (base * 11 + j * 17 + 5) % NE;
                 let w = 0.01 * ((base + 2 * j) % 5 + 1) as f64;
-                acc += w * rt.with_unchecked::<f64, _>(all_e[nb], |v| v[0]);
+                acc += w * rt.read::<f64, _>(all_e[nb], Resolve::Static(&*stat), |v| v[0]);
             }
-            let hv = my_h[i];
-            rt.with_mut_unchecked::<f64, _>(hv, |v| v[0] = v[0] * 0.5 + acc);
-            rt.end_write_direct(hv, &*stat);
+            rt.write::<f64, _>(my_h[i], Resolve::Static(&*stat), |v| v[0] = v[0] * 0.5 + acc);
             rt.charge_flops((2 * DEG + 2) as u64);
         }
         rt.barrier(hval);
@@ -313,7 +311,7 @@ fn hand_em3d(rt: &AceRt) -> f64 {
 
     let mut local = 0.0;
     for &rid in my_e.iter().chain(my_h.iter()) {
-        local += rt.with_unchecked::<f64, _>(rid, |v| v[0]);
+        local += rt.read::<f64, _>(rid, Resolve::Static(&*stat), |v| v[0]);
     }
     rt.allreduce_f64(local, |a, b| a + b)
 }
@@ -328,9 +326,7 @@ fn hand_tsp(rt: &AceRt) -> f64 {
         let c = rt.gmalloc::<u64>(cspace, 1);
         let b = rt.gmalloc::<u64>(bspace, 1);
         rt.map(b);
-        rt.start_write_direct(b, &*sc);
-        rt.with_mut::<u64, _>(b, |x| x[0] = 1_000_000);
-        rt.end_write_direct(b, &*sc);
+        rt.write::<u64, _>(b, Resolve::Static(&*sc), |x| x[0] = 1_000_000);
         let ids = rt.bcast(0, &[c.0, b.0]);
         (RegionId(ids[0]), RegionId(ids[1]))
     } else {
@@ -368,11 +364,13 @@ fn hand_tsp(rt: &AceRt) -> f64 {
     let mut found = bound + 1;
 
     loop {
-        // One-round-trip claim: lock is the fetch-and-add; the read hits
-        // the installed ticket; the null write/unlock are skipped.
+        // One-round-trip claim: lock is the fetch-and-add; the section on
+        // the installed ticket and the unlock are null.
         rt.lock_direct(counter, &*fa);
-        let ticket = rt.with_unchecked::<u64, _>(counter, |c| c[0]);
-        rt.with_mut_unchecked::<u64, _>(counter, |c| c[0] = ticket + 1);
+        let ticket = rt.write::<u64, _>(counter, Resolve::Static(&*fa), |c| {
+            c[0] += 1;
+            c[0] - 1
+        });
         if ticket >= total {
             break;
         }
@@ -384,9 +382,7 @@ fn hand_tsp(rt: &AceRt) -> f64 {
         }
         let plen = dist(0, a) + dist(a, b);
 
-        rt.start_read_direct(best, &*sc);
-        let _observed = rt.with::<u64, _>(best, |x| x[0]);
-        rt.end_read_direct(best, &*sc);
+        let _observed = rt.read::<u64, _>(best, Resolve::Static(&*sc), |x| x[0]);
         rt.charge_flops(1);
 
         let mut jbest = found;
@@ -448,21 +444,15 @@ fn hand_tsp(rt: &AceRt) -> f64 {
             found = jbest;
         }
         rt.lock_direct(best, &*sc);
-        rt.start_read_direct(best, &*sc);
-        let cur = rt.with::<u64, _>(best, |x| x[0]);
-        rt.end_read_direct(best, &*sc);
+        let cur = rt.read::<u64, _>(best, Resolve::Static(&*sc), |x| x[0]);
         if found < cur {
-            rt.start_write_direct(best, &*sc);
-            rt.with_mut::<u64, _>(best, |x| x[0] = found);
-            rt.end_write_direct(best, &*sc);
+            rt.write::<u64, _>(best, Resolve::Static(&*sc), |x| x[0] = found);
         }
         rt.unlock_direct(best, &*sc);
     }
 
     rt.barrier(bspace);
-    rt.start_read_direct(best, &*sc);
-    let answer = rt.with::<u64, _>(best, |x| x[0]);
-    rt.end_read_direct(best, &*sc);
+    let answer = rt.read::<u64, _>(best, Resolve::Static(&*sc), |x| x[0]);
     rt.barrier(bspace);
     rt.allreduce_u64(answer, u64::min) as f64
 }
@@ -483,8 +473,7 @@ fn hand_water(rt: &AceRt) -> f64 {
     for (i, &rid) in mine.iter().enumerate() {
         let gid = me * per + i;
         rt.map(rid);
-        rt.start_write_direct(rid, &*sc);
-        rt.with_mut::<f64, _>(rid, |m| {
+        rt.write::<f64, _>(rid, Resolve::Static(&*sc), |m| {
             m[0] = (gid % 7) as f64 * 0.3 - 1.0;
             m[1] = (gid % 5) as f64 * 0.4 - 1.0;
             m[2] = (gid % 3) as f64 * 0.5 - 0.7;
@@ -492,11 +481,11 @@ fn hand_water(rt: &AceRt) -> f64 {
             m[4] = 0.0;
             m[5] = 0.0;
         });
-        rt.end_write_direct(rid, &*sc);
     }
     rt.barrier(mols);
 
     rt.change_protocol(mols, make(ProtoSpec::Null));
+    let null = make(ProtoSpec::Null);
     let pip = make(ProtoSpec::Pipelined);
 
     // Hand optimization: map everything once.
@@ -505,9 +494,9 @@ fn hand_water(rt: &AceRt) -> f64 {
     }
 
     for _ in 0..STEPS {
-        // Intra phase under the null protocol: raw local access.
+        // Intra phase under the null protocol: every access hook is null.
         for &rid in &mine {
-            rt.with_mut_unchecked::<f64, _>(rid, |m| {
+            rt.write::<f64, _>(rid, Resolve::Static(&*null), |m| {
                 for a in 0..3 {
                     m[3 + a] += 0.001 * m[6 + a];
                     m[a] += 0.002 * m[3 + a];
@@ -528,30 +517,25 @@ fn hand_water(rt: &AceRt) -> f64 {
                     continue;
                 }
                 let (ri, rj) = (all[gi], all[gj]);
-                rt.start_read_direct(ri, &*pip);
-                let pi = rt.with::<f64, _>(ri, |m| [m[0], m[1], m[2]]);
-                rt.start_read_direct(rj, &*pip);
-                let pj = rt.with::<f64, _>(rj, |m| [m[0], m[1], m[2]]);
+                // A pipelined read's end is null.
+                let pi = rt.read::<f64, _>(ri, Resolve::Static(&*pip), |m| [m[0], m[1], m[2]]);
+                let pj = rt.read::<f64, _>(rj, Resolve::Static(&*pip), |m| [m[0], m[1], m[2]]);
                 let dx = pj[0] - pi[0];
                 let dy = pj[1] - pi[1];
                 let dz = pj[2] - pi[2];
                 let d2 = dx * dx + dy * dy + dz * dz + 0.05;
                 let inv = 1.0 / (d2 * d2.sqrt());
                 rt.charge_flops(14 + 2);
-                rt.start_write_direct(ri, &*pip);
-                rt.with_mut::<f64, _>(ri, |m| {
+                rt.write::<f64, _>(ri, Resolve::Static(&*pip), |m| {
                     m[6] += dx * inv;
                     m[7] += dy * inv;
                     m[8] += dz * inv;
                 });
-                rt.end_write_direct(ri, &*pip);
-                rt.start_write_direct(rj, &*pip);
-                rt.with_mut::<f64, _>(rj, |m| {
+                rt.write::<f64, _>(rj, Resolve::Static(&*pip), |m| {
                     m[6] -= dx * inv;
                     m[7] -= dy * inv;
                     m[8] -= dz * inv;
                 });
-                rt.end_write_direct(rj, &*pip);
                 rt.charge_flops(6);
             }
         }
@@ -559,7 +543,7 @@ fn hand_water(rt: &AceRt) -> f64 {
         rt.change_protocol(mols, make(ProtoSpec::Null));
 
         for &rid in &mine {
-            rt.with_mut_unchecked::<f64, _>(rid, |m| {
+            rt.write::<f64, _>(rid, Resolve::Static(&*null), |m| {
                 for a in 0..3 {
                     m[3 + a] += 0.001 * m[6 + a];
                 }
@@ -571,7 +555,8 @@ fn hand_water(rt: &AceRt) -> f64 {
 
     let mut local = 0.0;
     for &rid in &mine {
-        local += rt.with_unchecked::<f64, _>(rid, |m| m[0].abs() + m[1].abs() + m[2].abs());
+        local += rt
+            .read::<f64, _>(rid, Resolve::Static(&*null), |m| m[0].abs() + m[1].abs() + m[2].abs());
     }
     rt.allreduce_f64(local, |a, b| a + b)
 }
@@ -618,8 +603,7 @@ fn hand_bsc(rt: &AceRt) -> f64 {
                 let rid = blk[own];
                 own += 1;
                 rt.map(rid);
-                rt.start_write_direct(rid, &*sc);
-                rt.with_mut::<f64, _>(rid, |m| {
+                rt.write::<f64, _>(rid, Resolve::Static(&*sc), |m| {
                     for rr in 0..BW {
                         for cc in 0..BW {
                             let gr = (i * BW + rr) as f64;
@@ -632,7 +616,6 @@ fn hand_bsc(rt: &AceRt) -> f64 {
                         }
                     }
                 });
-                rt.end_write_direct(rid, &*sc);
                 rt.charge_flops((BW * BW) as u64);
             }
         }
@@ -651,8 +634,8 @@ fn hand_bsc(rt: &AceRt) -> f64 {
 
     for k in 0..B {
         if owner(k, k) == me {
-            // HomeOwned writes at home are null hooks: raw in-place potrf.
-            rt.with_mut_unchecked::<f64, _>(tab[k * B + k], |d| {
+            // HomeOwned's write hooks are null: home factors in place.
+            rt.write::<f64, _>(tab[k * B + k], Resolve::Static(&*ho), |d| {
                 for kk in 0..BW {
                     let piv = d[kk * BW + kk].sqrt();
                     d[kk * BW + kk] = piv;
@@ -673,10 +656,9 @@ fn hand_bsc(rt: &AceRt) -> f64 {
 
         for i in (k + 1)..B {
             if owner(i, k) == me {
-                rt.start_read_direct(tab[k * B + k], &*ho);
-                let l = rt.with::<f64, _>(tab[k * B + k], |m| m.to_vec());
-                let x = tab[k * B + i];
-                rt.with_mut_unchecked::<f64, _>(x, |xm| {
+                // A HomeOwned read's end is null.
+                let l = rt.read::<f64, _>(tab[k * B + k], Resolve::Static(&*ho), |m| m.to_vec());
+                rt.write::<f64, _>(tab[k * B + i], Resolve::Static(&*ho), |xm| {
                     for rr in 0..BW {
                         for cc in 0..BW {
                             let mut s = xm[rr * BW + cc];
@@ -695,11 +677,11 @@ fn hand_bsc(rt: &AceRt) -> f64 {
         for j in (k + 1)..B {
             for i in j..B {
                 if owner(i, j) == me {
-                    rt.start_read_direct(tab[k * B + i], &*ho);
-                    let a = rt.with::<f64, _>(tab[k * B + i], |m| m.to_vec());
-                    rt.start_read_direct(tab[k * B + j], &*ho);
-                    let bb = rt.with::<f64, _>(tab[k * B + j], |m| m.to_vec());
-                    rt.with_mut_unchecked::<f64, _>(tab[j * B + i], |c| {
+                    let a =
+                        rt.read::<f64, _>(tab[k * B + i], Resolve::Static(&*ho), |m| m.to_vec());
+                    let bb =
+                        rt.read::<f64, _>(tab[k * B + j], Resolve::Static(&*ho), |m| m.to_vec());
+                    rt.write::<f64, _>(tab[j * B + i], Resolve::Static(&*ho), |c| {
                         for rr in 0..BW {
                             for cc in 0..BW {
                                 let mut s = 0.0;
@@ -724,8 +706,12 @@ fn hand_bsc(rt: &AceRt) -> f64 {
             if owner(i, j) == me {
                 let rid = blk[own];
                 own += 1;
-                local +=
-                    rt.with_unchecked::<f64, _>(rid, |m| m.iter().map(|x| x.abs()).sum::<f64>());
+                // A read at home would run HomeOwned's start_read; the
+                // write section's hooks are both null, so home reads its
+                // own block through one.
+                local += rt.write::<f64, _>(rid, Resolve::Static(&*ho), |m| {
+                    m.iter().map(|x| x.abs()).sum::<f64>()
+                });
             }
         }
     }
@@ -757,8 +743,7 @@ fn hand_barnes(rt: &AceRt) -> f64 {
     for (i, &rid) in mine.iter().enumerate() {
         let gid = me * per + i;
         rt.map(rid);
-        rt.start_write_direct(rid, &*sc);
-        rt.with_mut::<f64, _>(rid, |b| {
+        rt.write::<f64, _>(rid, Resolve::Static(&*sc), |b| {
             b[0] = (gid % 9) as f64 * 0.25 - 1.0;
             b[1] = (gid % 7) as f64 * 0.3 - 0.9;
             b[2] = (gid % 5) as f64 * 0.35 - 0.6;
@@ -767,7 +752,6 @@ fn hand_barnes(rt: &AceRt) -> f64 {
             b[5] = 0.0;
             b[6] = 1.0 / N as f64;
         });
-        rt.end_write_direct(rid, &*sc);
     }
     rt.barrier(bodies);
 
@@ -788,9 +772,8 @@ fn hand_barnes(rt: &AceRt) -> f64 {
             for g in 0..G {
                 let (mut cx, mut cy, mut cz, mut m) = (0.0, 0.0, 0.0, 0.0);
                 for k in 0..per_g {
-                    let rid = all[g * per_g + k];
-                    rt.start_read_direct(rid, &*upd);
-                    rt.with::<f64, _>(rid, |b| {
+                    // A dynamic-update read's end is null.
+                    rt.read::<f64, _>(all[g * per_g + k], Resolve::Static(&*upd), |b| {
                         let bm = b[6];
                         cx += b[0] * bm;
                         cy += b[1] * bm;
@@ -799,15 +782,12 @@ fn hand_barnes(rt: &AceRt) -> f64 {
                     });
                     rt.charge_flops(7);
                 }
-                let c = cent[g];
-                rt.start_write_direct(c, &*sc);
-                rt.with_mut::<f64, _>(c, |v| {
+                rt.write::<f64, _>(cent[g], Resolve::Static(&*sc), |v| {
                     v[0] = cx / m;
                     v[1] = cy / m;
                     v[2] = cz / m;
                     v[3] = m;
                 });
-                rt.end_write_direct(c, &*sc);
             }
         }
         rt.barrier(cells);
@@ -817,18 +797,18 @@ fn hand_barnes(rt: &AceRt) -> f64 {
             let gi = me * per + i;
             let myg = gi / per_g;
             let bi = mine[i];
-            rt.start_read_direct(bi, &*upd);
-            let (px, py, pz) = rt.with::<f64, _>(bi, |b| (b[0], b[1], b[2]));
+            let (px, py, pz) =
+                rt.read::<f64, _>(bi, Resolve::Static(&*upd), |b| (b[0], b[1], b[2]));
             let (mut ax, mut ay, mut az) = (0.0, 0.0, 0.0);
             for g in 0..G {
                 if g == myg {
                     for k in 0..per_g {
                         let gj = g * per_g + k;
                         if gj != gi {
-                            let bj = all[gj];
-                            rt.start_read_direct(bj, &*upd);
                             let (bx, by, bz, bm) =
-                                rt.with::<f64, _>(bj, |b| (b[0], b[1], b[2], b[6]));
+                                rt.read::<f64, _>(all[gj], Resolve::Static(&*upd), |b| {
+                                    (b[0], b[1], b[2], b[6])
+                                });
                             let dx = bx - px;
                             let dy = by - py;
                             let dz = bz - pz;
@@ -841,10 +821,9 @@ fn hand_barnes(rt: &AceRt) -> f64 {
                         }
                     }
                 } else {
-                    let c = cent[g];
-                    rt.start_read_direct(c, &*sc);
-                    let (cx, cy, cz, cm) = rt.with::<f64, _>(c, |v| (v[0], v[1], v[2], v[3]));
-                    rt.end_read_direct(c, &*sc);
+                    let (cx, cy, cz, cm) = rt.read::<f64, _>(cent[g], Resolve::Static(&*sc), |v| {
+                        (v[0], v[1], v[2], v[3])
+                    });
                     let dx = cx - px;
                     let dy = cy - py;
                     let dz = cz - pz;
@@ -856,24 +835,20 @@ fn hand_barnes(rt: &AceRt) -> f64 {
                     rt.charge_flops(13);
                 }
             }
-            rt.start_write_direct(bi, &*upd);
-            rt.with_mut::<f64, _>(bi, |b| {
+            rt.write::<f64, _>(bi, Resolve::Static(&*upd), |b| {
                 b[3] = ax;
                 b[4] = ay;
                 b[5] = az;
             });
-            rt.end_write_direct(bi, &*upd);
         }
         rt.barrier(bodies);
 
         for &rid in &mine {
-            rt.start_write_direct(rid, &*upd);
-            rt.with_mut::<f64, _>(rid, |b| {
+            rt.write::<f64, _>(rid, Resolve::Static(&*upd), |b| {
                 for a in 0..3 {
                     b[a] += 0.01 * b[3 + a];
                 }
             });
-            rt.end_write_direct(rid, &*upd);
             rt.charge_flops(6);
         }
         rt.barrier(bodies);
@@ -881,17 +856,11 @@ fn hand_barnes(rt: &AceRt) -> f64 {
 
     let mut local = 0.0;
     for &rid in &mine {
-        rt.start_read_direct(rid, &*upd);
-        local += rt.with::<f64, _>(rid, |b| b[0].abs() + b[1].abs() + b[2].abs());
+        local += rt
+            .read::<f64, _>(rid, Resolve::Static(&*upd), |b| b[0].abs() + b[1].abs() + b[2].abs());
     }
     rt.allreduce_f64(local, |a, b| a + b)
 }
-
-/// The Ace barrier used by hand code needs a `SpaceId`; re-export for the
-/// binaries.
-pub type Space = SpaceId;
-/// Protocol handle alias for the binaries.
-pub type Proto = Rc<dyn Protocol>;
 
 #[cfg(test)]
 mod tests {

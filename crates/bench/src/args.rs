@@ -2,6 +2,8 @@
 
 use std::path::{Path, PathBuf};
 
+use ace_core::Spmd;
+
 use crate::cell::Input;
 use crate::{ablation, claims, figures, tracecheck};
 
@@ -129,6 +131,14 @@ impl Args {
         }
     }
 
+    /// `--procs` (or `default`), rejected before any cell runs unless a
+    /// machine can have that many nodes.
+    pub fn procs(&self, default: usize) -> Result<usize, String> {
+        let procs = self.num("--procs", default)?;
+        Spmd::builder().nprocs(procs).validate().map_err(|e| format!("--procs {procs}: {e}"))?;
+        Ok(procs)
+    }
+
     /// Hold every file to `check(path, contents)`: print what it reports,
     /// or fail with the first error under the file's name.
     pub fn each_file(
@@ -203,6 +213,16 @@ mod tests {
             Ok(vec!["em3d", "water", "barnes"])
         );
         assert!(parse_apps(Some("em3d,nosuch"), &known, &[]).unwrap_err().contains("nosuch"));
+    }
+
+    #[test]
+    fn procs_outside_the_machine_range_fail_before_a_run() {
+        for bad in ["0", "4097"] {
+            let e = parse(&["fig7a", "--procs", bad]).unwrap().procs(8).unwrap_err();
+            assert!(e.contains("at least 1 and at most 4096"), "{e}");
+        }
+        assert_eq!(parse(&["fig7b", "--procs", "4096"]).unwrap().procs(8), Ok(4096));
+        assert_eq!(parse(&["check"]).unwrap().procs(8), Ok(8));
     }
 
     #[test]

@@ -248,7 +248,7 @@ pub fn figure(table: &str) -> Option<&'static Figure> {
 
 /// `ace-bench fig7a`.
 pub fn fig7a(a: &Args) -> Result<(), String> {
-    let (input, procs) = (a.input(), a.num("--procs", 8)?);
+    let (input, procs) = (a.input(), a.procs(8)?);
     println!("Figure 7a: Ace runtime vs CRL (SC protocol), {procs} procs");
     let rows = FIGURES[0].show(&grid(&APPS, &FIG7A, input, procs));
     println!("\n(simulated time on the CM-5-flavoured cost model; >1 means Ace is faster;");
@@ -259,7 +259,7 @@ pub fn fig7a(a: &Args) -> Result<(), String> {
 
 /// `ace-bench fig7b`.
 pub fn fig7b(a: &Args) -> Result<(), String> {
-    let (input, procs) = (a.input(), a.num("--procs", 8)?);
+    let (input, procs) = (a.input(), a.procs(8)?);
     println!("Figure 7b: SC vs application-specific protocols in Ace, {procs} procs");
     let rows = FIGURES[1].show(&grid(&APPS, &FIG7B, input, procs));
     println!("\ncustom protocols: barnes=dynamic update, bsc=home-owned, em3d=static update,");
@@ -297,7 +297,7 @@ const CHECK_COLS: [Col; 7] = [
 /// violations — `Fail` panics on the first one — and the recorded count
 /// is checked anyway.
 pub fn check(a: &Args) -> Result<(), String> {
-    let (input, procs) = (a.input(), a.num("--procs", 8)?);
+    let (input, procs) = (a.input(), a.procs(8)?);
     let apps = parse_apps(a.files.first().map(String::as_str), &APPS, &["em3d", "water"])?;
     let on_off = [Tweak::None, Tweak::Check(CheckMode::Fail)];
     let configs: Vec<_> = [Variant::Sc, Variant::Custom, Variant::Adaptive]
@@ -364,13 +364,20 @@ pub fn scaling(a: &Args) -> Result<(), String> {
     }
     let apps = parse_apps(a.value("--app"), &SCALING_APPS, &SCALING_APPS)?;
     let (min, max) = (a.num("--min", 2)?.max(2), a.num("--max", MAX_NODES)?.min(MAX_NODES));
+    let cells = scaling_cells(&apps, min, max);
+    if cells.is_empty() {
+        let apps = apps.join(",");
+        return Err(format!(
+            "{apps} run at no power of two from {min} to {max} (water stops at 1024)"
+        ));
+    }
     println!("scaling: custom-protocol speedup vs processor count, weak-scaled\n");
     let walls: [Col; 2] = [
         ("SC wall", 12, |l| format!("{:.1}ms", wall_ms(by(l, "sc")))),
         ("custom wall", 12, |l| format!("{:.1}ms", wall_ms(by(l, "custom")))),
     ];
     let cols = [&SCALING_COLS[..], &walls].concat();
-    let rows = table(FIGURES[3].key, &cols, 3, &scaling_cells(&apps, min, max));
+    let rows = table(FIGURES[3].key, &cols, 3, &cells);
     write_json(a, "scaling", &rows)
 }
 
@@ -492,6 +499,23 @@ mod tests {
             );
             let nocoal = by(l, "custom-nocoal");
             assert_eq!(nocoal.out.wire_msgs, nocoal.out.msgs, "coalescing off: one envelope each");
+        }
+    }
+
+    #[test]
+    fn an_empty_scaling_sweep_fails_and_writes_nothing() {
+        let path =
+            std::env::temp_dir().join(format!("ace-empty-sweep-{}.json", std::process::id()));
+        let json = path.to_str().unwrap();
+        for argv in [
+            &["scaling", "--min", "8", "--max", "4"][..],
+            &["scaling", "--app", "water", "--min", "2048"],
+        ] {
+            let argv: Vec<String> =
+                argv.iter().chain(&["--json", json]).map(|s| s.to_string()).collect();
+            let e = scaling(&Args::parse(&argv).unwrap()).unwrap_err();
+            assert!(e.contains("no power of two"), "{argv:?}: {e}");
+            assert!(!path.exists(), "{argv:?} wrote {json}");
         }
     }
 

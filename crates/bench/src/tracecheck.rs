@@ -19,7 +19,7 @@ pub fn tracecheck(a: &Args) -> Result<(), String> {
             events => Ok(format!("{events} events ok\n")),
         });
     }
-    let (procs, what) = (a.num("--procs", 4)?, What::Ace(Variant::Custom));
+    let (procs, what) = (a.procs(4)?, What::Ace(Variant::Custom));
     let (input, tweak) = (Input::Small, Tweak::Traced);
     let out = measure(&Cell { app: "em3d", config: "custom", what, input, procs, tweak }).out;
     let trace = out.trace.as_ref().expect("traced run carries a trace");

@@ -49,7 +49,7 @@ pub use ids::{RegionId, SpaceId};
 pub use msg::{AceMsg, ProtoMsg};
 pub use protocol::{Actions, GrantSet, Protocol};
 pub use region::{Cold, FastMask, RegionEntry, Sharers};
-pub use rt::{AceRt, REMOTE_INVALID};
+pub use rt::{AceRt, Resolve, REMOTE_INVALID};
 pub use space::SpaceEntry;
 
 /// Run an SPMD Ace program on `nprocs` simulated processors.

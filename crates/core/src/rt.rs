@@ -132,10 +132,15 @@ impl RegionTable {
 /// How an annotation's protocol is resolved — the one bit the compiler's
 /// direct-dispatch optimization (§4.2) changes about an annotation.
 #[derive(Clone, Copy)]
-enum Resolve<'p> {
+pub enum Resolve<'p> {
     /// Looked up through the region's space; pays `CostModel::dispatch`.
+    /// A section resolved this way runs both its hooks, so hand-written
+    /// programs keep the strict section discipline.
     Space,
-    /// Statically known to the caller; pays `CostModel::direct_call`.
+    /// Statically known to the caller; pays `CostModel::direct_call`. A
+    /// section ([`AceRt::read`] / [`AceRt::write`]) resolved this way
+    /// leaves out each hook the protocol declares null
+    /// ([`Protocol::null_actions`]), as the direct-dispatch pass does.
     Static(&'p dyn Protocol),
 }
 
@@ -158,13 +163,12 @@ impl<'p> Resolve<'p> {
         }
     }
 
-    /// Whether the compiler deleted this annotation's `partner` (the other
-    /// end of its access section). Only the direct-dispatch pass removes
-    /// calls, only where the protocol is statically known, and exactly the
-    /// hooks that protocol declares null — so hand-written programs, which
-    /// resolve through the space, keep the strict section discipline.
-    fn elided(self, partner: Actions) -> bool {
-        matches!(self, Resolve::Static(p) if p.null_actions().contains(partner))
+    /// Whether a caller resolving this way leaves out `hook` (one end of an
+    /// access section). Only the direct-dispatch pass and a statically
+    /// resolved section leave calls out, and exactly the hooks the
+    /// protocol declares null.
+    fn elided(self, hook: Actions) -> bool {
+        matches!(self, Resolve::Static(p) if p.null_actions().contains(hook))
     }
 }
 
@@ -402,7 +406,7 @@ impl<'n> AceRt<'n> {
         c
     }
 
-    /// Mutate the counters (used by the Ace-C VM to account direct calls).
+    /// Mutate the counters: how a protocol counts its read and write misses.
     pub fn counters_mut(&self, f: impl FnOnce(&mut OpCounters)) {
         f(&mut self.counters.borrow_mut());
     }
@@ -948,50 +952,70 @@ impl<'n> AceRt<'n> {
 
     /// One read section on `r`: `start_read`, then `f` over the data as a
     /// `&[T]`, then `end_read`, all on one lookup of `r`'s entry. What the
-    /// three separate calls do, in simulated time, counters and messages
-    /// alike, but for the two region-cache hits it saves. `f` runs while
-    /// the data is borrowed: it must not open a section on `r`.
+    /// three separate calls resolved by `via` do, in simulated time,
+    /// counters and messages alike, but for the two region-cache hits it
+    /// saves. Under [`Resolve::Static`] a hook the protocol declares null
+    /// is left out, as the direct-dispatch pass leaves it out; with the
+    /// start left out, `f` gets the view [`AceRt::with_unchecked`] gives.
+    /// `f` runs while the data is borrowed: it must not open a section on
+    /// `r` or block.
     ///
     /// The entry cannot be replaced while the section is open: only
     /// [`AceRt::evict`] removes one, and it refuses a mapped or busy region.
     #[inline]
-    pub fn read<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&[T]) -> R) -> R {
-        let e = self.section_open(r, false);
-        let out = self.with_on(&e, f);
-        self.section_close(&e, false);
+    pub fn read<T: Pod, R>(&self, r: RegionId, via: Resolve<'_>, f: impl FnOnce(&[T]) -> R) -> R {
+        let e = self.section_open(r, false, via);
+        let out = f(pod::view(&e.data.borrow(), Self::typed_count::<T>(&e)));
+        self.section_close(&e, false, via);
         out
     }
 
     /// One write section on `r`, as [`AceRt::read`] is one read section:
     /// `start_write`, `f` over the data as a `&mut [T]`, `end_write`, on
-    /// one lookup.
+    /// one lookup, each null hook left out under [`Resolve::Static`].
     #[inline]
-    pub fn write<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&mut [T]) -> R) -> R {
-        let e = self.section_open(r, true);
-        let out = self.with_mut_on(&e, f);
-        self.section_close(&e, true);
+    pub fn write<T: Pod, R>(
+        &self,
+        r: RegionId,
+        via: Resolve<'_>,
+        f: impl FnOnce(&mut [T]) -> R,
+    ) -> R {
+        let e = self.section_open(r, true, via);
+        let count = Self::typed_count::<T>(&e);
+        let out = e.with_data_mut(|d| f(pod::view_mut(d, count)));
+        self.section_close(&e, true, via);
         out
     }
 
-    /// The start half of [`AceRt::read`] / [`AceRt::write`]: look `r` up
-    /// and open the section on its entry. Not generic, so the annotation
-    /// body is compiled once for every section, not once per closure.
-    fn section_open(&self, r: RegionId, write: bool) -> Rc<RegionEntry> {
+    /// The start half of [`AceRt::read`] / [`AceRt::write`]: look `r` up,
+    /// open the section on its entry unless `via` leaves the start out,
+    /// and check the view the section gives. Not generic, so the
+    /// annotation body is compiled once for every section, not once per
+    /// closure.
+    fn section_open(&self, r: RegionId, write: bool, via: Resolve<'_>) -> Rc<RegionEntry> {
         let e = self.entry(r);
-        if write {
-            self.annotate_on(Hook::StartWrite, &e, Resolve::Space);
+        if via.elided(section_action(true, write)) {
+            self.debug_assert_usable(&e);
         } else {
-            self.annotate_on(Hook::StartRead, &e, Resolve::Space);
+            if write {
+                self.annotate_on(Hook::StartWrite, &e, via);
+            } else {
+                self.annotate_on(Hook::StartRead, &e, via);
+            }
+            self.check_access(&e, write);
         }
         e
     }
 
     /// The end half of [`AceRt::read`] / [`AceRt::write`].
-    fn section_close(&self, e: &RegionEntry, write: bool) {
+    fn section_close(&self, e: &RegionEntry, write: bool, via: Resolve<'_>) {
+        if via.elided(section_action(false, write)) {
+            return;
+        }
         if write {
-            self.annotate_on(Hook::EndWrite, e, Resolve::Space);
+            self.annotate_on(Hook::EndWrite, e, via);
         } else {
-            self.annotate_on(Hook::EndRead, e, Resolve::Space);
+            self.annotate_on(Hook::EndRead, e, via);
         }
     }
 
@@ -1088,13 +1112,15 @@ impl<'n> AceRt<'n> {
     //
     // The *checked* variants debug-assert the paper's annotation contract:
     // reads happen inside a read or write section, writes inside a write
-    // section. The *unchecked* variants exist for compiled code whose null
-    // `start`/`end` annotations were removed by the direct-dispatch
-    // optimization — the section discipline still holds in the program
-    // logic, but the runtime can no longer see it, so only the weaker
-    // invariant is asserted: the region must at least be locally usable
-    // (mapped, in a section, or home-resident). All four take the typed
-    // closure rather than returning a guard so borrow scope is explicit.
+    // section. The *unchecked* variants exist for the Ace-C VM, whose null
+    // `start`/`end` annotations the direct-dispatch optimization removed —
+    // the section discipline still holds in the program logic, but the
+    // runtime can no longer see it, so only the weaker invariant is
+    // asserted: the region must at least be locally usable (mapped, in a
+    // section, or home-resident). A Rust caller opens a section with
+    // `read` / `write` instead, which gives each view its check. All take
+    // the typed closure rather than returning a guard so borrow scope is
+    // explicit.
     // ------------------------------------------------------------------
 
     /// Typed slice length for a region entry, in elements of `T`.
@@ -1112,31 +1138,39 @@ impl<'n> AceRt<'n> {
         );
     }
 
+    /// The checked views' contract (see the matrix above): a read inside a
+    /// read or write section, a write inside a write section. A breach is
+    /// reported to the conformance checker when it runs and
+    /// debug-asserted otherwise.
+    fn check_access(&self, e: &RegionEntry, write: bool) {
+        let ok = if write { e.write_active.get() > 0 } else { e.busy() };
+        if !self.checker.enabled() {
+            let what = if write {
+                "mutable access outside a write"
+            } else {
+                "data access outside an access"
+            };
+            debug_assert!(ok, "{what} section on {}", e.id);
+        } else if !ok {
+            let kind = match (write, e.read_active.get() > 0) {
+                (false, _) => ConformanceKind::AccessOutsideSection { action: "read" },
+                // The protocol granted read, the program wrote.
+                (true, true) => ConformanceKind::WriteUnderReadGrant,
+                (true, false) => ConformanceKind::WriteOutsideSection,
+            };
+            let err = AceError::Conformance { region: e.id, rank: self.rank(), kind };
+            self.checker.report(self.node, err);
+        }
+    }
+
     /// Read-access the region data as a typed slice. Must be inside a read
     /// or write section (debug-asserted), mirroring the paper's contract
     /// that accesses happen between `START` and `END` annotations.
     pub fn with<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&[T]) -> R) -> R {
-        self.with_on(&self.entry(r), f)
-    }
-
-    /// [`AceRt::with`] on an entry already looked up.
-    fn with_on<T: Pod, R>(&self, e: &RegionEntry, f: impl FnOnce(&[T]) -> R) -> R {
-        if self.checker.enabled() {
-            if !e.busy() {
-                self.checker.report(
-                    self.node,
-                    AceError::Conformance {
-                        region: e.id,
-                        rank: self.rank(),
-                        kind: ConformanceKind::AccessOutsideSection { action: "read" },
-                    },
-                );
-            }
-        } else {
-            debug_assert!(e.busy(), "data access outside an access section on {}", e.id);
-        }
+        let e = self.entry(r);
+        self.check_access(&e, false);
         let d = e.data.borrow();
-        f(pod::view(&d, Self::typed_count::<T>(e)))
+        f(pod::view(&d, Self::typed_count::<T>(&e)))
     }
 
     /// Read-access region data without the access-section debug check (see
@@ -1152,33 +1186,9 @@ impl<'n> AceRt<'n> {
     /// Write-access the region data as a typed slice. Must be inside a
     /// write section (debug-asserted).
     pub fn with_mut<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&mut [T]) -> R) -> R {
-        self.with_mut_on(&self.entry(r), f)
-    }
-
-    /// [`AceRt::with_mut`] on an entry already looked up.
-    fn with_mut_on<T: Pod, R>(&self, e: &RegionEntry, f: impl FnOnce(&mut [T]) -> R) -> R {
-        if self.checker.enabled() {
-            if e.write_active.get() == 0 {
-                // Distinguish "the protocol granted read, the program
-                // wrote" from a write with no section at all.
-                let kind = if e.read_active.get() > 0 {
-                    ConformanceKind::WriteUnderReadGrant
-                } else {
-                    ConformanceKind::WriteOutsideSection
-                };
-                self.checker.report(
-                    self.node,
-                    AceError::Conformance { region: e.id, rank: self.rank(), kind },
-                );
-            }
-        } else {
-            debug_assert!(
-                e.write_active.get() > 0,
-                "mutable access outside a write section on {}",
-                e.id
-            );
-        }
-        let count = Self::typed_count::<T>(e);
+        let e = self.entry(r);
+        self.check_access(&e, true);
+        let count = Self::typed_count::<T>(&e);
         e.with_data_mut(|d| f(pod::view_mut(d, count)))
     }
 
@@ -2252,5 +2262,109 @@ mod tests {
         let (hook, msg) = r.results[0].clone();
         assert_eq!(hook, "end_read");
         assert!(msg.contains("last hook: end_read"), "{msg}");
+    }
+
+    /// A protocol declaring its `.0` null, whose access hooks charge 1, 10,
+    /// 100 and 1000 ns, so the clock tells which of them ran.
+    struct Declared(Actions);
+
+    impl Protocol for Declared {
+        fn name(&self) -> &'static str {
+            "declared"
+        }
+        fn null_actions(&self) -> Actions {
+            self.0
+        }
+        fn start_read(&self, rt: &AceRt, _e: &RegionEntry) {
+            rt.charge(1);
+        }
+        fn end_read(&self, rt: &AceRt, _e: &RegionEntry) {
+            rt.charge(10);
+        }
+        fn start_write(&self, rt: &AceRt, _e: &RegionEntry) {
+            rt.charge(100);
+        }
+        fn end_write(&self, rt: &AceRt, _e: &RegionEntry) {
+            rt.charge(1000);
+        }
+        fn handle(&self, _rt: &AceRt, _e: &RegionEntry, _msg: ProtoMsg, _src: usize) {}
+        fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+    }
+
+    /// A read section on `r` and a write section adding one to what it
+    /// read, as Table 4's hand kernels placed them: unpaired direct calls
+    /// around a view. Returns what the read saw.
+    type Unpaired = fn(&AceRt, RegionId, &dyn Protocol) -> u64;
+
+    /// Under `Resolve::Static`, `read` / `write` leave out exactly the hooks
+    /// the hand kernels left out for the null sets static update,
+    /// fetch-and-add, home-owned and SC declare: same value, clock and
+    /// counters but the region-cache hits.
+    #[test]
+    fn a_static_section_calls_what_the_hand_kernels_called() {
+        use Actions as A;
+        let cases: [(&str, Actions, Unpaired); 4] = [
+            (
+                "static update",
+                A::START_READ.union(A::END_READ).union(A::START_WRITE),
+                |rt, r, p| {
+                    let v = rt.with_unchecked::<u64, _>(r, |d| d[0]);
+                    rt.with_mut_unchecked::<u64, _>(r, |d| d[0] = v + 1);
+                    rt.end_write_direct(r, p);
+                    v
+                },
+            ),
+            ("fetch-and-add", A::MAP.union(A::ACCESS).union(A::UNLOCK), |rt, r, _| {
+                let v = rt.with_unchecked::<u64, _>(r, |d| d[0]);
+                rt.with_mut_unchecked::<u64, _>(r, |d| d[0] = v + 1);
+                v
+            }),
+            ("home-owned", A::MAP.union(A::END_READ).union(A::START_WRITE).union(A::END_WRITE), {
+                |rt, r, p| {
+                    rt.start_read_direct(r, p);
+                    let v = rt.with::<u64, _>(r, |d| d[0]);
+                    rt.with_mut_unchecked::<u64, _>(r, |d| d[0] = v + 1);
+                    v
+                }
+            }),
+            ("SC", A::MAP, |rt, r, p| {
+                rt.start_read_direct(r, p);
+                let v = rt.with::<u64, _>(r, |d| d[0]);
+                rt.end_read_direct(r, p);
+                rt.start_write_direct(r, p);
+                rt.with_mut::<u64, _>(r, |d| d[0] = v + 1);
+                rt.end_write_direct(r, p);
+                v
+            }),
+        ];
+        for (name, null, unpaired) in cases {
+            // What three rounds read, the clock they took, and the counters.
+            let run = |paired: bool| {
+                let r = run_ace(1, CostModel::cm5(), |rt| {
+                    let p = Declared(null);
+                    let via = Resolve::Static(&p);
+                    let s = rt.new_space(Rc::new(Declared(null)));
+                    let r = rt.gmalloc::<u64>(s, 1);
+                    rt.map(r);
+                    let t0 = rt.node().now();
+                    let mut seen = Vec::new();
+                    for _ in 0..3 {
+                        seen.push(if paired {
+                            let v = rt.read::<u64, _>(r, via, |d| d[0]);
+                            rt.write::<u64, _>(r, via, |d| d[0] = v + 1);
+                            v
+                        } else {
+                            unpaired(rt, r, &p)
+                        });
+                    }
+                    let c = OpCounters { region_cache_hits: 0, ..rt.counters() };
+                    (seen, rt.node().now() - t0, c)
+                });
+                r.results.into_iter().next().unwrap()
+            };
+            let (paired, unpaired) = (run(true), run(false));
+            assert_eq!(paired.0, [0, 1, 2], "{name}: each write section wrote");
+            assert_eq!(paired, unpaired, "{name}");
+        }
     }
 }

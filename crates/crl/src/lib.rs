@@ -31,9 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use ace_core::msg::AceMsg;
-use ace_core::{
-    AceRt, CostModel, MachineBuilder, Node, OpCounters, Pod, RegionId, Spmd, SpmdResult,
-};
+use ace_core::{AceRt, CostModel, MachineBuilder, Node, Pod, RegionId, Resolve, Spmd, SpmdResult};
 use ace_protocols::SeqInvalidate;
 
 /// Default capacity of the unmapped-region cache (CRL 1.0's default).
@@ -80,39 +78,10 @@ impl<'n> CrlRt<'n> {
         }
     }
 
-    /// This node's rank.
-    pub fn rank(&self) -> usize {
-        self.rt.rank()
-    }
-
-    /// Number of nodes.
-    pub fn nprocs(&self) -> usize {
-        self.rt.nprocs()
-    }
-
-    /// The underlying runtime (tests and stats).
+    /// The underlying runtime: rank, collectives, charges and counters,
+    /// which CRL does no differently from Ace.
     pub fn inner(&self) -> &AceRt<'n> {
         &self.rt
-    }
-
-    /// Operation counters.
-    pub fn counters(&self) -> OpCounters {
-        self.rt.counters()
-    }
-
-    /// Charge application computation.
-    pub fn charge(&self, ns: u64) {
-        self.rt.charge(ns);
-    }
-
-    /// Charge `n` floating-point operations.
-    pub fn charge_flops(&self, n: u64) {
-        self.rt.charge_flops(n);
-    }
-
-    /// Charge `n` application memory operations.
-    pub fn charge_mem(&self, n: u64) {
-        self.rt.charge_mem(n);
     }
 
     /// `rgn_create`: allocate a region of `count` elements of `T`; the
@@ -145,7 +114,7 @@ impl<'n> CrlRt<'n> {
     pub fn unmap(&self, r: RegionId) {
         self.rt.unmap(r);
         let e = self.rt.entry(r);
-        if e.mapped.get() == 0 && !e.is_home_of(self.rank()) {
+        if e.mapped.get() == 0 && !e.is_home_of(self.rt.rank()) {
             let stamp = self.urc_stamp.get();
             self.urc_stamp.set(stamp + 1);
             // A re-unmapped region gets a fresh stamp: its old queue entry
@@ -192,14 +161,18 @@ impl<'n> CrlRt<'n> {
         self.rt.end_write_direct(r, &*self.proto);
     }
 
-    /// Typed read access (inside a section).
-    pub fn with<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&[T]) -> R) -> R {
-        self.rt.with(r, f)
+    /// One read section: `rgn_start_read`, `f` over the data as a `&[T]`,
+    /// `rgn_end_read`, on one region lookup. SC declares no access hook
+    /// null, so both hooks run.
+    #[inline]
+    pub fn read<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&[T]) -> R) -> R {
+        self.rt.read(r, Resolve::Static(&*self.proto), f)
     }
 
-    /// Typed write access (inside a write section).
-    pub fn with_mut<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&mut [T]) -> R) -> R {
-        self.rt.with_mut(r, f)
+    /// One write section, as [`CrlRt::read`] is one read section.
+    #[inline]
+    pub fn write<T: Pod, R>(&self, r: RegionId, f: impl FnOnce(&mut [T]) -> R) -> R {
+        self.rt.write(r, Resolve::Static(&*self.proto), f)
     }
 
     /// `rgn_barrier`: the global barrier.
@@ -216,26 +189,6 @@ impl<'n> CrlRt<'n> {
     /// Region unlock.
     pub fn unlock(&self, r: RegionId) {
         self.rt.unlock_direct(r, &*self.proto);
-    }
-
-    /// Broadcast (collective), for distributing root region ids.
-    pub fn bcast(&self, root: usize, vals: &[u64]) -> std::sync::Arc<[u64]> {
-        self.rt.bcast(root, vals)
-    }
-
-    /// Gather (collective).
-    pub fn gather(&self, root: usize, vals: &[u64]) -> Option<Vec<std::sync::Arc<[u64]>>> {
-        self.rt.gather(root, vals)
-    }
-
-    /// All-reduce one u64.
-    pub fn allreduce_u64(&self, val: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        self.rt.allreduce_u64(val, op)
-    }
-
-    /// All-reduce one f64.
-    pub fn allreduce_f64(&self, val: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-        self.rt.allreduce_f64(val, op)
     }
 }
 
@@ -268,10 +221,10 @@ mod tests {
     use super::*;
 
     fn shared_region(crl: &CrlRt, words: usize) -> RegionId {
-        let rid = if crl.rank() == 0 {
-            RegionId(crl.bcast(0, &[crl.create_words(words).0])[0])
+        let rid = if crl.inner().rank() == 0 {
+            RegionId(crl.inner().bcast(0, &[crl.create_words(words).0])[0])
         } else {
-            RegionId(crl.bcast(0, &[])[0])
+            RegionId(crl.inner().bcast(0, &[])[0])
         };
         crl.map(rid);
         rid
@@ -281,16 +234,11 @@ mod tests {
     fn coherent_read_after_write() {
         let r = run_crl(3, CostModel::free(), |crl| {
             let rid = shared_region(crl, 2);
-            if crl.rank() == 1 {
-                crl.start_write(rid);
-                crl.with_mut::<u64, _>(rid, |d| d[0] = 88);
-                crl.end_write(rid);
+            if crl.inner().rank() == 1 {
+                crl.write::<u64, _>(rid, |d| d[0] = 88);
             }
             crl.barrier();
-            crl.start_read(rid);
-            let v = crl.with::<u64, _>(rid, |d| d[0]);
-            crl.end_read(rid);
-            v
+            crl.read::<u64, _>(rid, |d| d[0])
         });
         assert_eq!(r.results, vec![88, 88, 88]);
     }
@@ -329,38 +277,34 @@ mod tests {
     fn urc_eviction_flushes_and_remaps() {
         let r = Spmd::builder().nprocs(2).cost(CostModel::free()).run(|node| {
             let crl = CrlRt::with_urc_capacity(node, 2);
-            let ids: Vec<RegionId> = if crl.rank() == 0 {
+            let ids: Vec<RegionId> = if crl.inner().rank() == 0 {
                 let ids: Vec<u64> = (0..4).map(|_| crl.create_words(1).0).collect();
-                crl.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
             } else {
-                crl.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
             };
-            if crl.rank() == 0 {
+            if crl.inner().rank() == 0 {
                 for (i, &rid) in ids.iter().enumerate() {
                     crl.map(rid);
-                    crl.start_write(rid);
-                    crl.with_mut::<u64, _>(rid, |d| d[0] = i as u64 + 1);
-                    crl.end_write(rid);
+                    crl.write::<u64, _>(rid, |d| d[0] = i as u64 + 1);
                     crl.unmap(rid);
                 }
             }
             crl.barrier();
             let mut got = Vec::new();
-            if crl.rank() == 1 {
+            if crl.inner().rank() == 1 {
                 // Map/read/unmap all four regions twice: capacity 2 forces
                 // evictions, and re-maps must still see correct data.
                 for _ in 0..2 {
                     for &rid in &ids {
                         crl.map(rid);
-                        crl.start_read(rid);
-                        got.push(crl.with::<u64, _>(rid, |d| d[0]));
-                        crl.end_read(rid);
+                        got.push(crl.read::<u64, _>(rid, |d| d[0]));
                         crl.unmap(rid);
                     }
                 }
             }
             crl.barrier();
-            let misses = crl.counters().map_misses;
+            let misses = crl.inner().counters().map_misses;
             crl.inner().shutdown();
             (got, misses)
         });
@@ -377,13 +321,13 @@ mod tests {
         // region survives eviction in its place.
         let r = Spmd::builder().nprocs(2).cost(CostModel::free()).run(|node| {
             let crl = CrlRt::with_urc_capacity(node, 2);
-            let ids: Vec<RegionId> = if crl.rank() == 0 {
+            let ids: Vec<RegionId> = if crl.inner().rank() == 0 {
                 let ids: Vec<u64> = (0..3).map(|_| crl.create_words(1).0).collect();
-                crl.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
             } else {
-                crl.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
             };
-            let present = if crl.rank() == 1 {
+            let present = if crl.inner().rank() == 1 {
                 let (a, b, c) = (ids[0], ids[1], ids[2]);
                 crl.map(a);
                 crl.unmap(a); // urc: [a]
@@ -414,10 +358,10 @@ mod tests {
         // previous one stale; the queue must not grow with the unmaps.
         let r = Spmd::builder().nprocs(2).cost(CostModel::free()).run(|node| {
             let crl = CrlRt::with_urc_capacity(node, 4);
-            let rid = if crl.rank() == 0 { vec![crl.create_words(1).0] } else { vec![] };
-            let rid = RegionId(crl.bcast(0, &rid)[0]);
+            let rid = if crl.inner().rank() == 0 { vec![crl.create_words(1).0] } else { vec![] };
+            let rid = RegionId(crl.inner().bcast(0, &rid)[0]);
             let mut longest = 0;
-            if crl.rank() == 1 {
+            if crl.inner().rank() == 1 {
                 for _ in 0..100 {
                     crl.map(rid);
                     crl.start_read(rid);
@@ -441,16 +385,11 @@ mod tests {
             let rid = shared_region(crl, 1);
             for _ in 0..PER {
                 crl.lock(rid);
-                crl.start_write(rid);
-                crl.with_mut::<u64, _>(rid, |d| d[0] += 1);
-                crl.end_write(rid);
+                crl.write::<u64, _>(rid, |d| d[0] += 1);
                 crl.unlock(rid);
             }
             crl.barrier();
-            crl.start_read(rid);
-            let v = crl.with::<u64, _>(rid, |d| d[0]);
-            crl.end_read(rid);
-            v
+            crl.read::<u64, _>(rid, |d| d[0])
         });
         assert_eq!(r.results, vec![PER * n as u64; 4]);
     }
@@ -466,11 +405,11 @@ mod tests {
             crl.map(rid);
             crl.start_read(rid);
             crl.end_read(rid);
-            let fast = crl.counters();
+            let fast = crl.inner().counters();
             crl.inner().set_fast_paths(false);
             crl.start_read(rid);
             crl.end_read(rid);
-            let slow = crl.counters();
+            let slow = crl.inner().counters();
             (fast.fast_hits, fast.direct, slow.fast_hits, slow.direct, slow.dispatched)
         });
         assert_eq!(r.results[0], (2, 0, 2, 2, 0));

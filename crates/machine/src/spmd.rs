@@ -256,6 +256,9 @@ impl MachineBuilder {
     /// by every launch entry point; exposed so callers can surface a
     /// typed error instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=MAX_NODES).contains(&self.nprocs) {
+            return Err(ConfigError::NodeCount { nprocs: self.nprocs, max: MAX_NODES });
+        }
         let multiplexed = self.resolved_backend() == ExecBackend::Multiplexed;
         if matches!(self.transport, TransportKind::Socket(_)) {
             if multiplexed {
@@ -295,9 +298,9 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `nprocs` is zero or exceeds [`MAX_NODES`], if the
-    /// configuration is invalid ([`MachineBuilder::try_run`] returns the
-    /// typed error instead), or if any node's closure panics. When several
+    /// Panics if the configuration is invalid — `nprocs` zero or above
+    /// [`MAX_NODES`] among others; [`MachineBuilder::try_run`] returns the
+    /// typed error instead — or if any node's closure panics. When several
     /// nodes die (one crashes and its blocked peers then fail with "peer
     /// exited"), the panic propagated is the *first* node that died — the
     /// root cause, not a symptom.
@@ -323,8 +326,6 @@ impl MachineBuilder {
     {
         self.validate()?;
         let nprocs = self.nprocs;
-        assert!(nprocs >= 1, "need at least one node");
-        assert!(nprocs <= MAX_NODES, "at most {MAX_NODES} nodes supported");
 
         let setup = self.node_setup::<M>();
         let board = Arc::new(FailBoard::new());
@@ -802,6 +803,16 @@ mod tests {
         );
         let e = std::panic::catch_unwind(|| b.run::<u64, _, _>(|_| ())).expect_err("run panics");
         assert!(panic_message(e.as_ref()).starts_with("invalid machine configuration"));
+    }
+
+    #[test]
+    fn a_machine_size_outside_the_range_is_an_error() {
+        for nprocs in [0, MAX_NODES + 1] {
+            let b = Spmd::builder().nprocs(nprocs);
+            let want = ConfigError::NodeCount { nprocs, max: MAX_NODES };
+            assert_eq!(b.validate(), Err(want.clone()));
+            assert_eq!(b.try_run::<u64, _, _>(|_| ()).err(), Some(want));
+        }
     }
 
     #[test]

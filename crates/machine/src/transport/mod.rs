@@ -132,6 +132,13 @@ impl TransportKind {
 /// exists — instead of letting it hang or diverge at runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
+    /// A machine has at least one node and at most [`crate::MAX_NODES`].
+    NodeCount {
+        /// The requested machine size.
+        nprocs: usize,
+        /// The largest machine supported.
+        max: usize,
+    },
     /// `Socket` + `ExecBackend::Multiplexed`: the executor runs the nodes
     /// of one process as fibers on one thread and takes "nobody runnable"
     /// to mean deadlock; a socket machine's ranks are meant to live in
@@ -169,6 +176,9 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::NodeCount { nprocs, max } => {
+                write!(f, "a machine has at least 1 and at most {max} nodes (requested {nprocs})")
+            }
             ConfigError::SocketMultiplexed => write!(
                 f,
                 "the socket transport requires ExecBackend::Threads: \

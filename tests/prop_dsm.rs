@@ -133,11 +133,11 @@ fn crl_matches_oracle() {
     for s in schedules(3) {
         let want = oracle(&s);
         let r = run_crl(s.nprocs, CostModel::free(), |crl| {
-            let regions: Vec<RegionId> = if crl.rank() == 0 {
+            let regions: Vec<RegionId> = if crl.inner().rank() == 0 {
                 let ids: Vec<u64> = (0..s.nregions).map(|_| crl.create_words(1).0).collect();
-                crl.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
             } else {
-                crl.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
+                crl.inner().bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
             };
             for &r in &regions {
                 crl.map(r);
@@ -146,10 +146,8 @@ fn crl_matches_oracle() {
             for phase in &s.phases {
                 for (r, w) in phase.iter().enumerate() {
                     if let Some((writer, v)) = w {
-                        if *writer == crl.rank() {
-                            crl.start_write(regions[r]);
-                            crl.with_mut::<u64, _>(regions[r], |d| d[0] = *v);
-                            crl.end_write(regions[r]);
+                        if *writer == crl.inner().rank() {
+                            crl.write::<u64, _>(regions[r], |d| d[0] = *v);
                         }
                     }
                 }
@@ -157,9 +155,7 @@ fn crl_matches_oracle() {
             }
             let mut out = Vec::new();
             for &r in &regions {
-                crl.start_read(r);
-                out.push(crl.with::<u64, _>(r, |d| d[0]));
-                crl.end_read(r);
+                out.push(crl.read::<u64, _>(r, |d| d[0]));
             }
             crl.barrier();
             out

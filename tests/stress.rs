@@ -96,30 +96,26 @@ fn crl_urc_churn_with_tiny_cache() {
     // every unmap; data must survive the churn.
     let r = Spmd::builder().nprocs(3).cost(CostModel::free()).run(|node| {
         let crl = CrlRt::with_urc_capacity(node, 2);
-        let ids: Vec<RegionId> = if crl.rank() == 0 {
+        let ids: Vec<RegionId> = if crl.inner().rank() == 0 {
             let ids: Vec<u64> = (0..12)
                 .map(|i| {
                     let r = crl.create_words(1);
                     crl.map(r);
-                    crl.start_write(r);
-                    crl.with_mut::<u64, _>(r, |d| d[0] = i * 3 + 1);
-                    crl.end_write(r);
+                    crl.write::<u64, _>(r, |d| d[0] = i * 3 + 1);
                     crl.unmap(r);
                     r.0
                 })
                 .collect();
-            crl.bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
+            crl.inner().bcast(0, &ids).iter().map(|&x| RegionId(x)).collect()
         } else {
-            crl.bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
+            crl.inner().bcast(0, &[]).iter().map(|&x| RegionId(x)).collect()
         };
         crl.barrier();
         let mut sum = 0;
         for _ in 0..3 {
             for &rid in &ids {
                 crl.map(rid);
-                crl.start_read(rid);
-                sum += crl.with::<u64, _>(rid, |d| d[0]);
-                crl.end_read(rid);
+                sum += crl.read::<u64, _>(rid, |d| d[0]);
                 crl.unmap(rid);
             }
         }
