@@ -134,13 +134,14 @@ impl RegionTable {
 #[derive(Clone, Copy)]
 pub enum Resolve<'p> {
     /// Looked up through the region's space; pays `CostModel::dispatch`.
-    /// A section resolved this way runs both its hooks, so hand-written
+    /// Every hook runs and every section is counted, so hand-written
     /// programs keep the strict section discipline.
     Space,
     /// Statically known to the caller; pays `CostModel::direct_call`. A
-    /// section ([`AceRt::read`] / [`AceRt::write`]) resolved this way
-    /// leaves out each hook the protocol declares null
-    /// ([`Protocol::null_actions`]), as the direct-dispatch pass does.
+    /// hook the protocol declares null ([`Protocol::null_actions`]) does
+    /// not run, as the direct-dispatch pass deletes its calls, and a
+    /// section with a null end is not counted: the runtime sees only one
+    /// of its ends.
     Static(&'p dyn Protocol),
 }
 
@@ -161,14 +162,6 @@ impl<'p> Resolve<'p> {
             Resolve::Space => &**held.get_or_insert_with(|| rt.space(e.space).proto()),
             Resolve::Static(p) => p,
         }
-    }
-
-    /// Whether a caller resolving this way leaves out `hook` (one end of an
-    /// access section). Only the direct-dispatch pass and a statically
-    /// resolved section leave calls out, and exactly the hooks the
-    /// protocol declares null.
-    fn elided(self, hook: Actions) -> bool {
-        matches!(self, Resolve::Static(p) if p.null_actions().contains(hook))
     }
 }
 
@@ -207,15 +200,32 @@ impl Edge {
             _ => unreachable!("{} is not an annotation", hook.name()),
         }
     }
+
+    /// Both ends of the section the hook opens or closes, as an
+    /// [`Actions`] mask; none for a lock.
+    fn ends(self) -> Actions {
+        match self {
+            Edge::Open { write: false } | Edge::Close { write: false } => {
+                Actions::START_READ.union(Actions::END_READ)
+            }
+            Edge::Open { write: true } | Edge::Close { write: true } => {
+                Actions::START_WRITE.union(Actions::END_WRITE)
+            }
+            Edge::Sync => Actions::empty(),
+        }
+    }
 }
 
-/// The hook that opens (`open`) or closes a read or `write` section.
-fn section_action(open: bool, write: bool) -> Actions {
-    match (open, write) {
-        (true, false) => Actions::START_READ,
-        (false, false) => Actions::END_READ,
-        (true, true) => Actions::START_WRITE,
-        (false, true) => Actions::END_WRITE,
+/// An annotation hook's bit in an [`Actions`] mask.
+fn action(hook: Hook) -> Actions {
+    match hook {
+        Hook::StartRead => Actions::START_READ,
+        Hook::EndRead => Actions::END_READ,
+        Hook::StartWrite => Actions::START_WRITE,
+        Hook::EndWrite => Actions::END_WRITE,
+        Hook::Lock => Actions::LOCK,
+        Hook::Unlock => Actions::UNLOCK,
+        _ => unreachable!("{} is not an annotation", hook.name()),
     }
 }
 
@@ -868,12 +878,27 @@ impl<'n> AceRt<'n> {
         self.annotate_on(hook, &e, via);
     }
 
-    /// [`AceRt::annotate`] on an entry already looked up.
+    /// [`AceRt::annotate`] on an entry already looked up, and the one
+    /// reader of a static protocol's null set (§4.2). A null hook is left
+    /// out as the direct-dispatch pass leaves it out: no call, charge,
+    /// count or span. A section is counted (its counter moved, the checker
+    /// fed) only when neither end is null, for only then does the runtime
+    /// see both; an end of a counted section with none open is a bug.
     #[inline(always)]
     fn annotate_on(&self, hook: Hook, e: &RegionEntry, via: Resolve<'_>) {
         // `hook` is a literal at every caller and this body is inlined
-        // into each, so `edge` and every branch on it fold away.
-        let edge = Edge::of(hook);
+        // into each, so `edge`, `action` and every branch on them fold away.
+        let (edge, action) = (Edge::of(hook), action(hook));
+        let counted = match via {
+            Resolve::Space => true,
+            Resolve::Static(p) => {
+                let null = p.null_actions();
+                if null.contains(action) {
+                    return;
+                }
+                null.intersect(edge.ends()) == Actions::empty()
+            }
+        };
         let mut held = None;
         match edge {
             Edge::Open { write: false } => self.counters.borrow_mut().start_reads += 1,
@@ -881,32 +906,17 @@ impl<'n> AceRt<'n> {
             Edge::Close { .. } => self.counters.borrow_mut().ends += 1,
             Edge::Sync => {}
         }
-        if let Edge::Close { write } = edge {
+        if let (Edge::Close { write }, true) = (edge, counted) {
             let active = section(e, write);
-            match active.get() {
-                // An end with no open section is a program bug — unless
-                // the compiler deleted the matching start as null, the
-                // one way a correct program reaches here.
-                0 => assert!(
-                    via.elided(section_action(true, write)),
-                    "{} outside a {} section on {}",
-                    hook.name(),
-                    if write { "write" } else { "read" },
-                    e.id
-                ),
-                n => active.set(n - 1),
-            }
-            if self.checker.enabled() && active.get() == 0 {
+            let (n, what) = (active.get(), if write { "write" } else { "read" });
+            assert!(n > 0, "{} outside a {what} section on {}", hook.name(), e.id);
+            active.set(n - 1);
+            if self.checker.enabled() && n == 1 {
                 self.checker.on_close(self.node, e.id, write);
             }
         }
         // The fast mask covers the section hooks; locks always run.
-        let maskable = match edge {
-            Edge::Open { write } => Some(section_action(true, write)),
-            Edge::Close { write } => Some(section_action(false, write)),
-            Edge::Sync => None,
-        };
-        if maskable.is_some_and(|a| self.fast_hit(e, a)) {
+        if Actions::ACCESS.contains(action) && self.fast_hit(e, action) {
             self.last_hook.set(hook.name());
             self.counters.borrow_mut().fast_hits += 1;
             self.node.charge(self.node.cost().fast_path);
@@ -935,15 +945,10 @@ impl<'n> AceRt<'n> {
             self.cache_fast(e, Some(p));
             self.span_exit(span);
         }
-        if let Edge::Open { write } = edge {
+        if let (Edge::Open { write }, true) = (edge, counted) {
             let active = section(e, write);
             active.set(active.get() + 1);
-            // A section whose end the compiler deleted as null never
-            // closes: it is invisible to the runtime, not left open.
-            if self.checker.enabled()
-                && active.get() == 1
-                && !via.elided(section_action(false, write))
-            {
+            if self.checker.enabled() && active.get() == 1 {
                 let p = via.get(self, e, &mut held);
                 self.checker.on_open(self.node, e.id, write, p.name(), p.grants());
             }
@@ -954,9 +959,8 @@ impl<'n> AceRt<'n> {
     /// `&[T]`, then `end_read`, all on one lookup of `r`'s entry. What the
     /// three separate calls resolved by `via` do, in simulated time,
     /// counters and messages alike, but for the two region-cache hits it
-    /// saves. Under [`Resolve::Static`] a hook the protocol declares null
-    /// is left out, as the direct-dispatch pass leaves it out; with the
-    /// start left out, `f` gets the view [`AceRt::with_unchecked`] gives.
+    /// saves. `f` gets the view [`AceRt::with_unchecked`] gives: a counted
+    /// section has just opened, and an uncounted one has nothing to check.
     /// `f` runs while the data is borrowed: it must not open a section on
     /// `r` or block.
     ///
@@ -972,7 +976,7 @@ impl<'n> AceRt<'n> {
 
     /// One write section on `r`, as [`AceRt::read`] is one read section:
     /// `start_write`, `f` over the data as a `&mut [T]`, `end_write`, on
-    /// one lookup, each null hook left out under [`Resolve::Static`].
+    /// one lookup.
     #[inline]
     pub fn write<T: Pod, R>(
         &self,
@@ -988,30 +992,22 @@ impl<'n> AceRt<'n> {
     }
 
     /// The start half of [`AceRt::read`] / [`AceRt::write`]: look `r` up,
-    /// open the section on its entry unless `via` leaves the start out,
-    /// and check the view the section gives. Not generic, so the
-    /// annotation body is compiled once for every section, not once per
-    /// closure.
+    /// open the section on its entry and check the view it gives. Not
+    /// generic, so the annotation body is compiled once for every section,
+    /// not once per closure.
     fn section_open(&self, r: RegionId, write: bool, via: Resolve<'_>) -> Rc<RegionEntry> {
         let e = self.entry(r);
-        if via.elided(section_action(true, write)) {
-            self.debug_assert_usable(&e);
+        if write {
+            self.annotate_on(Hook::StartWrite, &e, via);
         } else {
-            if write {
-                self.annotate_on(Hook::StartWrite, &e, via);
-            } else {
-                self.annotate_on(Hook::StartRead, &e, via);
-            }
-            self.check_access(&e, write);
+            self.annotate_on(Hook::StartRead, &e, via);
         }
+        self.debug_assert_usable(&e);
         e
     }
 
     /// The end half of [`AceRt::read`] / [`AceRt::write`].
     fn section_close(&self, e: &RegionEntry, write: bool, via: Resolve<'_>) {
-        if via.elided(section_action(false, write)) {
-            return;
-        }
         if write {
             self.annotate_on(Hook::EndWrite, e, via);
         } else {
@@ -1117,10 +1113,9 @@ impl<'n> AceRt<'n> {
     // the section discipline still holds in the program logic, but the
     // runtime can no longer see it, so only the weaker invariant is
     // asserted: the region must at least be locally usable (mapped, in a
-    // section, or home-resident). A Rust caller opens a section with
-    // `read` / `write` instead, which gives each view its check. All take
-    // the typed closure rather than returning a guard so borrow scope is
-    // explicit.
+    // section, or home-resident). `read` / `write` assert the same of the
+    // view they give. All take the typed closure rather than returning a
+    // guard so borrow scope is explicit.
     // ------------------------------------------------------------------
 
     /// Typed slice length for a region entry, in elements of `T`.
@@ -1455,13 +1450,18 @@ impl<'n> AceRt<'n> {
     /// section records to node 0 like any other (so node 0's
     /// [`AceRt::violations`] hold every cross-node conflict once it
     /// returns), and then every section still open on this node is
-    /// reported as a leak. Calling it twice — a program that shuts down
-    /// itself to inspect its violations, then the `run_ace` wrapper — is
-    /// another barrier, and finds nothing new.
+    /// reported as a leak; with the checker off, one is debug-asserted
+    /// against. Calling it twice — a program that shuts down itself to
+    /// inspect its violations, then the `run_ace` wrapper — is another
+    /// barrier, and finds nothing new.
     pub fn shutdown(&self) {
         self.machine_barrier();
         if self.checker.enabled() {
             self.checker.sweep_open(self.node);
+        } else if cfg!(debug_assertions) {
+            if let Some(e) = self.regions.borrow().iter().find(|e| e.busy()) {
+                panic!("rank {}: a section on {} is still open at shutdown", self.rank(), e.id);
+            }
         }
     }
 }
@@ -2322,7 +2322,7 @@ mod tests {
             ("home-owned", A::MAP.union(A::END_READ).union(A::START_WRITE).union(A::END_WRITE), {
                 |rt, r, p| {
                     rt.start_read_direct(r, p);
-                    let v = rt.with::<u64, _>(r, |d| d[0]);
+                    let v = rt.with_unchecked::<u64, _>(r, |d| d[0]);
                     rt.with_mut_unchecked::<u64, _>(r, |d| d[0] = v + 1);
                     v
                 }
