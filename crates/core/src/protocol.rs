@@ -188,7 +188,10 @@ pub trait Protocol: 'static {
     }
 
     /// Handle one of this protocol's wire messages targeted at region `e`.
-    /// `src` is the sending node. Must not block.
+    /// `src` is the sending node. Must not block, and must not create or
+    /// rebind a space: the runtime holds the space's protocol borrowed
+    /// while it runs ([`SpaceEntry::protocol`]), and [`AceRt::new_space`] /
+    /// [`AceRt::change_protocol`] panic if called from here.
     fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, src: usize);
 
     /// Bring the region to the *base state* (valid master copy at home, no

@@ -1,6 +1,6 @@
 //! The per-node Ace runtime: dispatch, mapping, synchronization.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -143,26 +143,6 @@ pub enum Resolve<'p> {
     /// section with a null end is not counted: the runtime sees only one
     /// of its ends.
     Static(&'p dyn Protocol),
-}
-
-impl<'p> Resolve<'p> {
-    /// The protocol an annotation on `e` resolves to. A space lookup
-    /// parks its handle in `held`, so one annotation resolves at most once.
-    #[inline]
-    fn get<'a>(
-        self,
-        rt: &AceRt,
-        e: &RegionEntry,
-        held: &'a mut Option<Rc<dyn Protocol>>,
-    ) -> &'a dyn Protocol
-    where
-        'p: 'a,
-    {
-        match self {
-            Resolve::Space => &**held.get_or_insert_with(|| rt.space(e.space).proto()),
-            Resolve::Static(p) => p,
-        }
-    }
 }
 
 /// A traced hook span between [`AceRt::span_enter`] and
@@ -454,9 +434,9 @@ impl<'n> AceRt<'n> {
     /// protocol's assertions: a handler tripping over a message it cannot
     /// account for usually means the message belongs to another epoch.
     pub fn handling(&self, e: &RegionEntry) -> String {
-        let ((src, op, sw), p) = (self.handling.get(), self.space(e.space).proto());
-        let (rank, proto, name, here) =
-            (self.rank(), p.name(), p.op_name(op), self.node.switch_epoch());
+        let (src, op, sw) = self.handling.get();
+        let (proto, name) = self.with_proto(e.space, |p| (p.name(), p.op_name(op)));
+        let (rank, here) = (self.rank(), self.node.switch_epoch());
         format!(
             "rank {rank} region {} protocol {proto}: op {op} ({name}) from {src} \
              sent at switch epoch {sw}, handled at epoch {here}",
@@ -479,12 +459,13 @@ impl<'n> AceRt<'n> {
                 let e = self.lookup(pm.region).unwrap_or_else(|| {
                     panic!("rank {rank}: unknown region in {pm:?} from {src} (epoch {sw}, here {here})")
                 });
-                let proto = self.space(e.space).proto();
                 self.handling.set((src, pm.op, sw));
-                let span = self.span_enter(Hook::Handle, e.space, Some(&e), &*proto, Some(pm.op));
-                proto.handle(self, &e, pm, src);
-                self.cache_fast(&e, Some(&*proto));
-                self.span_exit(span);
+                self.with_proto(e.space, |proto| {
+                    let span = self.span_enter(Hook::Handle, e.space, Some(&e), proto, Some(pm.op));
+                    proto.handle(self, &e, pm, src);
+                    self.cache_fast(&e, Some(proto));
+                    self.span_exit(span);
+                });
             }
             AceMsg::MetaReq { region } => {
                 let e = self
@@ -545,10 +526,54 @@ impl<'n> AceRt<'n> {
     /// call `new_space` in the same program order (SPMD), which makes the
     /// locally-generated ids agree machine-wide.
     pub fn new_space(&self, protocol: Rc<dyn Protocol>) -> SpaceId {
-        let mut spaces = self.spaces.borrow_mut();
+        let Ok(mut spaces) = self.spaces.try_borrow_mut() else {
+            self.in_protocol_call("new_space", SpaceId(self.spaces.borrow().len() as u32))
+        };
         let id = SpaceId(spaces.len() as u32);
         spaces.push(Rc::new(SpaceEntry::new(id, protocol)));
         id
+    }
+
+    /// Run `f` on the protocol space `sid` is bound to, borrowed from the
+    /// space table for the call: the handler path's resolution, which
+    /// touches no reference count. Sound because nothing `f` can reach
+    /// creates or rebinds a space on this node ([`SpaceEntry::protocol`]);
+    /// one that tries is refused by name (`in_protocol_call`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space does not exist on this node.
+    #[inline]
+    fn with_proto<R>(&self, sid: SpaceId, f: impl FnOnce(&dyn Protocol) -> R) -> R {
+        let spaces = self.spaces.borrow();
+        let proto = self.bound(&spaces, sid);
+        f(&**proto)
+    }
+
+    /// The binding of space `sid` in `spaces` (this node's table, borrowed),
+    /// borrowed in turn: [`AceRt::with_proto`]'s two borrows, for a caller
+    /// that must hold them without a closure.
+    #[inline]
+    fn bound<'s>(&self, spaces: &'s [Rc<SpaceEntry>], sid: SpaceId) -> Ref<'s, Rc<dyn Protocol>> {
+        match spaces.get(sid.0 as usize) {
+            Some(s) => s.protocol.borrow(),
+            None => panic!("{}", AceError::UnknownSpace { space: sid, rank: self.rank() }),
+        }
+    }
+
+    /// Refuse `what` on space `sid` from inside a protocol call, which
+    /// holds the space table borrowed ([`AceRt::with_proto`]).
+    #[cold]
+    fn in_protocol_call(&self, what: &str, sid: SpaceId) -> ! {
+        let (src, op, sw) = self.handling.get();
+        panic!(
+            "rank {}: {what} on space {} inside a protocol call (last hook {}; last message \
+             handled: op {op} from {src}, switch epoch {sw}): handlers never block, and \
+             never create or rebind a space",
+            self.rank(),
+            sid.0,
+            self.last_hook.get()
+        )
     }
 
     /// Look up a space entry, reporting an [`AceError::UnknownSpace`] if
@@ -573,6 +598,9 @@ impl<'n> AceRt<'n> {
     /// Change the protocol of a space (collective): [`AceRt::handover`]
     /// with "rebind the space" as the install step.
     pub fn change_protocol(&self, sid: SpaceId, new: Rc<dyn Protocol>) {
+        if self.spaces.try_borrow_mut().is_err() {
+            self.in_protocol_call("change_protocol", sid);
+        }
         let s = self.space(sid);
         self.handover(&s, &*s.proto(), &*new, || {
             *s.protocol.borrow_mut() = Rc::clone(&new);
@@ -663,7 +691,7 @@ impl<'n> AceRt<'n> {
         let id = RegionId::new(self.rank(), seq);
         let e = Rc::new(RegionEntry::new(id, space, self.zeros(words)));
         e.st.set(HOME_OWNED_STATE);
-        self.cache_fast(&e, Some(&*self.space(space).proto()));
+        self.with_proto(space, |p| self.cache_fast(&e, Some(p)));
         self.regions.borrow_mut().insert(e);
         id
     }
@@ -794,11 +822,12 @@ impl<'n> AceRt<'n> {
             self.counters.borrow_mut().fast_maps += 1;
             return;
         }
-        let proto = self.space(e.space).proto();
-        let span = self.span_enter(Hook::Map, e.space, Some(&e), &*proto, None);
-        proto.on_map(self, &e);
-        self.cache_fast(&e, Some(&*proto));
-        self.span_exit(span);
+        self.with_proto(e.space, |proto| {
+            let span = self.span_enter(Hook::Map, e.space, Some(&e), proto, None);
+            proto.on_map(self, &e);
+            self.cache_fast(&e, Some(proto));
+            self.span_exit(span);
+        });
     }
 
     /// `ACE_UNMAP`. The cache entry is retained (CRL-style unmapped-region
@@ -818,7 +847,7 @@ impl<'n> AceRt<'n> {
     /// one case where a protocol changes an entry from outside such a
     /// callback — a barrier hook dropping the node's cached copies.
     pub fn rederive_fast(&self, e: &RegionEntry) {
-        self.cache_fast(e, Some(&*self.space(e.space).proto()));
+        self.with_proto(e.space, |p| self.cache_fast(e, Some(p)));
     }
 
     /// The one writer of [`RegionEntry::fast`]: cache what `owner` declares
@@ -899,7 +928,6 @@ impl<'n> AceRt<'n> {
                 null.intersect(edge.ends()) == Actions::empty()
             }
         };
-        let mut held = None;
         match edge {
             Edge::Open { write: false } => self.counters.borrow_mut().start_reads += 1,
             Edge::Open { write: true } => self.counters.borrow_mut().start_writes += 1,
@@ -931,7 +959,18 @@ impl<'n> AceRt<'n> {
                     self.node.charge(self.node.cost().direct_call);
                 }
             }
-            let p = via.get(self, e, &mut held);
+            // Borrowed in place, not through `with_proto`'s closure, which
+            // would be one function for every hook, with `hook` no constant.
+            let spaces;
+            let bound;
+            let p = match via {
+                Resolve::Space => {
+                    spaces = self.spaces.borrow();
+                    bound = self.bound(&spaces, e.space);
+                    &**bound
+                }
+                Resolve::Static(p) => p,
+            };
             let span = self.span_enter(hook, e.space, Some(e), p, None);
             match hook {
                 Hook::StartRead => p.start_read(self, e),
@@ -949,8 +988,11 @@ impl<'n> AceRt<'n> {
             let active = section(e, write);
             active.set(active.get() + 1);
             if self.checker.enabled() && active.get() == 1 {
-                let p = via.get(self, e, &mut held);
-                self.checker.on_open(self.node, e.id, write, p.name(), p.grants());
+                let (name, grants) = match via {
+                    Resolve::Space => self.with_proto(e.space, |p| (p.name(), p.grants())),
+                    Resolve::Static(p) => (p.name(), p.grants()),
+                };
+                self.checker.on_open(self.node, e.id, write, name, grants);
             }
         }
     }
@@ -1092,8 +1134,7 @@ impl<'n> AceRt<'n> {
         assert_eq!(e.mapped.get(), 0, "evicting a mapped region {r}");
         assert!(!e.busy(), "evicting a busy region {r}");
         assert!(!e.is_home_of(self.rank()), "evicting a home region {r}");
-        let proto = self.space(e.space).proto();
-        proto.flush(self, &e);
+        self.with_proto(e.space, |p| p.flush(self, &e));
         self.regions.borrow_mut().remove(r);
     }
 
@@ -1684,6 +1725,49 @@ mod tests {
             (held, rt.entry(region).aux.get(), rt.counters().proto_msgs)
         });
         assert_eq!(r.results[0], ((0, 0), 7, 2), "held back, then replayed to the new protocol");
+    }
+
+    /// A protocol whose handler creates a space (op 1) or rebinds its own
+    /// (op 2), which the runtime refuses by name.
+    struct Rebinding;
+    impl Protocol for Rebinding {
+        fn name(&self) -> &'static str {
+            "rebinding"
+        }
+        fn start_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn end_read(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn start_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn end_write(&self, _rt: &AceRt, _e: &RegionEntry) {}
+        fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, _src: usize) {
+            match msg.op {
+                1 => drop(rt.new_space(noop())),
+                _ => rt.change_protocol(e.space, noop()),
+            }
+        }
+        fn flush(&self, _rt: &AceRt, _e: &RegionEntry) {}
+    }
+
+    /// Hand one `op` message for a fresh `Rebinding` region to the handler.
+    fn handle_rebinding(op: u16) {
+        run_ace(1, CostModel::free(), |rt| {
+            let region = rt.gmalloc::<u64>(rt.new_space(Rc::new(Rebinding)), 1);
+            let msg = AceMsg::Proto(ProtoMsg { region, op, from: 0, arg: 0, data: None });
+            let sw = rt.node().switch_epoch();
+            rt.dispatch(Envelope { src: 0, send_time: 0, vc: None, sw, bytes: 0, msg });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0: change_protocol on space 0 inside a protocol call \
+                               (last hook handle; last message handled: op 2 from 0")]
+    fn a_handler_that_changes_its_spaces_protocol_is_refused_by_name() {
+        handle_rebinding(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0: new_space on space 1 inside a protocol call")]
+    fn a_handler_that_creates_a_space_is_refused_by_name() {
+        handle_rebinding(1);
     }
 
     #[test]

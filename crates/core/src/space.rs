@@ -21,6 +21,13 @@ pub struct SpaceEntry {
     /// The protocol currently associated with the space. Swapped by
     /// `change_protocol`; the indirection is what makes protocol changes a
     /// one-line operation for applications (§2.2).
+    ///
+    /// The runtime holds this borrowed (shared, with the node's space table)
+    /// for the whole of each handler and hook it resolves through the
+    /// space, and clones nothing. That rests on one rule: handlers never
+    /// block, and no handler or hook creates or rebinds a space. `AceRt`'s
+    /// `new_space` and `change_protocol` refuse a call from inside one with
+    /// a panic naming the rank, the space and the message last handled.
     pub protocol: RefCell<Rc<dyn Protocol>>,
     /// Regions of this space that the protocol wants revisited at the next
     /// barrier (the dirty regions of static update, the copies pipelined
@@ -42,8 +49,9 @@ impl SpaceEntry {
         }
     }
 
-    /// Clone out the current protocol (cheap `Rc` bump). Callers must not
-    /// hold the borrow across a protocol call, so this is the only accessor.
+    /// Clone out the current protocol (an `Rc` bump), for a caller that
+    /// outlives the binding: a barrier or a handover, which may replace the
+    /// protocol while it runs.
     pub fn proto(&self) -> Rc<dyn Protocol> {
         self.protocol.borrow().clone()
     }

@@ -12,6 +12,15 @@
 //! left to wake them (only a running fiber calls [`wake`]): each is
 //! resumed with `suspend() == false`, until they return.
 //!
+//! Who switches to whom: a fiber that suspends pops the FIFO itself and
+//! switches straight to the fiber at the front, or carries on without a
+//! switch if that is itself. It switches back to the executor only when
+//! the FIFO is empty, and a finished body always does. So the executor's
+//! loop runs to start the first fiber, after a body returns, and for the
+//! deadlock rule — never between two fibers that hand over. Both pick the
+//! next fiber through one function (`next_ready`), which skips the ids of
+//! finished fibers and ticks the coarse clock behind [`now`].
+//!
 //! This module holds all of the `unsafe` — `mmap`ed stacks, the register
 //! switch, the erased lifetime of the bodies — behind safe functions,
 //! under these invariants, all kept here:
@@ -166,21 +175,25 @@ struct Executor {
     stalled: Cell<bool>,
     /// Set by a fiber whose body has returned, for the executor it switches back to.
     finished: Cell<bool>,
-    /// The host clock as [`run`] last read it; `None` outside `run`.
+    /// The host clock as [`next_ready`] last read it; `None` outside `run`.
     now: Cell<Option<Instant>>,
+    /// Resumes left before [`next_ready`] reads the host clock again.
+    clock_due: Cell<u32>,
+    /// Switches the executor loop has made into a fiber in this thread's runs.
+    #[cfg(test)]
+    entries: Cell<usize>,
 }
 
 thread_local! {
     static EXEC: Executor = Executor::default();
 }
 
-/// The two arguments of a [`switch`] out of the running fiber.
-fn way_out() -> (*mut usize, usize) {
-    EXEC.with(|e| {
-        let fibers = e.fibers.borrow();
-        assert!(!fibers.is_empty(), "fiber::suspend called outside fiber::run");
-        (fibers[e.current.get()].sp.as_ptr(), e.sp.get())
-    })
+/// The two arguments of a [`switch`] from the running fiber back to the
+/// executor.
+fn way_out(e: &Executor) -> (*mut usize, usize) {
+    let fibers = e.fibers.borrow();
+    assert!(!fibers.is_empty(), "fiber::suspend called outside fiber::run");
+    (fibers[e.current.get()].sp.as_ptr(), e.sp.get())
 }
 
 /// Where every fiber starts, reached by `switch`'s `ret`, never called
@@ -191,8 +204,10 @@ extern "sysv64" fn trampoline() -> ! {
         // No frame above this one: there is nowhere to unwind to.
         std::process::abort();
     }
-    EXEC.with(|e| e.finished.set(true));
-    let (save, to) = way_out();
+    let (save, to) = EXEC.with(|e| {
+        e.finished.set(true);
+        way_out(e)
+    });
     // SAFETY: `to` is what `run`'s switch published on the executor's
     // own stack, which is waiting in that switch; `save` is this fiber's
     // slot, written once more and never read again.
@@ -225,35 +240,28 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
         *e.fibers.borrow_mut() = fibers;
         e.ready.borrow_mut().extend(0..n);
         e.stalled.set(false);
-        let (mut live, mut clock_due) = (n, 0);
+        e.clock_due.set(0);
+        let mut live = n;
         while live > 0 {
-            let next = e.ready.borrow_mut().pop_front();
-            let Some(id) = next else {
+            let Some((id, to)) = next_ready(e) else {
                 // Deadlock: only a running fiber wakes another, and none is.
                 e.stalled.set(true);
                 let fibers = e.fibers.borrow();
                 e.ready.borrow_mut().extend((0..n).filter(|&i| fibers[i].live));
                 continue;
             };
-            let to = {
-                let fiber = &e.fibers.borrow()[id];
-                fiber.live.then(|| fiber.sp.get())
-            };
-            // A stale id: woken, then failed by the deadlock rule before its turn.
-            let Some(to) = to else { continue };
-            if clock_due == 0 {
-                e.now.set(Some(Instant::now()));
-                clock_due = CLOCK_RESUMES;
-            }
-            clock_due -= 1;
             e.current.set(id);
+            #[cfg(test)]
+            e.entries.set(e.entries.get() + 1);
             // SAFETY: `to` was built by `Stack::first_frame` or published by the
-            // switch in `suspend`, for a live fiber's stack (checked above),
+            // switch in `suspend`, for a live fiber's stack (`next_ready` checks),
             // which is mapped and not running (the executor is); `save` is
             // `EXEC.sp`.
             unsafe { switch(e.sp.as_ptr(), to) };
+            // Back from whichever fiber ran last: its body returned, or it
+            // suspended on an empty FIFO.
             if e.finished.replace(false) {
-                e.fibers.borrow_mut()[id].live = false;
+                e.fibers.borrow_mut()[e.current.get()].live = false;
                 live -= 1;
             }
         }
@@ -263,24 +271,64 @@ pub(crate) fn run<'a>(bodies: Vec<Box<dyn FnOnce() + 'a>>) {
     });
 }
 
-/// Switch from the running fiber back to the executor, until a [`wake`]
-/// of this fiber reaches the front of the FIFO; `false` if none came and
-/// none can (deadlock). A second `wake` with no `suspend` in between
+/// The next fiber to resume and the stack pointer to switch to, popped off
+/// the FIFO front; `None` if the FIFO is empty. The one place a fiber is
+/// chosen, for the executor and a suspending fiber alike: it skips stale
+/// ids and reads the host clock every [`CLOCK_RESUMES`] resumes.
+fn next_ready(e: &Executor) -> Option<(usize, usize)> {
+    let next = loop {
+        let id = e.ready.borrow_mut().pop_front()?;
+        let fiber = &e.fibers.borrow()[id];
+        // A stale id: its fiber finished after this wake was queued.
+        if fiber.live {
+            break (id, fiber.sp.get());
+        }
+    };
+    let due = match e.clock_due.get() {
+        0 => {
+            e.now.set(Some(Instant::now()));
+            CLOCK_RESUMES
+        }
+        due => due,
+    };
+    e.clock_due.set(due - 1);
+    Some(next)
+}
+
+/// Give the thread to the next fiber [`wake`] queued, until a `wake` of
+/// this fiber reaches the front of the FIFO; `false` if none came and
+/// none can (deadlock). The running fiber switches straight to the next
+/// one, or carries on if it is next itself; only an empty FIFO sends it
+/// back to the executor. A second `wake` with no `suspend` in between
 /// resumes it early: wait in a loop, on a condition the waker sets.
 /// Panics if the thread is unwinding (inside a `Drop`, an abort) or is
 /// not running a fiber.
 pub(crate) fn suspend() -> bool {
     assert!(!std::thread::panicking(), "a fiber must not suspend while it unwinds");
-    let (save, to) = way_out();
-    // SAFETY: `to` is what `run`'s switch published on the executor's
-    // stack, which is waiting in that switch; `save` is the running
-    // fiber's own slot, in a `Vec` that does not move while fibers live.
-    unsafe { switch(save, to) };
-    !EXEC.with(|e| e.stalled.get())
+    EXEC.with(|e| {
+        let (save, exec) = way_out(e);
+        let to = match next_ready(e) {
+            Some((id, _)) if id == e.current.get() => return !e.stalled.get(),
+            Some((id, to)) => {
+                e.current.set(id);
+                to
+            }
+            None => exec,
+        };
+        // SAFETY: `save` is the running fiber's own slot, in a `Vec` that
+        // does not move while fibers live. `to` is either what `run`'s
+        // switch published on the executor's stack, which is waiting in
+        // that switch, or the stack pointer of another live fiber
+        // (`next_ready` checks): built by `Stack::first_frame` or published
+        // by this switch when that fiber suspended, for a stack that is
+        // mapped and not running, since only this fiber runs.
+        unsafe { switch(save, to) };
+        !e.stalled.get()
+    })
 }
 
-/// The host clock for a running fiber: read by the executor before the
-/// first resume and every [`CLOCK_RESUMES`] after, so never ahead of the
+/// The host clock for a running fiber: read before the first resume and
+/// every [`CLOCK_RESUMES`] after, so never ahead of the
 /// real one and behind it by at most that many hops. Panics outside [`run`].
 pub(crate) fn now() -> Instant {
     EXEC.with(|e| e.now.get()).expect("fiber::now called outside fiber::run")
@@ -326,6 +374,87 @@ mod tests {
         let want = [(0, "start"), (1, "start"), (2, "start"), (3, "start")];
         assert_eq!(log.borrow()[..4], want);
         assert_eq!(log.borrow()[4..], [(1, "resumed"), (0, "resumed")]);
+    }
+
+    /// Switches the executor loop has made into a fiber on this thread.
+    fn entries() -> usize {
+        EXEC.with(|e| e.entries.get())
+    }
+
+    #[test]
+    fn a_ping_pong_enters_the_executor_loop_only_to_start_and_retire_its_fibers() {
+        // Two fibers take turns `rounds` times each; every hop between them
+        // is a fiber-to-fiber switch. The loop starts fiber 0 and, once one
+        // body has returned, resumes the other: two entries, whatever `rounds`.
+        for rounds in [1, 1000] {
+            let before = entries();
+            let turn = Cell::new(0usize);
+            let bodies = (0..2usize).map(|me| {
+                let turn = &turn;
+                boxed(move || {
+                    for _ in 0..rounds {
+                        while turn.get() % 2 != me {
+                            assert!(suspend());
+                        }
+                        turn.set(turn.get() + 1);
+                        wake(1 - me);
+                    }
+                })
+            });
+            run(bodies.collect());
+            assert_eq!((turn.get(), entries() - before), (2 * rounds, 2), "{rounds} rounds");
+        }
+    }
+
+    #[test]
+    fn a_fiber_whose_own_wake_is_at_the_front_continues_without_a_switch() {
+        // A switch out saves the fiber's registers and publishes its stack
+        // pointer; carrying on does neither.
+        let before = entries();
+        let (resumed, switched_out) = (Cell::new(0), Cell::new(true));
+        run(vec![boxed(|| {
+            let saved = || EXEC.with(|e| e.fibers.borrow()[0].sp.get());
+            let sp = saved();
+            for _ in 0..100 {
+                wake(0);
+                assert!(suspend());
+                resumed.set(resumed.get() + 1);
+            }
+            switched_out.set(saved() != sp);
+        })]);
+        assert!(!switched_out.get(), "the fiber saved its registers");
+        assert_eq!((resumed.get(), entries() - before), (100, 1));
+    }
+
+    #[test]
+    fn a_finished_fibers_stale_id_is_skipped_by_a_suspending_fiber_as_by_the_executor() {
+        // Fiber 2 queues finished fiber 1 ahead of fiber 0 and suspends: it
+        // skips 1 and hands over to 0. Fiber 0 queues 1 ahead of 2 and
+        // returns: the executor skips 1 and resumes 2.
+        let before = entries();
+        let log = RefCell::new(Vec::new());
+        let log = &log;
+        run(vec![
+            boxed(move || {
+                log.borrow_mut().push("0 start");
+                assert!(suspend());
+                log.borrow_mut().push("0 resumed");
+                wake(1);
+                wake(2);
+            }),
+            boxed(move || log.borrow_mut().push("1 done")),
+            boxed(move || {
+                log.borrow_mut().push("2 start");
+                wake(1);
+                wake(0);
+                assert!(suspend());
+                log.borrow_mut().push("2 resumed");
+            }),
+        ]);
+        let want = ["0 start", "1 done", "2 start", "0 resumed", "2 resumed"];
+        assert_eq!(*log.borrow(), want);
+        // Starting 0, starting 2 after 1 returned, resuming 2 after 0 did.
+        assert_eq!(entries() - before, 3, "fiber 2 handed over to fiber 0 itself");
     }
 
     #[test]

@@ -378,6 +378,9 @@ impl AdaptiveEngine {
         }
     }
 
+    /// Clone out the inner protocol, for the barrier and the switch, where
+    /// `switch_to` replaces it. Every other hook
+    /// delegates through a shared borrow: none blocks across a switch.
     fn inner(&self) -> Rc<dyn Protocol> {
         self.inner.borrow().clone()
     }
@@ -441,7 +444,7 @@ impl Protocol for AdaptiveEngine {
     }
 
     fn op_name(&self, op: u16) -> &'static str {
-        self.inner().op_name(op)
+        self.inner.borrow().op_name(op)
     }
 
     // Reordering calls across a potential switch point is never safe.
@@ -453,15 +456,15 @@ impl Protocol for AdaptiveEngine {
     // barrier where the inner protocol changes, so delegating keeps the
     // grant set exact per interval.
     fn grants(&self) -> GrantSet {
-        self.inner().grants()
+        self.inner.borrow().grants()
     }
 
     fn fast_mask(&self, rt: &AceRt, e: &RegionEntry) -> Actions {
-        self.inner().fast_mask(rt, e)
+        self.inner.borrow().fast_mask(rt, e)
     }
 
     fn on_map(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().on_map(rt, e);
+        self.inner.borrow().on_map(rt, e);
     }
 
     fn start_read(&self, rt: &AceRt, e: &RegionEntry) {
@@ -471,11 +474,11 @@ impl Protocol for AdaptiveEngine {
                 Self::bump(&self.rmiss);
             }
         }
-        self.inner().start_read(rt, e);
+        self.inner.borrow().start_read(rt, e);
     }
 
     fn end_read(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().end_read(rt, e);
+        self.inner.borrow().end_read(rt, e);
     }
 
     fn start_write(&self, rt: &AceRt, e: &RegionEntry) {
@@ -488,11 +491,11 @@ impl Protocol for AdaptiveEngine {
                 }
             }
         }
-        self.inner().start_write(rt, e);
+        self.inner.borrow().start_write(rt, e);
     }
 
     fn end_write(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().end_write(rt, e);
+        self.inner.borrow().end_write(rt, e);
     }
 
     fn barrier(&self, rt: &AceRt, s: &SpaceEntry) {
@@ -528,23 +531,23 @@ impl Protocol for AdaptiveEngine {
         if self.profiling() {
             Self::bump(&self.locks);
         }
-        self.inner().lock(rt, e);
+        self.inner.borrow().lock(rt, e);
     }
 
     fn unlock(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().unlock(rt, e);
+        self.inner.borrow().unlock(rt, e);
     }
 
     fn handle(&self, rt: &AceRt, e: &RegionEntry, msg: ProtoMsg, src: usize) {
-        self.inner().handle(rt, e, msg, src);
+        self.inner.borrow().handle(rt, e, msg, src);
     }
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().flush(rt, e);
+        self.inner.borrow().flush(rt, e);
     }
 
     fn adopt(&self, rt: &AceRt, e: &RegionEntry) {
-        self.inner().adopt(rt, e);
+        self.inner.borrow().adopt(rt, e);
     }
 }
 
