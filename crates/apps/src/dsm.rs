@@ -154,9 +154,11 @@ impl Dsm for AceDsm<'_, '_> {
     fn with_mut<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         self.rt.with_mut(RegionId(r), f)
     }
+    #[inline]
     fn read<T: Pod, R>(&self, r: u64, f: impl FnOnce(&[T]) -> R) -> R {
         self.rt.read(RegionId(r), Resolve::Space, f)
     }
+    #[inline]
     fn write<T: Pod, R>(&self, r: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         self.rt.write(RegionId(r), Resolve::Space, f)
     }

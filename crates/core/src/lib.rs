@@ -48,7 +48,7 @@ pub use error::{AceError, ConformanceKind, SectionRecord};
 pub use ids::{RegionId, SpaceId};
 pub use msg::{AceMsg, ProtoMsg};
 pub use protocol::{Actions, GrantSet, Protocol};
-pub use region::{Cold, FastMask, RegionEntry, Sharers};
+pub use region::{Cold, FastMask, RegionEntry, Sharers, Words};
 pub use rt::{AceRt, Resolve, REMOTE_INVALID};
 pub use space::SpaceEntry;
 

@@ -1,11 +1,15 @@
 //! Wire messages of the Ace runtime.
 //!
-//! Bulk payloads travel as `Arc<[u64]>`: a fan-out of one payload to N
-//! sharers is N refcount bumps, not N deep copies. The simulated network
-//! still charges full payload bytes per message ([`MsgSize`] reports
-//! `len * 8` exactly as it would for an owned buffer), so zero-copy is
-//! purely a wall-clock optimization — simulated time, message counts, and
-//! byte counts are unchanged.
+//! A protocol payload travels as [`Words`]: a one-word region's word by
+//! value inside the message, as a CM-5 active message carries it in the
+//! packet, and anything larger as an `Arc<[u64]>`, so a fan-out of one
+//! payload to N sharers is N word copies or N refcount bumps, never N deep
+//! copies or an allocation per message. The simulated network still
+//! charges full payload bytes per message ([`MsgSize`] reports `len * 8`
+//! whichever way the words travel), and the socket codec writes the same
+//! bytes for both, so this is purely a wall-clock optimization — simulated
+//! time, message counts, and byte counts are unchanged. Barrier profiles
+//! and collectives stay `Arc<[u64]>`.
 
 use std::sync::Arc;
 
@@ -13,6 +17,7 @@ use ace_machine::transport::{put_words, CodecError, WireCodec, WireReader};
 use ace_machine::{CoalescePolicy, MsgSize};
 
 use crate::ids::{RegionId, SpaceId};
+use crate::region::Words;
 
 /// A protocol-level active message. The runtime routes it to the protocol
 /// of the target region's space; the `op`/`arg` fields are interpreted by
@@ -29,9 +34,10 @@ pub struct ProtoMsg {
     pub from: u16,
     /// Protocol-defined scalar argument.
     pub arg: u64,
-    /// Optional bulk payload (region data, deltas, ...), shared zero-copy
-    /// with the sender; receivers that mutate must copy-on-write.
-    pub data: Option<Arc<[u64]>>,
+    /// Optional bulk payload (region data, deltas, ...): one word by
+    /// value, more shared zero-copy with the sender; receivers mutate only
+    /// through [`crate::RegionEntry::with_data_mut`].
+    pub data: Option<Words>,
 }
 
 /// A barrier passage's conformance-checker records on their way up the
@@ -126,7 +132,7 @@ const T_LOCK_GRANT: u8 = 6;
 const T_LOCK_RELEASE: u8 = 7;
 const T_COLLECTIVE: u8 = 8;
 
-fn put_opt_words(out: &mut Vec<u8>, vals: &Option<Arc<[u64]>>) {
+fn put_opt_words(out: &mut Vec<u8>, vals: Option<&[u64]>) {
     match vals {
         None => out.push(0),
         Some(v) => {
@@ -136,7 +142,7 @@ fn put_opt_words(out: &mut Vec<u8>, vals: &Option<Arc<[u64]>>) {
     }
 }
 
-fn get_opt_words(r: &mut WireReader<'_>) -> Result<Option<Arc<[u64]>>, CodecError> {
+fn get_opt_words<T: From<Vec<u64>>>(r: &mut WireReader<'_>) -> Result<Option<T>, CodecError> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(r.words()?.into())),
@@ -175,7 +181,7 @@ impl WireCodec for AceMsg {
                 out.extend_from_slice(&p.op.to_le_bytes());
                 out.extend_from_slice(&p.from.to_le_bytes());
                 p.arg.encode(out);
-                put_opt_words(out, &p.data);
+                put_opt_words(out, p.data.as_deref());
             }
             AceMsg::MetaReq { region } => {
                 out.push(T_META_REQ);
@@ -191,14 +197,14 @@ impl WireCodec for AceMsg {
                 out.push(T_BAR_ARRIVE);
                 out.extend_from_slice(&tag.to_le_bytes());
                 epoch.encode(out);
-                put_opt_words(out, prof);
+                put_opt_words(out, prof.as_deref());
                 put_batch(out, batch);
             }
             AceMsg::BarRelease { tag, epoch, prof } => {
                 out.push(T_BAR_RELEASE);
                 out.extend_from_slice(&tag.to_le_bytes());
                 epoch.encode(out);
-                put_opt_words(out, prof);
+                put_opt_words(out, prof.as_deref());
             }
             AceMsg::LockReq { region } => {
                 out.push(T_LOCK_REQ);
@@ -264,7 +270,7 @@ mod tests {
             op: 3,
             from: 0,
             arg: 0,
-            data: Some(Arc::from(vec![0u64; 10])),
+            data: Some(Words::from(vec![0u64; 10])),
         });
         assert_eq!(m.size_bytes(), 12 + 80);
         let m2 = AceMsg::Proto(ProtoMsg {
@@ -287,7 +293,7 @@ mod tests {
     fn shared_payload_charges_full_bytes_per_message() {
         // Zero-copy must not change bandwidth accounting: two messages
         // sharing one Arc payload still charge the payload twice.
-        let payload: Arc<[u64]> = Arc::from(vec![0u64; 16]);
+        let payload = Words::from(vec![0u64; 16]);
         let mk = || {
             AceMsg::Proto(ProtoMsg {
                 region: RegionId::new(0, 1),
@@ -325,7 +331,7 @@ mod tests {
                 op: 9,
                 from: 2,
                 arg: 0xDEAD_BEEF,
-                data: Some(Arc::from(vec![1u64, 2, 3])),
+                data: Some(Words::from(vec![1u64, 2, 3])),
             }),
             AceMsg::Proto(ProtoMsg { region: RegionId::NULL, op: 0, from: 0, arg: 0, data: None }),
             AceMsg::MetaReq { region: RegionId::new(1, 5) },
@@ -358,6 +364,41 @@ mod tests {
             assert_eq!(back.size_bytes(), m.size_bytes());
             assert_eq!(back.tag(), m.tag());
         }
+    }
+
+    #[test]
+    fn a_one_word_payload_keeps_its_wire_bytes() {
+        // Tag, region, op, from, arg, then the payload as it always went
+        // out: a present-tag of 1 and a u32-counted word vector.
+        let (region, op, from, arg, word) = (RegionId::new(3, 17), 9u16, 2u16, 0xBEEFu64, 42u64);
+        let mut want = vec![T_PROTO];
+        want.extend_from_slice(&region.0.to_le_bytes());
+        want.extend_from_slice(&op.to_le_bytes());
+        want.extend_from_slice(&from.to_le_bytes());
+        want.extend_from_slice(&arg.to_le_bytes());
+        want.push(1);
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&word.to_le_bytes());
+        let m = AceMsg::Proto(ProtoMsg { region, op, from, arg, data: Some(Words::One(word)) });
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        assert_eq!(buf, want);
+        let mut r = WireReader::new(&buf);
+        let Ok(AceMsg::Proto(back)) = AceMsg::decode(&mut r) else { panic!("decode") };
+        assert!(matches!(back.data, Some(Words::One(42))), "one word decodes by value");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(AceMsg::Proto(back).size_bytes(), 12 + 8);
+
+        // A multi-word payload round-trips shared, with the same framing.
+        let many = Words::from(vec![7u64, 8, 9]);
+        let m = AceMsg::Proto(ProtoMsg { region, op, from, arg, data: Some(many) });
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        assert_eq!(buf.len(), want.len() + 16);
+        let Ok(AceMsg::Proto(back)) = AceMsg::decode(&mut WireReader::new(&buf)) else {
+            panic!("decode")
+        };
+        assert!(matches!(&back.data, Some(Words::Many(d)) if **d == [7, 8, 9]));
     }
 
     /// An arrival carrying a checker batch of two chunks, one empty.

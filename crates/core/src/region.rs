@@ -1,15 +1,19 @@
 //! Per-node bookkeeping for one shared region.
 //!
-//! Region data lives in an `Arc<[u64]>` so protocol messages can carry the
-//! payload zero-copy: snapshotting for the wire ([`RegionEntry::share_data`])
-//! is a refcount bump, and installing a received full-region payload
-//! ([`RegionEntry::install_shared`]) is a pointer swap. The invariant that
-//! makes this safe is that *every* local mutation goes through
-//! [`RegionEntry::with_data_mut`], which copies-on-write when the buffer is
-//! shared — an outstanding wire snapshot (or another node's installed
-//! alias) is therefore never observably mutated. The same copy-on-write
-//! lets every fresh entry of one size alias its node's one all-zero buffer
-//! until it is first written.
+//! Region data lives in [`Words`]. A one-word region holds its word by
+//! value, as a CM-5 active message carries a word inside the packet:
+//! snapshotting it for the wire ([`RegionEntry::share_data`]) is a copy,
+//! installing a received payload ([`RegionEntry::install_shared`]) a store
+//! and a write ([`RegionEntry::with_data_mut`]) happens in place, with no
+//! allocation and no atomic refcount. A larger region lives in an
+//! `Arc<[u64]>` so protocol messages carry the payload zero-copy:
+//! snapshotting is a refcount bump, and installing is a pointer swap. The
+//! invariant that makes this safe is that *every* local mutation goes
+//! through [`RegionEntry::with_data_mut`], which copies-on-write when the
+//! buffer is shared — an outstanding wire snapshot (or another node's
+//! installed alias) is therefore never observably mutated. The same
+//! copy-on-write lets every fresh entry of one size alias its node's one
+//! all-zero buffer until it is first written.
 //!
 //! An entry holds inline only what every region uses on the hot path; the
 //! state few regions ever touch ([`Cold`]) sits behind one lazily
@@ -17,6 +21,7 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::ids::{RegionId, SpaceId};
@@ -29,6 +34,70 @@ fn cow_slice(slot: &mut Arc<[u64]>) -> &mut [u64] {
         *slot = Arc::from(&slot[..]);
     }
     Arc::get_mut(slot).expect("uniquely owned after copy-on-write")
+}
+
+/// A region's words, as an entry holds them and a protocol message
+/// carries them: one word by value, anything else shared zero-copy.
+/// `From<Vec<u64>>` and `collect` put a one-word payload in [`Words::One`]
+/// (a one-word [`Words::Many`] works, but pays the refcount this type
+/// exists to avoid). Reads see the words as a `&[u64]`; the one way to
+/// write an entry's words is [`RegionEntry::with_data_mut`].
+#[derive(Clone, Debug)]
+pub enum Words {
+    /// A one-word region's word.
+    One(u64),
+    /// Any other length, shared by every snapshot, message and fresh entry
+    /// that aliases it until a write copies it.
+    Many(Arc<[u64]>),
+}
+
+impl Words {
+    /// Whether `a` and `b` share one buffer: never for one-word payloads,
+    /// which share nothing.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &Words, b: &Words) -> bool {
+        matches!((a, b), (Words::Many(a), Words::Many(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// A mutable view of the words: in place for one word, copy-on-write
+    /// for a shared buffer.
+    fn make_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::One(w) => std::slice::from_mut(w),
+            Words::Many(a) => cow_slice(a),
+        }
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::One(w) => std::slice::from_ref(w),
+            Words::Many(a) => a,
+        }
+    }
+}
+
+impl From<Vec<u64>> for Words {
+    fn from(v: Vec<u64>) -> Self {
+        match *v {
+            [w] => Words::One(w),
+            _ => Words::Many(v.into()),
+        }
+    }
+}
+
+impl FromIterator<u64> for Words {
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut it = iter.into_iter().fuse();
+        match (it.next(), it.next()) {
+            (Some(w), None) => Words::One(w),
+            (a, b) => Words::Many(a.into_iter().chain(b).chain(it).collect()),
+        }
+    }
 }
 
 /// A home-side sharer set scaling past 64 ranks without giving up the
@@ -202,8 +271,9 @@ pub struct Cold {
     /// replayed when the region quiesces: `(from, op, arg)`.
     pub blocked: RefCell<VecDeque<(u16, u16, u64)>>,
     /// Twin buffer for diffing protocols (pipelined delta writes). Taken
-    /// as a zero-copy snapshot of `data`; copy-on-write keeps it frozen.
-    pub twin: RefCell<Option<Arc<[u64]>>>,
+    /// as a snapshot of `data` (a copy of one word, a refcount bump for
+    /// more); copy-on-write keeps it frozen.
+    pub twin: RefCell<Option<Words>>,
     /// Default lock, home side: held by someone.
     pub lock_held: Cell<bool>,
     /// Default lock, home side: FIFO of waiting ranks.
@@ -231,10 +301,10 @@ pub struct RegionEntry {
     pub words: usize,
     /// The local copy of the region's data. At the home node this is the
     /// master copy; elsewhere it is a cache whose validity the protocol
-    /// tracks in `st`. Shared zero-copy with in-flight messages, and in a
-    /// fresh entry with every other fresh entry of its size; mutate only
-    /// through [`RegionEntry::with_data_mut`].
-    pub data: RefCell<Arc<[u64]>>,
+    /// tracks in `st`. One word held by value; more shared zero-copy with
+    /// in-flight messages, and in a fresh entry with every other fresh
+    /// entry of its size; mutate only through [`RegionEntry::with_data_mut`].
+    pub data: RefCell<Words>,
     /// Map count (maps nest, per CRL semantics).
     pub mapped: Cell<u32>,
     /// Number of open read sections.
@@ -279,9 +349,10 @@ pub struct RegionEntry {
 
 impl RegionEntry {
     /// Create the entry over `data`, whose length is the region's size. A
-    /// fresh entry (home allocation or cache) gets its node's shared
-    /// all-zero buffer of that size, which its first write makes private.
-    pub fn new(id: RegionId, space: SpaceId, data: Arc<[u64]>) -> Self {
+    /// fresh entry (home allocation or cache) gets a zero word, or its
+    /// node's shared all-zero buffer of that size, which its first write
+    /// makes private.
+    pub fn new(id: RegionId, space: SpaceId, data: Words) -> Self {
         RegionEntry {
             id,
             space,
@@ -333,27 +404,29 @@ impl RegionEntry {
         self.read_active.get() > 0 || self.write_active.get() > 0
     }
 
-    /// Snapshot the current data for the wire: a refcount bump, not a
-    /// copy. The snapshot stays frozen because all local mutation goes
-    /// through [`RegionEntry::with_data_mut`] (copy-on-write).
-    pub fn share_data(&self) -> Arc<[u64]> {
+    /// Snapshot the current data for the wire: a copy of one word, a
+    /// refcount bump for more, never a copy of a buffer. The snapshot stays
+    /// frozen because all local mutation goes through
+    /// [`RegionEntry::with_data_mut`] (copy-on-write).
+    pub fn share_data(&self) -> Words {
         self.data.borrow().clone()
     }
 
     /// Mutate the region data in place, copying first if the buffer is
-    /// aliased by an in-flight message, a twin, or another entry.
+    /// aliased by an in-flight message, a twin, or another entry (a
+    /// one-word region never is).
     pub fn with_data_mut<R>(&self, f: impl FnOnce(&mut [u64]) -> R) -> R {
-        let mut slot = self.data.borrow_mut();
-        f(cow_slice(&mut slot))
+        f(self.data.borrow_mut().make_mut())
     }
 
-    /// Adopt a full-region payload by reference: a pointer swap, aliasing
-    /// the sender's buffer. Copy-on-write protects both sides afterwards.
+    /// Adopt a full-region payload: a store of one word, or a pointer swap
+    /// aliasing the sender's buffer, which copy-on-write protects on both
+    /// sides afterwards.
     ///
     /// # Panics
     ///
     /// Panics if the payload size does not match the region size.
-    pub fn install_shared(&self, incoming: Arc<[u64]>) {
+    pub fn install_shared(&self, incoming: Words) {
         let mut slot = self.data.borrow_mut();
         assert_eq!(incoming.len(), slot.len(), "payload size mismatch for {}", self.id);
         *slot = incoming;
@@ -365,7 +438,7 @@ mod tests {
     use super::*;
 
     fn entry(words: usize) -> RegionEntry {
-        RegionEntry::new(RegionId::new(2, 5), SpaceId(1), Arc::from(vec![0; words]))
+        RegionEntry::new(RegionId::new(2, 5), SpaceId(1), Words::from(vec![0; words]))
     }
 
     #[test]
@@ -383,20 +456,23 @@ mod tests {
 
     #[test]
     fn fresh_entries_share_one_zero_buffer_until_written() {
-        let zeros: Arc<[u64]> = Arc::from(vec![0; 3]);
+        let zeros = Words::from(vec![0; 3]);
         let a = RegionEntry::new(RegionId::new(0, 1), SpaceId(0), zeros.clone());
         let b = RegionEntry::new(RegionId::new(0, 2), SpaceId(0), zeros.clone());
         assert_eq!(a.words, 3);
-        assert!(Arc::ptr_eq(&a.data.borrow(), &b.data.borrow()), "fresh entries alias one buffer");
+        assert!(
+            Words::ptr_eq(&a.data.borrow(), &b.data.borrow()),
+            "fresh entries alias one buffer"
+        );
         a.with_data_mut(|d| d[1] = 4);
-        assert!(!Arc::ptr_eq(&a.data.borrow(), &zeros), "the first write makes a private copy");
+        assert!(!Words::ptr_eq(&a.data.borrow(), &zeros), "the first write makes a private copy");
         assert_eq!(&**a.data.borrow(), &[0, 4, 0]);
-        assert!(Arc::ptr_eq(&b.data.borrow(), &zeros));
+        assert!(Words::ptr_eq(&b.data.borrow(), &zeros));
         assert_eq!(&**b.data.borrow(), &[0; 3], "the other entry still reads zeros");
         assert_eq!(&*zeros, &[0; 3]);
-        let payload: Arc<[u64]> = Arc::from(vec![7, 8, 9]);
+        let payload = Words::from(vec![7, 8, 9]);
         b.install_shared(payload.clone());
-        assert!(Arc::ptr_eq(&payload, &b.data.borrow()), "install is still a pointer swap");
+        assert!(Words::ptr_eq(&payload, &b.data.borrow()), "install is still a pointer swap");
     }
 
     #[test]
@@ -534,7 +610,7 @@ mod tests {
     #[test]
     fn cow_write_never_mutates_outstanding_snapshot() {
         let e = entry(3);
-        e.install_shared(Arc::from(vec![1, 2, 3]));
+        e.install_shared(Words::from(vec![1, 2, 3]));
         let snap = e.share_data();
         e.with_data_mut(|d| d[0] = 99);
         assert_eq!(&*snap, &[1, 2, 3], "wire snapshot must stay frozen");
@@ -544,9 +620,9 @@ mod tests {
     #[test]
     fn install_shared_aliases_until_first_write() {
         let e = entry(2);
-        let payload: Arc<[u64]> = Arc::from(vec![5, 6]);
+        let payload = Words::from(vec![5, 6]);
         e.install_shared(payload.clone());
-        assert!(Arc::ptr_eq(&payload, &e.data.borrow()), "install is a pointer swap");
+        assert!(Words::ptr_eq(&payload, &e.data.borrow()), "install is a pointer swap");
         e.with_data_mut(|d| d[1] = 7);
         assert_eq!(&*payload, &[5, 6], "sender's buffer untouched by receiver write");
         assert_eq!(&*e.share_data(), &[5, 7]);
@@ -555,7 +631,7 @@ mod tests {
     #[test]
     fn unshared_mutation_stays_in_place() {
         let e = entry(2);
-        e.install_shared(Arc::from(vec![3, 4]));
+        e.install_shared(Words::from(vec![3, 4]));
         let p0 = e.data.borrow().as_ptr();
         e.with_data_mut(|d| d[0] = 8);
         assert_eq!(p0, e.data.borrow().as_ptr(), "no copy when uniquely owned");
@@ -564,7 +640,53 @@ mod tests {
     #[test]
     #[should_panic(expected = "payload size mismatch")]
     fn mismatched_install_shared_panics() {
-        entry(3).install_shared(Arc::from(vec![1, 2]));
+        entry(3).install_shared(Words::from(vec![1, 2]));
+    }
+
+    #[test]
+    fn a_one_word_region_holds_its_word_by_value() {
+        let e = entry(1);
+        assert!(matches!(*e.data.borrow(), Words::One(0)), "a fresh one-word entry");
+        e.install_shared(Words::from(vec![3]));
+        assert!(matches!(*e.data.borrow(), Words::One(3)), "an installed word");
+        e.with_data_mut(|d| d[0] = 4);
+        assert!(matches!(*e.data.borrow(), Words::One(4)), "a write in place");
+        assert!(matches!(std::iter::once(5).collect(), Words::One(5)));
+        assert!(matches!((0..2).collect(), Words::Many(_)));
+        assert!(matches!(Words::from(vec![]), Words::Many(_)));
+        assert!(!Words::ptr_eq(&e.share_data(), &e.share_data()), "one word shares no buffer");
+    }
+
+    #[test]
+    fn a_one_word_snapshot_is_unchanged_by_a_later_write() {
+        let e = entry(1);
+        e.install_shared(Words::One(1));
+        let snap = e.share_data();
+        e.with_data_mut(|d| d[0] = 99);
+        assert_eq!(&*snap, &[1], "wire snapshot must stay frozen");
+        assert_eq!(&*e.share_data(), &[99]);
+    }
+
+    #[test]
+    fn a_one_word_twin_stays_frozen() {
+        let e = entry(1);
+        e.install_shared(Words::One(6));
+        *e.cold_init().twin.borrow_mut() = Some(e.share_data());
+        e.with_data_mut(|d| d[0] = 7);
+        let twin = e.cold().and_then(|c| c.twin.borrow().clone()).expect("twin taken");
+        assert_eq!((&*twin, &**e.data.borrow()), (&[6][..], &[7][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn one_word_into_a_larger_region_panics() {
+        entry(3).install_shared(Words::One(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn a_larger_payload_into_a_one_word_region_panics() {
+        entry(1).install_shared(Words::from(vec![1, 2]));
     }
 
     #[test]

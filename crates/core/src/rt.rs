@@ -14,7 +14,7 @@ use crate::error::{AceError, ConformanceKind};
 use crate::ids::{RegionId, SpaceId};
 use crate::msg::{AceMsg, ProtoMsg, SectionBatch};
 use crate::protocol::{Actions, Protocol};
-use crate::region::RegionEntry;
+use crate::region::{RegionEntry, Words};
 use crate::space::SpaceEntry;
 
 /// Barrier tag reserved for the machine-wide barrier (space barriers use
@@ -232,8 +232,9 @@ pub struct AceRt<'n> {
     /// Indexed by `SpaceId`: ids come from this node's own counter.
     spaces: RefCell<Vec<Rc<SpaceEntry>>>,
     next_region_seq: Cell<u64>,
-    /// One all-zero buffer per region size, which every fresh entry of
-    /// that size aliases until its first write (see [`AceRt::zeros`]).
+    /// One all-zero buffer per region size above one word, which every
+    /// fresh entry of that size aliases until its first write (see
+    /// [`AceRt::zeros`]).
     zeros: RefCell<BTreeMap<usize, Arc<[u64]>>>,
     /// Barrier state by tag: slot 0 the machine barrier's, slot `1 + sid`
     /// a space's. Grown on first use of a tag, by this node or a child.
@@ -411,14 +412,8 @@ impl<'n> AceRt<'n> {
     }
 
     /// Send a protocol message on behalf of this node.
-    pub fn send_proto(
-        &self,
-        dst: usize,
-        region: RegionId,
-        op: u16,
-        arg: u64,
-        data: Option<Arc<[u64]>>,
-    ) {
+    #[inline]
+    pub fn send_proto(&self, dst: usize, region: RegionId, op: u16, arg: u64, data: Option<Words>) {
         let from = self.rank() as u16;
         self.node.send(dst, AceMsg::Proto(ProtoMsg { region, op, from, arg, data }));
     }
@@ -696,19 +691,22 @@ impl<'n> AceRt<'n> {
         id
     }
 
-    /// This node's all-zero buffer of `words` words, for a fresh entry to
-    /// alias: copy-on-write makes an entry's copy private at its first
-    /// write, and most pooled or cached entries are replaced by a `DATA`
-    /// or never written. A miss first drops every buffer no entry aliases
-    /// any more: an idle buffer lives only until the next size this node
-    /// has not cached.
-    fn zeros(&self, words: usize) -> Arc<[u64]> {
+    /// A fresh entry's `words` zero words: one word by value, or this
+    /// node's all-zero buffer of that size to alias: copy-on-write makes
+    /// an entry's copy private at its first write, and most pooled or
+    /// cached entries are replaced by a `DATA` or never written. A miss
+    /// first drops every buffer no entry aliases any more: an idle buffer
+    /// lives only until the next size this node has not cached.
+    fn zeros(&self, words: usize) -> Words {
+        if words == 1 {
+            return Words::One(0);
+        }
         let mut zeros = self.zeros.borrow_mut();
         if let Some(z) = zeros.get(&words) {
-            return z.clone();
+            return Words::Many(z.clone());
         }
         zeros.retain(|_, z| Arc::strong_count(z) > 1);
-        zeros.entry(words).or_insert_with(|| Arc::from(vec![0; words])).clone()
+        Words::Many(zeros.entry(words).or_insert_with(|| Arc::from(vec![0; words])).clone())
     }
 
     /// All region entries this node knows that belong to `space`, in id order.
@@ -1575,7 +1573,7 @@ mod tests {
                 rt.map(rid);
             }
             let alias = |x: RegionId, y: RegionId| {
-                Arc::ptr_eq(&rt.entry(x).share_data(), &rt.entry(y).share_data())
+                Words::ptr_eq(&rt.entry(x).share_data(), &rt.entry(y).share_data())
             };
             let fresh = (alias(a, b), alias(a, c));
             rt.machine_barrier();

@@ -5,6 +5,7 @@ use std::rc::Rc;
 
 use crate::ids::{RegionId, SpaceId};
 use crate::protocol::Protocol;
+use crate::region::RegionEntry;
 
 /// Node-local state for one space.
 ///
@@ -56,17 +57,25 @@ impl SpaceEntry {
         self.protocol.borrow().clone()
     }
 
-    /// Record a region as dirty if not already recorded.
-    pub fn mark_dirty(&self, r: RegionId) {
-        let mut d = self.dirty.borrow_mut();
-        if !d.contains(&r) {
-            d.push(r);
+    /// Record `e` as dirty unless `listed`, a bit of its aux word the
+    /// caller's protocol reserves for this, says it already is: O(1), in
+    /// first-mark order. The protocol clears `listed` on every region
+    /// [`SpaceEntry::drain_dirty`] hands it, and on every region it flushes
+    /// (a handover drops the list).
+    pub fn mark_dirty(&self, e: &RegionEntry, listed: u64) {
+        let aux = e.aux.get();
+        if aux & listed == 0 {
+            e.aux.set(aux | listed);
+            self.dirty.borrow_mut().push(e.id);
         }
     }
 
-    /// Take and clear the dirty list.
-    pub fn take_dirty(&self) -> Vec<RegionId> {
-        std::mem::take(&mut *self.dirty.borrow_mut())
+    /// Hand `f` every region on the dirty list, in first-mark order, and
+    /// leave the list empty with its buffer kept, so the next interval's
+    /// marks allocate nothing. The list stays borrowed while `f` runs: `f`
+    /// must not mark a region of this space dirty.
+    pub fn drain_dirty(&self, f: impl FnMut(RegionId)) {
+        self.dirty.borrow_mut().drain(..).for_each(f);
     }
 }
 
@@ -77,14 +86,29 @@ mod tests {
 
     #[test]
     fn dirty_list_dedups_and_drains() {
+        const LISTED: u64 = 1 << 5;
         let s = SpaceEntry::new(SpaceId(0), Rc::new(NoopProtocol));
-        let r1 = RegionId::new(0, 1);
-        let r2 = RegionId::new(0, 2);
-        s.mark_dirty(r1);
-        s.mark_dirty(r2);
-        s.mark_dirty(r1);
-        assert_eq!(s.take_dirty(), vec![r1, r2]);
-        assert!(s.take_dirty().is_empty());
+        let entry = |seq| RegionEntry::new(RegionId::new(0, seq), s.id, crate::Words::One(0));
+        let (e1, e2) = (entry(1), entry(2));
+        e2.aux.set(1);
+        s.mark_dirty(&e1, LISTED);
+        s.mark_dirty(&e2, LISTED);
+        s.mark_dirty(&e1, LISTED);
+        assert_eq!((e1.aux.get(), e2.aux.get()), (LISTED, LISTED | 1), "other aux bits kept");
+        let drained = || {
+            let mut out = Vec::new();
+            s.drain_dirty(|r| out.push(r));
+            out
+        };
+        assert_eq!(drained(), vec![e1.id, e2.id], "first-mark order, once each");
+        assert!(drained().is_empty());
+        assert!(s.dirty.borrow().capacity() >= 2, "the buffer is kept");
+        s.mark_dirty(&e1, LISTED);
+        assert!(drained().is_empty(), "still listed until the protocol clears the bit");
+        e1.aux.set(0);
+        s.mark_dirty(&e2, LISTED);
+        s.mark_dirty(&e1, LISTED);
+        assert_eq!(drained(), vec![e1.id], "a cleared bit lists the region again");
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! differ in more than that (who counts the miss, what a join records
 //! afterwards), the difference stays at the call site.
 
-use std::sync::Arc;
-
-use ace_core::{AceRt, RegionEntry};
+use ace_core::{AceRt, RegionEntry, Words};
 
 use crate::auxbits::{self, FLUSH_WAIT, WANTED};
 use crate::states::R_INVALID;
@@ -36,13 +34,7 @@ pub(crate) fn fetch_copy(
 /// `data` when this node held the only valid copy — and block until home's
 /// acknowledgement clears `FLUSH_WAIT` (every protocol's ack handler is
 /// `auxbits::clear(e, FLUSH_WAIT)`).
-pub(crate) fn leave_home(
-    rt: &AceRt,
-    e: &RegionEntry,
-    op: u16,
-    data: Option<Arc<[u64]>>,
-    what: &str,
-) {
+pub(crate) fn leave_home(rt: &AceRt, e: &RegionEntry, op: u16, data: Option<Words>, what: &str) {
     auxbits::set(e, FLUSH_WAIT);
     e.st.set(R_INVALID);
     rt.send_proto(e.id.home(), e.id, op, 0, data);

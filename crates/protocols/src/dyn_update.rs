@@ -29,7 +29,7 @@
 
 use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
 
-use crate::auxbits::{self, FLUSH_WAIT, LISTED};
+use crate::auxbits::{self, DIRTY, FLUSH_WAIT, LISTED};
 use crate::common;
 use crate::states::*;
 
@@ -237,7 +237,7 @@ impl Protocol for DynamicUpdate {
                 "static update regions are written only at home ({})",
                 e.id
             );
-            return rt.space(e.space).mark_dirty(e.id);
+            return rt.space(e.space).mark_dirty(e, DIRTY);
         }
         Self::add_outstanding(rt, e, 1);
         if e.is_home_of(rt.rank()) {
@@ -250,11 +250,12 @@ impl Protocol for DynamicUpdate {
     // Static update's rounds start here, one per dirty region (a dynamic
     // update space has none), all pushed before the one wait.
     fn barrier(&self, rt: &AceRt, s: &SpaceEntry) {
-        for rid in s.take_dirty() {
+        s.drain_dirty(|rid| {
             let e = rt.entry(rid);
+            auxbits::clear(&e, DIRTY);
             Self::add_outstanding(rt, &e, 1);
             self.push_round(rt, &e, rt.rank());
-        }
+        });
         rt.wait("update rounds drain", || s.outstanding.get() == 0);
         rt.space_barrier(s);
     }
@@ -311,7 +312,8 @@ impl Protocol for DynamicUpdate {
 
     fn flush(&self, rt: &AceRt, e: &RegionEntry) {
         if e.is_home_of(rt.rank()) {
-            return;
+            // The handover drops the dirty list.
+            return auxbits::clear(e, DIRTY);
         }
         if auxbits::has(e, LISTED) || e.st.get() == R_SHARED {
             common::leave_home(rt, e, op::LEAVE, None, "leave ack");

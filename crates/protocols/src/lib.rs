@@ -92,6 +92,9 @@ pub mod auxbits {
     /// Remote side of an update protocol: this node is on home's sharer
     /// list (joined) and must take itself off it in `flush`.
     pub const LISTED: u64 = 1 << 4;
+    /// Home side of static update: the region is on its space's dirty list
+    /// until the next barrier drains it (see `SpaceEntry::mark_dirty`).
+    pub const DIRTY: u64 = 1 << 5;
     /// Remote side: `flush` told home this node is leaving and is waiting
     /// for the acknowledgement.
     pub const FLUSH_WAIT: u64 = 1 << 8;

@@ -25,7 +25,7 @@
 //! processors that created them" (§5.2). Its write hooks are null, and
 //! readers pull whole blocks in bulk and keep them until the next barrier.
 
-use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry};
+use ace_core::{AceRt, Actions, GrantSet, ProtoMsg, Protocol, RegionEntry, SpaceEntry, Words};
 
 use crate::common;
 use crate::states::*;
@@ -133,7 +133,7 @@ impl Protocol for PipelinedWrite {
             rt.counters_mut(|c| c.read_misses += 1);
             common::fetch_copy(rt, e, op::FETCH, R_WAIT_READ, R_SHARED, "pipelined fetch");
             // The copy stays until the barrier drops it, so a region is
-            // listed at most once a barrier: no `mark_dirty` scan.
+            // listed at most once a barrier: no `mark_dirty` bit.
             rt.space(e.space).dirty.borrow_mut().push(e.id);
         }
     }
@@ -158,7 +158,7 @@ impl Protocol for PipelinedWrite {
         if e.is_home_of(rt.rank()) {
             return; // wrote the master directly
         }
-        let delta: std::sync::Arc<[u64]> = {
+        let delta: Words = {
             let data = e.data.borrow();
             let twin = e.cold().expect("write section had a twin").twin.borrow();
             let twin = twin.as_deref().expect("write section had a twin");
@@ -185,10 +185,12 @@ impl Protocol for PipelinedWrite {
         // entries outside a callback on them, so it re-derives their fast
         // masks itself.
         rt.wait("pipelined deltas drain", || s.outstanding.get() == 0);
-        for e in s.take_dirty().into_iter().filter_map(|r| rt.resident(r)) {
-            common::drop_copy(&e);
-            rt.rederive_fast(&e);
-        }
+        s.drain_dirty(|r| {
+            if let Some(e) = rt.resident(r) {
+                common::drop_copy(&e);
+                rt.rederive_fast(&e);
+            }
+        });
         rt.space_barrier(s);
     }
 
