@@ -69,18 +69,73 @@ pub struct Envelope<M> {
 }
 
 /// What actually travels on the transport: one envelope whose message is
-/// the `(msg, payload_bytes)` parts it carries, in send order, all bound
-/// for one destination. An uncoalesced send is a one-part envelope; a
-/// coalescing flush carries every part its buffer held. Either way the
-/// envelope is the *wire* unit — it pays latency, header and overheads
-/// once, and its `bytes` are the summed payloads plus one header — and
-/// the receiver re-expands it into one [`Envelope`] per part, so handlers
-/// never see grouping.
+/// the [`Parts`] it carries, in send order, all bound for one destination.
+/// An uncoalesced send, and a coalescing flush of a buffer that held one
+/// part, carries that part by value ([`Parts::One`]), the way a CM-5
+/// active message was one packet; only a coalesced train of two or more
+/// parts holds them in a list ([`Parts::Many`]). Either way the envelope
+/// is the *wire* unit — it pays latency, header and overheads once, and
+/// its `bytes` are the summed payloads plus one header — and the receiver
+/// re-expands it into one [`Envelope`] per part, so handlers never see
+/// grouping.
 ///
 /// This is the unit a [`crate::transport::Transport`] backend carries:
 /// the in-process backend pushes it into the destination's mailbox, the
 /// socket backend frames it with [`crate::transport::WireCodec`].
-pub type Wire<M> = Envelope<Vec<(M, usize)>>;
+pub type Wire<M> = Envelope<Parts<M>>;
+
+/// The parts of one [`Wire`] envelope, each a message with its payload
+/// size in bytes, in send order.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Parts<M> {
+    /// A lone part, held by value: no list to allocate, recycle or walk.
+    One(M, usize),
+    /// A coalesced train of two or more parts.
+    Many(Vec<(M, usize)>),
+}
+
+impl<M> Parts<M> {
+    /// How many parts there are.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Parts::One(..) => 1,
+            Parts::Many(parts) => parts.len(),
+        }
+    }
+
+    /// The summed payload bytes of the parts.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        match self {
+            Parts::One(_, bytes) => *bytes,
+            Parts::Many(parts) => parts.iter().map(|&(_, b)| b).sum(),
+        }
+    }
+
+    /// The first part's message.
+    pub(crate) fn head(&self) -> &M {
+        match self {
+            Parts::One(msg, _) => msg,
+            Parts::Many(parts) => &parts[0].0,
+        }
+    }
+
+    /// Append `msg` of `payload` bytes. A lone part becomes a train: it
+    /// moves into the empty list `list` returns, ahead of `msg`.
+    pub(crate) fn push(&mut self, msg: M, payload: usize, list: impl FnOnce() -> Vec<(M, usize)>) {
+        match self {
+            Parts::Many(parts) => parts.push((msg, payload)),
+            Parts::One(..) => {
+                let mut parts = list();
+                debug_assert!(parts.is_empty());
+                if let Parts::One(head, bytes) = std::mem::replace(self, Parts::Many(Vec::new())) {
+                    parts.push((head, bytes));
+                }
+                parts.push((msg, payload));
+                *self = Parts::Many(parts);
+            }
+        }
+    }
+}
 
 impl MsgSize for () {
     fn size_bytes(&self) -> usize {
@@ -115,7 +170,7 @@ pub(crate) mod tests {
     /// uncoalesced send injects it.
     pub(crate) fn one_part(src: usize, msg: u64) -> Wire<u64> {
         let bytes = 8 + HEADER_BYTES;
-        Envelope { src, send_time: 0, bytes, vc: None, sw: 0, msg: vec![(msg, 8)] }
+        Envelope { src, send_time: 0, bytes, vc: None, sw: 0, msg: Parts::One(msg, 8) }
     }
 
     #[test]

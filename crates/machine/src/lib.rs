@@ -56,7 +56,7 @@ pub mod transport;
 pub mod vclock;
 
 pub use cost::CostModel;
-pub use envelope::{Envelope, MsgSize, Wire, HEADER_BYTES};
+pub use envelope::{Envelope, MsgSize, Parts, Wire, HEADER_BYTES};
 pub use node::{CheckMode, CoalescePolicy, Node};
 pub use pod::Pod;
 pub use sched::ExecBackend;

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use ace_trace::{EventKind, MachineTrace, NodeTrace, TraceConfig, TraceSink};
 
 use crate::cost::CostModel;
-use crate::envelope::{Envelope, MsgSize, Wire};
+use crate::envelope::{Envelope, MsgSize, Parts, Wire};
 use crate::sched::Parker;
 use crate::stats::NodeStats;
 use crate::transport::{Transport, WaitWireError};
@@ -88,23 +88,24 @@ pub(crate) struct NodeSetup {
     pub check: CheckMode,
 }
 
-/// The wire envelope a node is receiving, after its first part was handed
-/// out: what its later parts share with the first, and those parts, last
-/// part first, so the next one is popped off the end.
+/// The train a node is receiving, after its first part was handed out:
+/// what its later parts share with the first, and those parts, last part
+/// first, so the next one is popped off the end. A one-part envelope is
+/// handed out whole when it is opened and never becomes one.
 struct Receiving<M> {
     src: usize,
     send_time: u64,
     sw: u64,
-    parts: Parts<M>,
+    parts: Train<M>,
 }
 
-/// One destination's coalescing buffer: its pending parts, each with its
-/// payload size. Flushed, it moves into the wire envelope as it is.
-type Parts<M> = Vec<(M, usize)>;
+/// The list of a coalesced train of two or more parts, each with its
+/// payload size ([`Parts::Many`]).
+type Train<M> = Vec<(M, usize)>;
 
-/// Emptied part lists a node keeps for the next coalescing buffers it
-/// opens: a received wire envelope's list, once its parts are handed out,
-/// becomes a later send's, so steady traffic allocates none.
+/// Emptied train lists a node keeps for the next trains it starts: a
+/// received train's list, once its parts are handed out, becomes a later
+/// send's, so steady coalesced traffic allocates none.
 const SPARE_PARTS: usize = 8;
 
 /// One simulated processor.
@@ -140,11 +141,13 @@ pub struct Node<M> {
     /// The coalescing buffers of the destinations that have parts
     /// pending, sorted by destination. An entry lives from its first part
     /// to its flush, so a node keeps no table per peer: what it holds
-    /// follows its traffic, not the machine's size.
+    /// follows its traffic, not the machine's size. A buffer's first part
+    /// is held by value; a second moves both into a train list.
     outbuf: RefCell<Vec<(usize, Parts<M>)>>,
-    /// Empty part lists, at most [`SPARE_PARTS`], that a new coalescing
-    /// buffer takes before it allocates one (see [`Node::recycle`]).
-    spare: RefCell<Vec<Parts<M>>>,
+    /// Empty train lists, at most [`SPARE_PARTS`], that a buffer turning
+    /// into a train takes before it allocates one (see [`Node::recycle`]).
+    /// Only trains use them: a lone part never enters a list.
+    spare: RefCell<Vec<Train<M>>>,
     /// This node's parking handle: the waiter senders wake it through, and
     /// the park on the mailbox inside [`Node::recv_blocking`] — the
     /// substrate's one true blocking point, and a fiber's one yield point.
@@ -327,8 +330,11 @@ impl<M: MsgSize + Send> Node<M> {
     /// Inject a message to `dst`: it joins `dst`'s coalescing buffer, which
     /// leaves once it holds the policy's limit of parts or at the next
     /// flush. Only a part that joins a non-empty buffer charges `pack_cost`.
-    /// Sending to self is allowed (the message is delivered via the normal
-    /// polling path, like a loopback active message).
+    /// A buffer's first part is held by value, and only a second one opens
+    /// a train list; under a limit of one part the message leaves at once,
+    /// by value, without a buffer. Sending to self is allowed (the message
+    /// is delivered via the normal polling path, like a loopback active
+    /// message).
     ///
     /// # Panics
     ///
@@ -351,27 +357,42 @@ impl<M: MsgSize + Send> Node<M> {
             CoalescePolicy::Threshold(n) => n.max(1),
             CoalescePolicy::FlushOnWait => usize::MAX,
         };
+        if limit == 1 {
+            self.trace_pack(dst, &msg, payload);
+            self.emit(dst, Parts::One(msg, payload));
+            return;
+        }
         let full = {
             let mut bufs = self.outbuf.borrow_mut();
-            let i = bufs.binary_search_by_key(&dst, |&(d, _)| d).unwrap_or_else(|i| {
-                bufs.insert(i, (dst, self.spare.borrow_mut().pop().unwrap_or_default()));
-                i
-            });
-            // A later part packs; the head is composed under the envelope's
-            // `send_overhead`, as an `Off` send is.
-            if !bufs[i].1.is_empty() {
-                self.charge(self.cost.pack_cost);
+            match bufs.binary_search_by_key(&dst, |&(d, _)| d) {
+                // The head is composed under the envelope's `send_overhead`,
+                // as an `Off` send is.
+                Err(i) => {
+                    self.trace_pack(dst, &msg, payload);
+                    bufs.insert(i, (dst, Parts::One(msg, payload)));
+                    None
+                }
+                // A later part packs.
+                Ok(i) => {
+                    self.charge(self.cost.pack_cost);
+                    self.trace_pack(dst, &msg, payload);
+                    let parts = &mut bufs[i].1;
+                    parts.push(msg, payload, || self.spare.borrow_mut().pop().unwrap_or_default());
+                    (parts.len() >= limit).then(|| bufs.remove(i).1)
+                }
             }
-            if self.sink.enabled() {
-                let bytes = (payload + self.header_bytes) as u32;
-                let pack = EventKind::Pack { dst: dst as u16, tag: msg.tag(), bytes };
-                self.sink.emit(self.now(), pack);
-            }
-            bufs[i].1.push((msg, payload));
-            (bufs[i].1.len() >= limit).then(|| bufs.remove(i).1)
         };
         if let Some(parts) = full {
             self.emit(dst, parts);
+        }
+    }
+
+    /// Trace `msg` entering `dst`'s buffer, at the clock it enters at.
+    fn trace_pack(&self, dst: usize, msg: &M, payload: usize) {
+        if self.sink.enabled() {
+            let bytes = (payload + self.header_bytes) as u32;
+            let pack = EventKind::Pack { dst: dst as u16, tag: msg.tag(), bytes };
+            self.sink.emit(self.now(), pack);
         }
     }
 
@@ -401,7 +422,7 @@ impl<M: MsgSize + Send> Node<M> {
     /// wire envelope a node sends leaves through here.
     fn emit(&self, dst: usize, parts: Parts<M>) {
         self.charge(self.cost.send_overhead);
-        let bytes = parts.iter().map(|&(_, b)| b).sum::<usize>() + self.header_bytes;
+        let bytes = parts.payload_bytes() + self.header_bytes;
         self.wire_sent.set(self.wire_sent.get() + 1);
         self.wire_bytes_sent.set(self.wire_bytes_sent.get() + bytes as u64);
         if self.sink.enabled() {
@@ -409,7 +430,7 @@ impl<M: MsgSize + Send> Node<M> {
                 self.clock.get(),
                 EventKind::Send {
                     dst: dst as u16,
-                    tag: parts[0].0.tag(),
+                    tag: parts.head().tag(),
                     bytes: bytes as u32,
                     subs: parts.len() as u32,
                 },
@@ -464,10 +485,10 @@ impl<M: MsgSize + Send> Node<M> {
     /// absorbed here, once: the clock advances to its arrival (send time
     /// plus the flight of its wire bytes) and pays `recv_overhead`, the
     /// sender's vector clock is merged, and one `Recv` event is traced, so
-    /// flow arrows stay one per wire envelope. Its later parts wait in
-    /// [`Node::next_part`].
+    /// flow arrows stay one per wire envelope. A lone part is handed out
+    /// as it came; a train's later parts wait in [`Node::next_part`].
     fn open(&self, wire: Wire<M>) -> Envelope<M> {
-        let Envelope { src, send_time, bytes, vc, sw, msg: mut parts } = wire;
+        let Envelope { src, send_time, bytes, vc, sw, msg: parts } = wire;
         let subs = parts.len() as u32;
         let arrival = send_time + self.cost.wire_time(bytes);
         let now = self.clock.get().max(arrival) + self.cost.recv_overhead;
@@ -487,19 +508,25 @@ impl<M: MsgSize + Send> Node<M> {
             self.rank,
             self.sw_epoch.get()
         );
-        parts.reverse();
-        let (msg, payload) = parts.pop().expect("a wire envelope carries at least one part");
+        let (msg, payload) = match parts {
+            Parts::One(msg, payload) => (msg, payload),
+            Parts::Many(mut parts) => {
+                parts.reverse();
+                let first = parts.pop().expect("a wire envelope carries at least one part");
+                if parts.is_empty() {
+                    self.recycle(parts);
+                } else {
+                    self.receiving.replace(Some(Receiving { src, send_time, sw, parts }));
+                }
+                first
+            }
+        };
         if self.sink.enabled() {
             let (tag, bytes) = (msg.tag(), bytes as u32);
             self.sink.emit(
                 now,
                 EventKind::Recv { src: src as u16, tag, bytes, sent_at: send_time, subs },
             );
-        }
-        if parts.is_empty() {
-            self.recycle(parts);
-        } else {
-            self.receiving.replace(Some(Receiving { src, send_time, sw, parts }));
         }
         Envelope { src, send_time, bytes: payload, vc, sw, msg }
     }
@@ -528,9 +555,9 @@ impl<M: MsgSize + Send> Node<M> {
         Some(env)
     }
 
-    /// Keep an emptied part list for a later coalescing buffer, unless
+    /// Keep an emptied train list for a later train, unless
     /// [`SPARE_PARTS`] are kept already.
-    fn recycle(&self, parts: Parts<M>) {
+    fn recycle(&self, parts: Train<M>) {
         debug_assert!(parts.is_empty());
         let mut spare = self.spare.borrow_mut();
         if spare.len() < SPARE_PARTS {
@@ -905,6 +932,79 @@ mod tests {
             .collect();
         let packs = (0..5).map(|k| (k * pc, false));
         assert_eq!(events, packs.chain([(sent, true)]).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lone_part_travels_by_value_and_a_train_as_a_list() {
+        // A node's own mailbox, where a self-send lands exactly as a
+        // peer's send does: an `Off` send and a lone `Threshold(8)` part
+        // arrive by value, three parts flushed together as one train,
+        // which is handed out in send order.
+        let arrivals = |policy, sends: u64| {
+            let r = Spmd::builder()
+                .nprocs(1)
+                .cost(CostModel::free())
+                .coalesce(policy)
+                .run::<u64, _, _>(|node| {
+                    for i in 0..sends {
+                        node.send(0, 10 + i);
+                    }
+                    node.flush_coalesced();
+                    let mailbox = node.transport.mailbox();
+                    let wire = mailbox.try_pop().expect("the flush delivered one envelope");
+                    assert!(mailbox.try_pop().is_none());
+                    let parts = match &wire.msg {
+                        Parts::One(msg, bytes) => Err((*msg, *bytes)),
+                        Parts::Many(parts) => Ok(parts.clone()),
+                    };
+                    mailbox.push(wire);
+                    let seen = RefCell::new(Vec::new());
+                    let want = sends as usize;
+                    let handle =
+                        |_: &Node<u64>, env: Envelope<u64>| seen.borrow_mut().push(env.msg);
+                    node.poll_until("the parts", handle, || seen.borrow().len() == want);
+                    (parts, seen.into_inner())
+                });
+            r.results.into_iter().next().unwrap()
+        };
+        assert_eq!(arrivals(CoalescePolicy::Off, 1), (Err((10, 8)), vec![10]));
+        assert_eq!(arrivals(CoalescePolicy::Threshold(8), 1), (Err((10, 8)), vec![10]));
+        let train = vec![(10, 8), (11, 8), (12, 8)];
+        assert_eq!(arrivals(CoalescePolicy::Threshold(8), 3), (Ok(train), vec![10, 11, 12]));
+    }
+
+    #[test]
+    fn a_one_part_ping_pong_opens_no_train() {
+        // 1 000 round trips of one part each way under `Threshold(8)`:
+        // every part is handed out as it came, so no train is ever being
+        // received and no list is kept for one. (Were a lone part carried
+        // in a list, each node's `spare` would hold the recycled one.)
+        let r = Spmd::builder()
+            .nprocs(2)
+            .cost(CostModel::free())
+            .coalesce(CoalescePolicy::Threshold(8))
+            .run::<u64, _, _>(|node| {
+                let got = Cell::new(0u64);
+                let trains = Cell::new(0u64);
+                let mut handle = |n: &Node<u64>, env: Envelope<u64>| {
+                    if n.receiving.borrow().is_some() {
+                        trains.set(trains.get() + 1);
+                    }
+                    if n.rank() == 1 {
+                        n.send(0, env.msg);
+                    }
+                    got.set(got.get() + 1);
+                };
+                for i in 0..1_000 {
+                    if node.rank() == 0 {
+                        node.send(1, i);
+                    }
+                    node.poll_until("the next part", &mut handle, || got.get() > i);
+                }
+                (trains.get(), node.spare.borrow().len())
+            });
+        assert_eq!(r.results, [(0, 0), (0, 0)], "(parts handed out of a train, lists kept)");
+        assert_eq!(r.stats.total_msgs(), 2_000);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! How a machine's nodes get the host CPU ([`ExecBackend`]), and the one
-//! way a node blocks: it publishes its `Waiter` where wakers will find
-//! it and parks through its `Parker` — an OS thread in the kernel, a
-//! fiber by handing the executor's thread to the next runnable node
-//! (`fiber.rs` has the executor's rules, DESIGN.md §13 the reasons).
-//! Whoever ends the wait — a sender, a failing peer — takes the waiter
-//! and wakes it, once.
+//! way a node blocks: it raises a flag in its mailbox, which holds its
+//! `Waiter` from its first park on, and parks through its `Parker` — an
+//! OS thread in the kernel, a fiber by handing the executor's thread to
+//! the next runnable node (`fiber.rs` has the executor's rules, DESIGN.md
+//! §13 the reasons). Whoever ends the wait — a sender, a failing peer —
+//! takes the flag and wakes the waiter, once.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,15 +43,17 @@ pub(crate) enum Owner {
     Fiber(usize),
 }
 
-/// One node's wake-up handle: what a mailbox publishes while its owner
-/// is parked.
+/// One node's wake-up handle, held by its mailbox for the life of the
+/// machine; a raised flag beside it in the mailbox says the owner is
+/// parked.
 ///
 /// `granted` is the whole protocol: the owner clears it before a wait,
 /// exactly one party sets it (`Release`) and wakes the owner, and the
 /// owner parks until it reads `true` (`Acquire`), which makes the waker's
-/// delivery visible. The clearing store can be `Relaxed` because the
-/// waiter only reaches a waker through the mailbox's mutex, locked after
-/// it, so every grant is ordered behind it.
+/// delivery visible. The clearing store can be `Relaxed` because a waker
+/// learns of the wait only by taking the mailbox's flag under its mutex,
+/// and the owner raises the flag under that mutex after the clear, so
+/// every grant is ordered behind it.
 pub(crate) struct Waiter {
     granted: AtomicBool,
     owner: Owner,
@@ -59,7 +61,7 @@ pub(crate) struct Waiter {
 
 impl Waiter {
     /// End this waiter's blocking episode. Called once per episode, by
-    /// whoever took the waiter out of its mailbox, with no lock held.
+    /// whoever took its mailbox's flag down, with no lock held.
     pub(crate) fn wake(&self) {
         self.granted.store(true, Ordering::Release);
         match &self.owner {
@@ -91,11 +93,15 @@ impl Parker {
         Parker { waiter, parks: Cell::new(0), park_timeouts: Cell::new(0) }
     }
 
-    /// Start a blocking episode: clear the grant flag and return the
-    /// waiter to publish where wakers will find it.
-    pub(crate) fn arm(&self) -> Arc<Waiter> {
+    /// The waiter others wake this handle's owner through.
+    pub(crate) fn waiter(&self) -> &Arc<Waiter> {
+        &self.waiter
+    }
+
+    /// Start a blocking episode: clear the grant flag, before the owner
+    /// raises the flag that tells wakers it waits.
+    pub(crate) fn arm(&self) {
         self.waiter.granted.store(false, Ordering::Relaxed);
-        Arc::clone(&self.waiter)
     }
 
     /// The host clock as this handle's owner reads it: exact for a thread;
@@ -109,10 +115,10 @@ impl Parker {
         }
     }
 
-    /// Park the armed, published waiter until someone wakes it (`true`)
-    /// or `deadline` passes and `cancel` withdraws the publication
+    /// Park the armed waiter, its wait published, until someone wakes it
+    /// (`true`) or `deadline` passes and `cancel` withdraws the publication
     /// (`false`). `cancel` returning `false` means a waker already took
-    /// the waiter and its grant is on the way, so the park continues —
+    /// the publication and its grant is on the way, so the park continues —
     /// past the deadline if it must — until that grant lands.
     /// A fiber tests the deadline before it suspends (nobody looks while
     /// it is suspended): a wait that keeps being woken but never satisfied

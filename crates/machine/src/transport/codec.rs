@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use crate::envelope::Envelope;
+use crate::envelope::{Envelope, Parts};
 
 /// A decode failure: the frame was truncated, carried an unknown tag, or
 /// an embedded string was not UTF-8.
@@ -215,26 +215,46 @@ impl<M: WireCodec> WireCodec for Envelope<M> {
     }
 }
 
+/// Append one part: its `u32` payload size, then the message.
+fn put_part<M: WireCodec>(out: &mut Vec<u8>, msg: &M, payload: usize) {
+    out.extend_from_slice(&(payload as u32).to_le_bytes());
+    msg.encode(out);
+}
+
+fn get_part<M: WireCodec>(r: &mut WireReader<'_>) -> Result<(M, usize), CodecError> {
+    let payload = r.u32()? as usize;
+    Ok((M::decode(r)?, payload))
+}
+
 /// A wire envelope's message: a `u32` part count, then each part as its
-/// `u32` payload size followed by the message. With the [`Envelope`]
-/// impl above this is the whole frame codec of a [`crate::Wire`].
-impl<M: WireCodec> WireCodec for Vec<(M, usize)> {
+/// `u32` payload size followed by the message, whether the parts travel
+/// by value or as a train; a count of one decodes by value. With the
+/// [`Envelope`] impl above this is the whole frame codec of a
+/// [`crate::Wire`].
+impl<M: WireCodec> WireCodec for Parts<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for (msg, payload) in self {
-            out.extend_from_slice(&(*payload as u32).to_le_bytes());
-            msg.encode(out);
+        match self {
+            Parts::One(msg, payload) => put_part(out, msg, *payload),
+            Parts::Many(parts) => {
+                for (msg, payload) in parts {
+                    put_part(out, msg, *payload);
+                }
+            }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, CodecError> {
         let n = r.u32()? as usize;
+        if n == 1 {
+            let (msg, payload) = get_part(r)?;
+            return Ok(Parts::One(msg, payload));
+        }
         let mut parts = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            let payload = r.u32()? as usize;
-            parts.push((M::decode(r)?, payload));
+            parts.push(get_part(r)?);
         }
-        Ok(parts)
+        Ok(Parts::Many(parts))
     }
 }
 
@@ -277,12 +297,50 @@ mod tests {
             bytes: 100,
             vc: Some(Arc::from(vec![1u64, 2])),
             sw: 2,
-            msg: parts.clone(),
+            msg: Parts::Many(parts.clone()),
         };
         let back = round_trip(&w);
         assert_eq!((back.src, back.send_time, back.bytes, back.sw), (3, 42, 100, 2));
         assert_eq!(back.vc.as_deref(), Some(&[1u64, 2][..]));
-        assert_eq!(back.msg, parts);
+        assert_eq!(back.msg, Parts::Many(parts));
+    }
+
+    /// The frame of a `Wire<u64>` from rank 3 at send time 42, of `bytes`
+    /// wire bytes, with no clock, at switch epoch 2.
+    fn frame(bytes: u32, msg: Parts<u64>) -> Vec<u8> {
+        let w: Wire<u64> =
+            Envelope { src: 3, send_time: 42, bytes: bytes as usize, vc: None, sw: 2, msg };
+        let mut buf = Vec::new();
+        w.encode(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn the_wire_format_is_a_counted_part_list_either_way() {
+        // src u32, send time u64, bytes u32, no clock, epoch u64, then a
+        // u32 part count and each part's u32 payload size and u64 message:
+        // a lone part carried by value is framed as a one-element list.
+        let header = |bytes: u8| {
+            let mut h = vec![3, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, bytes, 0, 0, 0, 0];
+            h.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]);
+            h
+        };
+        let one = [header(28), vec![1, 0, 0, 0], vec![8, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0]].concat();
+        assert_eq!(frame(28, Parts::One(7, 8)), one);
+        let three = [
+            header(44),
+            vec![3, 0, 0, 0],
+            vec![8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0],
+            vec![8, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0],
+            vec![8, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+        ]
+        .concat();
+        assert_eq!(frame(44, Parts::Many(vec![(5, 8), (6, 8), (256, 8)])), three);
+        // A one-element list on the wire comes back by value.
+        let lone = frame(28, Parts::Many(vec![(7, 8)]));
+        assert_eq!(lone, one);
+        let back = Wire::<u64>::decode(&mut WireReader::new(&lone)).unwrap();
+        assert_eq!(back.msg, Parts::One(7, 8));
     }
 
     #[test]

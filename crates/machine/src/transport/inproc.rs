@@ -74,6 +74,7 @@ impl<M> Transport<M> for InProcTransport<M> {
 mod tests {
     use super::*;
     use crate::envelope::tests::one_part as env;
+    use crate::envelope::Parts;
     use crate::sched::Parker;
     use crate::transport::WaitWireError;
     use std::time::{Duration, Instant};
@@ -87,7 +88,7 @@ mod tests {
         eps[0].send_wire(0, env(0, 3)); // self-send loops back
         for (ep, want) in [(&eps[1], 1), (&eps[1], 2), (&eps[0], 3)] {
             let e = ep.mailbox().try_pop().expect("delivered");
-            assert_eq!(e.msg, vec![(want, 8)]);
+            assert_eq!(e.msg, Parts::One(want, 8));
         }
         assert!(eps[1].mailbox().try_pop().is_none());
     }

@@ -503,12 +503,19 @@ fn reader_loop<M: WireCodec>(
 mod tests {
     use super::*;
     use crate::envelope::tests::one_part;
-    use crate::envelope::Envelope;
+    use crate::envelope::{Envelope, Parts};
     use crate::sched::Parker;
+
+    thread_local! {
+        /// This thread's parking handle: a mailbox keeps the waiter of the
+        /// first parker that parks on it, so every wait on it from this
+        /// thread goes through the same one.
+        static PARKER: Parker = Parker::thread();
+    }
 
     /// Block on `ep`'s mailbox for up to `d`, as a node would.
     fn recv(ep: &SocketTransport<u64>, d: Duration) -> Option<Wire<u64>> {
-        ep.mailbox().park(&Parker::thread(), Instant::now() + d, || false).ok()
+        PARKER.with(|p| ep.mailbox().park(p, Instant::now() + d, || false).ok())
     }
 
     /// Bootstrap rank `rank` of an `n`-rank machine at `cfg`.
@@ -549,7 +556,10 @@ mod tests {
             eps[0].send_wire(last, one_part(0, i));
         }
         let got: Vec<u64> = (0..10)
-            .map(|_| recv(&eps[last], Duration::from_secs(5)).expect("delivered").msg[0].0)
+            .map(|_| match recv(&eps[last], Duration::from_secs(5)).expect("delivered").msg {
+                Parts::One(msg, _) => msg,
+                parts => panic!("a one-part envelope arrived as {parts:?}"),
+            })
             .collect();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
         for ep in eps {
@@ -571,7 +581,7 @@ mod tests {
         let eps = endpoints(3);
         eps[1].send_wire(1, one_part(1, 99)); // self-send loops back
         let e = recv(&eps[1], Duration::from_secs(1)).expect("self-send delivered");
-        assert_eq!(e.msg, vec![(99, 8)]);
+        assert_eq!(e.msg, Parts::One(99, 8));
         delivers_fifo_then_shuts_down(&eps);
     }
 
@@ -684,7 +694,7 @@ mod tests {
         let flood = |rank: usize, ep: SocketTransport<u64>| {
             let peer = 1 - rank;
             for f in 0..FRAMES {
-                let msg = (f * WORDS..(f + 1) * WORDS).map(|w| (w, 8)).collect();
+                let msg = Parts::Many((f * WORDS..(f + 1) * WORDS).map(|w| (w, 8)).collect());
                 let bytes = 8 * WORDS as usize;
                 ep.send_wire(
                     peer,
@@ -696,7 +706,8 @@ mod tests {
                 let wire = recv(&ep, Duration::from_secs(30))
                     .unwrap_or_else(|| panic!("rank {rank}: nothing from {peer}"));
                 assert_eq!(wire.src, peer);
-                for (w, _) in wire.msg {
+                let Parts::Many(parts) = wire.msg else { panic!("a train arrived whole") };
+                for (w, _) in parts {
                     assert_eq!(w, next, "rank {rank}: stream from {peer} reordered");
                     next += 1;
                 }

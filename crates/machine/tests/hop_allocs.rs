@@ -1,9 +1,9 @@
-//! A message hop allocates nothing once a machine is warm. A wire
-//! envelope's part list comes from its sender's free list and goes back to
-//! its receiver's once its parts are handed out, so a steady ping-pong
-//! reuses the same few lists: 1 000 and 2 000 round trips after a warm-up
-//! allocate the same count, under `Off` (one part per envelope) and under
-//! `Threshold(8)` alike.
+//! A message hop allocates nothing once a machine is warm. A lone part
+//! travels by value in its wire envelope, and only a coalesced train takes
+//! a list (from its sender's free list, back to its receiver's once its
+//! parts are handed out), so a steady one-part ping-pong touches no list at
+//! all: 1 000 and 2 000 round trips after a warm-up allocate the same
+//! count, under `Off` and under `Threshold(8)` alike.
 //!
 //! The count is this thread's, taken by a counting global allocator: the
 //! multiplexed machine runs both nodes as fibers on the thread that reads
